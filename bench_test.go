@@ -8,10 +8,8 @@ package trainbox_test
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"trainbox/internal/arch"
 	"trainbox/internal/collective"
@@ -251,10 +249,11 @@ func BenchmarkKernelImagePipeline(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := dataprep.DefaultImageConfig()
+	s := dataprep.NewScratch()
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dataprep.PrepareImage(data, cfg, int64(i)); err != nil {
+		if _, err := dataprep.PrepareImageScratch(data, cfg, int64(i), s); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -345,45 +344,6 @@ func BenchmarkKernelDESBaseline(b *testing.B) {
 		if _, err := core.SimulatePrep(sys, w, opts); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkPrefetcherThroughput measures delivered samples/sec through
-// the full staged pipeline (fetch→prepare under a prefetching consumer)
-// at several pipeline depths, so refactors of the pipeline runtime show
-// up in the perf trajectory. Depth 1 is the paper's double buffering.
-func BenchmarkPrefetcherThroughput(b *testing.B) {
-	store := storage.NewStore(storage.DefaultSSDSpec())
-	const items = 8
-	if err := dataprep.BuildImageDataset(store, items, 4, 1); err != nil {
-		b.Fatal(err)
-	}
-	keys := store.Keys()
-	for _, depth := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			exec := dataprep.NewExecutor(dataprep.ImagePreparer{Config: dataprep.DefaultImageConfig()}, 0, 1)
-			b.ResetTimer()
-			samples := 0
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				pf, err := dataprep.NewPrefetcher(exec, store, keys, 3, dataprep.WithDepth(depth))
-				if err != nil {
-					b.Fatal(err)
-				}
-				for {
-					batch, err := pf.Next()
-					if err != nil {
-						if err != dataprep.ErrExhausted {
-							b.Fatal(err)
-						}
-						break
-					}
-					samples += len(batch.Samples)
-				}
-				pf.Close()
-			}
-			b.ReportMetric(float64(samples)/time.Since(start).Seconds(), "samples/s")
-		})
 	}
 }
 
@@ -513,10 +473,11 @@ func BenchmarkKernelVideoPipeline(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := dataprep.DefaultVideoConfig()
+	s := dataprep.NewScratch()
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dataprep.PrepareVideo(data, cfg, int64(i)); err != nil {
+		if _, err := dataprep.PrepareVideoScratch(data, cfg, int64(i), s); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -84,16 +84,16 @@ func TestCompareDeterministicOrder(t *testing.T) {
 func TestRunExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	base := writeReport(t, dir, "base.json", "trainbox-bench/v1",
-		map[string]float64{"prefetcher_samples_per_sec": 1000})
+		map[string]float64{"executor_image_samples_per_sec": 1000})
 
 	ok := writeReport(t, dir, "ok.json", "trainbox-bench/v1",
-		map[string]float64{"prefetcher_samples_per_sec": 900})
+		map[string]float64{"executor_image_samples_per_sec": 900})
 	if code, out := run(base, ok, 0.25, 0.25, 0.5, 0.25, 0.25); code != 0 {
 		t.Errorf("10%% drop: exit %d, output:\n%s", code, out)
 	}
 
 	bad := writeReport(t, dir, "bad.json", "trainbox-bench/v1",
-		map[string]float64{"prefetcher_samples_per_sec": 500})
+		map[string]float64{"executor_image_samples_per_sec": 500})
 	code, out := run(base, bad, 0.25, 0.25, 0.5, 0.25, 0.25)
 	if code != 1 {
 		t.Errorf("50%% drop: exit %d, want 1", code)
@@ -108,7 +108,7 @@ func TestRunExitCodes(t *testing.T) {
 	}
 
 	wrong := writeReport(t, dir, "wrong.json", "somethingelse/v9",
-		map[string]float64{"prefetcher_samples_per_sec": 1000})
+		map[string]float64{"executor_image_samples_per_sec": 1000})
 	if code, _ := run(base, wrong, 0.25, 0.25, 0.5, 0.25, 0.25); code != 2 {
 		t.Errorf("schema mismatch: exit %d, want 2", code)
 	}
@@ -129,7 +129,7 @@ func TestRunExitCodes(t *testing.T) {
 	// passes, and the output names them so regenerating the baseline is an
 	// obvious next step.
 	grown := writeReport(t, dir, "grown.json", "trainbox-bench/v1",
-		map[string]float64{"prefetcher_samples_per_sec": 950, "pool_degraded_samples_per_sec": 500})
+		map[string]float64{"executor_image_samples_per_sec": 950, "pool_degraded_samples_per_sec": 500})
 	code, out = run(base, grown, 0.25, 0.25, 0.5, 0.25, 0.25)
 	if code != 0 {
 		t.Errorf("new metric failed the gate: exit %d, output:\n%s", code, out)
@@ -141,7 +141,7 @@ func TestRunExitCodes(t *testing.T) {
 	// A run that both regresses and grows still fails — new metrics never
 	// mask a regression.
 	grownBad := writeReport(t, dir, "grownbad.json", "trainbox-bench/v1",
-		map[string]float64{"prefetcher_samples_per_sec": 500, "pool_degraded_samples_per_sec": 500})
+		map[string]float64{"executor_image_samples_per_sec": 500, "pool_degraded_samples_per_sec": 500})
 	if code, _ := run(base, grownBad, 0.25, 0.25, 0.5, 0.25, 0.25); code != 1 {
 		t.Errorf("regression masked by new metric: exit %d, want 1", code)
 	}
@@ -262,7 +262,7 @@ func writeReportL(t *testing.T, dir, name string, throughput, latency map[string
 // nothing until regenerated.
 func TestRunLatencyGateEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	tp := map[string]float64{"prefetcher_samples_per_sec": 1000}
+	tp := map[string]float64{"executor_image_samples_per_sec": 1000}
 	base := writeReportL(t, dir, "base.json", tp,
 		map[string]float64{"checkpoint_restore_ns": 10000})
 
@@ -379,7 +379,7 @@ func writeReportC(t *testing.T, dir, name string, throughput map[string]float64,
 // threshold is bad input.
 func TestRunCacheGateEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	tp := map[string]float64{"prefetcher_samples_per_sec": 1000}
+	tp := map[string]float64{"executor_image_samples_per_sec": 1000}
 	base := writeReportC(t, dir, "base.json", tp, map[string]cacheRow{
 		"dscache_hit_rate":                     {Value: 0.9, HigherIsBetter: true},
 		"dscache_decodes_per_epoch_4consumers": {Value: 8, HigherIsBetter: false},
@@ -429,7 +429,7 @@ func TestRunCacheGateEndToEnd(t *testing.T) {
 // throughput metric is healthy.
 func TestRunKernelGateEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	tp := map[string]float64{"prefetcher_samples_per_sec": 1000}
+	tp := map[string]float64{"executor_image_samples_per_sec": 1000}
 	base := writeReportK(t, dir, "base.json", tp,
 		map[string]kernelStat{"prepare_image": {NsPerSample: 5000, AllocsPerSample: 4}})
 
@@ -486,7 +486,7 @@ func writeReportS(t *testing.T, dir, name string, throughput map[string]float64,
 // regenerated, and a negative threshold is bad input.
 func TestRunSyncGateEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	tp := map[string]float64{"prefetcher_samples_per_sec": 1000}
+	tp := map[string]float64{"executor_image_samples_per_sec": 1000}
 	base := writeReportS(t, dir, "base.json", tp, map[string]cacheRow{
 		"sync_backends_bit_identical": {Value: 1, HigherIsBetter: true},
 		"sync_ring_latency_ms_256":    {Value: 2.2, HigherIsBetter: false},

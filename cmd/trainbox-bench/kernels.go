@@ -47,10 +47,7 @@ func measureKernel(fn func()) kernelStat {
 
 // stepKernels measures the per-kernel cost matrix of the sample path —
 // decode, resize, FFT, MFCC, cast, and the end-to-end Prepare* variants
-// — recording ns/sample and allocs/sample per kernel. The *_fresh
-// entries keep the legacy throwaway paths visible next to the pooled
-// scratch paths so the report shows what the zero-allocation refactor
-// buys.
+// — recording ns/sample and allocs/sample per kernel.
 func stepKernels(h *harness) error {
 	synth := imgproc.DefaultSynthConfig()
 	srcImg := imgproc.SynthesizeImage(synth, 1, 3)
@@ -68,19 +65,12 @@ func stepKernels(h *harness) error {
 	audioPrep := dataprep.DefaultAudioConfig()
 
 	kernels := map[string]func() (func(), error){
-		// JPEG decode on the internal decoder: reused Decoder (the FPGA
-		// engine model's steady state) vs a fresh decoder per call.
+		// JPEG decode on the internal decoder with a reused Decoder (the
+		// FPGA engine model's steady state).
 		"jpeg_decode": func() (func(), error) {
 			dec := jpegdec.NewDecoder()
 			return func() {
 				if _, _, err := dec.Decode(jpegData); err != nil {
-					panic(err)
-				}
-			}, nil
-		},
-		"jpeg_decode_fresh": func() (func(), error) {
-			return func() {
-				if _, _, err := jpegdec.Decode(jpegData); err != nil {
 					panic(err)
 				}
 			}, nil
@@ -131,7 +121,7 @@ func stepKernels(h *harness) error {
 			}, nil
 		},
 		// End-to-end per-sample preparation: pooled scratch + recycled
-		// outputs (steady state) vs the legacy fresh-allocation shim.
+		// outputs (steady state).
 		"prepare_image": func() (func(), error) {
 			out := memframe.NewSet()
 			s := dataprep.NewScratchWithOutput(out)
@@ -143,13 +133,6 @@ func stepKernels(h *harness) error {
 				out.F32.Put(t.Data)
 			}, nil
 		},
-		"prepare_image_fresh": func() (func(), error) {
-			return func() {
-				if _, err := dataprep.PrepareImage(jpegData, imageCfg, 7); err != nil {
-					panic(err)
-				}
-			}, nil
-		},
 		// Warm shared-cache path: the decode is resident, so each sample
 		// pays only the seeded augmentation tail. The gap to
 		// prepare_image is what the tier saves per hit.
@@ -159,13 +142,13 @@ func stepKernels(h *harness) error {
 			obj := storage.Object{Key: "bench", Data: jpegData}
 			out := memframe.NewSet()
 			s := dataprep.NewScratchWithOutput(out)
-			if p := prep.PrepareScratch(obj, 7, s); p.Err != nil {
+			if p := prep.Prepare(obj, 7, s); p.Err != nil {
 				return nil, p.Err
 			} else {
 				out.F32.Put(p.Image.Data)
 			}
 			return func() {
-				p := prep.PrepareScratch(obj, 7, s)
+				p := prep.Prepare(obj, 7, s)
 				if p.Err != nil {
 					panic(p.Err)
 				}
@@ -186,8 +169,8 @@ func stepKernels(h *harness) error {
 	}
 
 	order := []string{
-		"jpeg_decode", "jpeg_decode_fresh", "resize", "fft512", "mfcc", "cast",
-		"prepare_image", "prepare_image_cached", "prepare_image_fresh", "prepare_audio",
+		"jpeg_decode", "resize", "fft512", "mfcc", "cast",
+		"prepare_image", "prepare_image_cached", "prepare_audio",
 	}
 	t := report.NewTable("Per-kernel sample path (allocs/sample gated by CI)",
 		"kernel", "ns/sample", "allocs/sample")

@@ -3,9 +3,8 @@
 // the data source for EXPERIMENTS.md.
 //
 // With -json <path> it additionally runs a live throughput harness over
-// the real data path (executor, prefetcher, FPGA pool, training driver,
-// all reporting into one metrics registry) and writes a
-// schema-versioned, machine-readable report: per-experiment measured
+// the real data path (executor, FPGA pool, training driver, all
+// reporting into one metrics registry) and writes a schema-versioned, machine-readable report: per-experiment measured
 // values, tracked throughput numbers, and the full metrics snapshot.
 // That file is the BENCH.json artifact the CI perf-regression gate
 // (cmd/benchdiff) compares against the committed BENCH_baseline.json.
@@ -381,8 +380,8 @@ func feature(p dataprep.Prepared) ([]float64, int, error) {
 	return feat, p.Label, nil
 }
 
-// stepLiveThroughput drives the real data path — host executor,
-// prefetcher, FPGA pool, and the end-to-end training driver — against
+// stepLiveThroughput drives the real data path — host executor, FPGA
+// pool, and the end-to-end training driver — against
 // one shared metrics registry, and records the tracked throughput
 // numbers the CI regression gate compares across commits.
 func stepLiveThroughput(h *harness) error {
@@ -412,28 +411,6 @@ func stepLiveThroughput(h *harness) error {
 	h.rep.Throughput["executor_image_samples_per_sec"] = prof.SamplesPerSec
 	t.AddRowf("executor_image_samples_per_sec", prof.SamplesPerSec)
 
-	// Prefetcher: delivered samples/s through the overlap pipeline.
-	pf, err := dataprep.NewPrefetcher(exec, store, keys, 4, dataprep.WithDepth(2))
-	if err != nil {
-		return err
-	}
-	defer pf.Close()
-	start := time.Now()
-	delivered := 0
-	for {
-		batch, err := pf.Next()
-		if err != nil {
-			if err != dataprep.ErrExhausted {
-				return err
-			}
-			break
-		}
-		delivered += len(batch.Samples)
-	}
-	pfRate := float64(delivered) / time.Since(start).Seconds()
-	h.rep.Throughput["prefetcher_samples_per_sec"] = pfRate
-	t.AddRowf("prefetcher_samples_per_sec", pfRate)
-
 	// FPGA pool: dispatch across two pooled device handlers.
 	ns, err := nvme.LoadStore(store)
 	if err != nil {
@@ -451,7 +428,7 @@ func stepLiveThroughput(h *harness) error {
 	if err != nil {
 		return err
 	}
-	start = time.Now()
+	start := time.Now()
 	pooled := 0
 	for epoch := 0; epoch < 3; epoch++ {
 		out, err := cluster.PrepareBatch(context.Background(), keys, datasetSeed, epoch)

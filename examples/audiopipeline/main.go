@@ -70,7 +70,7 @@ func main() {
 	// masked cells keep their fill value (0) and can be counted.
 	rawCfg := cfg
 	rawCfg.Normalize = false
-	rawOut := dataprep.AudioPreparer{Config: rawCfg}.Prepare(obj, dataprep.SampleSeed(3, obj.Key, 0))
+	rawOut := dataprep.AudioPreparer{Config: rawCfg}.Prepare(obj, dataprep.SampleSeed(3, obj.Key, 0), nil)
 	if rawOut.Err != nil {
 		log.Fatal(rawOut.Err)
 	}

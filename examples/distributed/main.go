@@ -83,6 +83,6 @@ func main() {
 	}
 	fmt.Printf("ring all-reduce time: %.2f ms total across %d steps\n",
 		float64(syncTotal)/1e6, len(res.Steps))
-	fmt.Println("\n(the ring, the prefetcher, and the replicas are the same code the")
+	fmt.Println("\n(the ring, the prefetching prepare stage, and the replicas are the same code the")
 	fmt.Println(" system model abstracts — Figure 1 running for real)")
 }

@@ -54,8 +54,8 @@ func main() {
 			log.Fatal(err)
 		}
 		seed := dataprep.SampleSeed(7, key, 0)
-		cpuOut := dataprep.ImagePreparer{Config: cfg}.Prepare(obj, seed)
-		devOut := emu.Prepare(obj, seed)
+		cpuOut := dataprep.ImagePreparer{Config: cfg}.Prepare(obj, seed, nil)
+		devOut := emu.Prepare(obj, seed, nil)
 		for i := range cpuOut.Image.Data {
 			if cpuOut.Image.Data[i] != devOut.Image.Data[i] {
 				mismatches++

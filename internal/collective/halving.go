@@ -1,109 +1,10 @@
 package collective
 
 import (
-	"fmt"
 	"math"
-	"sync"
 
 	"trainbox/internal/units"
 )
-
-// HalvingDoublingAllReduce sums the rank vectors element-wise in place
-// using recursive vector halving + distance doubling (reduce-scatter)
-// followed by vector doubling + distance halving (all-gather) — the
-// third classical all-reduce alongside the ring and the tree. Like the
-// ring it is bandwidth-optimal (each rank moves 2·(n−1)/n of the data),
-// but it finishes in 2·log₂(n) steps instead of 2·(n−1), trading ring
-// simplicity for latency. It requires a power-of-two rank count; NCCL's
-// production variant handles remainders with a pre/post phase this model
-// omits.
-//
-// Deprecated: use NewHalvingDoubling, whose Reducer is bit-identical to
-// the ring (canonical reduction order) and supports non-power-of-two
-// rank counts via pre/post phases. This shim is kept for compatibility
-// and stays tested.
-func HalvingDoublingAllReduce(data [][]float64) error {
-	n := len(data)
-	if n == 0 {
-		return fmt.Errorf("collective: no ranks")
-	}
-	if n&(n-1) != 0 {
-		return fmt.Errorf("collective: halving-doubling needs a power-of-two rank count, got %d", n)
-	}
-	length := len(data[0])
-	for r, d := range data {
-		if len(d) != length {
-			return fmt.Errorf("collective: rank %d has %d elements, rank 0 has %d", r, len(d), length)
-		}
-	}
-	if n == 1 || length == 0 {
-		return nil
-	}
-
-	// exchange[a][b] carries a's payload to b, double-buffered per step.
-	type payload struct {
-		lo, hi int
-		vals   []float64
-	}
-	chans := make([][]chan payload, n)
-	for i := range chans {
-		chans[i] = make([]chan payload, n)
-		for j := range chans[i] {
-			chans[i][j] = make(chan payload, 1)
-		}
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for rank := 0; rank < n; rank++ {
-		go func(rank int) {
-			defer wg.Done()
-			lo, hi := 0, length // rank's live window [lo, hi)
-
-			// Reduce-scatter: at each step exchange half the live window
-			// with a partner at distance d, keeping the half you own.
-			for d := 1; d < n; d <<= 1 {
-				partner := rank ^ d
-				mid := lo + (hi-lo)/2
-				keepHigh := rank&d != 0 // upper half owners have the bit set
-				var sendLo, sendHi, keepLo, keepHi int
-				if keepHigh {
-					sendLo, sendHi, keepLo, keepHi = lo, mid, mid, hi
-				} else {
-					sendLo, sendHi, keepLo, keepHi = mid, hi, lo, mid
-				}
-				out := payload{lo: sendLo, hi: sendHi, vals: append([]float64(nil), data[rank][sendLo:sendHi]...)}
-				chans[rank][partner] <- out
-				in := <-chans[partner][rank]
-				if in.lo != keepLo || in.hi != keepHi {
-					panic("collective: halving-doubling window mismatch")
-				}
-				dst := data[rank][keepLo:keepHi]
-				for i, v := range in.vals {
-					dst[i] += v
-				}
-				lo, hi = keepLo, keepHi
-			}
-			// All-gather: reverse the exchanges, each step doubling the
-			// live window.
-			for d := n >> 1; d >= 1; d >>= 1 {
-				partner := rank ^ d
-				out := payload{lo: lo, hi: hi, vals: append([]float64(nil), data[rank][lo:hi]...)}
-				chans[rank][partner] <- out
-				in := <-chans[partner][rank]
-				copy(data[rank][in.lo:in.hi], in.vals)
-				if in.lo < lo {
-					lo = in.lo
-				}
-				if in.hi > hi {
-					hi = in.hi
-				}
-			}
-		}(rank)
-	}
-	wg.Wait()
-	return nil
-}
 
 // HalvingDoublingModel is the analytical latency model: 2·log₂(n) steps;
 // the i-th reduce-scatter step moves size/2^i bytes, summing to

@@ -27,7 +27,7 @@ func TestHalvingDoublingMatchesOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := HalvingDoublingAllReduce(data); err != nil {
+			if err := reduceBy("halving", data); err != nil {
 				t.Fatalf("n=%d len=%d: %v", n, length, err)
 			}
 			for r := range data {
@@ -39,22 +39,6 @@ func TestHalvingDoublingMatchesOracle(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestHalvingDoublingRejectsNonPow2(t *testing.T) {
-	data := make([][]float64, 3)
-	for i := range data {
-		data[i] = []float64{1}
-	}
-	if err := HalvingDoublingAllReduce(data); err == nil {
-		t.Error("3 ranks accepted")
-	}
-	if err := HalvingDoublingAllReduce(nil); err == nil {
-		t.Error("no ranks accepted")
-	}
-	if err := HalvingDoublingAllReduce([][]float64{{1}, {1, 2}}); err == nil {
-		t.Error("ragged input accepted")
 	}
 }
 
@@ -72,7 +56,7 @@ func TestHalvingDoublingPropertyEqualsRing(t *testing.T) {
 			}
 			ring[r] = append([]float64(nil), hd[r]...)
 		}
-		if HalvingDoublingAllReduce(hd) != nil || RingAllReduce(ring) != nil {
+		if reduceBy("halving", hd) != nil || reduceBy("ring", ring) != nil {
 			return false
 		}
 		for r := range hd {

@@ -34,7 +34,7 @@ func TestParamServerShardDeathRecovers(t *testing.T) {
 	const n, length = 8, 513
 	base := randGrads(n, length, 99)
 	want := cloneGrads(base)
-	if err := RingAllReduce(want); err != nil {
+	if err := reduceBy("ring", want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -75,7 +75,7 @@ func TestParamServerPullFaultIsIdempotent(t *testing.T) {
 	const n, length = 6, 257
 	base := randGrads(n, length, 7)
 	want := cloneGrads(base)
-	if err := RingAllReduce(want); err != nil {
+	if err := reduceBy("ring", want); err != nil {
 		t.Fatal(err)
 	}
 	ps, err := NewParamServer(WithFaults(killPullOnce{}), WithRetry(DefaultPSRetry()))

@@ -16,9 +16,9 @@ import (
 // grads[r] holds the element-wise sum of all inputs. All backends honor
 // one reduction-order contract — for each element, contributions are
 // summed in the exact order the chunked ring all-reduce sums them — so
-// every Reducer is bit-identical to every other (and to the deprecated
-// RingAllReduce) on the same inputs. Topology changes what moves where
-// and what it costs, never the numerics.
+// every Reducer is bit-identical to every other on the same inputs.
+// Topology changes what moves where and what it costs, never the
+// numerics.
 //
 // Reduce may leave grads partially reduced when it returns a non-nil
 // error after validation (e.g. a parameter-server shard dying past its
@@ -243,6 +243,8 @@ type ringReducer struct {
 
 func (r *ringReducer) Name() string { return "ring" }
 
+// Reduce runs one goroutine per rank, communicating over channels
+// arranged in a ring.
 func (r *ringReducer) Reduce(ctx context.Context, grads [][]float64) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -251,14 +253,57 @@ func (r *ringReducer) Reduce(ctx context.Context, grads [][]float64) error {
 	if err != nil {
 		return err
 	}
-	if err := RingAllReduce(grads); err != nil {
-		return err
+	if n == 1 || length == 0 {
+		return nil
 	}
-	if n > 1 && length > 0 {
-		// Each of the 2·(n−1) steps moves one segment per rank; segments
-		// tile the vector, so each phase moves (n−1)·length floats total.
-		r.m.observe(int64(2*(n-1)*length)*8, int64(2*(n-1)))
+
+	bounds := segmentBounds(n, length)
+	seg := func(v []float64, s int) []float64 { return v[bounds[s]:bounds[s+1]] }
+
+	// chans[r] carries segments from rank r to rank (r+1) mod n. A buffer
+	// of 1 lets each step's send complete without rendezvous.
+	chans := make([]chan []float64, n)
+	for i := range chans {
+		chans[i] = make(chan []float64, 1)
 	}
+
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for rank := 0; rank < n; rank++ {
+		go func(rank int) {
+			defer wg.Done()
+			send := chans[rank]
+			recv := chans[(rank-1+n)%n]
+			mod := func(x int) int { return ((x % n) + n) % n }
+
+			// Reduce-scatter: after n−1 steps, rank owns the fully
+			// reduced segment (rank+1) mod n.
+			for step := 0; step < n-1; step++ {
+				out := mod(rank - step)
+				in := mod(rank - step - 1)
+				buf := append([]float64(nil), seg(grads[rank], out)...)
+				send <- buf
+				incoming := <-recv
+				dst := seg(grads[rank], in)
+				for i, v := range incoming {
+					dst[i] += v
+				}
+			}
+			// All-gather: circulate the reduced segments.
+			for step := 0; step < n-1; step++ {
+				out := mod(rank - step + 1)
+				in := mod(rank - step)
+				buf := append([]float64(nil), seg(grads[rank], out)...)
+				send <- buf
+				incoming := <-recv
+				copy(seg(grads[rank], in), incoming)
+			}
+		}(rank)
+	}
+	wg.Wait()
+	// Each of the 2·(n−1) steps moves one segment per rank; segments
+	// tile the vector, so each phase moves (n−1)·length floats total.
+	r.m.observe(int64(2*(n-1)*length)*8, int64(2*(n-1)))
 	return nil
 }
 
@@ -339,11 +384,10 @@ func (t *treeReducer) Reduce(ctx context.Context, grads [][]float64) error {
 				}
 			}
 			// Root: every rank's raw vector has arrived; apply the
-			// canonical reduction order once and broadcast. As in the
-			// legacy TreeAllReduce, the root relays the broadcast for
-			// subtree heads whose goroutines have exited —
-			// correctness-equivalent, with TreeModel carrying the
-			// performance claims.
+			// canonical reduction order once and broadcast. The root
+			// relays the broadcast for subtree heads whose goroutines
+			// have exited — correctness-equivalent, with TreeModel
+			// carrying the performance claims.
 			contrib := make([][]float64, n)
 			for _, c := range acc {
 				contrib[c.rank] = c.vals
@@ -368,10 +412,9 @@ func (t *treeReducer) Reduce(ctx context.Context, grads [][]float64) error {
 
 // NewHalvingDoubling returns a recursive-halving/distance-doubling
 // Reducer: bandwidth-optimal like the ring but finishing in 2·log₂(n)
-// steps. Unlike the deprecated free function it accepts any rank count:
-// non-power-of-two counts run NCCL-style pre/post phases where the
-// ranks above the largest power of two fold their vectors into a
-// partner and receive the result back.
+// steps. It accepts any rank count: non-power-of-two counts run
+// NCCL-style pre/post phases where the ranks above the largest power of
+// two fold their vectors into a partner and receive the result back.
 func NewHalvingDoubling(opts ...Option) (Reducer, error) {
 	c, err := buildConfig("halving", false, opts)
 	if err != nil {

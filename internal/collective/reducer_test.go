@@ -30,6 +30,15 @@ func cloneGrads(grads [][]float64) [][]float64 {
 	return out
 }
 
+// reduceBy sums grads in place through the named backend.
+func reduceBy(name string, grads [][]float64) error {
+	r, err := ByName(name)
+	if err != nil {
+		return err
+	}
+	return r.Reduce(context.Background(), grads)
+}
+
 // requireBitIdentical fails unless got and want match to the last bit.
 func requireBitIdentical(t *testing.T, got, want [][]float64, label string) {
 	t.Helper()
@@ -45,8 +54,8 @@ func requireBitIdentical(t *testing.T, got, want [][]float64, label string) {
 }
 
 // TestReducerBitIdentityOracle is the cross-backend contract: every
-// Reducer produces output bit-identical to the deprecated RingAllReduce
-// on the same inputs, across rank counts (including non-powers-of-two,
+// Reducer produces output bit-identical to the ring's on the same inputs
+// (the ring itself checked against the sequential CentralAllReduce), across rank counts (including non-powers-of-two,
 // which exercise halving-doubling's pre/post fallback), vector lengths
 // (including lengths below the rank/shard counts), seeds, and PS shard
 // counts.
@@ -76,8 +85,19 @@ func TestReducerBitIdentityOracle(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				base := randGrads(n, length, seed*7919+int64(n*1000+length))
 				want := cloneGrads(base)
-				if err := RingAllReduce(want); err != nil {
+				if err := reduceBy("ring", want); err != nil {
 					t.Fatal(err)
+				}
+				central := cloneGrads(base)
+				if err := CentralAllReduce(central); err != nil {
+					t.Fatal(err)
+				}
+				for r := range want {
+					for i, w := range want[r] {
+						if c := central[r][i]; math.Abs(w-c) > 1e-9*(1+math.Abs(c)) {
+							t.Fatalf("ring n=%d len=%d rank %d idx %d: %v, central %v", n, length, r, i, w, c)
+						}
+					}
 				}
 				for label, r := range backends {
 					got := cloneGrads(base)
@@ -88,35 +108,6 @@ func TestReducerBitIdentityOracle(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestLegacyTreeBitsDiffer documents why the canonical order exists:
-// the deprecated TreeAllReduce sums partial aggregates, so its bits can
-// drift from the ring's — the new backends must not.
-func TestLegacyTreeBitsDiffer(t *testing.T) {
-	base := randGrads(8, 1000, 42)
-	ring := cloneGrads(base)
-	if err := RingAllReduce(ring); err != nil {
-		t.Fatal(err)
-	}
-	tree := cloneGrads(base)
-	if err := TreeAllReduce(tree); err != nil {
-		t.Fatal(err)
-	}
-	diff := false
-	for r := range ring {
-		for i := range ring[r] {
-			if math.Float64bits(ring[r][i]) != math.Float64bits(tree[r][i]) {
-				diff = true
-			}
-			if math.Abs(ring[r][i]-tree[r][i]) > 1e-9*(1+math.Abs(ring[r][i])) {
-				t.Fatalf("legacy tree numerically wrong at rank %d idx %d", r, i)
-			}
-		}
-	}
-	if !diff {
-		t.Skip("legacy tree happened to match the ring bit-for-bit on this input")
 	}
 }
 

@@ -11,124 +11,14 @@
 // analytical model reproduces exactly.
 package collective
 
-import (
-	"fmt"
-	"sync"
-)
-
-// RingAllReduce sums the rank vectors element-wise in place: after it
-// returns, every data[i] holds the element-wise sum of all inputs. All
-// vectors must have equal length. It runs one goroutine per rank,
-// communicating over channels arranged in a ring, and errors (without
-// modifying data) on invalid input.
-//
-// Deprecated: use NewRing, which returns the same algorithm behind the
-// Reducer interface (bit-identical output) with context support and
-// metrics. This shim is kept for compatibility and stays tested.
-func RingAllReduce(data [][]float64) error {
-	n := len(data)
-	if n == 0 {
-		return fmt.Errorf("collective: no ranks")
-	}
-	if n == 1 {
-		return nil
-	}
-	length := len(data[0])
-	for r, d := range data {
-		if len(d) != length {
-			return fmt.Errorf("collective: rank %d has %d elements, rank 0 has %d", r, len(d), length)
-		}
-	}
-	if length == 0 {
-		return nil
-	}
-
-	// Partition indices into n contiguous segments; segment s covers
-	// [bounds[s], bounds[s+1]).
-	bounds := make([]int, n+1)
-	for s := 0; s <= n; s++ {
-		bounds[s] = s * length / n
-	}
-	seg := func(v []float64, s int) []float64 { return v[bounds[s]:bounds[s+1]] }
-
-	// chans[r] carries segments from rank r to rank (r+1) mod n. A buffer
-	// of 1 lets each step's send complete without rendezvous.
-	chans := make([]chan []float64, n)
-	for i := range chans {
-		chans[i] = make(chan []float64, 1)
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for rank := 0; rank < n; rank++ {
-		go func(rank int) {
-			defer wg.Done()
-			send := chans[rank]
-			recv := chans[(rank-1+n)%n]
-			mod := func(x int) int { return ((x % n) + n) % n }
-
-			// Reduce-scatter: after n−1 steps, rank owns the fully
-			// reduced segment (rank+1) mod n.
-			for step := 0; step < n-1; step++ {
-				out := mod(rank - step)
-				in := mod(rank - step - 1)
-				buf := append([]float64(nil), seg(data[rank], out)...)
-				send <- buf
-				incoming := <-recv
-				dst := seg(data[rank], in)
-				for i, v := range incoming {
-					dst[i] += v
-				}
-			}
-			// All-gather: circulate the reduced segments.
-			for step := 0; step < n-1; step++ {
-				out := mod(rank - step + 1)
-				in := mod(rank - step)
-				buf := append([]float64(nil), seg(data[rank], out)...)
-				send <- buf
-				incoming := <-recv
-				copy(seg(data[rank], in), incoming)
-			}
-		}(rank)
-	}
-	wg.Wait()
-	return nil
-}
-
-// RingAllReduceAverage performs RingAllReduce and then divides every
-// element by the number of ranks — the gradient averaging used by
-// data-parallel training.
-//
-// Deprecated: use NewRing and divide by the rank count, as
-// train.Run does; the Reducer interface deliberately keeps averaging
-// out of the sync backends so every backend sums identically. This
-// shim is kept for compatibility and stays tested.
-func RingAllReduceAverage(data [][]float64) error {
-	if err := RingAllReduce(data); err != nil {
-		return err
-	}
-	n := float64(len(data))
-	for _, d := range data {
-		for i := range d {
-			d[i] /= n
-		}
-	}
-	return nil
-}
-
 // CentralAllReduce is the naive baseline: gather all vectors to rank 0,
-// sum, and broadcast. Same result as RingAllReduce; used by tests as an
-// oracle and by benchmarks as the non-scalable comparison point.
+// sum, and broadcast. Same result as the ring Reducer up to float
+// addition order; used by tests as an oracle and by benchmarks as the
+// non-scalable comparison point.
 func CentralAllReduce(data [][]float64) error {
-	n := len(data)
-	if n == 0 {
-		return fmt.Errorf("collective: no ranks")
-	}
-	length := len(data[0])
-	for r, d := range data {
-		if len(d) != length {
-			return fmt.Errorf("collective: rank %d has %d elements, rank 0 has %d", r, len(d), length)
-		}
+	_, length, err := validateRanks(data)
+	if err != nil {
+		return err
 	}
 	sum := make([]float64, length)
 	for _, d := range data {

@@ -29,7 +29,7 @@ func TestRingAllReduceMatchesSum(t *testing.T) {
 			if err := CentralAllReduce(oracle); err != nil {
 				t.Fatal(err)
 			}
-			if err := RingAllReduce(data); err != nil {
+			if err := reduceBy("ring", data); err != nil {
 				t.Fatalf("n=%d len=%d: %v", n, length, err)
 			}
 			for r := range data {
@@ -46,7 +46,7 @@ func TestRingAllReduceMatchesSum(t *testing.T) {
 
 func TestRingAllReduceSingleRankIsNoop(t *testing.T) {
 	data := [][]float64{{1, 2, 3}}
-	if err := RingAllReduce(data); err != nil {
+	if err := reduceBy("ring", data); err != nil {
 		t.Fatal(err)
 	}
 	if data[0][0] != 1 || data[0][2] != 3 {
@@ -55,10 +55,10 @@ func TestRingAllReduceSingleRankIsNoop(t *testing.T) {
 }
 
 func TestRingAllReduceErrors(t *testing.T) {
-	if err := RingAllReduce(nil); err == nil {
+	if err := reduceBy("ring", nil); err == nil {
 		t.Error("empty rank set accepted")
 	}
-	if err := RingAllReduce([][]float64{{1, 2}, {1}}); err == nil {
+	if err := reduceBy("ring", [][]float64{{1, 2}, {1}}); err == nil {
 		t.Error("ragged input accepted")
 	}
 	if err := CentralAllReduce(nil); err == nil {
@@ -71,20 +71,8 @@ func TestRingAllReduceErrors(t *testing.T) {
 
 func TestRingAllReduceEmptyVectors(t *testing.T) {
 	data := [][]float64{{}, {}, {}}
-	if err := RingAllReduce(data); err != nil {
+	if err := reduceBy("ring", data); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRingAllReduceAverage(t *testing.T) {
-	data := [][]float64{{4, 8}, {2, 0}}
-	if err := RingAllReduceAverage(data); err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 2; r++ {
-		if data[r][0] != 3 || data[r][1] != 4 {
-			t.Fatalf("rank %d = %v, want [3 4]", r, data[r])
-		}
 	}
 }
 
@@ -104,7 +92,7 @@ func TestRingAllReducePropertyEqualsOracle(t *testing.T) {
 			}
 			oracle[r] = append([]float64(nil), data[r]...)
 		}
-		if CentralAllReduce(oracle) != nil || RingAllReduce(data) != nil {
+		if CentralAllReduce(oracle) != nil || reduceBy("ring", data) != nil {
 			return false
 		}
 		for r := range data {
@@ -151,7 +139,7 @@ func TestRingAllReduceSynchronizesRealGradients(t *testing.T) {
 			expected[i] += v
 		}
 	}
-	if err := RingAllReduce(grads); err != nil {
+	if err := reduceBy("ring", grads); err != nil {
 		t.Fatal(err)
 	}
 	for r := range grads {

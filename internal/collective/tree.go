@@ -1,110 +1,10 @@
 package collective
 
 import (
-	"fmt"
 	"math"
-	"sync"
 
 	"trainbox/internal/units"
 )
-
-// TreeAllReduce sums the rank vectors element-wise in place using a
-// binomial-tree reduce followed by a binomial-tree broadcast — the
-// "tree-based aggregation" NCCL primitive the paper mentions alongside
-// rings (Section II-B). Latency scales with log₂(n) levels but each
-// level moves the full model, so it is latency-optimal for small
-// messages and bandwidth-suboptimal for large ones — the opposite trade
-// to the ring (see TreeModel).
-//
-// One goroutine runs per rank; ranks communicate over per-edge channels.
-//
-// Note the numerics: this legacy implementation sums partial
-// aggregates up the tree, so its bits differ from RingAllReduce's.
-//
-// Deprecated: use NewTree, whose Reducer moves raw rank-tagged
-// contributions up the same binomial tree and reduces in the
-// package-wide canonical order, making it bit-identical to the ring.
-// This shim is kept for compatibility and stays tested.
-func TreeAllReduce(data [][]float64) error {
-	n := len(data)
-	if n == 0 {
-		return fmt.Errorf("collective: no ranks")
-	}
-	length := len(data[0])
-	for r, d := range data {
-		if len(d) != length {
-			return fmt.Errorf("collective: rank %d has %d elements, rank 0 has %d", r, len(d), length)
-		}
-	}
-	if n == 1 || length == 0 {
-		return nil
-	}
-
-	// chans[child] carries the child's partial sum up and the final
-	// vector back down; buffered so each exchange is one send + recv.
-	up := make([]chan []float64, n)
-	down := make([]chan []float64, n)
-	for i := range up {
-		up[i] = make(chan []float64, 1)
-		down[i] = make(chan []float64, 1)
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for rank := 0; rank < n; rank++ {
-		go func(rank int) {
-			defer wg.Done()
-			// Binomial tree on rank indices: children of r are r+2^k for
-			// each k with 2^k > lowest set bits of r... use the classic
-			// construction: child = rank + step while step < n and
-			// rank % (2*step) == 0.
-			acc := append([]float64(nil), data[rank]...)
-			// Reduce: absorb children lowest-step first.
-			for step := 1; step < n; step <<= 1 {
-				if rank%(2*step) == 0 {
-					child := rank + step
-					if child < n {
-						in := <-up[child]
-						for i, v := range in {
-							acc[i] += v
-						}
-					}
-				} else {
-					up[rank] <- acc
-					// Wait for the broadcast result.
-					final := <-down[rank]
-					copy(data[rank], final)
-					return
-				}
-			}
-			// Root: broadcast down the same tree.
-			copy(data[rank], acc)
-			broadcast(rank, n, acc, down)
-		}(rank)
-	}
-	// Non-root ranks that already returned received their result; roots
-	// of subtrees forward during broadcast (handled in broadcast by the
-	// root goroutine alone, which is fine for correctness: the root
-	// forwards to every subtree head).
-	wg.Wait()
-	return nil
-}
-
-// broadcast delivers the final vector to every rank that sent a partial
-// sum upward. The binomial broadcast mirrors the reduce tree: the root
-// sends to each direct child's channel; each child would normally relay,
-// but its goroutine has already exited, so the root relays on its
-// behalf — correctness-equivalent, with the analytical model (not this
-// functional implementation) carrying the performance claims.
-func broadcast(root, n int, final []float64, down []chan []float64) {
-	for r := 0; r < n; r++ {
-		if r == root {
-			continue
-		}
-		out := append([]float64(nil), final...)
-		down[r] <- out
-	}
-}
 
 // TreeModel is the analytical latency model of tree all-reduce: a reduce
 // sweep and a broadcast sweep, each of ⌈log₂ n⌉ levels moving the full

@@ -25,7 +25,7 @@ func TestTreeAllReduceMatchesOracle(t *testing.T) {
 			if err := CentralAllReduce(oracle); err != nil && length > 0 {
 				t.Fatal(err)
 			}
-			if err := TreeAllReduce(data); err != nil {
+			if err := reduceBy("tree", data); err != nil {
 				t.Fatalf("n=%d len=%d: %v", n, length, err)
 			}
 			for r := range data {
@@ -41,10 +41,10 @@ func TestTreeAllReduceMatchesOracle(t *testing.T) {
 }
 
 func TestTreeAllReduceErrors(t *testing.T) {
-	if err := TreeAllReduce(nil); err == nil {
+	if err := reduceBy("tree", nil); err == nil {
 		t.Error("empty rank set accepted")
 	}
-	if err := TreeAllReduce([][]float64{{1}, {1, 2}}); err == nil {
+	if err := reduceBy("tree", [][]float64{{1}, {1, 2}}); err == nil {
 		t.Error("ragged input accepted")
 	}
 }
@@ -63,7 +63,7 @@ func TestTreeAllReducePropertyEqualsRing(t *testing.T) {
 			}
 			ring[r] = append([]float64(nil), tree[r]...)
 		}
-		if TreeAllReduce(tree) != nil || RingAllReduce(ring) != nil {
+		if reduceBy("tree", tree) != nil || reduceBy("ring", ring) != nil {
 			return false
 		}
 		for r := range tree {

@@ -44,19 +44,6 @@ func BenchmarkPrepareImageScratch(b *testing.B) {
 	}
 }
 
-// BenchmarkPrepareImageFresh is the legacy throwaway path, kept as the
-// comparison point for the scratch win.
-func BenchmarkPrepareImageFresh(b *testing.B) {
-	data := benchJPEG(b)
-	cfg := DefaultImageConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := PrepareImage(data, cfg, 7); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPrepareAudioScratch is the pooled audio path with a cached
 // MelPlan and recycled spectrogram buffers.
 func BenchmarkPrepareAudioScratch(b *testing.B) {
@@ -71,17 +58,5 @@ func BenchmarkPrepareAudioScratch(b *testing.B) {
 			b.Fatal(err)
 		}
 		out.F64.Put(sp.Data)
-	}
-}
-
-// BenchmarkPrepareAudioFresh is the legacy audio path.
-func BenchmarkPrepareAudioFresh(b *testing.B) {
-	data := benchPCM(b)
-	cfg := DefaultAudioConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := PrepareAudio(data, cfg, 7); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -87,20 +87,6 @@ func SampleSeed(datasetSeed int64, key string, epoch int) int64 {
 	return int64(h.Sum64())
 }
 
-// PrepareImage runs the full image pipeline on stored JPEG bytes. Shim
-// over PrepareImageScratch with a throwaway working set, so the caller
-// owns the result outright.
-func PrepareImage(jpegData []byte, cfg ImageConfig, seed int64) (*imgproc.Tensor, error) {
-	return PrepareImageScratch(jpegData, cfg, seed, nil)
-}
-
-// PrepareAudio runs the full audio pipeline on stored PCM16 bytes. Shim
-// over PrepareAudioScratch with a throwaway working set, so the caller
-// owns the result outright.
-func PrepareAudio(pcmData []byte, cfg AudioConfig, seed int64) (*dsp.Spectrogram, error) {
-	return PrepareAudioScratch(pcmData, cfg, seed, nil)
-}
-
 // Prepared is one pipeline output: exactly one of Image, Audio, or
 // Video is set.
 type Prepared struct {
@@ -113,11 +99,15 @@ type Prepared struct {
 	Err   error
 }
 
-// Preparer turns a stored object into a prepared sample. Both the CPU
-// executor and the FPGA emulator implement it; the contract tested in
-// internal/fpga is that they are bit-identical for equal seeds.
+// Preparer turns a stored object into a prepared sample, running the
+// decode→augment→cast kernels in s's buffers and drawing the output
+// from s's output set; a nil s means a throwaway working set, so the
+// caller owns the result outright. The output must not depend on s:
+// the CPU preparers, the dscache preparers and the FPGA emulator all
+// implement this one method, and the contract the tests assert is that
+// they are bit-identical for equal seeds.
 type Preparer interface {
-	Prepare(obj storage.Object, seed int64) Prepared
+	Prepare(obj storage.Object, seed int64, s *Scratch) Prepared
 }
 
 // ImagePreparer is the CPU image Preparer.
@@ -126,8 +116,8 @@ type ImagePreparer struct {
 }
 
 // Prepare implements Preparer.
-func (p ImagePreparer) Prepare(obj storage.Object, seed int64) Prepared {
-	t, err := PrepareImage(obj.Data, p.Config, seed)
+func (p ImagePreparer) Prepare(obj storage.Object, seed int64, s *Scratch) Prepared {
+	t, err := PrepareImageScratch(obj.Data, p.Config, seed, s)
 	return Prepared{Key: obj.Key, Label: obj.Label, Image: t, Err: err}
 }
 
@@ -137,9 +127,9 @@ type AudioPreparer struct {
 }
 
 // Prepare implements Preparer.
-func (p AudioPreparer) Prepare(obj storage.Object, seed int64) Prepared {
-	s, err := PrepareAudio(obj.Data, p.Config, seed)
-	return Prepared{Key: obj.Key, Label: obj.Label, Audio: s, Err: err}
+func (p AudioPreparer) Prepare(obj storage.Object, seed int64, s *Scratch) Prepared {
+	sp, err := PrepareAudioScratch(obj.Data, p.Config, seed, s)
+	return Prepared{Key: obj.Key, Label: obj.Label, Audio: sp, Err: err}
 }
 
 // Executor prepares batches on the staged-pipeline runtime — the
@@ -154,10 +144,9 @@ type Executor struct {
 	datasetSeed int64
 	stats       pipeline.StatsSet
 
-	// The zero-allocation sample path: when prep implements
-	// ScratchPreparer, every worker draws a pooled Scratch whose output
-	// buffers come from out; consumers return finished samples through
-	// Recycle to close the loop.
+	// The zero-allocation sample path: every worker draws a pooled
+	// Scratch whose output buffers come from out; consumers return
+	// finished samples through Recycle to close the loop.
 	out       *memframe.Set
 	scratches *pipeline.Pool[*Scratch]
 
@@ -179,16 +168,13 @@ func NewExecutor(prep Preparer, workers int, datasetSeed int64) *Executor {
 	return e
 }
 
-// prepareSample runs one sample through the preparer, threading a
-// pooled Scratch when the preparer supports it.
+// prepareSample runs one sample through the preparer on a pooled
+// Scratch.
 func (e *Executor) prepareSample(obj storage.Object, seed int64) Prepared {
-	if sp, ok := e.prep.(ScratchPreparer); ok {
-		s := e.scratches.Get()
-		p := sp.PrepareScratch(obj, seed, s)
-		e.scratches.Put(s)
-		return p
-	}
-	return e.prep.Prepare(obj, seed)
+	s := e.scratches.Get()
+	p := e.prep.Prepare(obj, seed, s)
+	e.scratches.Put(s)
+	return p
 }
 
 // Recycle returns finished samples' output buffers (tensor and

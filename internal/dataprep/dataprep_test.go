@@ -63,7 +63,7 @@ func TestPrepareImageShapes(t *testing.T) {
 	s := imageStore(t, 1)
 	obj, _ := s.Get("img-00000")
 	cfg := DefaultImageConfig()
-	ten, err := PrepareImage(obj.Data, cfg, 42)
+	ten, err := PrepareImageScratch(obj.Data, cfg, 42, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +79,11 @@ func TestPrepareImageDeterministicPerSeed(t *testing.T) {
 	s := imageStore(t, 1)
 	obj, _ := s.Get("img-00000")
 	cfg := DefaultImageConfig()
-	a, err := PrepareImage(obj.Data, cfg, 7)
+	a, err := PrepareImageScratch(obj.Data, cfg, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PrepareImage(obj.Data, cfg, 7)
+	b, err := PrepareImageScratch(obj.Data, cfg, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestPrepareImageDeterministicPerSeed(t *testing.T) {
 			t.Fatal("same seed produced different tensors")
 		}
 	}
-	c, err := PrepareImage(obj.Data, cfg, 8)
+	c, err := PrepareImageScratch(obj.Data, cfg, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +113,8 @@ func TestPrepareImageWithoutAugmentIsSeedIndependent(t *testing.T) {
 	obj, _ := s.Get("img-00000")
 	cfg := DefaultImageConfig()
 	cfg.Augment = false
-	a, _ := PrepareImage(obj.Data, cfg, 1)
-	b, _ := PrepareImage(obj.Data, cfg, 999)
+	a, _ := PrepareImageScratch(obj.Data, cfg, 1, nil)
+	b, _ := PrepareImageScratch(obj.Data, cfg, 999, nil)
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatal("non-augmented pipeline depends on seed")
@@ -123,7 +123,7 @@ func TestPrepareImageWithoutAugmentIsSeedIndependent(t *testing.T) {
 }
 
 func TestPrepareImageRejectsGarbage(t *testing.T) {
-	if _, err := PrepareImage([]byte("junk"), DefaultImageConfig(), 1); err == nil {
+	if _, err := PrepareImageScratch([]byte("junk"), DefaultImageConfig(), 1, nil); err == nil {
 		t.Error("garbage JPEG accepted")
 	}
 }
@@ -132,7 +132,7 @@ func TestPrepareAudioShapes(t *testing.T) {
 	s := audioStore(t, 1)
 	obj, _ := s.Get("aud-00000")
 	cfg := DefaultAudioConfig()
-	mel, err := PrepareAudio(obj.Data, cfg, 3)
+	mel, err := PrepareAudioScratch(obj.Data, cfg, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +157,8 @@ func TestPrepareAudioDeterministicPerSeed(t *testing.T) {
 	s := audioStore(t, 1)
 	obj, _ := s.Get("aud-00000")
 	cfg := DefaultAudioConfig()
-	a, _ := PrepareAudio(obj.Data, cfg, 5)
-	b, _ := PrepareAudio(obj.Data, cfg, 5)
+	a, _ := PrepareAudioScratch(obj.Data, cfg, 5, nil)
+	b, _ := PrepareAudioScratch(obj.Data, cfg, 5, nil)
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatal("same seed produced different spectrograms")
@@ -167,7 +167,7 @@ func TestPrepareAudioDeterministicPerSeed(t *testing.T) {
 }
 
 func TestPrepareAudioRejectsOddPCM(t *testing.T) {
-	if _, err := PrepareAudio([]byte{1, 2, 3}, DefaultAudioConfig(), 1); err == nil {
+	if _, err := PrepareAudioScratch([]byte{1, 2, 3}, DefaultAudioConfig(), 1, nil); err == nil {
 		t.Error("odd PCM accepted")
 	}
 }

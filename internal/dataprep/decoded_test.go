@@ -22,7 +22,7 @@ func TestPrepareImageDecodedBitIdentical(t *testing.T) {
 	}
 	pcfg := DefaultImageConfig()
 	for seed := int64(0); seed < 8; seed++ {
-		want, err := PrepareImage(data, pcfg, seed)
+		want, err := PrepareImageScratch(data, pcfg, seed, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestPrepareAudioDecodedBitIdentical(t *testing.T) {
 	acfg := DefaultAudioConfig()
 	s := NewScratch() // reuse one scratch across seeds, like a worker would
 	for seed := int64(0); seed < 8; seed++ {
-		want, err := PrepareAudio(pcm, acfg, seed)
+		want, err := PrepareAudioScratch(pcm, acfg, seed, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

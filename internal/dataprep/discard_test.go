@@ -38,30 +38,3 @@ func TestPrepareBatchCancelRecyclesOutputs(t *testing.T) {
 		}
 	}
 }
-
-// TestPrefetcherCloseRecyclesBufferedBatches: Close discards batches
-// buffered ahead of the consumer; their pooled buffers must flow back.
-func TestPrefetcherCloseRecyclesBufferedBatches(t *testing.T) {
-	store := storage.NewStore(storage.DefaultSSDSpec())
-	if err := BuildImageDataset(store, 8, 4, 1); err != nil {
-		t.Fatal(err)
-	}
-	exec := NewExecutor(ImagePreparer{Config: DefaultImageConfig()}, 2, 1)
-	pf, err := NewPrefetcher(exec, store, store.Keys(), 6, WithDepth(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Consume one batch so the prefetcher is warmed up and has depth
-	// buffered, then close with the rest in flight.
-	b, err := pf.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	exec.Recycle(b.Samples...)
-	pf.Close()
-	st := exec.OutputStats()
-	if st.Gets != st.Puts {
-		t.Fatalf("prefetcher close leaked output buffers: Gets=%d Puts=%d News=%d",
-			st.Gets, st.Puts, st.News)
-	}
-}

@@ -7,11 +7,9 @@ import (
 	"trainbox/internal/storage"
 )
 
-// TestExecutorAndPrefetcherMetrics: a metered executor must report
-// sample counts, per-sample latency, and pipeline stage series, and a
-// prefetcher built on it must inherit the registry and report delivery
-// counters and queue depth.
-func TestExecutorAndPrefetcherMetrics(t *testing.T) {
+// TestExecutorMetrics: a metered executor must report sample counts,
+// per-sample latency, and pipeline stage series.
+func TestExecutorMetrics(t *testing.T) {
 	store := storage.NewStore(storage.DefaultSSDSpec())
 	if err := BuildImageDataset(store, 6, 3, 7); err != nil {
 		t.Fatal(err)
@@ -25,23 +23,10 @@ func TestExecutorAndPrefetcherMetrics(t *testing.T) {
 	exec := NewExecutor(ImagePreparer{Config: cfg}, 2, 7).WithMetrics(reg)
 
 	const epochs = 3
-	pf, err := NewPrefetcher(exec, store, keys, epochs, WithDepth(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pf.Close()
-	batches := 0
-	for {
-		if _, err := pf.Next(); err != nil {
-			if err != ErrExhausted {
-				t.Fatal(err)
-			}
-			break
+	for epoch := 0; epoch < epochs; epoch++ {
+		if _, err := exec.PrepareBatch(store, keys, epoch); err != nil {
+			t.Fatal(err)
 		}
-		batches++
-	}
-	if batches != epochs {
-		t.Fatalf("delivered %d batches, want %d", batches, epochs)
 	}
 
 	snap := reg.Snapshot()
@@ -52,18 +37,12 @@ func TestExecutorAndPrefetcherMetrics(t *testing.T) {
 	if got := snap.Counters["dataprep.executor.batches_prepared"]; got != epochs {
 		t.Errorf("dataprep.executor.batches_prepared = %d, want %d", got, epochs)
 	}
-	if got := snap.Counters["dataprep.prefetch.batches_delivered"]; got != epochs {
-		t.Errorf("prefetch.batches_delivered = %d, want %d", got, epochs)
-	}
 	perSample := snap.Histograms["dataprep.executor.ns_per_sample"]
 	if perSample.Count != epochs || perSample.Mean <= 0 {
 		t.Errorf("ns_per_sample = %+v, want %d positive batch observations", perSample, epochs)
 	}
 	if got := snap.Counters["pipeline.dataprep.prepare.items"]; got != wantSamples {
 		t.Errorf("pipeline prepare items = %d, want %d", got, wantSamples)
-	}
-	if got := snap.Counters["pipeline.prefetch.prepare.items"]; got != epochs {
-		t.Errorf("pipeline prefetch items = %d, want %d", got, epochs)
 	}
 	if snap.Counters["storage.nvme.bytes_read"] != int64(store.UsedBytes())*epochs {
 		t.Errorf("storage bytes_read = %d, want %d", snap.Counters["storage.nvme.bytes_read"], int64(store.UsedBytes())*epochs)
@@ -84,14 +63,6 @@ func TestUnmeteredExecutorPaysNothing(t *testing.T) {
 	cfg.CropW, cfg.CropH = 32, 32
 	exec := NewExecutor(ImagePreparer{Config: cfg}, 2, 7)
 	if _, err := exec.PrepareBatch(store, store.Keys(), 0); err != nil {
-		t.Fatal(err)
-	}
-	pf, err := NewPrefetcher(exec, store, store.Keys(), 1, WithDepth(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pf.Close()
-	if _, err := pf.Next(); err != nil {
 		t.Fatal(err)
 	}
 }

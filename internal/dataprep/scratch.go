@@ -7,13 +7,12 @@ import (
 	"trainbox/internal/dsp"
 	"trainbox/internal/imgproc"
 	"trainbox/internal/memframe"
-	"trainbox/internal/storage"
 )
 
 // Scratch is one worker's reusable working set for the per-sample
 // decode→augment→cast path: decode/crop images, the PCM signal buffer,
 // a cached dsp.MelPlan, and the MJPEG clip scratch. The Prepare*Scratch
-// variants thread it through every kernel so steady-state preparation
+// functions thread it through every kernel so steady-state preparation
 // recycles one bounded working set instead of allocating per sample
 // (DESIGN.md §12).
 //
@@ -77,11 +76,11 @@ func (s *Scratch) melPlan(cfg dsp.MelConfig) (*dsp.MelPlan, error) {
 	return s.mel, nil
 }
 
-// PrepareImageScratch is PrepareImage with an explicit working set: the
-// decode, crop, mirror, and noise stages run in s's buffers, and the
-// returned tensor's Data comes from s's output set (caller-owned until
-// recycled). A nil s behaves like PrepareImage. The output is
-// bit-identical to PrepareImage for equal inputs and seeds.
+// PrepareImageScratch runs the full image pipeline on stored JPEG
+// bytes: the decode, crop, mirror, and noise stages run in s's buffers,
+// and the returned tensor's Data comes from s's output set (caller-owned
+// until recycled). A nil s uses a throwaway working set, so the caller
+// owns the result outright. The output does not depend on s.
 func PrepareImageScratch(jpegData []byte, cfg ImageConfig, seed int64, s *Scratch) (*imgproc.Tensor, error) {
 	if s == nil {
 		s = NewScratch()
@@ -99,7 +98,8 @@ func PrepareImageScratch(jpegData []byte, cfg ImageConfig, seed int64, s *Scratc
 // across goroutines (the crop copies its pixels out before any buffer
 // is written); it may also alias s.imgA, the scratch decode buffer,
 // which the tail only reuses after the crop. The output is
-// bit-identical to PrepareImage(decode(src bytes)) for equal seeds.
+// bit-identical to PrepareImageScratch on the encoded bytes for equal
+// seeds.
 func PrepareImageDecoded(src *imgproc.Image, cfg ImageConfig, seed int64, s *Scratch) (*imgproc.Tensor, error) {
 	if s == nil {
 		s = NewScratch()
@@ -132,11 +132,11 @@ func PrepareImageDecoded(src *imgproc.Image, cfg ImageConfig, seed int64, s *Scr
 	return t, nil
 }
 
-// PrepareAudioScratch is PrepareAudio with an explicit working set: PCM
-// decode and the log-Mel front-end run in s's buffers (the MelPlan is
-// cached across calls), and the returned spectrogram's Data comes from
-// s's output set. A nil s behaves like PrepareAudio. The output is
-// bit-identical to PrepareAudio for equal inputs and seeds.
+// PrepareAudioScratch runs the full audio pipeline on stored PCM16
+// bytes: PCM decode and the log-Mel front-end run in s's buffers (the
+// MelPlan is cached across calls), and the returned spectrogram's Data
+// comes from s's output set. A nil s uses a throwaway working set. The
+// output does not depend on s.
 func PrepareAudioScratch(pcmData []byte, cfg AudioConfig, seed int64, s *Scratch) (*dsp.Spectrogram, error) {
 	if s == nil {
 		s = NewScratch()
@@ -154,8 +154,8 @@ func PrepareAudioScratch(pcmData []byte, cfg AudioConfig, seed int64, s *Scratch
 // cache tier (internal/dscache) pay the PCM decode once per key. sig is
 // read-only and may be shared across goroutines: noise augmentation
 // mutates the signal in place, so the tail runs on a scratch copy. The
-// output is bit-identical to PrepareAudio(encode(sig)) for equal seeds
-// because PCM16 decoding is exact.
+// output is bit-identical to PrepareAudioScratch on the encoded signal
+// for equal seeds because PCM16 decoding is exact.
 func PrepareAudioDecoded(sig []float64, cfg AudioConfig, seed int64, s *Scratch) (*dsp.Spectrogram, error) {
 	if s == nil {
 		s = NewScratch()
@@ -198,11 +198,11 @@ func prepareAudioTail(cfg AudioConfig, seed int64, s *Scratch) (*dsp.Spectrogram
 	return mel, nil
 }
 
-// PrepareVideoScratch is PrepareVideo with an explicit working set: the
-// MJPEG clip decodes into reused frame buffers, the per-frame
-// crop/mirror stages run in s's images, and each returned tensor's Data
-// comes from s's output set. A nil s behaves like PrepareVideo. The
-// output is bit-identical to PrepareVideo for equal inputs and seeds.
+// PrepareVideoScratch runs the clip pipeline on stored MJPEG bytes,
+// returning one tensor per sampled frame (T × [C,H,W]): the clip decodes
+// into reused frame buffers, the per-frame crop/mirror stages run in s's
+// images, and each returned tensor's Data comes from s's output set. A
+// nil s uses a throwaway working set. The output does not depend on s.
 func PrepareVideoScratch(mjpeg []byte, cfg VideoConfig, seed int64, s *Scratch) ([]*imgproc.Tensor, error) {
 	if s == nil {
 		s = NewScratch()
@@ -223,8 +223,7 @@ func PrepareVideoScratch(mjpeg []byte, cfg VideoConfig, seed int64, s *Scratch) 
 	}
 	rng := rand.New(rand.NewSource(seed))
 	w, h := s.clip.FrameSize()
-	// One crop window and one mirror decision for the whole clip,
-	// drawing from rng in the same order as PrepareVideo.
+	// One crop window and one mirror decision for the whole clip.
 	var x0, y0 int
 	if cfg.Augment {
 		if cfg.CropW > w || cfg.CropH > h {
@@ -258,31 +257,4 @@ func PrepareVideoScratch(mjpeg []byte, cfg VideoConfig, seed int64, s *Scratch) 
 		out[i] = t
 	}
 	return out, nil
-}
-
-// ScratchPreparer is a Preparer that can run against a caller-provided
-// working set. The CPU preparers implement it; dataprep.Executor uses
-// it (with a pooled Scratch per worker) whenever its Preparer supports
-// it.
-type ScratchPreparer interface {
-	Preparer
-	PrepareScratch(obj storage.Object, seed int64, s *Scratch) Prepared
-}
-
-// PrepareScratch implements ScratchPreparer.
-func (p ImagePreparer) PrepareScratch(obj storage.Object, seed int64, s *Scratch) Prepared {
-	t, err := PrepareImageScratch(obj.Data, p.Config, seed, s)
-	return Prepared{Key: obj.Key, Label: obj.Label, Image: t, Err: err}
-}
-
-// PrepareScratch implements ScratchPreparer.
-func (p AudioPreparer) PrepareScratch(obj storage.Object, seed int64, s *Scratch) Prepared {
-	sp, err := PrepareAudioScratch(obj.Data, p.Config, seed, s)
-	return Prepared{Key: obj.Key, Label: obj.Label, Audio: sp, Err: err}
-}
-
-// PrepareScratch implements ScratchPreparer.
-func (p VideoPreparer) PrepareScratch(obj storage.Object, seed int64, s *Scratch) Prepared {
-	t, err := PrepareVideoScratch(obj.Data, p.Config, seed, s)
-	return Prepared{Key: obj.Key, Label: obj.Label, Video: t, Err: err}
 }

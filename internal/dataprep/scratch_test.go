@@ -10,7 +10,7 @@ import (
 
 // TestPrepareImageScratchBitIdentical reuses one Scratch across many
 // (sample, seed) pairs and asserts byte-for-byte equality with the
-// legacy PrepareImage path — the tentpole's correctness contract.
+// nil-scratch (throwaway working set) form.
 func TestPrepareImageScratchBitIdentical(t *testing.T) {
 	store := imageStore(t, 6)
 	cfg := DefaultImageConfig()
@@ -21,7 +21,7 @@ func TestPrepareImageScratchBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, seed := range []int64{1, 42, -7, 1 << 40} {
-			want, err := PrepareImage(obj.Data, cfg, seed)
+			want, err := PrepareImageScratch(obj.Data, cfg, seed, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,7 +50,7 @@ func TestPrepareImageScratchNoAugment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := PrepareImage(obj.Data, cfg, 3)
+	want, err := PrepareImageScratch(obj.Data, cfg, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestPrepareImageScratchNoAugment(t *testing.T) {
 }
 
 // TestPrepareAudioScratchBitIdentical reuses one Scratch (and its
-// cached MelPlan) across samples and seeds against PrepareAudio.
+// cached MelPlan) across samples and seeds against the nil-scratch form.
 func TestPrepareAudioScratchBitIdentical(t *testing.T) {
 	store := audioStore(t, 3)
 	cfg := DefaultAudioConfig()
@@ -77,7 +77,7 @@ func TestPrepareAudioScratchBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, seed := range []int64{1, 99, -13} {
-			want, err := PrepareAudio(obj.Data, cfg, seed)
+			want, err := PrepareAudioScratch(obj.Data, cfg, seed, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +98,7 @@ func TestPrepareAudioScratchBitIdentical(t *testing.T) {
 }
 
 // TestPrepareVideoScratchBitIdentical reuses one Scratch across clips
-// and seeds against PrepareVideo, including the no-augment arm.
+// and seeds against the nil-scratch form, including the no-augment arm.
 func TestPrepareVideoScratchBitIdentical(t *testing.T) {
 	store := videoStore(t, 2, 8)
 	cfg := DefaultVideoConfig()
@@ -112,7 +112,7 @@ func TestPrepareVideoScratchBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, seed := range []int64{5, -2} {
-				want, err := PrepareVideo(obj.Data, cfg, seed)
+				want, err := PrepareVideoScratch(obj.Data, cfg, seed, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -177,7 +177,7 @@ func TestExecutorScratchPathMatchesDirect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := PrepareImage(obj.Data, cfg, SampleSeed(7, p.Key, epoch))
+			want, err := PrepareImageScratch(obj.Data, cfg, SampleSeed(7, p.Key, epoch), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,7 +222,7 @@ func TestExecutorRecycleIdempotentOnFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tensor, err := PrepareImage(obj.Data, cfg, 1)
+	tensor, err := PrepareImageScratch(obj.Data, cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestScratchOutputPoolFeedsBack(t *testing.T) {
 	if &t2.Data[0] != first {
 		t.Error("second prepare did not reuse the recycled output buffer")
 	}
-	want, err := PrepareImage(obj.Data, cfg, 11)
+	want, err := PrepareImageScratch(obj.Data, cfg, 11, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,10 +273,8 @@ func TestScratchOutputPoolFeedsBack(t *testing.T) {
 	}
 }
 
-// TestPrepareImageScratchSteadyStateAllocs proves the headline claim:
-// once warm, the scratch path allocates a small constant per sample
-// (the rand.Rand + tensor header) instead of the legacy path's tens of
-// thousands — comfortably over the issue's required 10× reduction.
+// TestPrepareImageScratchSteadyStateAllocs: once warm, the scratch path
+// allocates a small constant per sample (the rand.Rand + tensor header).
 func TestPrepareImageScratchSteadyStateAllocs(t *testing.T) {
 	store := imageStore(t, 1)
 	cfg := DefaultImageConfig()
@@ -301,15 +299,15 @@ func TestPrepareImageScratchSteadyStateAllocs(t *testing.T) {
 		}
 		out.F32.Put(tensor.Data)
 	})
-	// Legacy PrepareImage runs ≈65k allocs/sample on this corpus; the
-	// scratch path must be at least 10× lower. Observed: single digits.
+	// A throwaway working set costs ≈65k allocs/sample on this corpus;
+	// the reused one must be at least 10× lower. Observed: single digits.
 	if allocs > 100 {
 		t.Errorf("steady-state allocs/sample = %.0f, want ≤ 100", allocs)
 	}
 }
 
 // TestPrepareAudioScratchSteadyStateAllocs is the audio equivalent
-// (legacy ≈93 allocs/sample; scratch path must be ≤ 9).
+// (throwaway working set ≈93 allocs/sample; reused must be ≤ 9).
 func TestPrepareAudioScratchSteadyStateAllocs(t *testing.T) {
 	store := audioStore(t, 1)
 	cfg := DefaultAudioConfig()

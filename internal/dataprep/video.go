@@ -34,22 +34,14 @@ func DefaultVideoConfig() VideoConfig {
 	}
 }
 
-// PrepareVideo runs the clip pipeline on stored MJPEG bytes, returning
-// one tensor per sampled frame (T × [C,H,W]). Shim over
-// PrepareVideoScratch with a throwaway working set, so the caller owns
-// the result outright.
-func PrepareVideo(mjpeg []byte, cfg VideoConfig, seed int64) ([]*imgproc.Tensor, error) {
-	return PrepareVideoScratch(mjpeg, cfg, seed, nil)
-}
-
 // VideoPreparer is the CPU video Preparer.
 type VideoPreparer struct {
 	Config VideoConfig
 }
 
 // Prepare implements Preparer.
-func (p VideoPreparer) Prepare(obj storage.Object, seed int64) Prepared {
-	t, err := PrepareVideo(obj.Data, p.Config, seed)
+func (p VideoPreparer) Prepare(obj storage.Object, seed int64, s *Scratch) Prepared {
+	t, err := PrepareVideoScratch(obj.Data, p.Config, seed, s)
 	return Prepared{Key: obj.Key, Label: obj.Label, Video: t, Err: err}
 }
 

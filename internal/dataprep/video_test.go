@@ -40,7 +40,7 @@ func TestPrepareVideoShapes(t *testing.T) {
 	obj, _ := s.Get("vid-00000")
 	cfg := DefaultVideoConfig()
 	cfg.FramesPerClip = 8
-	tensors, err := PrepareVideo(obj.Data, cfg, 3)
+	tensors, err := PrepareVideoScratch(obj.Data, cfg, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +64,11 @@ func TestPrepareVideoClipConsistentAugmentation(t *testing.T) {
 	obj, _ := s.Get("vid-00000")
 	cfg := DefaultVideoConfig()
 	cfg.FramesPerClip = 4
-	a, err := PrepareVideo(obj.Data, cfg, 11)
+	a, err := PrepareVideoScratch(obj.Data, cfg, 11, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PrepareVideo(obj.Data, cfg, 11)
+	b, err := PrepareVideoScratch(obj.Data, cfg, 11, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestPrepareVideoClipConsistentAugmentation(t *testing.T) {
 			}
 		}
 	}
-	c, err := PrepareVideo(obj.Data, cfg, 12)
+	c, err := PrepareVideoScratch(obj.Data, cfg, 12, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +101,11 @@ func TestPrepareVideoCenterCropWithoutAugment(t *testing.T) {
 	cfg := DefaultVideoConfig()
 	cfg.FramesPerClip = 2
 	cfg.Augment = false
-	a, err := PrepareVideo(obj.Data, cfg, 1)
+	a, err := PrepareVideoScratch(obj.Data, cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PrepareVideo(obj.Data, cfg, 999)
+	b, err := PrepareVideoScratch(obj.Data, cfg, 999, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,25 +119,25 @@ func TestPrepareVideoCenterCropWithoutAugment(t *testing.T) {
 }
 
 func TestPrepareVideoErrors(t *testing.T) {
-	if _, err := PrepareVideo([]byte("junk"), DefaultVideoConfig(), 1); err == nil {
+	if _, err := PrepareVideoScratch([]byte("junk"), DefaultVideoConfig(), 1, nil); err == nil {
 		t.Error("garbage clip accepted")
 	}
 	s := videoStore(t, 1, 4)
 	obj, _ := s.Get("vid-00000")
 	cfg := DefaultVideoConfig()
 	cfg.FramesPerClip = 0
-	if _, err := PrepareVideo(obj.Data, cfg, 1); err == nil {
+	if _, err := PrepareVideoScratch(obj.Data, cfg, 1, nil); err == nil {
 		t.Error("zero frames-per-clip accepted")
 	}
 	cfg = DefaultVideoConfig()
 	cfg.FramesPerClip = 99
-	if _, err := PrepareVideo(obj.Data, cfg, 1); err == nil {
+	if _, err := PrepareVideoScratch(obj.Data, cfg, 1, nil); err == nil {
 		t.Error("oversampling accepted")
 	}
 	cfg = DefaultVideoConfig()
 	cfg.FramesPerClip = 2
 	cfg.CropW = 999
-	if _, err := PrepareVideo(obj.Data, cfg, 1); err == nil {
+	if _, err := PrepareVideoScratch(obj.Data, cfg, 1, nil); err == nil {
 		t.Error("oversized crop accepted")
 	}
 }

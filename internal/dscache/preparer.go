@@ -34,12 +34,7 @@ type ImagePreparer struct {
 }
 
 // Prepare implements dataprep.Preparer.
-func (p ImagePreparer) Prepare(obj storage.Object, seed int64) dataprep.Prepared {
-	return p.PrepareScratch(obj, seed, nil)
-}
-
-// PrepareScratch implements dataprep.ScratchPreparer.
-func (p ImagePreparer) PrepareScratch(obj storage.Object, seed int64, s *dataprep.Scratch) dataprep.Prepared {
+func (p ImagePreparer) Prepare(obj storage.Object, seed int64, s *dataprep.Scratch) dataprep.Prepared {
 	h, err := p.Cache.Acquire(context.Background(), obj.Key, ImageFingerprint, func(pool *memframe.Set) (Decoded, error) {
 		// Decode into a throwaway image, then move the pixels into a
 		// pooled payload buffer of the exact decoded size: the decode
@@ -71,12 +66,7 @@ type AudioPreparer struct {
 }
 
 // Prepare implements dataprep.Preparer.
-func (p AudioPreparer) Prepare(obj storage.Object, seed int64) dataprep.Prepared {
-	return p.PrepareScratch(obj, seed, nil)
-}
-
-// PrepareScratch implements dataprep.ScratchPreparer.
-func (p AudioPreparer) PrepareScratch(obj storage.Object, seed int64, s *dataprep.Scratch) dataprep.Prepared {
+func (p AudioPreparer) Prepare(obj storage.Object, seed int64, s *dataprep.Scratch) dataprep.Prepared {
 	h, err := p.Cache.Acquire(context.Background(), obj.Key, AudioFingerprint, func(pool *memframe.Set) (Decoded, error) {
 		buf := pool.F64.Get(len(obj.Data) / 2)
 		sig, err := dsp.PCM16DecodeInto(buf, obj.Data)

@@ -77,8 +77,8 @@ func TestCachedImagePreparerBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				seed := dataprep.SampleSeed(datasetSeed, key, epoch)
-				want := plain.Prepare(obj, seed)
-				got := cached.Prepare(obj, seed)
+				want := plain.Prepare(obj, seed, nil)
+				got := cached.Prepare(obj, seed, nil)
 				samplesEqual(t, fmt.Sprintf("ds=%d epoch=%d key=%s", datasetSeed, epoch, key), got, want)
 			}
 		}
@@ -106,7 +106,7 @@ func TestCachedAudioPreparerBitIdentical(t *testing.T) {
 			}
 			seed := dataprep.SampleSeed(3, key, epoch)
 			samplesEqual(t, fmt.Sprintf("epoch=%d key=%s", epoch, key),
-				cached.Prepare(obj, seed), plain.Prepare(obj, seed))
+				cached.Prepare(obj, seed, nil), plain.Prepare(obj, seed, nil))
 		}
 	}
 	if s := cached.Cache.Stats(); s.Misses != 4 {

@@ -8,36 +8,18 @@ import (
 	"trainbox/internal/dataprep"
 	"trainbox/internal/faults"
 	"trainbox/internal/metrics"
-	"trainbox/internal/nvme"
 	"trainbox/internal/storage"
 )
 
-// chaosFixture builds a cluster of len(injs) devices, handler i wired
-// to injector injs[i] (nil = healthy), over a small image dataset.
-func chaosFixture(t *testing.T, injs ...faults.Injector) (*Cluster, *storage.Store, dataprep.ImageConfig) {
+// chaosFixture builds len(injs) device handlers, handler i wired to
+// injector injs[i] (nil = healthy), over a small image dataset.
+func chaosFixture(t *testing.T, injs ...faults.Injector) ([]*P2PHandler, *storage.Store, dataprep.ImageConfig) {
 	t.Helper()
-	store := storage.NewStore(storage.DefaultSSDSpec())
-	if err := dataprep.BuildImageDataset(store, 8, 4, 3); err != nil {
-		t.Fatal(err)
+	handlers, store, cfg := leaseFixture(t, len(injs))
+	for i, h := range handlers {
+		h.inj = injs[i]
 	}
-	ns, err := nvme.LoadStore(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := dataprep.DefaultImageConfig()
-	handlers := make([]*P2PHandler, len(injs))
-	for i := range handlers {
-		h, err := NewP2PHandler(ns, NewImageEmulator(cfg), 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		handlers[i] = h.WithFaults(injs[i])
-	}
-	cluster, err := NewCluster(handlers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cluster, store, cfg
+	return handlers, store, cfg
 }
 
 // hostOracle prepares the same batch on the fault-free host path.
@@ -74,9 +56,9 @@ func assertBitIdentical(t *testing.T, got, want []dataprep.Prepared) {
 // bit-identical to the host oracle.
 func TestClusterEjectsDeadDeviceAndStaysBitIdentical(t *testing.T) {
 	const datasetSeed, epoch = 3, 1
-	cluster, store, cfg := chaosFixture(t, faults.NewDeviceDeath(0), nil)
+	handlers, store, cfg := chaosFixture(t, faults.NewDeviceDeath(0), nil)
 	reg := metrics.NewRegistry()
-	cluster.WithHealth(HealthConfig{EjectAfter: 2}).WithMetrics(reg)
+	cluster := newCluster(t, handlers, WithHealth(HealthConfig{EjectAfter: 2}), WithMetrics(reg))
 
 	out, err := cluster.PrepareBatch(context.Background(), store.Keys(), datasetSeed, epoch)
 	if err != nil {
@@ -102,10 +84,10 @@ func TestClusterEjectsDeadDeviceAndStaysBitIdentical(t *testing.T) {
 // — bit-identical, all samples counted as degraded, pool size zero.
 func TestClusterFallbackWhenAllDevicesDead(t *testing.T) {
 	const datasetSeed, epoch = 5, 2
-	cluster, store, cfg := chaosFixture(t, faults.NewDeviceDeath(0), faults.NewDeviceDeath(0))
+	handlers, store, cfg := chaosFixture(t, faults.NewDeviceDeath(0), faults.NewDeviceDeath(0))
 	reg := metrics.NewRegistry()
 	fb := dataprep.NewExecutor(dataprep.ImagePreparer{Config: cfg}, 2, 0)
-	cluster.WithHealth(HealthConfig{EjectAfter: 1}).WithFallback(fb, store).WithMetrics(reg)
+	cluster := newCluster(t, handlers, WithHealth(HealthConfig{EjectAfter: 1}), WithFallback(fb, store), WithMetrics(reg))
 
 	out, err := cluster.PrepareBatch(context.Background(), store.Keys(), datasetSeed, epoch)
 	if err != nil {
@@ -129,11 +111,11 @@ func TestClusterFallbackWhenAllDevicesDead(t *testing.T) {
 func TestClusterProbationReadmission(t *testing.T) {
 	const datasetSeed = 11
 	death := faults.NewDeviceDeath(0)
-	cluster, store, cfg := chaosFixture(t, death)
+	handlers, store, cfg := chaosFixture(t, death)
 	reg := metrics.NewRegistry()
 	fb := dataprep.NewExecutor(dataprep.ImagePreparer{Config: cfg}, 2, 0)
-	cluster.WithHealth(HealthConfig{EjectAfter: 1, ProbationBatches: 1}).
-		WithFallback(fb, store).WithMetrics(reg)
+	cluster := newCluster(t, handlers, WithHealth(HealthConfig{EjectAfter: 1, ProbationBatches: 1}),
+		WithFallback(fb, store), WithMetrics(reg))
 
 	// Batch 1: the device's first sample fails → immediate ejection; the
 	// rest of the batch degrades to the host path.
@@ -185,8 +167,8 @@ func TestClusterProbationReadmission(t *testing.T) {
 // TestClusterPoolEmptyWithoutFallbackFails: with no host fallback, an
 // all-dead pool must fail the batch with the device error.
 func TestClusterPoolEmptyWithoutFallbackFails(t *testing.T) {
-	cluster, store, _ := chaosFixture(t, faults.NewDeviceDeath(0))
-	cluster.WithHealth(HealthConfig{EjectAfter: 1})
+	handlers, store, _ := chaosFixture(t, faults.NewDeviceDeath(0))
+	cluster := newCluster(t, handlers, WithHealth(HealthConfig{EjectAfter: 1}))
 	if _, err := cluster.PrepareBatch(context.Background(), store.Keys(), 1, 0); !errors.Is(err, faults.ErrDeviceDead) {
 		t.Errorf("err = %v, want ErrDeviceDead", err)
 	}
@@ -200,10 +182,10 @@ func TestClusterFlakyDeviceRecovers(t *testing.T) {
 	// Both devices share the flake schedule, so whichever device serves a
 	// doomed (key, attempt) pair fails it — making retries deterministic.
 	flake := faults.NewErrorRate(42, 0.4, nil)
-	cluster, store, cfg := chaosFixture(t, flake, flake)
+	handlers, store, cfg := chaosFixture(t, flake, flake)
 	reg := metrics.NewRegistry()
 	fb := dataprep.NewExecutor(dataprep.ImagePreparer{Config: cfg}, 2, 0)
-	cluster.WithHealth(DefaultHealthConfig()).WithFallback(fb, store).WithMetrics(reg)
+	cluster := newCluster(t, handlers, WithHealth(DefaultHealthConfig()), WithFallback(fb, store), WithMetrics(reg))
 
 	out, err := cluster.PrepareBatch(context.Background(), store.Keys(), datasetSeed, epoch)
 	if err != nil {
@@ -218,7 +200,8 @@ func TestClusterFlakyDeviceRecovers(t *testing.T) {
 // TestClusterHealthDisabledKeepsFailFast: without WithHealth the legacy
 // contract holds — the first device error fails the whole batch.
 func TestClusterHealthDisabledKeepsFailFast(t *testing.T) {
-	cluster, store, _ := chaosFixture(t, faults.NewDeviceDeath(0), nil)
+	handlers, store, _ := chaosFixture(t, faults.NewDeviceDeath(0), nil)
+	cluster := newCluster(t, handlers)
 	if _, err := cluster.PrepareBatch(context.Background(), store.Keys(), 1, 0); !errors.Is(err, faults.ErrDeviceDead) {
 		t.Errorf("err = %v, want ErrDeviceDead", err)
 	}

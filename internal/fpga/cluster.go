@@ -152,7 +152,7 @@ func (c *Cluster) pipelineName() string {
 	return "fpga-pool-" + c.name
 }
 
-// resolveMetrics (re-)binds the cluster's metric handles against the
+// resolveMetrics binds the cluster's metric handles against the
 // attached registry (all handles are nil no-ops without one).
 func (c *Cluster) resolveMetrics() {
 	prefix := c.metricPrefix()
@@ -163,47 +163,6 @@ func (c *Cluster) resolveMetrics() {
 	c.mDegraded = c.reg.Counter(prefix + "degraded_samples")
 	c.gActive = c.reg.Gauge(prefix + "devices_active")
 	c.gActive.SetInt(int64(c.ActiveDevices()))
-}
-
-// setHealth normalizes and stores the health config.
-func (c *Cluster) setHealth(cfg HealthConfig) {
-	if cfg.EjectAfter <= 0 {
-		cfg.EjectAfter = DefaultHealthConfig().EjectAfter
-	}
-	if cfg.ProbationBatches < 0 {
-		cfg.ProbationBatches = 0
-	}
-	c.health = cfg
-}
-
-// WithHealth enables per-device health tracking.
-//
-// Deprecated: pass fpga.WithHealth(cfg) to NewCluster instead. Kept as a
-// thin shim; returns c for chaining.
-func (c *Cluster) WithHealth(cfg HealthConfig) *Cluster {
-	c.setHealth(cfg)
-	return c
-}
-
-// WithFallback attaches the host data-preparation path used once the
-// pool is empty or a sample's pool attempts are spent.
-//
-// Deprecated: pass fpga.WithFallback(exec, store) to NewCluster instead.
-// Kept as a thin shim; returns c for chaining.
-func (c *Cluster) WithFallback(exec *dataprep.Executor, store *storage.Store) *Cluster {
-	c.fbExec = exec
-	c.fbStore = store
-	return c
-}
-
-// WithMetrics attaches a registry for the cluster's telemetry.
-//
-// Deprecated: pass fpga.WithMetrics(reg) to NewCluster instead. Kept as
-// a thin shim; returns c for chaining.
-func (c *Cluster) WithMetrics(reg *metrics.Registry) *Cluster {
-	c.reg = reg
-	c.resolveMetrics()
-	return c
 }
 
 // rebuildAvailLocked reconstructs the checkout channel from current

@@ -3,39 +3,28 @@ package fpga
 import (
 	"context"
 	"errors"
-	"runtime"
 	"testing"
-	"time"
 
 	"trainbox/internal/dataprep"
+	"trainbox/internal/invariant"
 	"trainbox/internal/nvme"
 	"trainbox/internal/storage"
 )
 
+// newCluster builds a cluster over handlers, failing the test on error.
+func newCluster(t *testing.T, handlers []*P2PHandler, opts ...Option) *Cluster {
+	t.Helper()
+	cluster, err := NewCluster(handlers, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cluster
+}
+
 func poolFixture(t *testing.T, devices int) (*Cluster, *storage.Store, dataprep.ImageConfig) {
 	t.Helper()
-	store := storage.NewStore(storage.DefaultSSDSpec())
-	if err := dataprep.BuildImageDataset(store, 8, 4, 3); err != nil {
-		t.Fatal(err)
-	}
-	ns, err := nvme.LoadStore(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := dataprep.DefaultImageConfig()
-	handlers := make([]*P2PHandler, devices)
-	for i := range handlers {
-		h, err := NewP2PHandler(ns, NewImageEmulator(cfg), 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		handlers[i] = h
-	}
-	cluster, err := NewCluster(handlers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cluster, store, cfg
+	handlers, store, cfg := leaseFixture(t, devices)
+	return newCluster(t, handlers), store, cfg
 }
 
 // TestClusterBitEqualWithHostPath: dispatching a batch across three
@@ -85,16 +74,9 @@ func TestClusterErrorsAndValidation(t *testing.T) {
 		t.Error("nil handler accepted")
 	}
 	cluster, _, _ := poolFixture(t, 2)
-	base := runtime.NumGoroutine()
+	invariant.NoLeak(t)
 	if _, err := cluster.PrepareBatch(context.Background(), []string{"img-00000", "missing"}, 1, 0); err == nil {
 		t.Error("batch with missing key accepted")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > base {
-		t.Errorf("goroutines leaked after failed batch: %d, started with %d", n, base)
 	}
 	// All devices must be back in the pool after the failure.
 	if got := len(cluster.avail); got != cluster.Devices() {

@@ -15,10 +15,8 @@ package fpga
 
 import (
 	"fmt"
-	"sync"
 
 	"trainbox/internal/dataprep"
-	"trainbox/internal/pipeline"
 	"trainbox/internal/storage"
 	"trainbox/internal/units"
 	"trainbox/internal/workload"
@@ -173,15 +171,6 @@ func PrepRate(t workload.InputType) units.SamplesPerSec {
 type Emulator struct {
 	Image *dataprep.ImageConfig
 	Audio *dataprep.AudioConfig
-
-	// scratches models the engine's on-device working set: each Prepare
-	// draws a pooled dataprep.Scratch so repeated offloads recycle their
-	// decode/augment buffers. Outputs are always freshly allocated
-	// (plain NewScratch, no shared output pool) so callers — including
-	// the bit-identity oracles — may hold results indefinitely. Built
-	// lazily so the zero-value Emulator keeps working.
-	scratchOnce sync.Once
-	scratches   *pipeline.Pool[*dataprep.Scratch]
 }
 
 // NewImageEmulator returns an emulator programmed with the image engine
@@ -199,17 +188,12 @@ func NewAudioEmulator(cfg dataprep.AudioConfig) *Emulator {
 // Prepare implements dataprep.Preparer. Objects of the wrong kind for
 // the programmed engine fail, mirroring a real FPGA whose bitstream only
 // implements one pipeline (partial reconfiguration swaps it).
-func (e *Emulator) Prepare(obj storage.Object, seed int64) dataprep.Prepared {
-	e.scratchOnce.Do(func() {
-		e.scratches = pipeline.NewPool(dataprep.NewScratch)
-	})
-	s := e.scratches.Get()
-	defer e.scratches.Put(s)
+func (e *Emulator) Prepare(obj storage.Object, seed int64, s *dataprep.Scratch) dataprep.Prepared {
 	switch {
 	case e.Image != nil:
-		return dataprep.ImagePreparer{Config: *e.Image}.PrepareScratch(obj, seed, s)
+		return dataprep.ImagePreparer{Config: *e.Image}.Prepare(obj, seed, s)
 	case e.Audio != nil:
-		return dataprep.AudioPreparer{Config: *e.Audio}.PrepareScratch(obj, seed, s)
+		return dataprep.AudioPreparer{Config: *e.Audio}.Prepare(obj, seed, s)
 	}
 	return dataprep.Prepared{Key: obj.Key, Err: fmt.Errorf("fpga: emulator not programmed")}
 }

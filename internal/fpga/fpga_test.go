@@ -108,8 +108,8 @@ func TestEmulatorBitIdenticalWithCPUPath(t *testing.T) {
 	for _, key := range imgStore.Keys() {
 		obj, _ := imgStore.Get(key)
 		seed := dataprep.SampleSeed(1, key, 0)
-		a := cpu.Prepare(obj, seed)
-		b := dev.Prepare(obj, seed)
+		a := cpu.Prepare(obj, seed, nil)
+		b := dev.Prepare(obj, seed, nil)
 		if a.Err != nil || b.Err != nil {
 			t.Fatal(a.Err, b.Err)
 		}
@@ -130,8 +130,8 @@ func TestEmulatorBitIdenticalWithCPUPath(t *testing.T) {
 	for _, key := range audStore.Keys() {
 		obj, _ := audStore.Get(key)
 		seed := dataprep.SampleSeed(1, key, 0)
-		a := cpuA.Prepare(obj, seed)
-		b := devA.Prepare(obj, seed)
+		a := cpuA.Prepare(obj, seed, nil)
+		b := devA.Prepare(obj, seed, nil)
 		if a.Err != nil || b.Err != nil {
 			t.Fatal(a.Err, b.Err)
 		}
@@ -160,7 +160,7 @@ func TestEmulatorReprogram(t *testing.T) {
 		t.Error("double reprogram accepted")
 	}
 	bad := &Emulator{}
-	if out := bad.Prepare(storage.Object{Key: "x"}, 1); out.Err == nil {
+	if out := bad.Prepare(storage.Object{Key: "x"}, 1, nil); out.Err == nil {
 		t.Error("unprogrammed emulator prepared a sample")
 	}
 }

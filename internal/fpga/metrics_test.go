@@ -11,12 +11,9 @@ import (
 // per-device utilization gauges in (0, 1], and stream the dispatch
 // pipeline's stage series.
 func TestClusterMetrics(t *testing.T) {
-	cluster, store, _ := poolFixture(t, 2)
 	reg := metrics.NewRegistry()
-	cluster.WithMetrics(reg)
-	for _, d := range cluster.devices {
-		d.h.WithMetrics(reg)
-	}
+	handlers, store, _ := leaseFixture(t, 2, WithMetrics(reg))
+	cluster := newCluster(t, handlers, WithMetrics(reg))
 	keys := store.Keys()
 
 	const epochs = 2
@@ -56,9 +53,9 @@ func TestClusterMetrics(t *testing.T) {
 // TestP2PBatchMetrics: a metered handler's batch path must stream the
 // nvme-read and prep-engine stage series.
 func TestP2PBatchMetrics(t *testing.T) {
-	cluster, store, _ := poolFixture(t, 1)
 	reg := metrics.NewRegistry()
-	h := cluster.devices[0].h.WithMetrics(reg)
+	handlers, store, _ := leaseFixture(t, 1, WithMetrics(reg))
+	h := handlers[0]
 
 	out, err := h.PrepareBatch(store.Keys(), 3, 0)
 	if err != nil {

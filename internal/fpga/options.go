@@ -15,10 +15,6 @@ import (
 // everywhere; an option that does not apply to the type being built
 // fails construction with a descriptive error instead of being silently
 // ignored.
-//
-// This is the canonical configuration surface: the method-chained
-// setters ((*Cluster).WithHealth, (*P2PHandler).WithFaults, …) remain as
-// deprecated shims over the same fields.
 type Option struct {
 	name    string
 	cluster func(*Cluster) error
@@ -45,7 +41,13 @@ func (o Option) applyHandler(h *P2PHandler) error {
 // re-dispatched to other devices instead of failing the batch.
 func WithHealth(cfg HealthConfig) Option {
 	return Option{name: "WithHealth", cluster: func(c *Cluster) error {
-		c.setHealth(cfg)
+		if cfg.EjectAfter <= 0 {
+			cfg.EjectAfter = DefaultHealthConfig().EjectAfter
+		}
+		if cfg.ProbationBatches < 0 {
+			cfg.ProbationBatches = 0
+		}
+		c.health = cfg
 		return nil
 	}}
 }
@@ -93,7 +95,9 @@ func WithMetrics(reg *metrics.Registry) Option {
 			return nil
 		},
 		handler: func(h *P2PHandler) error {
-			h.WithMetrics(reg)
+			h.reg = reg
+			h.mSamples = reg.Counter("fpga.p2p.samples_prepared")
+			h.mLatency = reg.Histogram("fpga.p2p.sample_ns")
 			return nil
 		},
 	}

@@ -38,7 +38,7 @@ func leaseFixture(t *testing.T, n int, opts ...Option) ([]*P2PHandler, *storage.
 
 // TestClusterOptionsAPI: the functional-options constructor must wire
 // health, fallback, metrics, name scoping, and pool-wide faults in one
-// call, equivalent to the deprecated chained setters.
+// call.
 func TestClusterOptionsAPI(t *testing.T) {
 	handlers, store, cfg := leaseFixture(t, 2)
 	reg := metrics.NewRegistry()

@@ -30,6 +30,13 @@ type P2PHandler struct {
 	inj    faults.Injector
 	stats  pipeline.StatsSet
 
+	// scratches models the engine's on-device working set: each prepare
+	// draws a pooled dataprep.Scratch so repeated offloads recycle their
+	// decode/augment buffers. Outputs are always freshly allocated
+	// (plain NewScratch, no shared output pool) so callers — including
+	// the bit-identity oracles — may hold results indefinitely.
+	scratches *pipeline.Pool[*dataprep.Scratch]
+
 	reg      *metrics.Registry
 	mSamples *metrics.Counter   // fpga.p2p.samples_prepared
 	mLatency *metrics.Histogram // fpga.p2p.sample_ns
@@ -46,7 +53,8 @@ func NewP2PHandler(ns *nvme.Namespace, engine *Emulator, queueDepth int, opts ..
 	if err != nil {
 		return nil, err
 	}
-	h := &P2PHandler{client: client, engine: engine, depth: queueDepth}
+	h := &P2PHandler{client: client, engine: engine, depth: queueDepth,
+		scratches: pipeline.NewPool(dataprep.NewScratch)}
 	for _, opt := range opts {
 		if err := opt.applyHandler(h); err != nil {
 			return nil, err
@@ -55,30 +63,12 @@ func NewP2PHandler(ns *nvme.Namespace, engine *Emulator, queueDepth int, opts ..
 	return h, nil
 }
 
-// WithMetrics attaches a registry: per-sample device latency and sample
-// counts report under "fpga.p2p.*", and batch pipelines under
-// "pipeline.fpga-p2p.*".
-//
-// Deprecated: pass fpga.WithMetrics(reg) to NewP2PHandler instead. Kept
-// as a thin shim; returns h for chaining.
-func (h *P2PHandler) WithMetrics(reg *metrics.Registry) *P2PHandler {
-	h.reg = reg
-	h.mSamples = reg.Counter("fpga.p2p.samples_prepared")
-	h.mLatency = reg.Histogram("fpga.p2p.sample_ns")
-	return h
-}
-
-// WithFaults attaches a fault injector consulted before every NVMe read
-// this handler issues, under op name "fpga.p2p.read" — the knob chaos
-// tests turn to make one pooled device flaky or dead (see
-// faults.NewDeviceDeath). A nil injector (the default) keeps the
-// fault-free fast path.
-//
-// Deprecated: pass fpga.WithFaults(inj) to NewP2PHandler instead. Kept
-// as a thin shim; returns h for chaining.
-func (h *P2PHandler) WithFaults(inj faults.Injector) *P2PHandler {
-	h.inj = inj
-	return h
+// prepare runs the engine on one fetched object with a pooled working
+// set.
+func (h *P2PHandler) prepare(obj storage.Object, seed int64) dataprep.Prepared {
+	s := h.scratches.Get()
+	defer h.scratches.Put(s)
+	return h.engine.Prepare(obj, seed, s)
 }
 
 // readObject is the handler's faultable NVMe read: the injector (if
@@ -106,7 +96,7 @@ func (h *P2PHandler) prepareSample(ctx context.Context, key string, seed int64, 
 	if err != nil {
 		return dataprep.Prepared{Key: key, Err: err}
 	}
-	p := h.engine.Prepare(obj, seed)
+	p := h.prepare(obj, seed)
 	h.mSamples.Inc()
 	h.mLatency.ObserveDuration(time.Since(start))
 	return p
@@ -142,7 +132,7 @@ func (h *P2PHandler) PrepareBatchContext(ctx context.Context, keys []string, dat
 		})
 	prep := pipeline.NewStage("prep-engine", 1, 1,
 		func(_ context.Context, obj storage.Object) (dataprep.Prepared, error) {
-			p := h.engine.Prepare(obj, dataprep.SampleSeed(datasetSeed, obj.Key, epoch))
+			p := h.prepare(obj, dataprep.SampleSeed(datasetSeed, obj.Key, epoch))
 			if p.Err != nil {
 				return dataprep.Prepared{}, fmt.Errorf("fpga: p2p sample %q: %w", p.Key, p.Err)
 			}

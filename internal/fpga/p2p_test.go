@@ -103,7 +103,7 @@ func TestP2PAudioPath(t *testing.T) {
 	hostOut := dataprep.AudioPreparer{Config: cfg}
 	for i, key := range store.Keys() {
 		obj, _ := store.Get(key)
-		want := hostOut.Prepare(obj, dataprep.SampleSeed(5, key, 0))
+		want := hostOut.Prepare(obj, dataprep.SampleSeed(5, key, 0), nil)
 		for j := range want.Audio.Data {
 			if batch[i].Audio.Data[j] != want.Audio.Data[j] {
 				t.Fatalf("audio sample %d diverges at %d", i, j)

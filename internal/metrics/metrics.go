@@ -7,8 +7,8 @@
 // with accelerator demand, and the balance has to be re-measured as the
 // system evolves (Section V). Every hot path of the reproduction
 // therefore reports into a Registry: pipeline stages, the dataprep
-// executor and prefetcher, the FPGA pool and P2P handlers, the training
-// driver, and the storage layer. A snapshot of the registry is the
+// executor, the FPGA pool and P2P handlers, the training driver, and
+// the storage layer. A snapshot of the registry is the
 // machine-readable evidence `trainbox-bench -json` emits and the CI
 // perf gate consumes.
 //

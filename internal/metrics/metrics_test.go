@@ -3,10 +3,11 @@ package metrics
 import (
 	"encoding/json"
 	"expvar"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"trainbox/internal/invariant"
 )
 
 // TestConcurrentIncrements hammers one counter, gauge, meter, and
@@ -128,7 +129,7 @@ func TestMeterRate(t *testing.T) {
 // snapshots must not leave any goroutine behind — the metrics layer is
 // wired into long-lived servers and must never leak a ticker.
 func TestNoBackgroundGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	invariant.NoLeak(t)
 	for i := 0; i < 50; i++ {
 		reg := NewRegistry()
 		reg.Counter("c").Inc()
@@ -139,16 +140,6 @@ func TestNoBackgroundGoroutines(t *testing.T) {
 		_ = reg.Snapshot()
 		_ = reg.Meter("m").Rate()
 	}
-	runtime.GC()
-	// Allow the runtime a moment to retire any incidental goroutines.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Errorf("goroutines grew from %d to %d — a metric spawned a background ticker", before, runtime.NumGoroutine())
 }
 
 // TestSnapshotJSON: the snapshot must round-trip through JSON with the

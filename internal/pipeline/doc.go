@@ -40,9 +40,9 @@
 // is what lets the deterministic-preparation tests assert bit-identical
 // batches regardless of worker count.
 //
-// internal/dataprep builds its fetch→prepare executor and the
-// next-batch Prefetcher on this runtime; internal/fpga dispatches
-// device-centric prep jobs (NVMe read → preparation engine) and the
-// prep-pool Cluster through it; internal/train composes
-// prepare→extract→step as one pipeline for the end-to-end driver.
+// internal/dataprep builds its fetch→prepare executor on this runtime;
+// internal/fpga dispatches device-centric prep jobs (NVMe read →
+// preparation engine) and the prep-pool Cluster through it;
+// internal/train composes prepare→extract→step as one pipeline for the
+// end-to-end driver.
 package pipeline

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"trainbox/internal/faults"
 	"trainbox/internal/metrics"
 )
 
@@ -16,93 +15,26 @@ import (
 // order the items entered. Build stages with NewStage, which adds type
 // safety around the untyped runtime representation.
 type Stage struct {
-	name      string
-	par       int
-	depth     int
-	fn        func(ctx context.Context, v any) (any, error)
-	expand    func(ctx context.Context, v any) ([]any, error)
-	echo      func() int
-	timeout   time.Duration
-	retries   int
-	retryable func(error) bool
-}
-
-// renumbers reports whether the stage can change the item count, in
-// which case its output gets a fresh dense sequence numbering so a
-// downstream parallel stage can still restore a total order.
-func (s *Stage) renumbers() bool { return s.expand != nil || s.echo != nil }
-
-// StageOption configures optional per-stage resilience behavior.
-type StageOption func(*Stage)
-
-// WithTimeout bounds every fn invocation with its own deadline: the
-// context handed to fn is cancelled after d, so a stalled item fails
-// with a deadline error instead of wedging the stage. Combine with
-// WithRetries to turn the stall into a retried attempt.
-func WithTimeout(d time.Duration) StageOption {
-	return func(s *Stage) { s.timeout = d }
-}
-
-// WithRetries re-runs fn up to n extra times on the same item when it
-// fails with a retryable error (see WithRetryableErrors; the default
-// classification is faults.IsTransient, which covers injected transient
-// faults and per-item deadline expiries). Non-retryable errors — and
-// retryable errors past the budget — still fail the whole run: the
-// permanent-fault contract is unchanged.
-func WithRetries(n int) StageOption {
-	return func(s *Stage) {
-		if n > 0 {
-			s.retries = n
-		}
-	}
-}
-
-// WithRetryableErrors overrides the stage's retryable-error
-// classification used by WithRetries.
-func WithRetryableErrors(classify func(error) bool) StageOption {
-	return func(s *Stage) {
-		if classify != nil {
-			s.retryable = classify
-		}
-	}
-}
-
-// WithEcho replays every result of the stage factor() times — Choi et
-// al.'s data echoing: when preparation cannot keep up with the step
-// rate, downstream consumes each prepared item several times instead of
-// idling. factor is evaluated once per item, so a live factor (e.g. one
-// derived from the train driver's prep/step overlap gauge) adapts
-// replay to the currently observed imbalance; results < 1 are treated
-// as 1 (echo off for that item).
-//
-// The SAME value is sent factor() times (no copies are made). If the
-// pipeline has a discard hook (Pipeline.WithDiscard), it fires once per
-// dropped replica — values that can be recycled exactly once must carry
-// their own reference count (see train's echo stage for the pattern).
-// An echoing stage renumbers its output sequence so downstream parallel
-// stages still see a total order.
-func WithEcho(factor func() int) StageOption {
-	return func(s *Stage) {
-		if factor != nil {
-			s.echo = factor
-		}
-	}
+	name   string
+	par    int
+	depth  int
+	fn     func(ctx context.Context, v any) (any, error)
+	expand func(ctx context.Context, v any) ([]any, error)
 }
 
 // NewStage builds a typed stage. parallelism < 1 is treated as 1 (a
 // serial stage); queueDepth < 0 as 0 (a rendezvous hand-off). fn must be
 // safe for concurrent use when parallelism > 1. Returning an error from
-// fn fails the whole run — the pipeline context is cancelled and every
-// stage drains — unless stage options make the error retryable
-// (WithRetries) or bound the item's latency first (WithTimeout).
-func NewStage[In, Out any](name string, parallelism, queueDepth int, fn func(ctx context.Context, in In) (Out, error), opts ...StageOption) *Stage {
+// fn fails the whole run: the pipeline context is cancelled and every
+// stage drains.
+func NewStage[In, Out any](name string, parallelism, queueDepth int, fn func(ctx context.Context, in In) (Out, error)) *Stage {
 	if parallelism < 1 {
 		parallelism = 1
 	}
 	if queueDepth < 0 {
 		queueDepth = 0
 	}
-	s := &Stage{
+	return &Stage{
 		name:  name,
 		par:   parallelism,
 		depth: queueDepth,
@@ -115,32 +47,24 @@ func NewStage[In, Out any](name string, parallelism, queueDepth int, fn func(ctx
 			return fn(ctx, in)
 		},
 	}
-	for _, opt := range opts {
-		opt(s)
-	}
-	if s.retryable == nil {
-		s.retryable = faults.IsTransient
-	}
-	return s
 }
 
 // NewExpandStage builds a typed one-to-many stage: fn maps each input
 // to zero or more outputs, emitted downstream in order. It is the
 // building block for data echoing with per-replica payloads (each
-// output can carry its own bookkeeping, unlike WithEcho which resends
-// one value) and for batch-splitting stages. Expand stages are always
-// serial (the emission order of a fan-out is only well-defined for one
-// worker) and renumber their output sequence so downstream parallel
-// stages still restore a total order.
+// output can carry its own bookkeeping) and for batch-splitting stages.
+// Expand stages are always serial (the emission order of a fan-out is
+// only well-defined for one worker) and renumber their output sequence
+// so downstream parallel stages still restore a total order.
 //
 // Ownership on cancellation: outputs fn has returned that the run drops
 // before delivery are handed to the pipeline's discard hook
 // (Pipeline.WithDiscard), exactly once each.
-func NewExpandStage[In, Out any](name string, queueDepth int, fn func(ctx context.Context, in In) ([]Out, error), opts ...StageOption) *Stage {
+func NewExpandStage[In, Out any](name string, queueDepth int, fn func(ctx context.Context, in In) ([]Out, error)) *Stage {
 	if queueDepth < 0 {
 		queueDepth = 0
 	}
-	s := &Stage{
+	return &Stage{
 		name:  name,
 		par:   1,
 		depth: queueDepth,
@@ -161,14 +85,6 @@ func NewExpandStage[In, Out any](name string, queueDepth int, fn func(ctx contex
 			return vs, nil
 		},
 	}
-	for _, opt := range opts {
-		opt(s)
-	}
-	s.par = 1 // expansion emission order requires a serial stage
-	if s.retryable == nil {
-		s.retryable = faults.IsTransient
-	}
-	return s
 }
 
 // Name returns the stage's name.
@@ -204,12 +120,11 @@ func (p *Pipeline) WithMetrics(reg *metrics.Registry) *Pipeline {
 // it, a mid-run cancel leaks whatever was in flight.
 //
 // The hook may be called concurrently from several pipeline goroutines
-// and must not block. It fires exactly once per dropped value, except
-// that an echoing stage (WithEcho) drops the same value once per
-// undelivered replica. Values fn consumed before failing are NOT
-// discarded — a stage function owns its input once invoked and must
-// clean up on its own error paths. A nil hook (the default) disables
-// discard tracking at no cost. Returns p for chaining.
+// and must not block. It fires exactly once per dropped value. Values
+// fn consumed before failing are NOT discarded — a stage function owns
+// its input once invoked and must clean up on its own error paths. A
+// nil hook (the default) disables discard tracking at no cost. Returns
+// p for chaining.
 func (p *Pipeline) WithDiscard(fn func(v any)) *Pipeline {
 	p.discard = fn
 	return p
@@ -272,18 +187,6 @@ func RangeSource(from, to int) Source {
 	}
 }
 
-// SliceSource emits each element of items in order.
-func SliceSource[T any](items []T) Source {
-	return func(ctx context.Context, emit func(v any) error) error {
-		for _, it := range items {
-			if err := emit(it); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
 // item is the envelope moved between stages; seq is the source emission
 // index, used to restore order after a parallel stage.
 type item struct {
@@ -300,12 +203,10 @@ type stageRun struct {
 	itemsIn  atomic.Int64
 	itemsOut atomic.Int64
 	busy     atomic.Int64 // nanoseconds inside fn
-	retries  atomic.Int64 // retryable failures re-attempted in place
 
-	mItems   *metrics.Counter   // items completed by fn
-	mBusy    *metrics.Histogram // per-item ns inside fn
-	mQueue   *metrics.Gauge     // output queue occupancy at last enqueue
-	mRetries *metrics.Counter   // in-place item retries
+	mItems *metrics.Counter   // items completed by fn
+	mBusy  *metrics.Histogram // per-item ns inside fn
+	mQueue *metrics.Gauge     // output queue occupancy at last enqueue
 }
 
 // Run is one execution of a pipeline over one source. Consume Out()
@@ -393,7 +294,6 @@ func (p *Pipeline) Run(ctx context.Context, src Source) *Run {
 			sr.mItems = p.reg.Counter(prefix + "items")
 			sr.mBusy = p.reg.Histogram(prefix + "busy_ns")
 			sr.mQueue = p.reg.Gauge(prefix + "queue_depth")
-			sr.mRetries = p.reg.Counter(prefix + "retries")
 		}
 		r.stages = append(r.stages, sr)
 		r.startStage(rctx, sr, in)
@@ -424,82 +324,42 @@ func (p *Pipeline) Run(ctx context.Context, src Source) *Run {
 	return r
 }
 
-// emitStage forwards one applied result downstream, replaying it per
-// the stage's echo factor. Stages that can change the item count
-// (echo/expand) renumber their output through outSeq so downstream
-// order stays total. Returns false once the run is cancelled; the
-// current value (and any unsent replicas) go to the discard hook.
-func (r *Run) emitStage(ctx context.Context, sr *stageRun, it item, outSeq *int64) bool {
-	n := 1
-	if f := sr.spec.echo; f != nil {
-		if n = f(); n < 1 {
-			n = 1
-		}
+// emitStage forwards one applied result downstream. Returns false once
+// the run is cancelled; the value goes to the discard hook.
+func (r *Run) emitStage(ctx context.Context, sr *stageRun, it item) bool {
+	select {
+	case sr.out <- it:
+		sr.itemsOut.Add(1)
+		sr.mQueue.SetInt(int64(len(sr.out)))
+		return true
+	case <-ctx.Done():
+		r.discard(it.v)
+		return false
 	}
-	for i := 0; i < n; i++ {
-		out := it
-		if sr.spec.renumbers() {
-			out = item{seq: *outSeq, v: it.v}
-			*outSeq++
-		}
-		select {
-		case sr.out <- out:
-			sr.itemsOut.Add(1)
-			sr.mQueue.SetInt(int64(len(sr.out)))
-		case <-ctx.Done():
-			for ; i < n; i++ { // this replica and the rest are dropped
-				r.discard(it.v)
-			}
-			return false
-		}
-	}
-	return true
 }
 
 func (r *Run) startStage(ctx context.Context, sr *stageRun, in <-chan item) {
-	// apply runs the stage function (plain or expanding) on one item
-	// with the stage's per-item timeout/retry envelope. Exactly one of
-	// the returned value/slice is meaningful, matching sr.spec.expand.
-	apply := func(it item) (any, []any, bool) {
+	// apply runs the stage function (plain or expanding) on one item.
+	// Exactly one of the returned value/slice is meaningful, matching
+	// sr.spec.expand.
+	apply := func(it item) (v any, vs []any, ok bool) {
 		sr.itemsIn.Add(1)
-		for attempt := 0; ; attempt++ {
-			ictx := ctx
-			var cancelItem context.CancelFunc
-			if sr.spec.timeout > 0 {
-				ictx, cancelItem = context.WithTimeout(ctx, sr.spec.timeout)
-			}
-			start := time.Now()
-			var (
-				v   any
-				vs  []any
-				err error
-			)
-			if sr.spec.expand != nil {
-				vs, err = sr.spec.expand(ictx, it.v)
-			} else {
-				v, err = sr.spec.fn(ictx, it.v)
-			}
-			elapsed := time.Since(start)
-			if cancelItem != nil {
-				cancelItem()
-			}
-			sr.busy.Add(int64(elapsed))
-			sr.mItems.Inc()
-			sr.mBusy.ObserveDuration(elapsed)
-			if err == nil {
-				return v, vs, true
-			}
-			// Transient faults re-enter the work loop while the budget
-			// lasts; permanent ones (or a cancelled run) still fail the
-			// whole pipeline.
-			if attempt < sr.spec.retries && ctx.Err() == nil && sr.spec.retryable(err) {
-				sr.retries.Add(1)
-				sr.mRetries.Inc()
-				continue
-			}
+		start := time.Now()
+		var err error
+		if sr.spec.expand != nil {
+			vs, err = sr.spec.expand(ctx, it.v)
+		} else {
+			v, err = sr.spec.fn(ctx, it.v)
+		}
+		elapsed := time.Since(start)
+		sr.busy.Add(int64(elapsed))
+		sr.mItems.Inc()
+		sr.mBusy.ObserveDuration(elapsed)
+		if err != nil {
 			r.fail(err)
 			return nil, nil, false
 		}
+		return v, vs, true
 	}
 
 	if sr.spec.par == 1 {
@@ -507,6 +367,8 @@ func (r *Run) startStage(ctx context.Context, sr *stageRun, in <-chan item) {
 		go func() {
 			defer r.wg.Done()
 			defer close(sr.out)
+			// An expand stage changes the item count, so it renumbers its
+			// output densely to keep downstream order total.
 			var outSeq int64
 			for it := range in {
 				v, vs, ok := apply(it)
@@ -514,18 +376,19 @@ func (r *Run) startStage(ctx context.Context, sr *stageRun, in <-chan item) {
 					return
 				}
 				if sr.spec.expand == nil {
-					if !r.emitStage(ctx, sr, item{seq: it.seq, v: v}, &outSeq) {
+					if !r.emitStage(ctx, sr, item{seq: it.seq, v: v}) {
 						return
 					}
 					continue
 				}
 				for i, ev := range vs {
-					if !r.emitStage(ctx, sr, item{seq: it.seq, v: ev}, &outSeq) {
+					if !r.emitStage(ctx, sr, item{seq: outSeq, v: ev}) {
 						for _, rest := range vs[i+1:] {
 							r.discard(rest)
 						}
 						return
 					}
+					outSeq++
 				}
 			}
 		}()
@@ -573,7 +436,7 @@ func (r *Run) startStage(ctx context.Context, sr *stageRun, in <-chan item) {
 				r.discard(v)
 			}
 		}()
-		var next, outSeq int64
+		var next int64
 		for it := range results {
 			pending[it.seq] = it.v
 			for {
@@ -582,7 +445,7 @@ func (r *Run) startStage(ctx context.Context, sr *stageRun, in <-chan item) {
 					break
 				}
 				delete(pending, next)
-				if !r.emitStage(ctx, sr, item{seq: next, v: v}, &outSeq) {
+				if !r.emitStage(ctx, sr, item{seq: next, v: v}) {
 					for it := range results { // drain cancelled run
 						r.discard(it.v)
 					}

@@ -4,26 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
-)
 
-// waitForGoroutines polls until the goroutine count drops back to at
-// most want, failing the test if it never does — the leak check for
-// cancellation paths.
-func waitForGoroutines(t *testing.T, want int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= want {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("goroutines did not settle: %d running, want ≤ %d", runtime.NumGoroutine(), want)
-}
+	"trainbox/internal/invariant"
+)
 
 func TestSingleStageOrdering(t *testing.T) {
 	double := NewStage("double", 1, 2, func(_ context.Context, v int) (int, error) {
@@ -104,7 +90,7 @@ func TestBackpressureBound(t *testing.T) {
 }
 
 func TestFirstErrorCancelsRun(t *testing.T) {
-	base := runtime.NumGoroutine()
+	invariant.NoLeak(t)
 	boom := errors.New("boom")
 	var after atomic.Int64
 	fail := NewStage("fail", 2, 1, func(_ context.Context, v int) (int, error) {
@@ -132,7 +118,6 @@ func TestFirstErrorCancelsRun(t *testing.T) {
 	if n := after.Load(); n > 100 {
 		t.Errorf("stage processed %d items after the failure point", n)
 	}
-	waitForGoroutines(t, base)
 }
 
 func TestSourceErrorFailsRun(t *testing.T) {
@@ -154,7 +139,7 @@ func TestSourceErrorFailsRun(t *testing.T) {
 }
 
 func TestParentContextCancellation(t *testing.T) {
-	base := runtime.NumGoroutine()
+	invariant.NoLeak(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	slow := NewStage("slow", 2, 2, func(ctx context.Context, v int) (int, error) {
 		select {
@@ -175,11 +160,10 @@ func TestParentContextCancellation(t *testing.T) {
 	if err := run.Err(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	waitForGoroutines(t, base)
 }
 
 func TestStopIsIdempotentAndLeakFree(t *testing.T) {
-	base := runtime.NumGoroutine()
+	invariant.NoLeak(t)
 	id := NewStage("id", 4, 4, func(_ context.Context, v int) (int, error) { return v, nil })
 	p, err := New("test", id)
 	if err != nil {
@@ -188,7 +172,6 @@ func TestStopIsIdempotentAndLeakFree(t *testing.T) {
 	run := p.Run(context.Background(), IndexSource(100))
 	run.Stop()
 	run.Stop()
-	waitForGoroutines(t, base)
 
 	// Stop after normal completion is also fine.
 	run2 := p.Run(context.Background(), IndexSource(5))
@@ -199,7 +182,6 @@ func TestStopIsIdempotentAndLeakFree(t *testing.T) {
 	if err := run2.Err(); err != nil {
 		t.Fatalf("completed run reports error after Stop: %v", err)
 	}
-	waitForGoroutines(t, base)
 }
 
 func TestStageTypeMismatch(t *testing.T) {
@@ -276,23 +258,6 @@ func TestStatsSetAccumulates(t *testing.T) {
 	}
 	if snap[1].ItemsIn != 7 {
 		t.Errorf("accumulated b = %+v", snap[1])
-	}
-}
-
-func TestSliceSource(t *testing.T) {
-	upper := NewStage("upper", 1, 1, func(_ context.Context, v string) (string, error) {
-		return v + "!", nil
-	})
-	p, err := New("test", upper)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Drain[string](p.Run(context.Background(), SliceSource([]string{"a", "b"})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || out[0] != "a!" || out[1] != "b!" {
-		t.Fatalf("out = %v", out)
 	}
 }
 

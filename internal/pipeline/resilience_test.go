@@ -3,204 +3,35 @@ package pipeline
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"trainbox/internal/faults"
-	"trainbox/internal/metrics"
+	"trainbox/internal/invariant"
 )
 
-// TestStageRetriesTransientErrors: a stage with a retry budget must
-// re-run items that fail with transient errors in place, deliver the
-// full ordered output, and account every retry in its stats and metrics.
-func TestStageRetriesTransientErrors(t *testing.T) {
-	const items, failsPerItem = 4, 2
-	var tries [items]atomic.Int64
-	st := NewStage("flaky", 1, 1,
-		func(_ context.Context, i int) (int, error) {
-			if tries[i].Add(1) <= failsPerItem {
-				return 0, faults.Transient(errors.New("blip"))
-			}
-			return i * 10, nil
-		}, WithRetries(failsPerItem))
-	pl, err := New("resilient", st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := metrics.NewRegistry()
-	out, err := Drain[int](pl.WithMetrics(reg).Run(context.Background(), IndexSource(items)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != items {
-		t.Fatalf("delivered %d items, want %d", len(out), items)
-	}
-	for i, v := range out {
-		if v != i*10 {
-			t.Errorf("out[%d] = %d, want %d", i, v, i*10)
-		}
-	}
-	if got := reg.Counter("pipeline.resilient.flaky.retries").Value(); got != items*failsPerItem {
-		t.Errorf("retries counter = %d, want %d", got, items*failsPerItem)
-	}
-}
-
-// TestStageRetryStatsExposed: StageStats must carry the retry count.
-func TestStageRetryStatsExposed(t *testing.T) {
-	var tries atomic.Int64
-	st := NewStage("flaky", 1, 0,
-		func(_ context.Context, i int) (int, error) {
-			if tries.Add(1) == 1 {
-				return 0, faults.Transient(errors.New("blip"))
-			}
-			return i, nil
-		}, WithRetries(1))
-	pl, err := New("p", st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := pl.Run(context.Background(), IndexSource(2))
-	if _, err := Drain[int](run); err != nil {
-		t.Fatal(err)
-	}
-	stats := run.Stats()
-	if len(stats) != 1 || stats[0].Retries != 1 {
-		t.Errorf("stats = %+v, want Retries = 1", stats)
-	}
-}
-
-// TestStageRetryBudgetExhausted: an item that keeps failing past the
-// budget must still fail the whole run with the item's own error.
-func TestStageRetryBudgetExhausted(t *testing.T) {
-	errBlip := faults.Transient(errors.New("still broken"))
-	st := NewStage("doomed", 1, 0,
-		func(_ context.Context, i int) (int, error) { return 0, errBlip },
-		WithRetries(2))
-	pl, err := New("p", st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Drain[int](pl.Run(context.Background(), IndexSource(3))); !errors.Is(err, errBlip) {
-		t.Errorf("err = %v, want %v", err, errBlip)
-	}
-}
-
-// TestStageNonRetryableFailsFast: permanent errors must not consume the
-// retry budget — the first-error-cancels contract is unchanged.
+// TestStageNonRetryableFailsFast: a stage never re-runs a failed item —
+// retries belong to the layers that own the fault (storage, the fpga
+// cluster, the PS tier) — so even a transient-classified error fails
+// the run after exactly one invocation, with the item's own error.
 func TestStageNonRetryableFailsFast(t *testing.T) {
-	errPermanent := errors.New("corrupt payload")
+	errBlip := faults.Transient(errors.New("blip"))
 	var calls atomic.Int64
 	st := NewStage("strict", 1, 0,
 		func(_ context.Context, i int) (int, error) {
 			calls.Add(1)
-			return 0, errPermanent
-		}, WithRetries(5))
+			return 0, errBlip
+		})
 	pl, err := New("p", st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := pl.Run(context.Background(), IndexSource(4))
-	if _, err := Drain[int](run); !errors.Is(err, errPermanent) {
-		t.Fatalf("err = %v, want %v", err, errPermanent)
+	if _, err := Drain[int](pl.Run(context.Background(), IndexSource(4))); !errors.Is(err, errBlip) {
+		t.Fatalf("err = %v, want %v", err, errBlip)
 	}
 	if calls.Load() != 1 {
-		t.Errorf("fn ran %d times, want 1 (no retries on permanent errors)", calls.Load())
-	}
-	if run.Stats()[0].Retries != 0 {
-		t.Errorf("retries = %d, want 0", run.Stats()[0].Retries)
-	}
-}
-
-// TestStageCustomRetryClassification: WithRetryableErrors replaces the
-// default transient classification entirely.
-func TestStageCustomRetryClassification(t *testing.T) {
-	errSpecial := errors.New("special")
-	var tries atomic.Int64
-	st := NewStage("custom", 1, 0,
-		func(_ context.Context, i int) (int, error) {
-			if tries.Add(1) == 1 {
-				return 0, errSpecial
-			}
-			return i, nil
-		},
-		WithRetries(1),
-		WithRetryableErrors(func(err error) bool { return errors.Is(err, errSpecial) }))
-	pl, err := New("p", st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Drain[int](pl.Run(context.Background(), IndexSource(1))); err != nil {
-		t.Fatalf("custom-retryable error not retried: %v", err)
-	}
-
-	// With the custom classifier, transient errors are no longer retryable.
-	st2 := NewStage("custom2", 1, 0,
-		func(_ context.Context, i int) (int, error) {
-			return 0, faults.Transient(errors.New("blip"))
-		},
-		WithRetries(3),
-		WithRetryableErrors(func(err error) bool { return errors.Is(err, errSpecial) }))
-	pl2, err := New("p2", st2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := pl2.Run(context.Background(), IndexSource(1))
-	if _, err := Drain[int](run); err == nil {
-		t.Fatal("transient error retried under a classifier that excludes it")
-	}
-	if run.Stats()[0].Retries != 0 {
-		t.Errorf("retries = %d, want 0", run.Stats()[0].Retries)
-	}
-}
-
-// TestStageTimeoutRescuesStalledItem: a per-item timeout turns a stalled
-// invocation into a deadline error, which the default classification
-// treats as retryable — the stall-rescue path end to end.
-func TestStageTimeoutRescuesStalledItem(t *testing.T) {
-	var tries atomic.Int64
-	st := NewStage("stalls-once", 1, 0,
-		func(ctx context.Context, i int) (int, error) {
-			if tries.Add(1) == 1 {
-				<-ctx.Done() // wedged until the per-item deadline fires
-				return 0, ctx.Err()
-			}
-			return i + 100, nil
-		},
-		WithTimeout(10*time.Millisecond),
-		WithRetries(1))
-	pl, err := New("p", st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := pl.Run(context.Background(), IndexSource(1))
-	out, err := Drain[int](run)
-	if err != nil {
-		t.Fatalf("stalled item not rescued: %v", err)
-	}
-	if len(out) != 1 || out[0] != 100 {
-		t.Fatalf("out = %v", out)
-	}
-	if run.Stats()[0].Retries != 1 {
-		t.Errorf("retries = %d, want 1", run.Stats()[0].Retries)
-	}
-}
-
-// TestStageTimeoutWithoutRetriesFails: a timeout alone bounds latency
-// but does not forgive — the run fails with the deadline error.
-func TestStageTimeoutWithoutRetriesFails(t *testing.T) {
-	st := NewStage("wedged", 1, 0,
-		func(ctx context.Context, i int) (int, error) {
-			<-ctx.Done()
-			return 0, ctx.Err()
-		}, WithTimeout(5*time.Millisecond))
-	pl, err := New("p", st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Drain[int](pl.Run(context.Background(), IndexSource(1))); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("err = %v, want DeadlineExceeded", err)
+		t.Errorf("fn ran %d times, want 1 (stages do not retry)", calls.Load())
 	}
 }
 
@@ -209,7 +40,7 @@ func TestStageTimeoutWithoutRetriesFails(t *testing.T) {
 // every blocked sibling unwinds, and the run must report the original
 // error — not the cancellations it caused — and leak no goroutines.
 func TestFirstErrorCancelsConcurrentInFlight(t *testing.T) {
-	base := runtime.NumGoroutine()
+	invariant.NoLeak(t)
 	errBoom := errors.New("boom")
 	st := NewStage("mixed", 4, 2,
 		func(ctx context.Context, i int) (int, error) {
@@ -227,20 +58,13 @@ func TestFirstErrorCancelsConcurrentInFlight(t *testing.T) {
 	if _, err := Drain[int](pl.Run(context.Background(), IndexSource(32))); !errors.Is(err, errBoom) {
 		t.Fatalf("err = %v, want %v", err, errBoom)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > base {
-		t.Errorf("goroutines leaked after cancelled run: %d running, started with %d", n, base)
-	}
 }
 
 // TestStopWhileBlockedOnFullQueue: Stop must unwind a run whose stages
 // are wedged on backpressure — bounded queues full, nobody consuming —
 // without deadlocking, and release every goroutine.
 func TestStopWhileBlockedOnFullQueue(t *testing.T) {
-	base := runtime.NumGoroutine()
+	invariant.NoLeak(t)
 	var produced atomic.Int64
 	st := NewStage("fast", 1, 1,
 		func(_ context.Context, i int) (int, error) {
@@ -273,12 +97,5 @@ func TestStopWhileBlockedOnFullQueue(t *testing.T) {
 	}
 	if err := run.Err(); !errors.Is(err, context.Canceled) {
 		t.Errorf("stopped run Err = %v, want context.Canceled", err)
-	}
-	deadline = time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > base {
-		t.Errorf("goroutines leaked after Stop: %d running, started with %d", n, base)
 	}
 }

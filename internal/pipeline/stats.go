@@ -20,12 +20,9 @@ type StageStats struct {
 	Parallelism int
 	ItemsIn     int64
 	ItemsOut    int64
-	// Retries counts in-place re-attempts of items that failed with a
-	// retryable error (stages built with WithRetries).
-	Retries  int64
-	Busy     time.Duration
-	QueueLen int
-	QueueCap int
+	Busy        time.Duration
+	QueueLen    int
+	QueueCap    int
 }
 
 // String renders the stats for reports and profiling tools.
@@ -45,7 +42,6 @@ func (r *Run) Stats() []StageStats {
 			Parallelism: sr.spec.par,
 			ItemsIn:     sr.itemsIn.Load(),
 			ItemsOut:    sr.itemsOut.Load(),
-			Retries:     sr.retries.Load(),
 			Busy:        time.Duration(sr.busy.Load()),
 			QueueLen:    len(sr.out),
 			QueueCap:    cap(sr.out),
@@ -80,7 +76,6 @@ func (s *StatsSet) Add(stats []StageStats) {
 		}
 		acc.ItemsIn += st.ItemsIn
 		acc.ItemsOut += st.ItemsOut
-		acc.Retries += st.Retries
 		acc.Busy += st.Busy
 		acc.QueueLen = st.QueueLen
 		acc.QueueCap = st.QueueCap

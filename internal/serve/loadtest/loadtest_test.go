@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
-	"runtime"
 	"testing"
 	"time"
 
+	"trainbox/internal/invariant"
 	"trainbox/internal/serve"
 	"trainbox/internal/train"
 )
@@ -31,7 +31,7 @@ func fastRunner() serve.Runner {
 // must terminate, no job may fail, shedding must engage, admission must
 // stay fair across tenants, and shutdown must reclaim every goroutine.
 func TestHundredsOfTenantsFairAndConserving(t *testing.T) {
-	before := runtime.NumGoroutine()
+	invariant.NoLeak(t)
 	s, err := serve.NewServer(
 		serve.WithRunner(fastRunner()),
 		serve.WithMaxRunning(8),
@@ -68,13 +68,6 @@ func TestHundredsOfTenantsFairAndConserving(t *testing.T) {
 
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("goroutines %d → %d after close: leak", before, after)
 	}
 }
 

@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"trainbox/internal/invariant"
 	"trainbox/internal/metrics"
 )
 
@@ -357,7 +357,7 @@ func TestPressureSheds(t *testing.T) {
 // TestCloseCancelsEverythingAndReclaimsGoroutines: Close must cancel
 // queued and running jobs, refuse new submissions, and leak nothing.
 func TestCloseCancelsEverythingAndReclaimsGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	invariant.NoLeak(t)
 	g := newGateRunner()
 	s, err := NewServer(WithRunner(g), WithMaxRunning(2))
 	if err != nil {
@@ -390,13 +390,6 @@ func TestCloseCancelsEverythingAndReclaimsGoroutines(t *testing.T) {
 	}
 	if err := s.Close(); !errors.Is(err, ErrClosed) {
 		t.Errorf("second close: err = %v, want ErrClosed", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("goroutines %d → %d: server leaked", before, after)
 	}
 }
 

@@ -124,11 +124,11 @@ func TestTrainSurvivesPooledDeviceDeath(t *testing.T) {
 	)
 	var handlers []*fpga.P2PHandler
 	for _, inj := range []faults.Injector{flakyThenDead, nil} {
-		h, err := fpga.NewP2PHandler(ns, fpga.NewImageEmulator(imgCfg), 8)
+		h, err := fpga.NewP2PHandler(ns, fpga.NewImageEmulator(imgCfg), 8, fpga.WithFaults(inj))
 		if err != nil {
 			t.Fatal(err)
 		}
-		handlers = append(handlers, h.WithFaults(inj))
+		handlers = append(handlers, h)
 	}
 	fallback := dataprep.NewExecutor(dataprep.ImagePreparer{Config: imgCfg}, 2, 0)
 	cluster, err := fpga.NewCluster(handlers,
@@ -141,9 +141,9 @@ func TestTrainSurvivesPooledDeviceDeath(t *testing.T) {
 
 	cfg.Metrics = reg
 	const datasetSeed = 5 // matches setup()'s executor seed
-	res, err := RunWithPreparer(cfg, func(ctx context.Context, epoch int) ([]dataprep.Prepared, error) {
+	res, err := Run(context.Background(), cfg, WithPreparer(func(ctx context.Context, epoch int) ([]dataprep.Prepared, error) {
 		return cluster.PrepareBatch(ctx, store.Keys(), datasetSeed, epoch)
-	}, len(keys), stripeFeature)
+	}, len(keys)), WithFeature(stripeFeature))
 	if err != nil {
 		t.Fatalf("training did not survive the device death: %v", err)
 	}

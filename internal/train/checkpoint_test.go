@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"os"
-	"runtime"
 	"strconv"
 	"testing"
 	"time"
 
 	"trainbox/internal/dataprep"
 	"trainbox/internal/faults"
+	"trainbox/internal/invariant"
 	"trainbox/internal/metrics"
 )
 
@@ -24,19 +24,6 @@ func chaosErrorRate(def float64) float64 {
 		}
 	}
 	return def
-}
-
-// awaitGoroutines polls until the goroutine count returns to base (the
-// leak check used across the chaos suite).
-func awaitGoroutines(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > base {
-		t.Errorf("goroutines leaked: %d running, started with %d", n, base)
-	}
 }
 
 // TestCheckpointRestoreBitIdentical is the determinism contract: a run
@@ -152,7 +139,7 @@ func TestCheckpointValidation(t *testing.T) {
 // a checkpoint in the Suspender; resuming from it matches the oracle.
 func TestSuspendParksAtEpochBoundary(t *testing.T) {
 	exec, store, keys := setup(t, 16)
-	base := runtime.NumGoroutine()
+	invariant.NoLeak(t)
 	cfg := baseConfig()
 	cfg.Epochs = 4
 
@@ -179,7 +166,6 @@ func TestSuspendParksAtEpochBoundary(t *testing.T) {
 	if cp.Epoch != 0 {
 		t.Errorf("parked after epoch %d, want 0 (first boundary)", cp.Epoch)
 	}
-	awaitGoroutines(t, base)
 
 	res, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(stripeFeature),
 		WithRestore(cp))
@@ -261,7 +247,7 @@ func TestRunJobsSuspendedClassification(t *testing.T) {
 // with no goroutine leaks.
 func TestJobKillResumeChaos(t *testing.T) {
 	exec, store, keys := setup(t, 16)
-	base := runtime.NumGoroutine()
+	invariant.NoLeak(t)
 	cfg := baseConfig()
 	cfg.Epochs = 6
 	cfg.Momentum = 0.9
@@ -297,7 +283,6 @@ func TestJobKillResumeChaos(t *testing.T) {
 	if len(cps) == 0 {
 		t.Fatal("no checkpoints survived the kill")
 	}
-	awaitGoroutines(t, base)
 
 	last := cps[len(cps)-1]
 	res, err := Run(context.Background(), cfg,
@@ -319,7 +304,6 @@ func TestJobKillResumeChaos(t *testing.T) {
 			}
 		}
 	}
-	awaitGoroutines(t, base)
 }
 
 // TestJobKillResumeUnderFaultStorm composes the kill/resume path with

@@ -124,38 +124,30 @@ func (r Result) FinalLoss() float64 {
 	return r.Steps[len(r.Steps)-1].MeanLoss
 }
 
-// epochBatch and epochSamples are the payloads between driver stages.
+// epochBatch is one prepared epoch in flight between the prepare and
+// extract stages. With data echoing on, the echo stage re-emits it n
+// times; all replicas share the prepared samples and pending counts the
+// replicas still holding them. A nil pending means a sole holder.
 type epochBatch struct {
-	epoch   int
-	samples []dataprep.Prepared
-}
-
-type epochSamples struct {
-	epoch   int
-	samples []nn.Sample
-}
-
-// echoedBatch is one replica of a prepared epoch emitted by the data-
-// echoing stage. All replicas of an epoch share the prepared samples;
-// pending counts the replicas still holding them, and the last one out
-// recycles the shared buffers.
-type echoedBatch struct {
 	epoch   int
 	samples []dataprep.Prepared
 	pending *atomic.Int32
 }
 
-// release marks one replica done. The last release recycles the shared
-// prepared buffers; it is called by the extract stage after
-// featurization and by the run's discard hook for replicas dropped on
-// cancellation — each replica exactly once, whichever path it takes.
-func (eb echoedBatch) release(recycle func([]dataprep.Prepared)) {
-	if eb.pending == nil {
-		return
-	}
-	if eb.pending.Add(-1) == 0 && recycle != nil {
+// release marks one holder done; the last one out recycles the shared
+// prepared buffers. It is called by the extract stage after
+// featurization and by the run's discard hook for batches dropped on
+// cancellation — each holder exactly once, whichever path it takes.
+func (eb epochBatch) release(recycle func([]dataprep.Prepared)) {
+	if recycle != nil && (eb.pending == nil || eb.pending.Add(-1) == 0) {
 		recycle(eb.samples)
 	}
+}
+
+// epochSamples is one extracted epoch on its way to the step stage.
+type epochSamples struct {
+	epoch   int
+	samples []nn.Sample
 }
 
 // EpochPreparer produces one epoch's prepared samples for the keyed
@@ -255,6 +247,11 @@ func WithDataset(exec *dataprep.Executor, store *storage.Store, keys []string) O
 // the epoch bit-identical to the uncached run. Requires WithDataset;
 // concurrent runs sharing one cache amortize each key's decode to a
 // single invocation (single-flight).
+//
+// dscache.Bind rebinds the caller's executor, not a copy: exec keeps
+// the cache-backed preparer after Run returns, for as long as it lives,
+// so later batches and runs on it go through c whether or not they pass
+// WithCache again.
 func WithCache(c *dscache.Cache) Option {
 	return func(o *runOptions) error {
 		if c == nil {
@@ -425,25 +422,8 @@ func restoreOrder(ps []dataprep.Prepared, keys []string) []dataprep.Prepared {
 	return out
 }
 
-// RunWithPreparer trains with the data-preparation path abstracted
-// behind an EpochPreparer.
-//
-// Deprecated: use Run(ctx, cfg, WithPreparer(prepare, numKeys),
-// WithFeature(feature)). Kept as a one-line forwarder.
-func RunWithPreparer(cfg Config, prepare EpochPreparer, numKeys int, feature FeatureFn) (Result, error) {
-	return Run(context.Background(), cfg, WithPreparer(prepare, numKeys), WithFeature(feature))
-}
-
-// RunDataset trains on the host executor path with the pre-options
-// calling convention (the old five-argument Run).
-//
-// Deprecated: use Run(ctx, cfg, WithDataset(exec, store, keys),
-// WithFeature(feature)). Kept as a one-line forwarder.
-func RunDataset(cfg Config, exec *dataprep.Executor, store *storage.Store, keys []string, feature FeatureFn) (Result, error) {
-	return Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(feature))
-}
-
-// run is the driver pipeline shared by every entry point.
+// run is the driver pipeline behind Run, entered once the options are
+// resolved.
 func run(ctx context.Context, cfg Config, o runOptions) (Result, error) {
 	prepare, numKeys, feature := o.prepare, o.numKeys, o.feature
 	if err := cfg.Validate(); err != nil {
@@ -530,11 +510,10 @@ func run(ctx context.Context, cfg Config, o runOptions) (Result, error) {
 			return epochBatch{epoch: epoch, samples: batch}, nil
 		})
 
-	// Middle stages: a plain extract, or echo→extract when data echoing
-	// is on. The echo stage re-emits each prepared epoch factor() times;
-	// the replicas share the prepared buffers behind one refcount.
-	var middle []*pipeline.Stage
+	stages := []*pipeline.Stage{prepStage}
 	if o.echoFactor > 0 || o.echoAdaptiveMax > 0 {
+		// The echo stage re-emits each prepared epoch factor() times; the
+		// replicas share the prepared buffers behind one refcount.
 		echoFactorGauge := reg.Gauge("train.driver.echo_factor")
 		echoReplays := reg.Counter("train.driver.echo_replays")
 		factor := func() int { return o.echoFactor }
@@ -554,52 +533,34 @@ func run(ctx context.Context, cfg Config, o runOptions) (Result, error) {
 				return f
 			}
 		}
-		echoStage := pipeline.NewExpandStage("echo", 0,
-			func(_ context.Context, eb epochBatch) ([]echoedBatch, error) {
+		stages = append(stages, pipeline.NewExpandStage("echo", 0,
+			func(_ context.Context, eb epochBatch) ([]epochBatch, error) {
 				n := factor()
-				if n < 1 {
-					n = 1
-				}
 				echoFactorGauge.Set(float64(n))
 				if n > 1 {
 					echoReplays.Add(int64(n - 1))
 				}
-				pending := new(atomic.Int32)
-				pending.Store(int32(n))
-				out := make([]echoedBatch, n)
+				eb.pending = new(atomic.Int32)
+				eb.pending.Store(int32(n))
+				out := make([]epochBatch, n)
 				for i := range out {
-					out[i] = echoedBatch{epoch: eb.epoch, samples: eb.samples, pending: pending}
+					out[i] = eb
 				}
 				return out, nil
-			})
-		extractEcho := pipeline.NewStage("extract", 1, 0,
-			func(_ context.Context, eb echoedBatch) (epochSamples, error) {
-				samples, err := extract(eb.samples, feature, samplePool.Get())
-				// The feature function copied out everything it needs (or
-				// failed); either way this replica is done with the shared
-				// prepared buffers.
-				eb.release(o.recycle)
-				if err != nil {
-					return epochSamples{}, err
-				}
-				return epochSamples{epoch: eb.epoch, samples: samples}, nil
-			})
-		middle = []*pipeline.Stage{echoStage, extractEcho}
-	} else {
-		middle = []*pipeline.Stage{pipeline.NewStage("extract", 1, 0,
-			func(_ context.Context, eb epochBatch) (epochSamples, error) {
-				samples, err := extract(eb.samples, feature, samplePool.Get())
-				if err != nil {
-					return epochSamples{}, err
-				}
-				if o.recycle != nil {
-					// The feature function has copied everything it needs;
-					// the prepared buffers can go back to the source's pools.
-					o.recycle(eb.samples)
-				}
-				return epochSamples{epoch: eb.epoch, samples: samples}, nil
-			})}
+			}))
 	}
+	extractStage := pipeline.NewStage("extract", 1, 0,
+		func(_ context.Context, eb epochBatch) (epochSamples, error) {
+			samples, err := extract(eb.samples, feature, samplePool.Get())
+			// The feature function copied out everything it needs (or
+			// failed); either way this holder is done with the prepared
+			// buffers, which can go back to the source's pools.
+			eb.release(o.recycle)
+			if err != nil {
+				return epochSamples{}, err
+			}
+			return epochSamples{epoch: eb.epoch, samples: samples}, nil
+		})
 
 	step := pipeline.NewStage("step", 1, 0,
 		func(ctx context.Context, es epochSamples) ([]StepStat, error) {
@@ -631,9 +592,7 @@ func run(ctx context.Context, cfg Config, o runOptions) (Result, error) {
 			}
 			return stats, nil
 		})
-	stages := append([]*pipeline.Stage{prepStage}, middle...)
-	stages = append(stages, step)
-	pl, err := pipeline.New("train", stages...)
+	pl, err := pipeline.New("train", append(stages, extractStage, step)...)
 	if err != nil {
 		return Result{}, err
 	}
@@ -643,10 +602,6 @@ func run(ctx context.Context, cfg Config, o runOptions) (Result, error) {
 	pl.WithDiscard(func(v any) {
 		switch x := v.(type) {
 		case epochBatch:
-			if o.recycle != nil {
-				o.recycle(x.samples)
-			}
-		case echoedBatch:
 			x.release(o.recycle)
 		case epochSamples:
 			samplePool.Put(x.samples[:0])

@@ -2,13 +2,13 @@ package train
 
 import (
 	"context"
+	"errors"
 	"math"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"trainbox/internal/dataprep"
+	"trainbox/internal/invariant"
 	"trainbox/internal/metrics"
 	"trainbox/internal/nn"
 	"trainbox/internal/storage"
@@ -173,7 +173,7 @@ func TestRunValidation(t *testing.T) {
 // and leak no goroutines.
 func TestRunStorageErrorCancelsPipeline(t *testing.T) {
 	exec, store, keys := setup(t, 16)
-	base := runtime.NumGoroutine()
+	invariant.NoLeak(t)
 	cfg := baseConfig()
 	cfg.Epochs = 50
 	badKeys := append(append([]string(nil), keys...), "missing")
@@ -184,39 +184,25 @@ func TestRunStorageErrorCancelsPipeline(t *testing.T) {
 	if !strings.Contains(err.Error(), "missing") {
 		t.Errorf("error does not name the failing sample: %v", err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > base {
-		t.Errorf("goroutines leaked after failed run: %d running, started with %d", n, base)
-	}
 }
 
 // TestRunFeatureErrorCancelsPipeline: the extract stage failing must
 // likewise abort the run cleanly.
 func TestRunFeatureErrorCancelsPipeline(t *testing.T) {
 	exec, store, keys := setup(t, 8)
-	base := runtime.NumGoroutine()
+	invariant.NoLeak(t)
 	cfg := baseConfig()
 	cfg.Epochs = 40
 	calls := 0
 	badFeature := func(p dataprep.Prepared) ([]float64, int, error) {
 		calls++
 		if calls > 12 {
-			return nil, 0, dataprep.ErrExhausted // any sentinel error
+			return nil, 0, errors.New("feature failed")
 		}
 		return stripeFeature(p)
 	}
 	if _, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(badFeature)); err == nil {
 		t.Fatal("run with failing feature succeeded")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > base {
-		t.Errorf("goroutines leaked: %d running, started with %d", n, base)
 	}
 }
 
@@ -346,20 +332,4 @@ func TestRunWithoutMetricsStillSnapshots(t *testing.T) {
 	if _, ok := res.Metrics.Counters["dataprep.executor.samples_prepared"]; ok {
 		t.Error("executor metrics appeared without WithMetrics")
 	}
-}
-
-// TestDeprecatedRunDatasetShim keeps the pre-options five-argument
-// entry point alive: RunDataset must produce exactly what the options
-// form produces.
-func TestDeprecatedRunDatasetShim(t *testing.T) {
-	exec, store, keys := setup(t, 8)
-	want, err := Run(context.Background(), baseConfig(), WithDataset(exec, store, keys), WithFeature(stripeFeature))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunDataset(baseConfig(), exec, store, keys, stripeFeature)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertModelsBitIdentical(t, got, want)
 }

@@ -1,13 +1,20 @@
-// Integration test for the repo-wide metric naming scheme: drive every
-// metered subsystem — storage with faults and retries, the host
-// executor, the prefetcher, pooled FPGA devices, the prep-pool runtime,
-// and the training driver — into ONE shared registry, then assert that
-// every name in the final snapshot follows subsystem.object.metric
-// (metrics.ValidName).
+// Repo-wide guards. The metric naming test drives every metered
+// subsystem — storage with faults and retries, the host executor,
+// pooled FPGA devices, the prep-pool runtime, and the training driver —
+// into ONE shared registry, then asserts that every name in the final
+// snapshot follows subsystem.object.metric (metrics.ValidName). The
+// single-path test walks the non-test sources and fails when a
+// superseded API generation starts growing back.
 package trainbox_test
 
 import (
 	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"trainbox/internal/dataprep"
@@ -54,21 +61,6 @@ func TestAllExportedMetricNamesFollowScheme(t *testing.T) {
 	imgCfg.CropW, imgCfg.CropH = 32, 32
 	exec := dataprep.NewExecutor(dataprep.ImagePreparer{Config: imgCfg}, 2, seed).WithMetrics(reg)
 
-	// Prefetcher series.
-	pf, err := dataprep.NewPrefetcher(exec, store, store.Keys(), 2, dataprep.WithDepth(2), dataprep.WithMetrics(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, err := pf.Next(); err != nil {
-			if err != dataprep.ErrExhausted {
-				t.Fatal(err)
-			}
-			break
-		}
-	}
-	pf.Close()
-
 	// Pooled devices, the prep-pool runtime, and the training driver.
 	ns, err := nvme.LoadStore(store)
 	if err != nil {
@@ -106,12 +98,75 @@ func TestAllExportedMetricNamesFollowScheme(t *testing.T) {
 
 	snap := reg.Snapshot()
 	names := snap.Names()
-	if len(names) < 25 {
+	if len(names) < 19 {
 		t.Fatalf("only %d metric names exported — the fixture is not exercising the stack", len(names))
 	}
 	for _, name := range names {
 		if !metrics.ValidName(name) {
 			t.Errorf("metric %q does not follow subsystem.object.metric", name)
 		}
+	}
+}
+
+// TestOnePathPerJob keeps the deleted API generation deleted: no
+// non-test source outside benchmark/ may carry a deprecation doc marker
+// (a shim kept beside its replacement), and internal/dataprep may
+// declare only one interface with a prepare method — dataprep.Preparer.
+func TestOnePathPerJob(t *testing.T) {
+	marker := "Deprecated" + ":"
+	var prepareIfaces []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || path == "benchmark") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			if strings.Contains(cg.Text(), marker) {
+				t.Errorf("%s: %q marker — delete the shim instead of keeping it beside its replacement",
+					fset.Position(cg.Pos()), marker)
+			}
+		}
+		if filepath.ToSlash(filepath.Dir(path)) != "internal/dataprep" {
+			return nil
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			iface, ok := ts.Type.(*ast.InterfaceType)
+			if !ok {
+				return true
+			}
+			for _, m := range iface.Methods.List {
+				for _, name := range m.Names {
+					if strings.HasPrefix(name.Name, "Prepare") {
+						prepareIfaces = append(prepareIfaces, ts.Name.Name)
+						return true
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prepareIfaces) != 1 || prepareIfaces[0] != "Preparer" {
+		t.Errorf("internal/dataprep interfaces with a prepare method = %v, want exactly [Preparer]", prepareIfaces)
 	}
 }
