@@ -198,7 +198,15 @@ func TestExecutorScratchPathMatchesDirect(t *testing.T) {
 	if ss.Gets == 0 {
 		t.Fatal("scratch pool never used — executor is not on the scratch path")
 	}
-	if ss.News*4 > ss.Gets {
+	limit := ss.Gets / 4
+	if raceEnabled {
+		// sync.Pool drops a quarter of its Puts on purpose under the race
+		// detector: News is 7…21 of 40 Gets over 60 runs there. 5/8 clears
+		// that spread and still fails an executor that left the scratch
+		// path (News == Gets).
+		limit = ss.Gets * 5 / 8
+	}
+	if ss.News > limit {
 		t.Errorf("scratch pool reuse too low: News=%d Gets=%d (want News ≪ Gets)", ss.News, ss.Gets)
 	}
 	os := exec.OutputStats()

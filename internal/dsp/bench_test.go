@@ -74,8 +74,8 @@ func BenchmarkMFCCPlan(b *testing.B) {
 	}
 }
 
-// BenchmarkMFCCFresh is the legacy per-call MFCC, the comparison point
-// for the plan's table caching.
+// BenchmarkMFCCFresh is the one-shot MFCC: a new plan (shared tables,
+// fresh scratch) and a fresh output per call.
 func BenchmarkMFCCFresh(b *testing.B) {
 	sig := benchSignal(b)
 	cfg := DefaultMFCCConfig()

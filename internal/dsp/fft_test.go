@@ -14,7 +14,7 @@ func complexClose(a, b complex128, tol float64) bool {
 
 func TestFFTMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{1, 2, 4, 8, 64, 256} {
+	for _, n := range []int{1, 2, 4, 8, 16, 32, 64, 256, 512} {
 		x := make([]complex128, n)
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
@@ -193,5 +193,63 @@ func TestHannWindowProperties(t *testing.T) {
 	}
 	if len(HannWindow(1)) != 1 || HannWindow(1)[0] != 1 {
 		t.Error("HannWindow(1) should be [1]")
+	}
+}
+
+// realPower runs the STFT's real-input transform on x (len a power of
+// two ≥ 2): pack sample pairs to their bit-reversed positions the way
+// MelPlan.powerRow does, then realFFT.power. It returns |X[k]|² for
+// bins 0..n/2.
+func realPower(t testing.TB, x []float64) []float64 {
+	t.Helper()
+	r, err := realFFTFor(len(x))
+	if err != nil {
+		t.Fatalf("n=%d: %v", len(x), err)
+	}
+	z := make([]complex128, len(x)/2)
+	for i, j := range r.half.rev {
+		z[j] = complex(x[2*i], x[2*i+1])
+	}
+	power := make([]float64, len(x)/2+1)
+	r.power(power, z)
+	return power
+}
+
+// TestRealFFTMatchesNaiveDFT is the oracle for the real-input transform
+// (half-length complex plan + unpack into a power row, the loop the STFT
+// runs): it must match |·|² of the O(n²) definition to a relative 1e-9
+// at every length, DC and Nyquist bins and the one-point half plan
+// (n == 2) included.
+func TestRealFFTMatchesNaiveDFT(t *testing.T) {
+	for n := 2; n <= 1024; n *= 2 {
+		for seed := int64(1); seed <= 3; seed++ {
+			x := randSignal(seed*1000+int64(n), n)
+			cx := make([]complex128, n)
+			for i, v := range x {
+				cx[i] = complex(v, 0)
+			}
+			want := NaiveDFT(cx)
+			scale := 0.0
+			for _, v := range want {
+				scale = math.Max(scale, cmplx.Abs(v))
+			}
+			for k, p := range realPower(t, x) {
+				w := real(want[k])*real(want[k]) + imag(want[k])*imag(want[k])
+				if math.Abs(p-w) > 1e-9*scale*scale {
+					t.Fatalf("n=%d seed=%d power bin %d: %v, dft %v", n, seed, k, p, w)
+				}
+			}
+		}
+	}
+	for _, n := range []int{0, 1, 6} {
+		if _, err := realFFTFor(n); err != ErrNotPow2 {
+			t.Errorf("realFFTFor(%d) err = %v, want ErrNotPow2", n, err)
+		}
+	}
+	if _, err := FFTReal(make([]float64, 6)); err != ErrNotPow2 {
+		t.Errorf("FFTReal(len 6) err = %v, want ErrNotPow2", err)
+	}
+	if got, err := FFTReal([]float64{3}); err != nil || len(got) != 1 || got[0] != 3 {
+		t.Errorf("FFTReal(len 1) = %v, %v", got, err)
 	}
 }

@@ -86,24 +86,12 @@ func DefaultMFCCConfig() MFCCConfig {
 // log-Mel spectrogram → per-frame DCT-II → keep the first NumCoeffs.
 // The result is frames × NumCoeffs.
 func MFCC(signal []float64, cfg MFCCConfig) (*Spectrogram, error) {
-	if cfg.NumCoeffs <= 0 || cfg.NumCoeffs > cfg.Mel.NumMels {
-		return nil, fmt.Errorf("dsp: MFCC coefficients %d outside [1,%d]", cfg.NumCoeffs, cfg.Mel.NumMels)
-	}
-	work := append([]float64(nil), signal...)
-	if cfg.PreEmphasisAlpha > 0 {
-		PreEmphasis(work, cfg.PreEmphasisAlpha)
-	}
-	mel, err := LogMelSpectrogram(work, cfg.Mel)
+	p, err := NewMFCCPlan(cfg)
 	if err != nil {
 		return nil, err
 	}
-	out := NewSpectrogram(mel.Frames, cfg.NumCoeffs)
-	for t := 0; t < mel.Frames; t++ {
-		row := mel.Data[t*mel.Bins : (t+1)*mel.Bins]
-		c := DCT2(row)
-		copy(out.Data[t*cfg.NumCoeffs:(t+1)*cfg.NumCoeffs], c[:cfg.NumCoeffs])
-	}
-	return out, nil
+	out := new(Spectrogram)
+	return out, p.MFCCInto(out, signal)
 }
 
 // Deltas computes first-order delta features with a ±width regression

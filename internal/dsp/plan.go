@@ -3,119 +3,25 @@ package dsp
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sync"
 )
 
-// This file adds Plan-style contexts to the audio front-end: precomputed
-// twiddle factors, window tables, Mel filterbanks, and DCT cosine tables
-// that are built once and reused across calls, plus *Into variants that
-// write into caller-provided destinations. Plans are the dsp layer of
-// the zero-allocation sample path (DESIGN.md §12): a steady-state
-// prepare loop holds one plan per worker and recycles its scratch
-// instead of reallocating tables per sample.
-//
-// Every plan computes its tables with exactly the arithmetic the
-// non-plan functions use (same recurrences, same expression order), so
-// plan outputs are bit-identical to the one-shot entry points — a
-// property the tests assert.
-
-// FFTPlan caches the per-stage twiddle factors for one transform
-// length. The tables are immutable after construction, so a single plan
-// is safe for concurrent use.
-type FFTPlan struct {
-	n   int
-	fwd [][]complex128 // per butterfly stage: size = 2<<s, len = size/2
-	inv [][]complex128
-}
-
-// NewFFTPlan builds a plan for length-n transforms. n must be a power
-// of two (ErrNotPow2 otherwise); n == 0 yields a no-op plan.
-func NewFFTPlan(n int) (*FFTPlan, error) {
-	if n&(n-1) != 0 {
-		return nil, ErrNotPow2
-	}
-	p := &FFTPlan{n: n}
-	for size := 2; size <= n; size <<= 1 {
-		p.fwd = append(p.fwd, twiddles(size, false))
-		p.inv = append(p.inv, twiddles(size, true))
-	}
-	return p, nil
-}
-
-// twiddles reproduces the exact recurrence the inline fft uses
-// (w starts at 1 and is multiplied by wStep), so cached butterflies are
-// bit-identical to uncached ones.
-func twiddles(size int, inverse bool) []complex128 {
-	ang := 2 * math.Pi / float64(size)
-	if !inverse {
-		ang = -ang
-	}
-	wStep := complex(math.Cos(ang), math.Sin(ang))
-	w := complex(1, 0)
-	tw := make([]complex128, size/2)
-	for k := range tw {
-		tw[k] = w
-		w *= wStep
-	}
-	return tw
-}
-
-// N returns the transform length the plan serves.
-func (p *FFTPlan) N() int { return p.n }
-
-// Transform computes the in-place forward DFT of x using the cached
-// twiddles. len(x) must equal the plan length.
-func (p *FFTPlan) Transform(x []complex128) error { return p.run(x, p.fwd) }
-
-// Inverse computes the in-place inverse DFT of x (including the 1/n
-// scale) using the cached twiddles.
-func (p *FFTPlan) Inverse(x []complex128) error {
-	if err := p.run(x, p.inv); err != nil {
-		return err
-	}
-	n := complex(float64(len(x)), 0)
-	for i := range x {
-		x[i] /= n
-	}
-	return nil
-}
-
-func (p *FFTPlan) run(x []complex128, tables [][]complex128) error {
-	n := len(x)
-	if n != p.n {
-		return fmt.Errorf("dsp: plan length %d, input length %d", p.n, n)
-	}
-	if n == 0 {
-		return nil
-	}
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-	for s, tw := range tables {
-		size := 2 << uint(s)
-		half := size / 2
-		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * tw[k]
-				x[start+k] = a + b
-				x[start+k+half] = a - b
-			}
-		}
-	}
-	return nil
-}
+// This file holds the front-end's reusable contexts. The immutable
+// tables — FFT plans, real-input unpack twiddles, Hann windows, Mel
+// filterbanks, DCT cosines — are built once per process and shared
+// through the keyed caches below; MelPlan and MFCCPlan add the
+// per-worker scratch and *Into entry points that write into
+// caller-provided destinations (the dsp layer of the zero-allocation
+// sample path, DESIGN.md §12). The one-shot functions (FFT, PowerSTFT,
+// LogMelSpectrogram, MFCC) are thin wrappers over the same plans.
 
 // --- global table caches ------------------------------------------------
 
 var (
 	planMu   sync.RWMutex
 	fftPlans = map[int]*FFTPlan{}
+	realFFTs = map[int]*realFFT{}
+	windows  = map[int][]float64{}
 	melFBs   = map[melFBKey]*MelFilterbank{}
 	dctTabs  = map[int][]float64{}
 )
@@ -125,127 +31,114 @@ type melFBKey struct {
 	bins int
 }
 
-// fftPlanFor returns the shared plan for length n, building it on first
-// use. Plans are immutable, so sharing is safe.
-func fftPlanFor(n int) (*FFTPlan, error) {
+// cached returns m[key], building it on first use. Tables are read-only
+// once published and the first one published wins a race, so every
+// caller shares one copy; callers must not mutate the result.
+func cached[K comparable, V any](m map[K]V, key K, build func() (V, error)) (V, error) {
 	planMu.RLock()
-	p, ok := fftPlans[n]
+	v, ok := m[key]
 	planMu.RUnlock()
 	if ok {
-		return p, nil
+		return v, nil
 	}
-	p, err := NewFFTPlan(n)
+	v, err := build()
 	if err != nil {
-		return nil, err
+		return v, err
 	}
 	planMu.Lock()
-	if prev, ok := fftPlans[n]; ok {
-		p = prev
-	} else {
-		fftPlans[n] = p
+	defer planMu.Unlock()
+	if prev, ok := m[key]; ok {
+		return prev, nil
 	}
-	planMu.Unlock()
-	return p, nil
+	m[key] = v
+	return v, nil
 }
 
-// melFilterbankFor returns the shared filterbank for (cfg, bins),
-// building it on first use. Filterbanks are read-only after
-// construction, so callers must not mutate the result.
+func fftPlanFor(n int) (*FFTPlan, error) {
+	return cached(fftPlans, n, func() (*FFTPlan, error) { return NewFFTPlan(n) })
+}
+
+func realFFTFor(n int) (*realFFT, error) {
+	return cached(realFFTs, n, func() (*realFFT, error) { return newRealFFT(n) })
+}
+
+func hannWindowFor(n int) []float64 {
+	w, _ := cached(windows, n, func() ([]float64, error) { return HannWindow(n), nil })
+	return w
+}
+
 func melFilterbankFor(cfg MelConfig, bins int) (*MelFilterbank, error) {
-	key := melFBKey{cfg: cfg, bins: bins}
-	planMu.RLock()
-	fb, ok := melFBs[key]
-	planMu.RUnlock()
-	if ok {
-		return fb, nil
-	}
-	fb, err := NewMelFilterbank(cfg.NumMels, bins, cfg.STFT.SampleRate, cfg.FMin, cfg.FMax)
-	if err != nil {
-		return nil, err
-	}
-	planMu.Lock()
-	if prev, ok := melFBs[key]; ok {
-		fb = prev
-	} else {
-		melFBs[key] = fb
-	}
-	planMu.Unlock()
-	return fb, nil
+	return cached(melFBs, melFBKey{cfg: cfg, bins: bins}, func() (*MelFilterbank, error) {
+		return NewMelFilterbank(cfg.NumMels, bins, cfg.STFT.SampleRate, cfg.FMin, cfg.FMax)
+	})
 }
 
 // dctTableFor returns the shared DCT-II cosine table for length n:
 // tab[k*n+t] = cos(π/n·(t+0.5)·k), the exact expression DCT2 evaluates.
 func dctTableFor(n int) []float64 {
-	planMu.RLock()
-	tab, ok := dctTabs[n]
-	planMu.RUnlock()
-	if ok {
-		return tab
-	}
-	tab = make([]float64, n*n)
-	for k := 0; k < n; k++ {
-		for t := 0; t < n; t++ {
-			tab[k*n+t] = math.Cos(math.Pi / float64(n) * (float64(t) + 0.5) * float64(k))
+	tab, _ := cached(dctTabs, n, func() ([]float64, error) {
+		tab := make([]float64, n*n)
+		for k := 0; k < n; k++ {
+			for t := 0; t < n; t++ {
+				tab[k*n+t] = math.Cos(math.Pi / float64(n) * (float64(t) + 0.5) * float64(k))
+			}
 		}
-	}
-	planMu.Lock()
-	if prev, ok := dctTabs[n]; ok {
-		tab = prev
-	} else {
-		dctTabs[n] = tab
-	}
-	planMu.Unlock()
+		return tab, nil
+	})
 	return tab
 }
 
 // --- MelPlan ------------------------------------------------------------
 
-// MelPlan is a reusable waveform→log-Mel context: it owns the Hann
-// window, the (shared) Mel filterbank and FFT plan, and the complex and
-// power-spectrum scratch the transform cycles through. A MelPlan is NOT
-// safe for concurrent use — hold one per worker.
+// MelPlan is a reusable waveform→log-Mel context: shared immutable
+// tables (Hann window, real-input FFT, Mel filterbank) plus one frame's
+// worth of scratch. A MelPlan is NOT safe for concurrent use — hold one
+// per worker.
 type MelPlan struct {
 	cfg    MelConfig
 	eps    float64
 	window []float64
-	fft    *FFTPlan
-	fb     *MelFilterbank
-	fftLen int
+	rfft   *realFFT       // nil when the FFT length is 1
+	fb     *MelFilterbank // nil: rows are power spectra (PowerSTFT)
 	bins   int
-	buf    []complex128
-	power  Spectrogram
+	z      []complex128 // one packed frame, len fftLen/2
+	power  []float64    // one power-spectrum row, len bins
 }
 
-// NewMelPlan validates cfg and precomputes every table the front-end
+// newSTFTPlan builds the framing half of a plan: every table and
+// scratch buffer except the Mel stage.
+func newSTFTPlan(cfg STFTConfig) (*MelPlan, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	fftLen := NextPow2(cfg.WindowSize)
+	p := &MelPlan{
+		cfg:    MelConfig{STFT: cfg},
+		window: hannWindowFor(cfg.WindowSize),
+		bins:   fftLen/2 + 1,
+		z:      make([]complex128, fftLen/2),
+	}
+	if fftLen > 1 {
+		p.rfft, _ = realFFTFor(fftLen) // fftLen is a power of two ≥ 2
+	}
+	return p, nil
+}
+
+// NewMelPlan validates cfg and looks up every table the front-end
 // needs.
 func NewMelPlan(cfg MelConfig) (*MelPlan, error) {
-	if err := cfg.STFT.Validate(); err != nil {
-		return nil, err
-	}
-	fftLen := NextPow2(cfg.STFT.WindowSize)
-	bins := fftLen/2 + 1
-	fft, err := fftPlanFor(fftLen)
+	p, err := newSTFTPlan(cfg.STFT)
 	if err != nil {
 		return nil, err
 	}
-	fb, err := melFilterbankFor(cfg, bins)
-	if err != nil {
+	if p.fb, err = melFilterbankFor(cfg, p.bins); err != nil {
 		return nil, err
 	}
-	eps := cfg.LogEps
-	if eps <= 0 {
-		eps = 1e-10
+	p.cfg, p.eps, p.power = cfg, cfg.LogEps, make([]float64, p.bins)
+	if p.eps <= 0 {
+		p.eps = 1e-10
 	}
-	return &MelPlan{
-		cfg:    cfg,
-		eps:    eps,
-		window: HannWindow(cfg.STFT.WindowSize),
-		fft:    fft,
-		fb:     fb,
-		fftLen: fftLen,
-		bins:   bins,
-		buf:    make([]complex128, fftLen),
-	}, nil
+	return p, nil
 }
 
 // Config returns the configuration the plan was built for.
@@ -253,32 +146,58 @@ func (p *MelPlan) Config() MelConfig { return p.cfg }
 
 // LogMelInto runs the full front-end (Hann STFT → power spectrum → Mel
 // filterbank → log compression) into dst, reusing dst's Data capacity.
-// The result is bit-identical to LogMelSpectrogram(signal, cfg).
+// Each frame is finished before the next is read, so no frames × bins
+// intermediate exists.
 func (p *MelPlan) LogMelInto(dst *Spectrogram, signal []float64) error {
-	cfg := p.cfg.STFT
-	frames := cfg.NumFrames(len(signal))
-	p.power.Reset(frames, p.bins)
-	for t := 0; t < frames; t++ {
-		start := t * cfg.HopSize
-		for i := 0; i < cfg.WindowSize; i++ {
-			p.buf[i] = complex(signal[start+i]*p.window[i], 0)
-		}
-		for i := cfg.WindowSize; i < p.fftLen; i++ {
-			p.buf[i] = 0
-		}
-		if err := p.fft.Transform(p.buf); err != nil {
-			return err
-		}
-		for f := 0; f < p.bins; f++ {
-			re, im := real(p.buf[f]), imag(p.buf[f])
-			p.power.Set(t, f, re*re+im*im)
-		}
-	}
-	if err := p.fb.ApplyInto(dst, &p.power); err != nil {
-		return err
-	}
-	LogCompress(dst, p.eps)
+	dst.Reset(p.cfg.STFT.NumFrames(len(signal)), p.fb.NumMels)
+	p.frames(dst, signal)
 	return nil
+}
+
+// frames is the module's one STFT framing loop: frame t of signal
+// becomes row t of dst — its power spectrum when the plan has no
+// filterbank, log(Mel energies + eps) otherwise.
+func (p *MelPlan) frames(dst *Spectrogram, signal []float64) {
+	hop := p.cfg.STFT.HopSize
+	for t := 0; t < dst.Frames; t++ {
+		row := dst.Data[t*dst.Bins : (t+1)*dst.Bins]
+		if p.fb == nil {
+			p.powerRow(row, signal[t*hop:])
+			continue
+		}
+		p.powerRow(p.power, signal[t*hop:])
+		p.fb.applyRow(row, p.power)
+		for m, v := range row {
+			row[m] = math.Log(v + p.eps)
+		}
+	}
+}
+
+// powerRow writes the power spectrum of the Hann-windowed frame at the
+// head of signal to dst: window and pack sample pairs straight to their
+// bit-reversed positions (the zero pad is the cleared tail of z), then
+// transform and unpack.
+func (p *MelPlan) powerRow(dst, signal []float64) {
+	w := p.window
+	if p.rfft == nil {
+		v := signal[0] * w[0]
+		dst[0] = v * v
+		return
+	}
+	z, rev := p.z, p.rfft.half.rev
+	x := signal[:len(w)]
+	i := 0
+	for ; i+1 < len(x); i += 2 {
+		z[rev[i/2]] = complex(x[i]*w[i], x[i+1]*w[i+1])
+	}
+	if i < len(x) {
+		z[rev[i/2]] = complex(x[i]*w[i], 0)
+		i += 2
+	}
+	for _, j := range rev[i/2:] {
+		z[j] = 0
+	}
+	p.rfft.power(dst, z)
 }
 
 // --- MFCCPlan -----------------------------------------------------------
@@ -307,7 +226,7 @@ func NewMFCCPlan(cfg MFCCConfig) (*MFCCPlan, error) {
 }
 
 // MFCCInto computes MFCC features into dst, reusing dst's Data
-// capacity. The result is bit-identical to MFCC(signal, cfg).
+// capacity.
 func (p *MFCCPlan) MFCCInto(dst *Spectrogram, signal []float64) error {
 	p.work = append(p.work[:0], signal...)
 	if p.cfg.PreEmphasisAlpha > 0 {

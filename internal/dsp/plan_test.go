@@ -14,8 +14,9 @@ func randSignal(seed int64, n int) []float64 {
 	return s
 }
 
-// TestFFTPlanBitIdenticalToFFT checks the cached-twiddle transform
-// reproduces the inline recurrence bit for bit, across sizes and seeds.
+// TestFFTPlanBitIdenticalToFFT checks a privately built plan against
+// the one-shot FFT/IFFT (the shared cached plan) bit for bit, across
+// sizes and seeds.
 func TestFFTPlanBitIdenticalToFFT(t *testing.T) {
 	for _, n := range []int{1, 2, 8, 64, 512} {
 		plan, err := NewFFTPlan(n)
@@ -99,7 +100,8 @@ func TestMelFilterbankCacheShared(t *testing.T) {
 }
 
 // TestMelPlanBitIdentical checks LogMelInto against LogMelSpectrogram
-// across seeds, including reuse of the same destination.
+// across seeds, including reuse of the same plan, scratch and
+// destination.
 func TestMelPlanBitIdentical(t *testing.T) {
 	cfg := DefaultMelConfig()
 	cfg.STFT.WindowSize = 256
@@ -166,8 +168,8 @@ func TestMFCCPlanBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMelPlanSteadyStateAllocs: a warmed plan writing into a reused
-// destination should not allocate.
+// TestMelPlanSteadyStateAllocs: warmed Mel and MFCC plans writing into
+// a reused destination should not allocate.
 func TestMelPlanSteadyStateAllocs(t *testing.T) {
 	cfg := DefaultMelConfig()
 	cfg.STFT.WindowSize = 256
@@ -189,6 +191,21 @@ func TestMelPlanSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm LogMelInto allocates %.1f objects/call, want 0", allocs)
+	}
+	mfcc, err := NewMFCCPlan(MFCCConfig{Mel: cfg, NumCoeffs: 13, PreEmphasisAlpha: 0.97})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mfcc.MFCCInto(&dst, sig); err != nil {
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(10, func() {
+		if err := mfcc.MFCCInto(&dst, sig); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm MFCCInto allocates %.1f objects/call, want 0", allocs)
 	}
 }
 

@@ -83,31 +83,12 @@ func (s *Spectrogram) Reset(frames, bins int) {
 // windowing. It returns an empty (0-frame) spectrogram for signals
 // shorter than one window.
 func PowerSTFT(signal []float64, cfg STFTConfig) (*Spectrogram, error) {
-	if err := cfg.Validate(); err != nil {
+	p, err := newSTFTPlan(cfg)
+	if err != nil {
 		return nil, err
 	}
-	frames := cfg.NumFrames(len(signal))
-	fftLen := NextPow2(cfg.WindowSize)
-	bins := fftLen/2 + 1
-	out := NewSpectrogram(frames, bins)
-	window := HannWindow(cfg.WindowSize)
-	buf := make([]complex128, fftLen)
-	for t := 0; t < frames; t++ {
-		start := t * cfg.HopSize
-		for i := 0; i < cfg.WindowSize; i++ {
-			buf[i] = complex(signal[start+i]*window[i], 0)
-		}
-		for i := cfg.WindowSize; i < fftLen; i++ {
-			buf[i] = 0
-		}
-		if err := FFT(buf); err != nil {
-			return nil, err
-		}
-		for f := 0; f < bins; f++ {
-			re, im := real(buf[f]), imag(buf[f])
-			out.Set(t, f, re*re+im*im)
-		}
-	}
+	out := NewSpectrogram(cfg.NumFrames(len(signal)), p.bins)
+	p.frames(out, signal)
 	return out, nil
 }
 
@@ -118,11 +99,16 @@ func HzToMel(hz float64) float64 { return 2595 * math.Log10(1+hz/700) }
 func MelToHz(mel float64) float64 { return 700 * (math.Pow(10, mel/2595) - 1) }
 
 // MelFilterbank is a bank of triangular filters mapping FFT bins to Mel
-// channels. Filters[m][f] is the weight of bin f in channel m.
+// channels. Filters[m][f] is the weight of bin f in channel m; a
+// triangle covers a few bins of the row, so the bank also records each
+// channel's non-zero range and sums only that. NewMelFilterbank fills
+// the ranges in; a bank assembled field by field sums whole rows. Treat
+// a bank as read-only.
 type MelFilterbank struct {
 	NumMels int
 	NumBins int
 	Filters [][]float64
+	lo, hi  []int // Filters[m][f] != 0 only for lo[m] <= f < hi[m]
 }
 
 // NewMelFilterbank constructs numMels triangular filters spanning
@@ -149,7 +135,8 @@ func NewMelFilterbank(numMels, numBins, sampleRate int, fMin, fMax float64) (*Me
 		hz := MelToHz(mel)
 		points[i] = hz * float64(fftLen) / float64(sampleRate)
 	}
-	fb := &MelFilterbank{NumMels: numMels, NumBins: numBins, Filters: make([][]float64, numMels)}
+	fb := &MelFilterbank{NumMels: numMels, NumBins: numBins, Filters: make([][]float64, numMels),
+		lo: make([]int, numMels), hi: make([]int, numMels)}
 	for m := 0; m < numMels; m++ {
 		left, center, right := points[m], points[m+1], points[m+2]
 		row := make([]float64, numBins)
@@ -166,6 +153,12 @@ func NewMelFilterbank(numMels, numBins, sampleRate int, fMin, fMax float64) (*Me
 				if right > center {
 					row[f] = (right - x) / (right - center)
 				}
+			}
+			if row[f] != 0 {
+				if fb.hi[m] == 0 {
+					fb.lo[m] = f
+				}
+				fb.hi[m] = f + 1
 			}
 		}
 		fb.Filters[m] = row
@@ -189,22 +182,30 @@ func (fb *MelFilterbank) ApplyInto(dst *Spectrogram, s *Spectrogram) error {
 	if s.Bins != fb.NumBins {
 		return fmt.Errorf("dsp: spectrogram has %d bins, filterbank expects %d", s.Bins, fb.NumBins)
 	}
-	out := dst
-	out.Reset(s.Frames, fb.NumMels)
+	dst.Reset(s.Frames, fb.NumMels)
 	for t := 0; t < s.Frames; t++ {
-		row := s.Data[t*s.Bins : (t+1)*s.Bins]
-		for m := 0; m < fb.NumMels; m++ {
-			var acc float64
-			filt := fb.Filters[m]
-			for f, w := range filt {
-				if w != 0 {
-					acc += w * row[f]
-				}
-			}
-			out.Set(t, m, acc)
-		}
+		fb.applyRow(dst.Data[t*fb.NumMels:(t+1)*fb.NumMels], s.Data[t*s.Bins:(t+1)*s.Bins])
 	}
 	return nil
+}
+
+// applyRow writes the Mel energies of one power-spectrum row to dst,
+// summing each channel's non-zero range in ascending bin order — the
+// order, and therefore the bits, of a dense loop that skips zeros.
+func (fb *MelFilterbank) applyRow(dst, power []float64) {
+	ranged := len(fb.lo) == len(fb.Filters)
+	for m, filt := range fb.Filters {
+		lo, hi := 0, len(filt)
+		if ranged {
+			lo, hi = fb.lo[m], fb.hi[m]
+		}
+		w, x := filt[lo:hi], power[lo:hi]
+		var acc float64
+		for f, wf := range w {
+			acc += wf * x[f]
+		}
+		dst[m] = acc
+	}
 }
 
 // LogCompress applies log(x + eps) in place, the final step of a log-Mel
@@ -232,27 +233,14 @@ func DefaultMelConfig() MelConfig {
 }
 
 // LogMelSpectrogram runs the full front-end: Hann STFT → power spectrum →
-// Mel filterbank → log compression. The filterbank is built once per
-// distinct config (melFilterbankFor) rather than per call; hot paths
-// that also want to reuse FFT and spectrogram scratch should hold a
-// MelPlan and call LogMelInto.
+// Mel filterbank → log compression. It is NewMelPlan + LogMelInto into
+// a fresh spectrogram; hot paths hold the MelPlan and reuse the
+// destination.
 func LogMelSpectrogram(signal []float64, cfg MelConfig) (*Spectrogram, error) {
-	power, err := PowerSTFT(signal, cfg.STFT)
+	p, err := NewMelPlan(cfg)
 	if err != nil {
 		return nil, err
 	}
-	fb, err := melFilterbankFor(cfg, power.Bins)
-	if err != nil {
-		return nil, err
-	}
-	mel, err := fb.Apply(power)
-	if err != nil {
-		return nil, err
-	}
-	eps := cfg.LogEps
-	if eps <= 0 {
-		eps = 1e-10
-	}
-	LogCompress(mel, eps)
-	return mel, nil
+	out := new(Spectrogram)
+	return out, p.LogMelInto(out, signal)
 }

@@ -221,3 +221,173 @@ func TestLogMelDeterministicPerSeed(t *testing.T) {
 		t.Error("different seeds produced identical audio")
 	}
 }
+
+// denseMel is the reference Mel stage: every bin of every filter in
+// ascending order, skipping exact zeros.
+func denseMel(fb *MelFilterbank, s *Spectrogram) *Spectrogram {
+	out := NewSpectrogram(s.Frames, fb.NumMels)
+	for t := 0; t < s.Frames; t++ {
+		for m, filt := range fb.Filters {
+			var acc float64
+			for f, w := range filt {
+				if w != 0 {
+					acc += w * s.At(t, f)
+				}
+			}
+			out.Set(t, m, acc)
+		}
+	}
+	return out
+}
+
+// TestMelFilterbankSparseBitIdenticalToDense: summing only each
+// channel's non-zero range must give the dense loop's bits, including
+// an FMax clamped at Nyquist and filters narrower than one bin (empty
+// rows). A bank assembled as a literal has no ranges and must still
+// work, summing whole rows to the same bits.
+func TestMelFilterbankSparseBitIdenticalToDense(t *testing.T) {
+	cases := []struct {
+		mels, bins, rate int
+		fmin, fmax       float64
+	}{
+		{80, 257, 16000, 20, 7600},
+		{40, 129, 16000, 0, 8000},
+		{23, 257, 8000, 100, 20000}, // FMax above Nyquist
+		{64, 17, 16000, 20, 7600},   // low channels narrower than one bin
+		{3, 2, 16000, 0, 8000},
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, c := range cases {
+		fb, err := NewMelFilterbank(c.mels, c.bins, c.rate, c.fmin, c.fmax)
+		if err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+		empty := 0
+		for m := range fb.Filters {
+			if fb.lo[m] == fb.hi[m] {
+				empty++
+			}
+		}
+		if c.bins == 17 && empty == 0 {
+			t.Errorf("%+v: expected at least one empty filter", c)
+		}
+		power := NewSpectrogram(5, c.bins)
+		for i := range power.Data {
+			power.Data[i] = rng.ExpFloat64() * 1e3
+		}
+		var got Spectrogram
+		if err := fb.ApplyInto(&got, power); err != nil {
+			t.Fatal(err)
+		}
+		literal := &MelFilterbank{NumMels: fb.NumMels, NumBins: fb.NumBins, Filters: fb.Filters}
+		lit, err := literal.Apply(power)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := denseMel(fb, power)
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] || lit.Data[i] != want.Data[i] {
+				t.Fatalf("%+v cell %d: sparse %v, literal bank %v, dense %v", c, i, got.Data[i], lit.Data[i], want.Data[i])
+			}
+		}
+	}
+}
+
+// referenceLogMel is the front-end written from its definition: Hann
+// window → zero pad → NaiveDFT → |·|² → dense Mel → log. fb == nil
+// stops after the power spectrum.
+func referenceLogMel(signal []float64, cfg MelConfig, fb *MelFilterbank) *Spectrogram {
+	st := cfg.STFT
+	fftLen := NextPow2(st.WindowSize)
+	window := HannWindow(st.WindowSize)
+	power := NewSpectrogram(st.NumFrames(len(signal)), fftLen/2+1)
+	for f := 0; f < power.Frames; f++ {
+		buf := make([]complex128, fftLen)
+		for i := 0; i < st.WindowSize; i++ {
+			buf[i] = complex(signal[f*st.HopSize+i]*window[i], 0)
+		}
+		for k, v := range NaiveDFT(buf)[:power.Bins] {
+			power.Set(f, k, real(v)*real(v)+imag(v)*imag(v))
+		}
+	}
+	if fb == nil {
+		return power
+	}
+	mel := denseMel(fb, power)
+	LogCompress(mel, cfg.LogEps)
+	return mel
+}
+
+// TestLogMelMatchesNaiveReference states the numerical contract of the
+// fused front-end: within 1e-9 of the definition, for odd windows,
+// the default 400, a window that fills the FFT, and the degenerate
+// one-sample window (power only — a one-bin Mel bank does not exist).
+func TestLogMelMatchesNaiveReference(t *testing.T) {
+	for _, win := range []int{255, 400, 512, 2, 1} {
+		cfg := DefaultMelConfig()
+		cfg.STFT.WindowSize = win
+		cfg.STFT.HopSize = win/3 + 1
+		sig := randSignal(int64(win), 3*win+7)
+
+		gotPower, err := PowerSTFT(sig, cfg.STFT)
+		if err != nil {
+			t.Fatalf("window %d: %v", win, err)
+		}
+		wantPower := referenceLogMel(sig, cfg, nil)
+		if gotPower.Frames != wantPower.Frames || gotPower.Bins != wantPower.Bins || gotPower.Frames < 3 {
+			t.Fatalf("window %d: power shape %dx%d, want %dx%d", win, gotPower.Frames, gotPower.Bins, wantPower.Frames, wantPower.Bins)
+		}
+		for i, w := range wantPower.Data {
+			if math.Abs(gotPower.Data[i]-w) > 1e-9*(1+w) {
+				t.Fatalf("window %d power cell %d: %v, reference %v", win, i, gotPower.Data[i], w)
+			}
+		}
+
+		if win == 1 {
+			if _, err := NewMelPlan(cfg); err == nil {
+				t.Error("window 1: a one-bin Mel filterbank should be rejected")
+			}
+			continue
+		}
+		fb, err := NewMelFilterbank(cfg.NumMels, gotPower.Bins, cfg.STFT.SampleRate, cfg.FMin, cfg.FMax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := referenceLogMel(sig, cfg, fb)
+		got, err := LogMelSpectrogram(sig, cfg)
+		if err != nil {
+			t.Fatalf("window %d: %v", win, err)
+		}
+		if got.Frames != want.Frames || got.Bins != want.Bins {
+			t.Fatalf("window %d: shape %dx%d, want %dx%d", win, got.Frames, got.Bins, want.Frames, want.Bins)
+		}
+		for i, w := range want.Data {
+			if math.Abs(got.Data[i]-w) > 1e-9 {
+				t.Fatalf("window %d cell %d: %v, reference %v", win, i, got.Data[i], w)
+			}
+		}
+	}
+}
+
+// TestLogMelShortSignal: fewer samples than one window is zero frames,
+// not a panic, on the plan and the one-shot alike.
+func TestLogMelShortSignal(t *testing.T) {
+	cfg := DefaultMelConfig()
+	plan, err := NewMelPlan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := Spectrogram{Frames: 9, Bins: 9, Data: make([]float64, 81)}
+	for _, n := range []int{0, 1, cfg.STFT.WindowSize - 1} {
+		if err := plan.LogMelInto(&dst, make([]float64, n)); err != nil {
+			t.Fatal(err)
+		}
+		if dst.Frames != 0 || dst.Bins != cfg.NumMels || len(dst.Data) != 0 {
+			t.Errorf("len %d: got %dx%d with %d cells, want 0x%d empty", n, dst.Frames, dst.Bins, len(dst.Data), cfg.NumMels)
+		}
+	}
+	mel, err := LogMelSpectrogram(nil, cfg)
+	if err != nil || mel.Frames != 0 {
+		t.Errorf("LogMelSpectrogram(nil) = %+v, %v", mel, err)
+	}
+}

@@ -218,14 +218,16 @@ func TestEthernetBudgetCapsGrants(t *testing.T) {
 	}
 }
 
-// TestDeviceDeathRetiresAndRebalances: a pooled device dies mid-epoch.
-// The epoch must complete bit-identical to the oracle (health layer
-// re-dispatches), and the next epoch boundary must retire the corpse
-// and grant a replacement from spare pool capacity — the re-run
+// TestDeviceDeathRetiresAndRebalances: a leased device dies during an
+// epoch. The epoch must complete bit-identical to the oracle (health
+// layer re-dispatches), and the next epoch boundary must retire the
+// corpse and grant a replacement from spare pool capacity — the re-run
 // rebalance, not host fallback, absorbing the death.
 func TestDeviceDeathRetiresAndRebalances(t *testing.T) {
-	// Device 0 dies after 3 reads; device 2 is the idle spare.
-	handlers, store, cfg := fixture(t, 3, faults.NewDeviceDeath(3))
+	// Device 0 fails its first read, so it dies in epoch 0 however the
+	// dispatcher splits the 8 keys between the two leases (a budget of a
+	// few reads may outlast the epoch); device 2 is the idle spare.
+	handlers, store, cfg := fixture(t, 3, faults.NewDeviceDeath(0))
 	reg := metrics.NewRegistry()
 	pool, err := NewPool(handlers, WithMetrics(reg), WithHealth(fpga.HealthConfig{EjectAfter: 1}))
 	if err != nil {
