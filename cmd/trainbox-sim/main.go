@@ -1,9 +1,10 @@
-// Command trainbox-sim runs a single experiment from the TrainBox
-// reproduction and prints its table.
+// Command trainbox-sim runs experiments from the TrainBox reproduction
+// and prints their tables.
 //
 // Usage:
 //
 //	trainbox-sim -exp fig19          # one experiment
+//	trainbox-sim -exp all            # every experiment, in -list order
 //	trainbox-sim -list               # list experiment names
 //	trainbox-sim -exp fig21 -workload TF-SR
 //	trainbox-sim -exp fig19 -csv     # emit CSV instead of aligned text
@@ -20,7 +21,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "", "experiment to run (see -list)")
+	exp := flag.String("exp", "", "experiment to run (see -list), or \"all\"")
 	list := flag.Bool("list", false, "list experiment names and exit")
 	wl := flag.String("workload", "Inception-v4", "workload for fig21")
 	csv := flag.Bool("csv", false, "emit CSV instead of an aligned table")
@@ -176,21 +177,27 @@ func main() {
 		}
 		return
 	}
-	run, ok := runners[*exp]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "trainbox-sim: unknown experiment %q (try -list)\n", *exp)
-		os.Exit(2)
+	selected := []string{*exp}
+	if *exp == "all" {
+		selected = names
 	}
-	tables, err := run()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "trainbox-sim: %v\n", err)
-		os.Exit(1)
-	}
-	for _, t := range tables {
-		if *csv {
-			fmt.Print(t.CSV())
-		} else {
-			fmt.Println(t.String())
+	for _, name := range selected {
+		run, ok := runners[name]
+		if !ok {
+			fmt.Fprintf(os.Stderr, "trainbox-sim: unknown experiment %q (try -list)\n", name)
+			os.Exit(2)
+		}
+		tables, err := run()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "trainbox-sim: %s: %v\n", name, err)
+			os.Exit(1)
+		}
+		for _, t := range tables {
+			if *csv {
+				fmt.Print(t.CSV())
+			} else {
+				fmt.Println(t.String())
+			}
 		}
 	}
 }

@@ -18,8 +18,7 @@
 //     bottleneck / requirement solver (internal/core);
 //   - a harness (internal/experiments) regenerating every table and
 //     figure of the paper's evaluation, exposed through
-//     cmd/trainbox-sim, cmd/trainbox-bench, and the benchmarks in
-//     bench_test.go.
+//     cmd/trainbox-sim (-exp <name>, or -exp all).
 //
 // Start with README.md, DESIGN.md (system inventory and substitutions),
 // and EXPERIMENTS.md (paper-vs-measured for every table and figure).

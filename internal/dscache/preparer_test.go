@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"trainbox/internal/dataprep"
+	"trainbox/internal/memframe"
 	"trainbox/internal/storage"
 	"trainbox/internal/units"
 )
@@ -87,6 +88,26 @@ func TestCachedImagePreparerBitIdentical(t *testing.T) {
 	// ran once per key.
 	if s := cached.Cache.Stats(); s.Misses != 6 {
 		t.Fatalf("decodes = %d, want 6 (one per key)", s.Misses)
+	}
+
+	// A warm hit pays only the seeded augmentation tail: with a reused
+	// scratch and a recycled output it allocates the rand.Rand and the
+	// tensor header, nothing per pixel.
+	out := memframe.NewSet()
+	scratch := dataprep.NewScratchWithOutput(out)
+	obj, err := store.Get(store.Keys()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		p := cached.Prepare(obj, 7, scratch)
+		if p.Err != nil {
+			t.Fatal(p.Err)
+		}
+		out.F32.Put(p.Image.Data)
+	})
+	if allocs > 2 {
+		t.Errorf("warm cached Prepare allocates %.0f objects/sample, want ≤ 2", allocs)
 	}
 }
 

@@ -169,7 +169,8 @@ func TestMFCCPlanBitIdentical(t *testing.T) {
 }
 
 // TestMelPlanSteadyStateAllocs: warmed Mel and MFCC plans writing into
-// a reused destination should not allocate.
+// a reused destination, and the in-place FFT under them, should not
+// allocate.
 func TestMelPlanSteadyStateAllocs(t *testing.T) {
 	cfg := DefaultMelConfig()
 	cfg.STFT.WindowSize = 256
@@ -206,6 +207,19 @@ func TestMelPlanSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm MFCCInto allocates %.1f objects/call, want 0", allocs)
+	}
+	fft, err := NewFFTPlan(512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := make([]complex128, 512)
+	allocs = testing.AllocsPerRun(10, func() {
+		if err := fft.Transform(work); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("FFTPlan.Transform allocates %.1f objects/call, want 0", allocs)
 	}
 }
 

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"bytes"
 	"math"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -233,5 +236,69 @@ func TestFig22Renders(t *testing.T) {
 	}
 	if !strings.Contains(tb.String(), "TrainBox") {
 		t.Error("fig22 missing TrainBox rung")
+	}
+}
+
+// TestHeadlinesMatchExperimentsDoc pins every headline EXPERIMENTS.md's
+// summary quotes to the digits it quotes them at, and checks the
+// document carries those digits. The models are deterministic, so a
+// calibration change that moves one fails here until the document is
+// updated with it. The band tests above say what the paper allows;
+// this says what the repo currently claims.
+func TestHeadlinesMatchExperimentsDoc(t *testing.T) {
+	check := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	check(err)
+	fig3, err := Fig3()
+	check(err)
+	fig5, err := Fig5(DefaultFig5Config())
+	check(err)
+	fig8, err := Fig8()
+	check(err)
+	fig9, err := Fig9()
+	check(err)
+	fig10, err := Fig10()
+	check(err)
+	fig19, err := Fig19()
+	check(err)
+	fig20, err := Fig20()
+	check(err)
+	fig21inc, err := Fig21("Inception-v4")
+	check(err)
+	fig21sr, err := Fig21("TF-SR")
+	check(err)
+	for _, h := range []struct {
+		name, want string
+		got        float64
+	}{
+		{"Fig 2b normalized ring latency at n=256", "2.065", Fig2b().NormalizedAt256},
+		{"Fig 3 prep/others in final config", "34.49", fig3.FinalPrepOverOthers},
+		{"Fig 5 augmentation accuracy gap (points)", "20.83", 100 * (fig5.FinalWith - fig5.FinalWithout)},
+		{"Fig 8 baseline saturation (accel-equivalents)", "18.31", fig8.MaxSaturation},
+		{"Fig 9 mean prep share at 256 accels (%)", "97.16", 100 * fig9.MeanPrepShare},
+		{"Fig 10a max CPU requirement (× DGX-2)", "90.24", fig10.MaxCPU},
+		{"Fig 10a max cores required", "4331.7", fig10.MaxCores},
+		{"Fig 10b max memory requirement (× DGX-2)", "21.99", fig10.MaxMemory},
+		{"Fig 10c max PCIe requirement (× DGX-2)", "10.39", fig10.MaxPCIe},
+		{"Fig 19 avg TrainBox speedup", "44.54", fig19.AvgTrainBox},
+		{"Fig 19 avg B+Acc speedup", "4.458", fig19.AvgAcc},
+		{"Fig 19 clustering gain over B+Acc+P2P", "9.990", fig19.ClusteringGain},
+		{"Fig 19 max speedup (TF-AA)", "90.24", fig19.MaxTrainBox},
+		{"Fig 20 speedup at batch 8192", "31.19", fig20.SpeedupAtLargest},
+		{"Fig 21 Inception-v4 TrainBox accel-equivalents", "255.5", fig21inc.FinalByConfig["TrainBox"]},
+		{"Fig 21 TF-SR TrainBox accel-equivalents", "252.4", fig21sr.FinalByConfig["TrainBox"]},
+	} {
+		decimals := len(h.want) - strings.IndexByte(h.want, '.') - 1
+		if got := strconv.FormatFloat(h.got, 'f', decimals, 64); got != h.want {
+			t.Errorf("%s = %s, pinned %s — update EXPERIMENTS.md and this table together", h.name, got, h.want)
+		}
+		if !bytes.Contains(doc, []byte(h.want)) {
+			t.Errorf("%s: EXPERIMENTS.md does not quote %s", h.name, h.want)
+		}
 	}
 }

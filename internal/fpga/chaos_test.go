@@ -79,6 +79,53 @@ func TestClusterEjectsDeadDeviceAndStaysBitIdentical(t *testing.T) {
 	}
 }
 
+// injectorFunc adapts a function to faults.Injector.
+type injectorFunc func(faults.Op) faults.Fault
+
+func (f injectorFunc) Inject(op faults.Op) faults.Fault { return f(op) }
+
+// TestClusterSampleOutlastsDyingDevice replays the interleaving that
+// made the test above flaky: another sample holds the live device while
+// this one draws the dead device on consecutive attempts — strike 1
+// returns it to the pool, strike 2 ejects it. The sample must then wait
+// for the live device instead of failing with no fallback attached.
+func TestClusterSampleOutlastsDyingDevice(t *testing.T) {
+	const datasetSeed, epoch = 3, 1
+	var (
+		cluster *Cluster
+		live    *device
+		strikes int
+		death   = faults.NewDeviceDeath(0)
+	)
+	dying := injectorFunc(func(op faults.Op) faults.Fault {
+		if strikes++; strikes == 2 {
+			cluster.release(live, true) // the other sample finishes mid-attempt
+		}
+		return death.Inject(op)
+	})
+	handlers, store, cfg := chaosFixture(t, dying, nil)
+	cluster = newCluster(t, handlers, WithHealth(HealthConfig{EjectAfter: 2}))
+
+	// The pool hands devices out in order: park the dead one behind the
+	// live one, then check the live one out as a concurrent sample would.
+	ctx := context.Background()
+	dead, _, _ := cluster.acquire(ctx)
+	cluster.release(dead, true)
+	live, _, _ = cluster.acquire(ctx)
+	if live.h != handlers[1] {
+		t.Fatal("fixture: expected to hold the healthy device")
+	}
+
+	got, err := cluster.prepareSample(ctx, store.Keys()[0], datasetSeed, epoch)
+	if err != nil {
+		t.Fatalf("sample failed with a healthy device in the pool: %v", err)
+	}
+	if strikes != 2 || cluster.ActiveDevices() != 1 {
+		t.Fatalf("strikes = %d, active devices = %d; want 2 and 1", strikes, cluster.ActiveDevices())
+	}
+	assertBitIdentical(t, []dataprep.Prepared{got}, hostOracle(t, store, cfg, datasetSeed, epoch)[:1])
+}
+
 // TestClusterFallbackWhenAllDevicesDead: with every device dead and a
 // host fallback attached, the whole batch must degrade to the host path
 // — bit-identical, all samples counted as degraded, pool size zero.

@@ -324,7 +324,11 @@ func (c *Cluster) prepareSample(ctx context.Context, key string, datasetSeed int
 	seed := dataprep.SampleSeed(datasetSeed, key, epoch)
 	maxTries := 1
 	if c.healthEnabled() {
-		maxTries = c.Devices()
+		// One sample can at worst take every strike of every device;
+		// acquire reports !ok once the last one is ejected. A smaller
+		// bound can spend every try on one dying device while a healthy
+		// one is checked out by another sample.
+		maxTries = c.Devices() * c.health.EjectAfter
 	}
 	var lastErr error
 	for attempt := 0; attempt < maxTries; attempt++ {

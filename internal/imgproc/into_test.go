@@ -153,6 +153,24 @@ func TestIntoVariantsBitIdentical(t *testing.T) {
 			}
 		}
 	}
+
+	// The destinations are warm by now: resize and cast reuse them and
+	// allocate nothing per sample.
+	src := SynthesizeImage(DefaultSynthConfig(), 1, 3)
+	if n := testing.AllocsPerRun(10, func() {
+		if err := ResizeInto(&dstImg, src, ModelSize, ModelSize); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("warm ResizeInto allocates %.1f objects/call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		if err := ToTensorInto(&dstTen, src, ImagenetMean, ImagenetStd); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("warm ToTensorInto allocates %.1f objects/call, want 0", n)
+	}
 }
 
 // TestIntoValidationErrors: invalid arguments must error without

@@ -9,8 +9,8 @@
 // therefore reports into a Registry: pipeline stages, the dataprep
 // executor, the FPGA pool and P2P handlers, the training driver, and
 // the storage layer. A snapshot of the registry is the
-// machine-readable evidence `trainbox-bench -json` emits and the CI
-// perf gate consumes.
+// machine-readable evidence train.Result carries and the serving
+// front-end's GET /v1/metrics returns.
 //
 // Design rules:
 //

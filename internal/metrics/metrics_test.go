@@ -143,7 +143,7 @@ func TestNoBackgroundGoroutines(t *testing.T) {
 }
 
 // TestSnapshotJSON: the snapshot must round-trip through JSON with the
-// documented section names — the schema BENCH.json embeds.
+// documented section names — the schema GET /v1/metrics serves.
 func TestSnapshotJSON(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("a.items").Add(3)

@@ -10,7 +10,7 @@ import (
 // grouped by kind. It is fully detached from the registry: later metric
 // updates never alter a taken snapshot. The zero value is an empty
 // snapshot. It marshals to stable JSON (map keys sort lexically under
-// encoding/json), which is what `trainbox-bench -json` embeds.
+// encoding/json), which is what GET /v1/metrics serves.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`

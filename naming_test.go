@@ -4,7 +4,8 @@
 // into ONE shared registry, then asserts that every name in the final
 // snapshot follows subsystem.object.metric (metrics.ValidName). The
 // single-path test walks the non-test sources and fails when a
-// superseded API generation starts growing back.
+// superseded API generation starts growing back or a package is left
+// with no command that reaches it.
 package trainbox_test
 
 import (
@@ -110,18 +111,26 @@ func TestAllExportedMetricNamesFollowScheme(t *testing.T) {
 
 // TestOnePathPerJob keeps the deleted API generation deleted: no
 // non-test source outside benchmark/ may carry a deprecation doc marker
-// (a shim kept beside its replacement), and internal/dataprep may
-// declare only one interface with a prepare method — dataprep.Preparer.
+// (a shim kept beside its replacement), internal/dataprep may declare
+// only one interface with a prepare method — dataprep.Preparer — and
+// every internal/ package with non-test sources must be reachable by
+// imports from a main under cmd/ or examples/ or from benchmark/, so
+// deleting a command cannot strand a package unnoticed.
 func TestOnePathPerJob(t *testing.T) {
+	// Packages only _test files import, with the reason they exist.
+	testOnly := map[string]string{
+		"internal/invariant": "resource-balance checks shared by the tests",
+	}
 	marker := "Deprecated" + ":"
 	var prepareIfaces []string
+	imports := map[string][]string{} // package dir → module-relative dirs it imports
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || path == "benchmark") {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
 				return filepath.SkipDir
 			}
 			return nil
@@ -133,13 +142,24 @@ func TestOnePathPerJob(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		deps := imports[dir]
+		for _, imp := range f.Imports {
+			if dep, ok := strings.CutPrefix(strings.Trim(imp.Path.Value, `"`), "trainbox/"); ok {
+				deps = append(deps, dep)
+			}
+		}
+		imports[dir] = deps // recorded even when empty: the key set is the package list
+		if dir == "benchmark" {
+			return nil // walked for its imports only
+		}
 		for _, cg := range f.Comments {
 			if strings.Contains(cg.Text(), marker) {
 				t.Errorf("%s: %q marker — delete the shim instead of keeping it beside its replacement",
 					fset.Position(cg.Pos()), marker)
 			}
 		}
-		if filepath.ToSlash(filepath.Dir(path)) != "internal/dataprep" {
+		if dir != "internal/dataprep" {
 			return nil
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -168,5 +188,33 @@ func TestOnePathPerJob(t *testing.T) {
 	}
 	if len(prepareIfaces) != 1 || prepareIfaces[0] != "Preparer" {
 		t.Errorf("internal/dataprep interfaces with a prepare method = %v, want exactly [Preparer]", prepareIfaces)
+	}
+
+	reached := map[string]bool{}
+	var visit func(dir string)
+	visit = func(dir string) {
+		for _, dep := range imports[dir] {
+			if !reached[dep] {
+				reached[dep] = true
+				visit(dep)
+			}
+		}
+	}
+	for dir := range imports {
+		if !strings.HasPrefix(dir, "internal/") {
+			visit(dir)
+		}
+	}
+	for dir := range imports {
+		if !strings.HasPrefix(dir, "internal/") {
+			continue
+		}
+		if reason, exempt := testOnly[dir]; exempt == reached[dir] {
+			if exempt {
+				t.Errorf("%s is listed as test-only (%s) but a command imports it — drop the exemption", dir, reason)
+			} else {
+				t.Errorf("%s is imported by no command, example or benchmark — delete it, or name it in testOnly with the reason", dir)
+			}
+		}
 	}
 }
