@@ -120,8 +120,8 @@ func TestBuildTrainBoxShape(t *testing.T) {
 	if sys.PoolNet == nil {
 		t.Fatal("TrainBox should have a prep-pool network")
 	}
-	if sys.PoolNet.Ports() < len(sys.PrepAccels)+384 {
-		t.Errorf("pool ports = %d, want in-box FPGAs + default pool size", sys.PoolNet.Ports())
+	if ports := int(sys.PoolNet.Capacity() / sys.PoolNet.Link().Bandwidth); ports < len(sys.PrepAccels)+384 {
+		t.Errorf("pool ports = %d, want in-box FPGAs + default pool size", ports)
 	}
 	if sys.Config.PoolFPGAs != 384 {
 		t.Errorf("default pool FPGAs = %d, want 1.5×NumAccels", sys.Config.PoolFPGAs)

@@ -87,15 +87,13 @@ func SampleSeed(datasetSeed int64, key string, epoch int) int64 {
 	return int64(h.Sum64())
 }
 
-// Prepared is one pipeline output: exactly one of Image, Audio, or
-// Video is set.
+// Prepared is one pipeline output: exactly one of Image or Audio is
+// set.
 type Prepared struct {
 	Key   string
 	Label int
 	Image *imgproc.Tensor
 	Audio *dsp.Spectrogram
-	// Video holds one tensor per sampled frame.
-	Video []*imgproc.Tensor
 	Err   error
 }
 
@@ -194,12 +192,6 @@ func (e *Executor) Recycle(ps ...Prepared) {
 			e.out.F64.Put(p.Audio.Data)
 			p.Audio = nil
 		}
-		for _, t := range p.Video {
-			if t != nil && t.Data != nil {
-				e.out.F32.Put(t.Data)
-			}
-		}
-		p.Video = nil
 	}
 }
 
@@ -219,13 +211,6 @@ func (e *Executor) WithPreparer(p Preparer) *Executor {
 	}
 	return e
 }
-
-// DatasetSeed returns the executor's dataset seed.
-func (e *Executor) DatasetSeed() int64 { return e.datasetSeed }
-
-// ScratchStats reports the per-worker Scratch pool's reuse counters; in
-// steady state News ≪ Gets.
-func (e *Executor) ScratchStats() pipeline.PoolStats { return e.scratches.Stats() }
 
 // OutputStats reports the output buffer pools' aggregate reuse
 // counters; News ≈ Gets means nobody is calling Recycle.

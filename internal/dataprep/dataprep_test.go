@@ -38,7 +38,7 @@ func TestBuildImageDataset(t *testing.T) {
 	if obj.Label != 3 {
 		t.Errorf("label = %d, want 3", obj.Label)
 	}
-	if _, err := imgproc.DecodeJPEG(obj.Data); err != nil {
+	if err := imgproc.DecodeJPEGInto(&imgproc.Image{}, obj.Data); err != nil {
 		t.Errorf("stored object is not valid JPEG: %v", err)
 	}
 	if err := BuildImageDataset(s, 0, 10, 1); err == nil {
@@ -266,9 +266,6 @@ func TestProfileMeasuresThroughput(t *testing.T) {
 	}
 	if res.Samples < 8 || res.SamplesPerSec <= 0 || res.Workers != 4 {
 		t.Errorf("profile = %+v", res)
-	}
-	if res.String() == "" {
-		t.Error("empty String()")
 	}
 	if _, err := e.Profile(s, nil, 1); err == nil {
 		t.Error("empty key profile accepted")

@@ -16,8 +16,8 @@ func TestPrepareImageDecodedBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := imgproc.DecodeJPEG(data)
-	if err != nil {
+	decoded := &imgproc.Image{}
+	if err := imgproc.DecodeJPEGInto(decoded, data); err != nil {
 		t.Fatal(err)
 	}
 	pcfg := DefaultImageConfig()
@@ -41,8 +41,8 @@ func TestPrepareImageDecodedBitIdentical(t *testing.T) {
 	}
 	// The shared source must come through untouched (read-only
 	// contract): re-decode and compare.
-	fresh, err := imgproc.DecodeJPEG(data)
-	if err != nil {
+	fresh := &imgproc.Image{}
+	if err := imgproc.DecodeJPEGInto(fresh, data); err != nil {
 		t.Fatal(err)
 	}
 	for i := range fresh.Pix {

@@ -19,12 +19,6 @@ type ProfileResult struct {
 	Workers       int
 }
 
-// String renders the result for reports.
-func (r ProfileResult) String() string {
-	return fmt.Sprintf("%d samples in %v (%.0f samples/s, %v/sample, %d workers)",
-		r.Samples, r.Elapsed.Round(time.Millisecond), r.SamplesPerSec, r.PerSample.Round(time.Microsecond), r.Workers)
-}
-
 // Profile measures wall-clock throughput of the executor over the keyed
 // objects, repeating epochs until at least minSamples samples have been
 // prepared.

@@ -1,7 +1,6 @@
 package dataprep
 
 import (
-	"fmt"
 	"math/rand"
 
 	"trainbox/internal/dsp"
@@ -11,10 +10,9 @@ import (
 
 // Scratch is one worker's reusable working set for the per-sample
 // decode→augment→cast path: decode/crop images, the PCM signal buffer,
-// a cached dsp.MelPlan, and the MJPEG clip scratch. The Prepare*Scratch
-// functions thread it through every kernel so steady-state preparation
-// recycles one bounded working set instead of allocating per sample
-// (DESIGN.md §12).
+// and a cached dsp.MelPlan. The Prepare*Scratch functions thread it
+// through every kernel so steady-state preparation recycles one bounded
+// working set instead of allocating per sample (DESIGN.md §12).
 //
 // A Scratch is NOT safe for concurrent use — hold one per goroutine
 // (dataprep.Executor keeps a pipeline.Pool of them). The intermediate
@@ -28,9 +26,6 @@ type Scratch struct {
 
 	melCfg dsp.MelConfig // config mel was built for
 	mel    *dsp.MelPlan  // lazily (re)built when the config changes
-
-	clip   imgproc.Video    // MJPEG decode scratch
-	frames []*imgproc.Image // temporal-sample scratch
 
 	// out supplies output tensor/spectrogram buffers; nil means outputs
 	// are freshly allocated (and never recycled) — the safe default for
@@ -196,65 +191,4 @@ func prepareAudioTail(cfg AudioConfig, seed int64, s *Scratch) (*dsp.Spectrogram
 		dsp.Normalize(mel)
 	}
 	return mel, nil
-}
-
-// PrepareVideoScratch runs the clip pipeline on stored MJPEG bytes,
-// returning one tensor per sampled frame (T × [C,H,W]): the clip decodes
-// into reused frame buffers, the per-frame crop/mirror stages run in s's
-// images, and each returned tensor's Data comes from s's output set. A
-// nil s uses a throwaway working set. The output does not depend on s.
-func PrepareVideoScratch(mjpeg []byte, cfg VideoConfig, seed int64, s *Scratch) ([]*imgproc.Tensor, error) {
-	if s == nil {
-		s = NewScratch()
-	}
-	if cfg.FramesPerClip <= 0 {
-		return nil, fmt.Errorf("dataprep: frames per clip %d", cfg.FramesPerClip)
-	}
-	if err := imgproc.DecodeMJPEGInto(&s.clip, mjpeg); err != nil {
-		return nil, err
-	}
-	n := len(s.clip.Frames)
-	if cfg.FramesPerClip > n {
-		return nil, fmt.Errorf("imgproc: cannot sample %d of %d frames", cfg.FramesPerClip, n)
-	}
-	s.frames = s.frames[:0]
-	for i := 0; i < cfg.FramesPerClip; i++ {
-		s.frames = append(s.frames, s.clip.Frames[i*n/cfg.FramesPerClip])
-	}
-	rng := rand.New(rand.NewSource(seed))
-	w, h := s.clip.FrameSize()
-	// One crop window and one mirror decision for the whole clip.
-	var x0, y0 int
-	if cfg.Augment {
-		if cfg.CropW > w || cfg.CropH > h {
-			return nil, fmt.Errorf("dataprep: crop %dx%d larger than frames %dx%d", cfg.CropW, cfg.CropH, w, h)
-		}
-		x0 = rng.Intn(w - cfg.CropW + 1)
-		y0 = rng.Intn(h - cfg.CropH + 1)
-	} else {
-		x0 = (w - cfg.CropW) / 2
-		y0 = (h - cfg.CropH) / 2
-	}
-	mirror := cfg.Augment && rng.Float64() < cfg.MirrorProb
-
-	out := make([]*imgproc.Tensor, len(s.frames))
-	for i, frame := range s.frames {
-		if err := imgproc.CropInto(&s.imgB, frame, x0, y0, cfg.CropW, cfg.CropH); err != nil {
-			return nil, err
-		}
-		cur := &s.imgB
-		if mirror {
-			imgproc.MirrorInto(&s.imgA, cur)
-			cur = &s.imgA
-		}
-		t := &imgproc.Tensor{Data: s.getF32(3 * cur.H * cur.W)}
-		if err := imgproc.ToTensorInto(t, cur, cfg.Mean, cfg.Std); err != nil {
-			if s.out != nil {
-				s.out.F32.Put(t.Data)
-			}
-			return nil, err
-		}
-		out[i] = t
-	}
-	return out, nil
 }

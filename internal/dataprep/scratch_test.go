@@ -97,44 +97,6 @@ func TestPrepareAudioScratchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPrepareVideoScratchBitIdentical reuses one Scratch across clips
-// and seeds against the nil-scratch form, including the no-augment arm.
-func TestPrepareVideoScratchBitIdentical(t *testing.T) {
-	store := videoStore(t, 2, 8)
-	cfg := DefaultVideoConfig()
-	cfg.FramesPerClip = 4
-	s := NewScratch()
-	for _, augment := range []bool{true, false} {
-		cfg.Augment = augment
-		for i := 0; i < 2; i++ {
-			obj, err := store.Get(keyOf(t, store, i, "vid"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, seed := range []int64{5, -2} {
-				want, err := PrepareVideoScratch(obj.Data, cfg, seed, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := PrepareVideoScratch(obj.Data, cfg, seed, s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("frames = %d, want %d", len(got), len(want))
-				}
-				for f := range want {
-					for j := range want[f].Data {
-						if got[f].Data[j] != want[f].Data[j] {
-							t.Fatalf("augment=%v clip %d seed %d frame %d: data[%d] differs", augment, i, seed, f, j)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // keyOf formats the builder key naming ("img-%05d" etc.) and asserts it
 // exists, catching drift between the builders and the tests.
 func keyOf(t *testing.T, store *storage.Store, i int, prefix string) string {
@@ -194,7 +156,7 @@ func TestExecutorScratchPathMatchesDirect(t *testing.T) {
 	}
 	exec.Recycle(prev...)
 
-	ss := exec.ScratchStats()
+	ss := exec.scratches.Stats()
 	if ss.Gets == 0 {
 		t.Fatal("scratch pool never used — executor is not on the scratch path")
 	}

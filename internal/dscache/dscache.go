@@ -165,9 +165,6 @@ func (c *Cache) WithMetrics(reg *metrics.Registry) *Cache {
 // Name returns the tier name.
 func (c *Cache) Name() string { return c.name }
 
-// Budget returns the resident-byte budget.
-func (c *Cache) Budget() units.Bytes { return units.Bytes(c.budget) }
-
 // Handle is a reference-counted lease on one cached representation.
 // The payload stays resident (never evicted) until Release; release
 // exactly once, after the last read. Handles are values — copy freely,
@@ -184,9 +181,6 @@ func (h Handle) Image() *imgproc.Image { return h.e.d.Image }
 // Signal returns the cached decoded PCM signal (nil for image entries).
 // Read only — copy before mutating.
 func (h Handle) Signal() []float64 { return h.e.d.Signal }
-
-// Bytes returns the payload's resident size.
-func (h Handle) Bytes() int64 { return h.e.bytes }
 
 // Release returns the lease. After the last release an entry becomes
 // evictable; if the cache is over budget the eviction clock runs
@@ -284,14 +278,6 @@ func (c *Cache) Acquire(ctx context.Context, key, fp string, decode func(pool *m
 	c.gaugesLocked()
 	c.mu.Unlock()
 	return Handle{c: c, e: e}, nil
-}
-
-// Contains reports whether (key, fp) is resident and populated.
-func (c *Cache) Contains(key, fp string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[ckey{key: key, fp: fp}]
-	return ok && e.populated
 }
 
 // OrderKeys returns keys reordered cache-aware: resident keys first,

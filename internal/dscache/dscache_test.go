@@ -209,7 +209,7 @@ func TestEvictionUnderBudget(t *testing.T) {
 	if s.Evictions == 0 {
 		t.Fatal("no evictions despite populating 9 KiB into a 2 KiB budget")
 	}
-	if !c.Contains("pinned", "fp") {
+	if !resident(c, "pinned", "fp") {
 		t.Fatal("referenced entry was evicted")
 	}
 	pinned.Release()
@@ -241,10 +241,10 @@ func TestClockSecondChance(t *testing.T) {
 		t.Fatal(err)
 	}
 	h2.Release()
-	if !c.Contains("hot", "fp") {
+	if !resident(c, "hot", "fp") {
 		t.Fatal("recently hit entry evicted before its second chance")
 	}
-	if c.Contains("cold", "fp") {
+	if resident(c, "cold", "fp") {
 		t.Fatal("cold entry survived over the hot one")
 	}
 }
@@ -258,11 +258,11 @@ func TestZeroBudgetStillSingleFlights(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Resident while referenced (never evicted under a live handle).
-	if !c.Contains("k", "fp") {
+	if !resident(c, "k", "fp") {
 		t.Fatal("referenced entry not resident")
 	}
 	h.Release()
-	if c.Contains("k", "fp") {
+	if resident(c, "k", "fp") {
 		t.Fatal("budget-0 cache kept an unreferenced entry")
 	}
 }
@@ -326,8 +326,8 @@ func TestImagePayloadAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Bytes() != 3*8*8 {
-		t.Fatalf("image entry bytes = %d, want %d", h.Bytes(), 3*8*8)
+	if h.e.bytes != 3*8*8 {
+		t.Fatalf("image entry bytes = %d, want %d", h.e.bytes, 3*8*8)
 	}
 	h.Release()
 	c.Purge()
@@ -435,4 +435,12 @@ func TestConcurrentChurn(t *testing.T) {
 	if st := c.PoolStats(); st.Gets != st.Puts {
 		t.Fatalf("pool imbalance after churn: %+v", st)
 	}
+}
+
+// resident reports whether (key, fp) is resident and populated.
+func resident(c *Cache, key, fp string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[ckey{key: key, fp: fp}]
+	return ok && e.populated
 }

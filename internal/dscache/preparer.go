@@ -99,9 +99,7 @@ func PreparerFingerprint(p dataprep.Preparer) string {
 // WrapPreparer returns the cache-backed equivalent of p: the CPU image
 // and audio preparers map to their dscache counterparts (bit-identical
 // for equal seeds), and already-cached preparers are re-targeted at c.
-// Video and unknown preparers come back unchanged with ok=false — a
-// video clip's decoded frames dominate residency for marginal reuse, so
-// the tier leaves video to the uncached path.
+// Other preparers come back unchanged with ok=false.
 func WrapPreparer(c *Cache, p dataprep.Preparer) (wrapped dataprep.Preparer, ok bool) {
 	switch q := p.(type) {
 	case dataprep.ImagePreparer:

@@ -257,10 +257,17 @@ func TestWrapPreparerForms(t *testing.T) {
 	if _, ok := WrapPreparer(c1, dataprep.AudioPreparer{}); !ok {
 		t.Fatal("audio preparer did not wrap")
 	}
-	if _, ok := WrapPreparer(c1, dataprep.VideoPreparer{}); ok {
-		t.Fatal("video preparer unexpectedly wrapped")
+	if _, ok := WrapPreparer(c1, unknownPreparer{}); ok {
+		t.Fatal("unknown preparer unexpectedly wrapped")
 	}
-	if fp := PreparerFingerprint(dataprep.VideoPreparer{}); fp != "" {
-		t.Fatalf("video fingerprint = %q, want empty", fp)
+	if fp := PreparerFingerprint(unknownPreparer{}); fp != "" {
+		t.Fatalf("unknown preparer's fingerprint = %q, want empty", fp)
 	}
+}
+
+// unknownPreparer is a Preparer the tier has no cached form for.
+type unknownPreparer struct{}
+
+func (unknownPreparer) Prepare(obj storage.Object, _ int64, _ *dataprep.Scratch) dataprep.Prepared {
+	return dataprep.Prepared{Key: obj.Key}
 }

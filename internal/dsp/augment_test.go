@@ -23,8 +23,8 @@ func TestTimeMaskZeroesExactSpan(t *testing.T) {
 			if tt >= start && tt < start+width {
 				want = -5
 			}
-			if s.At(tt, f) != want {
-				t.Fatalf("cell (%d,%d) = %v, want %v", tt, f, s.At(tt, f), want)
+			if s.Data[tt*s.Bins+f] != want {
+				t.Fatalf("cell (%d,%d) = %v, want %v", tt, f, s.Data[tt*s.Bins+f], want)
 			}
 		}
 	}
@@ -43,8 +43,8 @@ func TestFreqMaskZeroesExactSpan(t *testing.T) {
 			if f >= start && f < start+width {
 				want = 0
 			}
-			if s.At(tt, f) != want {
-				t.Fatalf("cell (%d,%d) = %v, want %v", tt, f, s.At(tt, f), want)
+			if s.Data[tt*s.Bins+f] != want {
+				t.Fatalf("cell (%d,%d) = %v, want %v", tt, f, s.Data[tt*s.Bins+f], want)
 			}
 		}
 	}

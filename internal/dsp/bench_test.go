@@ -52,37 +52,3 @@ func BenchmarkMelPlanLogMel(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkMFCCPlan is the planned MFCC front-end with a reused
-// destination.
-func BenchmarkMFCCPlan(b *testing.B) {
-	sig := benchSignal(b)
-	plan, err := NewMFCCPlan(DefaultMFCCConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	var out Spectrogram
-	if err := plan.MFCCInto(&out, sig); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := plan.MFCCInto(&out, sig); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMFCCFresh is the one-shot MFCC: a new plan (shared tables,
-// fresh scratch) and a fresh output per call.
-func BenchmarkMFCCFresh(b *testing.B) {
-	sig := benchSignal(b)
-	cfg := DefaultMFCCConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := MFCC(sig, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -58,9 +58,6 @@ func NewFFTPlan(n int) (*FFTPlan, error) {
 	return p, nil
 }
 
-// N returns the transform length the plan serves.
-func (p *FFTPlan) N() int { return p.n }
-
 // Transform computes the in-place forward DFT of x. len(x) must equal
 // the plan length.
 func (p *FFTPlan) Transform(x []complex128) error {

@@ -1,19 +1,18 @@
 package dsp
 
 import (
-	"fmt"
 	"math"
 	"sync"
 )
 
 // This file holds the front-end's reusable contexts. The immutable
 // tables — FFT plans, real-input unpack twiddles, Hann windows, Mel
-// filterbanks, DCT cosines — are built once per process and shared
-// through the keyed caches below; MelPlan and MFCCPlan add the
-// per-worker scratch and *Into entry points that write into
-// caller-provided destinations (the dsp layer of the zero-allocation
-// sample path, DESIGN.md §12). The one-shot functions (FFT, PowerSTFT,
-// LogMelSpectrogram, MFCC) are thin wrappers over the same plans.
+// filterbanks — are built once per process and shared through the keyed
+// caches below; MelPlan adds the per-worker scratch and the *Into entry
+// point that writes into a caller-provided destination (the dsp layer
+// of the zero-allocation sample path, DESIGN.md §12). The one-shot
+// functions (FFT, PowerSTFT, LogMelSpectrogram) are thin wrappers over
+// the same plans.
 
 // --- global table caches ------------------------------------------------
 
@@ -23,7 +22,6 @@ var (
 	realFFTs = map[int]*realFFT{}
 	windows  = map[int][]float64{}
 	melFBs   = map[melFBKey]*MelFilterbank{}
-	dctTabs  = map[int][]float64{}
 )
 
 type melFBKey struct {
@@ -71,21 +69,6 @@ func melFilterbankFor(cfg MelConfig, bins int) (*MelFilterbank, error) {
 	return cached(melFBs, melFBKey{cfg: cfg, bins: bins}, func() (*MelFilterbank, error) {
 		return NewMelFilterbank(cfg.NumMels, bins, cfg.STFT.SampleRate, cfg.FMin, cfg.FMax)
 	})
-}
-
-// dctTableFor returns the shared DCT-II cosine table for length n:
-// tab[k*n+t] = cos(π/n·(t+0.5)·k), the exact expression DCT2 evaluates.
-func dctTableFor(n int) []float64 {
-	tab, _ := cached(dctTabs, n, func() ([]float64, error) {
-		tab := make([]float64, n*n)
-		for k := 0; k < n; k++ {
-			for t := 0; t < n; t++ {
-				tab[k*n+t] = math.Cos(math.Pi / float64(n) * (float64(t) + 0.5) * float64(k))
-			}
-		}
-		return tab, nil
-	})
-	return tab
 }
 
 // --- MelPlan ------------------------------------------------------------
@@ -141,9 +124,6 @@ func NewMelPlan(cfg MelConfig) (*MelPlan, error) {
 	return p, nil
 }
 
-// Config returns the configuration the plan was built for.
-func (p *MelPlan) Config() MelConfig { return p.cfg }
-
 // LogMelInto runs the full front-end (Hann STFT → power spectrum → Mel
 // filterbank → log compression) into dst, reusing dst's Data capacity.
 // Each frame is finished before the next is read, so no frames × bins
@@ -198,62 +178,4 @@ func (p *MelPlan) powerRow(dst, signal []float64) {
 		z[j] = 0
 	}
 	p.rfft.power(dst, z)
-}
-
-// --- MFCCPlan -----------------------------------------------------------
-
-// MFCCPlan is a reusable MFCC context wrapping a MelPlan plus the
-// (shared) DCT-II cosine table and the pre-emphasis/log-Mel scratch.
-// Not safe for concurrent use — hold one per worker.
-type MFCCPlan struct {
-	cfg    MFCCConfig
-	mel    *MelPlan
-	cos    []float64 // dctTableFor(NumMels)
-	work   []float64
-	melOut Spectrogram
-}
-
-// NewMFCCPlan validates cfg and precomputes the full table set.
-func NewMFCCPlan(cfg MFCCConfig) (*MFCCPlan, error) {
-	if cfg.NumCoeffs <= 0 || cfg.NumCoeffs > cfg.Mel.NumMels {
-		return nil, fmt.Errorf("dsp: MFCC coefficients %d outside [1,%d]", cfg.NumCoeffs, cfg.Mel.NumMels)
-	}
-	mel, err := NewMelPlan(cfg.Mel)
-	if err != nil {
-		return nil, err
-	}
-	return &MFCCPlan{cfg: cfg, mel: mel, cos: dctTableFor(cfg.Mel.NumMels)}, nil
-}
-
-// MFCCInto computes MFCC features into dst, reusing dst's Data
-// capacity.
-func (p *MFCCPlan) MFCCInto(dst *Spectrogram, signal []float64) error {
-	p.work = append(p.work[:0], signal...)
-	if p.cfg.PreEmphasisAlpha > 0 {
-		PreEmphasis(p.work, p.cfg.PreEmphasisAlpha)
-	}
-	if err := p.mel.LogMelInto(&p.melOut, p.work); err != nil {
-		return err
-	}
-	n := p.melOut.Bins
-	nc := p.cfg.NumCoeffs
-	dst.Reset(p.melOut.Frames, nc)
-	scale0 := math.Sqrt(1 / float64(n))
-	scale := math.Sqrt(2 / float64(n))
-	for t := 0; t < p.melOut.Frames; t++ {
-		row := p.melOut.Data[t*n : (t+1)*n]
-		for k := 0; k < nc; k++ {
-			var sum float64
-			cosRow := p.cos[k*n : (k+1)*n]
-			for ti, x := range row {
-				sum += x * cosRow[ti]
-			}
-			if k == 0 {
-				dst.Data[t*nc+k] = sum * scale0
-			} else {
-				dst.Data[t*nc+k] = sum * scale
-			}
-		}
-	}
-	return nil
 }

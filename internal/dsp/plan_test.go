@@ -132,44 +132,8 @@ func TestMelPlanBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMFCCPlanBitIdentical checks MFCCInto against MFCC across seeds.
-func TestMFCCPlanBitIdentical(t *testing.T) {
-	cfg := DefaultMFCCConfig()
-	cfg.Mel.STFT.WindowSize = 256
-	cfg.Mel.STFT.HopSize = 128
-	cfg.Mel.NumMels = 40
-	plan, err := NewMFCCPlan(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dst Spectrogram
-	for seed := int64(1); seed <= 4; seed++ {
-		sig := randSignal(seed, 5000)
-		want, err := MFCC(sig, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := plan.MFCCInto(&dst, sig); err != nil {
-			t.Fatal(err)
-		}
-		if dst.Frames != want.Frames || dst.Bins != want.Bins {
-			t.Fatalf("seed %d: shape %dx%d, want %dx%d", seed, dst.Frames, dst.Bins, want.Frames, want.Bins)
-		}
-		for i := range want.Data {
-			if dst.Data[i] != want.Data[i] {
-				t.Fatalf("seed %d cell %d: plan %v, legacy %v", seed, i, dst.Data[i], want.Data[i])
-			}
-		}
-	}
-	bad := cfg
-	bad.NumCoeffs = 0
-	if _, err := NewMFCCPlan(bad); err == nil {
-		t.Error("NumCoeffs 0 should fail")
-	}
-}
-
-// TestMelPlanSteadyStateAllocs: warmed Mel and MFCC plans writing into
-// a reused destination, and the in-place FFT under them, should not
+// TestMelPlanSteadyStateAllocs: a warmed Mel plan writing into a
+// reused destination, and the in-place FFT under it, should not
 // allocate.
 func TestMelPlanSteadyStateAllocs(t *testing.T) {
 	cfg := DefaultMelConfig()
@@ -192,21 +156,6 @@ func TestMelPlanSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm LogMelInto allocates %.1f objects/call, want 0", allocs)
-	}
-	mfcc, err := NewMFCCPlan(MFCCConfig{Mel: cfg, NumCoeffs: 13, PreEmphasisAlpha: 0.97})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mfcc.MFCCInto(&dst, sig); err != nil {
-		t.Fatal(err)
-	}
-	allocs = testing.AllocsPerRun(10, func() {
-		if err := mfcc.MFCCInto(&dst, sig); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("warm MFCCInto allocates %.1f objects/call, want 0", allocs)
 	}
 	fft, err := NewFFTPlan(512)
 	if err != nil {

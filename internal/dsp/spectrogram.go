@@ -42,21 +42,12 @@ func (c STFTConfig) NumFrames(n int) int {
 	return 1 + (n-c.WindowSize)/c.HopSize
 }
 
-// NumBins returns the number of non-redundant spectrum bins per frame
-// (fftLen/2 + 1).
-func (c STFTConfig) NumBins() int {
-	return NextPow2(c.WindowSize)/2 + 1
-}
-
 // Spectrogram is a time×frequency matrix stored row-major: Data[t*Bins+f].
 type Spectrogram struct {
 	Frames int
 	Bins   int
 	Data   []float64
 }
-
-// At returns the value at frame t, bin f.
-func (s *Spectrogram) At(t, f int) float64 { return s.Data[t*s.Bins+f] }
 
 // Set stores v at frame t, bin f.
 func (s *Spectrogram) Set(t, f int, v float64) { s.Data[t*s.Bins+f] = v }

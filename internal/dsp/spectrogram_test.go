@@ -67,7 +67,7 @@ func TestPowerSTFTToneLandsInRightBin(t *testing.T) {
 	mid := s.Frames / 2
 	peak := 0
 	for f := 0; f < s.Bins; f++ {
-		if s.At(mid, f) > s.At(mid, peak) {
+		if s.Data[mid*s.Bins+f] > s.Data[mid*s.Bins+peak] {
 			peak = f
 		}
 	}
@@ -231,7 +231,7 @@ func denseMel(fb *MelFilterbank, s *Spectrogram) *Spectrogram {
 			var acc float64
 			for f, w := range filt {
 				if w != 0 {
-					acc += w * s.At(t, f)
+					acc += w * s.Data[t*s.Bins+f]
 				}
 			}
 			out.Set(t, m, acc)

@@ -32,14 +32,13 @@ type SwitchSpec struct {
 }
 
 // Network is an analytical model of the prep-pool network: a set of
-// same-speed ports behind one switch. Port attachment and bandwidth
-// reservations are safe for concurrent use.
+// same-speed ports behind one switch. Bandwidth reservations are safe
+// for concurrent use.
 type Network struct {
 	link LinkSpec
 	sw   SwitchSpec
 
 	mu       sync.Mutex
-	inUse    int
 	reserved units.BytesPerSec
 }
 
@@ -56,60 +55,6 @@ func NewNetwork(link LinkSpec, sw SwitchSpec) (*Network, error) {
 
 // Link returns the per-port spec.
 func (n *Network) Link() LinkSpec { return n.link }
-
-// Ports returns the switch port count.
-func (n *Network) Ports() int { return n.sw.Ports }
-
-// Attach reserves a port, returning an error when the switch is full.
-func (n *Network) Attach() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.inUse >= n.sw.Ports {
-		return fmt.Errorf("eth: all %d ports in use", n.sw.Ports)
-	}
-	n.inUse++
-	return nil
-}
-
-// Detach releases a previously attached port. Releasing with no port
-// attached is an accounting error and is reported rather than silently
-// wrapping the counter negative.
-func (n *Network) Detach() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.inUse <= 0 {
-		return fmt.Errorf("eth: detach with no port attached")
-	}
-	n.inUse--
-	return nil
-}
-
-// Attached returns the number of reserved ports.
-func (n *Network) Attached() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.inUse
-}
-
-// PortBandwidth returns the usable bandwidth of one port given the
-// aggregate ceiling and the number of attached ports: min(link,
-// aggregate/attached).
-func (n *Network) PortBandwidth() units.BytesPerSec {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.portBandwidthLocked()
-}
-
-func (n *Network) portBandwidthLocked() units.BytesPerSec {
-	bw := n.link.Bandwidth
-	if n.sw.AggregateBandwidth > 0 && n.inUse > 0 {
-		share := n.sw.AggregateBandwidth / units.BytesPerSec(n.inUse)
-		if share < bw {
-			bw = share
-		}
-	}
-	return bw
-}
 
 // Capacity returns the fabric's total reservable bandwidth: the switch's
 // aggregate ceiling, or ports × link bandwidth when the switch is
@@ -128,13 +73,6 @@ func (n *Network) Reserved() units.BytesPerSec {
 	return n.reserved
 }
 
-// Available returns the bandwidth still reservable.
-func (n *Network) Available() units.BytesPerSec {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.Capacity() - n.reserved
-}
-
 // Reservation is a claim on a slice of the fabric's bandwidth, granted
 // by Reserve and returned with Release. The prep-pool runtime holds one
 // per leased device so a grant can never outrun the network.
@@ -143,9 +81,6 @@ type Reservation struct {
 	bw       units.BytesPerSec
 	released bool
 }
-
-// Bandwidth returns the reserved bandwidth.
-func (r *Reservation) Bandwidth() units.BytesPerSec { return r.bw }
 
 // Reserve claims bw of the fabric's capacity, failing when the claim
 // would exceed it (or when bw is non-positive). Every successful Reserve
@@ -186,7 +121,10 @@ func (r *Reservation) Release() error {
 
 // TransferTime returns the time to move v bytes over one port.
 func (n *Network) TransferTime(v units.Bytes) float64 {
-	return units.Seconds(v, n.PortBandwidth())
+	if v <= 0 {
+		return 0
+	}
+	return float64(v) / float64(n.link.Bandwidth)
 }
 
 // OffloadRate converts a per-sample offload volume (bytes shipped to the
@@ -196,5 +134,5 @@ func (n *Network) OffloadRate(perSample units.Bytes) units.SamplesPerSec {
 	if perSample <= 0 {
 		return units.SamplesPerSec(1e30)
 	}
-	return units.SamplesPerSec(float64(n.PortBandwidth()) / float64(perSample))
+	return units.SamplesPerSec(float64(n.link.Bandwidth) / float64(perSample))
 }

@@ -16,46 +16,6 @@ func TestNewNetworkValidation(t *testing.T) {
 	}
 }
 
-func TestAttachExhaustsPorts(t *testing.T) {
-	n, err := NewNetwork(Link100G, SwitchSpec{Ports: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Attach(); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Attach(); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Attach(); err == nil {
-		t.Error("third attach on 2-port switch accepted")
-	}
-	if n.Attached() != 2 || n.Ports() != 2 {
-		t.Errorf("attached=%d ports=%d", n.Attached(), n.Ports())
-	}
-}
-
-func TestPortBandwidthNonBlocking(t *testing.T) {
-	n, _ := NewNetwork(Link100G, SwitchSpec{Ports: 8})
-	for i := 0; i < 8; i++ {
-		n.Attach()
-	}
-	if got := n.PortBandwidth(); got != Link100G.Bandwidth {
-		t.Errorf("non-blocking port bandwidth = %v, want %v", got, Link100G.Bandwidth)
-	}
-}
-
-func TestPortBandwidthAggregateCeiling(t *testing.T) {
-	n, _ := NewNetwork(Link100G, SwitchSpec{Ports: 8, AggregateBandwidth: 50 * units.GBps})
-	for i := 0; i < 8; i++ {
-		n.Attach()
-	}
-	want := 50 * units.GBps / 8
-	if got := n.PortBandwidth(); math.Abs(float64(got-want)) > 1 {
-		t.Errorf("blocked port bandwidth = %v, want %v", got, want)
-	}
-}
-
 func TestTransferTime(t *testing.T) {
 	n, _ := NewNetwork(Link100G, SwitchSpec{Ports: 2})
 	got := n.TransferTime(12.5 * units.GB)
@@ -77,25 +37,6 @@ func TestOffloadRate(t *testing.T) {
 	}
 }
 
-func TestDetachAccounting(t *testing.T) {
-	n, _ := NewNetwork(Link100G, SwitchSpec{Ports: 2})
-	if err := n.Detach(); err == nil {
-		t.Error("detach with nothing attached accepted")
-	}
-	if err := n.Attach(); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Detach(); err != nil {
-		t.Errorf("detach after attach: %v", err)
-	}
-	if n.Attached() != 0 {
-		t.Errorf("attached = %d after detach, want 0", n.Attached())
-	}
-	if err := n.Detach(); err == nil {
-		t.Error("double detach accepted")
-	}
-}
-
 func TestReserveExhaustion(t *testing.T) {
 	// 2 non-blocking 100G ports → 25 GB/s capacity.
 	n, _ := NewNetwork(Link100G, SwitchSpec{Ports: 2})
@@ -109,21 +50,21 @@ func TestReserveExhaustion(t *testing.T) {
 	if _, err := n.Reserve(10 * units.GBps); err == nil {
 		t.Error("over-capacity reservation accepted")
 	}
-	if got := n.Available(); got != 5*units.GBps {
+	if got := n.Capacity() - n.Reserved(); got != 5*units.GBps {
 		t.Errorf("available = %v after failed reserve, want 5 GB/s (failed claims must not leak)", got)
 	}
 	r2, err := n.Reserve(5 * units.GBps)
 	if err != nil {
 		t.Fatalf("exact remaining capacity refused: %v", err)
 	}
-	if n.Available() != 0 {
-		t.Errorf("available = %v at full reservation, want 0", n.Available())
+	if n.Reserved() != n.Capacity() {
+		t.Errorf("reserved = %v at full reservation, want the %v capacity", n.Reserved(), n.Capacity())
 	}
 	if err := r2.Release(); err != nil {
 		t.Errorf("release after exhaustion: %v", err)
 	}
 	// Release-after-exhaustion must restore exactly the released slice.
-	if got := n.Available(); got != 5*units.GBps {
+	if got := n.Capacity() - n.Reserved(); got != 5*units.GBps {
 		t.Errorf("available = %v after release, want 5 GB/s", got)
 	}
 	if err := r1.Release(); err != nil {

@@ -54,9 +54,6 @@ func (n *Network) InNetwork(spec AggregationSpec) (*InNetwork, error) {
 	return &InNetwork{net: n, spec: spec}, nil
 }
 
-// Spec returns the aggregation parameters.
-func (a *InNetwork) Spec() AggregationSpec { return a.spec }
-
 // portRate returns the per-port rate one of `workers` concurrent
 // aggregation streams sustains: line rate, capped by the reduce engine
 // and by an aggregate switch ceiling split across the workers.

@@ -7,7 +7,6 @@ import (
 
 	"trainbox/internal/dataprep"
 	"trainbox/internal/invariant"
-	"trainbox/internal/nvme"
 	"trainbox/internal/storage"
 )
 
@@ -93,33 +92,28 @@ func TestClusterCancelledContext(t *testing.T) {
 	}
 }
 
-// TestP2PBatchContextCancellation: the handler's staged pipeline must
-// honour cancellation mid-batch.
+// TestP2PBatchContextCancellation: a batch over one P2P handler must
+// honour cancellation and leave the handler usable for the next batch.
 func TestP2PBatchContextCancellation(t *testing.T) {
-	store := storage.NewStore(storage.DefaultSSDSpec())
-	if err := dataprep.BuildImageDataset(store, 4, 2, 1); err != nil {
-		t.Fatal(err)
-	}
-	ns, err := nvme.LoadStore(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := NewP2PHandler(ns, NewImageEmulator(dataprep.DefaultImageConfig()), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cluster, store, _ := poolFixture(t, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := h.PrepareBatchContext(ctx, store.Keys(), 1, 0); err == nil {
+	if _, err := cluster.PrepareBatch(ctx, store.Keys(), 1, 0); err == nil {
 		t.Error("cancelled p2p batch succeeded")
 	}
-	// A fresh batch afterwards still works and records stage stats.
-	out, err := h.PrepareBatch(store.Keys(), 1, 0)
-	if err != nil || len(out) != 4 {
+	// A fresh batch afterwards still works and records stage stats. The
+	// cancelled batch may have dispatched a sample before it noticed, so
+	// the fresh batch's share is the growth of the cumulative count.
+	var before int64
+	if stats := cluster.Stats(); len(stats) == 1 {
+		before = stats[0].ItemsOut
+	}
+	out, err := cluster.PrepareBatch(context.Background(), store.Keys(), 1, 0)
+	if err != nil || len(out) != store.Len() {
 		t.Fatalf("post-cancel batch: %v (%d samples)", err, len(out))
 	}
-	stats := h.Stats()
-	if len(stats) != 2 || stats[0].Name != "nvme-read" || stats[1].Name != "prep-engine" {
-		t.Fatalf("handler stats = %+v", stats)
+	stats := cluster.Stats()
+	if len(stats) != 1 || stats[0].Name != "pool-dispatch" || stats[0].ItemsOut-before != int64(len(out)) {
+		t.Fatalf("cluster stats = %+v, want %d more samples out than the %d before", stats, len(out), before)
 	}
 }

@@ -75,35 +75,6 @@ func AudioEngines() []Engine {
 	}
 }
 
-// VideoEngines returns the future-work video configuration (Section V-C
-// names video as the next input form; Related Work cites hardware video
-// decoders). The estimate reuses the JPEG decoder (motion-JPEG frames),
-// adds a temporal sampler, and keeps the shared clustering and P2P
-// blocks; it is an engineering estimate, not a paper table.
-func VideoEngines() []Engine {
-	return []Engine{
-		{Name: "Jpeg decoder", LUTs: 704_000, FFs: 665_000, BRAM: 0, DSP: 1040},
-		{Name: "Temporal sampler", LUTs: 9_000, FFs: 7_500, BRAM: 96, DSP: 0},
-		{Name: "Crop", LUTs: 500, FFs: 300, BRAM: 0, DSP: 27},
-		{Name: "Mirror", LUTs: 6_500, FFs: 4_700, BRAM: 0, DSP: 381},
-		{Name: "Cast", LUTs: 5_700, FFs: 3_000, BRAM: 0, DSP: 240},
-		{Name: "Ethernet + Protocol parser", LUTs: 166_000, FFs: 169_000, BRAM: 1024, DSP: 0},
-		{Name: "P2P Handler", LUTs: 22_700, FFs: 24_700, BRAM: 153, DSP: 0},
-	}
-}
-
-// EnginesFor returns the engine set for an input type.
-func EnginesFor(t workload.InputType) []Engine {
-	switch t {
-	case workload.Audio:
-		return AudioEngines()
-	case workload.Video:
-		return VideoEngines()
-	default:
-		return ImageEngines()
-	}
-}
-
 // Utilization is the fraction of each device resource a configuration
 // consumes.
 type Utilization struct {
@@ -179,12 +150,6 @@ func NewImageEmulator(cfg dataprep.ImageConfig) *Emulator {
 	return &Emulator{Image: &cfg}
 }
 
-// NewAudioEmulator returns an emulator programmed with the audio engine
-// set.
-func NewAudioEmulator(cfg dataprep.AudioConfig) *Emulator {
-	return &Emulator{Audio: &cfg}
-}
-
 // Prepare implements dataprep.Preparer. Objects of the wrong kind for
 // the programmed engine fail, mirroring a real FPGA whose bitstream only
 // implements one pipeline (partial reconfiguration swaps it).
@@ -196,15 +161,4 @@ func (e *Emulator) Prepare(obj storage.Object, seed int64, s *dataprep.Scratch) 
 		return dataprep.AudioPreparer{Config: *e.Audio}.Prepare(obj, seed, s)
 	}
 	return dataprep.Prepared{Key: obj.Key, Err: fmt.Errorf("fpga: emulator not programmed")}
-}
-
-// Reprogram swaps the emulator's pipeline — the partial-reconfiguration
-// path of Section V-C ("only the computation acceleration part of the
-// accelerator is changed").
-func (e *Emulator) Reprogram(image *dataprep.ImageConfig, audio *dataprep.AudioConfig) error {
-	if (image == nil) == (audio == nil) {
-		return fmt.Errorf("fpga: exactly one pipeline must be programmed")
-	}
-	e.Image, e.Audio = image, audio
-	return nil
 }

@@ -76,15 +76,6 @@ func TestUtilizationOverCapacityFails(t *testing.T) {
 	}
 }
 
-func TestEnginesForSelectsByType(t *testing.T) {
-	if EnginesFor(workload.Image)[0].Name != "Jpeg decoder" {
-		t.Error("image engines wrong")
-	}
-	if EnginesFor(workload.Audio)[0].Name != "Spectrogram" {
-		t.Error("audio engines wrong")
-	}
-}
-
 func TestPrepRates(t *testing.T) {
 	if PrepRate(workload.Image) != ImagePrepRate || PrepRate(workload.Audio) != AudioPrepRate {
 		t.Error("PrepRate selector wrong")
@@ -126,7 +117,7 @@ func TestEmulatorBitIdenticalWithCPUPath(t *testing.T) {
 	}
 	acfg := dataprep.DefaultAudioConfig()
 	cpuA := dataprep.AudioPreparer{Config: acfg}
-	devA := NewAudioEmulator(acfg)
+	devA := &Emulator{Audio: &acfg}
 	for _, key := range audStore.Keys() {
 		obj, _ := audStore.Get(key)
 		seed := dataprep.SampleSeed(1, key, 0)
@@ -141,24 +132,7 @@ func TestEmulatorBitIdenticalWithCPUPath(t *testing.T) {
 			}
 		}
 	}
-}
 
-func TestEmulatorReprogram(t *testing.T) {
-	img := dataprep.DefaultImageConfig()
-	aud := dataprep.DefaultAudioConfig()
-	e := NewImageEmulator(img)
-	if err := e.Reprogram(nil, &aud); err != nil {
-		t.Fatal(err)
-	}
-	if e.Audio == nil || e.Image != nil {
-		t.Error("reprogram did not swap pipelines")
-	}
-	if err := e.Reprogram(nil, nil); err == nil {
-		t.Error("empty reprogram accepted")
-	}
-	if err := e.Reprogram(&img, &aud); err == nil {
-		t.Error("double reprogram accepted")
-	}
 	bad := &Emulator{}
 	if out := bad.Prepare(storage.Object{Key: "x"}, 1, nil); out.Err == nil {
 		t.Error("unprogrammed emulator prepared a sample")

@@ -50,22 +50,25 @@ func TestClusterMetrics(t *testing.T) {
 	}
 }
 
-// TestP2PBatchMetrics: a metered handler's batch path must stream the
-// nvme-read and prep-engine stage series.
+// TestP2PBatchMetrics: a metered handler must stream its fpga.p2p.*
+// series for a batch it serves alone, with no cluster metrics attached.
 func TestP2PBatchMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	handlers, store, _ := leaseFixture(t, 1, WithMetrics(reg))
-	h := handlers[0]
+	cluster := newCluster(t, handlers)
 
-	out, err := h.PrepareBatch(store.Keys(), 3, 0)
+	out, err := cluster.PrepareBatch(context.Background(), store.Keys(), 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
-	if got := snap.Counters["pipeline.fpga-p2p.nvme-read.items"]; got != int64(len(out)) {
-		t.Errorf("nvme-read items = %d, want %d", got, len(out))
+	if got := snap.Counters["fpga.p2p.samples_prepared"]; got != int64(len(out)) {
+		t.Errorf("p2p samples_prepared = %d, want %d", got, len(out))
 	}
-	if got := snap.Counters["pipeline.fpga-p2p.prep-engine.items"]; got != int64(len(out)) {
-		t.Errorf("prep-engine items = %d, want %d", got, len(out))
+	if lat := snap.Histograms["fpga.p2p.sample_ns"]; lat.Count != int64(len(out)) {
+		t.Errorf("p2p sample_ns count = %d, want %d", lat.Count, len(out))
+	}
+	if _, ok := snap.Counters["fpga.pool.jobs_dispatched"]; ok {
+		t.Error("unmetered cluster reported dispatch counters")
 	}
 }

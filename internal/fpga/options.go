@@ -85,8 +85,7 @@ func WithName(name string) Option {
 // per-device utilization, resilience counters, and live pool size under
 // "fpga.pool[.<name>].*", plus the dispatch pipeline under
 // "pipeline.fpga-pool[-<name>].*". On a P2P handler: per-sample device
-// latency and sample counts under "fpga.p2p.*" and batch pipelines under
-// "pipeline.fpga-p2p.*".
+// latency and sample counts under "fpga.p2p.*".
 func WithMetrics(reg *metrics.Registry) Option {
 	return Option{
 		name: "WithMetrics",
@@ -95,7 +94,6 @@ func WithMetrics(reg *metrics.Registry) Option {
 			return nil
 		},
 		handler: func(h *P2PHandler) error {
-			h.reg = reg
 			h.mSamples = reg.Counter("fpga.p2p.samples_prepared")
 			h.mLatency = reg.Histogram("fpga.p2p.sample_ns")
 			return nil

@@ -87,7 +87,7 @@ func TestHandlerOptionsAPI(t *testing.T) {
 	h := handlers[0]
 	keys := store.Keys()
 	for i, key := range keys[:3] {
-		p := h.PrepareByKey(key, dataprep.SampleSeed(3, key, 0))
+		p := h.prepareSample(context.Background(), key, dataprep.SampleSeed(3, key, 0), 0)
 		if i < 2 && p.Err != nil {
 			t.Fatalf("sample %d within the device budget failed: %v", i, p.Err)
 		}

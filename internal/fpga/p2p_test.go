@@ -1,6 +1,7 @@
 package fpga
 
 import (
+	"context"
 	"testing"
 
 	"trainbox/internal/dataprep"
@@ -28,7 +29,7 @@ func TestP2PPathBitEqualWithHostPath(t *testing.T) {
 	}
 
 	const datasetSeed, epoch = 7, 2
-	device, err := handler.PrepareBatch(store.Keys(), datasetSeed, epoch)
+	device, err := newCluster(t, []*P2PHandler{handler}).PrepareBatch(context.Background(), store.Keys(), datasetSeed, epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +75,10 @@ func TestP2PHandlerErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := h.PrepareByKey("missing", 1); out.Err == nil {
+	if out := h.prepareSample(context.Background(), "missing", 1, 0); out.Err == nil {
 		t.Error("missing key prepared")
 	}
-	if _, err := h.PrepareBatch([]string{"missing"}, 1, 0); err == nil {
+	if _, err := newCluster(t, []*P2PHandler{h}).PrepareBatch(context.Background(), []string{"missing"}, 1, 0); err == nil {
 		t.Error("batch with missing key accepted")
 	}
 }
@@ -92,11 +93,11 @@ func TestP2PAudioPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := dataprep.DefaultAudioConfig()
-	h, err := NewP2PHandler(ns, NewAudioEmulator(cfg), 4)
+	h, err := NewP2PHandler(ns, &Emulator{Audio: &cfg}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := h.PrepareBatch(store.Keys(), 5, 0)
+	batch, err := newCluster(t, []*P2PHandler{h}).PrepareBatch(context.Background(), store.Keys(), 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func SizePool(req PoolRequest, net *eth.Network, availablePoolFPGAs int) (PoolAl
 	poolRate := float64(perFPGA) * equiv
 	// Ethernet ceiling: the box's FPGA ports carry offload traffic.
 	if req.OffloadBytesPerSample > 0 && req.InBoxFPGAs > 0 {
-		ethCap := float64(net.PortBandwidth()) * float64(req.InBoxFPGAs) / float64(req.OffloadBytesPerSample)
+		ethCap := float64(net.Link().Bandwidth) * float64(req.InBoxFPGAs) / float64(req.OffloadBytesPerSample)
 		if poolRate > ethCap {
 			poolRate = ethCap
 		}

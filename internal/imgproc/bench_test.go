@@ -30,18 +30,6 @@ func BenchmarkDecodeJPEGInto(b *testing.B) {
 	}
 }
 
-// BenchmarkResizeInto is bilinear resize into a reused destination.
-func BenchmarkResizeInto(b *testing.B) {
-	im, _ := benchImage(b)
-	var dst Image
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := ResizeInto(&dst, im, ModelSize, ModelSize); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkToTensorInto is the normalize-and-cast kernel into a reused
 // tensor.
 func BenchmarkToTensorInto(b *testing.B) {

@@ -53,17 +53,6 @@ func (im *Image) Set(x, y int, r, g, b uint8) {
 	im.Pix[i], im.Pix[i+1], im.Pix[i+2] = r, g, b
 }
 
-// Clone returns a deep copy.
-func (im *Image) Clone() *Image {
-	out := &Image{W: im.W, H: im.H, Pix: make([]uint8, len(im.Pix))}
-	copy(out.Pix, im.Pix)
-	return out
-}
-
-// Bytes returns the raw pixel byte count (H·W·3), the decoded in-memory
-// footprint the resource models account for.
-func (im *Image) Bytes() int { return len(im.Pix) }
-
 // SynthConfig controls synthetic image generation — the Imagenet
 // stand-in. Images mix smooth gradients with rectangles and disks so the
 // JPEG encoder produces realistically sized files.
@@ -197,15 +186,4 @@ func EncodeJPEG(im *Image, quality int) ([]byte, error) {
 		return nil, fmt.Errorf("imgproc: jpeg encode: %w", err)
 	}
 	return buf.Bytes(), nil
-}
-
-// DecodeJPEG decompresses JPEG bytes into an RGB image — the "Decoder"
-// engine of Table II (and the dominant CPU cost of image preparation,
-// Section V-B). Shim over DecodeJPEGInto with a fresh destination.
-func DecodeJPEG(data []byte) (*Image, error) {
-	out := &Image{}
-	if err := DecodeJPEGInto(out, data); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

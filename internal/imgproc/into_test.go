@@ -2,9 +2,11 @@ package imgproc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"image"
 	"image/jpeg"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -52,8 +54,8 @@ func TestDecodeJPEGIntoMatchesGenericPath(t *testing.T) {
 	}()
 	for name, data := range map[string][]byte{"ycbcr": color, "gray": gray} {
 		want := decodeGeneric(data)
-		got, err := DecodeJPEG(data)
-		if err != nil {
+		got := &Image{}
+		if err := DecodeJPEGInto(got, data); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if got.W != want.W || got.H != want.H || !bytes.Equal(got.Pix, want.Pix) {
@@ -62,108 +64,62 @@ func TestDecodeJPEGIntoMatchesGenericPath(t *testing.T) {
 	}
 }
 
-// TestIntoVariantsBitIdentical drives each *Into op with a reused
-// destination across seeds and compares to the allocating originals.
+// TestIntoVariantsBitIdentical drives each kernel with one destination
+// reused across kernels, sizes and seeds and compares it with a fresh
+// destination: stale capacity must never leak into the output.
 func TestIntoVariantsBitIdentical(t *testing.T) {
 	var dstImg Image
 	var dstTen Tensor
 	for seed := int64(0); seed < 4; seed++ {
 		src := SynthesizeImage(DefaultSynthConfig(), seed, int(seed)%10)
-
-		want, err := Crop(src, 10, 20, 100, 90)
-		if err != nil {
-			t.Fatal(err)
+		for name, op := range map[string]func(dst *Image, rng *rand.Rand) error{
+			"CropInto":       func(dst *Image, _ *rand.Rand) error { return CropInto(dst, src, 10, 20, 100, 90) },
+			"CenterCropInto": func(dst *Image, _ *rand.Rand) error { return CenterCropInto(dst, src, ModelSize, ModelSize) },
+			"RandomCropInto": func(dst *Image, rng *rand.Rand) error {
+				return RandomCropInto(dst, src, ModelSize, ModelSize, rng)
+			},
+			"MirrorInto":        func(dst *Image, _ *rand.Rand) error { MirrorInto(dst, src); return nil },
+			"GaussianNoiseInto": func(dst *Image, rng *rand.Rand) error { GaussianNoiseInto(dst, src, 5, rng); return nil },
+		} {
+			fresh := &Image{}
+			if err := op(fresh, rand.New(rand.NewSource(seed))); err != nil {
+				t.Fatal(err)
+			}
+			if err := op(&dstImg, rand.New(rand.NewSource(seed))); err != nil {
+				t.Fatal(err)
+			}
+			if dstImg.W != fresh.W || dstImg.H != fresh.H || !bytes.Equal(dstImg.Pix, fresh.Pix) {
+				t.Fatalf("seed %d: %s into a reused destination differs from a fresh one", seed, name)
+			}
 		}
-		if err := CropInto(&dstImg, src, 10, 20, 100, 90); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(dstImg.Pix, want.Pix) {
-			t.Fatalf("seed %d: CropInto differs", seed)
-		}
-
-		want, err = CenterCrop(src, ModelSize, ModelSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := CenterCropInto(&dstImg, src, ModelSize, ModelSize); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(dstImg.Pix, want.Pix) {
-			t.Fatalf("seed %d: CenterCropInto differs", seed)
-		}
-
-		r1 := rand.New(rand.NewSource(seed))
-		r2 := rand.New(rand.NewSource(seed))
-		want, err = RandomCrop(src, ModelSize, ModelSize, r1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := RandomCropInto(&dstImg, src, ModelSize, ModelSize, r2); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(dstImg.Pix, want.Pix) {
-			t.Fatalf("seed %d: RandomCropInto differs", seed)
-		}
-
-		wantM := Mirror(src)
-		MirrorInto(&dstImg, src)
-		if !bytes.Equal(dstImg.Pix, wantM.Pix) {
-			t.Fatalf("seed %d: MirrorInto differs", seed)
-		}
-
-		r1 = rand.New(rand.NewSource(seed))
-		r2 = rand.New(rand.NewSource(seed))
-		wantN := GaussianNoise(src, 5, r1)
-		GaussianNoiseInto(&dstImg, src, 5, r2)
-		if !bytes.Equal(dstImg.Pix, wantN.Pix) {
-			t.Fatalf("seed %d: GaussianNoiseInto differs", seed)
-		}
-		// In-place aliasing path.
-		clone := src.Clone()
-		r2 = rand.New(rand.NewSource(seed))
-		GaussianNoiseInto(clone, clone, 5, r2)
-		if !bytes.Equal(clone.Pix, wantN.Pix) {
+		// In-place aliasing path: dstImg holds the noised copy by now.
+		inPlace := &Image{W: src.W, H: src.H, Pix: append([]uint8(nil), src.Pix...)}
+		GaussianNoiseInto(inPlace, inPlace, 5, rand.New(rand.NewSource(seed)))
+		GaussianNoiseInto(&dstImg, src, 5, rand.New(rand.NewSource(seed)))
+		if !bytes.Equal(inPlace.Pix, dstImg.Pix) {
 			t.Fatalf("seed %d: in-place GaussianNoiseInto differs", seed)
 		}
 
-		wantR, err := Resize(src, ModelSize, ModelSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ResizeInto(&dstImg, src, ModelSize, ModelSize); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(dstImg.Pix, wantR.Pix) {
-			t.Fatalf("seed %d: ResizeInto differs", seed)
-		}
-
-		wantT, err := ToTensor(src, ImagenetMean, ImagenetStd)
-		if err != nil {
+		fresh := &Tensor{}
+		if err := ToTensorInto(fresh, src, ImagenetMean, ImagenetStd); err != nil {
 			t.Fatal(err)
 		}
 		if err := ToTensorInto(&dstTen, src, ImagenetMean, ImagenetStd); err != nil {
 			t.Fatal(err)
 		}
-		if len(dstTen.Data) != len(wantT.Data) {
+		if len(dstTen.Data) != len(fresh.Data) {
 			t.Fatalf("seed %d: tensor size differs", seed)
 		}
-		for i := range wantT.Data {
-			if dstTen.Data[i] != wantT.Data[i] {
+		for i := range fresh.Data {
+			if dstTen.Data[i] != fresh.Data[i] {
 				t.Fatalf("seed %d: ToTensorInto cell %d differs", seed, i)
 			}
 		}
 	}
 
-	// The destinations are warm by now: resize and cast reuse them and
-	// allocate nothing per sample.
+	// The destination is warm by now: the cast reuses it and allocates
+	// nothing per sample.
 	src := SynthesizeImage(DefaultSynthConfig(), 1, 3)
-	if n := testing.AllocsPerRun(10, func() {
-		if err := ResizeInto(&dstImg, src, ModelSize, ModelSize); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("warm ResizeInto allocates %.1f objects/call, want 0", n)
-	}
 	if n := testing.AllocsPerRun(10, func() {
 		if err := ToTensorInto(&dstTen, src, ImagenetMean, ImagenetStd); err != nil {
 			t.Fatal(err)
@@ -180,9 +136,6 @@ func TestIntoValidationErrors(t *testing.T) {
 	var dst Image
 	if err := CropInto(&dst, src, 30, 30, 10, 10); err == nil {
 		t.Error("out-of-bounds CropInto should fail")
-	}
-	if err := ResizeInto(&dst, src, 0, 10); err == nil {
-		t.Error("zero-size ResizeInto should fail")
 	}
 	var ten Tensor
 	if err := ToTensorInto(&ten, src, []float64{0}, nil); err == nil {
@@ -235,4 +188,73 @@ func TestImageTensorReset(t *testing.T) {
 		}
 	}()
 	im.Reset(0, 4)
+}
+
+// tinyJPEG is a 16² stdlib-encoded file: one SOF0 frame header.
+func tinyJPEG(t testing.TB) []byte {
+	t.Helper()
+	data, err := EncodeJPEG(SynthesizeImage(SynthConfig{Size: 16, Shapes: 2}, 1, 1), 90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// withFrameSize returns a copy of data whose SOF0 header declares w×h.
+func withFrameSize(t testing.TB, data []byte, w, h uint16) []byte {
+	t.Helper()
+	sof := bytes.Index(data, []byte{0xFF, 0xC0})
+	if sof < 0 {
+		t.Fatal("no SOF0 marker")
+	}
+	out := append([]byte(nil), data...)
+	binary.BigEndian.PutUint16(out[sof+5:], h)
+	binary.BigEndian.PutUint16(out[sof+7:], w)
+	return out
+}
+
+// TestDecodeJPEGIntoRejectsForgedDimensions: a 16² file whose SOF0
+// claims 65280² pixels must fail before image/jpeg sizes its planes
+// from the header (≈ 6 GB, allocated before the scan fails), and the
+// header walk that catches it allocates nothing.
+func TestDecodeJPEGIntoRejectsForgedDimensions(t *testing.T) {
+	valid := tinyJPEG(t)
+	forged := withFrameSize(t, valid, 0xFF00, 0xFF00)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := DecodeJPEGInto(&Image{}, forged)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a 65280² header was accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("rejecting the forged header allocated %d bytes, want < 1 MB", grew)
+	}
+	if w, h, ok := jpegFrameSize(valid); !ok || w != 16 || h != 16 {
+		t.Errorf("jpegFrameSize(valid) = %d, %d, %v, want 16, 16, true", w, h, ok)
+	}
+	if n := testing.AllocsPerRun(10, func() { jpegFrameSize(valid) }); n != 0 {
+		t.Errorf("the header walk allocates %.1f objects/call, want 0", n)
+	}
+}
+
+// FuzzDecodeJPEGInto feeds arbitrary bytes to the decode entry point of
+// every image workload. It must never panic; a stream it accepts must
+// declare no more than maxDecodePixels, and the frame the header walk
+// found must be the one image/jpeg decoded. The seed corpus holds a
+// valid 16² file, one truncated mid-scan, one with forged 65280²
+// dimensions and one with no frame header.
+func FuzzDecodeJPEGInto(f *testing.F) {
+	var dst Image
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := DecodeJPEGInto(&dst, data); err != nil {
+			return
+		}
+		if dst.W*dst.H > maxDecodePixels {
+			t.Fatalf("accepted a %dx%d frame, over %d pixels", dst.W, dst.H, maxDecodePixels)
+		}
+		if w, h, _ := jpegFrameSize(data); w != dst.W || h != dst.H {
+			t.Fatalf("header walk found %dx%d, image/jpeg decoded %dx%d", w, h, dst.W, dst.H)
+		}
+	})
 }

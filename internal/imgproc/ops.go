@@ -1,37 +1,5 @@
 package imgproc
 
-import (
-	"math/rand"
-)
-
-// Crop extracts the w×h window whose top-left corner is (x, y) — the
-// "Crop" engine of Table II. Shim over CropInto with a fresh
-// destination.
-func Crop(im *Image, x, y, w, h int) (*Image, error) {
-	out := &Image{}
-	if err := CropInto(out, im, x, y, w, h); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// CenterCrop extracts the centered w×h window.
-func CenterCrop(im *Image, w, h int) (*Image, error) {
-	return Crop(im, (im.W-w)/2, (im.H-h)/2, w, h)
-}
-
-// RandomCrop extracts a uniformly random w×h window. This is the paper's
-// headline augmentation: a 256×256 image yields 32×32 distinct 224×224
-// crops, which is why static pre-augmentation needs ~2.2 PB (Section
-// III-D).
-func RandomCrop(im *Image, w, h int, rng *rand.Rand) (*Image, error) {
-	out := &Image{}
-	if err := RandomCropInto(out, im, w, h, rng); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // NumDistinctCrops returns how many distinct w×h crop positions an
 // image offers ((W−w+1)·(H−h+1)); used by the storage-overhead analysis.
 func NumDistinctCrops(imW, imH, w, h int) int {
@@ -39,24 +7,6 @@ func NumDistinctCrops(imW, imH, w, h int) int {
 		return 0
 	}
 	return (imW - w + 1) * (imH - h + 1)
-}
-
-// Mirror returns the horizontally flipped image — the "Mirror" engine of
-// Table II. Shim over MirrorInto with a fresh destination.
-func Mirror(im *Image) *Image {
-	out := &Image{}
-	MirrorInto(out, im)
-	return out
-}
-
-// GaussianNoise adds clamped zero-mean Gaussian noise with the given
-// standard deviation (in 8-bit counts) to every channel — the "Gaussian
-// noise" engine of Table II. A nil rng or non-positive stddev returns an
-// unmodified copy. Shim over GaussianNoiseInto with a fresh destination.
-func GaussianNoise(im *Image, stddev float64, rng *rand.Rand) *Image {
-	out := &Image{}
-	GaussianNoiseInto(out, im, stddev, rng)
-	return out
 }
 
 // Tensor is a float32 CHW tensor: Data[c*H*W + y*W + x].
@@ -73,18 +23,6 @@ func (t *Tensor) Bytes() int { return 4 * len(t.Data) }
 
 // At returns the value at channel c, row y, column x.
 func (t *Tensor) At(c, y, x int) float32 { return t.Data[c*t.H*t.W+y*t.W+x] }
-
-// ToTensor casts the image to a float32 CHW tensor — the "Cast" engine
-// of Table II — normalizing each channel as (v/255 − mean[c]) / std[c].
-// Nil mean/std default to 0 and 1 (plain [0,1] scaling). Shim over
-// ToTensorInto with a fresh destination.
-func ToTensor(im *Image, mean, std []float64) (*Tensor, error) {
-	t := &Tensor{}
-	if err := ToTensorInto(t, im, mean, std); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
 
 // ImagenetMean and ImagenetStd are the conventional per-channel
 // normalization constants for Imagenet-trained models.

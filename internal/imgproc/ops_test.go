@@ -19,8 +19,8 @@ func gradientImage(w, h int) *Image {
 
 func TestCropExtractsExactWindow(t *testing.T) {
 	im := gradientImage(16, 16)
-	c, err := Crop(im, 3, 5, 4, 6)
-	if err != nil {
+	c := &Image{}
+	if err := CropInto(c, im, 3, 5, 4, 6); err != nil {
 		t.Fatal(err)
 	}
 	if c.W != 4 || c.H != 6 {
@@ -43,7 +43,7 @@ func TestCropRejectsOutOfBounds(t *testing.T) {
 		{-1, 0, 4, 4}, {0, -1, 4, 4}, {5, 0, 4, 4}, {0, 5, 4, 4}, {0, 0, 0, 4}, {0, 0, 4, 0}, {0, 0, 9, 9},
 	}
 	for i, c := range cases {
-		if _, err := Crop(im, c[0], c[1], c[2], c[3]); err == nil {
+		if err := CropInto(&Image{}, im, c[0], c[1], c[2], c[3]); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
@@ -51,8 +51,8 @@ func TestCropRejectsOutOfBounds(t *testing.T) {
 
 func TestCenterCrop(t *testing.T) {
 	im := gradientImage(StoredSize, StoredSize)
-	c, err := CenterCrop(im, ModelSize, ModelSize)
-	if err != nil {
+	c := &Image{}
+	if err := CenterCropInto(c, im, ModelSize, ModelSize); err != nil {
 		t.Fatal(err)
 	}
 	r, _, _ := c.At(0, 0)
@@ -66,8 +66,8 @@ func TestRandomCropAlwaysInBoundsProperty(t *testing.T) {
 	im := gradientImage(StoredSize, StoredSize)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c, err := RandomCrop(im, ModelSize, ModelSize, rng)
-		if err != nil || c.W != ModelSize || c.H != ModelSize {
+		c := &Image{}
+		if err := RandomCropInto(c, im, ModelSize, ModelSize, rng); err != nil || c.W != ModelSize || c.H != ModelSize {
 			return false
 		}
 		// Every crop row must be a contiguous slice of a source row:
@@ -91,7 +91,7 @@ func TestRandomCropAlwaysInBoundsProperty(t *testing.T) {
 
 func TestRandomCropTooLarge(t *testing.T) {
 	im := gradientImage(8, 8)
-	if _, err := RandomCrop(im, 9, 4, rand.New(rand.NewSource(1))); err == nil {
+	if err := RandomCropInto(&Image{}, im, 9, 4, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("oversized random crop accepted")
 	}
 }
@@ -119,7 +119,9 @@ func TestMirrorIsInvolutionProperty(t *testing.T) {
 		for i := range im.Pix {
 			im.Pix[i] = uint8(rng.Intn(256))
 		}
-		back := Mirror(Mirror(im))
+		var m, back Image
+		MirrorInto(&m, im)
+		MirrorInto(&back, &m)
 		for i := range im.Pix {
 			if back.Pix[i] != im.Pix[i] {
 				return false
@@ -134,7 +136,8 @@ func TestMirrorIsInvolutionProperty(t *testing.T) {
 
 func TestMirrorFlipsColumns(t *testing.T) {
 	im := gradientImage(10, 3)
-	m := Mirror(im)
+	m := &Image{}
+	MirrorInto(m, im)
 	for y := 0; y < 3; y++ {
 		for x := 0; x < 10; x++ {
 			r, g, b := m.At(x, y)
@@ -148,7 +151,8 @@ func TestMirrorFlipsColumns(t *testing.T) {
 
 func TestGaussianNoiseChangesPixelsButStaysClamped(t *testing.T) {
 	im := gradientImage(32, 32)
-	noisy := GaussianNoise(im, 20, rand.New(rand.NewSource(9)))
+	noisy := &Image{}
+	GaussianNoiseInto(noisy, im, 20, rand.New(rand.NewSource(9)))
 	if noisy.W != im.W || noisy.H != im.H {
 		t.Fatal("size changed")
 	}
@@ -164,16 +168,18 @@ func TestGaussianNoiseChangesPixelsButStaysClamped(t *testing.T) {
 	// Original untouched.
 	r, _, _ := im.At(5, 5)
 	if r != 5 {
-		t.Error("GaussianNoise modified its input")
+		t.Error("GaussianNoiseInto modified its source")
 	}
 }
 
 func TestGaussianNoiseNoopCases(t *testing.T) {
 	im := gradientImage(4, 4)
-	for _, out := range []*Image{
-		GaussianNoise(im, 0, rand.New(rand.NewSource(1))),
-		GaussianNoise(im, 10, nil),
-	} {
+	for _, c := range []struct {
+		stddev float64
+		rng    *rand.Rand
+	}{{0, rand.New(rand.NewSource(1))}, {10, nil}} {
+		out := &Image{}
+		GaussianNoiseInto(out, im, c.stddev, c.rng)
 		for i := range im.Pix {
 			if out.Pix[i] != im.Pix[i] {
 				t.Fatal("noop noise changed pixels")
@@ -187,8 +193,8 @@ func TestToTensorLayoutAndScaling(t *testing.T) {
 	im.Set(0, 0, 255, 0, 0)
 	im.Set(1, 0, 0, 255, 0)
 	im.Set(0, 1, 0, 0, 255)
-	ten, err := ToTensor(im, nil, nil)
-	if err != nil {
+	ten := &Tensor{}
+	if err := ToTensorInto(ten, im, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if ten.C != 3 || ten.H != 2 || ten.W != 2 {
@@ -205,8 +211,8 @@ func TestToTensorLayoutAndScaling(t *testing.T) {
 func TestToTensorNormalization(t *testing.T) {
 	im := NewImage(1, 1)
 	im.Set(0, 0, 128, 128, 128)
-	ten, err := ToTensor(im, ImagenetMean, ImagenetStd)
-	if err != nil {
+	ten := &Tensor{}
+	if err := ToTensorInto(ten, im, ImagenetMean, ImagenetStd); err != nil {
 		t.Fatal(err)
 	}
 	want := (128.0/255 - ImagenetMean[0]) / ImagenetStd[0]
@@ -217,10 +223,10 @@ func TestToTensorNormalization(t *testing.T) {
 
 func TestToTensorRejectsBadParams(t *testing.T) {
 	im := NewImage(1, 1)
-	if _, err := ToTensor(im, []float64{0}, nil); err == nil {
+	if err := ToTensorInto(&Tensor{}, im, []float64{0}, nil); err == nil {
 		t.Error("short mean accepted")
 	}
-	if _, err := ToTensor(im, nil, []float64{1, 1, 0}); err == nil {
+	if err := ToTensorInto(&Tensor{}, im, nil, []float64{1, 1, 0}); err == nil {
 		t.Error("zero std accepted")
 	}
 }
@@ -229,7 +235,10 @@ func TestTensorBytesMatchesPaperDataLoadSize(t *testing.T) {
 	// Section III-C: a 224×224 RGB float tensor is ~0.15 MB raw ×4 for
 	// float32 = 602,112 bytes, the per-sample accelerator load.
 	im := NewImage(ModelSize, ModelSize)
-	ten, _ := ToTensor(im, nil, nil)
+	ten := &Tensor{}
+	if err := ToTensorInto(ten, im, nil, nil); err != nil {
+		t.Fatal(err)
+	}
 	if ten.Bytes() != 602112 {
 		t.Errorf("tensor bytes = %d, want 602112", ten.Bytes())
 	}
@@ -241,8 +250,8 @@ func TestJPEGRoundTripApproximatesPixels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeJPEG(data)
-	if err != nil {
+	back := &Image{}
+	if err := DecodeJPEGInto(back, data); err != nil {
 		t.Fatal(err)
 	}
 	if back.W != im.W || back.H != im.H {
@@ -260,7 +269,7 @@ func TestJPEGRoundTripApproximatesPixels(t *testing.T) {
 }
 
 func TestDecodeJPEGRejectsGarbage(t *testing.T) {
-	if _, err := DecodeJPEG([]byte("not a jpeg")); err == nil {
+	if err := DecodeJPEGInto(&Image{}, []byte("not a jpeg")); err == nil {
 		t.Error("garbage accepted")
 	}
 }
@@ -301,6 +310,52 @@ func TestSynthesizeImageDeterministicPerSeed(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds, identical image")
+	}
+}
+
+func TestSynthesizeStripedProperties(t *testing.T) {
+	cfg := SynthConfig{Size: 64}
+	a := SynthesizeStriped(cfg, 1, 0)
+	b := SynthesizeStriped(cfg, 1, 0)
+	for i := range a.Pix {
+		if a.Pix[i] != b.Pix[i] {
+			t.Fatal("striped synthesis not deterministic")
+		}
+	}
+	// Grayscale: all three channels equal.
+	for y := 0; y < 64; y += 7 {
+		for x := 0; x < 64; x += 7 {
+			r, g, bl := a.At(x, y)
+			if r != g || g != bl {
+				t.Fatal("striped image is not grayscale")
+			}
+		}
+	}
+	// Equal mean intensity across classes (the no-shortcut property).
+	mean := func(im *Image) float64 {
+		var s float64
+		for _, v := range im.Pix {
+			s += float64(v)
+		}
+		return s / float64(len(im.Pix))
+	}
+	m0 := mean(SynthesizeStriped(cfg, 5, 0))
+	m2 := mean(SynthesizeStriped(cfg, 5, 2))
+	if math.Abs(m0-m2) > 12 {
+		t.Errorf("class means differ too much: %v vs %v", m0, m2)
+	}
+	// Different classes produce different stripe patterns.
+	c0 := SynthesizeStriped(cfg, 5, 0)
+	c2 := SynthesizeStriped(cfg, 5, 2)
+	same := true
+	for i := range c0.Pix {
+		if c0.Pix[i] != c2.Pix[i] {
+			same = false
+			break
+		}
+	}
+	if same {
+		t.Error("classes 0 and 2 produced identical stripes")
 	}
 }
 

@@ -40,14 +40,6 @@ func (t *huffTable) init(counts [16]int, symbols []byte) error {
 	return nil
 }
 
-func newHuffTable(counts [16]int, symbols []byte) (*huffTable, error) {
-	t := &huffTable{}
-	if err := t.init(counts, symbols); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // bitReader reads the entropy-coded stream with JPEG byte stuffing
 // (0xFF 0x00 → literal 0xFF) and stops at markers.
 type bitReader struct {

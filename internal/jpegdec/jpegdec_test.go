@@ -190,7 +190,7 @@ func TestExtend(t *testing.T) {
 func TestHuffTableRejectsMismatch(t *testing.T) {
 	var counts [16]int
 	counts[0] = 2
-	if _, err := newHuffTable(counts, []byte{1}); err == nil {
+	if err := (&huffTable{}).init(counts, []byte{1}); err == nil {
 		t.Error("count/symbol mismatch accepted")
 	}
 }

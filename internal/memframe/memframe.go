@@ -79,10 +79,6 @@ type Pool[T any] struct {
 	stats   Stats
 }
 
-// NewPool returns an empty pool. Equivalent to new(Pool[T]); provided
-// for symmetry with the rest of the repo's constructors.
-func NewPool[T any]() *Pool[T] { return new(Pool[T]) }
-
 // classFor returns the index of the smallest class holding ≥ n
 // elements, or -1 when n exceeds the largest class.
 func classFor(n int) int {

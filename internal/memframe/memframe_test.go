@@ -21,7 +21,7 @@ func TestClassFor(t *testing.T) {
 }
 
 func TestGetPutReuses(t *testing.T) {
-	p := NewPool[float32]()
+	p := new(Pool[float32])
 	a := p.Get(100)
 	if len(a) != 100 || cap(a) != 128 {
 		t.Fatalf("Get(100): len %d cap %d, want 100/128", len(a), cap(a))
@@ -44,7 +44,7 @@ func TestGetPutReuses(t *testing.T) {
 }
 
 func TestGetZeroAndOversized(t *testing.T) {
-	p := NewPool[byte]()
+	p := new(Pool[byte])
 	if s := p.Get(0); s != nil {
 		t.Error("Get(0) should return nil")
 	}
@@ -60,7 +60,7 @@ func TestGetZeroAndOversized(t *testing.T) {
 }
 
 func TestPutSmallDropped(t *testing.T) {
-	p := NewPool[byte]()
+	p := new(Pool[byte])
 	p.Put(make([]byte, 8))
 	if st := p.Stats(); st.Drops != 1 {
 		t.Errorf("tiny Put not dropped: %+v", st)
@@ -71,7 +71,7 @@ func TestPutSmallDropped(t *testing.T) {
 }
 
 func TestPutFilesUnderCoveringClass(t *testing.T) {
-	p := NewPool[byte]()
+	p := new(Pool[byte])
 	// Capacity 100 covers class 0 (64) but not class 1 (128): it must be
 	// filed under class 0 so a Get(128) never receives it.
 	p.Put(make([]byte, 100))
@@ -86,7 +86,7 @@ func TestPutFilesUnderCoveringClass(t *testing.T) {
 }
 
 func TestKeepBound(t *testing.T) {
-	p := NewPool[byte]()
+	p := new(Pool[byte])
 	for i := 0; i < defaultKeep+5; i++ {
 		p.Put(make([]byte, 64))
 	}
@@ -97,7 +97,7 @@ func TestKeepBound(t *testing.T) {
 }
 
 func TestSteadyStateAllocFree(t *testing.T) {
-	p := NewPool[float64]()
+	p := new(Pool[float64])
 	p.Put(p.Get(1000))
 	allocs := testing.AllocsPerRun(100, func() {
 		s := p.Get(1000)
@@ -109,7 +109,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 }
 
 func TestConcurrentUse(t *testing.T) {
-	p := NewPool[int32]()
+	p := new(Pool[int32])
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -67,16 +67,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.Observe(float64(d.Nanoseconds()))
 }
 
-// Count returns the lifetime observation count (0 on a nil histogram).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
 // HistogramSnapshot is a histogram's exported state. Count, Sum, Mean,
 // Min, and Max are lifetime aggregates; the quantiles are computed over
 // the current observation window.

@@ -1,7 +1,7 @@
 // Package metrics is the repo's unified telemetry layer: a small,
 // dependency-free registry of named counters, gauges, windowed
-// histograms, and rate meters, with consistent snapshotting and
-// JSON/expvar export.
+// histograms, and rate meters, with consistent snapshotting and JSON
+// export.
 //
 // TrainBox's argument is quantitative — data preparation must keep up
 // with accelerator demand, and the balance has to be re-measured as the
@@ -70,20 +70,6 @@ func (g *Gauge) Set(v float64) {
 
 // SetInt stores an integer level.
 func (g *Gauge) SetInt(v int64) { g.Set(float64(v)) }
-
-// Add atomically adds delta to the level.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		v := math.Float64frombits(old) + delta
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
 
 // Value returns the current level (0 on a nil gauge).
 func (g *Gauge) Value() float64 {

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"encoding/json"
-	"expvar"
 	"sync"
 	"testing"
 	"time"
@@ -10,8 +9,8 @@ import (
 	"trainbox/internal/invariant"
 )
 
-// TestConcurrentIncrements hammers one counter, gauge, meter, and
-// histogram from many goroutines; run under -race in CI it proves the
+// TestConcurrentIncrements hammers one counter, meter, and histogram
+// from many goroutines; run under -race in CI it proves the
 // hot-path operations are data-race free, and the final counts prove no
 // increments are lost.
 func TestConcurrentIncrements(t *testing.T) {
@@ -25,12 +24,10 @@ func TestConcurrentIncrements(t *testing.T) {
 			// Get-or-create from every goroutine: handles must converge on
 			// the same metric.
 			c := reg.Counter("c")
-			g := reg.Gauge("g")
 			m := reg.Meter("m")
 			h := reg.Histogram("h")
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				g.Add(1)
 				m.Mark(1)
 				h.Observe(float64(i))
 			}
@@ -41,13 +38,10 @@ func TestConcurrentIncrements(t *testing.T) {
 	if got := reg.Counter("c").Value(); got != want {
 		t.Errorf("counter = %d, want %d", got, want)
 	}
-	if got := reg.Gauge("g").Value(); got != want {
-		t.Errorf("gauge = %v, want %d", got, want)
-	}
 	if got := reg.Meter("m").Count(); got != want {
 		t.Errorf("meter count = %d, want %d", got, want)
 	}
-	if got := reg.Histogram("h").Count(); got != want {
+	if got := reg.Histogram("h").Snapshot().Count; got != want {
 		t.Errorf("histogram count = %d, want %d", got, want)
 	}
 }
@@ -92,17 +86,15 @@ func TestNilSafety(t *testing.T) {
 	c.Inc()
 	c.Add(5)
 	g.Set(1)
-	g.Add(1)
 	g.SetInt(2)
 	m.Mark(3)
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
-	if c.Value() != 0 || g.Value() != 0 || m.Count() != 0 || m.Rate() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || m.Count() != 0 || m.Rate() != 0 {
 		t.Error("nil metrics must read as zero")
 	}
-	snap := reg.Snapshot()
-	if len(snap.Names()) != 0 {
-		t.Errorf("nil registry snapshot has names: %v", snap.Names())
+	if snap := reg.Snapshot(); len(snap.Counters)+len(snap.Gauges)+len(snap.Meters)+len(snap.Histograms) != 0 {
+		t.Errorf("nil registry snapshot has metrics: %+v", snap)
 	}
 	if (HistogramSnapshot{}) != h.Snapshot() {
 		t.Error("nil histogram snapshot must be zero")
@@ -151,7 +143,7 @@ func TestSnapshotJSON(t *testing.T) {
 	reg.Meter("a.rate").Mark(2)
 	reg.Histogram("a.lat").Observe(42)
 
-	data, err := reg.Snapshot().MarshalJSONIndent()
+	data, err := json.Marshal(reg.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,24 +176,5 @@ func TestGetOrCreateSharing(t *testing.T) {
 	}
 	if reg.Histogram("h") != reg.Histogram("h") {
 		t.Error("same-name histograms are distinct instances")
-	}
-}
-
-// TestExpvarPublish: Publish must export a live snapshot through the
-// process expvar namespace.
-func TestExpvarPublish(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("hits").Add(7)
-	reg.Publish("metrics_test_registry")
-	v := expvar.Get("metrics_test_registry")
-	if v == nil {
-		t.Fatal("registry not published")
-	}
-	var decoded Snapshot
-	if err := json.Unmarshal([]byte(v.String()), &decoded); err != nil {
-		t.Fatalf("unmarshal expvar value: %v", err)
-	}
-	if decoded.Counters["hits"] != 7 {
-		t.Errorf("expvar snapshot = %+v, want hits=7", decoded)
 	}
 }

@@ -1,11 +1,5 @@
 package metrics
 
-import (
-	"encoding/json"
-	"expvar"
-	"sort"
-)
-
 // Snapshot is a point-in-time copy of every metric in a registry,
 // grouped by kind. It is fully detached from the registry: later metric
 // updates never alter a taken snapshot. The zero value is an empty
@@ -71,37 +65,4 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// Names returns every metric name in the snapshot, sorted, across all
-// kinds — convenient for asserting coverage in tests.
-func (s Snapshot) Names() []string {
-	var out []string
-	for k := range s.Counters {
-		out = append(out, k)
-	}
-	for k := range s.Gauges {
-		out = append(out, k)
-	}
-	for k := range s.Meters {
-		out = append(out, k)
-	}
-	for k := range s.Histograms {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// MarshalJSONIndent renders the snapshot as indented JSON.
-func (s Snapshot) MarshalJSONIndent() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
-}
-
-// Publish registers the registry under the given name in the process's
-// expvar namespace (served at /debug/vars by net/http's default mux),
-// exporting a live snapshot on every scrape. Like expvar.Publish it
-// must be called at most once per name per process.
-func (r *Registry) Publish(name string) {
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

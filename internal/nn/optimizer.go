@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // SGD is a stateful optimizer with optional momentum and L2 weight decay
 // — the update rule of the paper's workloads (large-minibatch SGD per
@@ -104,38 +101,4 @@ func (o *SGD) SetVelocity(n *Network, flat []float64) error {
 	}
 	o.velocity = v
 	return nil
-}
-
-// VelocityNorm returns the L2 norm of the optimizer state (diagnostics).
-func (o *SGD) VelocityNorm() float64 {
-	var s float64
-	for _, v := range o.velocity {
-		for _, x := range v {
-			s += x * x
-		}
-	}
-	return math.Sqrt(s)
-}
-
-// TrainEpochWith runs one epoch of minibatch SGD with the optimizer and
-// returns the mean loss (the optimizer-parameterized version of
-// TrainEpoch).
-func (n *Network) TrainEpochWith(samples []Sample, batch int, opt *SGD) float64 {
-	if batch <= 0 {
-		batch = 1
-	}
-	var total float64
-	for start := 0; start < len(samples); start += batch {
-		end := start + batch
-		if end > len(samples) {
-			end = len(samples)
-		}
-		n.ZeroGrad()
-		for _, s := range samples[start:end] {
-			logits := n.Forward(s.X)
-			total += n.LossAndBackward(logits, s.Label)
-		}
-		opt.Step(n, end-start)
-	}
-	return total / float64(len(samples))
 }

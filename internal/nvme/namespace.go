@@ -68,9 +68,6 @@ func LoadStore(store *storage.Store) (*Namespace, error) {
 	return ns, nil
 }
 
-// Controller returns the device.
-func (ns *Namespace) Controller() *Controller { return ns.ctrl }
-
 // Extent resolves a key to its placement.
 func (ns *Namespace) Extent(key string) (Extent, error) {
 	e, ok := ns.extents[key]

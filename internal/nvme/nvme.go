@@ -126,12 +126,6 @@ func (qp *QueuePair) Submit(cmd Command) bool { return qp.sq.push(cmd) }
 // Poll dequeues one completion if available.
 func (qp *QueuePair) Poll() (Completion, bool) { return qp.cq.pop() }
 
-// SubmissionDepth reports queued, unprocessed commands.
-func (qp *QueuePair) SubmissionDepth() int { return qp.sq.count }
-
-// CompletionDepth reports posted, unconsumed completions.
-func (qp *QueuePair) CompletionDepth() int { return qp.cq.count }
-
 // Controller is the device side: it owns the backing blocks and
 // processes queue pairs on Doorbell rings.
 type Controller struct {

@@ -24,8 +24,8 @@ func TestQueuePairDepthAndWraparound(t *testing.T) {
 		if qp.Submit(Command{ID: 99}) {
 			t.Fatal("full queue accepted a command")
 		}
-		if qp.SubmissionDepth() != 4 {
-			t.Fatalf("depth = %d", qp.SubmissionDepth())
+		if qp.sq.count != 4 {
+			t.Fatalf("depth = %d", qp.sq.count)
 		}
 		for i := 0; i < 4; i++ {
 			cmd, ok := qp.sq.pop()
@@ -94,19 +94,19 @@ func TestDoorbellStopsWhenCompletionQueueFull(t *testing.T) {
 	qp.Submit(Command{ID: 1, Opcode: OpRead, LBA: 0, NumBlocks: 1})
 	qp.Submit(Command{ID: 2, Opcode: OpRead, LBA: 1, NumBlocks: 1})
 	ctrl.Doorbell(qp)
-	if qp.CompletionDepth() != 2 {
-		t.Fatalf("completions = %d", qp.CompletionDepth())
+	if qp.cq.count != 2 {
+		t.Fatalf("completions = %d", qp.cq.count)
 	}
 	// CQ full; a third command must stay pending until a poll frees room.
 	qp.Submit(Command{ID: 3, Opcode: OpRead, LBA: 2, NumBlocks: 1})
 	ctrl.Doorbell(qp)
-	if qp.SubmissionDepth() != 1 {
-		t.Errorf("pending commands = %d, want 1 (flow control)", qp.SubmissionDepth())
+	if qp.sq.count != 1 {
+		t.Errorf("pending commands = %d, want 1 (flow control)", qp.sq.count)
 	}
 	qp.Poll()
 	ctrl.Doorbell(qp)
-	if qp.SubmissionDepth() != 0 || qp.CompletionDepth() != 2 {
-		t.Errorf("after poll: sq=%d cq=%d", qp.SubmissionDepth(), qp.CompletionDepth())
+	if qp.sq.count != 0 || qp.cq.count != 2 {
+		t.Errorf("after poll: sq=%d cq=%d", qp.sq.count, qp.cq.count)
 	}
 }
 
@@ -191,7 +191,7 @@ func TestNamespaceExtentsNonOverlappingProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return ext.LBA+uint64(ext.Blocks()) <= ns.Controller().NumBlocks()
+		return ext.LBA+uint64(ext.Blocks()) <= ns.ctrl.NumBlocks()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)

@@ -134,7 +134,7 @@ func (b refBatch) done(pool *memframe.Pool[float32]) {
 func TestChaosEchoCancelNoPooledLeak(t *testing.T) {
 	const factor = 3
 	for trial := 0; trial < 40; trial++ {
-		pool := memframe.NewPool[float32]()
+		pool := new(memframe.Pool[float32])
 		prep := NewStage("prepare", 1, 2, func(_ context.Context, n int) ([]float32, error) {
 			buf := pool.Get(256)
 			for i := range buf {

@@ -59,23 +59,3 @@ func TestRunWithoutMetrics(t *testing.T) {
 	// Nothing to assert against a registry — the point is the run above
 	// cannot panic with nil metric handles and pays no registry cost.
 }
-
-// TestStatsSetReport: the legacy StatsSet bridge must publish gauges
-// idempotently.
-func TestStatsSetReport(t *testing.T) {
-	var set StatsSet
-	set.Add([]StageStats{{Name: "s", ItemsIn: 4, ItemsOut: 4, Busy: 2 * time.Millisecond, QueueLen: 1, QueueCap: 2}})
-	reg := metrics.NewRegistry()
-	set.Report(reg, "exec")
-	set.Report(reg, "exec") // idempotent for an unchanged set
-
-	snap := reg.Snapshot()
-	if got := snap.Gauges["exec.s.items_out"]; got != 4 {
-		t.Errorf("items_out gauge = %v, want 4", got)
-	}
-	if got := snap.Gauges["exec.s.busy_ns"]; got != float64(2*time.Millisecond) {
-		t.Errorf("busy_ns gauge = %v", got)
-	}
-	// Nil registry must be a no-op.
-	set.Report(nil, "exec")
-}

@@ -87,9 +87,6 @@ func NewExpandStage[In, Out any](name string, queueDepth int, fn func(ctx contex
 	}
 }
 
-// Name returns the stage's name.
-func (s *Stage) Name() string { return s.name }
-
 // Pipeline is a description of a staged data path. It can be run any
 // number of times; each Run gets its own channels, goroutines, and
 // counters. Attach a metrics registry with WithMetrics before running
@@ -150,9 +147,6 @@ func New(name string, stages ...*Stage) (*Pipeline, error) {
 	}
 	return &Pipeline{name: name, stages: stages}, nil
 }
-
-// Name returns the pipeline's name.
-func (p *Pipeline) Name() string { return p.name }
 
 // Source feeds items into a running pipeline by calling emit once per
 // item. emit blocks while the first stage is busy (backpressure) and

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"trainbox/internal/metrics"
 )
 
 // StageStats is one stage's counters for one run (or, via StatsSet, an
@@ -80,26 +78,6 @@ func (s *StatsSet) Add(stats []StageStats) {
 		acc.QueueLen = st.QueueLen
 		acc.QueueCap = st.QueueCap
 		acc.Parallelism = st.Parallelism
-	}
-}
-
-// Report publishes the set's accumulated per-stage counters into the
-// registry as gauges under "<prefix>.<stage>.{items_in,items_out,
-// busy_ns,queue_depth}" — the bridge from the legacy StageStats surface
-// onto the unified metrics layer for components that accumulate a
-// StatsSet rather than attaching a registry to each run. Values are
-// levels (set, not added), so repeated Report calls are idempotent for
-// an unchanged set. A nil registry is a no-op.
-func (s *StatsSet) Report(reg *metrics.Registry, prefix string) {
-	if reg == nil {
-		return
-	}
-	for _, st := range s.Snapshot() {
-		p := prefix + "." + st.Name + "."
-		reg.Gauge(p + "items_in").SetInt(st.ItemsIn)
-		reg.Gauge(p + "items_out").SetInt(st.ItemsOut)
-		reg.Gauge(p + "busy_ns").SetInt(int64(st.Busy))
-		reg.Gauge(p + "queue_depth").SetInt(int64(st.QueueLen))
 	}
 }
 

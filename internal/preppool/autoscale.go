@@ -107,7 +107,7 @@ func (j *Job) EnableAutoscale(cfg AutoscaleConfig) error {
 // autoscaleLocked is the per-epoch controller tick (pool.mu held).
 func (j *Job) autoscaleLocked() {
 	a := j.scaler
-	if a == nil || j.suspended {
+	if a == nil {
 		return
 	}
 	overlap := a.cfg.Overlap()
@@ -134,7 +134,6 @@ func (j *Job) autoscaleLocked() {
 		if want > j.required {
 			j.required = want
 			j.gRequired.Set(float64(want))
-			j.pool.dirty = true
 			a.mUps.Inc()
 			a.cooldown = a.cfg.CooldownEpochs
 		}
@@ -146,7 +145,6 @@ func (j *Job) autoscaleLocked() {
 		if want < j.required {
 			j.required = want
 			j.gRequired.Set(float64(want))
-			j.pool.dirty = true
 			a.mDowns.Inc()
 			a.cooldown = a.cfg.CooldownEpochs
 		}

@@ -9,279 +9,6 @@ import (
 	"trainbox/internal/units"
 )
 
-// TestSuspendParksLeasesResumeReacquires: Suspend returns every lease
-// to spare capacity and blocks epochs; Resume re-admits the job and the
-// next boundary re-grants, with the epoch still bit-identical.
-func TestSuspendParksLeasesResumeReacquires(t *testing.T) {
-	handlers, store, cfg := fixture(t, 2)
-	pool, err := NewPool(handlers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job, err := pool.Register(spec("parked", cfg, store, 3, 16000, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := store.Keys()
-	if _, err := job.PrepareEpoch(context.Background(), keys, 0); err != nil {
-		t.Fatal(err)
-	}
-	if job.Leases() != 2 {
-		t.Fatalf("leases = %d before suspend, want 2", job.Leases())
-	}
-
-	if err := job.Suspend(); err != nil {
-		t.Fatal(err)
-	}
-	if !job.Suspended() {
-		t.Error("Suspended() = false after Suspend")
-	}
-	if job.Leases() != 0 || pool.FreeDevices() != 2 {
-		t.Errorf("leases=%d free=%d after suspend, want 0/2", job.Leases(), pool.FreeDevices())
-	}
-	if _, err := job.PrepareEpoch(context.Background(), keys, 1); err == nil {
-		t.Error("suspended job prepared an epoch")
-	}
-	stats := pool.Stats()
-	if len(stats) != 1 || !stats[0].Suspended {
-		t.Errorf("Stats does not report the suspension: %+v", stats)
-	}
-
-	if err := job.Resume(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := job.PrepareEpoch(context.Background(), keys, 1)
-	if err != nil {
-		t.Fatalf("resumed job failed: %v", err)
-	}
-	assertBitIdentical(t, out, oracle(t, cfg, store, 3, keys, 1))
-	if job.Leases() != 2 {
-		t.Errorf("leases = %d after resume, want 2 (re-granted at the boundary)", job.Leases())
-	}
-}
-
-// TestSuspendResumeEdgeCases covers the state-machine error paths,
-// including revoking the last lease of a job being suspended.
-func TestSuspendResumeEdgeCases(t *testing.T) {
-	handlers, store, cfg := fixture(t, 1)
-	pool, err := NewPool(handlers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job, err := pool.Register(spec("edge", cfg, store, 3, 8000, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := job.Resume(); err == nil {
-		t.Error("resume of a running job accepted")
-	}
-	// The job holds exactly one lease — suspending revokes its last one.
-	if _, err := job.PrepareEpoch(context.Background(), store.Keys(), 0); err != nil {
-		t.Fatal(err)
-	}
-	if job.Leases() != 1 {
-		t.Fatalf("leases = %d, want 1", job.Leases())
-	}
-	if err := job.Suspend(); err != nil {
-		t.Fatalf("suspending with a single (last) lease failed: %v", err)
-	}
-	if pool.FreeDevices() != 1 {
-		t.Errorf("free = %d after last-lease revocation, want 1", pool.FreeDevices())
-	}
-	if err := job.Suspend(); err == nil {
-		t.Error("double suspend accepted")
-	}
-	// Demand changes while parked are allowed; they take effect on resume.
-	if err := job.SetRequiredRate(0); err != nil {
-		t.Errorf("SetRequiredRate while suspended: %v", err)
-	}
-	if err := job.Resume(); err != nil {
-		t.Fatal(err)
-	}
-	if err := job.Resume(); err == nil {
-		t.Error("double resume accepted")
-	}
-	// Close works from suspended too, and a closed job refuses both.
-	if err := job.Suspend(); err != nil {
-		t.Fatal(err)
-	}
-	if err := job.Close(); err != nil {
-		t.Fatalf("closing a suspended job: %v", err)
-	}
-	if err := job.Suspend(); err == nil {
-		t.Error("suspend of a closed job accepted")
-	}
-	if err := job.Resume(); err == nil {
-		t.Error("resume of a closed job accepted")
-	}
-}
-
-// TestSuspendedJobSitsOutRebalance: while a job is parked, other jobs'
-// rebalances must treat its (zero) demand as absent and never grant it
-// devices, even when its pre-park demand was the largest.
-func TestSuspendedJobSitsOutRebalance(t *testing.T) {
-	handlers, store, cfg := fixture(t, 2)
-	pool, err := NewPool(handlers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := pool.Register(spec("big", cfg, store, 3, 16000, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	small, err := pool.Register(spec("small", cfg, store, 7, 8000, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := store.Keys()
-	ctx := context.Background()
-	if _, err := big.PrepareEpoch(ctx, keys, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := small.PrepareEpoch(ctx, keys, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := big.Suspend(); err != nil {
-		t.Fatal(err)
-	}
-	// small's boundary reruns the rebalance: with big parked, small may
-	// claim the freed devices, and big must stay at zero.
-	if _, err := small.PrepareEpoch(ctx, keys, 1); err != nil {
-		t.Fatal(err)
-	}
-	if big.Leases() != 0 {
-		t.Errorf("suspended job was granted %d leases by a sibling's rebalance", big.Leases())
-	}
-	if small.Leases() != 1 {
-		t.Errorf("small leases = %d, want 1 (its own demand)", small.Leases())
-	}
-}
-
-// TestResumeWithZeroSpareDevicesQueues: resuming into a pool whose every
-// device is held by a higher-priority job must succeed — the job queues
-// on its host path with zero leases instead of erroring — and acquires
-// devices once the holder releases them.
-func TestResumeWithZeroSpareDevicesQueues(t *testing.T) {
-	handlers, store, cfg := fixture(t, 2)
-	pool, err := NewPool(handlers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim, err := pool.Register(spec("victim", cfg, store, 3, 16000, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := store.Keys()
-	ctx := context.Background()
-	if _, err := victim.PrepareEpoch(ctx, keys, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := victim.Suspend(); err != nil {
-		t.Fatal(err)
-	}
-
-	hogSpec := spec("hog", cfg, store, 7, 16000, 0)
-	hogSpec.Priority = 1
-	hog, err := pool.Register(hogSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hog.PrepareEpoch(ctx, keys, 0); err != nil {
-		t.Fatal(err)
-	}
-	if hog.Leases() != 2 || pool.FreeDevices() != 0 {
-		t.Fatalf("hog leases=%d free=%d, want 2/0", hog.Leases(), pool.FreeDevices())
-	}
-
-	// Zero spare devices: Resume must queue, not error.
-	if err := victim.Resume(); err != nil {
-		t.Fatalf("resume with zero spare devices errored: %v", err)
-	}
-	out, err := victim.PrepareEpoch(ctx, keys, 1)
-	if err != nil {
-		t.Fatalf("resumed job with zero leases failed its epoch: %v", err)
-	}
-	assertBitIdentical(t, out, oracle(t, cfg, store, 3, keys, 1))
-	if victim.Leases() != 0 {
-		t.Errorf("victim leases = %d under a full higher tier, want 0 (queued on host path)", victim.Leases())
-	}
-
-	// The holder leaves; the queued job picks the devices up at its next
-	// boundary.
-	if err := hog.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := victim.PrepareEpoch(ctx, keys, 2); err != nil {
-		t.Fatal(err)
-	}
-	if victim.Leases() != 2 {
-		t.Errorf("victim leases = %d after the holder closed, want 2", victim.Leases())
-	}
-}
-
-// TestSuspendDuringInFlightRebalance hammers Suspend/Resume against a
-// sibling's epoch boundaries (each of which reruns the rebalance) from
-// another goroutine. The pool lock must serialize the two so no epoch
-// errors and no lease is lost — run under -race.
-func TestSuspendDuringInFlightRebalance(t *testing.T) {
-	handlers, store, cfg := fixture(t, 3)
-	pool, err := NewPool(handlers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	churner, err := pool.Register(spec("churner", cfg, store, 3, 16000, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	steady, err := pool.Register(spec("steady", cfg, store, 7, 8000, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := store.Keys()
-
-	var wg sync.WaitGroup
-	wg.Add(2)
-	errs := make(chan error, 2)
-	go func() {
-		defer wg.Done()
-		for epoch := 0; epoch < 12; epoch++ {
-			if _, err := steady.PrepareEpoch(context.Background(), keys, epoch); err != nil {
-				errs <- err
-				return
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 12; i++ {
-			if err := churner.Suspend(); err != nil {
-				errs <- err
-				return
-			}
-			if err := churner.Resume(); err != nil {
-				errs <- err
-				return
-			}
-			// An epoch between churns keeps the job actually re-acquiring.
-			if _, err := churner.PrepareEpoch(context.Background(), keys, i); err != nil {
-				errs <- err
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatalf("suspend/rebalance race surfaced: %v", err)
-	}
-
-	// Conservation: every device is either free or leased, none lost.
-	held := churner.Leases() + steady.Leases()
-	if held+pool.FreeDevices() != 3 {
-		t.Errorf("devices lost: %d leased + %d free != 3", held, pool.FreeDevices())
-	}
-}
-
 // TestPreemptionRevokesWithinOneEpochBoundary: a higher-tier job
 // arriving in a fully-leased pool must see the lower-tier job's leases
 // revoked at the victim's next epoch boundary and acquire them at its
@@ -525,38 +252,5 @@ func TestAutoscaleCooldownHoldsBetweenMoves(t *testing.T) {
 		if got := pool.Stats()[0].RequiredRate; got != want {
 			t.Fatalf("boundary %d: required = %v, want %v", epoch+1, got, want)
 		}
-	}
-}
-
-// TestAutoscaleSuspendedJobHolds: a parked job's controller must not
-// move demand (nothing is training).
-func TestAutoscaleSuspendedJobHolds(t *testing.T) {
-	handlers, store, cfg := fixture(t, 1)
-	pool, err := NewPool(handlers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job, err := pool.Register(spec("idle", cfg, store, 3, 8000, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := job.EnableAutoscale(AutoscaleConfig{
-		Overlap: func() float64 { return 5 },
-		Min:     4000, Max: 64000, Grow: 2, Shrink: 0.5,
-		LowOverlap: 0.5, HighOverlap: 1.1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := job.Suspend(); err != nil {
-		t.Fatal(err)
-	}
-	// No boundaries run while suspended (PrepareEpoch refuses), so the
-	// required rate cannot move; resume and confirm it starts from the
-	// registered demand.
-	if err := job.Resume(); err != nil {
-		t.Fatal(err)
-	}
-	if got := pool.Stats()[0].RequiredRate; got != 8000 {
-		t.Errorf("required = %v across suspend/resume, want 8000 untouched", got)
 	}
 }

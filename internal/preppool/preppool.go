@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"trainbox/internal/dataprep"
-	"trainbox/internal/dscache"
 	"trainbox/internal/eth"
 	"trainbox/internal/fpga"
 	"trainbox/internal/metrics"
@@ -78,45 +77,12 @@ func WithMetrics(reg *metrics.Registry) Option {
 	}
 }
 
-// WithCache shares one decode-cache tier across every job the pool
-// hosts: each registering job's host executor is rebound through the
-// cache (dscache.Bind), so concurrent jobs training on the same corpus
-// decode each key once between them instead of once per job. Only the
-// host path is affected — the pooled FPGA path models in-device
-// preparation — and the cached preparer is bit-identical for equal
-// seeds, so epoch content (and the pool's bit-identity invariant) is
-// unchanged. Executors whose preparer has no cached form (video) stay
-// uncached.
-func WithCache(c *dscache.Cache) Option {
-	return func(p *Pool) error {
-		if c == nil {
-			return fmt.Errorf("preppool: WithCache needs a non-nil cache")
-		}
-		p.cache = c
-		return nil
-	}
-}
-
 // WithHealth overrides the health config each job's cluster runs with.
 // The default is fpga.DefaultHealthConfig — the pool needs health
 // tracking on to observe device death at all.
 func WithHealth(cfg fpga.HealthConfig) Option {
 	return func(p *Pool) error {
 		p.health = cfg
-		return nil
-	}
-}
-
-// WithRebalanceEvery sets how many of a job's epochs pass between
-// periodic rebalances (default 1: every epoch boundary). Demand
-// changes, registration, close, and device death always force one
-// regardless.
-func WithRebalanceEvery(n int) Option {
-	return func(p *Pool) error {
-		if n < 1 {
-			return fmt.Errorf("preppool: rebalance period must be ≥ 1, got %d", n)
-		}
-		p.rebalanceEvery = n
 		return nil
 	}
 }
@@ -128,17 +94,14 @@ var jobName = regexp.MustCompile(`^[a-z][a-z0-9_-]*$`)
 // Pool owns the shared preparation devices and the lease ledger.
 type Pool struct {
 	health         fpga.HealthConfig
-	rebalanceEvery int
 	net            *eth.Network
 	bytesPerSample units.Bytes
 	reg            *metrics.Registry
-	cache          *dscache.Cache
 
 	mu         sync.Mutex
 	free       []*fpga.P2PHandler
 	lastOwner  map[*fpga.P2PHandler]string
 	jobs       []*Job
-	dirty      bool  // a rebalance is owed before the next epoch
 	migrations int64 // authoritative count; mMigrations mirrors it
 
 	mMigrations *metrics.Counter // preppool.pool.migrations
@@ -150,9 +113,8 @@ type Pool struct {
 // NewPool builds the runtime over the pooled device handlers.
 func NewPool(devices []*fpga.P2PHandler, opts ...Option) (*Pool, error) {
 	p := &Pool{
-		health:         fpga.DefaultHealthConfig(),
-		rebalanceEvery: 1,
-		lastOwner:      map[*fpga.P2PHandler]string{},
+		health:    fpga.DefaultHealthConfig(),
+		lastOwner: map[*fpga.P2PHandler]string{},
 	}
 	for i, d := range devices {
 		if d == nil {
@@ -211,15 +173,13 @@ type Job struct {
 	cluster *fpga.Cluster
 
 	// Guarded by pool.mu.
-	leases    map[*fpga.P2PHandler]*eth.Reservation
-	order     []*fpga.P2PHandler // lease order, for deterministic release
-	required  units.SamplesPerSec
-	target    int // device count the last rebalance granted
-	epochs    int64
-	achieved  float64
-	closed    bool
-	suspended bool
-	scaler    *autoscaler
+	leases   map[*fpga.P2PHandler]*eth.Reservation
+	order    []*fpga.P2PHandler // lease order, for deterministic release
+	required units.SamplesPerSec
+	target   int // device count the last rebalance granted
+	achieved float64
+	closed   bool
+	scaler   *autoscaler
 
 	mSamples  *metrics.Counter // preppool.job.<name>.samples
 	mPooled   *metrics.Counter // preppool.job.<name>.pooled_samples
@@ -252,13 +212,6 @@ func (p *Pool) Register(spec JobSpec) (*Job, error) {
 			return nil, fmt.Errorf("preppool: job name %q already registered", spec.Name)
 		}
 	}
-	if p.cache != nil {
-		// Route the job's host path through the shared decode tier; the
-		// swap is in place, so the cluster's fallback (same executor)
-		// rides through the cache too. ok=false (no cached form) leaves
-		// the executor untouched.
-		dscache.Bind(p.cache, spec.Exec)
-	}
 	cluster, err := fpga.NewCluster(nil,
 		fpga.WithName(spec.Name),
 		fpga.WithHealth(p.health),
@@ -284,7 +237,6 @@ func (p *Pool) Register(spec JobSpec) (*Job, error) {
 	j.gRequired = p.reg.Gauge(prefix + "required_rate")
 	j.gRequired.Set(float64(spec.RequiredRate))
 	p.jobs = append(p.jobs, j)
-	p.dirty = true
 	return j, nil
 }
 
@@ -299,7 +251,6 @@ func (j *Job) SetRequiredRate(rate units.SamplesPerSec) error {
 	defer j.pool.mu.Unlock()
 	j.required = rate
 	j.gRequired.Set(float64(rate))
-	j.pool.dirty = true
 	return nil
 }
 
@@ -334,64 +285,7 @@ func (j *Job) Close() error {
 			break
 		}
 	}
-	j.pool.dirty = true
 	return nil
-}
-
-// Suspend parks the job: every lease (and its fabric reservation)
-// returns to the pool's spare capacity for other jobs to claim at their
-// next epoch boundary, and the job stops participating in rebalances
-// until Resume. Like Close, Suspend must only be called with no
-// PrepareEpoch in flight — the training run parks itself at an epoch
-// boundary first (train.Suspender), then the caller suspends the pool
-// job. Suspending a suspended or closed job is an error.
-func (j *Job) Suspend() error {
-	p := j.pool
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if j.closed {
-		return fmt.Errorf("preppool: job %q is closed", j.spec.Name)
-	}
-	if j.suspended {
-		return fmt.Errorf("preppool: job %q already suspended", j.spec.Name)
-	}
-	// Drain rather than range: releaseLeaseLocked mutates j.order.
-	for len(j.order) > 0 {
-		if err := j.releaseLeaseLocked(j.order[len(j.order)-1], true); err != nil {
-			return err
-		}
-	}
-	j.suspended = true
-	j.target = 0
-	p.dirty = true
-	return nil
-}
-
-// Resume re-admits a suspended job. No leases are granted here: the
-// job's next PrepareEpoch runs the owed rebalance and settles to
-// whatever the priority tiers grant it — with zero spare devices that
-// can be zero leases, in which case the job queues on its host path
-// until capacity frees up (resuming never fails for lack of devices).
-func (j *Job) Resume() error {
-	p := j.pool
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if j.closed {
-		return fmt.Errorf("preppool: job %q is closed", j.spec.Name)
-	}
-	if !j.suspended {
-		return fmt.Errorf("preppool: job %q is not suspended", j.spec.Name)
-	}
-	j.suspended = false
-	p.dirty = true
-	return nil
-}
-
-// Suspended reports whether the job is parked.
-func (j *Job) Suspended() bool {
-	j.pool.mu.Lock()
-	defer j.pool.mu.Unlock()
-	return j.suspended
 }
 
 // Preparer adapts the job to the training driver: the returned function
@@ -408,7 +302,7 @@ func (j *Job) Preparer(keys []string) func(ctx context.Context, epoch int) ([]da
 // their rates, with both halves running concurrently. The result is in
 // key order and bit-identical to a pure host run of the same keys. The
 // epoch boundary is also where the job syncs with the pool: dead
-// devices are retired, owed rebalances run, and this job's leases are
+// devices are retired, the pool rebalances, and this job's leases are
 // grown or shrunk to its current grant.
 func (j *Job) PrepareEpoch(ctx context.Context, keys []string, epoch int) ([]dataprep.Prepared, error) {
 	if err := j.sync(); err != nil {
@@ -451,7 +345,6 @@ func (j *Job) PrepareEpoch(ctx context.Context, keys []string, epoch int) ([]dat
 
 	elapsed := time.Since(start).Seconds()
 	j.pool.mu.Lock()
-	j.epochs++
 	if elapsed > 0 {
 		j.achieved = float64(len(out)) / elapsed
 	}
@@ -467,8 +360,10 @@ func (j *Job) PrepareEpoch(ctx context.Context, keys []string, epoch int) ([]dat
 	return out, nil
 }
 
-// sync is the epoch-boundary pool transaction: reap dead devices, run
-// any owed rebalance, and settle this job's leases to its target.
+// sync is the epoch-boundary pool transaction: reap dead devices,
+// rebalance, and settle this job's leases to its target. Every boundary
+// rebalances, so demand changes, registrations, closes and device
+// deaths all take effect at the next one.
 func (j *Job) sync() error {
 	p := j.pool
 	p.mu.Lock()
@@ -476,27 +371,20 @@ func (j *Job) sync() error {
 	if j.closed {
 		return fmt.Errorf("preppool: job %q is closed", j.spec.Name)
 	}
-	if j.suspended {
-		return fmt.Errorf("preppool: job %q is suspended", j.spec.Name)
-	}
 
 	// Retire devices the cluster's health layer ejected: they leave the
-	// lease and the pool entirely (their capacity is gone), their network
-	// reservation returns to the fabric, and a rebalance is owed so the
-	// job is granted a replacement from spare capacity — re-running the
-	// rebalance instead of settling for host fallback.
+	// lease and the pool entirely (their capacity is gone) and their
+	// network reservation returns to the fabric; the rebalance below then
+	// grants the job a replacement from spare capacity instead of
+	// settling for host fallback.
 	for _, h := range j.cluster.Ejected() {
 		if err := j.releaseLeaseLocked(h, false); err != nil {
 			return err
 		}
 		p.mRetired.Inc()
-		p.dirty = true
 	}
-
-	if p.dirty || (p.rebalanceEvery > 0 && j.epochs%int64(p.rebalanceEvery) == 0) {
-		if err := p.rebalanceLocked(); err != nil {
-			return err
-		}
+	if err := p.rebalanceLocked(); err != nil {
+		return err
 	}
 	return j.settleLocked()
 }
@@ -514,16 +402,10 @@ func (p *Pool) rebalanceLocked() error {
 		total += len(j.leases)
 	}
 
-	// Distinct priorities, highest tier first. Suspended jobs sit out
-	// entirely: they hold no leases, present no demand, and keep a zero
-	// target so a later settle cannot grab devices before Resume.
+	// Distinct priorities, highest tier first.
 	var prios []int
 	seen := map[int]bool{}
 	for _, j := range p.jobs {
-		if j.suspended {
-			j.target = 0
-			continue
-		}
 		if !seen[j.spec.Priority] {
 			seen[j.spec.Priority] = true
 			prios = append(prios, j.spec.Priority)
@@ -535,7 +417,7 @@ func (p *Pool) rebalanceLocked() error {
 	for _, prio := range prios {
 		var tier []*Job
 		for _, j := range p.jobs {
-			if j.spec.Priority == prio && !j.suspended {
+			if j.spec.Priority == prio {
 				tier = append(tier, j)
 			}
 		}
@@ -554,7 +436,6 @@ func (p *Pool) rebalanceLocked() error {
 		}
 		remaining -= integerizeGrants(tier, allocs, remaining)
 	}
-	p.dirty = false
 	p.mRebalances.Inc()
 	return nil
 }
@@ -674,7 +555,6 @@ type JobStat struct {
 	RequiredRate units.SamplesPerSec
 	AchievedRate float64
 	PooledShare  float64
-	Suspended    bool
 }
 
 // Stats reports every registered job in registration order.
@@ -694,7 +574,6 @@ func (p *Pool) Stats() []JobStat {
 			RequiredRate: j.required,
 			AchievedRate: j.achieved,
 			PooledShare:  share,
-			Suspended:    j.suspended,
 		}
 	}
 	return out

@@ -292,9 +292,6 @@ func TestRegisterValidation(t *testing.T) {
 	if _, err := NewPool([]*fpga.P2PHandler{nil}); err == nil {
 		t.Error("nil device accepted")
 	}
-	if _, err := NewPool(nil, WithRebalanceEvery(0)); err == nil {
-		t.Error("zero rebalance period accepted")
-	}
 	if _, err := NewPool(nil, WithNetwork(nil, units.MB)); err == nil {
 		t.Error("nil network accepted")
 	}

@@ -135,12 +135,13 @@ func TestTrainingOnPoolSurvivesDeviceDeathBitIdentical(t *testing.T) {
 }
 
 // TestPreemptSuspendResumeTrainingOracleIdentical is the elastic-jobs
-// acceptance run: a low-priority training job holds the whole pool; a
-// high-priority job arrives, the victim parks at its next epoch
-// boundary (train.Suspender checkpoint + preppool lease revocation),
-// the vip acquires the revoked leases at its first boundary and trains
-// to completion — after which the victim resumes from its checkpoint
-// and finishes bit-identical to an uninterrupted host-path oracle.
+// acceptance run, parked the way serve parks a run: a low-priority
+// training job holds the whole pool; a high-priority job arrives, the
+// victim parks at its next epoch boundary (train.Suspender checkpoint)
+// and its pool job closes, returning its leases; the vip acquires them
+// at its first boundary and trains to completion — after which the
+// victim re-registers, resumes from its checkpoint and finishes
+// bit-identical to an uninterrupted host-path oracle.
 func TestPreemptSuspendResumeTrainingOracleIdentical(t *testing.T) {
 	const victimSeed, vipSeed = 5, 5
 	cfgT := train.Config{
@@ -193,18 +194,20 @@ func TestPreemptSuspendResumeTrainingOracleIdentical(t *testing.T) {
 		}
 		return victim.PrepareEpoch(ctx, keys, epoch)
 	}
+	var cp train.Checkpoint
+	ok := false
 	_, err = train.Run(context.Background(), cfgT,
 		train.WithPreparer(victimPrep, len(keys)),
 		train.WithFeature(stripeFeature),
-		train.WithSuspender(susp))
+		train.WithSuspender(susp),
+		train.WithCheckpointSink(func(c train.Checkpoint) { cp, ok = c, true }))
 	if !errors.Is(err, train.ErrSuspended) {
 		t.Fatalf("victim returned %v, want ErrSuspended", err)
 	}
-	cp, ok := susp.Checkpoint()
 	if !ok {
 		t.Fatal("victim parked without a checkpoint")
 	}
-	if err := victim.Suspend(); err != nil {
+	if err := victim.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if pool.FreeDevices() != 2 {
@@ -236,10 +239,10 @@ func TestPreemptSuspendResumeTrainingOracleIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Victim leg 2: resume the pool job and the training run from the
-	// checkpoint; the finished model must match the uninterrupted oracle
-	// bit for bit.
-	if err := victim.Resume(); err != nil {
+	// Victim leg 2: re-register the pool job and resume the training run
+	// from the checkpoint; the finished model must match the
+	// uninterrupted oracle bit for bit.
+	if victim, err = pool.Register(mkSpec("victim", victimSeed, 0)); err != nil {
 		t.Fatal(err)
 	}
 	res, err := train.Run(context.Background(), cfgT,

@@ -174,29 +174,3 @@ func BarChart(title string, labels []string, values []float64, width int) string
 	}
 	return sb.String()
 }
-
-// Markdown renders the table as a GitHub-flavored markdown table.
-func (t *Table) Markdown() string {
-	var sb strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&sb, "### %s\n\n", t.Title)
-	}
-	esc := func(s string) string { return strings.ReplaceAll(s, "|", "\\|") }
-	sb.WriteString("|")
-	for _, h := range t.Headers {
-		sb.WriteString(" " + esc(h) + " |")
-	}
-	sb.WriteString("\n|")
-	for range t.Headers {
-		sb.WriteString("---|")
-	}
-	sb.WriteString("\n")
-	for _, row := range t.Rows {
-		sb.WriteString("|")
-		for _, c := range row {
-			sb.WriteString(" " + esc(c) + " |")
-		}
-		sb.WriteString("\n")
-	}
-	return sb.String()
-}

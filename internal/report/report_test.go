@@ -1,7 +1,6 @@
 package report
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -169,60 +168,5 @@ func TestGanttDegenerate(t *testing.T) {
 	}
 	if Gantt("x", []Span{{Lane: "a", Start: 0, End: 1}}, 0) != "" {
 		t.Error("zero width should render nothing")
-	}
-}
-
-func TestMarkdownRendering(t *testing.T) {
-	tb := NewTable("MD", "a", "b")
-	tb.AddRow("x|y", "2")
-	out := tb.Markdown()
-	if !strings.Contains(out, "### MD") {
-		t.Error("missing markdown title")
-	}
-	if !strings.Contains(out, "| a | b |") || !strings.Contains(out, "|---|---|") {
-		t.Errorf("markdown header wrong:\n%s", out)
-	}
-	if !strings.Contains(out, `x\|y`) {
-		t.Error("pipe not escaped")
-	}
-}
-
-func TestChromeTrace(t *testing.T) {
-	spans := []Span{
-		{Lane: "prep", Start: 0, End: 0.5},
-		{Lane: "compute", Start: 0.25, End: 1},
-	}
-	data, err := ChromeTrace(spans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(data, &events); err != nil {
-		t.Fatalf("not valid JSON: %v", err)
-	}
-	// 2 thread-name metadata + 2 duration events.
-	if len(events) != 4 {
-		t.Fatalf("events = %d, want 4", len(events))
-	}
-	metas, durs := 0, 0
-	for _, e := range events {
-		switch e["ph"] {
-		case "M":
-			metas++
-		case "X":
-			durs++
-			if e["dur"].(float64) <= 0 {
-				t.Error("non-positive duration")
-			}
-		}
-	}
-	if metas != 2 || durs != 2 {
-		t.Errorf("metas=%d durs=%d", metas, durs)
-	}
-	if _, err := ChromeTrace([]Span{{Lane: "x", Start: 2, End: 1}}); err == nil {
-		t.Error("inverted span accepted")
-	}
-	if _, err := ChromeTrace(nil); err != nil {
-		t.Errorf("empty trace failed: %v", err)
 	}
 }

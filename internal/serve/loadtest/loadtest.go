@@ -20,7 +20,8 @@ import (
 	"trainbox/internal/serve"
 )
 
-// Client is the slice of the serving API the generator needs.
+// Client is the slice of the serving API the generator needs; an
+// in-process *serve.Server implements it directly.
 type Client interface {
 	Submit(spec serve.JobSpec) (serve.Info, error)
 	Status(id string) (serve.Info, error)
@@ -28,15 +29,6 @@ type Client interface {
 	Suspend(id string) error
 	Resume(id string) error
 }
-
-// Direct adapts an in-process server.
-type Direct struct{ Server *serve.Server }
-
-func (d Direct) Submit(spec serve.JobSpec) (serve.Info, error) { return d.Server.Submit(spec) }
-func (d Direct) Status(id string) (serve.Info, error)          { return d.Server.Status(id) }
-func (d Direct) Cancel(id string) error                        { return d.Server.Cancel(id) }
-func (d Direct) Suspend(id string) error                       { return d.Server.Suspend(id) }
-func (d Direct) Resume(id string) error                        { return d.Server.Resume(id) }
 
 // HTTP speaks to a remote front-end at BaseURL (e.g.
 // "http://127.0.0.1:8080"). Shed responses (429) are converted back

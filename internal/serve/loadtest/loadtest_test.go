@@ -12,10 +12,17 @@ import (
 	"trainbox/internal/train"
 )
 
+// runnerFunc adapts a function to serve.Runner.
+type runnerFunc func(ctx context.Context, id string, spec serve.JobSpec) (serve.Outcome, error)
+
+func (f runnerFunc) Run(ctx context.Context, id string, spec serve.JobSpec) (serve.Outcome, error) {
+	return f(ctx, id, spec)
+}
+
 // fastRunner finishes in about a millisecond but still honours
 // cancellation, so hundreds of tenants churn through quickly.
 func fastRunner() serve.Runner {
-	return serve.RunnerFunc(func(ctx context.Context, id string, spec serve.JobSpec) (serve.Outcome, error) {
+	return runnerFunc(func(ctx context.Context, id string, spec serve.JobSpec) (serve.Outcome, error) {
 		select {
 		case <-time.After(time.Millisecond):
 			return serve.Outcome{FinalLoss: 1, Samples: spec.Items * spec.Epochs}, nil
@@ -42,7 +49,7 @@ func TestHundredsOfTenantsFairAndConserving(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep := Run(context.Background(), Direct{Server: s}, Config{
+	rep := Run(context.Background(), s, Config{
 		Tenants:       200,
 		JobsPerTenant: 4,
 		CancelEvery:   3,
@@ -147,7 +154,7 @@ func TestRunAgainstRealTrainingBackend(t *testing.T) {
 	}
 	defer s.Close()
 
-	rep := Run(context.Background(), Direct{Server: s}, Config{
+	rep := Run(context.Background(), s, Config{
 		Tenants:       4,
 		JobsPerTenant: 2,
 		Spec:          serve.JobSpec{Items: 8, Epochs: 1, RequiredRate: 8000},
@@ -211,7 +218,7 @@ func TestChurnSuspendResumeConserves(t *testing.T) {
 	}
 	defer s.Close()
 
-	rep := Run(context.Background(), Direct{Server: s}, Config{
+	rep := Run(context.Background(), s, Config{
 		Tenants:       12,
 		JobsPerTenant: 3,
 		ChurnFraction: 0.5,

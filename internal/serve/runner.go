@@ -24,14 +24,6 @@ type Runner interface {
 	Run(ctx context.Context, id string, spec JobSpec) (Outcome, error)
 }
 
-// RunnerFunc adapts a function to Runner.
-type RunnerFunc func(ctx context.Context, id string, spec JobSpec) (Outcome, error)
-
-// Run implements Runner.
-func (f RunnerFunc) Run(ctx context.Context, id string, spec JobSpec) (Outcome, error) {
-	return f(ctx, id, spec)
-}
-
 // Elastic is the server-side harness an ElasticRunner threads through
 // one suspendable run:
 //

@@ -38,7 +38,10 @@ func DefaultSSDSpec() SSDSpec {
 
 // ReadTime returns the time to stream v bytes from the device.
 func (s SSDSpec) ReadTime(v units.Bytes) float64 {
-	return units.Seconds(v, s.ReadBandwidth)
+	if v <= 0 {
+		return 0
+	}
+	return float64(v) / float64(s.ReadBandwidth)
 }
 
 // Object is one stored dataset item (a JPEG file or a PCM stream) with
@@ -77,9 +80,6 @@ type Store struct {
 func NewStore(spec SSDSpec) *Store {
 	return &Store{spec: spec, objects: map[string]Object{}}
 }
-
-// Spec returns the device description.
-func (s *Store) Spec() SSDSpec { return s.spec }
 
 // WithMetrics attaches a registry: every successful read reports bytes
 // read, read count, and read-latency quantiles; every successful write

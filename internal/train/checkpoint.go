@@ -9,8 +9,8 @@ import (
 )
 
 // ErrSuspended is returned (wrapped) by Run when a Suspender parked the
-// run at an epoch boundary. The run's final checkpoint is available from
-// Suspender.Checkpoint and from the WithCheckpointSink callback.
+// run at an epoch boundary. The run's final checkpoint goes to the
+// WithCheckpointSink callback.
 var ErrSuspended = errors.New("train: run suspended")
 
 // Checkpoint is an epoch-boundary snapshot of a training run: every
@@ -105,15 +105,13 @@ func capture(cfg Config, replicas []*nn.Network, opts []*nn.SGD, epoch int) Chec
 
 // Suspender asks a running train.Run to park itself at the next epoch
 // boundary. Suspend may be called from any goroutine; the run captures a
-// final Checkpoint, stores it in the Suspender, and returns an error
-// satisfying errors.Is(err, ErrSuspended). A later run with WithRestore
-// continues bit-identically. A Suspender is single-use: attach a fresh
-// one to each run.
+// final Checkpoint, hands it to the WithCheckpointSink callback (when
+// set), and returns an error satisfying errors.Is(err, ErrSuspended).
+// A later run with WithRestore continues bit-identically. A Suspender is
+// single-use: attach a fresh one to each run.
 type Suspender struct {
 	mu        sync.Mutex
 	requested bool
-	cp        Checkpoint
-	captured  bool
 }
 
 // NewSuspender returns an idle Suspender.
@@ -133,26 +131,6 @@ func (s *Suspender) Requested() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.requested
-}
-
-// Checkpoint returns the checkpoint the run captured when it parked, and
-// whether one was captured (false when the run finished or failed before
-// honouring the request).
-func (s *Suspender) Checkpoint() (Checkpoint, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.captured {
-		return Checkpoint{}, false
-	}
-	return s.cp, true
-}
-
-// deliver stores the park-time checkpoint (called by the run).
-func (s *Suspender) deliver(cp Checkpoint) {
-	s.mu.Lock()
-	s.cp = cp
-	s.captured = true
-	s.mu.Unlock()
 }
 
 // WithCheckpointEvery captures a checkpoint after every n-th completed

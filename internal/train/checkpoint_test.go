@@ -136,7 +136,8 @@ func TestCheckpointValidation(t *testing.T) {
 
 // TestSuspendParksAtEpochBoundary: a pending Suspend must park the run
 // at the first epoch boundary with an ErrSuspended-classified error and
-// a checkpoint in the Suspender; resuming from it matches the oracle.
+// hand the checkpoint sink its state; resuming from it matches the
+// oracle.
 func TestSuspendParksAtEpochBoundary(t *testing.T) {
 	exec, store, keys := setup(t, 16)
 	invariant.NoLeak(t)
@@ -151,17 +152,18 @@ func TestSuspendParksAtEpochBoundary(t *testing.T) {
 	s := NewSuspender()
 	s.Suspend() // already pending: parks after epoch 0
 	s.Suspend() // idempotent
+	var cp Checkpoint
+	ok := false
 	_, err = Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(stripeFeature),
-		WithSuspender(s))
+		WithSuspender(s), WithCheckpointSink(func(c Checkpoint) { cp, ok = c, true }))
 	if !errors.Is(err, ErrSuspended) {
 		t.Fatalf("suspended run returned %v, want ErrSuspended", err)
 	}
 	if errors.Is(err, context.Canceled) {
 		t.Error("suspension must not classify as cancellation")
 	}
-	cp, ok := s.Checkpoint()
 	if !ok {
-		t.Fatal("suspender has no checkpoint")
+		t.Fatal("the parked run delivered no checkpoint")
 	}
 	if cp.Epoch != 0 {
 		t.Errorf("parked after epoch %d, want 0 (first boundary)", cp.Epoch)
@@ -191,13 +193,14 @@ func TestSuspendAfterFinalEpochIsIgnored(t *testing.T) {
 
 	s := NewSuspender()
 	s.Suspend()
+	parked := false
 	res, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(stripeFeature),
-		WithSuspender(s))
+		WithSuspender(s), WithCheckpointSink(func(Checkpoint) { parked = true }))
 	if err != nil {
 		t.Fatalf("single-epoch run with pending suspend failed: %v", err)
 	}
-	if _, ok := s.Checkpoint(); ok {
-		t.Error("finished run must not leave a checkpoint in the suspender")
+	if parked {
+		t.Error("finished run must not deliver a park checkpoint")
 	}
 	if res.SamplesProcessed != 8 {
 		t.Errorf("samples = %d, want 8", res.SamplesProcessed)
@@ -213,9 +216,11 @@ func TestRunJobsSuspendedClassification(t *testing.T) {
 
 	s := NewSuspender()
 	s.Suspend()
+	parked := false
 	jobs := []Job{
 		{Name: "parked", Config: cfg, Options: []Option{
-			WithDataset(exec, store, keys), WithFeature(stripeFeature), WithSuspender(s)}},
+			WithDataset(exec, store, keys), WithFeature(stripeFeature), WithSuspender(s),
+			WithCheckpointSink(func(Checkpoint) { parked = true })}},
 		{Name: "steady", Config: cfg, Options: []Option{
 			WithDataset(exec, store, keys), WithFeature(stripeFeature)}},
 	}
@@ -235,7 +240,7 @@ func TestRunJobsSuspendedClassification(t *testing.T) {
 	if results[1].Status != JobDone {
 		t.Errorf("sibling status = %q, want done — suspension must not cancel siblings", results[1].Status)
 	}
-	if _, ok := s.Checkpoint(); !ok {
+	if !parked {
 		t.Error("suspended job left no checkpoint")
 	}
 }

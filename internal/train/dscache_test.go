@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"trainbox/internal/dataprep"
 	"trainbox/internal/dscache"
@@ -141,37 +140,6 @@ func TestWithEchoFactorReplaysSteps(t *testing.T) {
 	}
 }
 
-// TestWithAdaptiveEchoKicksInWhenPrepBound: a run whose preparation is
-// slower than its steps must start echoing once the overlap gauge
-// crosses 1, and the replicas must stay synchronized through the
-// replayed epochs.
-func TestWithAdaptiveEchoKicksInWhenPrepBound(t *testing.T) {
-	exec, store, keys := setup(t, 8)
-	slow := func(ctx context.Context, epoch int) ([]dataprep.Prepared, error) {
-		ps, err := exec.PrepareBatchContext(ctx, store, keys, epoch)
-		time.Sleep(20 * time.Millisecond) // prep-bound by construction
-		return ps, err
-	}
-	cfg := baseConfig()
-	cfg.Replicas = 2
-	cfg.Epochs = 8
-	res, err := Run(context.Background(), cfg, WithPreparer(slow, len(keys)),
-		WithAdaptiveEcho(3), WithFeature(stripeFeature))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := res.Metrics.Counters["train.driver.echo_replays"]; n == 0 {
-		t.Fatalf("adaptive echo never engaged on a prep-bound run (overlap=%v)",
-			res.Metrics.Gauges["train.driver.prep_step_overlap"])
-	}
-	if len(res.Steps) <= cfg.Epochs {
-		t.Fatalf("steps = %d, want > %d (replays add steps)", len(res.Steps), cfg.Epochs)
-	}
-	if d := MaxReplicaDivergence(res.Replicas); d > 1e-12 {
-		t.Fatalf("replica divergence %g after echoed epochs", d)
-	}
-}
-
 // TestChaosEchoTrainCancelRecyclesBuffers: cancelling a cached, echoed
 // run mid-epoch — replayed batches in flight — must return every
 // pooled output buffer to the executor (Gets == Puts), whichever stage
@@ -225,8 +193,7 @@ func TestCacheEchoOptionValidation(t *testing.T) {
 			}, len(keys)),
 			WithCache(dscache.New(units.MB)), WithFeature(stripeFeature)}},
 		{"echo factor zero", []Option{WithDataset(exec, store, keys), WithEchoFactor(0), WithFeature(stripeFeature)}},
-		{"adaptive cap zero", []Option{WithDataset(exec, store, keys), WithAdaptiveEcho(0), WithFeature(stripeFeature)}},
-		{"two echo policies", []Option{WithDataset(exec, store, keys), WithEchoFactor(2), WithAdaptiveEcho(3), WithFeature(stripeFeature)}},
+		{"echo factor twice", []Option{WithDataset(exec, store, keys), WithEchoFactor(2), WithEchoFactor(3), WithFeature(stripeFeature)}},
 	}
 	for _, tc := range cases {
 		if _, err := Run(context.Background(), baseConfig(), tc.opts...); err == nil {

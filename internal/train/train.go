@@ -20,7 +20,6 @@ package train
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -161,8 +160,7 @@ type EpochPreparer func(ctx context.Context, epoch int) ([]dataprep.Prepared, er
 // Option configures a training run — where its prepared samples come
 // from (WithDataset or WithPreparer, exactly one), how they map to
 // model inputs (WithFeature, required), and the data-path accelerators:
-// a shared decode cache (WithCache) and data echoing (WithEchoFactor or
-// WithAdaptiveEcho).
+// a shared decode cache (WithCache) and data echoing (WithEchoFactor).
 type Option func(*runOptions) error
 
 type runOptions struct {
@@ -175,10 +173,8 @@ type runOptions struct {
 	store *storage.Store
 	keys  []string
 	cache *dscache.Cache
-	// echoFactor (fixed, ≥ 1) or echoAdaptiveMax (cap for the
-	// overlap-driven factor) enable the echo stage; both zero = off.
-	echoFactor      int
-	echoAdaptiveMax int
+	// echoFactor (≥ 1) enables the echo stage; zero = off.
+	echoFactor int
 	// recycle, when set, receives each epoch's prepared samples after
 	// the extract stage has converted them to model inputs, returning
 	// their buffers to the data source's pools. Requires that the
@@ -277,30 +273,10 @@ func WithEchoFactor(n int) Option {
 		if n < 1 {
 			return fmt.Errorf("train: echo factor must be ≥ 1, got %d", n)
 		}
-		if o.echoFactor != 0 || o.echoAdaptiveMax != 0 {
-			return fmt.Errorf("train: multiple echo policies configured")
+		if o.echoFactor != 0 {
+			return fmt.Errorf("train: WithEchoFactor configured twice")
 		}
 		o.echoFactor = n
-		return nil
-	}
-}
-
-// WithAdaptiveEcho enables data echoing driven by the live
-// train.driver.prep_step_overlap gauge: while the run is step-bound
-// (overlap ≤ 1) each epoch passes through once; when preparation is the
-// bottleneck (overlap > 1) the factor rises to ⌈overlap⌉, capped at
-// max. Echoing repeats SGD steps on already-prepared data, so it trades
-// a little statistical efficiency for keeping the accelerators busy —
-// the cap bounds that trade.
-func WithAdaptiveEcho(max int) Option {
-	return func(o *runOptions) error {
-		if max < 1 {
-			return fmt.Errorf("train: adaptive echo cap must be ≥ 1, got %d", max)
-		}
-		if o.echoFactor != 0 || o.echoAdaptiveMax != 0 {
-			return fmt.Errorf("train: multiple echo policies configured")
-		}
-		o.echoAdaptiveMax = max
 		return nil
 	}
 }
@@ -471,9 +447,9 @@ func run(ctx context.Context, cfg Config, o runOptions) (Result, error) {
 	samplePool := pipeline.NewPool(func() []nn.Sample { return make([]nn.Sample, 0, numKeys) })
 
 	// prepBusyNs/stepBusyNs accumulate live stage busy time so the
-	// overlap gauge updates every epoch (autoscalers and the adaptive
-	// echo policy read it mid-run); the end-of-run pass below overwrites
-	// it with the pipeline's own authoritative stats.
+	// overlap gauge updates every epoch (autoscalers read it mid-run);
+	// the end-of-run pass below overwrites it with the pipeline's own
+	// authoritative stats.
 	var prepBusyNs, stepBusyNs atomic.Int64
 
 	reg := cfg.Metrics
@@ -511,31 +487,13 @@ func run(ctx context.Context, cfg Config, o runOptions) (Result, error) {
 		})
 
 	stages := []*pipeline.Stage{prepStage}
-	if o.echoFactor > 0 || o.echoAdaptiveMax > 0 {
-		// The echo stage re-emits each prepared epoch factor() times; the
+	if n := o.echoFactor; n > 0 {
+		// The echo stage re-emits each prepared epoch n times; the
 		// replicas share the prepared buffers behind one refcount.
 		echoFactorGauge := reg.Gauge("train.driver.echo_factor")
 		echoReplays := reg.Counter("train.driver.echo_replays")
-		factor := func() int { return o.echoFactor }
-		if o.echoAdaptiveMax > 0 {
-			// Echo only while preparation is the measured bottleneck:
-			// ⌈overlap⌉ replays per epoch, capped. The gauge is 0 until
-			// the first step completes, so the run starts un-echoed.
-			factor = func() int {
-				ov := overlap.Value()
-				if ov <= 1 {
-					return 1
-				}
-				f := int(math.Ceil(ov))
-				if f > o.echoAdaptiveMax {
-					f = o.echoAdaptiveMax
-				}
-				return f
-			}
-		}
 		stages = append(stages, pipeline.NewExpandStage("echo", 0,
 			func(_ context.Context, eb epochBatch) ([]epochBatch, error) {
-				n := factor()
 				echoFactorGauge.Set(float64(n))
 				if n > 1 {
 					echoReplays.Add(int64(n - 1))
@@ -583,10 +541,8 @@ func run(ctx context.Context, cfg Config, o runOptions) (Result, error) {
 				o.checkpointSink(capture(cfg, replicas, opts, es.epoch))
 			}
 			if o.suspender != nil && !final && o.suspender.Requested() {
-				cp := capture(cfg, replicas, opts, es.epoch)
-				o.suspender.deliver(cp)
 				if o.checkpointSink != nil {
-					o.checkpointSink(cp)
+					o.checkpointSink(capture(cfg, replicas, opts, es.epoch))
 				}
 				return nil, fmt.Errorf("train: parked after epoch %d of %d: %w", es.epoch, cfg.Epochs, ErrSuspended)
 			}

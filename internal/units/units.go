@@ -63,20 +63,6 @@ func (r BytesPerSec) String() string {
 	return fmt.Sprintf("%.0f B/s", float64(r))
 }
 
-// Seconds converts a volume and a bandwidth into a transfer time in
-// seconds. A zero or negative bandwidth yields +Inf-free behaviour by
-// returning 0 for zero volume and a very large time otherwise; callers
-// treat that as "path unusable".
-func Seconds(v Bytes, bw BytesPerSec) float64 {
-	if v <= 0 {
-		return 0
-	}
-	if bw <= 0 {
-		return 1e30
-	}
-	return float64(v) / float64(bw)
-}
-
 // SamplesPerSec is a throughput in training samples per second.
 type SamplesPerSec float64
 

@@ -1,10 +1,8 @@
 package units
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestBytesString(t *testing.T) {
@@ -42,33 +40,6 @@ func TestBytesPerSecString(t *testing.T) {
 func TestSamplesPerSecString(t *testing.T) {
 	if got := SamplesPerSec(7431).String(); !strings.Contains(got, "7431.0") {
 		t.Errorf("String() = %q", got)
-	}
-}
-
-func TestSeconds(t *testing.T) {
-	if got := Seconds(32*GB, 16*GBps); math.Abs(got-float64(32*GB)/16e9) > 1e-12 {
-		t.Errorf("Seconds = %v", got)
-	}
-	if Seconds(0, GBps) != 0 {
-		t.Error("zero volume should take zero time")
-	}
-	if Seconds(-5, GBps) != 0 {
-		t.Error("negative volume should take zero time")
-	}
-	if Seconds(GB, 0) < 1e29 {
-		t.Error("zero bandwidth should yield an effectively infinite time")
-	}
-}
-
-func TestSecondsPropertyMonotone(t *testing.T) {
-	f := func(v1, v2, bw float64) bool {
-		a := Bytes(math.Abs(v1))
-		b := a + Bytes(math.Abs(v2))
-		r := BytesPerSec(math.Abs(bw) + 1)
-		return Seconds(b, r) >= Seconds(a, r)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -30,7 +30,6 @@ package workload
 import (
 	"fmt"
 
-	"trainbox/internal/hostres"
 	"trainbox/internal/units"
 )
 
@@ -120,11 +119,6 @@ func (p PrepProfile) TotalMemoryBytes() units.Bytes {
 		s += v
 	}
 	return s
-}
-
-// HostDemand converts the profile into the hostres per-sample demand.
-func (p PrepProfile) HostDemand() hostres.Demand {
-	return hostres.Demand{CPUSeconds: p.TotalCPUSeconds(), MemoryBytes: p.TotalMemoryBytes()}
 }
 
 // Workload is one Table I row plus its preparation profile.

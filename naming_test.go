@@ -4,8 +4,11 @@
 // into ONE shared registry, then asserts that every name in the final
 // snapshot follows subsystem.object.metric (metrics.ValidName). The
 // single-path test walks the non-test sources and fails when a
-// superseded API generation starts growing back or a package is left
-// with no command that reaches it.
+// superseded API generation starts growing back, or when a package or a
+// function is left with no binary that reaches it: it builds every main
+// with inlining off and reads their symbol tables (go tool nm), so code
+// only tests call must be deleted or named, with its reason, in the one
+// exemption table notLinked.
 package trainbox_test
 
 import (
@@ -14,7 +17,11 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -98,7 +105,19 @@ func TestAllExportedMetricNamesFollowScheme(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	names := snap.Names()
+	var names []string
+	for name := range snap.Counters {
+		names = append(names, name)
+	}
+	for name := range snap.Gauges {
+		names = append(names, name)
+	}
+	for name := range snap.Meters {
+		names = append(names, name)
+	}
+	for name := range snap.Histograms {
+		names = append(names, name)
+	}
 	if len(names) < 19 {
 		t.Fatalf("only %d metric names exported — the fixture is not exercising the stack", len(names))
 	}
@@ -109,21 +128,85 @@ func TestAllExportedMetricNamesFollowScheme(t *testing.T) {
 	}
 }
 
+// Why a notLinked entry stays although no binary links it.
+const (
+	oracle  = "reference oracle the tests compare against"
+	seam    = "fault or fake seam the tests inject through"
+	model   = "model-layer oracle; moves to test code with the model-layer fold"
+	pending = "jpegdec encoder, pending the jpegdec decision"
+	harness = "test harness"
+	probe   = "test probe"
+)
+
+// notLinked is the one exemption table of TestOnePathPerJob: a function
+// ("internal/pkg.Func", "internal/pkg.Type.Method") or a whole package
+// ("internal/pkg") that no binary links, with the reason it stays.
+var notLinked = map[string]string{
+	"internal/dsp.FFT":                     oracle,
+	"internal/dsp.IFFT":                    oracle,
+	"internal/dsp.FFTReal":                 oracle,
+	"internal/dsp.NaiveDFT":                oracle,
+	"internal/dsp.FFTPlan.Transform":       oracle,
+	"internal/dsp.FFTPlan.Inverse":         oracle,
+	"internal/dsp.LogMelSpectrogram":       oracle,
+	"internal/dsp.LogCompress":             oracle,
+	"internal/dsp.MelFilterbank.Apply":     oracle,
+	"internal/dsp.MelFilterbank.ApplyInto": oracle,
+	"internal/collective.CentralAllReduce": oracle,
+
+	"internal/faults":                   seam,
+	"internal/storage.Store.WithFaults": seam,
+	"internal/storage.Store.WithRetry":  seam,
+	"internal/fpga.WithFaults":          seam,
+	"internal/serve.WithPressureSignal": seam,
+	"internal/preppool.WithHealth":      seam,
+
+	"internal/core":    model,
+	"internal/sim":     model,
+	"internal/pcie":    model,
+	"internal/hostres": model,
+	"internal/accel":   model,
+
+	"internal/collective.CrossoverBytes": model,
+	"internal/eth.InNetwork.ReserveSync": model,
+	"internal/eth.Network.TransferTime":  model,
+	"internal/eth.Network.OffloadRate":   model,
+	"internal/storage.SSDSpec.ReadTime":  model,
+
+	"internal/jpegdec.Encode":          pending,
+	"internal/jpegdec.encodeBlock":     pending,
+	"internal/jpegdec.fdct8x8":         pending,
+	"internal/jpegdec.magnitude":       pending,
+	"internal/jpegdec.newEncTable":     pending,
+	"internal/jpegdec.scaleQuant":      pending,
+	"internal/jpegdec.bitWriter.write": pending,
+	"internal/jpegdec.bitWriter.flush": pending,
+
+	"internal/invariant": harness,
+
+	"internal/fpga.Cluster.Stats":     probe,
+	"internal/pipeline.Pool.Stats":    probe,
+	"internal/metrics.ValidName":      probe,
+	"internal/arch.System.BoxOf":      probe,
+	"internal/arch.PrepDevice.String": probe,
+	"internal/workload.PrepOp.String": probe,
+	"internal/workload.PrepOps":       probe,
+}
+
 // TestOnePathPerJob keeps the deleted API generation deleted: no
 // non-test source outside benchmark/ may carry a deprecation doc marker
 // (a shim kept beside its replacement), internal/dataprep may declare
-// only one interface with a prepare method — dataprep.Preparer — and
-// every internal/ package with non-test sources must be reachable by
-// imports from a main under cmd/ or examples/ or from benchmark/, so
-// deleting a command cannot strand a package unnoticed.
+// only one interface with a prepare method — dataprep.Preparer — every
+// internal/ package must be reachable by imports from a main under cmd/
+// or examples/ or from benchmark/, and every function declared in a
+// non-test internal/ file must be linked into one of those binaries.
+// Whatever fails the last two is deleted or named in notLinked; an
+// entry that no longer exempts anything fails too.
 func TestOnePathPerJob(t *testing.T) {
-	// Packages only _test files import, with the reason they exist.
-	testOnly := map[string]string{
-		"internal/invariant": "resource-balance checks shared by the tests",
-	}
 	marker := "Deprecated" + ":"
 	var prepareIfaces []string
 	imports := map[string][]string{} // package dir → module-relative dirs it imports
+	declared := map[string]string{}  // "internal/pkg.[Type.]Func" → position
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -159,6 +242,13 @@ func TestOnePathPerJob(t *testing.T) {
 					fset.Position(cg.Pos()), marker)
 			}
 		}
+		if strings.HasPrefix(dir, "internal/") {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name != "init" {
+					declared[dir+"."+funcName(fd)] = fset.Position(fd.Pos()).String()
+				}
+			}
+		}
 		if dir != "internal/dataprep" {
 			return nil
 		}
@@ -190,6 +280,7 @@ func TestOnePathPerJob(t *testing.T) {
 		t.Errorf("internal/dataprep interfaces with a prepare method = %v, want exactly [Preparer]", prepareIfaces)
 	}
 
+	used := map[string]bool{}
 	reached := map[string]bool{}
 	var visit func(dir string)
 	visit = func(dir string) {
@@ -206,15 +297,122 @@ func TestOnePathPerJob(t *testing.T) {
 		}
 	}
 	for dir := range imports {
-		if !strings.HasPrefix(dir, "internal/") {
+		if !strings.HasPrefix(dir, "internal/") || reached[dir] {
 			continue
 		}
-		if reason, exempt := testOnly[dir]; exempt == reached[dir] {
-			if exempt {
-				t.Errorf("%s is listed as test-only (%s) but a command imports it — drop the exemption", dir, reason)
-			} else {
-				t.Errorf("%s is imported by no command, example or benchmark — delete it, or name it in testOnly with the reason", dir)
-			}
+		if _, ok := notLinked[dir]; ok {
+			used[dir] = true
+		} else {
+			t.Errorf("%s is imported by no command, example or benchmark — delete it, or name it in notLinked with the reason", dir)
 		}
 	}
+
+	linked := linkedFuncs(t)
+	var stranded []string
+	for fn, pos := range declared {
+		if linked[fn] {
+			continue
+		}
+		pkg := fn[:strings.Index(fn, ".")]
+		switch _, byName := notLinked[fn]; {
+		case byName:
+			used[fn] = true
+		case notLinked[pkg] != "":
+			used[pkg] = true
+		default:
+			stranded = append(stranded, fn+" ("+pos+")")
+		}
+	}
+	sort.Strings(stranded)
+	for _, fn := range stranded {
+		t.Errorf("%s is linked into no binary — delete it, or name it in notLinked with the reason", fn)
+	}
+	for entry, reason := range notLinked {
+		if !used[entry] {
+			t.Errorf("notLinked[%q] (%s) exempts nothing any more — drop the entry", entry, reason)
+		}
+	}
+}
+
+// funcName is fd's name as linkedFuncs normalises a symbol: "Func" or
+// "Type.Method", pointer and type parameters dropped from the receiver.
+func funcName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil {
+		return fd.Name.Name
+	}
+	typ := fd.Recv.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	switch g := typ.(type) {
+	case *ast.IndexExpr:
+		typ = g.X
+	case *ast.IndexListExpr:
+		typ = g.X
+	}
+	return typ.(*ast.Ident).Name + "." + fd.Name.Name
+}
+
+// linkedFuncs builds every main — cmd/, examples/ and benchmark/ — with
+// inlining off in this module, so no call site can hide its callee, and
+// returns the module-relative names of the functions the linker kept.
+// Symbols are normalised to funcName's form: instantiation brackets,
+// closure (.funcN) and method-value (-fm) suffixes and the (*T)
+// receiver spelling are stripped.
+func linkedFuncs(t *testing.T) map[string]bool {
+	bin := t.TempDir()
+	const noInline = "-gcflags=trainbox/...=-l"
+	for _, args := range [][]string{
+		{"build", noInline, "-o", bin + string(filepath.Separator), "./cmd/...", "./examples/..."},
+		{"build", "-C", "benchmark", noInline, "-o", filepath.Join(bin, "benchmark"), "."},
+	} {
+		if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+			t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, out)
+		}
+	}
+	entries, err := os.ReadDir(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closure := regexp.MustCompile(`^(func|gowrap|deferwrap)?\d+$`)
+	linked := map[string]bool{}
+	for _, e := range entries {
+		out, err := exec.Command("go", "tool", "nm", filepath.Join(bin, e.Name())).Output()
+		if err != nil {
+			t.Fatalf("go tool nm %s: %v", e.Name(), err)
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			f := strings.Fields(line)
+			if len(f) < 3 || (f[1] != "T" && f[1] != "t") {
+				continue
+			}
+			var sym strings.Builder
+			depth := 0
+			for _, r := range strings.Join(f[2:], " ") {
+				switch {
+				case r == '[':
+					depth++
+				case r == ']':
+					depth--
+				case depth == 0:
+					sym.WriteRune(r)
+				}
+			}
+			s, ok := strings.CutPrefix(strings.TrimSuffix(sym.String(), "-fm"), "trainbox/")
+			if !ok {
+				continue
+			}
+			slash := strings.LastIndex(s, "/")
+			dot := slash + strings.Index(s[slash:], ".")
+			parts := strings.Split(strings.NewReplacer("(*", "", "(", "", ")", "").Replace(s[dot+1:]), ".")
+			for i, p := range parts {
+				if i > 0 && closure.MatchString(p) {
+					parts = parts[:i]
+					break
+				}
+			}
+			linked[s[:dot]+"."+strings.Join(parts, ".")] = true
+		}
+	}
+	return linked
 }
