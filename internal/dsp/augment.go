@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"trainbox/internal/gauss"
 )
 
 // TimeMask zeroes (to fillValue) a random contiguous span of at most
@@ -49,13 +51,21 @@ func FreqMask(s *Spectrogram, maxWidth int, fillValue float64, rng *rand.Rand) (
 
 // AddNoise adds zero-mean Gaussian noise with the given standard
 // deviation to every sample of signal, in place — the paper's example
-// audio augmentation ("add some noise into sound").
+// audio augmentation ("add some noise into sound"). The noise is
+// gauss's 4,096-level quantized Gaussian (σ·q for a table quantile q,
+// tails at ±3.67σ), and each call draws one Uint64 from rng.
 func AddNoise(signal []float64, stddev float64, rng *rand.Rand) {
 	if rng == nil || stddev <= 0 {
 		return
 	}
-	for i := range signal {
-		signal[i] += rng.NormFloat64() * stddev
+	st := gauss.NewStream(rng)
+	var idx [gauss.Block]uint16
+	for base := 0; base < len(signal); base += gauss.Block {
+		s := signal[base:min(base+gauss.Block, len(signal))]
+		st.Fill(idx[:len(s)])
+		for i := range s {
+			s[i] += stddev * gauss.Table[idx[i]]
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package dsp
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -95,6 +96,61 @@ func TestAddNoiseStatistics(t *testing.T) {
 	}
 	if math.Abs(std-0.5) > 0.01 {
 		t.Errorf("noise std = %v, want ≈0.5", std)
+	}
+}
+
+// TestAddNoiseDistribution draws 10⁶ noise values onto a zero signal:
+// mean ≈ 0, standard deviation within 0.5 % of σ, and a
+// Kolmogorov–Smirnov distance to Φ inside the table's quantization
+// (½/4096) plus the 99.9 % sampling bound 1.95/√n. The caller's rng
+// advances by one draw, equal seeds give equal samples, and a warm call
+// allocates nothing.
+func TestAddNoiseDistribution(t *testing.T) {
+	const sigma = 0.25
+	sig := make([]float64, 1_000_000)
+	rng := rand.New(rand.NewSource(17))
+	AddNoise(sig, sigma, rng)
+	next := rand.New(rand.NewSource(17))
+	next.Uint64()
+	if rng.Uint64() != next.Uint64() {
+		t.Error("AddNoise did not advance the caller's rng by exactly one Uint64")
+	}
+
+	var sum, sq float64
+	z := make([]float64, len(sig))
+	for i, v := range sig {
+		sum, sq = sum+v, sq+v*v
+		z[i] = v / sigma
+	}
+	n := float64(len(sig))
+	mean := sum / n
+	std := math.Sqrt(sq/n - mean*mean)
+	if math.Abs(mean) > 4*sigma/math.Sqrt(n) {
+		t.Errorf("noise mean = %.6f, want 0 within 4 standard errors", mean)
+	}
+	if math.Abs(std/sigma-1) > 0.005 {
+		t.Errorf("noise std = %.6f, want within 0.5%% of %v", std, sigma)
+	}
+	sort.Float64s(z)
+	var ks float64
+	for i, x := range z {
+		f := 0.5 * math.Erfc(-x/math.Sqrt2)
+		ks = max(ks, float64(i+1)/n-f, f-float64(i)/n)
+	}
+	if bound := 0.5/4096 + 1.95/math.Sqrt(n); ks > bound {
+		t.Errorf("KS distance to Φ = %.5f, want ≤ %.5f", ks, bound)
+	}
+	t.Logf("10⁶ draws at σ=%v: mean %.6f, std %.6f, KS %.5f (%.2f/4096)", sigma, mean, std, ks, ks*4096)
+
+	again := make([]float64, len(sig))
+	AddNoise(again, sigma, rand.New(rand.NewSource(17)))
+	for i := range sig {
+		if again[i] != sig[i] {
+			t.Fatalf("same seed: sample %d = %v, want %v", i, again[i], sig[i])
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { AddNoise(again, sigma, rng) }); n != 0 {
+		t.Errorf("AddNoise allocates %.1f objects/call, want 0", n)
 	}
 }
 

@@ -278,7 +278,7 @@ func TestHeadlinesMatchExperimentsDoc(t *testing.T) {
 	}{
 		{"Fig 2b normalized ring latency at n=256", "2.065", Fig2b().NormalizedAt256},
 		{"Fig 3 prep/others in final config", "34.49", fig3.FinalPrepOverOthers},
-		{"Fig 5 augmentation accuracy gap (points)", "20.83", 100 * (fig5.FinalWith - fig5.FinalWithout)},
+		{"Fig 5 augmentation accuracy gap (points)", "38.89", 100 * (fig5.FinalWith - fig5.FinalWithout)},
 		{"Fig 8 baseline saturation (accel-equivalents)", "18.31", fig8.MaxSaturation},
 		{"Fig 9 mean prep share at 256 accels (%)", "97.16", 100 * fig9.MeanPrepShare},
 		{"Fig 10a max CPU requirement (× DGX-2)", "90.24", fig10.MaxCPU},

@@ -1,6 +1,9 @@
 package imgproc
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func benchImage(b *testing.B) (*Image, []byte) {
 	b.Helper()
@@ -27,6 +30,22 @@ func BenchmarkDecodeJPEGInto(b *testing.B) {
 		if err := DecodeJPEGInto(&dst, data); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAugmentInto runs the mirror and the in-place noise kernels
+// on a 224² crop, as the image pipeline does after cropping.
+func BenchmarkAugmentInto(b *testing.B) {
+	im, _ := benchImage(b)
+	var crop, aug Image
+	if err := CenterCropInto(&crop, im, ModelSize, ModelSize); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		MirrorInto(&aug, &crop)
+		GaussianNoiseInto(&aug, &aug, 4, rng)
 	}
 }
 

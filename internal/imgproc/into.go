@@ -5,7 +5,11 @@ import (
 	"fmt"
 	"image"
 	"image/jpeg"
+	"math"
 	"math/rand"
+	"sync"
+
+	"trainbox/internal/gauss"
 )
 
 // This file holds the image kernels — the engines of Table II. Each
@@ -54,10 +58,10 @@ const maxDecodePixels = 1 << 26
 // its pixel buffer — the "Decoder" engine of Table II and the dominant
 // CPU cost of image preparation (Section V-B). A header declaring more
 // than maxDecodePixels is rejected before the decoder allocates. The
-// stdlib decoder's concrete image types get allocation-free pixel
-// access (the generic At(x,y).RGBA() path boxes a color.Color per
-// pixel — tens of thousands of allocations per decode); all paths
-// produce identical pixels.
+// stdlib decoder's YCbCr and Gray images are converted by walking their
+// planes; any other type (CMYK) goes through the generic At(x,y).RGBA()
+// path, which boxes a color.Color per pixel. All paths produce
+// identical pixels.
 func DecodeJPEGInto(dst *Image, data []byte) error {
 	fw, fh, ok := jpegFrameSize(data)
 	if !ok {
@@ -78,19 +82,9 @@ func DecodeJPEGInto(dst *Image, data []byte) error {
 	dst.Reset(w, h)
 	switch s := src.(type) {
 	case *image.YCbCr:
-		for y := bounds.Min.Y; y < bounds.Max.Y; y++ {
-			for x := bounds.Min.X; x < bounds.Max.X; x++ {
-				r, g, b, _ := s.YCbCrAt(x, y).RGBA()
-				dst.Set(x-bounds.Min.X, y-bounds.Min.Y, uint8(r>>8), uint8(g>>8), uint8(b>>8))
-			}
-		}
+		ycbcrInto(dst, s)
 	case *image.Gray:
-		for y := bounds.Min.Y; y < bounds.Max.Y; y++ {
-			for x := bounds.Min.X; x < bounds.Max.X; x++ {
-				r, g, b, _ := s.GrayAt(x, y).RGBA()
-				dst.Set(x-bounds.Min.X, y-bounds.Min.Y, uint8(r>>8), uint8(g>>8), uint8(b>>8))
-			}
-		}
+		grayInto(dst, s)
 	default:
 		for y := bounds.Min.Y; y < bounds.Max.Y; y++ {
 			for x := bounds.Min.X; x < bounds.Max.X; x++ {
@@ -100,6 +94,67 @@ func DecodeJPEGInto(dst *Image, data []byte) error {
 		}
 	}
 	return nil
+}
+
+// ycbcrInto converts s into dst, which is sized to s's bounds, by
+// walking the Y, Cb and Cr planes row by row with the fixed-point
+// arithmetic of color.YCbCr.RGBA, so every pixel equals
+// s.YCbCrAt(x, y).RGBA() >> 8. It covers every subsample ratio for the
+// non-negative origins image/jpeg produces.
+func ycbcrInto(dst *Image, s *image.YCbCr) {
+	var hs uint // log2 of the horizontal chroma subsampling
+	switch s.SubsampleRatio {
+	case image.YCbCrSubsampleRatio422, image.YCbCrSubsampleRatio420:
+		hs = 1
+	case image.YCbCrSubsampleRatio411, image.YCbCrSubsampleRatio410:
+		hs = 2
+	}
+	r := s.Rect
+	w := r.Dx()
+	// Pixel Min.X+i reads chroma column (m+i)>>hs of the row COffset
+	// starts at.
+	m := r.Min.X & (1<<hs - 1)
+	for y := r.Min.Y; y < r.Max.Y; y++ {
+		ys := s.Y[s.YOffset(r.Min.X, y):][:w]
+		c := s.COffset(r.Min.X, y)
+		cbs, crs := s.Cb[c:], s.Cr[c:]
+		out := dst.Pix[(y-r.Min.Y)*w*3:][:w*3]
+		// One chroma sample's terms serve the pixels that share it.
+		for i, ci := 0, 0; i < w; ci++ {
+			cb1 := int32(cbs[ci]) - 128
+			cr1 := int32(crs[ci]) - 128
+			rc, gc, bc := 91881*cr1, -22554*cb1-46802*cr1, 116130*cb1
+			for end := min((ci+1)<<hs-m, w); i < end; i++ {
+				yy1 := int32(ys[i]) * 0x10101
+				p := out[3*i : 3*i+3 : 3*i+3]
+				p[0], p[1], p[2] = rgb8(yy1+rc), rgb8(yy1+gc), rgb8(yy1+bc)
+			}
+		}
+	}
+}
+
+// rgb8 is the top byte of color.YCbCr.RGBA's 16-bit channel for the
+// unscaled sum v: v>>16 when v fits 24 bits, else 0 below and 255 above.
+func rgb8(v int32) uint8 {
+	if uint32(v)&0xff000000 == 0 {
+		return uint8(v >> 16)
+	}
+	return uint8(^(v >> 31))
+}
+
+// grayInto copies s's luminance into all three channels of dst, which
+// is sized to s's bounds — what color.Gray.RGBA >> 8 gives.
+func grayInto(dst *Image, s *image.Gray) {
+	r := s.Rect
+	w := r.Dx()
+	for y := r.Min.Y; y < r.Max.Y; y++ {
+		row := s.Pix[s.PixOffset(r.Min.X, y):][:w]
+		out := dst.Pix[(y-r.Min.Y)*w*3:][:w*3]
+		for i, v := range row {
+			p := out[3*i : 3*i+3 : 3*i+3]
+			p[0], p[1], p[2] = v, v, v
+		}
+	}
 }
 
 // jpegFrameSize walks the marker segments of a JPEG stream to its first
@@ -183,35 +238,78 @@ func RandomCropInto(dst *Image, im *Image, w, h int, rng *rand.Rand) error {
 // "Mirror" engine of Table II.
 func MirrorInto(dst *Image, im *Image) {
 	dst.Reset(im.W, im.H)
+	row := im.W * 3
 	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			r, g, b := im.At(x, y)
-			dst.Set(im.W-1-x, y, r, g, b)
+		src := im.Pix[y*row:][:row]
+		out := dst.Pix[y*row:][:row]
+		for i, j := 0, row-3; i < row; i, j = i+3, j-3 {
+			p, q := src[i:i+3:i+3], out[j:j+3:j+3]
+			q[0], q[1], q[2] = p[0], p[1], p[2]
 		}
 	}
 }
 
 // GaussianNoiseInto writes im plus clamped zero-mean Gaussian noise
 // with the given standard deviation (in 8-bit counts) into dst — the
-// "Gaussian noise" engine of Table II. A nil rng or non-positive stddev
-// copies im unchanged. dst == im is allowed (in-place noising).
+// "Gaussian noise" engine of Table II. The noise is gauss's 4,096-level
+// quantized Gaussian (tails at ±3.67σ), and each call draws one Uint64
+// from rng. A pixel becomes clampU8(v + σ·q) for its quantile q, which
+// for an integer v is v + floor(σ·q) clamped to [0, 255]: the kernel
+// adds those integer offsets from a table built once per σ. A nil rng
+// or a stddev that is not positive (NaN included: it would key a new
+// table per call) copies im unchanged. dst == im is allowed (in-place
+// noising).
 func GaussianNoiseInto(dst *Image, im *Image, stddev float64, rng *rand.Rand) {
+	src := im.Pix
 	if dst != im {
 		dst.Reset(im.W, im.H)
-		copy(dst.Pix, im.Pix)
 	}
-	if rng == nil || stddev <= 0 {
+	if rng == nil || !(stddev > 0) {
+		copy(dst.Pix, src)
 		return
 	}
-	for i, v := range dst.Pix {
-		dst.Pix[i] = clampU8(float64(v) + rng.NormFloat64()*stddev)
+	off := noiseOffsets(stddev)
+	st := gauss.NewStream(rng)
+	var idx [gauss.Block]uint16
+	for base := 0; base < len(src); base += gauss.Block {
+		in := src[base:min(base+gauss.Block, len(src))]
+		out := dst.Pix[base:][:len(in)]
+		st.Fill(idx[:len(in)])
+		for i, v := range in {
+			out[i] = uint8(min(max(int(v)+int(off[idx[i]]), 0), 255))
+		}
 	}
+}
+
+var (
+	offsetsMu sync.Mutex
+	offsets   = map[float64]*[gauss.Levels]int16{}
+)
+
+// noiseOffsets returns floor(σ·q) for every quantile q of gauss.Table,
+// clamped to ±256, past which any 8-bit value saturates. A table is
+// built on the first call with its σ and shared read-only after.
+func noiseOffsets(sigma float64) *[gauss.Levels]int16 {
+	offsetsMu.Lock()
+	defer offsetsMu.Unlock()
+	t := offsets[sigma]
+	if t == nil {
+		t = new([gauss.Levels]int16)
+		for i, q := range gauss.Table {
+			t[i] = int16(min(max(math.Floor(sigma*q), -256), 256))
+		}
+		offsets[sigma] = t
+	}
+	return t
 }
 
 // ToTensorInto casts the image to a float32 CHW tensor in dst, reusing
 // dst's Data capacity — the "Cast" engine of Table II — normalizing
-// each channel as (v/255 − mean[c]) / std[c]. Nil mean/std default to
-// 0 and 1 (plain [0,1] scaling).
+// each channel as (v/255 − mean[c]) / std[c]. Each output is a function
+// of (channel, byte value) only, so the kernel computes that formula
+// once per entry of a [3][256] table and writes the three planes in one
+// pass over the pixels. Nil mean/std default to 0 and 1 (plain [0,1]
+// scaling).
 func ToTensorInto(dst *Tensor, im *Image, mean, std []float64) error {
 	if mean == nil {
 		mean = []float64{0, 0, 0}
@@ -227,16 +325,19 @@ func ToTensorInto(dst *Tensor, im *Image, mean, std []float64) error {
 			return fmt.Errorf("imgproc: std[%d] = %v must be positive", c, s)
 		}
 	}
+	var lut [3][256]float32
+	for c := range lut {
+		for v := range lut[c] {
+			lut[c][v] = float32((float64(v)/255 - mean[c]) / std[c])
+		}
+	}
 	dst.Reset(3, im.H, im.W)
 	plane := im.H * im.W
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			i := (y*im.W + x) * 3
-			for c := 0; c < 3; c++ {
-				v := (float64(im.Pix[i+c])/255 - mean[c]) / std[c]
-				dst.Data[c*plane+y*im.W+x] = float32(v)
-			}
-		}
+	r, g, b := dst.Data[:plane], dst.Data[plane:2*plane], dst.Data[2*plane:3*plane]
+	pix := im.Pix[:3*plane]
+	for i := range r {
+		p := pix[3*i : 3*i+3 : 3*i+3]
+		r[i], g[i], b[i] = lut[0][p[0]], lut[1][p[1]], lut[2][p[2]]
 	}
 	return nil
 }

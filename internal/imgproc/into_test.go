@@ -3,11 +3,16 @@ package imgproc
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"image"
+	"image/color"
 	"image/jpeg"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"trainbox/internal/jpegdec"
 )
 
 func synthJPEG(t *testing.T, seed int64, quality int) []byte {
@@ -20,27 +25,42 @@ func synthJPEG(t *testing.T, seed int64, quality int) []byte {
 	return data
 }
 
-// TestDecodeJPEGIntoMatchesGenericPath pins the concrete-type fast
-// paths (YCbCr, Gray) to the generic At(x,y).RGBA() reference they
-// replaced.
+// genericRGB is the reference conversion the plane walks replaced:
+// At(x, y).RGBA() >> 8 per pixel, through a boxed color.Color.
+func genericRGB(src image.Image) *Image {
+	bounds := src.Bounds()
+	out := NewImage(bounds.Dx(), bounds.Dy())
+	for y := bounds.Min.Y; y < bounds.Max.Y; y++ {
+		for x := bounds.Min.X; x < bounds.Max.X; x++ {
+			r, g, b, _ := src.At(x, y).RGBA()
+			out.Set(x-bounds.Min.X, y-bounds.Min.Y, uint8(r>>8), uint8(g>>8), uint8(b>>8))
+		}
+	}
+	return out
+}
+
+// TestDecodeJPEGIntoMatchesGenericPath pins the plane walks (YCbCr,
+// Gray) to the generic At(x,y).RGBA() reference they replaced, on
+// 4:2:0 (image/jpeg's encoder), 4:4:4 (jpegdec's encoder) and
+// grayscale files.
 func TestDecodeJPEGIntoMatchesGenericPath(t *testing.T) {
 	decodeGeneric := func(data []byte) *Image {
 		src, err := jpeg.Decode(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
-		bounds := src.Bounds()
-		out := NewImage(bounds.Dx(), bounds.Dy())
-		for y := bounds.Min.Y; y < bounds.Max.Y; y++ {
-			for x := bounds.Min.X; x < bounds.Max.X; x++ {
-				r, g, b, _ := src.At(x, y).RGBA()
-				out.Set(x-bounds.Min.X, y-bounds.Min.Y, uint8(r>>8), uint8(g>>8), uint8(b>>8))
-			}
-		}
-		return out
+		return genericRGB(src)
 	}
 
-	color := synthJPEG(t, 11, 85)
+	half := synthJPEG(t, 11, 85)
+	full := func() []byte {
+		im := SynthesizeImage(SynthConfig{Size: 40, Shapes: 4}, 3, 2)
+		data, err := jpegdec.Encode(&jpegdec.Image{W: im.W, H: im.H, Pix: im.Pix}, 90)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}()
 	gray := func() []byte {
 		g := image.NewGray(image.Rect(0, 0, 60, 44))
 		for i := range g.Pix {
@@ -52,7 +72,7 @@ func TestDecodeJPEGIntoMatchesGenericPath(t *testing.T) {
 		}
 		return buf.Bytes()
 	}()
-	for name, data := range map[string][]byte{"ycbcr": color, "gray": gray} {
+	for name, data := range map[string][]byte{"ycbcr-420": half, "ycbcr-444": full, "gray": gray} {
 		want := decodeGeneric(data)
 		got := &Image{}
 		if err := DecodeJPEGInto(got, data); err != nil {
@@ -63,6 +83,228 @@ func TestDecodeJPEGIntoMatchesGenericPath(t *testing.T) {
 		}
 	}
 }
+
+// TestPlaneWalkMatchesRGBA drives ycbcrInto and grayInto directly on
+// images built as image.YCbCr / image.Gray with random planes: every
+// subsample ratio, non-square sizes, and sub-images whose odd origins
+// shift the chroma phase. Each must equal YCbCrAt(x, y).RGBA() >> 8.
+func TestPlaneWalkMatchesRGBA(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	fill := func(b []uint8) {
+		for i := range b {
+			b[i] = uint8(rng.Intn(256))
+		}
+	}
+	check := func(name string, src image.Image, walk func(*Image)) {
+		t.Helper()
+		want := genericRGB(src)
+		got := &Image{}
+		got.Reset(want.W, want.H)
+		walk(got)
+		if !bytes.Equal(got.Pix, want.Pix) {
+			for i := range want.Pix {
+				if got.Pix[i] != want.Pix[i] {
+					t.Fatalf("%s: byte %d (pixel %d) = %d, want %d", name, i, i/3, got.Pix[i], want.Pix[i])
+				}
+			}
+		}
+	}
+	ratios := []image.YCbCrSubsampleRatio{
+		image.YCbCrSubsampleRatio444, image.YCbCrSubsampleRatio422, image.YCbCrSubsampleRatio420,
+		image.YCbCrSubsampleRatio440, image.YCbCrSubsampleRatio411, image.YCbCrSubsampleRatio410,
+	}
+	sizes := [][2]int{{1, 1}, {1, 7}, {7, 1}, {13, 6}, {6, 13}, {37, 22}}
+	subs := []image.Rectangle{image.Rect(1, 1, 6, 5), image.Rect(3, 2, 37, 21), image.Rect(2, 3, 5, 13)}
+	for _, ratio := range ratios {
+		for _, sz := range sizes {
+			ycc := image.NewYCbCr(image.Rect(0, 0, sz[0], sz[1]), ratio)
+			fill(ycc.Y)
+			fill(ycc.Cb)
+			fill(ycc.Cr)
+			name := fmt.Sprintf("%v %dx%d", ratio, sz[0], sz[1])
+			check(name, ycc, func(dst *Image) { ycbcrInto(dst, ycc) })
+			for _, r := range subs {
+				if !r.In(ycc.Rect) {
+					continue
+				}
+				sub := ycc.SubImage(r).(*image.YCbCr)
+				check(fmt.Sprintf("%s sub %v", name, r), sub, func(dst *Image) { ycbcrInto(dst, sub) })
+			}
+		}
+	}
+	for _, sz := range sizes {
+		g := image.NewGray(image.Rect(0, 0, sz[0], sz[1]))
+		fill(g.Pix)
+		check(fmt.Sprintf("gray %dx%d", sz[0], sz[1]), g, func(dst *Image) { grayInto(dst, g) })
+		if r := image.Rect(1, 1, 6, 5); r.In(g.Rect) {
+			sub := g.SubImage(r).(*image.Gray)
+			check(fmt.Sprintf("gray %dx%d sub", sz[0], sz[1]), sub, func(dst *Image) { grayInto(dst, sub) })
+		}
+	}
+}
+
+// TestYCbCrConversionExhaustive runs every (Y, Cb, Cr) triple through
+// the plane walk — one 256×256 4:4:4 image per Y, with Cb along x and
+// Cr along y — against color.YCbCr.RGBA, clamping branches included.
+func TestYCbCrConversionExhaustive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("16.7M conversions in -short mode")
+	}
+	ycc := image.NewYCbCr(image.Rect(0, 0, 256, 256), image.YCbCrSubsampleRatio444)
+	for i := range ycc.Cb {
+		ycc.Cb[i], ycc.Cr[i] = uint8(i%256), uint8(i/256)
+	}
+	var got Image
+	got.Reset(256, 256)
+	for y := 0; y < 256; y++ {
+		for i := range ycc.Y {
+			ycc.Y[i] = uint8(y)
+		}
+		ycbcrInto(&got, ycc)
+		for i := 0; i < 256*256; i++ {
+			r, g, b, _ := color.YCbCr{Y: uint8(y), Cb: uint8(i % 256), Cr: uint8(i / 256)}.RGBA()
+			if p := got.Pix[3*i : 3*i+3]; p[0] != uint8(r>>8) || p[1] != uint8(g>>8) || p[2] != uint8(b>>8) {
+				t.Fatalf("Y %d Cb %d Cr %d: got %v, want [%d %d %d]", y, i%256, i/256, p, r>>8, g>>8, b>>8)
+			}
+		}
+	}
+}
+
+// randomImage returns a w×h image of uniformly random bytes.
+func randomImage(w, h int, seed int64) *Image {
+	rng := rand.New(rand.NewSource(seed))
+	im := NewImage(w, h)
+	for i := range im.Pix {
+		im.Pix[i] = uint8(rng.Intn(256))
+	}
+	return im
+}
+
+// TestToTensorIntoMatchesFormula compares the lookup-table cast with
+// the per-byte float formula it replaced, cell by cell and bit for bit.
+func TestToTensorIntoMatchesFormula(t *testing.T) {
+	for _, tc := range []struct {
+		w, h      int
+		mean, std []float64
+	}{
+		{37, 19, ImagenetMean, ImagenetStd},
+		{1, 5, nil, nil},
+		{8, 3, []float64{0.1, -0.3, 2}, []float64{0.7, 3, 1e-3}},
+	} {
+		im := randomImage(tc.w, tc.h, int64(tc.w))
+		var ten Tensor
+		if err := ToTensorInto(&ten, im, tc.mean, tc.std); err != nil {
+			t.Fatal(err)
+		}
+		mean, std := tc.mean, tc.std
+		if mean == nil {
+			mean, std = []float64{0, 0, 0}, []float64{1, 1, 1}
+		}
+		for c := 0; c < 3; c++ {
+			for y := 0; y < im.H; y++ {
+				for x := 0; x < im.W; x++ {
+					want := float32((float64(im.Pix[(y*im.W+x)*3+c])/255 - mean[c]) / std[c])
+					if got := ten.Data[(c*im.H+y)*im.W+x]; math.Float32bits(got) != math.Float32bits(want) {
+						t.Fatalf("%dx%d c%d (%d,%d) = %v, want %v", im.W, im.H, c, x, y, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMirrorIntoMatchesAtSet compares the slice mirror with the
+// per-pixel At/Set loop it replaced.
+func TestMirrorIntoMatchesAtSet(t *testing.T) {
+	for _, sz := range [][2]int{{1, 1}, {1, 4}, {5, 1}, {37, 19}} {
+		im := randomImage(sz[0], sz[1], 3)
+		want := NewImage(im.W, im.H)
+		for y := 0; y < im.H; y++ {
+			for x := 0; x < im.W; x++ {
+				r, g, b := im.At(x, y)
+				want.Set(im.W-1-x, y, r, g, b)
+			}
+		}
+		var got Image
+		MirrorInto(&got, im)
+		if !bytes.Equal(got.Pix, want.Pix) {
+			t.Errorf("%dx%d: MirrorInto differs from the At/Set mirror", im.W, im.H)
+		}
+	}
+}
+
+// TestGaussianNoiseIntoDistribution noises 10⁶ mid-grey bytes at σ = 30,
+// where no pixel clamps, so every added offset is floor(σ·q) for a
+// table quantile q. The offsets must have the mean of floor(σZ) (−½;
+// the float kernel's truncation had the same bias), a standard
+// deviation within 0.5 % of σ, and a Kolmogorov–Smirnov distance to
+// floor(σZ), Z ~ Φ, inside the sampling bound. The caller's rng must
+// advance by one draw, and equal seeds must give equal bytes in place
+// and out of place.
+func TestGaussianNoiseIntoDistribution(t *testing.T) {
+	const sigma, grey = 30.0, 128
+	im := NewImage(1000, 334)
+	for i := range im.Pix {
+		im.Pix[i] = grey
+	}
+	rng := rand.New(rand.NewSource(21))
+	var noisy Image
+	GaussianNoiseInto(&noisy, im, sigma, rng)
+	next := rand.New(rand.NewSource(21))
+	next.Uint64()
+	if rng.Uint64() != next.Uint64() {
+		t.Error("GaussianNoiseInto did not advance the caller's rng by exactly one Uint64")
+	}
+
+	var hist [256]int // by offset + grey
+	var sum, sq float64
+	for _, v := range noisy.Pix {
+		hist[v]++
+		o := float64(int(v) - grey)
+		sum, sq = sum+o, sq+o*o
+	}
+	n := float64(len(noisy.Pix))
+	mean := sum / n
+	std := math.Sqrt(sq/n - mean*mean)
+	if math.Abs(mean+0.5) > 0.1 {
+		t.Errorf("mean offset = %.4f, want −0.5 ± 0.1", mean)
+	}
+	if math.Abs(std/sigma-1) > 0.005 {
+		t.Errorf("offset std = %.4f, want within 0.5%% of %v", std, sigma)
+	}
+	if hist[0] != 0 || hist[255] != 0 {
+		t.Fatal("a pixel clamped: σ = 30 around 128 must stay inside (0, 255)")
+	}
+	// Both distribution functions step only at integers, so the distance
+	// is the largest gap at one: P(floor(σZ) ≤ k) = Φ((k+1)/σ).
+	var cum, ks float64
+	for v, c := range hist {
+		cum += float64(c) / n
+		ks = max(ks, math.Abs(cum-normalCDF(float64(v-grey+1)/sigma)))
+	}
+	if bound := ksBound(len(noisy.Pix)); ks > bound {
+		t.Errorf("KS distance to floor(σZ) = %.5f, want ≤ %.5f", ks, bound)
+	}
+	t.Logf("10⁶ offsets at σ=%v: mean %.4f, std %.4f, KS %.5f (%.2f/4096)", sigma, mean, std, ks, ks*4096)
+
+	again := &Image{W: im.W, H: im.H, Pix: append([]uint8(nil), im.Pix...)}
+	GaussianNoiseInto(again, again, sigma, rand.New(rand.NewSource(21)))
+	if !bytes.Equal(again.Pix, noisy.Pix) {
+		t.Error("same seed, in place: bytes differ from the out-of-place run")
+	}
+	GaussianNoiseInto(again, im, sigma, rand.New(rand.NewSource(22)))
+	if bytes.Equal(again.Pix, noisy.Pix) {
+		t.Error("a different seed gave identical noise")
+	}
+}
+
+func normalCDF(x float64) float64 { return 0.5 * math.Erfc(-x/math.Sqrt2) }
+
+// ksBound is the Kolmogorov–Smirnov distance a table-driven draw of n
+// values may show: the table's own quantization (½/4096, at the
+// quantile midpoints) plus the 99.9 % critical value of the sampling
+// noise, 1.95/√n.
+func ksBound(n int) float64 { return 0.5/4096 + 1.95/math.Sqrt(float64(n)) }
 
 // TestIntoVariantsBitIdentical drives each kernel with one destination
 // reused across kernels, sizes and seeds and compares it with a fresh
@@ -117,15 +359,23 @@ func TestIntoVariantsBitIdentical(t *testing.T) {
 		}
 	}
 
-	// The destination is warm by now: the cast reuses it and allocates
-	// nothing per sample.
+	// The destinations are warm by now (and the σ = 5 offset table
+	// built): the mirror, noise and cast kernels allocate nothing per
+	// sample.
 	src := SynthesizeImage(DefaultSynthConfig(), 1, 3)
-	if n := testing.AllocsPerRun(10, func() {
-		if err := ToTensorInto(&dstTen, src, ImagenetMean, ImagenetStd); err != nil {
-			t.Fatal(err)
+	rng := rand.New(rand.NewSource(1))
+	for name, op := range map[string]func(){
+		"MirrorInto":        func() { MirrorInto(&dstImg, src) },
+		"GaussianNoiseInto": func() { GaussianNoiseInto(&dstImg, src, 5, rng) },
+		"ToTensorInto": func() {
+			if err := ToTensorInto(&dstTen, src, ImagenetMean, ImagenetStd); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		if n := testing.AllocsPerRun(10, op); n != 0 {
+			t.Errorf("warm %s allocates %.1f objects/call, want 0", name, n)
 		}
-	}); n != 0 {
-		t.Errorf("warm ToTensorInto allocates %.1f objects/call, want 0", n)
 	}
 }
 
@@ -240,10 +490,12 @@ func TestDecodeJPEGIntoRejectsForgedDimensions(t *testing.T) {
 
 // FuzzDecodeJPEGInto feeds arbitrary bytes to the decode entry point of
 // every image workload. It must never panic; a stream it accepts must
-// declare no more than maxDecodePixels, and the frame the header walk
-// found must be the one image/jpeg decoded. The seed corpus holds a
-// valid 16² file, one truncated mid-scan, one with forged 65280²
-// dimensions and one with no frame header.
+// declare no more than maxDecodePixels, the frame the header walk found
+// must be the one image/jpeg decoded, and the pixels must equal the
+// generic At().RGBA() conversion of that decode. The seed corpus holds
+// a valid 16² 4:2:0 file, a 4:4:4 and a grayscale file, one truncated
+// mid-scan, one with forged 65280² dimensions and one with no frame
+// header.
 func FuzzDecodeJPEGInto(f *testing.F) {
 	var dst Image
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -255,6 +507,13 @@ func FuzzDecodeJPEGInto(f *testing.F) {
 		}
 		if w, h, _ := jpegFrameSize(data); w != dst.W || h != dst.H {
 			t.Fatalf("header walk found %dx%d, image/jpeg decoded %dx%d", w, h, dst.W, dst.H)
+		}
+		src, err := jpeg.Decode(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("image/jpeg rejects a stream DecodeJPEGInto accepted: %v", err)
+		}
+		if !bytes.Equal(dst.Pix, genericRGB(src).Pix) {
+			t.Fatalf("%T %dx%d: pixels differ from the generic At().RGBA() path", src, dst.W, dst.H)
 		}
 	})
 }

@@ -177,7 +177,7 @@ func TestGaussianNoiseNoopCases(t *testing.T) {
 	for _, c := range []struct {
 		stddev float64
 		rng    *rand.Rand
-	}{{0, rand.New(rand.NewSource(1))}, {10, nil}} {
+	}{{0, rand.New(rand.NewSource(1))}, {10, nil}, {math.NaN(), rand.New(rand.NewSource(1))}} {
 		out := &Image{}
 		GaussianNoiseInto(out, im, c.stddev, c.rng)
 		for i := range im.Pix {

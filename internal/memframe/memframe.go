@@ -39,11 +39,6 @@ const (
 	// Larger requests are served by direct allocation and never pooled.
 	maxClassBits = 24
 	numClasses   = maxClassBits - minClassBits + 1
-
-	// defaultKeep bounds how many free buffers each class retains; the
-	// bound is what keeps a steady-state working set from growing into a
-	// leak when producers outpace consumers.
-	defaultKeep = 32
 )
 
 // Stats are cumulative pool counters. Gets − News is the number of
@@ -73,10 +68,17 @@ func (s *Stats) add(o Stats) {
 // smallest class that fits, so a buffer recycled from one call site can
 // satisfy a differently-sized request from another. The zero value is
 // ready to use.
+//
+// Each class keeps at most as many free buffers as the pool has ever
+// had outstanding at once (the high-water mark of Gets − Puts): enough
+// to serve a working set the consumers have shown they hold, and a
+// bound that keeps the free lists from growing into a leak when Puts
+// outnumber Gets.
 type Pool[T any] struct {
 	mu      sync.Mutex
 	classes [numClasses][][]T
 	stats   Stats
+	high    int64 // most buffers outstanding at once
 }
 
 // classFor returns the index of the smallest class holding ≥ n
@@ -106,6 +108,7 @@ func (p *Pool[T]) Get(n int) []T {
 	c := classFor(n)
 	p.mu.Lock()
 	p.stats.Gets++
+	p.high = max(p.high, p.stats.Gets-p.stats.Puts)
 	if c >= 0 {
 		if free := p.classes[c]; len(free) > 0 {
 			s := free[len(free)-1]
@@ -125,8 +128,9 @@ func (p *Pool[T]) Get(n int) []T {
 
 // Put recycles a buffer for a later Get. The caller must not touch s
 // afterwards. Buffers whose capacity is below the smallest class, above
-// the largest, or whose class is already full are dropped (counted in
-// Stats.Drops) — Put never errors.
+// the largest, or whose class already keeps the high-water mark of
+// outstanding buffers are dropped (counted in Stats.Drops) — Put never
+// errors.
 func (p *Pool[T]) Put(s []T) {
 	n := cap(s)
 	p.mu.Lock()
@@ -143,7 +147,7 @@ func (p *Pool[T]) Put(s []T) {
 	if classSize(c) > n {
 		c--
 	}
-	if len(p.classes[c]) >= defaultKeep {
+	if int64(len(p.classes[c])) >= p.high {
 		p.stats.Drops++
 		return
 	}

@@ -72,6 +72,7 @@ func TestPutSmallDropped(t *testing.T) {
 
 func TestPutFilesUnderCoveringClass(t *testing.T) {
 	p := new(Pool[byte])
+	p.Get(64) // one buffer outstanding: each class may keep one free buffer
 	// Capacity 100 covers class 0 (64) but not class 1 (128): it must be
 	// filed under class 0 so a Get(128) never receives it.
 	p.Put(make([]byte, 100))
@@ -85,14 +86,47 @@ func TestPutFilesUnderCoveringClass(t *testing.T) {
 	}
 }
 
+// TestKeepBound: a class keeps at most the high-water mark of buffers
+// outstanding at once; Puts beyond it (here, buffers the pool never
+// handed out) are dropped.
 func TestKeepBound(t *testing.T) {
 	p := new(Pool[byte])
-	for i := 0; i < defaultKeep+5; i++ {
+	held := make([][]byte, 3)
+	for i := range held {
+		held[i] = p.Get(64)
+	}
+	for _, s := range held {
+		p.Put(s)
+	}
+	for i := 0; i < 5; i++ {
 		p.Put(make([]byte, 64))
 	}
-	st := p.Stats()
-	if st.Drops != 5 {
-		t.Errorf("drops = %d, want 5 (keep bound %d)", st.Drops, defaultKeep)
+	if st := p.Stats(); st.Drops != 5 {
+		t.Errorf("drops = %d, want 5 (high-water mark 3)", st.Drops)
+	}
+	if got := len(p.classes[0]); got != 3 {
+		t.Errorf("class 0 keeps %d free buffers, want 3", got)
+	}
+}
+
+// TestKeepsWholeReturnedWorkingSet: a consumer that holds 64 buffers
+// and returns them all gets all 64 back on its next round — the pool
+// allocates nothing after the first.
+func TestKeepsWholeReturnedWorkingSet(t *testing.T) {
+	p := new(Pool[float32])
+	round := func() {
+		held := make([][]float32, 64)
+		for i := range held {
+			held[i] = p.Get(1000)
+		}
+		for _, s := range held {
+			p.Put(s)
+		}
+	}
+	round()
+	round()
+	if st := p.Stats(); st.News != 64 || st.Drops != 0 {
+		t.Errorf("stats = %+v, want News 64 and Drops 0 after two rounds of 64", st)
 	}
 }
 
