@@ -239,6 +239,9 @@ func NewRing(opts ...Option) (Reducer, error) {
 
 type ringReducer struct {
 	m reducerMetrics
+	// bufs holds each rank's *[]float64 send buffers between Reduces; a
+	// rank takes its own, so concurrent Reduces never share one.
+	bufs sync.Pool
 }
 
 func (r *ringReducer) Name() string { return "ring" }
@@ -259,6 +262,7 @@ func (r *ringReducer) Reduce(ctx context.Context, grads [][]float64) error {
 
 	bounds := segmentBounds(n, length)
 	seg := func(v []float64, s int) []float64 { return v[bounds[s]:bounds[s+1]] }
+	segCap := (length + n - 1) / n // ≥ every segment's length
 
 	// chans[r] carries segments from rank r to rank (r+1) mod n. A buffer
 	// of 1 lets each step's send complete without rendezvous.
@@ -275,28 +279,38 @@ func (r *ringReducer) Reduce(ctx context.Context, grads [][]float64) error {
 			send := chans[rank]
 			recv := chans[(rank-1+n)%n]
 			mod := func(x int) int { return ((x % n) + n) % n }
+			bufs, _ := r.bufs.Get().(*[]float64)
+			if bufs == nil || len(*bufs) < 3*segCap {
+				b := make([]float64, 3*segCap)
+				bufs = &b
+			}
+			defer r.bufs.Put(bufs)
 
 			// Reduce-scatter: after n−1 steps, rank owns the fully
-			// reduced segment (rank+1) mod n.
+			// reduced segment (rank+1) mod n. The rank keeps adding into
+			// its segments while the next rank reads, so it sends copies,
+			// rotating three buffers: a completed send into the
+			// capacity-1 channel proves only that the receiver has taken
+			// the previous buffer, but the receiver finishes each buffer
+			// before taking the next, so the one sent two steps back is
+			// free again.
 			for step := 0; step < n-1; step++ {
-				out := mod(rank - step)
-				in := mod(rank - step - 1)
-				buf := append([]float64(nil), seg(grads[rank], out)...)
+				out := seg(grads[rank], mod(rank-step))
+				buf := (*bufs)[step%3*segCap:][:len(out)]
+				copy(buf, out)
 				send <- buf
 				incoming := <-recv
-				dst := seg(grads[rank], in)
+				dst := seg(grads[rank], mod(rank-step-1))
 				for i, v := range incoming {
 					dst[i] += v
 				}
 			}
-			// All-gather: circulate the reduced segments.
+			// All-gather: circulate the reduced segments. Every segment
+			// a rank sends here is final and the rank never writes it
+			// again, so the receiver reads it in place.
 			for step := 0; step < n-1; step++ {
-				out := mod(rank - step + 1)
-				in := mod(rank - step)
-				buf := append([]float64(nil), seg(grads[rank], out)...)
-				send <- buf
-				incoming := <-recv
-				copy(seg(grads[rank], in), incoming)
+				send <- seg(grads[rank], mod(rank-step+1))
+				copy(seg(grads[rank], mod(rank-step)), <-recv)
 			}
 		}(rank)
 	}

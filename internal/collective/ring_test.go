@@ -1,8 +1,11 @@
 package collective
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -150,6 +153,86 @@ func TestRingAllReduceSynchronizesRealGradients(t *testing.T) {
 		}
 		if err := nets[r].SetGradients(grads[r]); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestRingReduceAllocsIndependentOfLength: a warm ring Reduce allocates
+// the same count and bytes for a 1k- and a 1M-element vector, because its
+// send buffers come from the reducer's pool instead of one fresh copy per
+// segment sent. Each length keeps its cheapest of ten calls: a call that
+// lands on a processor whose pool slot is empty still allocates a
+// buffer set.
+func TestRingReduceAllocsIndependentOfLength(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of Puts under the race detector")
+	}
+	ring, err := NewRing()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	measure := func(length int) (allocs, bytes uint64) {
+		grads := randGrads(4, length, 1)
+		allocs, bytes = math.MaxUint64, math.MaxUint64
+		var before, after runtime.MemStats
+		for i := 0; i < 11; i++ {
+			runtime.ReadMemStats(&before)
+			if err := ring.Reduce(ctx, grads); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if i > 0 { // the first call sizes the pooled buffers
+				allocs = min(allocs, after.Mallocs-before.Mallocs)
+				bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+			}
+		}
+		return allocs, bytes
+	}
+	smallAllocs, smallBytes := measure(1_000)
+	bigAllocs, bigBytes := measure(1_000_000)
+	if bigAllocs != smallAllocs || bigBytes != smallBytes {
+		t.Errorf("warm Reduce: %d allocs, %d B at 1M elements vs %d allocs, %d B at 1k",
+			bigAllocs, bigBytes, smallAllocs, smallBytes)
+	}
+}
+
+// TestRingConcurrentReducesMatchSequential: jobs sharing one ring
+// reducer, as serve's do, reduce different rank counts and lengths at
+// once; each result must equal the same reduction run alone, bit for
+// bit.
+func TestRingConcurrentReducesMatchSequential(t *testing.T) {
+	ring, err := NewRing()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	shapes := []struct{ ranks, length int }{{4, 1000}, {3, 37}}
+	for iter := int64(0); iter < 20; iter++ {
+		got := make([][][]float64, len(shapes))
+		want := make([][][]float64, len(shapes))
+		for j, sh := range shapes {
+			got[j] = randGrads(sh.ranks, sh.length, iter*10+int64(j))
+			want[j] = cloneGrads(got[j])
+			if err := ring.Reduce(ctx, want[j]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, len(shapes))
+		for j := range shapes {
+			wg.Add(1)
+			go func(j int) {
+				defer wg.Done()
+				errs[j] = ring.Reduce(ctx, got[j])
+			}(j)
+		}
+		wg.Wait()
+		for j := range shapes {
+			if errs[j] != nil {
+				t.Fatal(errs[j])
+			}
+			requireBitIdentical(t, got[j], want[j], "concurrent ring Reduce")
 		}
 	}
 }

@@ -11,9 +11,10 @@
 //     internal/collective, so model synchronization is exercised on real
 //     data rather than zeros.
 //
-// It is intentionally minimal: the paper treats model computation as a
-// black-box throughput source (TPU measurements); this package only needs
-// to be a correct learner.
+// The paper treats model computation as a black-box throughput source
+// (TPU measurements); this package is a correct learner with one
+// minibatch kernel (TrainBatch) whose bits equal a one-sample-at-a-time
+// pass, so the training driver's step costs its operation count.
 package nn
 
 import (
@@ -29,20 +30,26 @@ type Layer struct {
 	W, B []float64
 	ReLU bool
 
-	// Gradients of the last Backward call, same shapes as W and B.
+	// GradW and GradB accumulate gradients, same shapes as W and B; they
+	// are views into the network's flat gradient buffer.
 	GradW, GradB []float64
 
-	// cached forward values
-	lastInput []float64
-	lastPre   []float64
+	// Minibatch scratch, sized on first use for the largest batch seen:
+	// in[s] is sample s's input (the caller's slice for the first layer,
+	// a row of the layer below's act otherwise); act and delta hold the
+	// samples' activations and the loss gradients with respect to them,
+	// one Out-wide row per sample.
+	in         [][]float64
+	act, delta []float64
 }
 
-// NewLayer creates a dense layer with He-initialized weights.
-func NewLayer(in, out int, relu bool, rng *rand.Rand) *Layer {
+// newLayer creates a dense layer with He-initialized weights whose
+// gradients live in grad (in·out + out entries).
+func newLayer(in, out int, relu bool, grad []float64, rng *rand.Rand) *Layer {
 	l := &Layer{
 		In: in, Out: out, ReLU: relu,
 		W: make([]float64, in*out), B: make([]float64, out),
-		GradW: make([]float64, in*out), GradB: make([]float64, out),
+		GradW: grad[:in*out], GradB: grad[in*out:],
 	}
 	scale := math.Sqrt(2 / float64(in))
 	for i := range l.W {
@@ -51,63 +58,123 @@ func NewLayer(in, out int, relu bool, rng *rand.Rand) *Layer {
 	return l
 }
 
-// Forward computes the layer output for one input vector.
-func (l *Layer) Forward(x []float64) []float64 {
-	if len(x) != l.In {
-		panic(fmt.Sprintf("nn: layer expects %d inputs, got %d", l.In, len(x)))
+// reserve sizes the layer's scratch for a k-sample minibatch.
+func (l *Layer) reserve(k int) {
+	if len(l.in) < k {
+		l.in = make([][]float64, k)
+		l.act = make([]float64, k*l.Out)
+		l.delta = make([]float64, k*l.Out)
 	}
-	l.lastInput = append(l.lastInput[:0], x...)
-	if cap(l.lastPre) < l.Out {
-		l.lastPre = make([]float64, l.Out)
-	}
-	l.lastPre = l.lastPre[:l.Out]
-	out := make([]float64, l.Out)
-	for o := 0; o < l.Out; o++ {
-		sum := l.B[o]
-		row := l.W[o*l.In : (o+1)*l.In]
-		for i, v := range x {
-			sum += row[i] * v
-		}
-		l.lastPre[o] = sum
-		if l.ReLU && sum < 0 {
-			sum = 0
-		}
-		out[o] = sum
-	}
-	return out
 }
 
-// Backward accumulates gradients for the most recent Forward and returns
-// the gradient with respect to the layer input.
-func (l *Layer) Backward(gradOut []float64) []float64 {
-	if len(gradOut) != l.Out {
-		panic(fmt.Sprintf("nn: layer backward expects %d grads, got %d", l.Out, len(gradOut)))
-	}
-	gradIn := make([]float64, l.In)
+// forward computes the activations of the first k inputs. Each weight
+// row is read once per group of up to four samples, and every sample
+// keeps its own accumulator summed in input order, so the bits equal a
+// one-sample-at-a-time pass.
+func (l *Layer) forward(k int) {
 	for o := 0; o < l.Out; o++ {
-		g := gradOut[o]
-		if l.ReLU && l.lastPre[o] <= 0 {
-			g = 0
+		row := l.W[o*l.In : (o+1)*l.In]
+		s := 0
+		for ; s+4 <= k; s += 4 {
+			x0, x1, x2, x3 := l.in[s][:len(row)], l.in[s+1][:len(row)], l.in[s+2][:len(row)], l.in[s+3][:len(row)]
+			a0, a1, a2, a3 := l.B[o], l.B[o], l.B[o], l.B[o]
+			for i, w := range row {
+				a0 += w * x0[i]
+				a1 += w * x1[i]
+				a2 += w * x2[i]
+				a3 += w * x3[i]
+			}
+			l.setAct(s, o, a0)
+			l.setAct(s+1, o, a1)
+			l.setAct(s+2, o, a2)
+			l.setAct(s+3, o, a3)
 		}
-		l.GradB[o] += g
+		for ; s < k; s++ {
+			x := l.in[s][:len(row)]
+			a := l.B[o]
+			for i, w := range row {
+				a += w * x[i]
+			}
+			l.setAct(s, o, a)
+		}
+	}
+}
+
+// setAct stores sample s's activation of unit o from its
+// pre-activation.
+func (l *Layer) setAct(s, o int, pre float64) {
+	if l.ReLU && pre < 0 {
+		pre = 0
+	}
+	l.act[s*l.Out+o] = pre
+}
+
+// backward accumulates the layer's gradients for the first k samples
+// from delta and, when below is non-nil, writes the gradients with
+// respect to the layer's inputs into below.delta (the first layer's
+// input gradient has no reader). A sample whose gradient is zero after
+// the ReLU mask is skipped: its terms are ±0, which leaves a finite
+// accumulator that started at +0 unchanged. The rest are added in sample
+// order, four per pass over a gradient row, so every element keeps the
+// summation order of a one-sample-at-a-time pass.
+func (l *Layer) backward(k int, below *Layer) {
+	var gin []float64
+	if below != nil {
+		gin = below.delta[:k*l.In]
+		clear(gin)
+	}
+	for o := 0; o < l.Out; o++ {
 		row := l.W[o*l.In : (o+1)*l.In]
 		grow := l.GradW[o*l.In : (o+1)*l.In]
-		for i := range row {
-			grow[i] += g * l.lastInput[i]
-			gradIn[i] += g * row[i]
+		var gs [4]float64
+		var xs [4][]float64
+		m := 0
+		for s := 0; s < k; s++ {
+			g := l.delta[s*l.Out+o]
+			// act ≤ 0 exactly when the pre-activation is ≤ 0.
+			if g == 0 || l.ReLU && l.act[s*l.Out+o] <= 0 {
+				continue
+			}
+			l.GradB[o] += g
+			if gin != nil {
+				gi := gin[s*l.In : (s+1)*l.In]
+				for i, w := range row {
+					gi[i] += g * w
+				}
+			}
+			gs[m], xs[m] = g, l.in[s]
+			if m++; m == 4 {
+				addRows4(grow, gs, xs)
+				m = 0
+			}
+		}
+		for j := 0; j < m; j++ {
+			g, x := gs[j], xs[j][:len(grow)]
+			for i := range grow {
+				grow[i] += g * x[i]
+			}
 		}
 	}
-	return gradIn
 }
 
-// ZeroGrad clears accumulated gradients.
-func (l *Layer) ZeroGrad() {
-	for i := range l.GradW {
-		l.GradW[i] = 0
+// addRows4 adds g[j]·x[j] for j = 0…3, in that order, to every element of
+// grow, loading and storing each element once.
+func addRows4(grow []float64, g [4]float64, x [4][]float64) {
+	g0, g1, g2, g3 := g[0], g[1], g[2], g[3]
+	x0, x1, x2, x3 := x[0][:len(grow)], x[1][:len(grow)], x[2][:len(grow)], x[3][:len(grow)]
+	for i, v := range grow {
+		grow[i] = v + g0*x0[i] + g1*x1[i] + g2*x2[i] + g3*x3[i]
 	}
-	for i := range l.GradB {
-		l.GradB[i] = 0
-	}
+}
+
+// lossGrad writes the softmax cross-entropy gradient of sample s's
+// logits against label into its delta row and returns the loss.
+func (l *Layer) lossGrad(s int, logits []float64, label int) float64 {
+	d := l.delta[s*l.Out : (s+1)*l.Out]
+	softmaxInto(d, logits)
+	loss := -math.Log(math.Max(d[label], 1e-12))
+	d[label] -= 1
+	return loss
 }
 
 // Step applies SGD with the given learning rate, scaling gradients by
@@ -125,6 +192,8 @@ func (l *Layer) Step(lr float64, batch int) {
 // Network is a feed-forward stack of dense layers ending in logits.
 type Network struct {
 	Layers []*Layer
+
+	grad []float64 // every layer's GradW then GradB, in the Gradients layout
 }
 
 // NewMLP builds a multilayer perceptron with the given layer widths;
@@ -133,61 +202,126 @@ func NewMLP(widths []int, rng *rand.Rand) *Network {
 	if len(widths) < 2 {
 		panic("nn: MLP needs at least input and output widths")
 	}
-	net := &Network{}
+	total := 0
 	for i := 0; i+1 < len(widths); i++ {
+		total += widths[i]*widths[i+1] + widths[i+1]
+	}
+	net := &Network{grad: make([]float64, total)}
+	off := 0
+	for i := 0; i+1 < len(widths); i++ {
+		size := widths[i]*widths[i+1] + widths[i+1]
 		relu := i+2 < len(widths)
-		net.Layers = append(net.Layers, NewLayer(widths[i], widths[i+1], relu, rng))
+		net.Layers = append(net.Layers, newLayer(widths[i], widths[i+1], relu, net.grad[off:off+size], rng))
+		off += size
 	}
 	return net
 }
 
-// Forward runs the network and returns the logits.
-func (n *Network) Forward(x []float64) []float64 {
-	for _, l := range n.Layers {
-		x = l.Forward(x)
+// TrainBatch is the network's forward → loss → backward pass: it runs
+// batch as one minibatch, accumulates every sample's gradients, and
+// returns the softmax cross-entropy loss summed in sample order. The
+// weights are read once per group of up to four samples; the loss,
+// gradients and activations are bit-identical to running the samples
+// one at a time through Forward and LossAndBackward (for finite inputs).
+func (n *Network) TrainBatch(batch []Sample) float64 {
+	k := len(batch)
+	n.reserve(k)
+	for s, smp := range batch {
+		n.setInput(s, smp.X)
 	}
-	return x
+	n.forward(k)
+	last := n.Layers[len(n.Layers)-1]
+	var total float64
+	for s, smp := range batch {
+		total += last.lossGrad(s, last.act[s*last.Out:(s+1)*last.Out], smp.Label)
+	}
+	n.backward(k)
+	return total
 }
 
-// Softmax returns the softmax of logits (numerically stabilized).
-func Softmax(logits []float64) []float64 {
+func (n *Network) reserve(k int) {
+	for _, l := range n.Layers {
+		l.reserve(k)
+	}
+}
+
+func (n *Network) setInput(s int, x []float64) {
+	l := n.Layers[0]
+	if len(x) != l.In {
+		panic(fmt.Sprintf("nn: layer expects %d inputs, got %d", l.In, len(x)))
+	}
+	l.in[s] = x
+}
+
+func (n *Network) forward(k int) {
+	for i, l := range n.Layers {
+		l.forward(k)
+		if i+1 < len(n.Layers) {
+			next := n.Layers[i+1]
+			for s := 0; s < k; s++ {
+				next.in[s] = l.act[s*l.Out : (s+1)*l.Out]
+			}
+		}
+	}
+}
+
+func (n *Network) backward(k int) {
+	for i := len(n.Layers) - 1; i >= 0; i-- {
+		var below *Layer
+		if i > 0 {
+			below = n.Layers[i-1]
+		}
+		n.Layers[i].backward(k, below)
+	}
+}
+
+// Forward runs the network on one input and returns the logits. The
+// logits live in the network's scratch until its next Forward or
+// TrainBatch, and x is read again by a LossAndBackward that follows.
+func (n *Network) Forward(x []float64) []float64 {
+	n.reserve(1)
+	n.setInput(0, x)
+	n.forward(1)
+	last := n.Layers[len(n.Layers)-1]
+	return last.act[:last.Out]
+}
+
+// softmaxInto writes the softmax of logits into p (numerically
+// stabilized).
+func softmaxInto(p, logits []float64) {
 	maxV := math.Inf(-1)
 	for _, v := range logits {
 		if v > maxV {
 			maxV = v
 		}
 	}
-	out := make([]float64, len(logits))
 	var sum float64
 	for i, v := range logits {
-		out[i] = math.Exp(v - maxV)
-		sum += out[i]
+		p[i] = math.Exp(v - maxV)
+		sum += p[i]
 	}
-	for i := range out {
-		out[i] /= sum
+	for i := range p {
+		p[i] /= sum
 	}
-	return out
 }
 
 // LossAndBackward computes softmax cross-entropy loss against the label,
-// backpropagates, and accumulates gradients. Forward must have been
-// called for this sample immediately before.
+// backpropagates, and accumulates gradients: TrainBatch's second half
+// for one sample. Forward must have been called for this sample
+// immediately before.
 func (n *Network) LossAndBackward(logits []float64, label int) float64 {
-	probs := Softmax(logits)
-	loss := -math.Log(math.Max(probs[label], 1e-12))
-	grad := append([]float64(nil), probs...)
-	grad[label] -= 1
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		grad = n.Layers[i].Backward(grad)
+	last := n.Layers[len(n.Layers)-1]
+	if len(logits) != last.Out {
+		panic(fmt.Sprintf("nn: loss expects %d logits, got %d", last.Out, len(logits)))
 	}
+	loss := last.lossGrad(0, logits, label)
+	n.backward(1)
 	return loss
 }
 
 // ZeroGrad clears all layer gradients.
 func (n *Network) ZeroGrad() {
-	for _, l := range n.Layers {
-		l.ZeroGrad()
-	}
+	clear(n.grad)
 }
 
 // Step applies SGD to every layer.
@@ -218,29 +352,27 @@ func (n *Network) NumParams() int {
 	return total
 }
 
-// Gradients flattens all accumulated gradients into one vector, the unit
-// of model synchronization. Layout: layer0.W, layer0.B, layer1.W, …
+// Gradients returns a copy of all accumulated gradients as one vector,
+// the unit of model synchronization. Layout: layer0.W, layer0.B,
+// layer1.W, …
 func (n *Network) Gradients() []float64 {
-	out := make([]float64, 0, n.NumParams())
-	for _, l := range n.Layers {
-		out = append(out, l.GradW...)
-		out = append(out, l.GradB...)
-	}
-	return out
+	return append([]float64(nil), n.grad...)
 }
+
+// GradientBuffer returns the live gradient vector in the Gradients
+// layout, without copying: every layer's GradW and GradB are views into
+// it, so reducing or scaling it in place changes what Step and SGD.Step
+// apply.
+func (n *Network) GradientBuffer() []float64 { return n.grad }
 
 // SetGradients overwrites accumulated gradients from a flat vector with
 // the Gradients layout; it is how synchronized gradients are written back
 // after all-reduce.
 func (n *Network) SetGradients(flat []float64) error {
-	if len(flat) != n.NumParams() {
-		return fmt.Errorf("nn: gradient vector has %d entries, want %d", len(flat), n.NumParams())
+	if len(flat) != len(n.grad) {
+		return fmt.Errorf("nn: gradient vector has %d entries, want %d", len(flat), len(n.grad))
 	}
-	off := 0
-	for _, l := range n.Layers {
-		off += copy(l.GradW, flat[off:off+len(l.GradW)])
-		off += copy(l.GradB, flat[off:off+len(l.GradB)])
-	}
+	copy(n.grad, flat)
 	return nil
 }
 
@@ -284,15 +416,9 @@ func (n *Network) TrainEpoch(samples []Sample, batch int, lr float64) float64 {
 	}
 	var total float64
 	for start := 0; start < len(samples); start += batch {
-		end := start + batch
-		if end > len(samples) {
-			end = len(samples)
-		}
+		end := min(start+batch, len(samples))
 		n.ZeroGrad()
-		for _, s := range samples[start:end] {
-			logits := n.Forward(s.X)
-			total += n.LossAndBackward(logits, s.Label)
-		}
+		total += n.TrainBatch(samples[start:end])
 		n.Step(lr, end-start)
 	}
 	return total / float64(len(samples))

@@ -8,30 +8,36 @@ import (
 )
 
 func TestLayerForwardLinear(t *testing.T) {
-	l := &Layer{In: 2, Out: 1, W: []float64{2, 3}, B: []float64{1},
-		GradW: make([]float64, 2), GradB: make([]float64, 1)}
-	out := l.Forward([]float64{4, 5})
+	net := NewMLP([]int{2, 1}, rand.New(rand.NewSource(1)))
+	l := net.Layers[0]
+	copy(l.W, []float64{2, 3})
+	l.B[0] = 1
+	out := net.Forward([]float64{4, 5})
 	if out[0] != 2*4+3*5+1 {
 		t.Errorf("forward = %v, want 24", out[0])
 	}
 }
 
 func TestLayerReLUClamps(t *testing.T) {
-	l := &Layer{In: 1, Out: 1, W: []float64{-1}, B: []float64{0}, ReLU: true,
-		GradW: make([]float64, 1), GradB: make([]float64, 1)}
-	if out := l.Forward([]float64{5}); out[0] != 0 {
-		t.Errorf("ReLU output = %v, want 0", out[0])
+	net := NewMLP([]int{1, 1, 2}, rand.New(rand.NewSource(1)))
+	hidden := net.Layers[0]
+	hidden.W[0], hidden.B[0] = -1, 0
+	net.Forward([]float64{5})
+	if hidden.act[0] != 0 {
+		t.Errorf("ReLU output = %v, want 0", hidden.act[0])
 	}
 	// Gradient through a dead ReLU is zero.
-	gin := l.Backward([]float64{1})
-	if gin[0] != 0 || l.GradW[0] != 0 {
-		t.Errorf("dead ReLU leaked gradient: gin=%v gradW=%v", gin[0], l.GradW[0])
+	net.LossAndBackward(net.Forward([]float64{5}), 0)
+	if hidden.GradW[0] != 0 || hidden.GradB[0] != 0 {
+		t.Errorf("dead ReLU leaked gradient: gradW=%v gradB=%v", hidden.GradW[0], hidden.GradB[0])
+	}
+	if out := net.Layers[1]; out.GradB[0] == 0 {
+		t.Error("output layer received no gradient")
 	}
 }
 
 func TestLayerShapePanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	l := NewLayer(3, 2, false, rng)
+	net := NewMLP([]int{3, 2}, rand.New(rand.NewSource(1)))
 	mustPanic := func(name string, f func()) {
 		t.Helper()
 		defer func() {
@@ -41,9 +47,11 @@ func TestLayerShapePanics(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("bad input", func() { l.Forward([]float64{1}) })
-	l.Forward([]float64{1, 2, 3})
-	mustPanic("bad grad", func() { l.Backward([]float64{1}) })
+	mustPanic("bad input", func() { net.Forward([]float64{1}) })
+	mustPanic("bad batch input", func() { net.TrainBatch([]Sample{{X: []float64{1, 2}}}) })
+	net.Forward([]float64{1, 2, 3})
+	mustPanic("bad logits", func() { net.LossAndBackward([]float64{1}, 0) })
+	mustPanic("bad label", func() { net.LossAndBackward(net.Forward([]float64{1, 2, 3}), 2) })
 }
 
 // TestGradientsMatchNumericalDerivative is the canonical backprop check:
@@ -92,7 +100,9 @@ func TestGradientsMatchNumericalDerivative(t *testing.T) {
 }
 
 func lossOf(net *Network, x []float64, label int) float64 {
-	probs := Softmax(net.Forward(x))
+	logits := net.Forward(x)
+	probs := make([]float64, len(logits))
+	softmaxInto(probs, logits)
 	return -math.Log(math.Max(probs[label], 1e-12))
 }
 
@@ -103,7 +113,8 @@ func TestSoftmaxProperties(t *testing.T) {
 		for i := range logits {
 			logits[i] = rng.NormFloat64() * 10
 		}
-		p := Softmax(logits)
+		p := make([]float64, len(logits))
+		softmaxInto(p, logits)
 		var sum float64
 		for _, v := range p {
 			if v < 0 || v > 1 || math.IsNaN(v) {
@@ -119,7 +130,8 @@ func TestSoftmaxProperties(t *testing.T) {
 }
 
 func TestSoftmaxHugeLogitsStable(t *testing.T) {
-	p := Softmax([]float64{1000, 1000, -1000})
+	p := make([]float64, 3)
+	softmaxInto(p, []float64{1000, 1000, -1000})
 	if math.IsNaN(p[0]) || math.Abs(p[0]-0.5) > 1e-9 {
 		t.Errorf("softmax unstable: %v", p)
 	}

@@ -12,9 +12,9 @@
 // The first failure anywhere cancels the whole pipeline through its
 // context and drains every goroutine.
 //
-// It exists to prove the composition is correct, not to be fast: tests
-// assert that replicas remain numerically synchronized after every step
-// and that data-parallel training matches a single-worker oracle.
+// Tests assert that replicas remain numerically synchronized after
+// every step and that data-parallel training matches a single-worker
+// oracle.
 package train
 
 import (
@@ -76,6 +76,11 @@ func (c Config) Validate() error {
 	}
 	if len(c.Widths) < 2 {
 		return fmt.Errorf("train: model needs input and output widths")
+	}
+	for _, w := range c.Widths {
+		if w < 1 {
+			return fmt.Errorf("train: layer widths %v must all be ≥ 1", c.Widths)
+		}
 	}
 	if c.Epochs < 1 {
 		return fmt.Errorf("train: need ≥ 1 epoch")
@@ -635,23 +640,32 @@ func trainEpoch(ctx context.Context, cfg Config, replicas []*nn.Network, opts []
 	if mb <= 0 || mb > shard {
 		mb = shard
 	}
-	var stats []StepStat
-	for off := 0; off+mb <= shard; off += mb {
+	// The reducer works on the replicas' live gradient buffers, and each
+	// replica averages and applies its reduced gradients in place,
+	// concurrently with the others.
+	grads := make([][]float64, r)
+	for rep, net := range replicas {
+		grads[rep] = net.GradientBuffer()
+	}
+	losses := make([]float64, r)
+	off, global := 0, float64(r*mb)
+	backprop := func(_ context.Context, rep int) error {
+		replicas[rep].ZeroGrad()
+		losses[rep] = replicas[rep].TrainBatch(samples[rep*shard+off : rep*shard+off+mb])
+		return nil
+	}
+	apply := func(_ context.Context, rep int) error {
+		avg := grads[rep]
+		for i := range avg {
+			avg[i] /= global
+		}
+		opts[rep].Step(replicas[rep], 1)
+		return nil
+	}
+	stats := make([]StepStat, 0, shard/mb)
+	for ; off+mb <= shard; off += mb {
 		stepStart := time.Now()
-		grads := make([][]float64, r)
-		losses := make([]float64, r)
-		if err := pipeline.ForEach(ctx, r, func(_ context.Context, rep int) error {
-			net := replicas[rep]
-			net.ZeroGrad()
-			var loss float64
-			for i := 0; i < mb; i++ {
-				s := samples[rep*shard+off+i]
-				loss += net.LossAndBackward(net.Forward(s.X), s.Label)
-			}
-			grads[rep] = net.Gradients()
-			losses[rep] = loss
-			return nil
-		}); err != nil {
+		if err := pipeline.ForEach(ctx, r, backprop); err != nil {
 			return nil, err
 		}
 
@@ -662,18 +676,12 @@ func trainEpoch(ctx context.Context, cfg Config, replicas []*nn.Network, opts []
 		syncNanos := time.Since(syncStart).Nanoseconds()
 		tm.syncRounds.Inc()
 
-		global := float64(r * mb)
+		if err := pipeline.ForEach(ctx, r, apply); err != nil {
+			return nil, err
+		}
 		var total float64
-		for rep := 0; rep < r; rep++ {
-			avg := grads[rep]
-			for i := range avg {
-				avg[i] /= global
-			}
-			if err := replicas[rep].SetGradients(avg); err != nil {
-				return nil, err
-			}
-			opts[rep].Step(replicas[rep], 1)
-			total += losses[rep]
+		for _, loss := range losses {
+			total += loss
 		}
 		stats = append(stats, StepStat{
 			Epoch:     epoch,

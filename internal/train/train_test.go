@@ -146,6 +146,8 @@ func TestRunValidation(t *testing.T) {
 	bads := []func(*Config){
 		func(c *Config) { c.Replicas = 0 },
 		func(c *Config) { c.Widths = []int{3} },
+		func(c *Config) { c.Widths = []int{64, -1, 4} },
+		func(c *Config) { c.Widths = []int{64, 16, 0} },
 		func(c *Config) { c.Epochs = 0 },
 		func(c *Config) { c.LearningRate = 0 },
 		func(c *Config) { c.PrefetchDepth = 0 },
