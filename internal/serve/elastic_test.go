@@ -32,11 +32,7 @@ func newElasticGate() *elasticGate {
 	}
 }
 
-func (g *elasticGate) Run(ctx context.Context, id string, spec JobSpec) (Outcome, error) {
-	return g.RunElastic(ctx, id, spec, Elastic{})
-}
-
-func (g *elasticGate) RunElastic(ctx context.Context, id string, spec JobSpec, e Elastic) (Outcome, error) {
+func (g *elasticGate) Run(ctx context.Context, id string, spec JobSpec, e Elastic) (Outcome, error) {
 	epoch := 0
 	restored := -1
 	if e.Restore != nil {
@@ -72,8 +68,8 @@ func (g *elasticGate) waitStarted(t *testing.T) string {
 	select {
 	case id := <-g.started:
 		return id
-	case <-time.After(5 * time.Second):
-		t.Fatal("no job dispatched within 5s")
+	case <-time.After(time.Until(testDeadline(t))):
+		t.Fatal("no job dispatched before the test deadline")
 		return ""
 	}
 }
@@ -177,9 +173,60 @@ func TestSuspendQueuedJobCountsTowardQuota(t *testing.T) {
 	}
 }
 
+// TestCancelledJobDropsCheckpoint: a job resumed back into the queue
+// with a banked checkpoint, then cancelled — by Cancel or by Close's
+// queue drain — releases the checkpoint like every other terminal job,
+// instead of holding its replicas' weights for the server's lifetime.
+func TestCancelledJobDropsCheckpoint(t *testing.T) {
+	g := newElasticGate()
+	s := newTestServer(t, g, WithMaxRunning(1))
+	// park submits a job, waits for it to run, and suspends it onto a
+	// checkpoint, freeing the one slot.
+	park := func() string {
+		inf, err := s.Submit(JobSpec{Tenant: "alice", Epochs: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := g.waitStarted(t); got != inf.ID {
+			t.Fatalf("dispatched %s, want %s", got, inf.ID)
+		}
+		if err := s.Suspend(inf.ID); err != nil {
+			t.Fatal(err)
+		}
+		if sus := waitState(t, s, inf.ID, StateSuspended); sus.CheckpointEpochs != 1 {
+			t.Fatalf("parked job = %+v, want a banked checkpoint", sus)
+		}
+		return inf.ID
+	}
+	a, b := park(), park()
+	if _, err := s.Submit(JobSpec{Tenant: "bob"}); err != nil {
+		t.Fatal(err)
+	}
+	g.waitStarted(t) // bob holds the slot, so a and b stay queued on resume
+	for _, id := range []string{a, b} {
+		if err := s.Resume(id); err != nil {
+			t.Fatal(err)
+		}
+		if inf, _ := s.Status(id); inf.State != StateQueued || inf.CheckpointEpochs != 1 {
+			t.Fatalf("resumed job = %+v, want queued on its checkpoint", inf)
+		}
+	}
+	if err := s.Cancel(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{a, b} {
+		if inf, _ := s.Status(id); inf.State != StateCancelled || inf.CheckpointEpochs != 0 {
+			t.Errorf("cancelled job = %+v, want cancelled with no checkpoint", inf)
+		}
+	}
+}
+
 // TestSuspendResumeTaxonomy: every rejected transition maps to its
-// sentinel — non-elastic backends, terminal jobs, unknown IDs — and a
-// suspended job can still be cancelled.
+// sentinel — terminal jobs, unknown IDs — and a suspended job can still
+// be cancelled.
 func TestSuspendResumeTaxonomy(t *testing.T) {
 	plain := newGateRunner()
 	s := newTestServer(t, plain, WithMaxRunning(1))
@@ -188,9 +235,6 @@ func TestSuspendResumeTaxonomy(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain.waitStarted(t)
-	if err := s.Suspend(run.ID); !errors.Is(err, ErrNotElastic) {
-		t.Errorf("suspend on plain runner: err = %v, want ErrNotElastic", err)
-	}
 	if err := s.Suspend("j-404"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("suspend unknown: err = %v, want ErrNotFound", err)
 	}
@@ -315,7 +359,7 @@ func TestStatsNoLostJobsInvariant(t *testing.T) {
 	// the freed slots pull two more off the queue.
 	g.release <- nil
 	g.release <- errors.New("divergence")
-	deadline := time.Now().Add(10 * time.Second)
+	deadline := testDeadline(t)
 	for {
 		st := s.Stats()
 		check(t, st)
@@ -379,7 +423,7 @@ func TestHTTPSuspendResume(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("suspend status = %d, want 202", resp.StatusCode)
 	}
-	deadline := time.Now().Add(10 * time.Second)
+	deadline := testDeadline(t)
 	for {
 		resp, fields = doJSON(t, "GET", ts.URL+"/v1/jobs/"+id, nil)
 		if fieldString(t, fields, "state") == string(StateSuspended) {

@@ -63,8 +63,7 @@ func writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrNotFound):
 		status = http.StatusNotFound
 	case errors.Is(err, ErrNotFinished), errors.Is(err, ErrAlreadyFinished),
-		errors.Is(err, ErrNotElastic), errors.Is(err, ErrAlreadySuspended),
-		errors.Is(err, ErrNotSuspended):
+		errors.Is(err, ErrAlreadySuspended), errors.Is(err, ErrNotSuspended):
 		status = http.StatusConflict
 	case errors.Is(err, ErrClosed):
 		status = http.StatusServiceUnavailable

@@ -75,7 +75,7 @@ func TestHTTPLifecycle(t *testing.T) {
 	}
 
 	g.release <- nil
-	deadline := time.Now().Add(10 * time.Second)
+	deadline := testDeadline(t)
 	for {
 		resp, fields = doJSON(t, "GET", ts.URL+"/v1/jobs/"+id, nil)
 		if resp.StatusCode != http.StatusOK {

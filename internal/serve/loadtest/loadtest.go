@@ -90,8 +90,6 @@ func (h HTTP) do(method, path string, body, out any) (*http.Response, error) {
 			// generator classifies races (cancel/suspend/resume of a job
 			// that just moved on) uniformly across both clients.
 			switch {
-			case strings.Contains(e.Error, "does not support suspension"):
-				err = fmt.Errorf("%w: %s", serve.ErrNotElastic, e.Error)
 			case strings.Contains(e.Error, "already suspended"):
 				err = fmt.Errorf("%w: %s", serve.ErrAlreadySuspended, e.Error)
 			case strings.Contains(e.Error, "is not suspended"):
@@ -154,9 +152,7 @@ type Config struct {
 	// mode: every job they admit (and don't cancel) is suspended
 	// mid-burst, awaited into the suspended state, and resumed — the
 	// elastic-lifecycle stressor. 0 disables churn; values are clamped
-	// to [0, 1]. Churn requires the server's backend to be elastic
-	// (serve.ElasticRunner); a non-elastic backend surfaces
-	// serve.ErrNotElastic as a protocol error.
+	// to [0, 1].
 	ChurnFraction float64
 	// Retries caps extra submission attempts after a shed: 0 gives up
 	// immediately, n retries at most n times, -1 retries until admitted

@@ -15,7 +15,7 @@ import (
 // runnerFunc adapts a function to serve.Runner.
 type runnerFunc func(ctx context.Context, id string, spec serve.JobSpec) (serve.Outcome, error)
 
-func (f runnerFunc) Run(ctx context.Context, id string, spec serve.JobSpec) (serve.Outcome, error) {
+func (f runnerFunc) Run(ctx context.Context, id string, spec serve.JobSpec, _ serve.Elastic) (serve.Outcome, error) {
 	return f(ctx, id, spec)
 }
 
@@ -171,17 +171,13 @@ func TestRunAgainstRealTrainingBackend(t *testing.T) {
 	}
 }
 
-// elasticFastRunner is a millisecond-scale ElasticRunner: each run is
+// elasticFastRunner is a millisecond-scale elastic Runner: each run is
 // a series of 1ms "epochs" that honours park requests at epoch
 // boundaries and banks trivially small checkpoints, so churn runs have
 // a real window to suspend jobs mid-flight.
 type elasticFastRunner struct{ epochs int }
 
-func (r elasticFastRunner) Run(ctx context.Context, id string, spec serve.JobSpec) (serve.Outcome, error) {
-	return r.RunElastic(ctx, id, spec, serve.Elastic{})
-}
-
-func (r elasticFastRunner) RunElastic(ctx context.Context, id string, spec serve.JobSpec, e serve.Elastic) (serve.Outcome, error) {
+func (r elasticFastRunner) Run(ctx context.Context, id string, spec serve.JobSpec, e serve.Elastic) (serve.Outcome, error) {
 	start := 0
 	if e.Restore != nil {
 		start = e.Restore.Epoch + 1

@@ -18,36 +18,28 @@ import (
 )
 
 // Runner is the server's training backend: it executes one admitted job
-// to completion (or cancellation via ctx). id is the server-assigned
-// job ID — unique per server, valid as a preppool job name.
+// to completion (or cancellation via ctx), wired for suspension through
+// e. id is the server-assigned job ID — unique per server, valid as a
+// preppool job name. A backend that ignores e still runs every job; its
+// runs simply never park.
 type Runner interface {
-	Run(ctx context.Context, id string, spec JobSpec) (Outcome, error)
+	Run(ctx context.Context, id string, spec JobSpec, e Elastic) (Outcome, error)
 }
 
-// Elastic is the server-side harness an ElasticRunner threads through
-// one suspendable run:
+// Elastic is the server-side harness threaded through every run:
 //
 //   - Restore, when non-nil, is the epoch-boundary checkpoint the run
 //     must resume from (the job was suspended or preempted earlier).
 //   - Suspender carries the server's park requests; the run must honor
 //     them at epoch boundaries and return an error wrapping
 //     train.ErrSuspended once parked.
-//   - Checkpoint, when non-nil, must be called with every banked
-//     epoch-boundary checkpoint (newest last) — the server keeps the
-//     latest so a crash mid-epoch loses at most the open epoch.
+//   - Checkpoint must be called with every banked epoch-boundary
+//     checkpoint (newest last) — the server keeps the latest so a crash
+//     mid-epoch loses at most the open epoch.
 type Elastic struct {
 	Restore    *train.Checkpoint
 	Suspender  *train.Suspender
 	Checkpoint func(train.Checkpoint)
-}
-
-// ElasticRunner is a Runner whose runs can be suspended at epoch
-// boundaries and resumed from checkpoints. Servers detect it by type
-// assertion; backends without it still run, but their jobs cannot be
-// suspended while running or preempted under device pressure.
-type ElasticRunner interface {
-	Runner
-	RunElastic(ctx context.Context, id string, spec JobSpec, e Elastic) (Outcome, error)
 }
 
 // Training-workload shape every submitted job runs: jobs share one
@@ -174,23 +166,13 @@ func NewTrainBackend(devices, corpusItems int, seed int64, reg *metrics.Registry
 	return r, pool, nil
 }
 
-// Run implements Runner with a real training run.
-func (r *TrainRunner) Run(ctx context.Context, id string, spec JobSpec) (Outcome, error) {
-	return r.run(ctx, id, spec, Elastic{})
-}
-
-// RunElastic implements ElasticRunner: the same training run wired for
-// suspension — every epoch boundary banks a checkpoint through
-// e.Checkpoint, park requests on e.Suspender are honored at the next
-// boundary, and a non-nil e.Restore resumes bit-identically from a
-// prior checkpoint. A resumed run's Outcome counts only the resumed
-// leg's samples and steps; the restored epochs were counted by the leg
-// that banked them.
-func (r *TrainRunner) RunElastic(ctx context.Context, id string, spec JobSpec, e Elastic) (Outcome, error) {
-	return r.run(ctx, id, spec, e)
-}
-
-func (r *TrainRunner) run(ctx context.Context, id string, spec JobSpec, e Elastic) (out Outcome, retErr error) {
+// Run implements Runner with a real training run wired for suspension:
+// every epoch boundary banks a checkpoint through e.Checkpoint, park
+// requests on e.Suspender are honored at the next boundary, and a
+// non-nil e.Restore resumes bit-identically from a prior checkpoint. A
+// resumed run's Outcome counts only the resumed leg's samples and
+// steps; the restored epochs were counted by the leg that banked them.
+func (r *TrainRunner) Run(ctx context.Context, id string, spec JobSpec, e Elastic) (out Outcome, retErr error) {
 	items := spec.Items
 	if items > len(r.keys) {
 		items = len(r.keys)

@@ -166,29 +166,37 @@ type Info struct {
 	CheckpointEpochs int `json:"checkpoint_epochs,omitempty"`
 }
 
+// intent is what the server has asked of a running job, ranked: a
+// higher intent overrides a lower one, so a cancel outranks a pending
+// suspension and a preemption outranks a tenant's suspend.
+type intent uint8
+
+const (
+	intentNone    intent = iota
+	intentSuspend        // park at the next epoch boundary and stay suspended
+	intentPreempt        // park, then requeue automatically
+	intentCancel         // stop; never re-enter a live state
+)
+
 // job is the server-side record; guarded by Server.mu.
 type job struct {
-	id              string
-	spec            JobSpec
-	state           State
-	err             string
-	submitted       time.Time
-	started         time.Time
-	finished        time.Time
-	outcome         *Outcome
-	cancel          context.CancelFunc // set while running
-	cancelRequested bool
-	dispatchSeq     int64
+	id          string
+	spec        JobSpec
+	state       State // changed only by Server.moveLocked
+	err         string
+	submitted   time.Time
+	started     time.Time
+	finished    time.Time
+	outcome     *Outcome
+	cancel      context.CancelFunc // set while running
+	pending     intent             // reset at every dispatch and requeue
+	dispatchSeq int64
 
-	// Elastic lifecycle (only populated when the runner is an
-	// ElasticRunner): the live run's suspender, the latest
-	// epoch-boundary checkpoint banked by the run's sink, and whether a
-	// park/requeue is pending.
-	suspender        *train.Suspender
-	checkpoint       *train.Checkpoint
-	suspendRequested bool
-	preempted        bool // suspendRequested by the server: requeue on park
-	preemptions      int
+	// Elastic lifecycle: the live run's suspender and the latest
+	// epoch-boundary checkpoint banked by the run's sink.
+	suspender   *train.Suspender
+	checkpoint  *train.Checkpoint
+	preemptions int
 }
 
 func (j *job) info() Info {
@@ -208,25 +216,67 @@ func (j *job) info() Info {
 	return inf
 }
 
-// tenant is per-tenant accounting plus its metric namespace.
-type tenant struct {
-	name         string
-	queued       int
-	running      int
-	suspended    int
-	lastDispatch int64
+// ledger is one metric namespace's job accounting: how many jobs sit in
+// each state, a gauge per live state, and a counter per lifecycle
+// event. The server keeps one over every job (serve.server.*) and each
+// tenant one over its own (serve.tenant.<name>.*).
+type ledger struct {
+	count     map[State]int
+	gauge     map[State]*metrics.Gauge   // <prefix>{queued|queue_depth,running,suspended}
+	entered   map[State]*metrics.Counter // <prefix>{done,failed,cancelled,suspensions}
+	submitted *metrics.Counter
+	admitted  *metrics.Counter
+	shed      *metrics.Counter
+	resumes   *metrics.Counter
+}
 
-	cSubmitted   *metrics.Counter // serve.tenant.<name>.submitted
-	cAdmitted    *metrics.Counter // serve.tenant.<name>.admitted
-	cShed        *metrics.Counter // serve.tenant.<name>.shed
-	cDone        *metrics.Counter // serve.tenant.<name>.done
-	cFailed      *metrics.Counter // serve.tenant.<name>.failed
-	cCancelled   *metrics.Counter // serve.tenant.<name>.cancelled
-	cSuspensions *metrics.Counter // serve.tenant.<name>.suspensions
-	cResumes     *metrics.Counter // serve.tenant.<name>.resumes
-	gQueued      *metrics.Gauge   // serve.tenant.<name>.queued
-	gRunning     *metrics.Gauge   // serve.tenant.<name>.running
-	gSuspended   *metrics.Gauge   // serve.tenant.<name>.suspended
+func newLedger(reg *metrics.Registry, prefix, queuedGauge string) *ledger {
+	c := func(name string) *metrics.Counter { return reg.Counter(prefix + name) }
+	return &ledger{
+		count: map[State]int{},
+		gauge: map[State]*metrics.Gauge{
+			StateQueued:    reg.Gauge(prefix + queuedGauge),
+			StateRunning:   reg.Gauge(prefix + "running"),
+			StateSuspended: reg.Gauge(prefix + "suspended"),
+		},
+		entered: map[State]*metrics.Counter{
+			StateDone: c("done"), StateFailed: c("failed"),
+			StateCancelled: c("cancelled"), StateSuspended: c("suspensions"),
+		},
+		submitted: c("submitted"), admitted: c("admitted"), shed: c("shed"), resumes: c("resumes"),
+	}
+}
+
+// move books one job leaving from ("" for a new admission) for to.
+// Queued is entered only by admission or by resuming a suspended job.
+// Terminal states have no gauge and running has no counter; the nil
+// metric is a no-op.
+func (l *ledger) move(from, to State) {
+	if from != "" {
+		l.count[from]--
+		l.gauge[from].SetInt(int64(l.count[from]))
+	}
+	l.count[to]++
+	l.gauge[to].SetInt(int64(l.count[to]))
+	switch {
+	case to != StateQueued:
+		l.entered[to].Inc()
+	case from == "":
+		l.admitted.Inc()
+	default:
+		l.resumes.Inc()
+	}
+}
+
+// live is how many of the ledger's jobs are queued, running or suspended.
+func (l *ledger) live() int {
+	return l.count[StateQueued] + l.count[StateRunning] + l.count[StateSuspended]
+}
+
+// tenant is one tenant's ledger plus its fair-share dispatch clock.
+type tenant struct {
+	*ledger
+	lastDispatch int64
 }
 
 // ShedError is an admission rejection: the request was valid but the
@@ -246,9 +296,6 @@ var (
 	ErrClosed          = errors.New("serve: server is shut down")
 	ErrNotFinished     = errors.New("serve: job has not finished")
 	ErrAlreadyFinished = errors.New("serve: job already finished")
-	// ErrNotElastic: the job is running on a backend without
-	// suspend/resume support (the Runner is not an ElasticRunner).
-	ErrNotElastic = errors.New("serve: job backend does not support suspension")
 	// ErrAlreadySuspended: suspend of a job already suspended.
 	ErrAlreadySuspended = errors.New("serve: job already suspended")
 	// ErrNotSuspended: resume of a job that is not suspended.
@@ -295,8 +342,8 @@ func WithPressureLimit(n int) Option {
 	}
 }
 
-// WithTenantQuota caps one tenant's live (queued + running) jobs
-// (default 8); submissions beyond it are shed with 429.
+// WithTenantQuota caps one tenant's live (queued + running + suspended)
+// jobs (default 8); submissions beyond it are shed with 429.
 func WithTenantQuota(n int) Option {
 	return func(s *Server) error {
 		if n < 1 {
@@ -387,15 +434,14 @@ type Server struct {
 	reg    *metrics.Registry
 	pool   *preppool.Pool
 
-	mu        sync.Mutex
-	jobs      map[string]*job
-	order     []string // job IDs in submission order, for stable listings
-	q         *queue
-	tenants   map[string]*tenant
-	running   int
-	suspended int
-	seq       int64
-	closed    bool
+	mu      sync.Mutex
+	jobs    map[string]*job
+	order   []string // job IDs in submission order, for stable listings
+	q       *queue
+	tenants map[string]*tenant
+	total   *ledger // serve.server.*: every tenant's jobs
+	seq     int64
+	closed  bool
 
 	wake       chan struct{}
 	schedDone  chan struct{}
@@ -403,18 +449,7 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	cSubmitted   *metrics.Counter   // serve.server.submitted
-	cAdmitted    *metrics.Counter   // serve.server.admitted
-	cShed        *metrics.Counter   // serve.server.shed
-	cDone        *metrics.Counter   // serve.server.done
-	cFailed      *metrics.Counter   // serve.server.failed
-	cCancelled   *metrics.Counter   // serve.server.cancelled
-	cSuspensions *metrics.Counter   // serve.server.suspensions
-	cResumes     *metrics.Counter   // serve.server.resumes
 	cPreemptions *metrics.Counter   // serve.server.preemptions
-	gQueue       *metrics.Gauge     // serve.server.queue_depth
-	gRunning     *metrics.Gauge     // serve.server.running
-	gSuspended   *metrics.Gauge     // serve.server.suspended
 	hSubmitNs    *metrics.Histogram // serve.server.submit_ns
 }
 
@@ -448,18 +483,8 @@ func NewServer(opts ...Option) (*Server, error) {
 	if s.runner == nil {
 		return nil, fmt.Errorf("serve: a training backend is required (WithRunner; see NewTrainBackend)")
 	}
-	s.cSubmitted = s.reg.Counter("serve.server.submitted")
-	s.cAdmitted = s.reg.Counter("serve.server.admitted")
-	s.cShed = s.reg.Counter("serve.server.shed")
-	s.cDone = s.reg.Counter("serve.server.done")
-	s.cFailed = s.reg.Counter("serve.server.failed")
-	s.cCancelled = s.reg.Counter("serve.server.cancelled")
-	s.cSuspensions = s.reg.Counter("serve.server.suspensions")
-	s.cResumes = s.reg.Counter("serve.server.resumes")
+	s.total = newLedger(s.reg, "serve.server.", "queue_depth")
 	s.cPreemptions = s.reg.Counter("serve.server.preemptions")
-	s.gQueue = s.reg.Gauge("serve.server.queue_depth")
-	s.gRunning = s.reg.Gauge("serve.server.running")
-	s.gSuspended = s.reg.Gauge("serve.server.suspended")
 	s.hSubmitNs = s.reg.Histogram("serve.server.submit_ns")
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	go s.schedule()
@@ -473,24 +498,24 @@ func (s *Server) Metrics() *metrics.Registry { return s.reg }
 func (s *Server) tenantLocked(name string) *tenant {
 	t := s.tenants[name]
 	if t == nil {
-		prefix := "serve.tenant." + name + "."
-		t = &tenant{
-			name:         name,
-			cSubmitted:   s.reg.Counter(prefix + "submitted"),
-			cAdmitted:    s.reg.Counter(prefix + "admitted"),
-			cShed:        s.reg.Counter(prefix + "shed"),
-			cDone:        s.reg.Counter(prefix + "done"),
-			cFailed:      s.reg.Counter(prefix + "failed"),
-			cCancelled:   s.reg.Counter(prefix + "cancelled"),
-			cSuspensions: s.reg.Counter(prefix + "suspensions"),
-			cResumes:     s.reg.Counter(prefix + "resumes"),
-			gQueued:      s.reg.Gauge(prefix + "queued"),
-			gRunning:     s.reg.Gauge(prefix + "running"),
-			gSuspended:   s.reg.Gauge(prefix + "suspended"),
-		}
+		t = &tenant{ledger: newLedger(s.reg, "serve.tenant."+name+".", "queued")}
 		s.tenants[name] = t
 	}
 	return t
+}
+
+// moveLocked is the one place a job changes state: it books the move in
+// the job's tenant ledger and in the server ledger, then sets j.state.
+// A terminal move stamps the finish time and drops the checkpoint — a
+// job that can never resume holds no replica weights.
+func (s *Server) moveLocked(j *job, to State) {
+	s.tenants[j.spec.Tenant].move(j.state, to)
+	s.total.move(j.state, to)
+	j.state = to
+	if to.Terminal() {
+		j.finished = time.Now()
+		j.checkpoint = nil
+	}
 }
 
 // Submit validates and admits one job, returning its queued snapshot.
@@ -508,8 +533,8 @@ func (s *Server) Submit(spec JobSpec) (Info, error) {
 		return Info{}, ErrClosed
 	}
 	t := s.tenantLocked(spec.Tenant)
-	t.cSubmitted.Inc()
-	s.cSubmitted.Inc()
+	t.submitted.Inc()
+	s.total.submitted.Inc()
 
 	if shed := s.shedReasonLocked(t); shed != "" {
 		// Device pressure is the one admission failure the server can
@@ -518,8 +543,8 @@ func (s *Server) Submit(spec JobSpec) (Info, error) {
 		// outranks it — the victim parks a checkpoint at its next epoch
 		// boundary, requeues, and resumes once capacity frees.
 		if shed != "device pressure" || !s.preemptLocked(spec.Priority) {
-			t.cShed.Inc()
-			s.cShed.Inc()
+			t.shed.Inc()
+			s.total.shed.Inc()
 			retry := s.cfg.retryAfter
 			s.mu.Unlock()
 			return Info{}, &ShedError{Reason: shed, RetryAfter: retry}
@@ -527,20 +552,11 @@ func (s *Server) Submit(spec JobSpec) (Info, error) {
 	}
 
 	s.seq++
-	j := &job{
-		id:        fmt.Sprintf("j-%d", s.seq),
-		spec:      spec,
-		state:     StateQueued,
-		submitted: time.Now(),
-	}
+	j := &job{id: fmt.Sprintf("j-%d", s.seq), spec: spec, submitted: time.Now()}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.q.push(j)
-	t.queued++
-	t.cAdmitted.Inc()
-	t.gQueued.SetInt(int64(t.queued))
-	s.cAdmitted.Inc()
-	s.gQueue.SetInt(int64(s.q.len()))
+	s.moveLocked(j, StateQueued)
 	inf := j.info()
 	s.mu.Unlock()
 
@@ -554,7 +570,7 @@ func (s *Server) Submit(spec JobSpec) (Info, error) {
 // tenant's claim), hard queue limit, then the earlier pressure limit
 // that applies while the prep-pool has no free device.
 func (s *Server) shedReasonLocked(t *tenant) string {
-	if t.queued+t.running+t.suspended >= s.cfg.tenantQuota {
+	if t.live() >= s.cfg.tenantQuota {
 		return "tenant quota"
 	}
 	if s.q.len() >= s.cfg.queueLimit {
@@ -566,17 +582,16 @@ func (s *Server) shedReasonLocked(t *tenant) string {
 	return ""
 }
 
-// preemptLocked picks the lowest-priority running elastic job strictly
-// below prio and asks it to park at its next epoch boundary. The victim
-// frees its run slot and pool leases when it parks; finish() requeues
-// it automatically (state suspended → queued) so it resumes — from its
-// checkpoint, bit-identically — once capacity frees. Returns whether a
-// victim was found.
+// preemptLocked picks the lowest-priority running job strictly below
+// prio with nothing yet asked of it, and asks it to park at its next
+// epoch boundary. The victim frees its run slot and pool leases when it
+// parks; finish() requeues it automatically (state suspended → queued)
+// so it resumes — from its checkpoint, bit-identically — once capacity
+// frees. Returns whether a victim was found.
 func (s *Server) preemptLocked(prio int) bool {
 	var victim *job
 	for _, j := range s.jobs {
-		if j.state != StateRunning || j.suspender == nil ||
-			j.suspendRequested || j.cancelRequested || j.spec.Priority >= prio {
+		if j.state != StateRunning || j.pending != intentNone || j.spec.Priority >= prio {
 			continue
 		}
 		// Lowest priority first; among equals prefer the youngest run —
@@ -589,8 +604,7 @@ func (s *Server) preemptLocked(prio int) bool {
 	if victim == nil {
 		return false
 	}
-	victim.suspendRequested = true
-	victim.preempted = true
+	victim.pending = intentPreempt
 	victim.preemptions++
 	victim.suspender.Suspend()
 	s.cPreemptions.Inc()
@@ -616,133 +630,98 @@ func (s *Server) schedule() {
 		case <-s.wake:
 		}
 		s.mu.Lock()
-		for !s.closed && s.running < s.cfg.maxRunning {
+		for !s.closed && s.total.count[StateRunning] < s.cfg.maxRunning {
 			j := s.q.pop(func(name string) (int, int64) {
 				t := s.tenants[name]
-				return t.running, t.lastDispatch
+				return t.count[StateRunning], t.lastDispatch
 			})
 			if j == nil {
 				break
 			}
 			s.startLocked(j)
 		}
-		s.gQueue.SetInt(int64(s.q.len()))
 		s.mu.Unlock()
 	}
 }
 
 // startLocked moves a popped job to running and launches its runner.
-// On an elastic backend the run is suspendable: it gets a fresh
-// Suspender, a checkpoint sink banking every epoch boundary into the
-// job record (crash-safe: the newest checkpoint survives the runner
-// goroutine), and — when resuming — the banked checkpoint to restore.
+// Every run is suspendable: it gets a fresh Suspender, a checkpoint sink
+// banking every epoch boundary into the job record (crash-safe: the
+// newest checkpoint survives the runner goroutine), and — when resuming
+// — the banked checkpoint to restore.
 func (s *Server) startLocked(j *job) {
-	t := s.tenants[j.spec.Tenant]
-	t.queued--
-	t.running++
-	t.lastDispatch = j.dispatchSeq
-	t.gQueued.SetInt(int64(t.queued))
-	t.gRunning.SetInt(int64(t.running))
-	j.state = StateRunning
-	j.suspendRequested = false
-	j.preempted = false
+	s.moveLocked(j, StateRunning)
+	s.tenants[j.spec.Tenant].lastDispatch = j.dispatchSeq
+	j.pending = intentNone
 	if j.started.IsZero() {
 		j.started = time.Now()
 	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	j.cancel = cancel
-	s.running++
-	s.gRunning.SetInt(int64(s.running))
-
-	run := func(ctx context.Context) (Outcome, error) {
-		return s.runner.Run(ctx, j.id, j.spec)
+	e := Elastic{Suspender: train.NewSuspender()}
+	j.suspender = e.Suspender
+	if j.checkpoint != nil {
+		cp := j.checkpoint.Clone()
+		e.Restore = &cp
 	}
-	if er, ok := s.runner.(ElasticRunner); ok {
-		e := Elastic{Suspender: train.NewSuspender()}
-		j.suspender = e.Suspender
-		if j.checkpoint != nil {
-			cp := j.checkpoint.Clone()
-			e.Restore = &cp
-		}
-		e.Checkpoint = func(cp train.Checkpoint) {
-			s.mu.Lock()
-			j.checkpoint = &cp
-			s.mu.Unlock()
-		}
-		run = func(ctx context.Context) (Outcome, error) {
-			return er.RunElastic(ctx, j.id, j.spec, e)
-		}
+	e.Checkpoint = func(cp train.Checkpoint) {
+		s.mu.Lock()
+		j.checkpoint = &cp
+		s.mu.Unlock()
 	}
 
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		defer cancel()
-		out, err := run(ctx)
+		out, err := s.runner.Run(ctx, j.id, j.spec, e)
 		s.finish(j, out, err)
 	}()
 }
 
-// finish records a runner's outcome and frees the slot.
+// settle classifies how a run ended, given what was pending on it,
+// whether the server has closed, and whether a checkpoint is banked.
 //
-// Suspension classification is deliberately two-tiered. A clean park
-// surfaces train.ErrSuspended. But a preempted or suspend-requested run
-// that instead crashes mid-epoch is still recoverable whenever an
+// Suspension is deliberately two-tiered. A clean park surfaces
+// train.ErrSuspended. But a preempted or suspend-requested run that
+// instead crashes mid-epoch is still recoverable whenever an
 // epoch-boundary checkpoint was banked: the job parks on that checkpoint
-// rather than failing — nothing admitted is lost to a racy shutdown.
-// A cancel request always outranks a pending suspension.
+// rather than failing — nothing admitted is lost to a racy shutdown. A
+// cancel request always outranks a pending suspension, and a park that
+// races Close classifies as cancelled, like everything else still live
+// at shutdown — nothing may re-enter a live state.
+func settle(pending intent, closed, banked bool, err error) State {
+	parked := errors.Is(err, train.ErrSuspended)
+	stopped := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	switch {
+	case err == nil:
+		return StateDone
+	case !closed && pending != intentCancel && (parked || (pending >= intentSuspend && banked && !stopped)):
+		return StateSuspended
+	case pending == intentCancel || parked || stopped:
+		return StateCancelled
+	default:
+		return StateFailed
+	}
+}
+
+// finish records a runner's outcome and frees the slot.
 func (s *Server) finish(j *job, out Outcome, err error) {
 	s.mu.Lock()
-	t := s.tenants[j.spec.Tenant]
-	t.running--
-	t.gRunning.SetInt(int64(t.running))
-	s.running--
-	s.gRunning.SetInt(int64(s.running))
 	j.suspender = nil
-	// A park that races Close classifies as cancelled, like everything
-	// else still live at shutdown — nothing may re-enter a live state.
-	suspended := !s.closed && !j.cancelRequested && err != nil &&
-		(errors.Is(err, train.ErrSuspended) ||
-			(j.suspendRequested && j.checkpoint != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)))
-	switch {
-	case suspended:
-		j.state = StateSuspended
-		j.err = ""
-		t.suspended++
-		t.gSuspended.SetInt(int64(t.suspended))
-		t.cSuspensions.Inc()
-		s.suspended++
-		s.gSuspended.SetInt(int64(s.suspended))
-		s.cSuspensions.Inc()
-		if j.preempted {
-			// Preemption requeues automatically: the job resumes from
-			// its checkpoint as soon as a slot (and devices) free up.
-			s.resumeLocked(j)
-		}
-	case err == nil:
-		j.state = StateDone
-		j.finished = time.Now()
+	to := settle(j.pending, s.closed, j.checkpoint != nil, err)
+	switch to {
+	case StateDone:
 		j.outcome = &out
-		j.checkpoint = nil
-		t.cDone.Inc()
-		s.cDone.Inc()
-	case j.cancelRequested || errors.Is(err, train.ErrSuspended) ||
-		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		j.state = StateCancelled
-		j.finished = time.Now()
+	case StateFailed, StateCancelled:
 		j.err = err.Error()
-		j.checkpoint = nil
-		t.cCancelled.Inc()
-		s.cCancelled.Inc()
-	default:
-		j.state = StateFailed
-		j.finished = time.Now()
-		j.err = err.Error()
-		j.checkpoint = nil
-		t.cFailed.Inc()
-		s.cFailed.Inc()
 	}
-	s.gQueue.SetInt(int64(s.q.len()))
+	s.moveLocked(j, to)
+	if to == StateSuspended && j.pending == intentPreempt {
+		// Preemption requeues automatically: the job resumes from its
+		// checkpoint as soon as a slot (and devices) free up.
+		s.resumeLocked(j)
+	}
 	s.mu.Unlock()
 	s.kick()
 }
@@ -778,103 +757,75 @@ func (s *Server) Result(id string) (Info, error) {
 	}
 }
 
-// Cancel stops a queued or running job. Terminal jobs return
-// ErrAlreadyFinished; unknown IDs ErrNotFound. Cancellation of a
-// running job is asynchronous — poll Status for "cancelled".
+// liveLocked finds a job that can still change state: unknown IDs
+// return ErrNotFound and terminal jobs ErrAlreadyFinished.
+func (s *Server) liveLocked(id string) (*job, error) {
+	j := s.jobs[id]
+	switch {
+	case j == nil:
+		return nil, ErrNotFound
+	case j.state.Terminal():
+		return nil, fmt.Errorf("%w: job %s is %s", ErrAlreadyFinished, id, j.state)
+	}
+	return j, nil
+}
+
+// Cancel stops a live job. Terminal jobs return ErrAlreadyFinished;
+// unknown IDs ErrNotFound. Cancellation of a running job is
+// asynchronous — poll Status for "cancelled".
 func (s *Server) Cancel(id string) error {
 	s.mu.Lock()
-	j := s.jobs[id]
-	if j == nil {
-		s.mu.Unlock()
-		return ErrNotFound
-	}
-	switch j.state {
-	case StateQueued:
-		s.q.remove(j)
-		t := s.tenants[j.spec.Tenant]
-		t.queued--
-		t.gQueued.SetInt(int64(t.queued))
-		s.gQueue.SetInt(int64(s.q.len()))
-		j.state = StateCancelled
-		j.finished = time.Now()
-		t.cCancelled.Inc()
-		s.cCancelled.Inc()
-		s.mu.Unlock()
-		return nil
-	case StateRunning:
-		j.cancelRequested = true
-		cancel := j.cancel
-		s.mu.Unlock()
-		cancel()
-		return nil
-	case StateSuspended:
-		t := s.tenants[j.spec.Tenant]
-		t.suspended--
-		t.gSuspended.SetInt(int64(t.suspended))
-		s.suspended--
-		s.gSuspended.SetInt(int64(s.suspended))
-		j.state = StateCancelled
-		j.checkpoint = nil
-		j.finished = time.Now()
-		t.cCancelled.Inc()
-		s.cCancelled.Inc()
-		s.mu.Unlock()
-		return nil
+	j, err := s.liveLocked(id)
+	var cancel context.CancelFunc
+	switch {
+	case err != nil:
+	case j.state == StateRunning:
+		j.pending = intentCancel
+		cancel = j.cancel
 	default:
-		s.mu.Unlock()
-		return fmt.Errorf("%w: job %s is %s", ErrAlreadyFinished, id, j.state)
+		if j.state == StateQueued {
+			s.q.remove(j)
+		}
+		s.moveLocked(j, StateCancelled)
 	}
+	s.mu.Unlock()
+	if cancel != nil {
+		cancel()
+	}
+	return err
 }
 
 // Suspend parks a live job. A queued job is suspended immediately (it
 // has no state to checkpoint); a running job is asked to park at its
-// next epoch boundary — asynchronous, poll Status for "suspended" —
-// which requires an elastic backend (ErrNotElastic otherwise). The
-// suspended job keeps counting toward its tenant's quota, and resumes
-// only via Resume. Suspended jobs return ErrAlreadySuspended, terminal
-// jobs ErrAlreadyFinished.
+// next epoch boundary — asynchronous, poll Status for "suspended". A
+// backend that ignores Elastic never parks, so its job runs on to its
+// own end. The suspended job keeps counting toward its tenant's quota,
+// and resumes only via Resume. Suspended jobs return
+// ErrAlreadySuspended, terminal jobs ErrAlreadyFinished.
 func (s *Server) Suspend(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	j := s.jobs[id]
-	if j == nil {
-		return ErrNotFound
-	}
-	switch j.state {
-	case StateQueued:
+	j, err := s.liveLocked(id)
+	switch {
+	case err != nil:
+		return err
+	case j.state == StateSuspended:
+		return fmt.Errorf("%w: job %s", ErrAlreadySuspended, id)
+	case j.state == StateQueued:
 		s.q.remove(j)
-		t := s.tenants[j.spec.Tenant]
-		t.queued--
-		t.gQueued.SetInt(int64(t.queued))
-		t.suspended++
-		t.gSuspended.SetInt(int64(t.suspended))
-		t.cSuspensions.Inc()
-		s.gQueue.SetInt(int64(s.q.len()))
-		s.suspended++
-		s.gSuspended.SetInt(int64(s.suspended))
-		s.cSuspensions.Inc()
-		j.state = StateSuspended
-		return nil
-	case StateRunning:
-		if j.suspender == nil {
-			return fmt.Errorf("%w: job %s", ErrNotElastic, id)
-		}
-		if j.cancelRequested {
-			return fmt.Errorf("%w: job %s is being cancelled", ErrAlreadyFinished, id)
-		}
+		s.moveLocked(j, StateSuspended)
+	case j.pending == intentCancel:
+		return fmt.Errorf("%w: job %s is being cancelled", ErrAlreadyFinished, id)
+	default:
 		// Idempotent while the park is in flight; the epoch boundary
 		// that honors it delivers the checkpoint through the sink.
-		j.suspendRequested = true
+		j.pending = max(j.pending, intentSuspend)
 		j.suspender.Suspend()
-		return nil
-	case StateSuspended:
-		return fmt.Errorf("%w: job %s", ErrAlreadySuspended, id)
-	default:
-		return fmt.Errorf("%w: job %s is %s", ErrAlreadyFinished, id, j.state)
 	}
+	return nil
 }
 
 // Resume requeues a suspended job; it re-enters dispatch at its
@@ -884,42 +835,27 @@ func (s *Server) Suspend(id string) error {
 // ErrAlreadyFinished.
 func (s *Server) Resume(id string) error {
 	s.mu.Lock()
-	j := s.jobs[id]
+	j, err := s.liveLocked(id)
 	switch {
 	case s.closed:
-		s.mu.Unlock()
-		return ErrClosed
-	case j == nil:
-		s.mu.Unlock()
-		return ErrNotFound
-	case j.state.Terminal():
-		s.mu.Unlock()
-		return fmt.Errorf("%w: job %s is %s", ErrAlreadyFinished, id, j.state)
+		err = ErrClosed
+	case err != nil:
 	case j.state != StateSuspended:
-		s.mu.Unlock()
-		return fmt.Errorf("%w: job %s is %s", ErrNotSuspended, id, j.state)
+		err = fmt.Errorf("%w: job %s is %s", ErrNotSuspended, id, j.state)
+	default:
+		s.resumeLocked(j)
 	}
-	s.resumeLocked(j)
-	s.gQueue.SetInt(int64(s.q.len()))
 	s.mu.Unlock()
-	s.kick()
-	return nil
+	if err == nil {
+		s.kick()
+	}
+	return err
 }
 
 // resumeLocked moves a suspended job back into the dispatch queue.
 func (s *Server) resumeLocked(j *job) {
-	t := s.tenants[j.spec.Tenant]
-	t.suspended--
-	t.gSuspended.SetInt(int64(t.suspended))
-	t.queued++
-	t.gQueued.SetInt(int64(t.queued))
-	t.cResumes.Inc()
-	s.suspended--
-	s.gSuspended.SetInt(int64(s.suspended))
-	s.cResumes.Inc()
-	j.state = StateQueued
-	j.suspendRequested = false
-	j.preempted = false
+	s.moveLocked(j, StateQueued)
+	j.pending = intentNone
 	s.q.push(j)
 }
 
@@ -961,25 +897,15 @@ type Stats struct {
 // Stats reports the server's live occupancy.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
+	n := s.total.count
 	st := Stats{
-		QueueDepth: s.q.len(),
-		Running:    s.running,
-		Suspended:  s.suspended,
+		QueueDepth: n[StateQueued], Running: n[StateRunning], Suspended: n[StateSuspended],
+		Done: n[StateDone], Failed: n[StateFailed], Cancelled: n[StateCancelled],
 		MaxRunning: s.cfg.maxRunning,
 		Jobs:       len(s.jobs),
 		Tenants:    len(s.tenants),
 		Pool:       s.pool != nil,
 		Closed:     s.closed,
-	}
-	for _, j := range s.jobs {
-		switch j.state {
-		case StateDone:
-			st.Done++
-		case StateFailed:
-			st.Failed++
-		case StateCancelled:
-			st.Cancelled++
-		}
 	}
 	s.mu.Unlock()
 	if s.pool != nil {
@@ -1001,34 +927,13 @@ func (s *Server) Close() error {
 		return ErrClosed
 	}
 	s.closed = true
-	now := time.Now()
-	for _, j := range s.q.drain() {
-		t := s.tenants[j.spec.Tenant]
-		t.queued--
-		t.gQueued.SetInt(int64(t.queued))
-		j.state = StateCancelled
-		j.err = "server shut down"
-		j.finished = now
-		t.cCancelled.Inc()
-		s.cCancelled.Inc()
-	}
+	s.q.drain()
 	for _, j := range s.jobs {
-		if j.state != StateSuspended {
-			continue
+		if j.state == StateQueued || j.state == StateSuspended {
+			j.err = "server shut down"
+			s.moveLocked(j, StateCancelled)
 		}
-		t := s.tenants[j.spec.Tenant]
-		t.suspended--
-		t.gSuspended.SetInt(int64(t.suspended))
-		s.suspended--
-		j.state = StateCancelled
-		j.checkpoint = nil
-		j.err = "server shut down"
-		j.finished = now
-		t.cCancelled.Inc()
-		s.cCancelled.Inc()
 	}
-	s.gQueue.SetInt(0)
-	s.gSuspended.SetInt(0)
 	s.mu.Unlock()
 
 	s.baseCancel()

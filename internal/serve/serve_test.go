@@ -29,7 +29,7 @@ func newGateRunner() *gateRunner {
 	}
 }
 
-func (g *gateRunner) Run(ctx context.Context, id string, spec JobSpec) (Outcome, error) {
+func (g *gateRunner) Run(ctx context.Context, id string, spec JobSpec, _ Elastic) (Outcome, error) {
 	g.mu.Lock()
 	g.order = append(g.order, spec.Tenant)
 	g.mu.Unlock()
@@ -57,10 +57,20 @@ func (g *gateRunner) waitStarted(t *testing.T) string {
 	select {
 	case id := <-g.started:
 		return id
-	case <-time.After(5 * time.Second):
-		t.Fatal("no job dispatched within 5s")
+	case <-time.After(time.Until(testDeadline(t))):
+		t.Fatal("no job dispatched before the test deadline")
 		return ""
 	}
+}
+
+// testDeadline bounds a test's waits by the -timeout flag, a second
+// early so the failure names what it waited for; without a deadline it
+// falls back to 10 s.
+func testDeadline(t *testing.T) time.Time {
+	if d, ok := t.Deadline(); ok {
+		return d.Add(-time.Second)
+	}
+	return time.Now().Add(10 * time.Second)
 }
 
 func newTestServer(t *testing.T, r Runner, opts ...Option) *Server {
@@ -77,10 +87,11 @@ func newTestServer(t *testing.T, r Runner, opts ...Option) *Server {
 	return s
 }
 
-// waitState polls until the job reaches the state or the deadline hits.
+// waitState polls until the job reaches the state or the test deadline
+// hits.
 func waitState(t *testing.T, s *Server, id string, want State) Info {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
+	deadline := testDeadline(t)
 	for {
 		inf, err := s.Status(id)
 		if err != nil {
