@@ -39,18 +39,17 @@ func main() {
 	quota := flag.Int("tenant-quota", 8, "max live jobs per tenant")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on shed responses")
 	cacheMB := flag.Int("cache", 0, "shared decode-cache budget in MB (0 = no cache)")
-	sync := flag.String("sync", "", "gradient-sync backend for every job: ring, tree, halving, or ps (empty = driver default ring)")
 	flag.Parse()
 
 	if err := run(*addr, *addrFile, *devices, *corpus, *seed, *maxRunning,
-		*queueLimit, *pressureLimit, *quota, *cacheMB, *sync, *retryAfter); err != nil {
+		*queueLimit, *pressureLimit, *quota, *cacheMB, *retryAfter); err != nil {
 		fmt.Fprintln(os.Stderr, "trainbox-serve:", err)
 		os.Exit(1)
 	}
 }
 
 func run(addr, addrFile string, devices, corpus int, seed int64,
-	maxRunning, queueLimit, pressureLimit, quota, cacheMB int, sync string, retryAfter time.Duration) error {
+	maxRunning, queueLimit, pressureLimit, quota, cacheMB int, retryAfter time.Duration) error {
 	reg := metrics.NewRegistry()
 	runner, pool, err := serve.NewTrainBackend(devices, corpus, seed, reg)
 	if err != nil {
@@ -58,11 +57,6 @@ func run(addr, addrFile string, devices, corpus int, seed int64,
 	}
 	if cacheMB > 0 {
 		runner.EnableCache(units.Bytes(cacheMB)*units.MB, reg)
-	}
-	if sync != "" {
-		if _, err := runner.EnableSync(sync, reg); err != nil {
-			return err
-		}
 	}
 	opts := []serve.Option{
 		serve.WithRunner(runner),

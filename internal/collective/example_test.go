@@ -32,33 +32,6 @@ func ExampleNewRing() {
 	// [10 100]
 }
 
-// ExampleByName swaps the sync topology without changing the numbers:
-// every backend reduces in the same canonical order, so the bits match
-// the ring exactly.
-func ExampleByName() {
-	for _, name := range collective.Backends() {
-		r, err := collective.ByName(name, collective.WithShards(2))
-		if err != nil {
-			// WithShards is a parameter-server option; the other
-			// backends reject it rather than silently ignore it.
-			r, err = collective.ByName(name)
-			if err != nil {
-				log.Fatal(err)
-			}
-		}
-		data := [][]float64{{1, 0.25}, {2, 0.5}, {4, 1}}
-		if err := r.Reduce(context.Background(), data); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%s: %v\n", r.Name(), data[0])
-	}
-	// Output:
-	// ring: [7 1.75]
-	// tree: [7 1.75]
-	// halving: [7 1.75]
-	// ps: [7 1.75]
-}
-
 // ExampleRingModel_NormalizedLatency reproduces Figure 2b's saturation:
 // ring synchronization latency approaches twice the two-rank latency.
 func ExampleRingModel_NormalizedLatency() {

@@ -1,157 +1,6 @@
 package collective
 
-import (
-	"context"
-	"fmt"
-	"sync"
-	"sync/atomic"
-
-	"trainbox/internal/faults"
-	"trainbox/internal/metrics"
-	"trainbox/internal/units"
-)
-
-// NewParamServer returns a parameter-server Reducer (Parameter Box
-// style): the parameter space is sharded contiguously across N server
-// replicas (WithShards, default 1), and every step runs a synchronous
-// staleness-0 round per shard — each worker pushes its gradient slice
-// to the shard, the shard reduces in the canonical order, and every
-// worker pulls the result back. Bit-identical to the ring on the same
-// inputs, like every backend.
-//
-// The PS tier is the package's fault seam: WithFaults injects failures
-// into pushes and pulls, and WithRetry bounds the recovery loop. A
-// round is idempotent — workers retain their push buffers for the
-// round's lifetime, so a retried round (e.g. after a shard replica
-// dies and is replaced) replays identical traffic and recomputes
-// identical bits; partially pulled weights are simply overwritten.
-func NewParamServer(opts ...Option) (Reducer, error) {
-	c, err := buildConfig("ps", true, opts)
-	if err != nil {
-		return nil, err
-	}
-	if c.shards == 0 {
-		c.shards = 1
-	}
-	retry := c.retry
-	if retry.Classify == nil {
-		// Device death is permanent for an accelerator but recoverable
-		// for a PS shard: the tier restarts the replica and the round
-		// replays from the retained pushes. Transient faults retry as
-		// usual.
-		retry.Classify = faults.IsDeviceFault
-	}
-	return &paramServer{
-		shards:  c.shards,
-		inj:     c.inj,
-		retry:   retry,
-		m:       newReducerMetrics(c.reg, "ps"),
-		retries: c.reg.Counter("collective.ps.shard_retries"),
-	}, nil
-}
-
-// DefaultPSRetry returns the retry policy the parameter-server tier
-// recommends when callers want recovery without tuning: the package
-// standard (4 attempts, fast jittered backoff) with dead shard
-// replicas classified as retryable, because the PS tier replaces a
-// dead replica and replays the round from the workers' retained
-// pushes.
-func DefaultPSRetry() faults.RetryPolicy {
-	p := faults.DefaultRetryPolicy()
-	p.Classify = faults.IsDeviceFault
-	return p
-}
-
-type paramServer struct {
-	shards  int
-	inj     faults.Injector
-	retry   faults.RetryPolicy
-	m       reducerMetrics
-	retries *metrics.Counter
-}
-
-func (ps *paramServer) Name() string { return "ps" }
-
-func (ps *paramServer) Reduce(ctx context.Context, grads [][]float64) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	n, length, err := validateRanks(grads)
-	if err != nil {
-		return err
-	}
-	if n == 1 && ps.inj == nil {
-		return nil
-	}
-	if length == 0 {
-		return nil
-	}
-
-	shards := ps.shards
-	if shards > length {
-		shards = length // no empty shards
-	}
-	shardBounds := segmentBounds(shards, length)
-	ringBounds := segmentBounds(n, length) // fixes the reduction order
-
-	var moved, retried atomic.Int64
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	wg.Add(shards)
-	for j := 0; j < shards; j++ {
-		go func(j int) {
-			defer wg.Done()
-			lo, hi := shardBounds[j], shardBounds[j+1]
-			// Workers retain their send buffers for the whole round so a
-			// replayed round pushes identical bytes regardless of what a
-			// failed pull already wrote into grads.
-			pushes := make([][]float64, n)
-			for r := range pushes {
-				pushes[r] = append([]float64(nil), grads[r][lo:hi]...)
-			}
-			out := make([]float64, hi-lo)
-			key := fmt.Sprintf("shard-%d", j)
-			stats, err := ps.retry.Do(ctx, "collective.ps.round", key, func(ctx context.Context, attempt int) error {
-				// Push-gradient: the shard ingests every worker's slice.
-				for r := 0; r < n; r++ {
-					op := faults.Op{Name: "collective.ps.push", Key: fmt.Sprintf("%s/rank-%d", key, r), Attempt: attempt}
-					if err := faults.Apply(ctx, ps.inj, op); err != nil {
-						return err
-					}
-					moved.Add(int64(hi - lo))
-				}
-				canonicalSum(pushes, lo, hi, ringBounds, out)
-				// Pull-weight: every worker fetches the reduced shard. A
-				// fault mid-loop leaves some ranks updated; the retried
-				// round recomputes the same sum from the retained pushes,
-				// so rewriting is safe.
-				for r := 0; r < n; r++ {
-					op := faults.Op{Name: "collective.ps.pull", Key: fmt.Sprintf("%s/rank-%d", key, r), Attempt: attempt}
-					if err := faults.Apply(ctx, ps.inj, op); err != nil {
-						return err
-					}
-					moved.Add(int64(hi - lo))
-					copy(grads[r][lo:hi], out)
-				}
-				return nil
-			})
-			retried.Add(int64(stats.Attempts - 1))
-			if err != nil {
-				errs[j] = fmt.Errorf("collective: ps shard %d: %w", j, err)
-			}
-		}(j)
-	}
-	wg.Wait()
-
-	ps.m.observe(moved.Load()*8, 2) // one push round + one pull round
-	ps.retries.Add(retried.Load())
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
+import "trainbox/internal/units"
 
 // ParamServerModel is the analytical latency model of the synchronous
 // parameter-server round, the CentralModel generalized to a sharded

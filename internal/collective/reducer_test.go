@@ -30,13 +30,40 @@ func cloneGrads(grads [][]float64) [][]float64 {
 	return out
 }
 
-// reduceBy sums grads in place through the named backend.
-func reduceBy(name string, grads [][]float64) error {
-	r, err := ByName(name)
+// reduceRing sums grads in place through a fresh ring.
+func reduceRing(grads [][]float64) error {
+	r, err := NewRing()
 	if err != nil {
 		return err
 	}
 	return r.Reduce(context.Background(), grads)
+}
+
+// ringOrderSum is the sequential oracle of the ring's reduction order:
+// element i in ring segment s, [s·length/n, (s+1)·length/n), is the left
+// fold grads[s][i] + grads[s+1][i] + … wrapping mod n, because rank s
+// starts segment s's reduce-scatter and each hop adds the next rank's
+// value. It computes the chunking itself, so a change to the ring's
+// segmentBounds fails the oracle too. It returns the all-reduced rank
+// set and leaves grads untouched.
+func ringOrderSum(grads [][]float64) [][]float64 {
+	n := len(grads)
+	length := len(grads[0])
+	sum := make([]float64, length)
+	for s := 0; s < n; s++ {
+		for i := s * length / n; i < (s+1)*length/n; i++ {
+			acc := grads[s][i]
+			for k := 1; k < n; k++ {
+				acc += grads[(s+k)%n][i]
+			}
+			sum[i] = acc
+		}
+	}
+	out := make([][]float64, n)
+	for r := range out {
+		out[r] = append([]float64(nil), sum...)
+	}
+	return out
 }
 
 // requireBitIdentical fails unless got and want match to the last bit.
@@ -53,209 +80,112 @@ func requireBitIdentical(t *testing.T, got, want [][]float64, label string) {
 	}
 }
 
-// TestReducerBitIdentityOracle is the cross-backend contract: every
-// Reducer produces output bit-identical to the ring's on the same inputs
-// (the ring itself checked against the sequential CentralAllReduce), across rank counts (including non-powers-of-two,
-// which exercise halving-doubling's pre/post fallback), vector lengths
-// (including lengths below the rank/shard counts), seeds, and PS shard
-// counts.
+// TestReducerBitIdentityOracle pins the ring's exact bits: across rank
+// counts (including non-powers-of-two), vector lengths (including
+// lengths below the rank count) and seeds, the ring equals the
+// sequential ringOrderSum fold bit for bit, and the sequential
+// CentralAllReduce within rounding.
 func TestReducerBitIdentityOracle(t *testing.T) {
-	backends := func() map[string]Reducer {
-		m := map[string]Reducer{}
-		for _, name := range []string{"ring", "tree", "halving"} {
-			r, err := ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m[name] = r
-		}
-		for _, shards := range []int{1, 3, 8} {
-			r, err := NewParamServer(WithShards(shards))
-			if err != nil {
-				t.Fatal(err)
-			}
-			m["ps-"+string(rune('0'+shards))] = r
-		}
-		return m
-	}()
-
-	ctx := context.Background()
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 16} {
 		for _, length := range []int{1, 3, 64, 1000} {
 			for seed := int64(1); seed <= 3; seed++ {
 				base := randGrads(n, length, seed*7919+int64(n*1000+length))
-				want := cloneGrads(base)
-				if err := reduceBy("ring", want); err != nil {
+				got := cloneGrads(base)
+				if err := reduceRing(got); err != nil {
 					t.Fatal(err)
 				}
+				requireBitIdentical(t, got, ringOrderSum(base), "ring vs ringOrderSum")
 				central := cloneGrads(base)
 				if err := CentralAllReduce(central); err != nil {
 					t.Fatal(err)
 				}
-				for r := range want {
-					for i, w := range want[r] {
-						if c := central[r][i]; math.Abs(w-c) > 1e-9*(1+math.Abs(c)) {
-							t.Fatalf("ring n=%d len=%d rank %d idx %d: %v, central %v", n, length, r, i, w, c)
+				for r := range got {
+					for i, g := range got[r] {
+						if c := central[r][i]; math.Abs(g-c) > 1e-9*(1+math.Abs(c)) {
+							t.Fatalf("ring n=%d len=%d rank %d idx %d: %v, central %v", n, length, r, i, g, c)
 						}
 					}
-				}
-				for label, r := range backends {
-					got := cloneGrads(base)
-					if err := r.Reduce(ctx, got); err != nil {
-						t.Fatalf("%s n=%d len=%d seed=%d: %v", label, n, length, seed, err)
-					}
-					requireBitIdentical(t, got, want, label)
 				}
 			}
 		}
 	}
 }
 
-func TestReducerNamesAndByName(t *testing.T) {
-	for _, name := range Backends() {
-		r, err := ByName(name)
-		if err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
-		}
-		if r.Name() != name {
-			t.Fatalf("ByName(%q).Name() = %q", name, r.Name())
-		}
-	}
-	if _, err := ByName("gossip"); err == nil {
-		t.Fatal("unknown backend accepted")
-	}
-}
-
 func TestReducerOptionValidation(t *testing.T) {
-	if _, err := NewParamServer(WithShards(0)); err == nil {
-		t.Error("WithShards(0) accepted")
-	}
-	for _, ctor := range map[string]func(...Option) (Reducer, error){
-		"ring": NewRing, "tree": NewTree, "halving": NewHalvingDoubling,
-	} {
-		if _, err := ctor(WithShards(2)); err == nil {
-			t.Errorf("%T accepted WithShards", ctor)
-		}
-		if _, err := ctor(WithFaults(nil)); err == nil {
-			t.Errorf("%T accepted WithFaults", ctor)
-		}
-		if _, err := ctor(WithRetry(DefaultPSRetry())); err == nil {
-			t.Errorf("%T accepted WithRetry", ctor)
-		}
-		if _, err := ctor(nil); err == nil {
-			t.Errorf("%T accepted a nil Option", ctor)
-		}
+	if _, err := NewRing(nil); err == nil {
+		t.Error("NewRing accepted a nil Option")
 	}
 }
 
 func TestReducerValidationErrors(t *testing.T) {
+	ring, err := NewRing()
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
-	for _, name := range Backends() {
-		r, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Reduce(ctx, nil); err == nil {
-			t.Errorf("%s: empty rank set accepted", name)
-		}
-		bad := [][]float64{{1, 2}, {3}}
-		if err := r.Reduce(ctx, bad); err == nil {
-			t.Errorf("%s: ragged ranks accepted", name)
-		}
-		if bad[0][0] != 1 || bad[1][0] != 3 {
-			t.Errorf("%s: validation error modified data", name)
-		}
+	if err := ring.Reduce(ctx, nil); err == nil {
+		t.Error("empty rank set accepted")
+	}
+	bad := [][]float64{{1, 2}, {3}}
+	if err := ring.Reduce(ctx, bad); err == nil {
+		t.Error("ragged ranks accepted")
+	}
+	if bad[0][0] != 1 || bad[1][0] != 3 {
+		t.Error("validation error modified data")
 	}
 }
 
 func TestReducerContextCancelled(t *testing.T) {
+	ring, err := NewRing()
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, name := range Backends() {
-		r, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		grads := [][]float64{{1, 2}, {3, 4}}
-		if err := r.Reduce(ctx, grads); err == nil {
-			t.Errorf("%s: cancelled context accepted", name)
-		}
-		if grads[0][0] != 1 || grads[1][1] != 4 {
-			t.Errorf("%s: cancelled Reduce modified data", name)
-		}
+	grads := [][]float64{{1, 2}, {3, 4}}
+	if err := ring.Reduce(ctx, grads); err == nil {
+		t.Error("cancelled context accepted")
+	}
+	if grads[0][0] != 1 || grads[1][1] != 4 {
+		t.Error("cancelled Reduce modified data")
 	}
 }
 
 func TestReducerZeroLengthAndSingleRank(t *testing.T) {
-	ctx := context.Background()
-	for _, name := range Backends() {
-		r, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Reduce(ctx, [][]float64{{}, {}}); err != nil {
-			t.Errorf("%s: zero-length vectors: %v", name, err)
-		}
-		one := [][]float64{{1, 2, 3}}
-		if err := r.Reduce(ctx, one); err != nil {
-			t.Errorf("%s: single rank: %v", name, err)
-		}
-		if one[0][1] != 2 {
-			t.Errorf("%s: single-rank reduce modified data", name)
-		}
-	}
-}
-
-// TestReducerMetrics pins the exact traffic accounting where it is
-// architecturally determined (ring, ps) and the round counts for the
-// log-depth topologies.
-func TestReducerMetrics(t *testing.T) {
-	ctx := context.Background()
-	const n, length = 4, 1000
-
-	cases := []struct {
-		name       string
-		opts       []Option
-		wantBytes  int64 // 0 = only assert > 0
-		wantRounds int64
-	}{
-		{name: "ring", wantBytes: 2 * (n - 1) * length * 8, wantRounds: 2 * (n - 1)},
-		{name: "tree", wantRounds: 4},    // 2·log₂(4)
-		{name: "halving", wantRounds: 4}, // 2·log₂(4)
-		{name: "ps", opts: []Option{WithShards(2)}, wantBytes: 2 * n * length * 8, wantRounds: 2},
-	}
-	for _, tc := range cases {
-		reg := metrics.NewRegistry()
-		r, err := ByName(tc.name, append(tc.opts, WithMetrics(reg))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Reduce(ctx, randGrads(n, length, 1)); err != nil {
-			t.Fatal(err)
-		}
-		bytes := reg.Counter("collective." + tc.name + ".bytes_moved").Value()
-		rounds := reg.Counter("collective." + tc.name + ".rounds").Value()
-		if tc.wantBytes > 0 && bytes != tc.wantBytes {
-			t.Errorf("%s: bytes_moved = %d, want %d", tc.name, bytes, tc.wantBytes)
-		}
-		if bytes <= 0 {
-			t.Errorf("%s: bytes_moved = %d, want > 0", tc.name, bytes)
-		}
-		if rounds != tc.wantRounds {
-			t.Errorf("%s: rounds = %d, want %d", tc.name, rounds, tc.wantRounds)
-		}
-	}
-
-	// Non-power-of-two halving adds the pre/post phases.
-	reg := metrics.NewRegistry()
-	r, err := NewHalvingDoubling(WithMetrics(reg))
+	ring, err := NewRing()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Reduce(ctx, randGrads(5, 64, 2)); err != nil {
+	ctx := context.Background()
+	if err := ring.Reduce(ctx, [][]float64{{}, {}}); err != nil {
+		t.Errorf("zero-length vectors: %v", err)
+	}
+	one := [][]float64{{1, 2, 3}}
+	if err := ring.Reduce(ctx, one); err != nil {
+		t.Errorf("single rank: %v", err)
+	}
+	if one[0][1] != 2 {
+		t.Error("single-rank reduce modified data")
+	}
+}
+
+// TestReducerMetrics pins the ring's exact traffic accounting: each of
+// the 2·(n−1) steps moves one segment per rank, and the segments tile
+// the vector.
+func TestReducerMetrics(t *testing.T) {
+	const n, length = 4, 1000
+	reg := metrics.NewRegistry()
+	ring, err := NewRing(WithMetrics(reg))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter("collective.halving.rounds").Value(); got != 6 {
-		t.Errorf("halving n=5 rounds = %d, want 6 (2·log₂4 + pre + post)", got)
+	if err := ring.Reduce(context.Background(), randGrads(n, length, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reg.Counter("collective.ring.bytes_moved").Value(), int64(2*(n-1)*length*8); got != want {
+		t.Errorf("bytes_moved = %d, want %d", got, want)
+	}
+	if got, want := reg.Counter("collective.ring.rounds").Value(), int64(2*(n-1)); got != want {
+		t.Errorf("rounds = %d, want %d", got, want)
 	}
 }

@@ -3,6 +3,13 @@
 // "accelerators" over channels, plus the analytical latency models the
 // paper's simulator uses (Section II-B, Figure 2b).
 //
+// The ring is the one executable topology. Tree, halving-doubling and
+// the sharded parameter server exist only as latency models (TreeModel,
+// HalvingDoublingModel, ParamServerModel), which experiments.SyncStudy
+// prices against RingModel across box counts: in one address space
+// there are no links for a topology to spare, and the ring moves the
+// fewest bytes per rank.
+//
 // The ring algorithm is NCCL-style: a reduce-scatter phase followed by an
 // all-gather phase, each of n−1 steps moving one data segment per step.
 // Every rank transmits 2·(n−1)/n of the model size in total, which is why
@@ -13,8 +20,7 @@ package collective
 
 // CentralAllReduce is the naive baseline: gather all vectors to rank 0,
 // sum, and broadcast. Same result as the ring Reducer up to float
-// addition order; used by tests as an oracle and by benchmarks as the
-// non-scalable comparison point.
+// addition order; used by tests as an oracle.
 func CentralAllReduce(data [][]float64) error {
 	_, length, err := validateRanks(data)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"trainbox/internal/nn"
 	"trainbox/internal/units"
@@ -32,7 +31,7 @@ func TestRingAllReduceMatchesSum(t *testing.T) {
 			if err := CentralAllReduce(oracle); err != nil {
 				t.Fatal(err)
 			}
-			if err := reduceBy("ring", data); err != nil {
+			if err := reduceRing(data); err != nil {
 				t.Fatalf("n=%d len=%d: %v", n, length, err)
 			}
 			for r := range data {
@@ -49,7 +48,7 @@ func TestRingAllReduceMatchesSum(t *testing.T) {
 
 func TestRingAllReduceSingleRankIsNoop(t *testing.T) {
 	data := [][]float64{{1, 2, 3}}
-	if err := reduceBy("ring", data); err != nil {
+	if err := reduceRing(data); err != nil {
 		t.Fatal(err)
 	}
 	if data[0][0] != 1 || data[0][2] != 3 {
@@ -58,10 +57,10 @@ func TestRingAllReduceSingleRankIsNoop(t *testing.T) {
 }
 
 func TestRingAllReduceErrors(t *testing.T) {
-	if err := reduceBy("ring", nil); err == nil {
+	if err := reduceRing(nil); err == nil {
 		t.Error("empty rank set accepted")
 	}
-	if err := reduceBy("ring", [][]float64{{1, 2}, {1}}); err == nil {
+	if err := reduceRing([][]float64{{1, 2}, {1}}); err == nil {
 		t.Error("ragged input accepted")
 	}
 	if err := CentralAllReduce(nil); err == nil {
@@ -74,42 +73,83 @@ func TestRingAllReduceErrors(t *testing.T) {
 
 func TestRingAllReduceEmptyVectors(t *testing.T) {
 	data := [][]float64{{}, {}, {}}
-	if err := reduceBy("ring", data); err != nil {
+	if err := reduceRing(data); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestRingAllReducePropertyEqualsOracle fuzzes rank counts and vector
-// lengths against the sequential oracle.
-func TestRingAllReducePropertyEqualsOracle(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(9)
-		length := rng.Intn(64)
-		data := make([][]float64, n)
-		oracle := make([][]float64, n)
-		for r := range data {
-			data[r] = make([]float64, length)
-			for i := range data[r] {
-				data[r][i] = rng.NormFloat64() * 100
-			}
-			oracle[r] = append([]float64(nil), data[r]...)
-		}
-		if CentralAllReduce(oracle) != nil || reduceBy("ring", data) != nil {
-			return false
-		}
-		for r := range data {
-			for i := range data[r] {
-				if math.Abs(data[r][i]-oracle[r][i]) > 1e-7*(1+math.Abs(oracle[r][i])) {
-					return false
-				}
+// FuzzRingMatchesRingOrder drives the ring with fuzzed rank counts
+// (1–16), lengths (0–2,048) and values: the result must equal the
+// sequential ringOrderSum fold bit for bit and CentralAllReduce within
+// the rounding of two summation orders, and ragged input or a cancelled
+// context must fail before grads is touched.
+func FuzzRingMatchesRingOrder(f *testing.F) {
+	f.Add(uint8(3), uint16(64), []byte{1, 2, 3, 4, 5, 6})
+	f.Add(uint8(15), uint16(2048), []byte{0xff, 0x7f, 0x13})
+	f.Fuzz(func(t *testing.T, ranks uint8, length uint16, vals []byte) {
+		n, l := 1+int(ranks)%16, int(length)%2049
+		base := make([][]float64, n)
+		for r := range base {
+			base[r] = make([]float64, l)
+			for i := range base[r] {
+				base[r][i] = fuzzValue(vals, r*l+i)
 			}
 		}
-		return true
+		got := cloneGrads(base)
+		if err := reduceRing(got); err != nil {
+			t.Fatal(err)
+		}
+		requireBitIdentical(t, got, ringOrderSum(base), "ring vs ringOrderSum")
+		central := cloneGrads(base)
+		if err := CentralAllReduce(central); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < l; i++ {
+			var abs float64
+			for r := range base {
+				abs += math.Abs(base[r][i])
+			}
+			// Each order's rounding error is at most (n−1)·ε·Σ|x|.
+			if d := math.Abs(got[0][i] - central[0][i]); d > 2*float64(n)*0x1p-52*abs {
+				t.Fatalf("n=%d len=%d idx %d: ring %v, central %v", n, l, i, got[0][i], central[0][i])
+			}
+		}
+
+		ring, err := NewRing()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n > 1 {
+			ragged := cloneGrads(base)
+			ragged[n-1] = append(ragged[n-1], 1)
+			if ring.Reduce(context.Background(), ragged) == nil {
+				t.Fatal("ragged input accepted")
+			}
+			ragged[n-1] = ragged[n-1][:l]
+			requireBitIdentical(t, ragged, base, "ragged Reduce")
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		cancelled := cloneGrads(base)
+		if ring.Reduce(ctx, cancelled) == nil {
+			t.Fatal("cancelled context accepted")
+		}
+		requireBitIdentical(t, cancelled, base, "cancelled Reduce")
+	})
+}
+
+// fuzzValue reads element k's value from the fuzz bytes, cycling through
+// them three at a time: a signed 16-bit integer over 3, scaled by
+// 2^[-20, 20], so sums mix magnitudes and cancel, and most values carry
+// a full significand whose rounding shows the summation order. No bytes
+// gives all zeros.
+func fuzzValue(vals []byte, k int) float64 {
+	if len(vals) == 0 {
+		return 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
+	b := func(j int) byte { return vals[(3*k+j)%len(vals)] }
+	m := int16(uint16(b(0)) | uint16(b(1))<<8)
+	return math.Ldexp(float64(m)/3, int(b(2)^byte(k))%41-20)
 }
 
 // TestRingAllReduceSynchronizesRealGradients is the integration with
@@ -142,7 +182,7 @@ func TestRingAllReduceSynchronizesRealGradients(t *testing.T) {
 			expected[i] += v
 		}
 	}
-	if err := reduceBy("ring", grads); err != nil {
+	if err := reduceRing(grads); err != nil {
 		t.Fatal(err)
 	}
 	for r := range grads {
@@ -197,10 +237,10 @@ func TestRingReduceAllocsIndependentOfLength(t *testing.T) {
 	}
 }
 
-// TestRingConcurrentReducesMatchSequential: jobs sharing one ring
-// reducer, as serve's do, reduce different rank counts and lengths at
-// once; each result must equal the same reduction run alone, bit for
-// bit.
+// TestRingConcurrentReducesMatchSequential: callers sharing one ring
+// (train.WithSync leaves that to them) reduce different rank counts and
+// lengths at once; each result must equal the same reduction run alone,
+// bit for bit.
 func TestRingConcurrentReducesMatchSequential(t *testing.T) {
 	ring, err := NewRing()
 	if err != nil {

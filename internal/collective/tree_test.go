@@ -2,83 +2,10 @@ package collective
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"trainbox/internal/units"
 )
-
-func TestTreeAllReduceMatchesOracle(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 5, 8, 13, 16} {
-		for _, length := range []int{0, 1, 7, 100} {
-			rng := rand.New(rand.NewSource(int64(n*100 + length)))
-			data := make([][]float64, n)
-			oracle := make([][]float64, n)
-			for r := range data {
-				data[r] = make([]float64, length)
-				for i := range data[r] {
-					data[r][i] = rng.NormFloat64()
-				}
-				oracle[r] = append([]float64(nil), data[r]...)
-			}
-			if err := CentralAllReduce(oracle); err != nil && length > 0 {
-				t.Fatal(err)
-			}
-			if err := reduceBy("tree", data); err != nil {
-				t.Fatalf("n=%d len=%d: %v", n, length, err)
-			}
-			for r := range data {
-				for i := range data[r] {
-					if math.Abs(data[r][i]-oracle[r][i]) > 1e-9*(1+math.Abs(oracle[r][i])) {
-						t.Fatalf("n=%d len=%d rank=%d idx=%d: %v vs %v",
-							n, length, r, i, data[r][i], oracle[r][i])
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestTreeAllReduceErrors(t *testing.T) {
-	if err := reduceBy("tree", nil); err == nil {
-		t.Error("empty rank set accepted")
-	}
-	if err := reduceBy("tree", [][]float64{{1}, {1, 2}}); err == nil {
-		t.Error("ragged input accepted")
-	}
-}
-
-func TestTreeAllReducePropertyEqualsRing(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(9)
-		length := 1 + rng.Intn(40)
-		tree := make([][]float64, n)
-		ring := make([][]float64, n)
-		for r := range tree {
-			tree[r] = make([]float64, length)
-			for i := range tree[r] {
-				tree[r][i] = rng.NormFloat64() * 10
-			}
-			ring[r] = append([]float64(nil), tree[r]...)
-		}
-		if reduceBy("tree", tree) != nil || reduceBy("ring", ring) != nil {
-			return false
-		}
-		for r := range tree {
-			for i := range tree[r] {
-				if math.Abs(tree[r][i]-ring[r][i]) > 1e-7*(1+math.Abs(ring[r][i])) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestTreeModelScalesLogarithmically(t *testing.T) {
 	m := TreeModel{LinkBandwidth: 150 * units.GBps, HopLatency: 1e-6}

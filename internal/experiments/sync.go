@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"math"
-	"math/rand"
 
 	"trainbox/internal/arch"
 	"trainbox/internal/collective"
@@ -14,14 +11,10 @@ import (
 )
 
 // SyncStudyResult carries the gradient-sync ablation: per-box-count
-// latency of every backend, the in-network aggregation headline, and
-// the functional bit-identity cross-check.
+// latency of every topology's model and the in-network aggregation
+// headline.
 type SyncStudyResult struct {
 	Table *report.Table
-	// MaxDivergence is the largest |backend − ring| over the functional
-	// cross-check (every Reducer on the same random gradients). The
-	// canonical reduction order makes this exactly 0.
-	MaxDivergence float64
 	// RingMs / PSMs / HostRingEthMs / InNetworkMs are the 256-accel
 	// sync latencies in milliseconds.
 	RingMs, PSMs, HostRingEthMs, InNetworkMs float64
@@ -31,15 +24,15 @@ type SyncStudyResult struct {
 	InNetworkSpeedup float64
 }
 
-// SyncStudy prices the gradient-sync backends against each other across
-// box counts — the scenario space the paper closes with "ring sync is
-// solved". Ring, tree, and halving-doubling run on the NVLink-class
-// accelerator fabric; the parameter server adds a dedicated server tier
-// (one shard box per train box, reached over worker links); in-network
-// aggregation offloads the reduce into the prep network's switch behind
-// compressing SmartNICs, compared against a host ring over the same
-// Ethernet ports. A functional pass then reduces real random gradients
-// through every backend and cross-checks bit-identity with the ring.
+// SyncStudy prices the gradient-sync topologies against each other
+// across box counts — the scenario space the paper closes with "ring
+// sync is solved". Every cell is an analytical model: ring, tree, and
+// halving-doubling on the NVLink-class accelerator fabric; the parameter
+// server with a dedicated server tier (one shard box per train box,
+// reached over worker links); in-network aggregation offloading the
+// reduce into the prep network's switch behind compressing SmartNICs,
+// compared against a host ring over the same Ethernet ports. Only the
+// ring also runs (collective.NewRing).
 func SyncStudy() (SyncStudyResult, error) {
 	w, err := workload.ByName("Inception-v4")
 	if err != nil {
@@ -106,66 +99,5 @@ func SyncStudy() (SyncStudyResult, error) {
 		}
 	}
 
-	div, err := syncBitIdentityCheck()
-	if err != nil {
-		return SyncStudyResult{}, err
-	}
-	res.MaxDivergence = div
 	return res, nil
-}
-
-// syncBitIdentityCheck reduces the same random gradients through every
-// backend and returns the largest absolute divergence from the ring —
-// 0 unless a backend breaks the canonical reduction order.
-func syncBitIdentityCheck() (float64, error) {
-	ctx := context.Background()
-	var maxDiv float64
-	for _, n := range []int{4, 5, 8} {
-		rng := rand.New(rand.NewSource(int64(1000 + n)))
-		const length = 257
-		base := make([][]float64, n)
-		for r := range base {
-			base[r] = make([]float64, length)
-			for i := range base[r] {
-				base[r][i] = rng.NormFloat64()
-			}
-		}
-		clone := func() [][]float64 {
-			out := make([][]float64, n)
-			for r := range base {
-				out[r] = append([]float64(nil), base[r]...)
-			}
-			return out
-		}
-		want := clone()
-		ringRed, err := collective.NewRing()
-		if err != nil {
-			return 0, err
-		}
-		if err := ringRed.Reduce(ctx, want); err != nil {
-			return 0, err
-		}
-		for _, name := range collective.Backends() {
-			var opts []collective.Option
-			if name == "ps" {
-				opts = append(opts, collective.WithShards(3))
-			}
-			red, err := collective.ByName(name, opts...)
-			if err != nil {
-				return 0, err
-			}
-			got := clone()
-			if err := red.Reduce(ctx, got); err != nil {
-				return 0, err
-			}
-			for r := range got {
-				for i := range got[r] {
-					if d := math.Abs(got[r][i] - want[r][i]); d > maxDiv {
-						maxDiv = d
-					}
-				}
-			}
-		}
-	}
-	return maxDiv, nil
 }

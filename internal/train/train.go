@@ -191,19 +191,18 @@ type runOptions struct {
 	checkpointSink  func(Checkpoint)
 	restore         *Checkpoint
 	suspender       *Suspender
-	// sync is the gradient-sync backend; nil selects the default ring
+	// sync is the gradient-sync reducer; nil selects the default ring
 	// bound to the run's registry.
 	sync collective.Reducer
 }
 
-// WithSync selects the gradient-synchronization backend the step stage
-// reduces through — any collective.Reducer (NewRing, NewTree,
-// NewHalvingDoubling, NewParamServer, or collective.ByName). Every
-// backend honors the collective package's canonical reduction order, so
-// the trained weights are bit-identical across backends; what changes
-// is the modelled topology, its traffic accounting, and (for the
-// parameter server) the fault/retry seam. Defaults to a ring reducer
-// bound to the run's metrics registry.
+// WithSync hands the step stage a caller-owned collective.Reducer to
+// reduce gradients through: a collective.NewRing the caller meters
+// into its own registry or shares across runs, or a wrapper around one
+// (the benchmark times every Reduce this way). A ring reduces in the
+// same order however it was built, so the trained weights are
+// bit-identical to the default's. Defaults to a ring bound to the run's
+// metrics registry.
 func WithSync(r collective.Reducer) Option {
 	return func(o *runOptions) error {
 		if r == nil {
@@ -321,7 +320,7 @@ func WithFeature(f FeatureFn) Option {
 // converts prepared samples to model inputs into pooled buffers; the
 // serial step stage splits each epoch across replicas, backpropagates
 // in parallel (pipeline.ForEach), reduces gradients through the
-// configured sync backend (WithSync; a ring all-reduce by default), and
+// ring all-reduce (WithSync to supply a caller-owned one), and
 // applies one synchronous SGD step per minibatch. The first error
 // anywhere — or ctx being cancelled — cancels the pipeline and drains
 // every goroutine.
@@ -470,8 +469,7 @@ func run(ctx context.Context, cfg Config, o runOptions) (Result, error) {
 	}
 	sync := o.sync
 	if sync == nil {
-		// Default backend: the chunked ring, metered into the run's
-		// registry — bit-for-bit the behavior of the pre-Reducer driver.
+		// Default: the chunked ring, metered into the run's registry.
 		ring, err := collective.NewRing(collective.WithMetrics(reg))
 		if err != nil {
 			return Result{}, err
