@@ -40,6 +40,10 @@ func main() {
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on shed responses")
 	cacheMB := flag.Int("cache", 0, "shared decode-cache budget in MB (0 = no cache)")
 	flag.Parse()
+	if *devices < 0 || *cacheMB < 0 || *pressureLimit < 0 {
+		fmt.Fprintln(os.Stderr, "trainbox-serve: -devices, -cache and -pressure-limit must be ≥ 0")
+		os.Exit(2)
+	}
 
 	if err := run(*addr, *addrFile, *devices, *corpus, *seed, *maxRunning,
 		*queueLimit, *pressureLimit, *quota, *cacheMB, *retryAfter); err != nil {

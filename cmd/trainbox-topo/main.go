@@ -27,6 +27,10 @@ func main() {
 	replay := flag.Int("replay", 0, "replay N overlapped training steps and print the pipeline timeline")
 	plan := flag.Float64("plan", 0, "instead of building, plan the smallest TrainBox rack for this samples/s target")
 	flag.Parse()
+	if *plan < 0 || *replay < 0 {
+		fmt.Fprintln(os.Stderr, "trainbox-topo: -plan and -replay must be ≥ 0")
+		os.Exit(2)
+	}
 
 	kinds := map[string]arch.Kind{
 		"baseline":        arch.Baseline,

@@ -33,26 +33,6 @@ func main() {
 	}
 }
 
-// feature pools the prepared tensor's first channel into coarse inputs.
-func feature(p dataprep.Prepared) ([]float64, int, error) {
-	ten := p.Image
-	const block = 4
-	side := ten.W / block
-	feat := make([]float64, side*side)
-	for by := 0; by < side; by++ {
-		for bx := 0; bx < side; bx++ {
-			var sum float64
-			for y := by * block; y < (by+1)*block; y++ {
-				for x := bx * block; x < (bx+1)*block; x++ {
-					sum += float64(ten.At(0, y, x))
-				}
-			}
-			feat[by*side+bx] = sum / (block * block)
-		}
-	}
-	return feat, p.Label, nil
-}
-
 func run(replicas, epochs, items, depth int, lr, momentum float64, seed int64) error {
 	store := storage.NewStore(storage.DefaultSSDSpec())
 	if err := dataprep.BuildImageDataset(store, items, 4, seed); err != nil {
@@ -71,7 +51,7 @@ func run(replicas, epochs, items, depth int, lr, momentum float64, seed int64) e
 		replicas, epochs, items, depth)
 	res, err := train.Run(context.Background(), tc,
 		train.WithDataset(exec, store, store.Keys()),
-		train.WithFeature(feature))
+		train.WithFeature(train.BlockFeature))
 	if err != nil {
 		return err
 	}

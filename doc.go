@@ -8,14 +8,14 @@
 //     (internal/imgproc) and an STFT/Mel audio front-end (internal/dsp)
 //     composed by internal/dataprep, with an FPGA emulator
 //     (internal/fpga) proving offload bit-equality;
-//   - system models: PCIe trees with max-min-fair contention
-//     (internal/pcie), SSDs (internal/storage), host resources
-//     (internal/hostres), Ethernet prep-pool (internal/eth), NN
-//     accelerators (internal/accel), ring all-reduce — real and
-//     analytical (internal/collective) — and a discrete-event engine
-//     (internal/sim);
-//   - the paper's architectures (internal/arch) and the throughput /
-//     bottleneck / requirement solver (internal/core);
+//   - system models: PCIe trees with per-link load accounting
+//     (internal/pcie), SSDs (internal/storage), Ethernet prep-pool
+//     (internal/eth), and ring all-reduce — real and analytical
+//     (internal/collective);
+//   - the paper's architectures with their host spec (internal/arch) and
+//     the system model (internal/core): NN accelerators, the throughput /
+//     bottleneck / requirement solver and the overlapped-training replay,
+//     with the discrete-event cross-validation oracles in its tests;
 //   - a harness (internal/experiments) regenerating every table and
 //     figure of the paper's evaluation, exposed through
 //     cmd/trainbox-sim (-exp <name>, or -exp all).

@@ -18,26 +18,6 @@ import (
 	"trainbox/internal/train"
 )
 
-// stripeFeature pools the tensor's first channel into coarse features.
-func stripeFeature(p dataprep.Prepared) ([]float64, int, error) {
-	ten := p.Image
-	const block = 4
-	side := ten.W / block
-	feat := make([]float64, side*side)
-	for by := 0; by < side; by++ {
-		for bx := 0; bx < side; bx++ {
-			var sum float64
-			for y := by * block; y < (by+1)*block; y++ {
-				for x := bx * block; x < (bx+1)*block; x++ {
-					sum += float64(ten.At(0, y, x))
-				}
-			}
-			feat[by*side+bx] = sum / (block * block)
-		}
-	}
-	return feat, p.Label, nil
-}
-
 func main() {
 	demo := flag.Bool("demo", false, "short CI budget: fewer items and epochs")
 	flag.Parse()
@@ -64,7 +44,7 @@ func main() {
 
 	res, err := train.Run(context.Background(), tc,
 		train.WithDataset(exec, store, store.Keys()),
-		train.WithFeature(stripeFeature))
+		train.WithFeature(train.BlockFeature))
 	if err != nil {
 		log.Fatal(err)
 	}

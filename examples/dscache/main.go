@@ -23,25 +23,6 @@ import (
 	"trainbox/internal/units"
 )
 
-func feature(p dataprep.Prepared) ([]float64, int, error) {
-	ten := p.Image
-	const block = 4
-	side := ten.W / block
-	feat := make([]float64, side*side)
-	for by := 0; by < side; by++ {
-		for bx := 0; bx < side; bx++ {
-			var sum float64
-			for y := by * block; y < (by+1)*block; y++ {
-				for x := bx * block; x < (bx+1)*block; x++ {
-					sum += float64(ten.At(0, y, x))
-				}
-			}
-			feat[by*side+bx] = sum / (block * block)
-		}
-	}
-	return feat, p.Label, nil
-}
-
 func main() {
 	demo := flag.Bool("demo", false, "short CI budget: skip the full study sweep")
 	flag.Parse()
@@ -71,7 +52,7 @@ func main() {
 	// seeded after it.
 	exec0 := dataprep.NewExecutor(dataprep.ImagePreparer{Config: cfg}, 2, 100)
 	oracle, err := train.Run(context.Background(), trainCfg(9, nil),
-		train.WithDataset(exec0, store, keys), train.WithFeature(feature))
+		train.WithDataset(exec0, store, keys), train.WithFeature(train.BlockFeature))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -91,7 +72,7 @@ func main() {
 			r, err := train.Run(context.Background(), trainCfg(int64(9+w), nil),
 				train.WithDataset(exec, store, keys),
 				train.WithCache(c),
-				train.WithFeature(feature))
+				train.WithFeature(train.BlockFeature))
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
@@ -116,7 +97,7 @@ func main() {
 	exec := dataprep.NewExecutor(dataprep.ImagePreparer{Config: cfg}, 2, 100)
 	if _, err := train.Run(context.Background(), trainCfg(9, nil),
 		train.WithDataset(exec, store, keys),
-		train.WithCache(tight), train.WithFeature(feature)); err != nil {
+		train.WithCache(tight), train.WithFeature(train.BlockFeature)); err != nil {
 		log.Fatal(err)
 	}
 	ts := tight.Stats()
@@ -129,7 +110,7 @@ func main() {
 	execEcho := dataprep.NewExecutor(dataprep.ImagePreparer{Config: cfg}, 2, 100)
 	r, err := train.Run(context.Background(), trainCfg(9, reg),
 		train.WithDataset(execEcho, store, keys),
-		train.WithEchoFactor(2), train.WithFeature(feature))
+		train.WithEchoFactor(2), train.WithFeature(train.BlockFeature))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,7 +25,6 @@ import (
 	"fmt"
 
 	"trainbox/internal/eth"
-	"trainbox/internal/hostres"
 	"trainbox/internal/pcie"
 	"trainbox/internal/storage"
 	"trainbox/internal/units"
@@ -149,6 +148,35 @@ func RCCapacity(gen pcie.Generation) units.BytesPerSec {
 	return 12 * gen.LinkBandwidth()
 }
 
+// HostSpec describes a host's CPU and memory resources, the two host
+// resources besides the root complex that the paper's bottleneck
+// analysis tracks (Section III-C).
+type HostSpec struct {
+	Name string
+	// Cores is the number of physical CPU cores.
+	Cores int
+	// MemoryBandwidth is the aggregate DRAM bandwidth.
+	MemoryBandwidth units.BytesPerSec
+}
+
+// DGX2 is the paper's reference host: two-socket Xeon with 48 physical
+// cores and 239 GB/s of memory bandwidth (Section III-B/III-C). Figure
+// 10 normalizes every requirement to it.
+func DGX2() HostSpec {
+	return HostSpec{Name: "dgx-2", Cores: 48, MemoryBandwidth: 239 * units.GBps}
+}
+
+// Validate reports the first spec error, or nil.
+func (h HostSpec) Validate() error {
+	if h.Cores <= 0 {
+		return fmt.Errorf("arch: host %s has %d cores", h.Name, h.Cores)
+	}
+	if h.MemoryBandwidth <= 0 {
+		return fmt.Errorf("arch: host %s has non-positive memory bandwidth", h.Name)
+	}
+	return nil
+}
+
 // Config describes one system to build.
 type Config struct {
 	Kind      Kind
@@ -157,7 +185,7 @@ type Config struct {
 	// zero value means FPGA (PrepCPU is implied for Baseline).
 	Prep PrepDevice
 	// Host is the host spec; zero value means DGX-2.
-	Host hostres.HostSpec
+	Host HostSpec
 	// SSD is the SSD device spec; zero value means DefaultSSDSpec.
 	SSD storage.SSDSpec
 	// PoolFPGAs is the number of prep-pool devices available to this job
@@ -180,7 +208,7 @@ func (c Config) normalize() (Config, error) {
 		return c, fmt.Errorf("arch: need at least one accelerator, got %d", c.NumAccels)
 	}
 	if c.Host.Cores == 0 {
-		c.Host = hostres.DGX2()
+		c.Host = DGX2()
 	}
 	if err := c.Host.Validate(); err != nil {
 		return c, err

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"trainbox/internal/pcie"
+	"trainbox/internal/units"
 )
 
 func TestKindPredicates(t *testing.T) {
@@ -208,5 +209,27 @@ func TestPrepDeviceStrings(t *testing.T) {
 		if d.String() == "" {
 			t.Errorf("device %d has empty string", d)
 		}
+	}
+}
+
+func TestDGX2Reference(t *testing.T) {
+	h := DGX2()
+	if h.Cores != 48 {
+		t.Errorf("DGX-2 cores = %d, want 48 (Section III-B)", h.Cores)
+	}
+	if h.MemoryBandwidth != 239*units.GBps {
+		t.Errorf("DGX-2 mem BW = %v, want 239 GB/s (Section III-C)", h.MemoryBandwidth)
+	}
+	if err := h.Validate(); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestValidateRejectsBadSpecs(t *testing.T) {
+	if err := (HostSpec{Name: "x", Cores: 0, MemoryBandwidth: units.GBps}).Validate(); err == nil {
+		t.Error("zero cores accepted")
+	}
+	if err := (HostSpec{Name: "x", Cores: 4, MemoryBandwidth: 0}).Validate(); err == nil {
+		t.Error("zero bandwidth accepted")
 	}
 }

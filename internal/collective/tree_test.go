@@ -38,31 +38,4 @@ func TestRingBeatsTreeForLargeModels(t *testing.T) {
 	if tree.Latency(n, tiny) >= ring.Latency(n, tiny) {
 		t.Errorf("tree (%v) should beat ring (%v) for %v", tree.Latency(n, tiny), ring.Latency(n, tiny), tiny)
 	}
-	// The crossover point separates the regimes.
-	cross := CrossoverBytes(ring, tree, n)
-	if cross <= tiny || cross >= big {
-		t.Errorf("crossover = %v, want between %v and %v", cross, tiny, big)
-	}
-	below := units.Bytes(float64(cross) * 0.5)
-	above := units.Bytes(float64(cross) * 2)
-	if tree.Latency(n, below) >= ring.Latency(n, below) {
-		t.Error("tree should win below the crossover")
-	}
-	if ring.Latency(n, above) >= tree.Latency(n, above) {
-		t.Error("ring should win above the crossover")
-	}
-}
-
-func TestCrossoverEdgeCases(t *testing.T) {
-	ring := DefaultRingModel()
-	tree := TreeModel{LinkBandwidth: ring.LinkBandwidth, HopLatency: ring.HopLatency}
-	if CrossoverBytes(ring, tree, 2) != 0 {
-		t.Error("n=2 crossover should be 0")
-	}
-	// Zero-latency hops: the ring always wins → crossover 0.
-	zr := RingModel{LinkBandwidth: ring.LinkBandwidth, HopLatency: 0}
-	zt := TreeModel{LinkBandwidth: ring.LinkBandwidth, HopLatency: 0}
-	if CrossoverBytes(zr, zt, 64) != 0 {
-		t.Error("zero-hop crossover should be 0")
-	}
 }

@@ -112,9 +112,13 @@ func TestRequirementsMatchFig10Anchors(t *testing.T) {
 
 func TestRequirementsScaleLinearlyUntilSync(t *testing.T) {
 	w, _ := workload.ByName("Resnet-50")
-	sweep, err := RequirementSweep(w, []int{1, 2, 4, 8})
-	if err != nil {
-		t.Fatal(err)
+	var sweep []Requirements
+	for _, n := range []int{1, 2, 4, 8} {
+		r, err := RequiredResources(w, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweep = append(sweep, r)
 	}
 	// Doubling accelerators ≈ doubles every requirement (sync overhead is
 	// negligible at the table batch).
@@ -183,14 +187,6 @@ func TestUtilizationRejectsDegenerateWorkload(t *testing.T) {
 	}
 }
 
-func TestBaselinePerSample(t *testing.T) {
-	w, _ := workload.ByName("Resnet-50")
-	d := BaselinePerSample(w)
-	if d.CPUSeconds != w.Prep.TotalCPUSeconds() || d.RCBytes != w.Prep.StoredBytes+w.Prep.TensorBytes {
-		t.Errorf("BaselinePerSample = %+v", d)
-	}
-}
-
 func TestInitializerSizesPoolLikePaper(t *testing.T) {
 	keys := make([]string, 320)
 	for i := range keys {
@@ -247,60 +243,5 @@ func TestInitializerRejectsFlatSystems(t *testing.T) {
 	sys := mustBuild(t, arch.Config{Kind: arch.Baseline, NumAccels: 8})
 	if _, err := InitializeTraining(sys, w, []string{"a"}); err == nil {
 		t.Error("flat system accepted by initializer")
-	}
-}
-
-// TestDESMatchesAnalyticalBaseline cross-validates the event-level replay
-// against the closed-form solver for the baseline architecture.
-func TestDESMatchesAnalyticalBaseline(t *testing.T) {
-	for _, name := range []string{"Resnet-50", "TF-SR"} {
-		w, _ := workload.ByName(name)
-		sys := mustBuild(t, arch.Config{Kind: arch.Baseline, NumAccels: 256})
-		analytic, err := Solve(sys, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		des, err := SimulatePrep(sys, w, DefaultSimOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rel := math.Abs(float64(des.Throughput)-float64(analytic.PrepRate)) / float64(analytic.PrepRate)
-		if rel > 0.05 {
-			t.Errorf("%s: DES %v vs analytic prep %v (%.1f%% apart)",
-				name, des.Throughput, analytic.PrepRate, rel*100)
-		}
-	}
-}
-
-// TestDESMatchesAnalyticalTrainBox validates the clustered replay.
-func TestDESMatchesAnalyticalTrainBox(t *testing.T) {
-	for _, name := range []string{"Inception-v4", "TF-AA"} {
-		w, _ := workload.ByName(name)
-		sys := mustBuild(t, arch.Config{Kind: arch.TrainBoxNoPool, NumAccels: 64})
-		analytic, err := Solve(sys, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		des, err := SimulatePrep(sys, w, DefaultSimOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rel := math.Abs(float64(des.Throughput)-float64(analytic.PrepRate)) / float64(analytic.PrepRate)
-		if rel > 0.05 {
-			t.Errorf("%s: DES %v vs analytic prep %v (%.1f%% apart)",
-				name, des.Throughput, analytic.PrepRate, rel*100)
-		}
-	}
-}
-
-func TestDESOptionValidation(t *testing.T) {
-	w, _ := workload.ByName("Resnet-50")
-	sys := mustBuild(t, arch.Config{Kind: arch.Baseline, NumAccels: 8})
-	if _, err := SimulatePrep(sys, w, SimOptions{}); err == nil {
-		t.Error("zero options accepted")
-	}
-	flat := mustBuild(t, arch.Config{Kind: arch.BaselineAcc, NumAccels: 8})
-	if _, err := SimulatePrep(flat, w, DefaultSimOptions()); err == nil {
-		t.Error("unsupported kind accepted")
 	}
 }

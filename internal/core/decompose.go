@@ -5,7 +5,6 @@ import (
 
 	"trainbox/internal/arch"
 	"trainbox/internal/collective"
-	"trainbox/internal/hostres"
 	"trainbox/internal/pcie"
 	"trainbox/internal/units"
 	"trainbox/internal/workload"
@@ -53,7 +52,7 @@ func (b LatencyBreakdown) PrepShare() float64 {
 // batch (n × per-accelerator batch) prepared by the full host against
 // each stage's own resource.
 func DecomposeBaseline(w workload.Workload, n int) (LatencyBreakdown, error) {
-	return decompose(w, n, float64(accelRateOf(w)), hostres.DGX2(),
+	return decompose(w, n, float64(accelRateOf(w)), arch.DGX2(),
 		float64(arch.RCCapacity(pcie.Gen3)), collective.DefaultRingModel())
 }
 
@@ -109,7 +108,7 @@ func DecomposeFig3(w workload.Workload, cfg Fig3Config) (LatencyBreakdown, error
 		rate = float64(w.AccelRate)
 	}
 	var b LatencyBreakdown
-	host := hostres.DGX2()
+	host := arch.DGX2()
 	g := float64(cfg.NumAccels * w.BatchSize) // global batch samples
 
 	b.Formatting = g * w.Prep.CPUSeconds[workload.OpFormat] / float64(host.Cores)
@@ -130,7 +129,7 @@ func DecomposeFig3(w workload.Workload, cfg Fig3Config) (LatencyBreakdown, error
 }
 
 // decompose computes the baseline stage times for one global batch.
-func decompose(w workload.Workload, n int, accelRate float64, host hostres.HostSpec,
+func decompose(w workload.Workload, n int, accelRate float64, host arch.HostSpec,
 	rcCap float64, ring collective.RingModel) (LatencyBreakdown, error) {
 	if n <= 0 {
 		return LatencyBreakdown{}, fmt.Errorf("core: need at least one accelerator, got %d", n)

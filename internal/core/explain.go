@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
@@ -48,14 +47,4 @@ func (r Result) Explain() string {
 		sb.WriteString("  accelerators limit this system (the balanced regime TrainBox targets)\n")
 	}
 	return sb.String()
-}
-
-// Headroom returns a named constraint's rate divided by the achieved
-// throughput (1 = binding), or +Inf when the constraint is absent.
-func (r Result) Headroom(constraint string) float64 {
-	rate, ok := r.Constraints[constraint]
-	if !ok || r.Throughput <= 0 {
-		return math.Inf(1)
-	}
-	return float64(rate) / float64(r.Throughput)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -35,19 +34,5 @@ func TestExplainComputeBoundRegime(t *testing.T) {
 	res := solve(t, arch.TrainBox, 256, w)
 	if !strings.Contains(res.Explain(), "accelerators limit this system") {
 		t.Errorf("compute-bound regime not reported:\n%s", res.Explain())
-	}
-}
-
-func TestHeadroom(t *testing.T) {
-	w, _ := workload.ByName("Resnet-50")
-	res := solve(t, arch.Baseline, 256, w)
-	if h := res.Headroom(ConstraintCPU); math.Abs(h-1) > 1e-9 {
-		t.Errorf("bottleneck headroom = %v, want 1", h)
-	}
-	if h := res.Headroom(ConstraintRC); h <= 1 {
-		t.Errorf("RC headroom = %v, want > 1 for CPU-bound baseline", h)
-	}
-	if !math.IsInf(res.Headroom("no-such-constraint"), 1) {
-		t.Error("unknown constraint should have infinite headroom")
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"trainbox/internal/accel"
 	"trainbox/internal/arch"
 	"trainbox/internal/fpga"
 	"trainbox/internal/storage"
@@ -55,7 +54,7 @@ func InitializeTraining(sys *arch.System, w workload.Workload, datasetKeys []str
 	plan.Shards = shards
 
 	// 2. Measure per-batch execution time (compute + sync).
-	cluster, err := accel.NewCluster(len(sys.Accels))
+	cluster, err := newAccelCluster(len(sys.Accels))
 	if err != nil {
 		return TrainPlan{}, err
 	}

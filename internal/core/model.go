@@ -15,15 +15,14 @@
 // PCIe link its datapath crosses, root-complex switching, SSD read
 // bandwidth, preparation-device time, and (for pooled samples) Ethernet
 // bytes. The architecture defines the datapath; the binding resource
-// defines the rate. A discrete-event replay (dessim.go) validates the
-// analytical answer.
+// defines the rate. Discrete-event replays in this package's tests
+// (SimulatePrep, SimulateBoxTransfers) validate the analytical answer.
 package core
 
 import (
 	"fmt"
 	"math"
 
-	"trainbox/internal/accel"
 	"trainbox/internal/arch"
 	"trainbox/internal/fpga"
 	"trainbox/internal/pcie"
@@ -97,7 +96,7 @@ func SolveBatch(sys *arch.System, w workload.Workload, batch int) (Result, error
 	cons := map[string]units.SamplesPerSec{}
 
 	// Stage (b): model computation + synchronization.
-	cluster, err := accel.NewCluster(len(sys.Accels))
+	cluster, err := newAccelCluster(len(sys.Accels))
 	if err != nil {
 		return Result{}, err
 	}

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"trainbox/internal/arch"
-	"trainbox/internal/hostres"
 	"trainbox/internal/units"
 	"trainbox/internal/workload"
 )
@@ -25,7 +24,7 @@ func TestSolverMonotoneInHostResources(t *testing.T) {
 		w := ws[r.Intn(len(ws))]
 		kind := kinds[r.Intn(len(kinds))]
 		n := 1 << r.Intn(9) // 1..256
-		base := hostres.DGX2()
+		base := arch.DGX2()
 		bigger := base
 		bigger.Cores = base.Cores * (2 + r.Intn(4))
 		bigger.MemoryBandwidth = base.MemoryBandwidth * units.BytesPerSec(2+r.Intn(4))

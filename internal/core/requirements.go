@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 
-	"trainbox/internal/accel"
 	"trainbox/internal/arch"
-	"trainbox/internal/hostres"
 	"trainbox/internal/pcie"
 	"trainbox/internal/units"
 	"trainbox/internal/workload"
@@ -37,12 +35,12 @@ func RequiredResources(w workload.Workload, n int) (Requirements, error) {
 	if err := w.Validate(); err != nil {
 		return Requirements{}, err
 	}
-	cluster, err := accel.NewCluster(n)
+	cluster, err := newAccelCluster(n)
 	if err != nil {
 		return Requirements{}, err
 	}
 	rate := float64(cluster.PeakThroughput(w))
-	ref := hostres.DGX2()
+	ref := arch.DGX2()
 	rcRef := float64(arch.RCCapacity(pcie.Gen3))
 
 	cores := rate * w.Prep.TotalCPUSeconds()
@@ -57,20 +55,6 @@ func RequiredResources(w workload.Workload, n int) (Requirements, error) {
 		MemoryBW:   memBW / float64(ref.MemoryBandwidth),
 		PCIeBW:     pcieBW / rcRef,
 	}, nil
-}
-
-// RequirementSweep computes Figure 10's curves: requirements for each
-// accelerator count in ns.
-func RequirementSweep(w workload.Workload, ns []int) ([]Requirements, error) {
-	out := make([]Requirements, 0, len(ns))
-	for _, n := range ns {
-		r, err := RequiredResources(w, n)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // DefaultScales are the accelerator counts the paper sweeps (Figures 8,

@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 
-	"trainbox/internal/accel"
 	"trainbox/internal/arch"
 	"trainbox/internal/report"
-	"trainbox/internal/sim"
 	"trainbox/internal/units"
 	"trainbox/internal/workload"
 )
@@ -48,13 +46,13 @@ func SimulateTraining(sys *arch.System, w workload.Workload, steps int) (Trainin
 	}
 	globalBatch := float64(len(sys.Accels) * w.BatchSize)
 	prepTime := globalBatch / float64(res.PrepRate)
-	cluster, err := accel.NewCluster(len(sys.Accels))
+	cluster, err := newAccelCluster(len(sys.Accels))
 	if err != nil {
 		return TrainingSimResult{}, err
 	}
 	computeTime := cluster.StepTime(w, w.BatchSize)
 
-	eng := sim.NewEngine()
+	eng := &engine{}
 	// Double buffering: at most 2 prepared-but-unconsumed batches.
 	const buffers = 2
 	ready := 0 // prepared batches waiting

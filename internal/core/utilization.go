@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"trainbox/internal/arch"
-	"trainbox/internal/units"
 	"trainbox/internal/workload"
 )
 
@@ -21,11 +20,6 @@ const (
 	CatLoad         UtilCategory = "Data load"
 	CatOthers       UtilCategory = "Others"
 )
-
-// UtilCategories lists the legend in display order.
-func UtilCategories() []UtilCategory {
-	return []UtilCategory{CatSSDRead, CatAugmentation, CatFormatting, CatCopy, CatLoad, CatOthers}
-}
 
 // HostUtilization is one architecture's per-sample host-resource
 // consumption decomposed by source, normalized to the baseline's total
@@ -113,21 +107,4 @@ func UtilizationLadder(w workload.Workload) ([]HostUtilization, error) {
 		out = append(out, u)
 	}
 	return out, nil
-}
-
-// Normalized helper: utilization entries are shares of baseline totals;
-// expose the underlying per-sample figures for reporting.
-type PerSampleDemand struct {
-	CPUSeconds float64
-	Memory     units.Bytes
-	RCBytes    units.Bytes
-}
-
-// BaselinePerSample returns the baseline's absolute per-sample demand.
-func BaselinePerSample(w workload.Workload) PerSampleDemand {
-	return PerSampleDemand{
-		CPUSeconds: w.Prep.TotalCPUSeconds(),
-		Memory:     w.Prep.TotalMemoryBytes(),
-		RCBytes:    w.Prep.StoredBytes + w.Prep.TensorBytes,
-	}
 }

@@ -270,4 +270,11 @@ func TestProfileMeasuresThroughput(t *testing.T) {
 	if _, err := e.Profile(s, nil, 1); err == nil {
 		t.Error("empty key profile accepted")
 	}
+	// No samples prepared means no per-sample time: an error, not a
+	// division by zero.
+	for _, n := range []int{0, -3} {
+		if _, err := e.Profile(s, s.Keys(), n); err == nil {
+			t.Errorf("Profile with %d samples accepted", n)
+		}
+	}
 }

@@ -26,6 +26,9 @@ func (e *Executor) Profile(store *storage.Store, keys []string, minSamples int) 
 	if len(keys) == 0 {
 		return ProfileResult{}, fmt.Errorf("dataprep: no keys to profile")
 	}
+	if minSamples <= 0 {
+		return ProfileResult{}, fmt.Errorf("dataprep: profile needs a positive sample count, got %d", minSamples)
+	}
 	start := time.Now()
 	done := 0
 	epoch := 0

@@ -118,21 +118,3 @@ func (r *Reservation) Release() error {
 	r.net.reserved -= r.bw
 	return nil
 }
-
-// TransferTime returns the time to move v bytes over one port.
-func (n *Network) TransferTime(v units.Bytes) float64 {
-	if v <= 0 {
-		return 0
-	}
-	return float64(v) / float64(n.link.Bandwidth)
-}
-
-// OffloadRate converts a per-sample offload volume (bytes shipped to the
-// prep-pool and results shipped back) into the maximum samples/s one port
-// sustains.
-func (n *Network) OffloadRate(perSample units.Bytes) units.SamplesPerSec {
-	if perSample <= 0 {
-		return units.SamplesPerSec(1e30)
-	}
-	return units.SamplesPerSec(float64(n.link.Bandwidth) / float64(perSample))
-}

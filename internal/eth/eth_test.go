@@ -1,7 +1,6 @@
 package eth
 
 import (
-	"math"
 	"testing"
 
 	"trainbox/internal/units"
@@ -13,27 +12,6 @@ func TestNewNetworkValidation(t *testing.T) {
 	}
 	if _, err := NewNetwork(Link100G, SwitchSpec{Ports: 0}); err == nil {
 		t.Error("zero-port switch accepted")
-	}
-}
-
-func TestTransferTime(t *testing.T) {
-	n, _ := NewNetwork(Link100G, SwitchSpec{Ports: 2})
-	got := n.TransferTime(12.5 * units.GB)
-	want := float64(12.5*units.GB) / float64(Link100G.Bandwidth)
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("TransferTime = %v, want %v", got, want)
-	}
-}
-
-func TestOffloadRate(t *testing.T) {
-	n, _ := NewNetwork(Link100G, SwitchSpec{Ports: 2})
-	// 1.25 MB per sample over 12.5 GB/s = 10,000 samples/s.
-	got := n.OffloadRate(units.Bytes(1.25e6))
-	if math.Abs(float64(got)-10000) > 0.01 {
-		t.Errorf("OffloadRate = %v, want 10000", got)
-	}
-	if n.OffloadRate(0) < 1e29 {
-		t.Error("zero-volume offload should be unconstrained")
 	}
 }
 

@@ -83,16 +83,3 @@ func (a *InNetwork) SyncLatency(workers int, modelBytes units.Bytes) float64 {
 	wire := float64(modelBytes) / a.spec.Compression
 	return 2*wire/float64(a.portRate(workers)) + a.spec.RoundLatency
 }
-
-// ReserveSync books the aggregation round's bandwidth through the
-// fabric's reservation ledger — workers × the per-stream rate — so a
-// sync offload contends with prep-pool traffic instead of being
-// modelled for free. Release the reservation when the round's traffic
-// is done.
-func (a *InNetwork) ReserveSync(workers int) (*Reservation, error) {
-	if workers < 1 {
-		return nil, fmt.Errorf("eth: in-network sync needs at least one worker, got %d", workers)
-	}
-	total := units.BytesPerSec(workers) * a.portRate(workers)
-	return a.net.Reserve(total)
-}

@@ -82,41 +82,3 @@ func TestInNetworkReduceEngineAndAggregateCeilings(t *testing.T) {
 		t.Errorf("aggregate-capped latency did not grow with workers: %v vs %v", l4, l16)
 	}
 }
-
-func TestInNetworkReserveSyncLedger(t *testing.T) {
-	net, err := NewNetwork(Link100G, SwitchSpec{Ports: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, err := net.InNetwork(DefaultAggregationSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	res, err := agg.ReserveSync(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 4 * Link100G.Bandwidth; net.Reserved() != want {
-		t.Errorf("Reserved() = %v, want %v", net.Reserved(), want)
-	}
-	// The sync traffic contends with other consumers: the remaining
-	// capacity is what a prep-pool lease could still claim.
-	if _, err := net.Reserve(5 * Link100G.Bandwidth); err == nil {
-		t.Error("over-capacity reservation next to a sync booking accepted")
-	}
-	if err := res.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if net.Reserved() != 0 {
-		t.Errorf("Reserved() = %v after release, want 0", net.Reserved())
-	}
-
-	// A sync round that needs more than the fabric has must fail.
-	if _, err := agg.ReserveSync(9); err == nil {
-		t.Error("sync wider than the fabric accepted")
-	}
-	if _, err := agg.ReserveSync(0); err == nil {
-		t.Error("zero workers accepted")
-	}
-}

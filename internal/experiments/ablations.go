@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"trainbox/internal/accel"
 	"trainbox/internal/arch"
 	"trainbox/internal/collective"
 	"trainbox/internal/core"
@@ -99,7 +98,7 @@ func AblationSyncScheme() (*report.Table, error) {
 	tree := collective.TreeModel{LinkBandwidth: ring.LinkBandwidth, HopLatency: ring.HopLatency}
 	central := collective.CentralModel{LinkBandwidth: ring.LinkBandwidth}
 	for _, w := range workload.Workloads() {
-		compute := accel.ComputeTime(w, w.BatchSize)
+		compute := core.ComputeTime(w, w.BatchSize)
 		tput := func(sync float64) float64 {
 			return float64(n*w.BatchSize) / (compute + sync)
 		}

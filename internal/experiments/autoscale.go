@@ -30,27 +30,6 @@ type AutoscaleStudyResult struct {
 	ScaledUps, ScaledDowns int64
 }
 
-// autoscaleFeature pools the prepared tensor's first channel into 8×8
-// block means — the 64-input feature map the study's MLP consumes.
-func autoscaleFeature(p dataprep.Prepared) ([]float64, int, error) {
-	ten := p.Image
-	const block = 4
-	side := ten.W / block
-	feat := make([]float64, side*side)
-	for by := 0; by < side; by++ {
-		for bx := 0; bx < side; bx++ {
-			var sum float64
-			for y := by * block; y < (by+1)*block; y++ {
-				for x := bx * block; x < (bx+1)*block; x++ {
-					sum += float64(ten.At(0, y, x))
-				}
-			}
-			feat[by*side+bx] = sum / (block * block)
-		}
-	}
-	return feat, p.Label, nil
-}
-
 // AutoscaleStudy is the elastic-jobs ablation: the same pooled training
 // job runs twice — once with its required rate pinned at registration
 // ("static") and once with the metrics-driven autoscaler enabled
@@ -141,7 +120,7 @@ func AutoscaleStudy() (AutoscaleStudyResult, error) {
 		}
 		if _, err := train.Run(context.Background(), cfgT,
 			train.WithPreparer(prep, len(keys)),
-			train.WithFeature(autoscaleFeature)); err != nil {
+			train.WithFeature(train.BlockFeature)); err != nil {
 			return err
 		}
 		final := pool.Stats()[0].RequiredRate

@@ -88,7 +88,7 @@ func CacheStudy() (CacheStudyResult, error) {
 				opts := []train.Option{
 					train.WithDataset(exec, store, keys),
 					train.WithCache(c),
-					train.WithFeature(autoscaleFeature),
+					train.WithFeature(train.BlockFeature),
 				}
 				if cl.echo > 1 {
 					opts = append(opts, train.WithEchoFactor(cl.echo))

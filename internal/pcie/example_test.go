@@ -25,22 +25,3 @@ func ExampleTopology_RouteCrossesRoot() {
 	// in-box: false
 	// cross-box: true
 }
-
-// ExampleTopology_MaxMinFair allocates a shared uplink between two flows.
-func ExampleTopology_MaxMinFair() {
-	b := pcie.NewBuilder(pcie.Gen3)
-	rc := b.Root("rc")
-	sw := b.Switch(rc, "sw")
-	src := b.Device(sw, pcie.KindSSD, "src")
-	a := b.Device(rc, pcie.KindNNAccel, "a")
-	c := b.Device(rc, pcie.KindNNAccel, "c")
-	topo := b.Build()
-
-	rates := topo.MaxMinFair([]pcie.Flow{
-		{Src: src, Dst: a, Weight: 1},
-		{Src: src, Dst: c, Weight: 1},
-	})
-	fmt.Println(rates.Rates[0], rates.Rates[1])
-	// Output:
-	// 8.00 GB/s 8.00 GB/s
-}

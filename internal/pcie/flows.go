@@ -1,159 +1,6 @@
 package pcie
 
-import (
-	"fmt"
-	"math"
-
-	"trainbox/internal/units"
-)
-
-// Flow is a continuous data stream between two endpoints. Weight scales
-// the flow's fair share (a weight-2 flow behaves like two unit flows);
-// it is also how callers express "this logical flow carries k bytes per
-// sample" when converting fair rates back to sample rates.
-type Flow struct {
-	Src, Dst NodeID
-	Weight   float64
-}
-
-// FlowRates is the result of a fair-share computation: Rates[i] is the
-// allocated bandwidth of flow i.
-type FlowRates struct {
-	Rates []units.BytesPerSec
-}
-
-// linkDirKey identifies one direction of one link.
-type linkDirKey struct {
-	link NodeID
-	dir  Direction
-}
-
-// MaxMinFair computes the weighted max-min fair allocation of the flows
-// over the topology's directional link capacities using progressive
-// filling: repeatedly find the link whose remaining capacity divided by
-// the unfrozen weight crossing it is smallest, freeze those flows at that
-// fair level, and continue.
-//
-// The returned allocation satisfies, and tests assert, the two defining
-// invariants: no directional link is oversubscribed, and every flow is
-// bottlenecked (it crosses some saturated link on which no other flow has
-// a higher per-weight rate).
-func (t *Topology) MaxMinFair(flows []Flow) FlowRates {
-	n := len(flows)
-	rates := make([]units.BytesPerSec, n)
-	if n == 0 {
-		return FlowRates{Rates: rates}
-	}
-
-	routes := make([][]Segment, n)
-	for i, f := range flows {
-		if f.Weight <= 0 {
-			panic(fmt.Sprintf("pcie: flow %d has non-positive weight %v", i, f.Weight))
-		}
-		routes[i] = t.Route(f.Src, f.Dst)
-		if len(routes[i]) == 0 {
-			// Degenerate same-node flow: unconstrained by the fabric.
-			rates[i] = units.BytesPerSec(math.Inf(1))
-		}
-	}
-
-	remaining := map[linkDirKey]float64{}
-	crossing := map[linkDirKey][]int{}
-	for i, segs := range routes {
-		for _, s := range segs {
-			k := linkDirKey{s.Link, s.Direction}
-			if _, ok := remaining[k]; !ok {
-				remaining[k] = float64(t.links[s.Link].Bandwidth)
-			}
-			crossing[k] = append(crossing[k], i)
-		}
-	}
-
-	frozen := make([]bool, n)
-	level := make([]float64, n) // frozen per-weight rate
-	active := 0
-	for i := range flows {
-		if len(routes[i]) > 0 {
-			active++
-		} else {
-			frozen[i] = true
-		}
-	}
-
-	for active > 0 {
-		// Find the most constraining link: min over links of
-		// remaining / sum of unfrozen weights crossing it.
-		best := math.Inf(1)
-		for k, rem := range remaining {
-			var w float64
-			for _, fi := range crossing[k] {
-				if !frozen[fi] {
-					w += flows[fi].Weight
-				}
-			}
-			if w == 0 {
-				continue
-			}
-			if fair := rem / w; fair < best {
-				best = fair
-			}
-		}
-		if math.IsInf(best, 1) {
-			break // all remaining flows cross only unconstrained links
-		}
-		// Freeze every unfrozen flow crossing a link saturated at this
-		// level. Use a tolerance so float noise cannot stall progress.
-		progress := false
-		for k, rem := range remaining {
-			var w float64
-			for _, fi := range crossing[k] {
-				if !frozen[fi] {
-					w += flows[fi].Weight
-				}
-			}
-			if w == 0 {
-				continue
-			}
-			if rem/w <= best*(1+1e-12) {
-				for _, fi := range crossing[k] {
-					if !frozen[fi] {
-						frozen[fi] = true
-						level[fi] = best
-						active--
-						progress = true
-					}
-				}
-			}
-		}
-		if !progress {
-			panic("pcie: max-min fair solver stalled")
-		}
-		// Deduct frozen flows' consumption from every link they cross.
-		for k := range remaining {
-			var used float64
-			for _, fi := range crossing[k] {
-				if frozen[fi] && !math.IsInf(level[fi], 1) {
-					used += level[fi] * flows[fi].Weight
-				}
-			}
-			rem := float64(t.links[k.link].Bandwidth) - used
-			if rem < 0 {
-				rem = 0
-			}
-			remaining[k] = rem
-		}
-		// Rebuild crossing sets to only consider unfrozen flows next
-		// round. (Cheap relative to topology sizes used here.)
-	}
-
-	for i := range flows {
-		if len(routes[i]) == 0 {
-			continue // keep +Inf
-		}
-		rates[i] = units.BytesPerSec(level[i] * flows[i].Weight)
-	}
-	return FlowRates{Rates: rates}
-}
+import "trainbox/internal/units"
 
 // LinkLoad accumulates, for each directional link, the total bytes per
 // unit that the given flows push across it when each flow i carries
@@ -163,19 +10,19 @@ func (t *Topology) MaxMinFair(flows []Flow) FlowRates {
 // reciprocal is the fabric-limited unit rate.
 type LinkLoad struct {
 	topo  *Topology
-	loads map[linkDirKey]float64
+	loads map[Segment]float64
 }
 
 // NewLinkLoad returns an empty accumulator for the topology.
 func NewLinkLoad(t *Topology) *LinkLoad {
-	return &LinkLoad{topo: t, loads: map[linkDirKey]float64{}}
+	return &LinkLoad{topo: t, loads: map[Segment]float64{}}
 }
 
 // AddTransfer routes bytes from src to dst and charges every directional
 // link on the path.
 func (l *LinkLoad) AddTransfer(src, dst NodeID, bytes units.Bytes) {
 	for _, s := range l.topo.Route(src, dst) {
-		l.loads[linkDirKey{s.Link, s.Direction}] += float64(bytes)
+		l.loads[s] += float64(bytes)
 	}
 }
 
@@ -185,9 +32,9 @@ func (l *LinkLoad) AddTransfer(src, dst NodeID, bytes units.Bytes) {
 func (l *LinkLoad) MaxUnitTime() (seconds float64, link NodeID, dir Direction) {
 	link = -1
 	for k, bytes := range l.loads {
-		t := bytes / float64(l.topo.links[k.link].Bandwidth)
+		t := bytes / float64(l.topo.links[k.Link].Bandwidth)
 		if t > seconds {
-			seconds, link, dir = t, k.link, k.dir
+			seconds, link, dir = t, k.Link, k.Direction
 		}
 	}
 	return seconds, link, dir
@@ -195,7 +42,7 @@ func (l *LinkLoad) MaxUnitTime() (seconds float64, link NodeID, dir Direction) {
 
 // Load returns the accumulated per-unit bytes on one directional link.
 func (l *LinkLoad) Load(link NodeID, dir Direction) units.Bytes {
-	return units.Bytes(l.loads[linkDirKey{link, dir}])
+	return units.Bytes(l.loads[Segment{link, dir}])
 }
 
 // RootComplexLoad sums the per-unit bytes crossing the root complex in
@@ -206,7 +53,7 @@ func (l *LinkLoad) RootComplexLoad() units.Bytes {
 	var total float64
 	root := l.topo.root
 	for k, bytes := range l.loads {
-		if l.topo.nodes[k.link].Parent == root {
+		if l.topo.nodes[k.Link].Parent == root {
 			total += bytes
 		}
 	}

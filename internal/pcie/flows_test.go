@@ -2,200 +2,10 @@ package pcie
 
 import (
 	"math"
-	"math/rand"
-	"reflect"
 	"testing"
-	"testing/quick"
 
 	"trainbox/internal/units"
 )
-
-func TestMaxMinFairSingleFlowGetsFullLink(t *testing.T) {
-	topo, ids := buildTestTree(t)
-	fr := topo.MaxMinFair([]Flow{{Src: ids["ssd0"], Dst: ids["acc0"], Weight: 1}})
-	if got := fr.Rates[0]; got != Gen3.LinkBandwidth() {
-		t.Errorf("rate = %v, want %v", got, Gen3.LinkBandwidth())
-	}
-}
-
-func TestMaxMinFairTwoFlowsShareCommonLink(t *testing.T) {
-	topo, ids := buildTestTree(t)
-	// Both flows exit via ssd0's uplink.
-	flows := []Flow{
-		{Src: ids["ssd0"], Dst: ids["acc0"], Weight: 1},
-		{Src: ids["ssd0"], Dst: ids["acc1"], Weight: 1},
-	}
-	fr := topo.MaxMinFair(flows)
-	half := Gen3.LinkBandwidth() / 2
-	for i, r := range fr.Rates {
-		if math.Abs(float64(r-half)) > 1 {
-			t.Errorf("rate[%d] = %v, want %v", i, r, half)
-		}
-	}
-}
-
-func TestMaxMinFairWeightedShares(t *testing.T) {
-	topo, ids := buildTestTree(t)
-	flows := []Flow{
-		{Src: ids["ssd0"], Dst: ids["acc0"], Weight: 3},
-		{Src: ids["ssd0"], Dst: ids["acc1"], Weight: 1},
-	}
-	fr := topo.MaxMinFair(flows)
-	bw := float64(Gen3.LinkBandwidth())
-	if math.Abs(float64(fr.Rates[0])-0.75*bw) > 1 {
-		t.Errorf("weighted rate[0] = %v, want %v", fr.Rates[0], 0.75*bw)
-	}
-	if math.Abs(float64(fr.Rates[1])-0.25*bw) > 1 {
-		t.Errorf("weighted rate[1] = %v, want %v", fr.Rates[1], 0.25*bw)
-	}
-}
-
-func TestMaxMinFairDisjointFlowsDoNotInterfere(t *testing.T) {
-	topo, ids := buildTestTree(t)
-	flows := []Flow{
-		{Src: ids["ssd0"], Dst: ids["acc0"], Weight: 1},  // inside sw0
-		{Src: ids["fpga0"], Dst: ids["acc1"], Weight: 1}, // inside sw1 subtree
-	}
-	fr := topo.MaxMinFair(flows)
-	for i, r := range fr.Rates {
-		if r != Gen3.LinkBandwidth() {
-			t.Errorf("disjoint rate[%d] = %v, want full link", i, r)
-		}
-	}
-}
-
-func TestMaxMinFairBottleneckReleasesOtherLinks(t *testing.T) {
-	// Flow A is squeezed on ssd's narrow x4 link; flow B sharing a wide
-	// link with A should pick up the slack (max-min, not proportional).
-	b := NewBuilder(Gen3)
-	rc := b.Root("rc")
-	sw := b.Switch(rc, "sw")
-	ssd := b.DeviceBW(sw, KindSSD, "ssd", 4*units.GBps)
-	accA := b.Device(rc, KindNNAccel, "accA")
-	fpga := b.Device(sw, KindPrepAccel, "fpga")
-	topo := b.Build()
-
-	flows := []Flow{
-		{Src: ssd, Dst: accA, Weight: 1},  // limited to 4 GB/s by ssd uplink
-		{Src: fpga, Dst: accA, Weight: 1}, // shares sw uplink and accA downlink
-	}
-	fr := topo.MaxMinFair(flows)
-	if math.Abs(float64(fr.Rates[0])-4e9) > 1 {
-		t.Errorf("narrow flow = %v, want 4 GB/s", fr.Rates[0])
-	}
-	if math.Abs(float64(fr.Rates[1])-12e9) > 1 {
-		t.Errorf("wide flow = %v, want 12 GB/s", fr.Rates[1])
-	}
-}
-
-func TestMaxMinFairSameNodeFlowUnconstrained(t *testing.T) {
-	topo, ids := buildTestTree(t)
-	fr := topo.MaxMinFair([]Flow{{Src: ids["acc0"], Dst: ids["acc0"], Weight: 1}})
-	if !math.IsInf(float64(fr.Rates[0]), 1) {
-		t.Errorf("same-node flow rate = %v, want +Inf", fr.Rates[0])
-	}
-}
-
-func TestMaxMinFairEmptyFlows(t *testing.T) {
-	topo, _ := buildTestTree(t)
-	fr := topo.MaxMinFair(nil)
-	if len(fr.Rates) != 0 {
-		t.Errorf("rates = %v, want empty", fr.Rates)
-	}
-}
-
-func TestMaxMinFairNonPositiveWeightPanics(t *testing.T) {
-	topo, ids := buildTestTree(t)
-	defer func() {
-		if recover() == nil {
-			t.Error("non-positive weight did not panic")
-		}
-	}()
-	topo.MaxMinFair([]Flow{{Src: ids["ssd0"], Dst: ids["acc0"], Weight: 0}})
-}
-
-// randomFanTree builds a root with nSw switches, each holding nDev
-// devices, for property tests.
-func randomFanTree(nSw, nDev int) (*Topology, []NodeID) {
-	b := NewBuilder(Gen3)
-	rc := b.Root("rc")
-	var devs []NodeID
-	for s := 0; s < nSw; s++ {
-		sw := b.Switch(rc, "sw")
-		for d := 0; d < nDev; d++ {
-			devs = append(devs, b.Device(sw, KindNNAccel, "dev"))
-		}
-	}
-	return b.Build(), devs
-}
-
-// TestMaxMinFairPropertyInvariants asserts, on random flow sets, the two
-// defining properties of a feasible max-min fair allocation:
-//  1. no directional link carries more than its capacity, and
-//  2. every flow crosses at least one saturated link (it cannot be
-//     unilaterally increased), i.e. the allocation is Pareto-maximal.
-func TestMaxMinFairPropertyInvariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	check := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		topo, devs := randomFanTree(2+r.Intn(3), 2+r.Intn(3))
-		nf := 1 + r.Intn(8)
-		flows := make([]Flow, nf)
-		for i := range flows {
-			src := devs[r.Intn(len(devs))]
-			dst := devs[r.Intn(len(devs))]
-			for dst == src {
-				dst = devs[r.Intn(len(devs))]
-			}
-			flows[i] = Flow{Src: src, Dst: dst, Weight: 0.5 + r.Float64()*3}
-		}
-		fr := topo.MaxMinFair(flows)
-
-		// Accumulate per-directional-link usage.
-		type key struct {
-			link NodeID
-			dir  Direction
-		}
-		usage := map[key]float64{}
-		for i, f := range flows {
-			for _, s := range topo.Route(f.Src, f.Dst) {
-				usage[key{s.Link, s.Direction}] += float64(fr.Rates[i])
-			}
-		}
-		for k, u := range usage {
-			cap := float64(topo.LinkOf(k.link).Bandwidth)
-			if u > cap*(1+1e-9) {
-				t.Logf("seed %d: link %v/%v oversubscribed: %v > %v", seed, k.link, k.dir, u, cap)
-				return false
-			}
-		}
-		// Pareto: every flow crosses a saturated link.
-		for i, f := range flows {
-			saturated := false
-			for _, s := range topo.Route(f.Src, f.Dst) {
-				cap := float64(topo.LinkOf(s.Link).Bandwidth)
-				if usage[key{s.Link, s.Direction}] >= cap*(1-1e-9) {
-					saturated = true
-					break
-				}
-			}
-			if !saturated {
-				t.Logf("seed %d: flow %d (rate %v) crosses no saturated link", seed, i, fr.Rates[i])
-				return false
-			}
-		}
-		return true
-	}
-	cfg := &quick.Config{
-		MaxCount: 60,
-		Values: func(vals []reflect.Value, _ *rand.Rand) {
-			vals[0] = reflect.ValueOf(rng.Int63())
-		},
-	}
-	if err := quick.Check(check, cfg); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestLinkLoadAccumulatesPerLink(t *testing.T) {
 	topo, ids := buildTestTree(t)

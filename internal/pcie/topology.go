@@ -8,11 +8,12 @@
 //   - address-based switching: a packet traverses only the links on the
 //     unique tree path between source and destination, so peer-to-peer
 //     traffic that stays under one switch never touches the root complex,
-//   - contention: concurrent flows share directional link bandwidth, which
-//     the max-min fair solver in flows.go resolves.
+//   - per-link accounting: LinkLoad charges a sample's bytes to every
+//     directional link on its route, which is how internal/core finds the
+//     busiest link and the root-complex load.
 //
 // Topologies are built once and are immutable afterwards; routing queries
-// and flow solving are read-only and safe for concurrent use.
+// and link accounting are read-only and safe for concurrent use.
 package pcie
 
 import (
@@ -219,16 +220,8 @@ func (b *Builder) Build() *Topology {
 	return b.topo
 }
 
-// Root returns the root complex node ID.
-func (t *Topology) Root() NodeID { return t.root }
-
 // NumNodes returns the number of nodes, including the root complex.
 func (t *Topology) NumNodes() int { return len(t.nodes) }
-
-// Node returns the node with the given ID.
-func (t *Topology) Node(id NodeID) Node {
-	return t.nodes[id]
-}
 
 // LinkOf returns the link connecting id to its parent. Calling it for the
 // root complex panics.
@@ -237,22 +230,6 @@ func (t *Topology) LinkOf(id NodeID) Link {
 		panic("pcie: root complex has no uplink")
 	}
 	return t.links[id]
-}
-
-// Children returns the IDs of id's children in insertion order.
-func (t *Topology) Children(id NodeID) []NodeID {
-	return append([]NodeID(nil), t.nodes[id].children...)
-}
-
-// DevicesOfKind returns all endpoint IDs of the given kind in ID order.
-func (t *Topology) DevicesOfKind(kind NodeKind) []NodeID {
-	var out []NodeID
-	for _, n := range t.nodes {
-		if n.Kind == kind {
-			out = append(out, n.ID)
-		}
-	}
-	return out
 }
 
 // Route returns the directional link segments a packet traverses from src
@@ -296,22 +273,6 @@ func (t *Topology) RouteCrossesRoot(src, dst NodeID) bool {
 		}
 	}
 	return false
-}
-
-// LCA returns the lowest common ancestor of two nodes.
-func (t *Topology) LCA(x, y NodeID) NodeID {
-	a, b := t.nodes[x], t.nodes[y]
-	for a.depth > b.depth {
-		a = t.nodes[a.Parent]
-	}
-	for b.depth > a.depth {
-		b = t.nodes[b.Parent]
-	}
-	for a.ID != b.ID {
-		a = t.nodes[a.Parent]
-		b = t.nodes[b.Parent]
-	}
-	return a.ID
 }
 
 // Validate checks structural invariants and returns an error describing

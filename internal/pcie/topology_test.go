@@ -94,37 +94,6 @@ func TestRouteIsSymmetricReversed(t *testing.T) {
 	}
 }
 
-func TestLCA(t *testing.T) {
-	topo, ids := buildTestTree(t)
-	cases := []struct {
-		a, b, want string
-	}{
-		{"ssd0", "acc0", "sw0"},
-		{"ssd0", "fpga0", "rc"},
-		{"acc1", "fpga0", "sw1"},
-		{"acc0", "acc0", "acc0"},
-		{"rc", "fpga0", "rc"},
-	}
-	for _, c := range cases {
-		if got := topo.LCA(ids[c.a], ids[c.b]); got != ids[c.want] {
-			t.Errorf("LCA(%s,%s) = %v, want %s", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestDevicesOfKind(t *testing.T) {
-	topo, _ := buildTestTree(t)
-	if got := len(topo.DevicesOfKind(KindNNAccel)); got != 2 {
-		t.Errorf("NN accels = %d, want 2", got)
-	}
-	if got := len(topo.DevicesOfKind(KindSSD)); got != 1 {
-		t.Errorf("SSDs = %d, want 1", got)
-	}
-	if got := len(topo.DevicesOfKind(KindSwitch)); got != 3 {
-		t.Errorf("switches = %d, want 3", got)
-	}
-}
-
 func TestGenerationBandwidth(t *testing.T) {
 	if Gen4.LinkBandwidth() != 2*Gen3.LinkBandwidth() {
 		t.Errorf("Gen4 should double Gen3: %v vs %v", Gen4.LinkBandwidth(), Gen3.LinkBandwidth())

@@ -15,27 +15,6 @@ import (
 	"trainbox/internal/units"
 )
 
-// stripeFeature pools the prepared tensor's first channel into 8×8
-// features (the training tests' standard feature map).
-func stripeFeature(p dataprep.Prepared) ([]float64, int, error) {
-	ten := p.Image
-	const block = 4
-	side := ten.W / block
-	feat := make([]float64, side*side)
-	for by := 0; by < side; by++ {
-		for bx := 0; bx < side; bx++ {
-			var sum float64
-			for y := by * block; y < (by+1)*block; y++ {
-				for x := bx * block; x < (bx+1)*block; x++ {
-					sum += float64(ten.At(0, y, x))
-				}
-			}
-			feat[by*side+bx] = sum / (block * block)
-		}
-	}
-	return feat, p.Label, nil
-}
-
 // trainFixture builds a 32×32-crop dataset store and pool devices, with
 // optional per-device injectors.
 func trainFixture(t *testing.T, devices int, injs ...faults.Injector) ([]*fpga.P2PHandler, *storage.Store, dataprep.ImageConfig) {
@@ -82,7 +61,7 @@ func TestTrainingOnPoolSurvivesDeviceDeathBitIdentical(t *testing.T) {
 	oracleExec := dataprep.NewExecutor(dataprep.ImagePreparer{Config: imgCfg}, 2, datasetSeed)
 	oracle, err := train.Run(context.Background(), cfgT,
 		train.WithDataset(oracleExec, oracleStore, oracleStore.Keys()),
-		train.WithFeature(stripeFeature))
+		train.WithFeature(train.BlockFeature))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +85,7 @@ func TestTrainingOnPoolSurvivesDeviceDeathBitIdentical(t *testing.T) {
 	cfgT.Metrics = reg
 	res, err := train.Run(context.Background(), cfgT,
 		train.WithPreparer(job.Preparer(store.Keys()), store.Len()),
-		train.WithFeature(stripeFeature))
+		train.WithFeature(train.BlockFeature))
 	if err != nil {
 		t.Fatalf("training did not survive the pooled device death: %v", err)
 	}
@@ -156,7 +135,7 @@ func TestPreemptSuspendResumeTrainingOracleIdentical(t *testing.T) {
 		exec := dataprep.NewExecutor(dataprep.ImagePreparer{Config: imgCfg}, 2, seed)
 		res, err := train.Run(context.Background(), cfgT,
 			train.WithDataset(exec, oracleStore, oracleStore.Keys()),
-			train.WithFeature(stripeFeature))
+			train.WithFeature(train.BlockFeature))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +177,7 @@ func TestPreemptSuspendResumeTrainingOracleIdentical(t *testing.T) {
 	ok := false
 	_, err = train.Run(context.Background(), cfgT,
 		train.WithPreparer(victimPrep, len(keys)),
-		train.WithFeature(stripeFeature),
+		train.WithFeature(train.BlockFeature),
 		train.WithSuspender(susp),
 		train.WithCheckpointSink(func(c train.Checkpoint) { cp, ok = c, true }))
 	if !errors.Is(err, train.ErrSuspended) {
@@ -226,7 +205,7 @@ func TestPreemptSuspendResumeTrainingOracleIdentical(t *testing.T) {
 	}
 	vipRes, err := train.Run(context.Background(), cfgT,
 		train.WithPreparer(vipPrep, len(keys)),
-		train.WithFeature(stripeFeature))
+		train.WithFeature(train.BlockFeature))
 	if err != nil {
 		t.Fatalf("vip training failed: %v", err)
 	}
@@ -247,7 +226,7 @@ func TestPreemptSuspendResumeTrainingOracleIdentical(t *testing.T) {
 	}
 	res, err := train.Run(context.Background(), cfgT,
 		train.WithPreparer(victim.Preparer(keys), len(keys)),
-		train.WithFeature(stripeFeature),
+		train.WithFeature(train.BlockFeature),
 		train.WithRestore(cp))
 	if err != nil {
 		t.Fatalf("victim resume failed: %v", err)
@@ -277,9 +256,9 @@ func assertNetworksBitIdentical(t *testing.T, got, want train.Result) {
 	}
 }
 
-// TestRunJobsOverSharedPool: two concurrent training jobs share one
-// pool through train.RunJobs, both completing with their demand served
-// and per-job telemetry separated.
+// TestRunJobsOverSharedPool: two concurrent train.Run calls share one
+// pool, both completing with their demand served and per-job telemetry
+// separated.
 func TestRunJobsOverSharedPool(t *testing.T) {
 	handlers, store, imgCfg := trainFixture(t, 3)
 	reg := metrics.NewRegistry()
@@ -307,19 +286,17 @@ func TestRunJobsOverSharedPool(t *testing.T) {
 		Replicas: 2, Widths: []int{64, 16, 4}, Epochs: 4,
 		LearningRate: 0.05, PrefetchDepth: 1, Seed: 9, Metrics: reg,
 	}
-	results, err := train.RunJobs(context.Background(), []train.Job{
-		{Name: "alpha", Config: cfgT, Options: []train.Option{
-			train.WithPreparer(jobA.Preparer(store.Keys()), store.Len()),
-			train.WithFeature(stripeFeature)}},
-		{Name: "beta", Config: cfgT, Options: []train.Option{
-			train.WithPreparer(jobB.Preparer(store.Keys()), store.Len()),
-			train.WithFeature(stripeFeature)}},
-	})
-	if err != nil {
-		t.Fatal(err)
+	errs := make(chan error, 2)
+	for _, j := range []*Job{jobA, jobB} {
+		go func() {
+			_, err := train.Run(context.Background(), cfgT,
+				train.WithPreparer(j.Preparer(store.Keys()), store.Len()),
+				train.WithFeature(train.BlockFeature))
+			errs <- err
+		}()
 	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d, want 2", len(results))
+	if err := errors.Join(<-errs, <-errs); err != nil {
+		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
 	wantSamples := int64(store.Len() * cfgT.Epochs)

@@ -48,7 +48,6 @@ type Elastic struct {
 const (
 	runnerCrop     = 16
 	runnerClasses  = 4
-	featureBlock   = 4
 	runnerLR       = 0.05
 	runnerPrefetch = 1
 )
@@ -56,8 +55,8 @@ const (
 // TrainRunner is the real backend: every job trains on the shared
 // corpus with its own executor and seed, registered with the shared
 // prep-pool (when one is wired) under the job's RequiredRate and
-// Priority, and driven through train.RunJobs so driver telemetry and
-// error attribution carry the job's ID.
+// Priority, and driven through train.Run; settle classifies how the
+// run ended.
 //
 // Build it with NewTrainRunner (host-only) or NewTrainBackend (with a
 // device pool). The pooled devices MUST be constructed over this
@@ -176,7 +175,7 @@ func (r *TrainRunner) Run(ctx context.Context, id string, spec JobSpec, e Elasti
 		dscache.Bind(r.cache, exec)
 	}
 
-	opts := []train.Option{train.WithFeature(blockFeature)}
+	opts := []train.Option{train.WithFeature(train.BlockFeature)}
 	if e.Suspender != nil {
 		opts = append(opts, train.WithSuspender(e.Suspender))
 	}
@@ -212,7 +211,7 @@ func (r *TrainRunner) Run(ctx context.Context, id string, spec JobSpec, e Elasti
 		}
 	}
 
-	side := runnerCrop / featureBlock
+	side := runnerCrop / 4 // train.BlockFeature averages 4×4 blocks
 	cfg := train.Config{
 		Replicas:      spec.Replicas,
 		Widths:        []int{side * side, 8, runnerClasses},
@@ -221,36 +220,14 @@ func (r *TrainRunner) Run(ctx context.Context, id string, spec JobSpec, e Elasti
 		PrefetchDepth: runnerPrefetch,
 		Seed:          spec.Seed,
 	}
-	results, err := train.RunJobs(ctx, []train.Job{{Name: id, Config: cfg, Options: opts}})
+	res, err := train.Run(ctx, cfg, opts...)
 	if err != nil {
 		return Outcome{}, err
 	}
-	res := results[0].Result
 	return Outcome{
 		FinalLoss: res.FinalLoss(),
 		Samples:   res.SamplesProcessed,
 		Steps:     len(res.Steps),
 		ElapsedMs: float64(res.Elapsed.Nanoseconds()) / 1e6,
 	}, nil
-}
-
-// blockFeature pools the prepared tensor's first channel into coarse
-// block averages — the same featurization the bench harness and the
-// training CLI use.
-func blockFeature(p dataprep.Prepared) ([]float64, int, error) {
-	ten := p.Image
-	side := ten.W / featureBlock
-	feat := make([]float64, side*side)
-	for by := 0; by < side; by++ {
-		for bx := 0; bx < side; bx++ {
-			var sum float64
-			for y := by * featureBlock; y < (by+1)*featureBlock; y++ {
-				for x := bx * featureBlock; x < (bx+1)*featureBlock; x++ {
-					sum += float64(ten.At(0, y, x))
-				}
-			}
-			feat[by*side+bx] = sum / (featureBlock * featureBlock)
-		}
-	}
-	return feat, p.Label, nil
 }

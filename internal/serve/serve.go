@@ -4,7 +4,7 @@
 // jobs over a small HTTP API (see Handler); the server admits them
 // under per-tenant quotas, queues them priority-first with max-min
 // fair-share across tenants, dispatches up to a fixed number of
-// concurrent runs onto internal/preppool + train.RunJobs, and sheds
+// concurrent runs onto internal/preppool + train.Run, and sheds
 // load with 429 + Retry-After once queue depth or free-device pressure
 // crosses its thresholds.
 //

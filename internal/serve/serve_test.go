@@ -434,7 +434,7 @@ func TestNewTrainBackendRejectsNegativeDevices(t *testing.T) {
 }
 
 // TestEndToEndTrainingOnPool: the real backend — shared corpus, pooled
-// devices, preppool registration, train.RunJobs — completes a job whose
+// devices, preppool registration, train.Run — completes a job whose
 // metrics land in both the serve.tenant.* and preppool.job.* namespaces.
 func TestEndToEndTrainingOnPool(t *testing.T) {
 	reg := metrics.NewRegistry()

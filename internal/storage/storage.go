@@ -36,14 +36,6 @@ func DefaultSSDSpec() SSDSpec {
 	return SSDSpec{Name: "nvme", ReadBandwidth: units.BytesPerSec(3.2 * 1e9), Capacity: 4 * units.TB}
 }
 
-// ReadTime returns the time to stream v bytes from the device.
-func (s SSDSpec) ReadTime(v units.Bytes) float64 {
-	if v <= 0 {
-		return 0
-	}
-	return float64(v) / float64(s.ReadBandwidth)
-}
-
 // Object is one stored dataset item (a JPEG file or a PCM stream) with
 // its label.
 type Object struct {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -12,16 +11,6 @@ import (
 	"trainbox/internal/metrics"
 	"trainbox/internal/units"
 )
-
-func TestReadTime(t *testing.T) {
-	spec := SSDSpec{Name: "x", ReadBandwidth: 2 * units.GBps}
-	if got := spec.ReadTime(units.Bytes(4e9)); math.Abs(got-2) > 1e-9 {
-		t.Errorf("ReadTime = %v, want 2", got)
-	}
-	if spec.ReadTime(0) != 0 {
-		t.Error("zero-byte read should take 0")
-	}
-}
 
 func TestStorePutGet(t *testing.T) {
 	s := NewStore(DefaultSSDSpec())

@@ -48,7 +48,7 @@ func assertModelsBitIdentical(t *testing.T, got, want Result) {
 // produce the oracle's model bit-for-bit with >0 retries on record.
 func TestTrainSurvivesStorageFaultStorm(t *testing.T) {
 	oracleExec, oracleStore, keys := setup(t, 16)
-	oracle, err := Run(context.Background(), baseConfig(), WithDataset(oracleExec, oracleStore, keys), WithFeature(stripeFeature))
+	oracle, err := Run(context.Background(), baseConfig(), WithDataset(oracleExec, oracleStore, keys), WithFeature(BlockFeature))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestTrainSurvivesStorageFaultStorm(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Metrics = reg
 
-	res, err := Run(context.Background(), cfg, WithDataset(stormExec, stormStore, keys), WithFeature(stripeFeature))
+	res, err := Run(context.Background(), cfg, WithDataset(stormExec, stormStore, keys), WithFeature(BlockFeature))
 	if err != nil {
 		t.Fatalf("training did not survive the fault storm: %v", err)
 	}
@@ -100,7 +100,7 @@ func TestTrainSurvivesPooledDeviceDeath(t *testing.T) {
 	oracleExec, oracleStore, keys := setup(t, 8)
 	cfg := baseConfig()
 	cfg.Epochs = 6
-	oracle, err := Run(context.Background(), cfg, WithDataset(oracleExec, oracleStore, keys), WithFeature(stripeFeature))
+	oracle, err := Run(context.Background(), cfg, WithDataset(oracleExec, oracleStore, keys), WithFeature(BlockFeature))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestTrainSurvivesPooledDeviceDeath(t *testing.T) {
 	const datasetSeed = 5 // matches setup()'s executor seed
 	res, err := Run(context.Background(), cfg, WithPreparer(func(ctx context.Context, epoch int) ([]dataprep.Prepared, error) {
 		return cluster.PrepareBatch(ctx, store.Keys(), datasetSeed, epoch)
-	}, len(keys)), WithFeature(stripeFeature))
+	}, len(keys)), WithFeature(BlockFeature))
 	if err != nil {
 		t.Fatalf("training did not survive the device death: %v", err)
 	}

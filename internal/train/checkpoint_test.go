@@ -35,14 +35,14 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	cfg.Epochs = 5
 	cfg.Momentum = 0.9 // exercise optimizer-state capture too
 
-	oracle, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(stripeFeature))
+	oracle, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var cps []Checkpoint
 	full, err := Run(context.Background(), cfg,
-		WithDataset(exec, store, keys), WithFeature(stripeFeature),
+		WithDataset(exec, store, keys), WithFeature(BlockFeature),
 		WithCheckpointEvery(1), WithCheckpointSink(func(cp Checkpoint) { cps = append(cps, cp) }))
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 
 	for _, cp := range cps {
 		res, err := Run(context.Background(), cfg,
-			WithDataset(exec, store, keys), WithFeature(stripeFeature),
+			WithDataset(exec, store, keys), WithFeature(BlockFeature),
 			WithRestore(cp))
 		if err != nil {
 			t.Fatalf("restore from epoch %d: %v", cp.Epoch, err)
@@ -86,26 +86,26 @@ func TestCheckpointValidation(t *testing.T) {
 	cfg := baseConfig()
 
 	// Interval without a sink, bad interval, nil sink, nil suspender.
-	if _, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(stripeFeature),
+	if _, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature),
 		WithCheckpointEvery(1)); err == nil {
 		t.Error("checkpoint interval without sink accepted")
 	}
-	if _, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(stripeFeature),
+	if _, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature),
 		WithCheckpointEvery(0), WithCheckpointSink(func(Checkpoint) {})); err == nil {
 		t.Error("zero checkpoint interval accepted")
 	}
-	if _, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(stripeFeature),
+	if _, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature),
 		WithCheckpointSink(nil)); err == nil {
 		t.Error("nil sink accepted")
 	}
-	if _, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(stripeFeature),
+	if _, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature),
 		WithSuspender(nil)); err == nil {
 		t.Error("nil suspender accepted")
 	}
 
 	// Grab one real checkpoint to mutate.
 	var cp Checkpoint
-	if _, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(stripeFeature),
+	if _, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature),
 		WithCheckpointEvery(1), WithCheckpointSink(func(c Checkpoint) { cp = c })); err != nil {
 		t.Fatal(err)
 	}
@@ -121,14 +121,14 @@ func TestCheckpointValidation(t *testing.T) {
 		bad := cp.Clone()
 		badCfg := cfg
 		mutate(&bad, &badCfg)
-		if _, err := Run(context.Background(), badCfg, WithDataset(exec, store, keys), WithFeature(stripeFeature),
+		if _, err := Run(context.Background(), badCfg, WithDataset(exec, store, keys), WithFeature(BlockFeature),
 			WithRestore(bad)); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
 
 	// Two restores is a config error.
-	if _, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(stripeFeature),
+	if _, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature),
 		WithRestore(cp), WithRestore(cp)); err == nil {
 		t.Error("double restore accepted")
 	}
@@ -144,7 +144,7 @@ func TestSuspendParksAtEpochBoundary(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Epochs = 4
 
-	oracle, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(stripeFeature))
+	oracle, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestSuspendParksAtEpochBoundary(t *testing.T) {
 	s.Suspend() // idempotent
 	var cp Checkpoint
 	ok := false
-	_, err = Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(stripeFeature),
+	_, err = Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature),
 		WithSuspender(s), WithCheckpointSink(func(c Checkpoint) { cp, ok = c, true }))
 	if !errors.Is(err, ErrSuspended) {
 		t.Fatalf("suspended run returned %v, want ErrSuspended", err)
@@ -169,7 +169,7 @@ func TestSuspendParksAtEpochBoundary(t *testing.T) {
 		t.Errorf("parked after epoch %d, want 0 (first boundary)", cp.Epoch)
 	}
 
-	res, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(stripeFeature),
+	res, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature),
 		WithRestore(cp))
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func TestSuspendAfterFinalEpochIsIgnored(t *testing.T) {
 	s := NewSuspender()
 	s.Suspend()
 	parked := false
-	res, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(stripeFeature),
+	res, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature),
 		WithSuspender(s), WithCheckpointSink(func(Checkpoint) { parked = true }))
 	if err != nil {
 		t.Fatalf("single-epoch run with pending suspend failed: %v", err)
@@ -204,44 +204,6 @@ func TestSuspendAfterFinalEpochIsIgnored(t *testing.T) {
 	}
 	if res.SamplesProcessed != 8 {
 		t.Errorf("samples = %d, want 8", res.SamplesProcessed)
-	}
-}
-
-// TestRunJobsSuspendedClassification: a suspended job surfaces
-// JobSuspended without cancelling its siblings, and the workload error
-// wraps ErrSuspended (errors.Is classification for the new state).
-func TestRunJobsSuspendedClassification(t *testing.T) {
-	exec, store, keys := setup(t, 16)
-	cfg := baseConfig()
-
-	s := NewSuspender()
-	s.Suspend()
-	parked := false
-	jobs := []Job{
-		{Name: "parked", Config: cfg, Options: []Option{
-			WithDataset(exec, store, keys), WithFeature(stripeFeature), WithSuspender(s),
-			WithCheckpointSink(func(Checkpoint) { parked = true })}},
-		{Name: "steady", Config: cfg, Options: []Option{
-			WithDataset(exec, store, keys), WithFeature(stripeFeature)}},
-	}
-	results, err := RunJobs(context.Background(), jobs)
-	if err == nil {
-		t.Fatal("workload with a suspended job must not return nil (not every job is done)")
-	}
-	if !errors.Is(err, ErrSuspended) {
-		t.Errorf("workload error %v does not classify as ErrSuspended", err)
-	}
-	if results[0].Status != JobSuspended {
-		t.Errorf("parked job status = %q, want %q", results[0].Status, JobSuspended)
-	}
-	if !errors.Is(results[0].Err, ErrSuspended) {
-		t.Errorf("parked job error %v does not classify as ErrSuspended", results[0].Err)
-	}
-	if results[1].Status != JobDone {
-		t.Errorf("sibling status = %q, want done — suspension must not cancel siblings", results[1].Status)
-	}
-	if !parked {
-		t.Error("suspended job left no checkpoint")
 	}
 }
 
@@ -257,7 +219,7 @@ func TestJobKillResumeChaos(t *testing.T) {
 	cfg.Epochs = 6
 	cfg.Momentum = 0.9
 
-	oracle, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(stripeFeature))
+	oracle, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +239,7 @@ func TestJobKillResumeChaos(t *testing.T) {
 		return exec.PrepareBatchContext(kctx, store, keys, epoch)
 	}
 	_, err = Run(ctx, cfg,
-		WithPreparer(killer, len(keys)), WithFeature(stripeFeature),
+		WithPreparer(killer, len(keys)), WithFeature(BlockFeature),
 		WithCheckpointEvery(1), WithCheckpointSink(func(cp Checkpoint) { cps = append(cps, cp) }))
 	if err == nil {
 		t.Fatal("killed run succeeded")
@@ -291,7 +253,7 @@ func TestJobKillResumeChaos(t *testing.T) {
 
 	last := cps[len(cps)-1]
 	res, err := Run(context.Background(), cfg,
-		WithDataset(exec, store, keys), WithFeature(stripeFeature),
+		WithDataset(exec, store, keys), WithFeature(BlockFeature),
 		WithRestore(last))
 	if err != nil {
 		t.Fatalf("restore after kill: %v", err)
@@ -320,7 +282,7 @@ func TestJobKillResumeUnderFaultStorm(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Epochs = 5
 
-	oracle, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(stripeFeature))
+	oracle, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +298,7 @@ func TestJobKillResumeUnderFaultStorm(t *testing.T) {
 		return exec.PrepareBatchContext(kctx, store, keys, epoch)
 	}
 	_, err = Run(context.Background(), cfg,
-		WithPreparer(crasher, len(keys)), WithFeature(stripeFeature),
+		WithPreparer(crasher, len(keys)), WithFeature(BlockFeature),
 		WithCheckpointEvery(1), WithCheckpointSink(func(cp Checkpoint) { cps = append(cps, cp) }))
 	if !errors.Is(err, boom) {
 		t.Fatalf("crashed run returned %v, want the crash error", err)
@@ -365,7 +327,7 @@ func TestJobKillResumeUnderFaultStorm(t *testing.T) {
 	stormCfg.Metrics = reg
 
 	res, err := Run(context.Background(), stormCfg,
-		WithDataset(stormExec, stormStore, keys), WithFeature(stripeFeature),
+		WithDataset(stormExec, stormStore, keys), WithFeature(BlockFeature),
 		WithRestore(cps[len(cps)-1]))
 	if err != nil {
 		t.Fatalf("resume under fault storm: %v", err)

@@ -37,12 +37,12 @@ func modelsIdentical(t *testing.T, label string, a, b *nn.Network) {
 // weights as a run without the stage.
 func TestEchoFactorOneBitIdentical(t *testing.T) {
 	exec, store, keys := setup(t, 16)
-	want, err := Run(context.Background(), baseConfig(), WithDataset(exec, store, keys), WithFeature(stripeFeature))
+	want, err := Run(context.Background(), baseConfig(), WithDataset(exec, store, keys), WithFeature(BlockFeature))
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := Run(context.Background(), baseConfig(), WithDataset(exec, store, keys),
-		WithEchoFactor(1), WithFeature(stripeFeature))
+		WithEchoFactor(1), WithFeature(BlockFeature))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestEchoFactorOneBitIdentical(t *testing.T) {
 // while collapsing decodes to one per key across all epochs.
 func TestWithCacheBitIdenticalAndAmortizes(t *testing.T) {
 	execPlain, store, keys := setup(t, 16)
-	want, err := Run(context.Background(), baseConfig(), WithDataset(execPlain, store, keys), WithFeature(stripeFeature))
+	want, err := Run(context.Background(), baseConfig(), WithDataset(execPlain, store, keys), WithFeature(BlockFeature))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestWithCacheBitIdenticalAndAmortizes(t *testing.T) {
 	execCached := dataprep.NewExecutor(dataprep.ImagePreparer{Config: icfg}, 2, 5)
 	c := dscache.New(64 * units.MB)
 	got, err := Run(context.Background(), baseConfig(), WithDataset(execCached, store, keys),
-		WithCache(c), WithFeature(stripeFeature))
+		WithCache(c), WithFeature(BlockFeature))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestWithCacheBitIdenticalAndAmortizes(t *testing.T) {
 func TestWithCacheAndEchoCompose(t *testing.T) {
 	execPlain, store, keys := setup(t, 16)
 	want, err := Run(context.Background(), baseConfig(), WithDataset(execPlain, store, keys),
-		WithEchoFactor(2), WithFeature(stripeFeature))
+		WithEchoFactor(2), WithFeature(BlockFeature))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestWithCacheAndEchoCompose(t *testing.T) {
 	icfg.CropW, icfg.CropH = 32, 32
 	execCached := dataprep.NewExecutor(dataprep.ImagePreparer{Config: icfg}, 2, 5)
 	got, err := Run(context.Background(), baseConfig(), WithDataset(execCached, store, keys),
-		WithCache(dscache.New(64*units.MB)), WithEchoFactor(2), WithFeature(stripeFeature))
+		WithCache(dscache.New(64*units.MB)), WithEchoFactor(2), WithFeature(BlockFeature))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +117,12 @@ func TestWithCacheAndEchoCompose(t *testing.T) {
 func TestWithEchoFactorReplaysSteps(t *testing.T) {
 	exec, store, keys := setup(t, 16)
 	cfg := baseConfig()
-	base, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(stripeFeature))
+	base, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature))
 	if err != nil {
 		t.Fatal(err)
 	}
 	echoed, err := Run(context.Background(), cfg, WithDataset(exec, store, keys),
-		WithEchoFactor(2), WithFeature(stripeFeature))
+		WithEchoFactor(2), WithFeature(BlockFeature))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestChaosEchoTrainCancelRecyclesBuffers(t *testing.T) {
 			if calls.Add(1) == target {
 				cancel() // mid-extract, with echoed replicas queued behind
 			}
-			return stripeFeature(p)
+			return BlockFeature(p)
 		}
 		cfg := baseConfig()
 		cfg.Epochs = 6
@@ -186,14 +186,14 @@ func TestCacheEchoOptionValidation(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"nil cache", []Option{WithDataset(exec, store, keys), WithCache(nil), WithFeature(stripeFeature)}},
+		{"nil cache", []Option{WithDataset(exec, store, keys), WithCache(nil), WithFeature(BlockFeature)}},
 		{"cache without dataset", []Option{
 			WithPreparer(func(ctx context.Context, epoch int) ([]dataprep.Prepared, error) {
 				return exec.PrepareBatchContext(ctx, store, keys, epoch)
 			}, len(keys)),
-			WithCache(dscache.New(units.MB)), WithFeature(stripeFeature)}},
-		{"echo factor zero", []Option{WithDataset(exec, store, keys), WithEchoFactor(0), WithFeature(stripeFeature)}},
-		{"echo factor twice", []Option{WithDataset(exec, store, keys), WithEchoFactor(2), WithEchoFactor(3), WithFeature(stripeFeature)}},
+			WithCache(dscache.New(units.MB)), WithFeature(BlockFeature)}},
+		{"echo factor zero", []Option{WithDataset(exec, store, keys), WithEchoFactor(0), WithFeature(BlockFeature)}},
+		{"echo factor twice", []Option{WithDataset(exec, store, keys), WithEchoFactor(2), WithEchoFactor(3), WithFeature(BlockFeature)}},
 	}
 	for _, tc := range cases {
 		if _, err := Run(context.Background(), baseConfig(), tc.opts...); err == nil {

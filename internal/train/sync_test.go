@@ -16,7 +16,7 @@ import (
 // reducer takes: the two trained models must be bit-for-bit the same.
 func TestWithSyncRingMatchesDefault(t *testing.T) {
 	exec, store, keys := setup(t, 16)
-	oracle, err := Run(context.Background(), baseConfig(), WithDataset(exec, store, keys), WithFeature(stripeFeature))
+	oracle, err := Run(context.Background(), baseConfig(), WithDataset(exec, store, keys), WithFeature(BlockFeature))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestWithSyncRingMatchesDefault(t *testing.T) {
 	}
 	exec2, store2, keys2 := setup(t, 16)
 	res, err := Run(context.Background(), baseConfig(),
-		WithDataset(exec2, store2, keys2), WithFeature(stripeFeature), WithSync(ring))
+		WithDataset(exec2, store2, keys2), WithFeature(BlockFeature), WithSync(ring))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestSyncMetricsEmitted(t *testing.T) {
 	cfg := baseConfig()
 	reg := metrics.NewRegistry()
 	cfg.Metrics = reg
-	res, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(stripeFeature))
+	res, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestSyncMetricsEmitted(t *testing.T) {
 	}
 	exec2, store2, keys2 := setup(t, 16)
 	if _, err := Run(context.Background(), baseConfig(),
-		WithDataset(exec2, store2, keys2), WithFeature(stripeFeature), WithSync(ring)); err != nil {
+		WithDataset(exec2, store2, keys2), WithFeature(BlockFeature), WithSync(ring)); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg2.Counter("collective.ring.bytes_moved").Value(); got <= 0 {
@@ -79,7 +79,7 @@ func TestSyncMetricsEmitted(t *testing.T) {
 func TestWithSyncValidation(t *testing.T) {
 	exec, store, keys := setup(t, 16)
 	if _, err := Run(context.Background(), baseConfig(),
-		WithDataset(exec, store, keys), WithFeature(stripeFeature), WithSync(nil)); err == nil {
+		WithDataset(exec, store, keys), WithFeature(BlockFeature), WithSync(nil)); err == nil {
 		t.Error("nil reducer accepted")
 	}
 	ring, err := collective.NewRing()
@@ -87,7 +87,7 @@ func TestWithSyncValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = Run(context.Background(), baseConfig(),
-		WithDataset(exec, store, keys), WithFeature(stripeFeature), WithSync(ring), WithSync(ring))
+		WithDataset(exec, store, keys), WithFeature(BlockFeature), WithSync(ring), WithSync(ring))
 	if err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Errorf("double WithSync not rejected: %v", err)
 	}
@@ -119,7 +119,7 @@ func TestSyncReduceErrorFailsRun(t *testing.T) {
 	}
 	exec, store, keys := setup(t, 16)
 	_, err = Run(context.Background(), baseConfig(),
-		WithDataset(exec, store, keys), WithFeature(stripeFeature), WithSync(&failingReducer{Reducer: ring, ok: 2}))
+		WithDataset(exec, store, keys), WithFeature(BlockFeature), WithSync(&failingReducer{Reducer: ring, ok: 2}))
 	if !errors.Is(err, errLinkDown) {
 		t.Fatalf("run with a failing reducer = %v, want %v", err, errLinkDown)
 	}

@@ -303,6 +303,29 @@ func WithPreparer(p EpochPreparer, numKeys int) Option {
 	}
 }
 
+// BlockFeature is the image feature map of the CLIs, the examples,
+// serve and the autoscale study: the mean of each 4×4 block of the
+// prepared tensor's first channel, row-major, so a W-wide crop yields
+// (W/4)² inputs.
+func BlockFeature(p dataprep.Prepared) ([]float64, int, error) {
+	ten := p.Image
+	const block = 4
+	side := ten.W / block
+	feat := make([]float64, side*side)
+	for by := 0; by < side; by++ {
+		for bx := 0; bx < side; bx++ {
+			var sum float64
+			for y := by * block; y < (by+1)*block; y++ {
+				for x := bx * block; x < (bx+1)*block; x++ {
+					sum += float64(ten.At(0, y, x))
+				}
+			}
+			feat[by*side+bx] = sum / (block * block)
+		}
+	}
+	return feat, p.Label, nil
+}
+
 // WithFeature sets the sample→(input, label) mapping. Required.
 func WithFeature(f FeatureFn) Option {
 	return func(o *runOptions) error {

@@ -14,27 +14,6 @@ import (
 	"trainbox/internal/storage"
 )
 
-// stripeFeature pools the prepared tensor's first channel into 8×8
-// features (see the Figure 5 study for the rationale).
-func stripeFeature(p dataprep.Prepared) ([]float64, int, error) {
-	ten := p.Image
-	const block = 4
-	side := ten.W / block
-	feat := make([]float64, side*side)
-	for by := 0; by < side; by++ {
-		for bx := 0; bx < side; bx++ {
-			var sum float64
-			for y := by * block; y < (by+1)*block; y++ {
-				for x := bx * block; x < (bx+1)*block; x++ {
-					sum += float64(ten.At(0, y, x))
-				}
-			}
-			feat[by*side+bx] = sum / (block * block)
-		}
-	}
-	return feat, p.Label, nil
-}
-
 func setup(t *testing.T, items int) (*dataprep.Executor, *storage.Store, []string) {
 	t.Helper()
 	store := storage.NewStore(storage.DefaultSSDSpec())
@@ -56,7 +35,7 @@ func baseConfig() Config {
 
 func TestRunKeepsReplicasSynchronized(t *testing.T) {
 	exec, store, keys := setup(t, 16)
-	res, err := Run(context.Background(), baseConfig(), WithDataset(exec, store, keys), WithFeature(stripeFeature))
+	res, err := Run(context.Background(), baseConfig(), WithDataset(exec, store, keys), WithFeature(BlockFeature))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +60,7 @@ func TestRunReducesLoss(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Epochs = 8
 	cfg.LearningRate = 0.1
-	res, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(stripeFeature))
+	res, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,14 +80,14 @@ func TestDataParallelMatchesSingleWorkerOracle(t *testing.T) {
 
 	multi := baseConfig()
 	multi.Epochs = 2
-	resMulti, err := Run(context.Background(), multi, WithDataset(exec, store, keys), WithFeature(stripeFeature))
+	resMulti, err := Run(context.Background(), multi, WithDataset(exec, store, keys), WithFeature(BlockFeature))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	single := multi
 	single.Replicas = 1
-	resSingle, err := Run(context.Background(), single, WithDataset(exec, store, keys), WithFeature(stripeFeature))
+	resSingle, err := Run(context.Background(), single, WithDataset(exec, store, keys), WithFeature(BlockFeature))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +108,7 @@ func TestRunMinibatchSplitting(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Replicas = 2
 	cfg.MinibatchPerReplica = 2 // shard of 8 → 4 steps per epoch
-	res, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(stripeFeature))
+	res, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +134,7 @@ func TestRunValidation(t *testing.T) {
 	for i, mutate := range bads {
 		cfg := baseConfig()
 		mutate(&cfg)
-		if _, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(stripeFeature)); err == nil {
+		if _, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature)); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
@@ -164,7 +143,7 @@ func TestRunValidation(t *testing.T) {
 	}
 	cfg := baseConfig()
 	cfg.Replicas = 100
-	if _, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(stripeFeature)); err == nil {
+	if _, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature)); err == nil {
 		t.Error("more replicas than keys accepted")
 	}
 }
@@ -179,7 +158,7 @@ func TestRunStorageErrorCancelsPipeline(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Epochs = 50
 	badKeys := append(append([]string(nil), keys...), "missing")
-	_, err := Run(context.Background(), cfg, WithDataset(exec, store, badKeys), WithFeature(stripeFeature))
+	_, err := Run(context.Background(), cfg, WithDataset(exec, store, badKeys), WithFeature(BlockFeature))
 	if err == nil {
 		t.Fatal("run with missing key succeeded")
 	}
@@ -201,7 +180,7 @@ func TestRunFeatureErrorCancelsPipeline(t *testing.T) {
 		if calls > 12 {
 			return nil, 0, errors.New("feature failed")
 		}
-		return stripeFeature(p)
+		return BlockFeature(p)
 	}
 	if _, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(badFeature)); err == nil {
 		t.Fatal("run with failing feature succeeded")
@@ -210,7 +189,7 @@ func TestRunFeatureErrorCancelsPipeline(t *testing.T) {
 
 func TestMaxReplicaDivergenceDetectsDrift(t *testing.T) {
 	exec, store, keys := setup(t, 8)
-	res, err := Run(context.Background(), baseConfig(), WithDataset(exec, store, keys), WithFeature(stripeFeature))
+	res, err := Run(context.Background(), baseConfig(), WithDataset(exec, store, keys), WithFeature(BlockFeature))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +219,7 @@ func TestRunWithMomentumKeepsReplicasSynchronized(t *testing.T) {
 	cfg.Momentum = 0.9
 	cfg.WeightDecay = 1e-4
 	cfg.Epochs = 4
-	res, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(stripeFeature))
+	res, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +234,7 @@ func TestRunRejectsBadOptimizer(t *testing.T) {
 	exec, store, keys := setup(t, 8)
 	cfg := baseConfig()
 	cfg.Momentum = 1.5
-	if _, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(stripeFeature)); err == nil {
+	if _, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature)); err == nil {
 		t.Error("momentum ≥ 1 accepted")
 	}
 }
@@ -273,7 +252,7 @@ func TestRunMetricsSnapshot(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Metrics = reg
 
-	res, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(stripeFeature))
+	res, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +302,7 @@ func TestRunMetricsSnapshot(t *testing.T) {
 // driver uses a private one, so Result.Metrics is always observable.
 func TestRunWithoutMetricsStillSnapshots(t *testing.T) {
 	exec, store, keys := setup(t, 8)
-	res, err := Run(context.Background(), baseConfig(), WithDataset(exec, store, keys), WithFeature(stripeFeature))
+	res, err := Run(context.Background(), baseConfig(), WithDataset(exec, store, keys), WithFeature(BlockFeature))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,5 +312,42 @@ func TestRunWithoutMetricsStillSnapshots(t *testing.T) {
 	// The unmetered executor must not have leaked series into it.
 	if _, ok := res.Metrics.Counters["dataprep.executor.samples_prepared"]; ok {
 		t.Error("executor metrics appeared without WithMetrics")
+	}
+}
+
+func TestRunOptionValidation(t *testing.T) {
+	exec, store, keys := setup(t, 8)
+	if _, err := Run(context.Background(), baseConfig(), WithFeature(BlockFeature)); err == nil {
+		t.Error("run with no data source accepted")
+	}
+	if _, err := Run(context.Background(), baseConfig(),
+		WithDataset(exec, store, keys)); err == nil {
+		t.Error("run with no feature accepted")
+	}
+	if _, err := Run(context.Background(), baseConfig(),
+		WithDataset(exec, store, keys),
+		WithPreparer(func(ctx context.Context, epoch int) ([]dataprep.Prepared, error) { return nil, nil }, 8),
+		WithFeature(BlockFeature)); err == nil {
+		t.Error("two data sources accepted")
+	}
+	if _, err := Run(context.Background(), baseConfig(),
+		WithPreparer(nil, 8), WithFeature(BlockFeature)); err == nil {
+		t.Error("nil preparer accepted")
+	}
+	if _, err := Run(context.Background(), baseConfig(),
+		WithDataset(nil, nil, keys), WithFeature(BlockFeature)); err == nil {
+		t.Error("nil dataset accepted")
+	}
+}
+
+// TestRunHonoursContext: a pre-cancelled context must abort the run.
+func TestRunHonoursContext(t *testing.T) {
+	exec, store, keys := setup(t, 8)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := baseConfig()
+	cfg.Epochs = 50
+	if _, err := Run(ctx, cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature)); err == nil {
+		t.Error("cancelled run succeeded")
 	}
 }

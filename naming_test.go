@@ -35,25 +35,6 @@ import (
 	"trainbox/internal/train"
 )
 
-func poolFeature(p dataprep.Prepared) ([]float64, int, error) {
-	ten := p.Image
-	const block = 4
-	side := ten.W / block
-	feat := make([]float64, side*side)
-	for by := 0; by < side; by++ {
-		for bx := 0; bx < side; bx++ {
-			var sum float64
-			for y := by * block; y < (by+1)*block; y++ {
-				for x := bx * block; x < (bx+1)*block; x++ {
-					sum += float64(ten.At(0, y, x))
-				}
-			}
-			feat[by*side+bx] = sum / (block * block)
-		}
-	}
-	return feat, p.Label, nil
-}
-
 func TestAllExportedMetricNamesFollowScheme(t *testing.T) {
 	const seed = 5
 	reg := metrics.NewRegistry()
@@ -100,7 +81,7 @@ func TestAllExportedMetricNamesFollowScheme(t *testing.T) {
 		LearningRate: 0.05, PrefetchDepth: 1, Seed: 9, Metrics: reg,
 	},
 		train.WithPreparer(job.Preparer(store.Keys()), store.Len()),
-		train.WithFeature(poolFeature)); err != nil {
+		train.WithFeature(train.BlockFeature)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -132,7 +113,6 @@ func TestAllExportedMetricNamesFollowScheme(t *testing.T) {
 const (
 	oracle  = "reference oracle the tests compare against"
 	seam    = "fault or fake seam the tests inject through"
-	model   = "model-layer oracle; moves to test code with the model-layer fold"
 	pending = "jpegdec encoder, pending the jpegdec decision"
 	harness = "test harness"
 	probe   = "test probe"
@@ -140,7 +120,9 @@ const (
 
 // notLinked is the one exemption table of TestOnePathPerJob: a function
 // ("internal/pkg.Func", "internal/pkg.Type.Method") or a whole package
-// ("internal/pkg") that no binary links, with the reason it stays.
+// ("internal/pkg") that no binary links, with the reason it stays. A
+// whole package may be named only as a seam or a harness, so a package
+// exemption cannot hide dead code.
 var notLinked = map[string]string{
 	"internal/dsp.FFT":                     oracle,
 	"internal/dsp.IFFT":                    oracle,
@@ -161,18 +143,6 @@ var notLinked = map[string]string{
 	"internal/serve.WithPressureSignal": seam,
 	"internal/preppool.WithHealth":      seam,
 
-	"internal/core":    model,
-	"internal/sim":     model,
-	"internal/pcie":    model,
-	"internal/hostres": model,
-	"internal/accel":   model,
-
-	"internal/collective.CrossoverBytes": model,
-	"internal/eth.InNetwork.ReserveSync": model,
-	"internal/eth.Network.TransferTime":  model,
-	"internal/eth.Network.OffloadRate":   model,
-	"internal/storage.SSDSpec.ReadTime":  model,
-
 	"internal/jpegdec.Encode":          pending,
 	"internal/jpegdec.encodeBlock":     pending,
 	"internal/jpegdec.fdct8x8":         pending,
@@ -191,6 +161,10 @@ var notLinked = map[string]string{
 	"internal/arch.PrepDevice.String": probe,
 	"internal/workload.PrepOp.String": probe,
 	"internal/workload.PrepOps":       probe,
+	"internal/pcie.Topology.LinkOf":   probe,
+	"internal/pcie.LinkLoad.Load":     probe,
+	"internal/pcie.Direction.String":  probe,
+	"internal/pcie.Segment.String":    probe,
 }
 
 // TestOnePathPerJob keeps the deleted API generation deleted: no
@@ -201,7 +175,8 @@ var notLinked = map[string]string{
 // or examples/ or from benchmark/, and every function declared in a
 // non-test internal/ file must be linked into one of those binaries.
 // Whatever fails the last two is deleted or named in notLinked; an
-// entry that no longer exempts anything fails too.
+// entry that no longer exempts anything fails too, and so does a
+// package-level entry whose reason is not seam or harness.
 func TestOnePathPerJob(t *testing.T) {
 	marker := "Deprecated" + ":"
 	var prepareIfaces []string
@@ -330,6 +305,9 @@ func TestOnePathPerJob(t *testing.T) {
 	for entry, reason := range notLinked {
 		if !used[entry] {
 			t.Errorf("notLinked[%q] (%s) exempts nothing any more — drop the entry", entry, reason)
+		}
+		if !strings.Contains(entry, ".") && reason != seam && reason != harness {
+			t.Errorf("notLinked[%q] (%s) exempts a whole package — only a seam or harness package may; name its functions instead", entry, reason)
 		}
 	}
 }
