@@ -74,7 +74,7 @@ func main() {
 			if err != nil {
 				return nil, err
 			}
-			fmt.Printf("avg TrainBox speedup %.1f× (paper 44.4×), avg B+Acc %.1f× (paper 3.32×), max %.1f× on %s (paper 84.3× on TF-AA)\n",
+			r.Table.Title += fmt.Sprintf(" — avg TrainBox speedup %.1f× (paper 44.4×), avg B+Acc %.1f× (paper 3.32×), max %.1f× on %s (paper 84.3× on TF-AA)",
 				r.AvgTrainBox, r.AvgAcc, r.MaxTrainBox, r.MaxName)
 			return []*report.Table{r.Table}, nil
 		},

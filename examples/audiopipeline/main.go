@@ -7,7 +7,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 
@@ -18,14 +17,8 @@ import (
 )
 
 func main() {
-	demo := flag.Bool("demo", false, "short CI budget: fewer utterances")
-	flag.Parse()
-	items := 6
-	if *demo {
-		items = 2
-	}
 	store := storage.NewStore(storage.DefaultSSDSpec())
-	if err := dataprep.BuildAudioDataset(store, items, 4, 3); err != nil {
+	if err := dataprep.BuildAudioDataset(store, 6, 4, 3); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("dataset: %d PCM streams of ~6.96 s, %v stored (mean %v/item)\n",

@@ -1,32 +1,23 @@
 // imagepipeline runs the real image data-preparation library end to end:
 // it builds a synthetic JPEG dataset, prepares augmented batches on the
 // CPU path and on the FPGA emulator (verifying bit-equality — the
-// offload-correctness property), then reproduces the Figure 5
-// augmentation study with the small from-scratch neural network.
+// offload-correctness property). The Figure 5 augmentation study on the
+// same library is `trainbox-sim -exp fig5`.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 
 	"trainbox/internal/dataprep"
-	"trainbox/internal/experiments"
 	"trainbox/internal/fpga"
 	"trainbox/internal/storage"
 )
 
 func main() {
-	demo := flag.Bool("demo", false, "short CI budget: smaller dataset and study")
-	flag.Parse()
-
 	// 1. Build a labelled synthetic JPEG dataset (the Imagenet stand-in).
 	store := storage.NewStore(storage.DefaultSSDSpec())
-	items := 24
-	if *demo {
-		items = 8
-	}
-	if err := dataprep.BuildImageDataset(store, items, 10, 7); err != nil {
+	if err := dataprep.BuildImageDataset(store, 24, 10, 7); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("dataset: %d JPEGs, %v stored (mean %v/item)\n",
@@ -63,20 +54,9 @@ func main() {
 			}
 		}
 	}
-	fmt.Printf("CPU vs FPGA-emulator bit-equality: %d mismatches across %d samples\n\n",
+	fmt.Printf("CPU vs FPGA-emulator bit-equality: %d mismatches across %d samples\n",
 		mismatches, store.Len())
-
-	// 4. The Figure 5 study: augmentation vs held-out accuracy.
-	fig5Cfg := experiments.DefaultFig5Config()
-	if *demo {
-		fig5Cfg.TrainPerClass, fig5Cfg.TestPerClass, fig5Cfg.Epochs = 8, 8, 6
+	if mismatches > 0 {
+		log.Fatal("the FPGA emulator must prepare every sample bit for bit like the CPU path")
 	}
-	res, err := experiments.Fig5(fig5Cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(res.Table.String())
-	fmt.Printf("final accuracy: %.1f%% with augmentation vs %.1f%% without (+%.1f points)\n",
-		100*res.FinalWith, 100*res.FinalWithout, 100*(res.FinalWith-res.FinalWithout))
-	fmt.Println("(the paper reports a 29.1-point gap on ResNet-50/Imagenet — Figure 5)")
 }

@@ -1,11 +1,13 @@
 // Quickstart: build the paper's baseline and TrainBox architectures at
 // 256 accelerators, solve both for ResNet-50, and print where the
-// bottleneck sits and what TrainBox buys — the repository's two-minute
-// tour of the public API.
+// bottleneck sits and what TrainBox buys. It then runs the train
+// initializer on the TrainBox rack (data distribution, dummy-batch
+// measurement, prep-pool sizing — Section V-A) for an image job that is
+// self-sufficient and an audio job that draws on the pool — the
+// repository's two-minute tour of the public API.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 
@@ -16,12 +18,7 @@ import (
 )
 
 func main() {
-	demo := flag.Bool("demo", false, "short CI budget: solve at 64 accelerators")
-	flag.Parse()
 	accels := workload.TargetAccelerators
-	if *demo {
-		accels = 64
-	}
 	w, err := workload.ByName("Resnet-50")
 	if err != nil {
 		log.Fatal(err)
@@ -33,10 +30,14 @@ func main() {
 		kind arch.Kind
 		res  core.Result
 	}
+	var rack *arch.System
 	for _, kind := range arch.Kinds() {
 		sys, err := arch.Build(arch.Config{Kind: kind, NumAccels: accels})
 		if err != nil {
 			log.Fatal(err)
+		}
+		if kind == arch.TrainBox {
+			rack = sys
 		}
 		res, err := core.Solve(sys, w)
 		if err != nil {
@@ -65,4 +66,31 @@ func main() {
 	fmt.Println("The baseline burns all 48 host cores on JPEG decode and augmentation;")
 	fmt.Println("offload moves the bottleneck to the PCIe root complex; clustering the")
 	fmt.Println("datapath inside train boxes removes the host from the loop entirely.")
+
+	// The train initializer on the TrainBox rack. It only needs key
+	// names to shard the dataset over the boxes' SSDs.
+	fmt.Printf("\nTrainBox rack: %d train boxes — per box %d accels, %d FPGAs, %d SSDs; pool of %d FPGAs\n\n",
+		len(rack.Boxes), len(rack.Boxes[0].Accels), len(rack.Boxes[0].FPGAs),
+		len(rack.Boxes[0].SSDs), rack.Config.PoolFPGAs)
+	keys := make([]string, 4096)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("item-%05d", i)
+	}
+	for _, name := range []string{"Inception-v4", "TF-SR"} {
+		w, err := workload.ByName(name)
+		if err != nil {
+			log.Fatal(err)
+		}
+		plan, err := core.InitializeTraining(rack, w, keys)
+		if err != nil {
+			log.Fatal(err)
+		}
+		alloc := plan.PerBox[0]
+		fmt.Printf("-- %s: %d keys per box --\n", name, len(plan.Shards[0]))
+		fmt.Printf("  per-batch time %.3f s → required prep %.0f samples/s; feasible: %v\n",
+			plan.BatchTime, float64(plan.RequiredPrepRate), plan.Feasible)
+		fmt.Printf("  per box: in-box %.0f samples/s + pool %.0f (%.0f%% extra FPGA resources, %d devices)\n\n",
+			float64(alloc.InBoxRate), float64(alloc.PoolRate),
+			100*alloc.ExtraResourceFraction, alloc.PoolFPGAs)
+	}
 }

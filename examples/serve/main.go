@@ -8,7 +8,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 	"sort"
@@ -20,15 +19,8 @@ import (
 )
 
 func main() {
-	demo := flag.Bool("demo", false, "short CI budget: smaller corpus and jobs")
-	flag.Parse()
-	corpus, items, epochs := 32, 16, 2
-	if *demo {
-		corpus, items, epochs = 16, 8, 1
-	}
-
 	reg := metrics.NewRegistry()
-	runner, pool, err := serve.NewTrainBackend(2, corpus, 11, reg)
+	runner, pool, err := serve.NewTrainBackend(2, 32, 11, reg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +38,7 @@ func main() {
 
 	// Three tenants: vip runs at priority 5, alice and bob at the
 	// default. bob over-submits past his quota to show a shed.
-	spec := serve.JobSpec{Items: items, Epochs: epochs, RequiredRate: 8000}
+	spec := serve.JobSpec{Items: 16, Epochs: 2, RequiredRate: 8000}
 	var watch []string
 	for _, sub := range []struct {
 		tenant string

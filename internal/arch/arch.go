@@ -202,10 +202,14 @@ type Config struct {
 	SSDsPerBox int
 }
 
+// maxAccels bounds Config.NumAccels: a built system costs about 0.7 KB
+// per accelerator, and the rack planners search at most 4,096.
+const maxAccels = 65536
+
 // normalize fills defaults.
 func (c Config) normalize() (Config, error) {
-	if c.NumAccels <= 0 {
-		return c, fmt.Errorf("arch: need at least one accelerator, got %d", c.NumAccels)
+	if c.NumAccels <= 0 || c.NumAccels > maxAccels {
+		return c, fmt.Errorf("arch: need 1 to %d accelerators, got %d", maxAccels, c.NumAccels)
 	}
 	if c.Host.Cores == 0 {
 		c.Host = DGX2()

@@ -163,6 +163,9 @@ func TestBuildRejectsBadConfig(t *testing.T) {
 	if _, err := Build(Config{Kind: Baseline, NumAccels: 0}); err == nil {
 		t.Error("zero accels accepted")
 	}
+	if _, err := Build(Config{Kind: TrainBox, NumAccels: maxAccels + 1}); err == nil {
+		t.Errorf("%d accels accepted", maxAccels+1)
+	}
 }
 
 func TestBoxOf(t *testing.T) {

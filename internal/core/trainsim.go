@@ -29,6 +29,10 @@ type TrainingSimResult struct {
 	Timeline []report.Span
 }
 
+// maxReplaySteps bounds SimulateTraining: the replay's timeline and
+// event queue cost about 250 B per step.
+const maxReplaySteps = 100000
+
 // SimulateTraining replays the overlapped training pipeline for the
 // given number of steps: data preparation for batch i+1 runs while the
 // accelerators compute and synchronize batch i, with double buffering
@@ -37,8 +41,8 @@ type TrainingSimResult struct {
 // min(prep rate, compute rate) and that the slack appears on the
 // correct side — which is the paper's Figure 1/Section II-B argument.
 func SimulateTraining(sys *arch.System, w workload.Workload, steps int) (TrainingSimResult, error) {
-	if steps <= 0 {
-		return TrainingSimResult{}, fmt.Errorf("core: need ≥ 1 step, got %d", steps)
+	if steps <= 0 || steps > maxReplaySteps {
+		return TrainingSimResult{}, fmt.Errorf("core: need 1 to %d steps, got %d", maxReplaySteps, steps)
 	}
 	res, err := Solve(sys, w)
 	if err != nil {

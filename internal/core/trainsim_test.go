@@ -110,6 +110,9 @@ func TestTrainingReplayValidation(t *testing.T) {
 	if _, err := SimulateTraining(sys, w, 0); err == nil {
 		t.Error("zero steps accepted")
 	}
+	if _, err := SimulateTraining(sys, w, maxReplaySteps+1); err == nil {
+		t.Errorf("%d steps accepted", maxReplaySteps+1)
+	}
 }
 
 func TestTrainingReplayTimeline(t *testing.T) {

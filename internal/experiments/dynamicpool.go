@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"trainbox/internal/dataprep"
+	"trainbox/internal/eth"
 	"trainbox/internal/fpga"
 	"trainbox/internal/nvme"
 	"trainbox/internal/preppool"
@@ -18,9 +19,13 @@ import (
 // jobs whose demands cross over mid-run: "alpha" starts needing three
 // pooled FPGAs and "beta" one; halfway through the rates swap and the
 // rebalancer migrates leases from alpha to beta at the next epoch
-// boundary. The table records, per epoch and job, the demand, the
+// boundary. Four pooled devices sit behind a 4-port 100GbE fabric, and
+// each lease reserves its preparation bandwidth there before it is
+// granted. The table records, per epoch and job, the demand, the
 // granted leases, and the pooled-vs-in-box split of the samples
-// actually prepared, plus the cumulative lease migrations.
+// actually prepared, plus the cumulative lease migrations. Both jobs
+// close at the end, and the study fails unless that released every
+// reservation on the fabric.
 func DynamicPoolStudy() (*report.Table, error) {
 	const (
 		datasetSeed = 7
@@ -37,13 +42,17 @@ func DynamicPoolStudy() (*report.Table, error) {
 	}
 	imgCfg := dataprep.DefaultImageConfig()
 	imgCfg.CropW, imgCfg.CropH = 32, 32
+	net, err := eth.NewNetwork(eth.Link100G, eth.SwitchSpec{Ports: 4})
+	if err != nil {
+		return nil, err
+	}
 	handlers := make([]*fpga.P2PHandler, devices)
 	for i := range handlers {
 		if handlers[i], err = fpga.NewP2PHandler(ns, fpga.NewImageEmulator(imgCfg), 8); err != nil {
 			return nil, err
 		}
 	}
-	pool, err := preppool.NewPool(handlers)
+	pool, err := preppool.NewPool(handlers, preppool.WithNetwork(net, 64*units.KB))
 	if err != nil {
 		return nil, err
 	}
@@ -90,6 +99,14 @@ func DynamicPoolStudy() (*report.Table, error) {
 			t.AddRowf(epoch, st.Name, float64(st.RequiredRate), st.Leases,
 				fmt.Sprintf("%.0f%%", 100*st.PooledShare), pool.Migrations())
 		}
+	}
+	for _, job := range []*preppool.Job{alpha, beta} {
+		if err := job.Close(); err != nil {
+			return nil, err
+		}
+	}
+	if r := net.Reserved(); r != 0 {
+		return nil, fmt.Errorf("experiments: %v of fabric still reserved after both jobs closed", r)
 	}
 	return t, nil
 }

@@ -6,6 +6,8 @@ import (
 )
 
 func TestDynamicPoolStudy(t *testing.T) {
+	// The study errors unless closing both jobs left the fabric's
+	// Reserved() at 0, so a nil error is the lease-release check.
 	tb, err := DynamicPoolStudy()
 	if err != nil {
 		t.Fatal(err)

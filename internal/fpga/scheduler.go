@@ -125,12 +125,3 @@ func SchedulePool(jobs []JobRequest, poolFPGAs int) ([]JobAllocation, error) {
 	}
 	return out, nil
 }
-
-// PoolUtilization sums the granted FPGA-equivalents.
-func PoolUtilization(allocs []JobAllocation) float64 {
-	var s float64
-	for _, a := range allocs {
-		s += a.GrantedFPGAs
-	}
-	return s
-}

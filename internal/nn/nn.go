@@ -365,17 +365,6 @@ func (n *Network) Gradients() []float64 {
 // apply.
 func (n *Network) GradientBuffer() []float64 { return n.grad }
 
-// SetGradients overwrites accumulated gradients from a flat vector with
-// the Gradients layout; it is how synchronized gradients are written back
-// after all-reduce.
-func (n *Network) SetGradients(flat []float64) error {
-	if len(flat) != len(n.grad) {
-		return fmt.Errorf("nn: gradient vector has %d entries, want %d", len(flat), len(n.grad))
-	}
-	copy(n.grad, flat)
-	return nil
-}
-
 // Weights flattens all learnable parameters into one vector using the
 // Gradients layout (layer0.W, layer0.B, layer1.W, …). The returned slice
 // is a copy; mutating it does not touch the network.

@@ -220,9 +220,6 @@ func (b *Builder) Build() *Topology {
 	return b.topo
 }
 
-// NumNodes returns the number of nodes, including the root complex.
-func (t *Topology) NumNodes() int { return len(t.nodes) }
-
 // LinkOf returns the link connecting id to its parent. Calling it for the
 // root complex panics.
 func (t *Topology) LinkOf(id NodeID) Link {

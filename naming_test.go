@@ -154,17 +154,18 @@ var notLinked = map[string]string{
 
 	"internal/invariant": harness,
 
-	"internal/fpga.Cluster.Stats":     probe,
-	"internal/pipeline.Pool.Stats":    probe,
-	"internal/metrics.ValidName":      probe,
-	"internal/arch.System.BoxOf":      probe,
-	"internal/arch.PrepDevice.String": probe,
-	"internal/workload.PrepOp.String": probe,
-	"internal/workload.PrepOps":       probe,
-	"internal/pcie.Topology.LinkOf":   probe,
-	"internal/pcie.LinkLoad.Load":     probe,
-	"internal/pcie.Direction.String":  probe,
-	"internal/pcie.Segment.String":    probe,
+	"internal/fpga.Cluster.Stats":             probe,
+	"internal/pipeline.Pool.Stats":            probe,
+	"internal/metrics.ValidName":              probe,
+	"internal/arch.System.BoxOf":              probe,
+	"internal/arch.PrepDevice.String":         probe,
+	"internal/workload.PrepOp.String":         probe,
+	"internal/workload.PrepOps":               probe,
+	"internal/pcie.Topology.LinkOf":           probe,
+	"internal/pcie.Topology.RouteCrossesRoot": probe,
+	"internal/pcie.LinkLoad.Load":             probe,
+	"internal/pcie.Direction.String":          probe,
+	"internal/pcie.Segment.String":            probe,
 }
 
 // TestOnePathPerJob keeps the deleted API generation deleted: no
