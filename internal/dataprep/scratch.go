@@ -9,10 +9,11 @@ import (
 )
 
 // Scratch is one worker's reusable working set for the per-sample
-// decode→augment→cast path: decode/crop images, the PCM signal buffer,
-// and a cached dsp.MelPlan. The Prepare*Scratch functions thread it
-// through every kernel so steady-state preparation recycles one bounded
-// working set instead of allocating per sample (DESIGN.md §12).
+// decode→augment→cast path: crop and mirror images, the PCM signal
+// buffer, the per-sample random source and a cached dsp.MelPlan. The
+// Prepare*Scratch functions thread it through every kernel so
+// steady-state preparation recycles one bounded working set instead of
+// allocating per sample (DESIGN.md §12).
 //
 // A Scratch is NOT safe for concurrent use — hold one per goroutine
 // (dataprep.Executor keeps a pipeline.Pool of them). The intermediate
@@ -20,9 +21,10 @@ import (
 // tensor/spectrogram escapes, and when the Scratch carries an output
 // Set those outputs draw from it (give them back via Executor.Recycle).
 type Scratch struct {
-	imgA imgproc.Image // decode destination, then mirror destination
-	imgB imgproc.Image // crop destination
+	imgA imgproc.Image // mirror destination
+	imgB imgproc.Image // crop destination: the window decode's, or the crop's
 	sig  []float64     // PCM decode buffer
+	rng  *rand.Rand    // reseeded per sample; nil until the first
 
 	melCfg dsp.MelConfig // config mel was built for
 	mel    *dsp.MelPlan  // lazily (re)built when the config changes
@@ -58,6 +60,18 @@ func (s *Scratch) getF64(n int) []float64 {
 	return s.out.F64.Get(n)
 }
 
+// rand returns s's random source seeded with seed: the sequence
+// rand.New(rand.NewSource(seed)) gives, without allocating one per
+// sample.
+func (s *Scratch) rand(seed int64) *rand.Rand {
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(seed))
+	} else {
+		s.rng.Seed(seed)
+	}
+	return s.rng
+}
+
 // melPlan returns the cached MelPlan for cfg, rebuilding it when the
 // config changed since the last call.
 func (s *Scratch) melPlan(cfg dsp.MelConfig) (*dsp.MelPlan, error) {
@@ -72,18 +86,30 @@ func (s *Scratch) melPlan(cfg dsp.MelConfig) (*dsp.MelPlan, error) {
 }
 
 // PrepareImageScratch runs the full image pipeline on stored JPEG
-// bytes: the decode, crop, mirror, and noise stages run in s's buffers,
-// and the returned tensor's Data comes from s's output set (caller-owned
-// until recycled). A nil s uses a throwaway working set, so the caller
-// owns the result outright. The output does not depend on s.
+// bytes, crop first: it reads the frame size from the header, places
+// the crop with the draws PrepareImageDecoded makes, decodes only that
+// window (imgproc.DecodeJPEGCropInto), then mirrors, noises and casts
+// it in s's buffers. The returned tensor's Data comes from s's output
+// set (caller-owned until recycled). A nil s uses a throwaway working
+// set, so the caller owns the result outright. The output does not
+// depend on s.
 func PrepareImageScratch(jpegData []byte, cfg ImageConfig, seed int64, s *Scratch) (*imgproc.Tensor, error) {
 	if s == nil {
 		s = NewScratch()
 	}
-	if err := imgproc.DecodeJPEGInto(&s.imgA, jpegData); err != nil {
+	rng := s.rand(seed)
+	w, h, err := imgproc.JPEGFrameSize(jpegData)
+	if err != nil {
 		return nil, err
 	}
-	return PrepareImageDecoded(&s.imgA, cfg, seed, s)
+	x, y, err := cropOrigin(w, h, cfg, rng)
+	if err != nil {
+		return nil, err
+	}
+	if err := imgproc.DecodeJPEGCropInto(&s.imgB, jpegData, x, y, cfg.CropW, cfg.CropH); err != nil {
+		return nil, err
+	}
+	return imageTail(cfg, rng, s)
 }
 
 // PrepareImageDecoded runs the augment+cast tail of the image pipeline
@@ -91,27 +117,39 @@ func PrepareImageScratch(jpegData []byte, cfg ImageConfig, seed int64, s *Scratc
 // (internal/dscache) pay the JPEG decode once and replay only this
 // cheap, seeded part per consumer. src is read-only and may be shared
 // across goroutines (the crop copies its pixels out before any buffer
-// is written); it may also alias s.imgA, the scratch decode buffer,
-// which the tail only reuses after the crop. The output is
-// bit-identical to PrepareImageScratch on the encoded bytes for equal
-// seeds.
+// is written). The output is bit-identical to PrepareImageScratch on
+// the encoded bytes for equal seeds: both place the crop through
+// cropOrigin, and the window decode's pixels are the full decode's.
 func PrepareImageDecoded(src *imgproc.Image, cfg ImageConfig, seed int64, s *Scratch) (*imgproc.Tensor, error) {
 	if s == nil {
 		s = NewScratch()
 	}
-	rng := rand.New(rand.NewSource(seed))
-	var err error
-	if cfg.Augment {
-		err = imgproc.RandomCropInto(&s.imgB, src, cfg.CropW, cfg.CropH, rng)
-	} else {
-		err = imgproc.CenterCropInto(&s.imgB, src, cfg.CropW, cfg.CropH)
-	}
+	rng := s.rand(seed)
+	x, y, err := cropOrigin(src.W, src.H, cfg, rng)
 	if err != nil {
 		return nil, err
 	}
+	if err := imgproc.CropInto(&s.imgB, src, x, y, cfg.CropW, cfg.CropH); err != nil {
+		return nil, err
+	}
+	return imageTail(cfg, rng, s)
+}
+
+// cropOrigin places cfg's crop in a w×h frame: uniformly at random
+// from rng when cfg augments, centred when it does not.
+func cropOrigin(w, h int, cfg ImageConfig, rng *rand.Rand) (x, y int, err error) {
+	if !cfg.Augment {
+		rng = nil
+	}
+	return imgproc.CropOrigin(w, h, cfg.CropW, cfg.CropH, rng)
+}
+
+// imageTail is the shared post-crop image path on s.imgB, continuing
+// rng's sequence after the crop draws: mirror → noise → cast.
+func imageTail(cfg ImageConfig, rng *rand.Rand, s *Scratch) (*imgproc.Tensor, error) {
 	cur := &s.imgB
 	if cfg.Augment && rng.Float64() < cfg.MirrorProb {
-		imgproc.MirrorInto(&s.imgA, cur) // the crop copied src out, so imgA is free
+		imgproc.MirrorInto(&s.imgA, cur)
 		cur = &s.imgA
 	}
 	if cfg.Augment && cfg.NoiseStd > 0 {
@@ -163,7 +201,7 @@ func PrepareAudioDecoded(sig []float64, cfg AudioConfig, seed int64, s *Scratch)
 // s.sig (which it may mutate): noise augment → log-Mel → SpecAugment →
 // normalize.
 func prepareAudioTail(cfg AudioConfig, seed int64, s *Scratch) (*dsp.Spectrogram, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := s.rand(seed)
 	if cfg.Augment && cfg.NoiseStd > 0 {
 		dsp.AddNoise(s.sig, cfg.NoiseStd, rng)
 	}

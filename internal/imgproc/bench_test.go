@@ -1,6 +1,7 @@
 package imgproc
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -33,12 +34,32 @@ func BenchmarkDecodeJPEGInto(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeJPEGCropInto decodes a 256² corpus file into the full
+// frame, the 224² model crop and a 16² window: every MCU is
+// entropy-decoded each time, but only the window's blocks are
+// inverse-transformed and colour-converted.
+func BenchmarkDecodeJPEGCropInto(b *testing.B) {
+	_, data := benchImage(b)
+	for _, n := range []int{StoredSize, ModelSize, 16} {
+		b.Run(fmt.Sprintf("%d", n), func(b *testing.B) {
+			var dst Image
+			x := (StoredSize - n) / 2
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := DecodeJPEGCropInto(&dst, data, x, x, n, n); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkAugmentInto runs the mirror and the in-place noise kernels
 // on a 224² crop, as the image pipeline does after cropping.
 func BenchmarkAugmentInto(b *testing.B) {
 	im, _ := benchImage(b)
 	var crop, aug Image
-	if err := CenterCropInto(&crop, im, ModelSize, ModelSize); err != nil {
+	if err := RandomCropInto(&crop, im, ModelSize, ModelSize, nil); err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))

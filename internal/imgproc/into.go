@@ -1,10 +1,8 @@
 package imgproc
 
 import (
-	"bytes"
 	"fmt"
 	"image"
-	"image/jpeg"
 	"math"
 	"math/rand"
 	"sync"
@@ -48,60 +46,72 @@ func (t *Tensor) Reset(c, h, w int) {
 }
 
 // maxDecodePixels bounds the frame a JPEG header may declare. The
-// stdlib decoder sizes its planes from the header before it reads any
-// scan data, so a few hundred forged bytes can claim 65280² pixels and
+// decoder sizes its planes from the header before it reads any scan
+// data, so a few hundred forged bytes can claim 65280² pixels and
 // gigabytes of memory. 1<<26 pixels (8192²) is 1024× the 256² images
 // the workloads store and bounds one decode to a few hundred MB.
 const maxDecodePixels = 1 << 26
 
+// JPEGFrameSize returns the width and height a JPEG stream's frame
+// header declares, without decoding or allocating. It fails as
+// DecodeJPEGInto does on a stream with no frame header or one declaring
+// more than maxDecodePixels, so a caller can place a crop before it
+// decodes.
+func JPEGFrameSize(data []byte) (w, h int, err error) {
+	w, h, ok := jpegFrameSize(data)
+	if !ok {
+		return 0, 0, fmt.Errorf("imgproc: jpeg decode: no frame header")
+	}
+	if int64(w)*int64(h) > maxDecodePixels {
+		return 0, 0, fmt.Errorf("imgproc: jpeg decode: %dx%d frame exceeds %d pixels", w, h, maxDecodePixels)
+	}
+	return w, h, nil
+}
+
 // DecodeJPEGInto decodes JPEG bytes into an RGB image in dst, reusing
 // its pixel buffer — the "Decoder" engine of Table II and the dominant
-// CPU cost of image preparation (Section V-B). A header declaring more
-// than maxDecodePixels is rejected before the decoder allocates. The
-// stdlib decoder's YCbCr and Gray images are converted by walking their
-// planes; any other type (CMYK) goes through the generic At(x,y).RGBA()
-// path, which boxes a color.Color per pixel. All paths produce
-// identical pixels.
+// CPU cost of image preparation (Section V-B). It is DecodeJPEGCropInto
+// over the whole frame.
 func DecodeJPEGInto(dst *Image, data []byte) error {
-	fw, fh, ok := jpegFrameSize(data)
-	if !ok {
-		return fmt.Errorf("imgproc: jpeg decode: no frame header")
+	w, h, err := JPEGFrameSize(data)
+	if err != nil {
+		return err
 	}
-	if int64(fw)*int64(fh) > maxDecodePixels {
-		return fmt.Errorf("imgproc: jpeg decode: %dx%d frame exceeds %d pixels", fw, fh, maxDecodePixels)
+	return DecodeJPEGCropInto(dst, data, 0, 0, w, h)
+}
+
+// DecodeJPEGCropInto decodes the w×h window whose top-left corner is
+// (x, y) of a JPEG stream into dst, reusing its pixel buffer; the
+// pixels equal CropInto of the full decode, and image/jpeg's. It
+// entropy-decodes every MCU, the serial part of decode, but
+// dequantizes, inverse-transforms and colour-converts only the blocks
+// the window reads. A header declaring more than maxDecodePixels, or a
+// window outside the frame, is rejected before the decoder allocates;
+// a warm decode allocates nothing.
+func DecodeJPEGCropInto(dst *Image, data []byte, x, y, w, h int) error {
+	fw, fh, err := JPEGFrameSize(data)
+	if err != nil {
+		return err
 	}
-	src, err := jpeg.Decode(bytes.NewReader(data))
+	if w <= 0 || h <= 0 || x < 0 || y < 0 || x > fw-w || y > fh-h {
+		return fmt.Errorf("imgproc: jpeg decode: window %dx%d@(%d,%d) outside the %dx%d frame", w, h, x, y, fw, fh)
+	}
+	d := decoders.Get().(*decoder)
+	err = d.decode(dst, data, image.Rect(x, y, x+w, y+h))
+	d.data = nil // do not pin the caller's stream in the pool
+	decoders.Put(d)
 	if err != nil {
 		return fmt.Errorf("imgproc: jpeg decode: %w", err)
-	}
-	bounds := src.Bounds()
-	w, h := bounds.Dx(), bounds.Dy()
-	if w <= 0 || h <= 0 {
-		return fmt.Errorf("imgproc: jpeg decoded to invalid size %dx%d", w, h)
-	}
-	dst.Reset(w, h)
-	switch s := src.(type) {
-	case *image.YCbCr:
-		ycbcrInto(dst, s)
-	case *image.Gray:
-		grayInto(dst, s)
-	default:
-		for y := bounds.Min.Y; y < bounds.Max.Y; y++ {
-			for x := bounds.Min.X; x < bounds.Max.X; x++ {
-				r, g, b, _ := src.At(x, y).RGBA()
-				dst.Set(x-bounds.Min.X, y-bounds.Min.Y, uint8(r>>8), uint8(g>>8), uint8(b>>8))
-			}
-		}
 	}
 	return nil
 }
 
-// ycbcrInto converts s into dst, which is sized to s's bounds, by
-// walking the Y, Cb and Cr planes row by row with the fixed-point
+// ycbcrInto converts the rectangle r of s into dst, which is sized to
+// r, by walking the Y, Cb and Cr planes row by row with the fixed-point
 // arithmetic of color.YCbCr.RGBA, so every pixel equals
-// s.YCbCrAt(x, y).RGBA() >> 8. It covers every subsample ratio for the
-// non-negative origins image/jpeg produces.
-func ycbcrInto(dst *Image, s *image.YCbCr) {
+// s.YCbCrAt(x, y).RGBA() >> 8. It covers every subsample ratio for
+// non-negative origins.
+func ycbcrInto(dst *Image, s *image.YCbCr, r image.Rectangle) {
 	var hs uint // log2 of the horizontal chroma subsampling
 	switch s.SubsampleRatio {
 	case image.YCbCrSubsampleRatio422, image.YCbCrSubsampleRatio420:
@@ -109,7 +119,6 @@ func ycbcrInto(dst *Image, s *image.YCbCr) {
 	case image.YCbCrSubsampleRatio411, image.YCbCrSubsampleRatio410:
 		hs = 2
 	}
-	r := s.Rect
 	w := r.Dx()
 	// Pixel Min.X+i reads chroma column (m+i)>>hs of the row COffset
 	// starts at.
@@ -142,10 +151,10 @@ func rgb8(v int32) uint8 {
 	return uint8(^(v >> 31))
 }
 
-// grayInto copies s's luminance into all three channels of dst, which
-// is sized to s's bounds — what color.Gray.RGBA >> 8 gives.
-func grayInto(dst *Image, s *image.Gray) {
-	r := s.Rect
+// grayInto copies the rectangle r of s's luminance into all three
+// channels of dst, which is sized to r — what color.Gray.RGBA >> 8
+// gives.
+func grayInto(dst *Image, s *image.Gray, r image.Rectangle) {
 	w := r.Dx()
 	for y := r.Min.Y; y < r.Max.Y; y++ {
 		row := s.Pix[s.PixOffset(r.Min.X, y):][:w]
@@ -153,6 +162,44 @@ func grayInto(dst *Image, s *image.Gray) {
 		for i, v := range row {
 			p := out[3*i : 3*i+3 : 3*i+3]
 			p[0], p[1], p[2] = v, v, v
+		}
+	}
+}
+
+// rgbInto copies the rectangle r of an RGB frame, whose R, G and B
+// planes sit where s's Y, Cb and Cr would, into dst, which is sized to
+// r — image/jpeg's RGBA image of such a frame.
+func rgbInto(dst *Image, s *image.YCbCr, r image.Rectangle) {
+	i := 0
+	for y := r.Min.Y; y < r.Max.Y; y++ {
+		for x := r.Min.X; x < r.Max.X; x, i = x+1, i+3 {
+			c := s.COffset(x, y)
+			dst.Pix[i], dst.Pix[i+1], dst.Pix[i+2] = s.Y[s.YOffset(x, y)], s.Cb[c], s.Cr[c]
+		}
+	}
+}
+
+// cmykInto converts the rectangle r of a 4-component frame into dst,
+// which is sized to r, as color.CMYK.RGBA >> 8 does for image/jpeg's
+// CMYK image of it. The frame's planes are Adobe-inverted ink (255 is
+// none); with ycck the first three are YCbCr, whose RGB stands for the
+// ink inverted once more. black is the full-resolution fourth plane.
+func cmykInto(dst *Image, s *image.YCbCr, black []byte, stride int, ycck bool, r image.Rectangle) {
+	i := 0
+	for y := r.Min.Y; y < r.Max.Y; y++ {
+		for x := r.Min.X; x < r.Max.X; x, i = x+1, i+3 {
+			c := s.COffset(x, y)
+			// v is 255 − ink for each of cyan, magenta and yellow.
+			v0, v1, v2 := s.Y[s.YOffset(x, y)], s.Cb[c], s.Cr[c]
+			if ycck {
+				yy1 := int32(v0) * 0x10101
+				cb1, cr1 := int32(v1)-128, int32(v2)-128
+				v0, v1, v2 = 255-rgb8(yy1+91881*cr1), 255-rgb8(yy1-22554*cb1-46802*cr1), 255-rgb8(yy1+116130*cb1)
+			}
+			k := uint32(black[y*stride+x]) * 0x101 // 0xffff − 0x101·K
+			dst.Pix[i] = uint8(uint32(v0) * 0x101 * k / 0xffff >> 8)
+			dst.Pix[i+1] = uint8(uint32(v1) * 0x101 * k / 0xffff >> 8)
+			dst.Pix[i+2] = uint8(uint32(v2) * 0x101 * k / 0xffff >> 8)
 		}
 	}
 }
@@ -216,21 +263,30 @@ func CropInto(dst *Image, im *Image, x, y, w, h int) error {
 	return nil
 }
 
-// CenterCropInto extracts the centered w×h window into dst.
-func CenterCropInto(dst *Image, im *Image, w, h int) error {
-	return CropInto(dst, im, (im.W-w)/2, (im.H-h)/2, w, h)
+// CropOrigin returns the top-left corner of a w×h crop of an imW×imH
+// image: uniformly random when rng is non-nil, drawing rng.Intn for x
+// and then for y, and centred when rng is nil. It is the one place a
+// crop is placed, so a caller that decodes only the crop's window
+// (DecodeJPEGCropInto) draws exactly what RandomCropInto draws.
+func CropOrigin(imW, imH, w, h int, rng *rand.Rand) (x, y int, err error) {
+	if w <= 0 || h <= 0 || w > imW || h > imH {
+		return 0, 0, fmt.Errorf("imgproc: crop %dx%d does not fit %dx%d", w, h, imW, imH)
+	}
+	if rng == nil {
+		return (imW - w) / 2, (imH - h) / 2, nil
+	}
+	return rng.Intn(imW - w + 1), rng.Intn(imH - h + 1), nil
 }
 
-// RandomCropInto extracts a uniformly random w×h window into dst. This
-// is the paper's headline augmentation: a 256×256 image yields 32×32
-// distinct 224×224 crops, which is why static pre-augmentation needs
-// ~2.2 PB (Section III-D).
+// RandomCropInto extracts a uniformly random w×h window into dst, or
+// the centred one when rng is nil. This is the paper's headline
+// augmentation: a 256×256 image yields 32×32 distinct 224×224 crops,
+// which is why static pre-augmentation needs ~2.2 PB (Section III-D).
 func RandomCropInto(dst *Image, im *Image, w, h int, rng *rand.Rand) error {
-	if w > im.W || h > im.H {
-		return fmt.Errorf("imgproc: random crop %dx%d larger than %dx%d", w, h, im.W, im.H)
+	x, y, err := CropOrigin(im.W, im.H, w, h, rng)
+	if err != nil {
+		return err
 	}
-	x := rng.Intn(im.W - w + 1)
-	y := rng.Intn(im.H - h + 1)
 	return CropInto(dst, im, x, y, w, h)
 }
 

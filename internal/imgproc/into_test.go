@@ -15,7 +15,7 @@ import (
 	"trainbox/internal/jpegdec"
 )
 
-func synthJPEG(t *testing.T, seed int64, quality int) []byte {
+func synthJPEG(t testing.TB, seed int64, quality int) []byte {
 	t.Helper()
 	im := SynthesizeImage(DefaultSynthConfig(), seed, int(seed)%10)
 	data, err := EncodeJPEG(im, quality)
@@ -122,23 +122,23 @@ func TestPlaneWalkMatchesRGBA(t *testing.T) {
 			fill(ycc.Cb)
 			fill(ycc.Cr)
 			name := fmt.Sprintf("%v %dx%d", ratio, sz[0], sz[1])
-			check(name, ycc, func(dst *Image) { ycbcrInto(dst, ycc) })
+			check(name, ycc, func(dst *Image) { ycbcrInto(dst, ycc, ycc.Rect) })
 			for _, r := range subs {
 				if !r.In(ycc.Rect) {
 					continue
 				}
 				sub := ycc.SubImage(r).(*image.YCbCr)
-				check(fmt.Sprintf("%s sub %v", name, r), sub, func(dst *Image) { ycbcrInto(dst, sub) })
+				check(fmt.Sprintf("%s sub %v", name, r), sub, func(dst *Image) { ycbcrInto(dst, sub, sub.Rect) })
 			}
 		}
 	}
 	for _, sz := range sizes {
 		g := image.NewGray(image.Rect(0, 0, sz[0], sz[1]))
 		fill(g.Pix)
-		check(fmt.Sprintf("gray %dx%d", sz[0], sz[1]), g, func(dst *Image) { grayInto(dst, g) })
+		check(fmt.Sprintf("gray %dx%d", sz[0], sz[1]), g, func(dst *Image) { grayInto(dst, g, g.Rect) })
 		if r := image.Rect(1, 1, 6, 5); r.In(g.Rect) {
 			sub := g.SubImage(r).(*image.Gray)
-			check(fmt.Sprintf("gray %dx%d sub", sz[0], sz[1]), sub, func(dst *Image) { grayInto(dst, sub) })
+			check(fmt.Sprintf("gray %dx%d sub", sz[0], sz[1]), sub, func(dst *Image) { grayInto(dst, sub, sub.Rect) })
 		}
 	}
 }
@@ -160,7 +160,7 @@ func TestYCbCrConversionExhaustive(t *testing.T) {
 		for i := range ycc.Y {
 			ycc.Y[i] = uint8(y)
 		}
-		ycbcrInto(&got, ycc)
+		ycbcrInto(&got, ycc, ycc.Rect)
 		for i := 0; i < 256*256; i++ {
 			r, g, b, _ := color.YCbCr{Y: uint8(y), Cb: uint8(i % 256), Cr: uint8(i / 256)}.RGBA()
 			if p := got.Pix[3*i : 3*i+3]; p[0] != uint8(r>>8) || p[1] != uint8(g>>8) || p[2] != uint8(b>>8) {
@@ -315,8 +315,8 @@ func TestIntoVariantsBitIdentical(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		src := SynthesizeImage(DefaultSynthConfig(), seed, int(seed)%10)
 		for name, op := range map[string]func(dst *Image, rng *rand.Rand) error{
-			"CropInto":       func(dst *Image, _ *rand.Rand) error { return CropInto(dst, src, 10, 20, 100, 90) },
-			"CenterCropInto": func(dst *Image, _ *rand.Rand) error { return CenterCropInto(dst, src, ModelSize, ModelSize) },
+			"CropInto":   func(dst *Image, _ *rand.Rand) error { return CropInto(dst, src, 10, 20, 100, 90) },
+			"CenterCrop": func(dst *Image, _ *rand.Rand) error { return RandomCropInto(dst, src, ModelSize, ModelSize, nil) },
 			"RandomCropInto": func(dst *Image, rng *rand.Rand) error {
 				return RandomCropInto(dst, src, ModelSize, ModelSize, rng)
 			},
@@ -396,23 +396,32 @@ func TestIntoValidationErrors(t *testing.T) {
 	}
 }
 
-// TestDecodeJPEGAllocs: the fast path plus buffer reuse keeps decode
-// allocations bounded by the stdlib decoder's own internals — orders of
-// magnitude below the per-pixel boxing it replaced (3·W·H interface
-// allocations; ~196k for a 256×256 image).
+// TestDecodeJPEGAllocs: a warm decode, full-frame or windowed,
+// allocates nothing — the tables, block scratch and planes come from
+// the pooled decoder and the pixels go into dst's buffer.
 func TestDecodeJPEGAllocs(t *testing.T) {
-	data := synthJPEG(t, 5, 85)
-	var dst Image
-	if err := DecodeJPEGInto(&dst, data); err != nil {
-		t.Fatal(err)
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of Puts under the race detector")
 	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if err := DecodeJPEGInto(&dst, data); err != nil {
+	data := synthJPEG(t, 5, 85)
+	prog := fixtures(t)["video-001.progressive.jpeg"]
+	var dst Image
+	for name, decode := range map[string]func() error{
+		"full":        func() error { return DecodeJPEGInto(&dst, data) },
+		"224²":        func() error { return DecodeJPEGCropInto(&dst, data, 11, 23, ModelSize, ModelSize) },
+		"16²":         func() error { return DecodeJPEGCropInto(&dst, data, 100, 37, 16, 16) },
+		"progressive": func() error { return DecodeJPEGInto(&dst, prog) },
+	} {
+		if err := decode(); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 40 {
-		t.Errorf("DecodeJPEGInto with reused dst allocates %.0f objects/decode, want ≤ 40", allocs)
+		if n := testing.AllocsPerRun(10, func() {
+			if err := decode(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: a warm decode allocates %.1f objects, want 0", name, n)
+		}
 	}
 }
 
@@ -464,21 +473,28 @@ func withFrameSize(t testing.TB, data []byte, w, h uint16) []byte {
 }
 
 // TestDecodeJPEGIntoRejectsForgedDimensions: a 16² file whose SOF0
-// claims 65280² pixels must fail before image/jpeg sizes its planes
-// from the header (≈ 6 GB, allocated before the scan fails), and the
-// header walk that catches it allocates nothing.
+// claims 65280² pixels must fail, full-frame or windowed, before the
+// decoder sizes its planes from the header (≈ 6 GB, allocated before
+// the scan fails), and the header walk that catches it allocates
+// nothing.
 func TestDecodeJPEGIntoRejectsForgedDimensions(t *testing.T) {
 	valid := tinyJPEG(t)
 	forged := withFrameSize(t, valid, 0xFF00, 0xFF00)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	err := DecodeJPEGInto(&Image{}, forged)
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("a 65280² header was accepted")
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
-		t.Errorf("rejecting the forged header allocated %d bytes, want < 1 MB", grew)
+	for name, decode := range map[string]func() error{
+		"full":   func() error { return DecodeJPEGInto(&Image{}, forged) },
+		"window": func() error { return DecodeJPEGCropInto(&Image{}, forged, 0, 0, 16, 16) },
+		"header": func() error { _, _, err := JPEGFrameSize(forged); return err },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: a 65280² header was accepted", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s: rejecting the forged header allocated %d bytes, want < 1 MB", name, grew)
+		}
 	}
 	if w, h, ok := jpegFrameSize(valid); !ok || w != 16 || h != 16 {
 		t.Errorf("jpegFrameSize(valid) = %d, %d, %v, want 16, 16, true", w, h, ok)
@@ -495,8 +511,11 @@ func TestDecodeJPEGIntoRejectsForgedDimensions(t *testing.T) {
 // generic At().RGBA() conversion of that decode. The seed corpus holds
 // a valid 16² 4:2:0 file, a 4:4:4 and a grayscale file, one truncated
 // mid-scan, one with forged 65280² dimensions and one with no frame
-// header.
+// header (testdata/fuzz), and the testdata/jpeg fixtures.
 func FuzzDecodeJPEGInto(f *testing.F) {
+	for _, data := range fixtures(f) {
+		f.Add(data)
+	}
 	var dst Image
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := DecodeJPEGInto(&dst, data); err != nil {

@@ -52,8 +52,11 @@ func TestCropRejectsOutOfBounds(t *testing.T) {
 func TestCenterCrop(t *testing.T) {
 	im := gradientImage(StoredSize, StoredSize)
 	c := &Image{}
-	if err := CenterCropInto(c, im, ModelSize, ModelSize); err != nil {
+	if err := RandomCropInto(c, im, ModelSize, ModelSize, nil); err != nil {
 		t.Fatal(err)
+	}
+	if x, y, err := CropOrigin(StoredSize, StoredSize, ModelSize, ModelSize, nil); err != nil || x != 16 || y != 16 {
+		t.Errorf("CropOrigin(nil rng) = %d, %d, %v, want the centre 16, 16", x, y, err)
 	}
 	r, _, _ := c.At(0, 0)
 	wr, _, _ := im.At(16, 16) // (256-224)/2 = 16
