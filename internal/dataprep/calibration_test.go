@@ -14,9 +14,11 @@ import (
 // the audio/image cost ratio: the calibrated one is ≈6.9 (TF-SR 5.45 ms
 // vs ResNet-50 0.788 ms), the measured one moves with kernel work on
 // either side (≈5.9 before the audio front-end ran at its operation
-// count, ≈1.1 after it, ≈1.95 since the image kernels run at theirs:
-// 1.88–2.02 over 20 runs of this test on a 2-core box, single rounds
-// 0.90–4.31). What stays true is the ordering — preparing an audio
+// count, ≈1.1 after it, ≈1.95 once the image kernels ran at theirs,
+// ≈2.4 since decode reconstructs only the coefficients a block carries
+// and noise is applied straight from the stream's words: 1.84–2.82,
+// median 2.36, over 12 runs of this test on a 2-core box, single
+// rounds 0.62–12.0). What stays true is the ordering — preparing an audio
 // sample costs more than preparing an image — and that the Go ratio is
 // not more than 3× the calibrated one. The measured value is the
 // median over paired image/audio rounds and is logged; a shared box

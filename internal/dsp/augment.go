@@ -53,18 +53,30 @@ func FreqMask(s *Spectrogram, maxWidth int, fillValue float64, rng *rand.Rand) (
 // deviation to every sample of signal, in place — the paper's example
 // audio augmentation ("add some noise into sound"). The noise is
 // gauss's 4,096-level quantized Gaussian (σ·q for a table quantile q,
-// tails at ±3.67σ), and each call draws one Uint64 from rng.
+// tails at ±3.67σ), and each call draws one Uint64 from rng. A nil rng
+// or a stddev that is not positive (NaN included) leaves signal as it
+// is.
 func AddNoise(signal []float64, stddev float64, rng *rand.Rand) {
-	if rng == nil || stddev <= 0 {
+	if rng == nil || !(stddev > 0) {
 		return
 	}
 	st := gauss.NewStream(rng)
-	var idx [gauss.Block]uint16
-	for base := 0; base < len(signal); base += gauss.Block {
-		s := signal[base:min(base+gauss.Block, len(signal))]
-		st.Fill(idx[:len(s)])
-		for i := range s {
-			s[i] += stddev * gauss.Table[idx[i]]
+	const mask = gauss.Levels - 1
+	for len(signal) >= gauss.PerWord {
+		w := st.Next()
+		s := signal[:gauss.PerWord:gauss.PerWord]
+		s[0] += stddev * gauss.Table[w&mask]
+		s[1] += stddev * gauss.Table[w>>gauss.Bits&mask]
+		s[2] += stddev * gauss.Table[w>>(2*gauss.Bits)&mask]
+		s[3] += stddev * gauss.Table[w>>(3*gauss.Bits)&mask]
+		s[4] += stddev * gauss.Table[w>>(4*gauss.Bits)&mask]
+		signal = signal[gauss.PerWord:]
+	}
+	if len(signal) > 0 {
+		w := st.Next()
+		for i := range signal {
+			signal[i] += stddev * gauss.Table[w&mask]
+			w >>= gauss.Bits
 		}
 	}
 }

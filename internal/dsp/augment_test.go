@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"trainbox/internal/gauss"
 )
 
 func TestTimeMaskZeroesExactSpan(t *testing.T) {
@@ -154,12 +156,50 @@ func TestAddNoiseDistribution(t *testing.T) {
 	}
 }
 
+// TestAddNoiseNoop: a nil rng or a stddev that is not positive — zero,
+// negative or NaN — leaves the signal as it is.
 func TestAddNoiseNoop(t *testing.T) {
 	sig := []float64{1, 2, 3}
-	AddNoise(sig, 0, rand.New(rand.NewSource(1)))
+	for _, sigma := range []float64{0, -1, math.NaN()} {
+		AddNoise(sig, sigma, rand.New(rand.NewSource(1)))
+	}
 	AddNoise(sig, 0.5, nil)
 	if sig[0] != 1 || sig[1] != 2 || sig[2] != 3 {
-		t.Error("noop AddNoise modified signal")
+		t.Errorf("noop AddNoise modified signal: %v", sig)
+	}
+}
+
+// TestAddNoiseMatchesBlockCutStream rebuilds the kernel's first form —
+// indices taken 320 at a time, each run of them cut from whole stream
+// words with the unused fields of a last partial word dropped — and
+// checks AddNoise against it bit for bit around every word boundary.
+func TestAddNoiseMatchesBlockCutStream(t *testing.T) {
+	const block = 320
+	for _, n := range []int{0, 1, 4, 5, 6, 9, 10, 11, block - 1, block, block + 1, 3*block + 7} {
+		base := make([]float64, n)
+		for i := range base {
+			base[i] = float64(i%7) - 3
+		}
+		got := append([]float64(nil), base...)
+		AddNoise(got, 0.3, rand.New(rand.NewSource(int64(n))))
+
+		want := append([]float64(nil), base...)
+		st := gauss.NewStream(rand.New(rand.NewSource(int64(n))))
+		for lo := 0; lo < n; lo += block {
+			run := want[lo:min(lo+block, n)]
+			var w uint64
+			for i := range run {
+				if i%gauss.PerWord == 0 {
+					w = st.Next()
+				}
+				run[i] += 0.3 * gauss.Table[w>>(i%gauss.PerWord*gauss.Bits)&(gauss.Levels-1)]
+			}
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d: sample %d = %v, want %v", n, i, got[i], want[i])
+			}
+		}
 	}
 }
 

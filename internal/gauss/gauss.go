@@ -16,13 +16,12 @@ import (
 )
 
 const (
-	bits = 12
+	// Bits is the width of one Table index.
+	Bits = 12
 	// Levels is the number of quantiles in Table.
-	Levels  = 1 << bits
-	perWord = 64 / bits
-	// Block is how many indices a kernel fills at a time: whole words,
-	// small enough for a stack array.
-	Block = 64 * perWord
+	Levels = 1 << Bits
+	// PerWord is how many indices one Next word carries.
+	PerWord = 64 / Bits
 )
 
 // Table holds the N(0,1) quantiles at (i+½)/Levels in ascending order.
@@ -41,31 +40,11 @@ type Stream struct{ x uint64 }
 // NewStream seeds a stream with one Uint64 drawn from rng.
 func NewStream(rng *rand.Rand) Stream { return Stream{x: rng.Uint64()} }
 
-// Fill writes the next len(idx) indices into idx, five per 64-bit
-// word. The unused indices of a final partial word are skipped, so a
-// stream's output depends on how it is cut into Fill calls; the kernels
-// always cut it into Block-sized calls.
-func (s *Stream) Fill(idx []uint16) {
-	for len(idx) >= perWord {
-		w := s.next()
-		idx[0] = uint16(w & (Levels - 1))
-		idx[1] = uint16(w >> bits & (Levels - 1))
-		idx[2] = uint16(w >> (2 * bits) & (Levels - 1))
-		idx[3] = uint16(w >> (3 * bits) & (Levels - 1))
-		idx[4] = uint16(w >> (4 * bits) & (Levels - 1))
-		idx = idx[perWord:]
-	}
-	if len(idx) > 0 {
-		w := s.next()
-		for i := range idx {
-			idx[i] = uint16(w & (Levels - 1))
-			w >>= bits
-		}
-	}
-}
-
-// next advances the splitmix64 sequence.
-func (s *Stream) next() uint64 {
+// Next returns the next word of the stream: its PerWord Bits-wide
+// fields, low bits first, are the next PerWord indices, and its top
+// four bits are unused. A kernel that needs fewer than PerWord indices
+// from its last word uses the low fields and drops the rest.
+func (s *Stream) Next() uint64 {
 	s.x += 0x9e3779b97f4a7c15
 	z := s.x
 	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9

@@ -3,6 +3,7 @@ package gauss
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -37,10 +38,11 @@ func TestTable(t *testing.T) {
 	}
 }
 
-// TestStream: a stream takes one Uint64 from the caller's rng, equal
-// seeds give equal indices whether filled in one call or in Block-sized
-// ones, and every index is a valid Table position hit about equally
-// often.
+// TestStream: a stream takes one Uint64 from the caller's rng, its
+// words split into indices low field first exactly as recorded from
+// the stream's first release (the third word cut after two fields, as
+// a kernel cuts its last word), and every index is a valid Table
+// position hit about equally often.
 func TestStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := NewStream(rng)
@@ -50,29 +52,29 @@ func TestStream(t *testing.T) {
 		t.Error("NewStream did not draw exactly one Uint64")
 	}
 
-	const n = 1000 * Block
-	whole := make([]uint16, n)
-	s.Fill(whole)
-	s2 := NewStream(rand.New(rand.NewSource(3)))
-	for base := 0; base < n; base += Block {
-		var blk [Block]uint16
-		s2.Fill(blk[:])
-		for i, v := range blk {
-			if whole[base+i] != v {
-				t.Fatalf("index %d: one Fill gave %d, Block-sized Fills %d", base+i, whole[base+i], v)
-			}
+	recorded := []int{432, 1381, 1139, 3251, 3332, 3906, 1148, 1542, 696, 2558, 3304, 3903}
+	var got []int
+	for len(got) < len(recorded) {
+		w := s.Next()
+		for k := 0; k < PerWord && len(got) < len(recorded); k++ {
+			got = append(got, int(w>>(k*Bits)&(Levels-1)))
 		}
 	}
+	if !slices.Equal(got, recorded) {
+		t.Errorf("first indices of seed 3 = %v, want %v", got, recorded)
+	}
+
+	const words = 1000 * 64
 	var hist [Levels]int
-	for _, v := range whole {
-		if int(v) >= Levels {
-			t.Fatalf("index %d out of range", v)
+	for range words {
+		w := s.Next()
+		for k := 0; k < PerWord; k++ {
+			hist[w>>(k*Bits)&(Levels-1)]++
 		}
-		hist[v]++
 	}
 	// Pearson χ² over 4,095 degrees of freedom: mean 4,095, sd ≈ 90.
 	var chi2 float64
-	exp := float64(n) / Levels
+	exp := float64(words*PerWord) / Levels
 	for _, c := range hist {
 		d := float64(c) - exp
 		chi2 += d * d / exp

@@ -55,19 +55,28 @@ func BenchmarkDecodeJPEGCropInto(b *testing.B) {
 }
 
 // BenchmarkAugmentInto runs the mirror and the in-place noise kernels
-// on a 224² crop, as the image pipeline does after cropping.
+// on a 224² crop, as the image pipeline does after cropping, each in
+// its own sub-benchmark.
 func BenchmarkAugmentInto(b *testing.B) {
 	im, _ := benchImage(b)
 	var crop, aug Image
 	if err := RandomCropInto(&crop, im, ModelSize, ModelSize, nil); err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	b.Run("mirror", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			MirrorInto(&aug, &crop)
+		}
+	})
+	b.Run("noise", func(b *testing.B) {
 		MirrorInto(&aug, &crop)
-		GaussianNoiseInto(&aug, &aug, 4, rng)
-	}
+		rng := rand.New(rand.NewSource(1))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			GaussianNoiseInto(&aug, &aug, 4, rng)
+		}
+	})
 }
 
 // BenchmarkToTensorInto is the normalize-and-cast kernel into a reused

@@ -128,6 +128,10 @@ func ycbcrInto(dst *Image, s *image.YCbCr, r image.Rectangle) {
 		c := s.COffset(r.Min.X, y)
 		cbs, crs := s.Cb[c:], s.Cr[c:]
 		out := dst.Pix[(y-r.Min.Y)*w*3:][:w*3]
+		if hs == 1 {
+			ycbcrPairs(out, ys, cbs, crs, m)
+			continue
+		}
 		// One chroma sample's terms serve the pixels that share it.
 		for i, ci := 0, 0; i < w; ci++ {
 			cb1 := int32(cbs[ci]) - 128
@@ -140,6 +144,37 @@ func ycbcrInto(dst *Image, s *image.YCbCr, r image.Rectangle) {
 			}
 		}
 	}
+}
+
+// ycbcrPairs converts one row of 2× horizontally subsampled YCbCr, the
+// 4:2:0 and 4:2:2 of the corpus and of most cameras, with a two-pixel
+// body: pixel i reads chroma sample (m+i)>>1, so after an odd first
+// pixel (m == 1) each pair of pixels shares one sample's terms.
+func ycbcrPairs(out, ys, cbs, crs []uint8, m int) {
+	i, ci := 0, 0
+	if m == 1 && len(ys) > 0 {
+		ycbcrPixel(out[:3], ys[0], cbs[0], crs[0])
+		i, ci = 1, 1
+	}
+	for ; i+1 < len(ys); i, ci = i+2, ci+1 {
+		cb1 := int32(cbs[ci]) - 128
+		cr1 := int32(crs[ci]) - 128
+		rc, gc, bc := 91881*cr1, -22554*cb1-46802*cr1, 116130*cb1
+		y0, y1 := int32(ys[i])*0x10101, int32(ys[i+1])*0x10101
+		p := out[3*i : 3*i+6 : 3*i+6]
+		p[0], p[1], p[2] = rgb8(y0+rc), rgb8(y0+gc), rgb8(y0+bc)
+		p[3], p[4], p[5] = rgb8(y1+rc), rgb8(y1+gc), rgb8(y1+bc)
+	}
+	if i < len(ys) {
+		ycbcrPixel(out[3*i:3*i+3], ys[i], cbs[ci], crs[ci])
+	}
+}
+
+// ycbcrPixel converts one pixel.
+func ycbcrPixel(p []uint8, y, cb, cr uint8) {
+	yy1 := int32(y) * 0x10101
+	cb1, cr1 := int32(cb)-128, int32(cr)-128
+	p[0], p[1], p[2] = rgb8(yy1+91881*cr1), rgb8(yy1-22554*cb1-46802*cr1), rgb8(yy1+116130*cb1)
 }
 
 // rgb8 is the top byte of color.YCbCr.RGBA's 16-bit channel for the
@@ -311,10 +346,10 @@ func MirrorInto(dst *Image, im *Image) {
 // quantized Gaussian (tails at ±3.67σ), and each call draws one Uint64
 // from rng. A pixel becomes clampU8(v + σ·q) for its quantile q, which
 // for an integer v is v + floor(σ·q) clamped to [0, 255]: the kernel
-// adds those integer offsets from a table built once per σ. A nil rng
-// or a stddev that is not positive (NaN included: it would key a new
-// table per call) copies im unchanged. dst == im is allowed (in-place
-// noising).
+// adds those integer offsets from a table built once per σ and clamps
+// through another, five pixels to a stream word. A nil rng or a stddev
+// that is not positive (NaN included: it would key a new table per
+// call) copies im unchanged. dst == im is allowed (in-place noising).
 func GaussianNoiseInto(dst *Image, im *Image, stddev float64, rng *rand.Rand) {
 	src := im.Pix
 	if dst != im {
@@ -324,35 +359,58 @@ func GaussianNoiseInto(dst *Image, im *Image, stddev float64, rng *rand.Rand) {
 		copy(dst.Pix, src)
 		return
 	}
-	off := noiseOffsets(stddev)
+	off, sat := noiseOffsets(stddev), &saturate
+	_, _ = off[0], sat[0] // one nil check each, ahead of the loop
 	st := gauss.NewStream(rng)
-	var idx [gauss.Block]uint16
-	for base := 0; base < len(src); base += gauss.Block {
-		in := src[base:min(base+gauss.Block, len(src))]
-		out := dst.Pix[base:][:len(in)]
-		st.Fill(idx[:len(in)])
-		for i, v := range in {
-			out[i] = uint8(min(max(int(v)+int(off[idx[i]]), 0), 255))
+	out := dst.Pix[:len(src)]
+	const mask = gauss.Levels - 1
+	for len(src) >= gauss.PerWord {
+		w := st.Next()
+		in, o := src[:gauss.PerWord:gauss.PerWord], out[:gauss.PerWord:gauss.PerWord]
+		o[0] = sat[(uint(in[0])+uint(off[w&mask]))&1023]
+		o[1] = sat[(uint(in[1])+uint(off[w>>gauss.Bits&mask]))&1023]
+		o[2] = sat[(uint(in[2])+uint(off[w>>(2*gauss.Bits)&mask]))&1023]
+		o[3] = sat[(uint(in[3])+uint(off[w>>(3*gauss.Bits)&mask]))&1023]
+		o[4] = sat[(uint(in[4])+uint(off[w>>(4*gauss.Bits)&mask]))&1023]
+		src, out = src[gauss.PerWord:], out[gauss.PerWord:]
+	}
+	if len(src) > 0 {
+		w := st.Next()
+		for i, v := range src {
+			out[i] = sat[(uint(v)+uint(off[w&mask]))&1023]
+			w >>= gauss.Bits
 		}
 	}
 }
 
+// saturate[256+x] is x clamped to [0, 255]. The kernel indexes it with
+// a byte plus a noiseOffsets entry, which is 256+x for x in [−256, 511];
+// masking that index to the table's length lets the compiler drop the
+// bounds check and, with the offsets clamped, never changes it.
+var saturate = func() (t [1024]uint8) {
+	for i := range t {
+		t[i] = uint8(min(max(i-256, 0), 255))
+	}
+	return t
+}()
+
 var (
 	offsetsMu sync.Mutex
-	offsets   = map[float64]*[gauss.Levels]int16{}
+	offsets   = map[float64]*[gauss.Levels]uint16{}
 )
 
-// noiseOffsets returns floor(σ·q) for every quantile q of gauss.Table,
-// clamped to ±256, past which any 8-bit value saturates. A table is
-// built on the first call with its σ and shared read-only after.
-func noiseOffsets(sigma float64) *[gauss.Levels]int16 {
+// noiseOffsets returns 256 + floor(σ·q) for every quantile q of
+// gauss.Table, with floor(σ·q) clamped to ±256, past which any 8-bit
+// value saturates. A table is built on the first call with its σ and
+// shared read-only after.
+func noiseOffsets(sigma float64) *[gauss.Levels]uint16 {
 	offsetsMu.Lock()
 	defer offsetsMu.Unlock()
 	t := offsets[sigma]
 	if t == nil {
-		t = new([gauss.Levels]int16)
+		t = new([gauss.Levels]uint16)
 		for i, q := range gauss.Table {
-			t[i] = int16(min(max(math.Floor(sigma*q), -256), 256))
+			t[i] = uint16(256 + min(max(math.Floor(sigma*q), -256), 256))
 		}
 		offsets[sigma] = t
 	}
@@ -365,7 +423,9 @@ func noiseOffsets(sigma float64) *[gauss.Levels]int16 {
 // of (channel, byte value) only, so the kernel computes that formula
 // once per entry of a [3][256] table and writes the three planes in one
 // pass over the pixels. Nil mean/std default to 0 and 1 (plain [0,1]
-// scaling).
+// scaling). A std that is not positive and finite, or a mean that is
+// not finite, is an error: it would turn a whole channel into NaN or
+// ±Inf.
 func ToTensorInto(dst *Tensor, im *Image, mean, std []float64) error {
 	if mean == nil {
 		mean = []float64{0, 0, 0}
@@ -376,9 +436,12 @@ func ToTensorInto(dst *Tensor, im *Image, mean, std []float64) error {
 	if len(mean) != 3 || len(std) != 3 {
 		return fmt.Errorf("imgproc: mean/std must have 3 channels, got %d/%d", len(mean), len(std))
 	}
-	for c, s := range std {
-		if s <= 0 {
-			return fmt.Errorf("imgproc: std[%d] = %v must be positive", c, s)
+	for c := range 3 {
+		if !(std[c] > 0) || math.IsInf(std[c], 1) {
+			return fmt.Errorf("imgproc: std[%d] = %v must be positive and finite", c, std[c])
+		}
+		if math.IsNaN(mean[c]) || math.IsInf(mean[c], 0) {
+			return fmt.Errorf("imgproc: mean[%d] = %v must be finite", c, mean[c])
 		}
 	}
 	var lut [3][256]float32
@@ -389,8 +452,9 @@ func ToTensorInto(dst *Tensor, im *Image, mean, std []float64) error {
 	}
 	dst.Reset(3, im.H, im.W)
 	plane := im.H * im.W
-	r, g, b := dst.Data[:plane], dst.Data[plane:2*plane], dst.Data[2*plane:3*plane]
-	pix := im.Pix[:3*plane]
+	r := dst.Data[:plane]
+	g, b := dst.Data[plane:][:len(r)], dst.Data[2*plane:][:len(r)]
+	pix := im.Pix[:3*len(r)]
 	for i := range r {
 		p := pix[3*i : 3*i+3 : 3*i+3]
 		r[i], g[i], b[i] = lut[0][p[0]], lut[1][p[1]], lut[2][p[2]]

@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"testing"
 
+	"trainbox/internal/gauss"
 	"trainbox/internal/jpegdec"
 )
 
@@ -170,6 +171,44 @@ func TestYCbCrConversionExhaustive(t *testing.T) {
 	}
 }
 
+// TestYCbCrPairsExhaustive runs every (Y, Cb, Cr) triple through both
+// pixels of ycbcrInto's two-pixel body for 2× horizontal chroma — one
+// 513×256 4:2:2 image per Y, with Cb along the chroma columns, Cr along
+// y, Y at even columns and 255 − Y at odd ones, the odd last column
+// taking the single-pixel tail — against color.YCbCr.RGBA.
+func TestYCbCrPairsExhaustive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("33.6M conversions in -short mode")
+	}
+	const w, h = 513, 256
+	ycc := image.NewYCbCr(image.Rect(0, 0, w, h), image.YCbCrSubsampleRatio422)
+	for y := 0; y < h; y++ {
+		for x := 0; x < ycc.CStride; x++ {
+			ycc.Cb[y*ycc.CStride+x], ycc.Cr[y*ycc.CStride+x] = uint8(x), uint8(y)
+		}
+	}
+	var got Image
+	got.Reset(w, h)
+	for lum := 0; lum < 256; lum++ {
+		for i := range ycc.Y {
+			ycc.Y[i] = uint8(lum)
+			if i%ycc.YStride%2 == 1 {
+				ycc.Y[i] = uint8(255 - lum)
+			}
+		}
+		ycbcrInto(&got, ycc, ycc.Rect)
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				c := ycc.YCbCrAt(x, y)
+				r, g, b, _ := c.RGBA()
+				if p := got.Pix[3*(y*w+x):][:3]; p[0] != uint8(r>>8) || p[1] != uint8(g>>8) || p[2] != uint8(b>>8) {
+					t.Fatalf("Y %d Cb %d Cr %d at (%d, %d): got %v, want [%d %d %d]", c.Y, c.Cb, c.Cr, x, y, p, r>>8, g>>8, b>>8)
+				}
+			}
+		}
+	}
+}
+
 // randomImage returns a w×h image of uniformly random bytes.
 func randomImage(w, h int, seed int64) *Image {
 	rng := rand.New(rand.NewSource(seed))
@@ -295,6 +334,63 @@ func TestGaussianNoiseIntoDistribution(t *testing.T) {
 	GaussianNoiseInto(again, im, sigma, rand.New(rand.NewSource(22)))
 	if bytes.Equal(again.Pix, noisy.Pix) {
 		t.Error("a different seed gave identical noise")
+	}
+}
+
+// noiseByBlocks is GaussianNoiseInto's first form, rebuilt from
+// gauss.Stream.Next: the stream's indices are cut 320 at a time, each
+// run from whole words low field first with the unused fields of a
+// last partial word dropped, and a pixel becomes v + floor(σ·q)
+// clamped to [0, 255], computed in float64 with no offset table.
+func noiseByBlocks(dst, src []uint8, sigma float64, rng *rand.Rand) {
+	const block = 320
+	st := gauss.NewStream(rng)
+	for lo := 0; lo < len(src); lo += block {
+		var w uint64
+		for i := lo; i < min(lo+block, len(src)); i++ {
+			k := (i - lo) % gauss.PerWord
+			if k == 0 {
+				w = st.Next()
+			}
+			q := gauss.Table[w>>(k*gauss.Bits)&(gauss.Levels-1)]
+			dst[i] = uint8(min(max(float64(src[i])+math.Floor(sigma*q), 0), 255))
+		}
+	}
+}
+
+// TestGaussianNoiseIntoMatchesBlockCutStream checks the word-fed kernel
+// against noiseByBlocks bit for bit, in place and out of place, at
+// every length up to 16 bytes and around a 224² crop's 150,528, at σ
+// from almost nothing to saturating everything. Out of place needs
+// whole pixels, so it runs at the lengths divisible by three.
+func TestGaussianNoiseIntoMatchesBlockCutStream(t *testing.T) {
+	var lengths []int
+	for n := 0; n <= 16; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 150527, 150528, 150529)
+	for _, sigma := range []float64{1e-9, 4, 300, math.Inf(1)} {
+		for _, n := range lengths {
+			seed := int64(n) + int64(sigma)
+			src := make([]uint8, n)
+			rand.New(rand.NewSource(seed)).Read(src)
+			want := make([]uint8, n)
+			noiseByBlocks(want, src, sigma, rand.New(rand.NewSource(seed)))
+
+			inPlace := &Image{W: n / 3, H: 1, Pix: append([]uint8(nil), src...)}
+			GaussianNoiseInto(inPlace, inPlace, sigma, rand.New(rand.NewSource(seed)))
+			if !bytes.Equal(inPlace.Pix, want) {
+				t.Fatalf("σ=%v, %d bytes, in place: differs from the block-cut stream", sigma, n)
+			}
+			if n == 0 || n%3 != 0 {
+				continue
+			}
+			var out Image
+			GaussianNoiseInto(&out, &Image{W: n / 3, H: 1, Pix: src}, sigma, rand.New(rand.NewSource(seed)))
+			if !bytes.Equal(out.Pix, want) {
+				t.Fatalf("σ=%v, %d bytes, out of place: differs from the block-cut stream", sigma, n)
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@
 package imgproc
 
 import (
+	"encoding/binary"
 	"image"
 	"io"
 	"sync"
@@ -13,7 +14,7 @@ import (
 // This file is the JPEG decoder of DecodeJPEGCropInto, derived from Go
 // 1.24's image/jpeg (reader.go, scan.go, huffman.go and idct.go); the
 // LICENSE the header above names is GO-LICENSE in this directory. It is
-// trimmed to what DecodeJPEGCropInto reaches and changed in four ways,
+// trimmed to what DecodeJPEGCropInto reaches and changed in five ways,
 // none of which moves a pixel:
 //
 //   - It reads the stream from a byte slice instead of an io.Reader
@@ -22,6 +23,9 @@ import (
 //   - It still entropy-decodes every MCU, but dequantizes and
 //     inverse-transforms only the blocks the pixel window d.win reads,
 //     in the sequential path and in reconstructProgressiveImage alike.
+//   - A sequential block is dequantized only up to the last
+//     coefficient its scan wrote, and a DC-only block skips idct for
+//     the constant idct would compute (reconstruct).
 //   - Its Huffman and quantization tables, block scratch, planes and
 //     progressive coefficients live in one pooled decoder, so a warm
 //     decode allocates nothing. Planes are stale on entry: a plane no
@@ -908,6 +912,9 @@ func (d *decoder) processSOS(n int) error {
 						b = block{}
 					}
 
+					// nz is one past the last zig-zag position this scan
+					// wrote; a sequential block is zero from there on.
+					nz := 0
 					if ah != 0 {
 						if err := d.refine(&b, &d.huff[acTable][scan[i].ta], zigStart, zigEnd, 1<<al); err != nil {
 							return err
@@ -930,6 +937,7 @@ func (d *decoder) processSOS(n int) error {
 							}
 							dc[compIndex] += dcDelta
 							b[0] = dc[compIndex] << al
+							nz = 1
 						}
 
 						if zig <= zigEnd && d.eobRun > 0 {
@@ -954,6 +962,7 @@ func (d *decoder) processSOS(n int) error {
 										return err
 									}
 									b[unzig[zig]] = ac << al
+									nz = int(zig) + 1
 								} else {
 									if val0 != 0x0f {
 										d.eobRun = uint16(1 << val0)
@@ -982,7 +991,7 @@ func (d *decoder) processSOS(n int) error {
 					if !image.Pt(bx, by).In(scan[i].win) {
 						continue // entropy-decoded, but no pixel of the window reads it
 					}
-					d.reconstructBlock(&b, bx, by, int(compIndex))
+					d.reconstructBlock(&b, nz, bx, by, int(compIndex))
 				} // for j
 			} // for i
 			mcu++
@@ -1137,20 +1146,16 @@ func (d *decoder) reconstructProgressiveImage() {
 		win := d.windowBlocks(i)
 		for by := win.Min.Y; by < win.Max.Y && by*v < d.height; by++ {
 			for bx := win.Min.X; bx < win.Max.X && bx*h < d.width; bx++ {
-				d.reconstructBlock(&d.bufs.coeffs[i][by*stride+bx], bx, by, i)
+				d.reconstructBlock(&d.bufs.coeffs[i][by*stride+bx], blockSize, bx, by, i)
 			}
 		}
 	}
 }
 
-// reconstructBlock dequantizes, performs the inverse DCT and stores the block
-// to the image.
-func (d *decoder) reconstructBlock(b *block, bx, by, compIndex int) {
-	qt := &d.quant[d.comp[compIndex].tq]
-	for zig := 0; zig < blockSize; zig++ {
-		b[unzig[zig]] *= qt[zig]
-	}
-	idct(b)
+// reconstructBlock dequantizes, performs the inverse DCT and stores the
+// block to the image. b's coefficients from zig-zag position n on are
+// zero.
+func (d *decoder) reconstructBlock(b *block, n, bx, by, compIndex int) {
 	var dst []byte
 	var stride int
 	if d.nComp == 1 {
@@ -1167,22 +1172,44 @@ func (d *decoder) reconstructBlock(b *block, bx, by, compIndex int) {
 			dst, stride = d.blackPix[8*(by*d.blackStride+bx):], d.blackStride
 		}
 	}
-	// Level shift by +128, clip to [0, 255], and write to dst.
-	for y := 0; y < 8; y++ {
-		y8 := y * 8
-		yStride := y * stride
-		for x := 0; x < 8; x++ {
-			c := b[y8+x]
-			if c < -128 {
-				c = 0
-			} else if c > 127 {
-				c = 255
-			} else {
-				c += 128
-			}
-			dst[yStride+x] = uint8(c)
+	reconstruct(b, &d.quant[d.comp[compIndex].tq], n, dst, stride)
+}
+
+// reconstruct dequantizes b's first n zig-zag coefficients by qt (the
+// rest are zero), inverse-transforms b and writes the level-shifted,
+// clipped 8×8 block to dst, whose rows are stride bytes apart. It
+// dequantizes only what b carries, and a block with at most a DC
+// coefficient, a third of the corpus's blocks, skips idct: there its
+// row pass writes dc<<3 to row 0 and zeros below, and its column pass
+// turns each column into ((dc<<3)<<8 + 8192) >> 14 in every row, which
+// the int32 arithmetic here repeats bit for bit, overflow included.
+func reconstruct(b *block, qt *block, n int, dst []byte, stride int) {
+	if n <= 1 {
+		row := uint64(levelShift(((b[0]*qt[0])<<11+8192)>>14)) * 0x0101010101010101
+		for y := 0; y < 8; y++ {
+			binary.LittleEndian.PutUint64(dst[y*stride:], row)
 		}
+		return
 	}
+	for zig := range qt[:n] {
+		b[unzig[zig]] *= qt[zig]
+	}
+	idct(b)
+	for y := 0; y < 8; y++ {
+		s, out := b[8*y:8*y+8:8*y+8], dst[y*stride:][:8]
+		out[0], out[1], out[2], out[3] = levelShift(s[0]), levelShift(s[1]), levelShift(s[2]), levelShift(s[3])
+		out[4], out[5], out[6], out[7] = levelShift(s[4]), levelShift(s[5]), levelShift(s[6]), levelShift(s[7])
+	}
+}
+
+// levelShift clips an inverse-transformed sample to [−128, 127] and
+// shifts it by +128: one unsigned compare tells whether c+128 is a
+// byte, and c's sign picks the clip when it is not.
+func levelShift(c int32) uint8 {
+	if uint32(c+128) <= 255 {
+		return uint8(c + 128)
+	}
+	return uint8(^(c >> 31))
 }
 
 // findRST advances past the next RST restart marker that matches expectedRST.

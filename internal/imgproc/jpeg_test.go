@@ -3,6 +3,7 @@ package imgproc
 import (
 	"bytes"
 	"image/jpeg"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -260,6 +261,87 @@ func FuzzDecodeJPEGCropInto(f *testing.F) {
 			fold := func(v, n int) int { return int(uint(v) % uint(n)) }
 			fx, fy := fold(x, full.W), fold(y, full.H)
 			check(fx, fy, 1+fold(w, full.W-fx), 1+fold(h, full.H-fy))
+		}
+	})
+}
+
+// reconstructDense is reconstruct as image/jpeg does it: all 64
+// coefficients dequantized, the full idct, then the level shift and
+// clip of every sample.
+func reconstructDense(b block, qt *block) (px [blockSize]uint8) {
+	for zig := 0; zig < blockSize; zig++ {
+		b[unzig[zig]] *= qt[zig]
+	}
+	idct(&b)
+	for i, c := range b {
+		if c < -128 {
+			c = 0
+		} else if c > 127 {
+			c = 255
+		} else {
+			c += 128
+		}
+		px[i] = uint8(c)
+	}
+	return px
+}
+
+// FuzzReconstructBlockMatchesDense checks reconstruct, which
+// dequantizes only the first n zig-zag coefficients and skips idct for
+// a DC-only block, against reconstructDense bit for bit. Each input
+// seeds 64 blocks. A block carries coefficients up to a random n in
+// 0–64, half of the time at most 2 (the corpus's common case), of a
+// random width: mostly up to the 12 bits of an 8-bit JPEG, sometimes
+// up to 32, so int32-overflowing products and sums occur. Its
+// quantization table is drawn from 1–16, 1–255 or 1–65,535 with the
+// extremes over-represented: the narrow tables keep samples off the
+// clip, where a rounding slip shows. The block is written into a wider
+// plane whose other bytes must stay untouched.
+func FuzzReconstructBlockMatchesDense(f *testing.F) {
+	for seed := range int64(8) {
+		f.Add(seed)
+	}
+	const stride = 11
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		for range 64 {
+			n := rng.Intn(blockSize + 1)
+			if rng.Intn(2) == 0 {
+				n = rng.Intn(3)
+			}
+			width := 1 + rng.Intn(12)
+			if rng.Intn(4) == 0 {
+				width = 1 + rng.Intn(32)
+			}
+			qmax := []int32{16, 255, 65535}[rng.Intn(3)]
+			var b, qt block
+			for zig := range qt {
+				switch rng.Intn(8) {
+				case 0:
+					qt[zig] = 1
+				case 1:
+					qt[zig] = qmax
+				default:
+					qt[zig] = 1 + rng.Int31n(qmax)
+				}
+			}
+			for zig := range n {
+				b[unzig[zig]] = int32(rng.Uint32()) >> (32 - width)
+			}
+			want := reconstructDense(b, &qt)
+
+			plane := bytes.Repeat([]byte{0xA5}, 9*stride)
+			reconstruct(&b, &qt, n, plane[stride+1:], stride)
+			for i, v := range plane {
+				y, x := i/stride-1, i%stride-1
+				if y < 0 || y >= 8 || x < 0 || x >= 8 {
+					if v != 0xA5 {
+						t.Fatalf("n=%d: byte (%d, %d) outside the block written", n, x, y)
+					}
+				} else if v != want[8*y+x] {
+					t.Fatalf("n=%d, width %d, quant ≤ %d: sample (%d, %d) = %d, the dense path gives %d", n, width, qmax, x, y, v, want[8*y+x])
+				}
+			}
 		}
 	})
 }

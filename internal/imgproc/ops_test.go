@@ -229,8 +229,16 @@ func TestToTensorRejectsBadParams(t *testing.T) {
 	if err := ToTensorInto(&Tensor{}, im, []float64{0}, nil); err == nil {
 		t.Error("short mean accepted")
 	}
-	if err := ToTensorInto(&Tensor{}, im, nil, []float64{1, 1, 0}); err == nil {
-		t.Error("zero std accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, std := range []float64{0, -1, nan, inf, -inf} {
+		if err := ToTensorInto(&Tensor{}, im, nil, []float64{1, 1, std}); err == nil {
+			t.Errorf("std %v accepted", std)
+		}
+	}
+	for _, mean := range []float64{nan, inf, -inf} {
+		if err := ToTensorInto(&Tensor{}, im, []float64{mean, 0, 0}, nil); err == nil {
+			t.Errorf("mean %v accepted", mean)
+		}
 	}
 }
 
