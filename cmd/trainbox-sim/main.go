@@ -13,21 +13,89 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
 	"trainbox/internal/experiments"
 	"trainbox/internal/report"
+	"trainbox/internal/workload"
 )
 
-func main() {
-	exp := flag.String("exp", "", "experiment to run (see -list), or \"all\"")
-	list := flag.Bool("list", false, "list experiment names and exit")
-	wl := flag.String("workload", "Inception-v4", "workload for fig21")
-	csv := flag.Bool("csv", false, "emit CSV instead of an aligned table")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
 
-	runners := map[string]func() ([]*report.Table, error){
+// run parses args, runs the chosen experiments and prints their tables
+// to stdout. It returns the exit status: 2 for a usage error, 1 for a
+// failed experiment.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("trainbox-sim", flag.ContinueOnError)
+	exp := fs.String("exp", "", "experiment to run (see -list), or \"all\"")
+	list := fs.Bool("list", false, "list experiment names and exit")
+	wl := fs.String("workload", "Inception-v4", "workload for fig21, ablation-fpga, ablation-rc and failure")
+	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	if _, err := workload.ByName(*wl); err != nil {
+		fmt.Fprintf(os.Stderr, "trainbox-sim: %v\n", err)
+		return 2
+	}
+	runners := experimentRunners(*wl)
+	names := sortedNames(runners)
+
+	if *list || *exp == "" {
+		fmt.Fprintln(stdout, "experiments:")
+		for _, n := range names {
+			fmt.Fprintln(stdout, "  ", n)
+		}
+		if *exp == "" && !*list {
+			return 2
+		}
+		return 0
+	}
+	selected := []string{*exp}
+	if *exp == "all" {
+		selected = names
+	}
+	for _, name := range selected {
+		build, ok := runners[name]
+		if !ok {
+			fmt.Fprintf(os.Stderr, "trainbox-sim: unknown experiment %q (try -list)\n", name)
+			return 2
+		}
+		tables, err := build()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "trainbox-sim: %s: %v\n", name, err)
+			return 1
+		}
+		for _, t := range tables {
+			if *csv {
+				fmt.Fprint(stdout, t.CSV())
+			} else {
+				fmt.Fprintln(stdout, t.String())
+			}
+		}
+	}
+	return 0
+}
+
+// sortedNames returns the experiment names in -list order.
+func sortedNames(runners map[string]func() ([]*report.Table, error)) []string {
+	names := make([]string, 0, len(runners))
+	for name := range runners {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// experimentRunners maps each experiment name to the function that
+// builds its tables; wl is the workload the -workload flag names.
+func experimentRunners(wl string) map[string]func() ([]*report.Table, error) {
+	return map[string]func() ([]*report.Table, error){
 		"table1": func() ([]*report.Table, error) { return []*report.Table{experiments.TableI()}, nil },
 		"table2": func() ([]*report.Table, error) {
 			t, err := experiments.TableII()
@@ -83,7 +151,7 @@ func main() {
 			return []*report.Table{r.Table}, err
 		},
 		"fig21": func() ([]*report.Table, error) {
-			r, err := experiments.Fig21(*wl)
+			r, err := experiments.Fig21(wl)
 			return []*report.Table{r.Table}, err
 		},
 		"fig22": func() ([]*report.Table, error) {
@@ -91,7 +159,7 @@ func main() {
 			return []*report.Table{t}, err
 		},
 		"ablation-fpga": func() ([]*report.Table, error) {
-			t, err := experiments.AblationFPGAProvisioning(*wl)
+			t, err := experiments.AblationFPGAProvisioning(wl)
 			return []*report.Table{t}, err
 		},
 		"ablation-ethernet": func() ([]*report.Table, error) {
@@ -103,7 +171,7 @@ func main() {
 			return []*report.Table{t}, err
 		},
 		"ablation-rc": func() ([]*report.Table, error) {
-			t, err := experiments.AblationRCCapacity(*wl)
+			t, err := experiments.AblationRCCapacity(wl)
 			return []*report.Table{t}, err
 		},
 		"ablation-pool": func() ([]*report.Table, error) {
@@ -111,7 +179,7 @@ func main() {
 			return []*report.Table{t}, err
 		},
 		"failure": func() ([]*report.Table, error) {
-			t, err := experiments.FailureStudy(*wl)
+			t, err := experiments.FailureStudy(wl)
 			return []*report.Table{t}, err
 		},
 		"future": func() ([]*report.Table, error) {
@@ -158,45 +226,5 @@ func main() {
 			r.Table.Title += fmt.Sprintf(" — in-network %.1f× over host eth ring at 256", r.InNetworkSpeedup)
 			return []*report.Table{r.Table}, nil
 		},
-	}
-
-	names := make([]string, 0, len(runners))
-	for name := range runners {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	if *list || *exp == "" {
-		fmt.Println("experiments:")
-		for _, n := range names {
-			fmt.Println("  ", n)
-		}
-		if *exp == "" && !*list {
-			os.Exit(2)
-		}
-		return
-	}
-	selected := []string{*exp}
-	if *exp == "all" {
-		selected = names
-	}
-	for _, name := range selected {
-		run, ok := runners[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "trainbox-sim: unknown experiment %q (try -list)\n", name)
-			os.Exit(2)
-		}
-		tables, err := run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "trainbox-sim: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		for _, t := range tables {
-			if *csv {
-				fmt.Print(t.CSV())
-			} else {
-				fmt.Println(t.String())
-			}
-		}
 	}
 }

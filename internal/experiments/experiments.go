@@ -144,8 +144,9 @@ type Fig9Result struct {
 func Fig9() (Fig9Result, error) {
 	t := report.NewTable("Figure 9 — baseline latency decomposition at 256 accelerators (%)",
 		"workload", "data transfer", "formatting", "augmentation", "compute", "sync", "prep share")
+	ws := workload.Workloads()
 	var sum float64
-	for _, w := range workload.Workloads() {
+	for _, w := range ws {
 		b, err := core.DecomposeBaseline(w, workload.TargetAccelerators)
 		if err != nil {
 			return Fig9Result{}, err
@@ -156,7 +157,7 @@ func Fig9() (Fig9Result, error) {
 			100*b.ModelCompute/total, 100*b.ModelSync/total, 100*b.PrepShare())
 		sum += b.PrepShare()
 	}
-	return Fig9Result{Table: t, MeanPrepShare: sum / 7}, nil
+	return Fig9Result{Table: t, MeanPrepShare: sum / float64(len(ws))}, nil
 }
 
 // Fig10Result carries the resource-requirement headlines.

@@ -19,7 +19,7 @@ type HuffmanResult struct {
 	AmdahlCeiling float64
 }
 
-// HuffmanStudy measures the from-scratch JPEG decoder's phase split on
+// HuffmanStudy measures the live JPEG decoder's phase split on
 // stored-size images and derives the Amdahl ceiling — the quantitative
 // form of Section V-B's device argument: "there is no good parallel
 // algorithm for the Huffman decoding phase in JPEG decoding", so a GPU's
@@ -31,6 +31,7 @@ func HuffmanStudy(images int) (HuffmanResult, error) {
 	if images <= 0 {
 		return HuffmanResult{}, fmt.Errorf("experiments: need ≥ 1 image")
 	}
+	dec := jpegdec.NewDecoder()
 	var agg jpegdec.DecodeStats
 	for i := 0; i < images; i++ {
 		img := imgproc.SynthesizeImage(imgproc.DefaultSynthConfig(), int64(i), i%10)
@@ -38,7 +39,7 @@ func HuffmanStudy(images int) (HuffmanResult, error) {
 		if err != nil {
 			return HuffmanResult{}, err
 		}
-		_, stats, err := jpegdec.Decode(data)
+		_, stats, err := dec.Decode(data)
 		if err != nil {
 			return HuffmanResult{}, err
 		}

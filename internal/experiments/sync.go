@@ -15,12 +15,12 @@ import (
 // headline.
 type SyncStudyResult struct {
 	Table *report.Table
-	// RingMs / PSMs / HostRingEthMs / InNetworkMs are the 256-accel
-	// sync latencies in milliseconds.
-	RingMs, PSMs, HostRingEthMs, InNetworkMs float64
-	// InNetworkSpeedup is HostRingEthMs / InNetworkMs at 256 accels:
-	// what SmartNIC aggregation buys over running a host ring on the
-	// same Ethernet ports.
+	// RingMs / PSMs / InNetworkMs are the 256-accel sync latencies in
+	// milliseconds.
+	RingMs, PSMs, InNetworkMs float64
+	// InNetworkSpeedup is the host Ethernet ring's latency over
+	// InNetworkMs at 256 accels: what SmartNIC aggregation buys over
+	// running a host ring on the same Ethernet ports.
 	InNetworkSpeedup float64
 }
 
@@ -91,7 +91,6 @@ func SyncStudy() (SyncStudyResult, error) {
 		if n == workload.TargetAccelerators {
 			res.RingMs = ms(lat["ring"])
 			res.PSMs = ms(lat["ps"])
-			res.HostRingEthMs = ms(hostEth)
 			res.InNetworkMs = ms(lat["in-network"])
 			if lat["in-network"] > 0 {
 				res.InNetworkSpeedup = hostEth / lat["in-network"]

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"trainbox/internal/gauss"
-	"trainbox/internal/jpegdec"
 )
 
 func synthJPEG(t testing.TB, seed int64, quality int) []byte {
@@ -42,8 +41,8 @@ func genericRGB(src image.Image) *Image {
 
 // TestDecodeJPEGIntoMatchesGenericPath pins the plane walks (YCbCr,
 // Gray) to the generic At(x,y).RGBA() reference they replaced, on
-// 4:2:0 (image/jpeg's encoder), 4:4:4 (jpegdec's encoder) and
-// grayscale files.
+// 4:2:0 (image/jpeg's encoder), 4:4:4 (a baseline and a progressive
+// fixture) and grayscale files.
 func TestDecodeJPEGIntoMatchesGenericPath(t *testing.T) {
 	decodeGeneric := func(data []byte) *Image {
 		src, err := jpeg.Decode(bytes.NewReader(data))
@@ -53,15 +52,8 @@ func TestDecodeJPEGIntoMatchesGenericPath(t *testing.T) {
 		return genericRGB(src)
 	}
 
+	fx := fixtures(t)
 	half := synthJPEG(t, 11, 85)
-	full := func() []byte {
-		im := SynthesizeImage(SynthConfig{Size: 40, Shapes: 4}, 3, 2)
-		data, err := jpegdec.Encode(&jpegdec.Image{W: im.W, H: im.H, Pix: im.Pix}, 90)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}()
 	gray := func() []byte {
 		g := image.NewGray(image.Rect(0, 0, 60, 44))
 		for i := range g.Pix {
@@ -73,7 +65,12 @@ func TestDecodeJPEGIntoMatchesGenericPath(t *testing.T) {
 		}
 		return buf.Bytes()
 	}()
-	for name, data := range map[string][]byte{"ycbcr-420": half, "ycbcr-444": full, "gray": gray} {
+	for name, data := range map[string][]byte{
+		"ycbcr-420":             half,
+		"ycbcr-444":             fx["video-001.q50.444.jpeg"],
+		"ycbcr-444-progressive": fx["video-001.q50.444.progressive.jpeg"],
+		"gray":                  gray,
+	} {
 		want := decodeGeneric(data)
 		got := &Image{}
 		if err := DecodeJPEGInto(got, data); err != nil {

@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"trainbox/internal/jpegdec"
 )
 
 // fixtures returns the JPEGs under testdata/jpeg: image/jpeg's own
@@ -91,12 +89,12 @@ func TestDecodeJPEGMatchesStdlibFixtures(t *testing.T) {
 }
 
 // TestDecodeJPEGCropIntoMatchesCrop runs every 16-aligned and odd
-// window placement over a corpus-sized 256² 4:2:0 file and a 4:4:4
-// one: each window decode equals the crop of the full decode, with
-// one decoder reused throughout, so no stale plane leaks into a later
-// window.
+// window placement over a corpus-sized 256² 4:2:0 file and the
+// 150×103 4:4:4 baseline fixture: each window decode equals the crop
+// of the full decode, with one decoder reused throughout, so no stale
+// plane leaks into a later window.
 func TestDecodeJPEGCropIntoMatchesCrop(t *testing.T) {
-	for name, data := range map[string][]byte{"420": synthJPEG(t, 3, 85), "444": synth444(t, 45)} {
+	for name, data := range map[string][]byte{"420": synthJPEG(t, 3, 85), "444": fixtures(t)["video-001.jpeg"]} {
 		var full, got, want Image
 		if err := DecodeJPEGInto(&full, data); err != nil {
 			t.Fatal(err)
@@ -186,18 +184,6 @@ func TestDecodeJPEGUnscannedComponentReadsZero(t *testing.T) {
 	}
 }
 
-// synth444 is a 4:4:4 file of side n, which image/jpeg's encoder
-// cannot write.
-func synth444(t testing.TB, n int) []byte {
-	t.Helper()
-	im := SynthesizeImage(SynthConfig{Size: n, Shapes: 4}, 3, 2)
-	data, err := jpegdec.Encode(&jpegdec.Image{W: im.W, H: im.H, Pix: im.Pix}, 90)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
 // TestDecodeJPEGCropIntoRejectsBadWindows: a window that leaves the
 // frame fails before the decoder runs, and the destination is left
 // alone.
@@ -225,15 +211,17 @@ func TestDecodeJPEGCropIntoRejectsBadWindows(t *testing.T) {
 // frame, which always lies inside. A stream the full decode rejects
 // must be rejected in every window. Nothing may panic. The seeds are
 // the testdata/jpeg fixtures with an inside and an outside window, a
-// corpus-sized 256² file, a 4:4:4 file, and 16² files with a window
-// one column too wide and with a forged 65280² header.
+// corpus-sized 256² file, the 4:4:4 baseline fixture with a 1×1 window
+// in its far corner, and 16² files with a window one column too wide
+// and with a forged 65280² header.
 func FuzzDecodeJPEGCropInto(f *testing.F) {
-	for _, data := range fixtures(f) {
+	fx := fixtures(f)
+	for _, data := range fx {
 		f.Add(data, 7, 9, 17, 15)
 		f.Add(data, -1, 0, 16, 16)
 	}
 	f.Add(synthJPEG(f, 3, 85), 16, 16, ModelSize, ModelSize)
-	f.Add(synth444(f, 45), 44, 44, 1, 1)
+	f.Add(fx["video-001.jpeg"], 149, 102, 1, 1)
 	f.Add(tinyJPEG(f), 0, 0, 17, 16)
 	f.Add(withFrameSize(f, tinyJPEG(f), 0xFF00, 0xFF00), 0, 0, 16, 16)
 	var full, got, want Image

@@ -6,24 +6,13 @@ import (
 	"trainbox/internal/imgproc"
 )
 
-// benchJPEG builds one mid-size color JPEG for the decode benchmarks.
-func benchJPEG(b *testing.B) []byte {
-	b.Helper()
-	img := imgproc.NewImage(128, 96)
-	for i := range img.Pix {
-		img.Pix[i] = uint8((i*7 + i/3) % 256)
-	}
-	data, err := imgproc.EncodeJPEG(img, 85)
+// BenchmarkDecoderReuse times one warm Decoder on a corpus-sized 256²
+// q85 image: the 1×1 probe plus the full decode.
+func BenchmarkDecoderReuse(b *testing.B) {
+	data, err := imgproc.EncodeJPEG(imgproc.SynthesizeImage(imgproc.DefaultSynthConfig(), 7, 1), 85)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return data
-}
-
-// BenchmarkDecoderReuse is the steady-state path: one Decoder reused
-// across samples, which must run allocation-free once warm.
-func BenchmarkDecoderReuse(b *testing.B) {
-	data := benchJPEG(b)
 	dec := NewDecoder()
 	if _, _, err := dec.Decode(data); err != nil {
 		b.Fatal(err)
@@ -32,18 +21,6 @@ func BenchmarkDecoderReuse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := dec.Decode(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDecodeFresh is the legacy throwaway-decoder path, kept as
-// the comparison point for the reuse win.
-func BenchmarkDecodeFresh(b *testing.B) {
-	data := benchJPEG(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Decode(data); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,97 +1,35 @@
-// Package jpegdec is a from-scratch baseline JPEG decoder (SOF0,
-// sequential DCT, Huffman entropy coding) — the computation inside the
-// paper's dominant FPGA engine (Table II's "Jpeg decoder", 59.6% of the
-// device's LUTs).
-//
-// Beyond providing an independent implementation validated against the
-// standard library's decoder, the package exists to make the paper's
-// device-choice argument measurable. Decoding splits into two phases:
+// Package jpegdec measures the paper's Section V-B split of JPEG decode
+// on the decoder the system runs, imgproc's. Decoding has two phases:
 //
 //  1. entropy decoding — a bit-serial Huffman walk where every decoded
 //     symbol's length determines where the next symbol begins ("there
 //     is no good parallel algorithm for the Huffman decoding phase",
 //     Section V-B), and
-//  2. block transforms — dequantization, inverse DCT, upsampling, and
-//     color conversion, all embarrassingly parallel across 8×8 blocks.
+//  2. block transforms — dequantization, inverse DCT, upsampling and
+//     colour conversion, all embarrassingly parallel across 8×8 blocks.
 //
-// Decode runs the two phases separately and reports their costs
-// (DecodeStats), which is the quantitative basis for "GPUs cannot
-// efficiently handle data formatting": the serial phase is a large,
-// irreducible fraction of the work.
+// imgproc.DecodeJPEGCropInto entropy-decodes every MCU but transforms
+// only the blocks its window reads, so a 1×1-window decode times the
+// headers, the whole serial walk and one block per component. Decode
+// times that probe and the full decode, and charges the difference to
+// the transforms (DecodeStats): the quantitative basis for "GPUs cannot
+// efficiently handle data formatting".
 package jpegdec
 
 import (
-	"fmt"
 	"time"
+
+	"trainbox/internal/imgproc"
 )
-
-// component is one color channel's coding parameters.
-type component struct {
-	id           byte
-	h, v         int // sampling factors
-	quantID      byte
-	dcTableID    byte
-	acTableID    byte
-	blocksPerMCU int
-}
-
-// decoder holds parse state plus the scratch buffers a reusable Decoder
-// carries across calls. Every slice field is backed by storage that is
-// grown in place and recycled on the next decode; a fresh decoder (the
-// package-level Decode shim) simply starts with empty scratch.
-type decoder struct {
-	data []byte
-	pos  int
-
-	width, height int
-	comps         []component // backed by compsBuf
-	compsBuf      [4]component
-	quant         [4][64]int32
-	huffDC        [4]*huffTable // nil or pointing into dcTables/acTables
-	huffAC        [4]*huffTable
-	dcTables      [4]huffTable
-	acTables      [4]huffTable
-	restart       int // restart interval in MCUs (0 = none)
-
-	maxH, maxV int
-
-	// coefficient storage: per component, per block row-major
-	// (blocksWide*blocksHigh*64 each), reused across decodes.
-	coeffs [4][]int32
-	bWide  [4]int // blocks per row, per component
-	bHigh  [4]int
-
-	// Scan/transform scratch that is loop-invariant across restarts and
-	// across decodes: DC predictors, the entropy bit reader, and the
-	// per-component sample planes.
-	dcPred  [4]int32
-	br      bitReader
-	planes  [4][]uint8
-	strides [4]int
-
-	// img backs the returned Image so its pixel buffer is recycled too.
-	img Image
-}
-
-// reset prepares the decoder for a new bitstream, clearing all parse
-// state while keeping the scratch buffers' capacity.
-func (d *decoder) reset(data []byte) {
-	d.data, d.pos = data, 0
-	d.width, d.height = 0, 0
-	d.comps = nil
-	d.quant = [4][64]int32{}
-	for i := range d.huffDC {
-		d.huffDC[i], d.huffAC[i] = nil, nil
-	}
-	d.restart = 0
-	d.maxH, d.maxV = 0, 0
-}
 
 // DecodeStats reports where decode time went.
 type DecodeStats struct {
-	// EntropyNanos is the bit-serial Huffman phase.
+	// EntropyNanos is the wall time of a 1×1-window decode: the
+	// bit-serial Huffman phase plus headers and one block per component.
 	EntropyNanos int64
-	// TransformNanos is the parallelizable dequant+IDCT+color phase.
+	// TransformNanos is the full decode's wall time minus EntropyNanos:
+	// the parallelizable dequant+IDCT+colour phase. Timer noise can make
+	// one decode's value negative, so callers sum over a corpus.
 	TransformNanos int64
 }
 
@@ -104,300 +42,26 @@ func (s DecodeStats) SerialShare() float64 {
 	return float64(s.EntropyNanos) / float64(total)
 }
 
-// Image is the decoded RGB output (interleaved, like imgproc.Image).
-type Image struct {
-	W, H int
-	Pix  []uint8
-}
-
-// Decoder is a reusable JPEG decoder. It carries coefficient, plane,
-// Huffman, and output-pixel scratch across calls so that steady-state
-// decoding is allocation-free once the buffers have grown to the
-// working set's size. A Decoder is not safe for concurrent use.
+// Decoder holds the probe's and the full decode's images, so a warm
+// Decode allocates nothing. A Decoder is not safe for concurrent use.
 type Decoder struct {
-	d decoder
+	probe, full imgproc.Image
 }
 
-// NewDecoder returns an empty Decoder; scratch grows on first use.
+// NewDecoder returns an empty Decoder; its buffers grow on first use.
 func NewDecoder() *Decoder { return &Decoder{} }
 
-// Decode decodes a baseline JPEG and reports phase statistics. The
-// returned Image (including its Pix buffer) is owned by the Decoder and
-// only valid until the next Decode call; callers that need the pixels
-// longer must copy them out.
-func (dec *Decoder) Decode(data []byte) (*Image, DecodeStats, error) {
-	d := &dec.d
-	d.reset(data)
-	var stats DecodeStats
-
-	if err := d.parseHeaders(); err != nil {
-		return nil, stats, err
+// Decode decodes a JPEG with imgproc and reports the phase split. The
+// returned Image is owned by the Decoder and valid until the next call.
+func (d *Decoder) Decode(data []byte) (*imgproc.Image, DecodeStats, error) {
+	start := time.Now()
+	if err := imgproc.DecodeJPEGCropInto(&d.probe, data, 0, 0, 1, 1); err != nil {
+		return nil, DecodeStats{}, err
 	}
-
-	t0 := time.Now()
-	if err := d.entropyDecode(); err != nil {
-		return nil, stats, err
+	probed := time.Now()
+	if err := imgproc.DecodeJPEGInto(&d.full, data); err != nil {
+		return nil, DecodeStats{}, err
 	}
-	stats.EntropyNanos = time.Since(t0).Nanoseconds()
-
-	t1 := time.Now()
-	img := d.transform()
-	stats.TransformNanos = time.Since(t1).Nanoseconds()
-	return img, stats, nil
-}
-
-// Decode decodes a baseline JPEG and reports phase statistics. It is a
-// thin shim over a throwaway Decoder, so the caller owns the returned
-// Image; hot paths that decode repeatedly should hold a Decoder and
-// reuse its scratch instead.
-func Decode(data []byte) (*Image, DecodeStats, error) {
-	return NewDecoder().Decode(data)
-}
-
-// --- marker parsing ---------------------------------------------------
-
-func (d *decoder) u8() (byte, error) {
-	if d.pos >= len(d.data) {
-		return 0, fmt.Errorf("jpegdec: truncated at %d", d.pos)
-	}
-	b := d.data[d.pos]
-	d.pos++
-	return b, nil
-}
-
-func (d *decoder) u16() (int, error) {
-	hi, err := d.u8()
-	if err != nil {
-		return 0, err
-	}
-	lo, err := d.u8()
-	if err != nil {
-		return 0, err
-	}
-	return int(hi)<<8 | int(lo), nil
-}
-
-func (d *decoder) parseHeaders() error {
-	if m, err := d.u16(); err != nil || m != 0xFFD8 {
-		return fmt.Errorf("jpegdec: missing SOI")
-	}
-	for {
-		marker, err := d.u16()
-		if err != nil {
-			return err
-		}
-		if marker>>8 != 0xFF {
-			return fmt.Errorf("jpegdec: bad marker %#x at %d", marker, d.pos)
-		}
-		switch marker {
-		case 0xFFC0: // SOF0 baseline
-			if err := d.parseSOF0(); err != nil {
-				return err
-			}
-		case 0xFFC2:
-			return fmt.Errorf("jpegdec: progressive JPEG not supported")
-		case 0xFFC4: // DHT
-			if err := d.parseDHT(); err != nil {
-				return err
-			}
-		case 0xFFDB: // DQT
-			if err := d.parseDQT(); err != nil {
-				return err
-			}
-		case 0xFFDD: // DRI
-			if _, err := d.u16(); err != nil {
-				return err
-			}
-			ri, err := d.u16()
-			if err != nil {
-				return err
-			}
-			d.restart = ri
-		case 0xFFDA: // SOS — scan follows; headers done.
-			return d.parseSOS()
-		case 0xFFD9:
-			return fmt.Errorf("jpegdec: EOI before scan")
-		default:
-			// Skip APPn/COM and other segments.
-			l, err := d.u16()
-			if err != nil {
-				return err
-			}
-			if l < 2 || d.pos+l-2 > len(d.data) {
-				return fmt.Errorf("jpegdec: bad segment length %d", l)
-			}
-			d.pos += l - 2
-		}
-	}
-}
-
-func (d *decoder) parseSOF0() error {
-	if _, err := d.u16(); err != nil {
-		return err
-	}
-	prec, err := d.u8()
-	if err != nil {
-		return err
-	}
-	if prec != 8 {
-		return fmt.Errorf("jpegdec: %d-bit precision not supported", prec)
-	}
-	if d.height, err = d.u16(); err != nil {
-		return err
-	}
-	if d.width, err = d.u16(); err != nil {
-		return err
-	}
-	nc, err := d.u8()
-	if err != nil {
-		return err
-	}
-	if nc != 1 && nc != 3 {
-		return fmt.Errorf("jpegdec: %d components not supported", nc)
-	}
-	d.comps = d.compsBuf[:nc]
-	for i := range d.comps {
-		d.comps[i] = component{}
-	}
-	for i := range d.comps {
-		c := &d.comps[i]
-		if c.id, err = d.u8(); err != nil {
-			return err
-		}
-		hv, err := d.u8()
-		if err != nil {
-			return err
-		}
-		c.h, c.v = int(hv>>4), int(hv&0xF)
-		if c.h < 1 || c.h > 4 || c.v < 1 || c.v > 4 {
-			return fmt.Errorf("jpegdec: bad sampling %dx%d", c.h, c.v)
-		}
-		if c.quantID, err = d.u8(); err != nil {
-			return err
-		}
-		if c.h > d.maxH {
-			d.maxH = c.h
-		}
-		if c.v > d.maxV {
-			d.maxV = c.v
-		}
-	}
-	return nil
-}
-
-func (d *decoder) parseDQT() error {
-	l, err := d.u16()
-	if err != nil {
-		return err
-	}
-	end := d.pos + l - 2
-	for d.pos < end {
-		pq, err := d.u8()
-		if err != nil {
-			return err
-		}
-		prec, id := pq>>4, pq&0xF
-		if id > 3 {
-			return fmt.Errorf("jpegdec: quant table id %d", id)
-		}
-		for i := 0; i < 64; i++ {
-			var v int
-			if prec == 0 {
-				b, err := d.u8()
-				if err != nil {
-					return err
-				}
-				v = int(b)
-			} else {
-				if v, err = d.u16(); err != nil {
-					return err
-				}
-			}
-			d.quant[id][zigzag[i]] = int32(v)
-		}
-	}
-	return nil
-}
-
-func (d *decoder) parseDHT() error {
-	l, err := d.u16()
-	if err != nil {
-		return err
-	}
-	end := d.pos + l - 2
-	for d.pos < end {
-		tc, err := d.u8()
-		if err != nil {
-			return err
-		}
-		class, id := tc>>4, tc&0xF
-		if class > 1 || id > 3 {
-			return fmt.Errorf("jpegdec: huffman table class %d id %d", class, id)
-		}
-		var counts [16]int
-		total := 0
-		for i := range counts {
-			b, err := d.u8()
-			if err != nil {
-				return err
-			}
-			counts[i] = int(b)
-			total += counts[i]
-		}
-		if d.pos+total > len(d.data) {
-			return fmt.Errorf("jpegdec: truncated huffman symbols")
-		}
-		symbols := d.data[d.pos : d.pos+total]
-		d.pos += total
-		table := &d.dcTables[id]
-		if class == 1 {
-			table = &d.acTables[id]
-		}
-		if err := table.init(counts, symbols); err != nil {
-			return err
-		}
-		if class == 0 {
-			d.huffDC[id] = table
-		} else {
-			d.huffAC[id] = table
-		}
-	}
-	return nil
-}
-
-func (d *decoder) parseSOS() error {
-	if _, err := d.u16(); err != nil {
-		return err
-	}
-	ns, err := d.u8()
-	if err != nil {
-		return err
-	}
-	if int(ns) != len(d.comps) {
-		return fmt.Errorf("jpegdec: scan has %d components, frame has %d", ns, len(d.comps))
-	}
-	for i := 0; i < int(ns); i++ {
-		id, err := d.u8()
-		if err != nil {
-			return err
-		}
-		td, err := d.u8()
-		if err != nil {
-			return err
-		}
-		found := false
-		for j := range d.comps {
-			if d.comps[j].id == id {
-				d.comps[j].dcTableID = td >> 4
-				d.comps[j].acTableID = td & 0xF
-				found = true
-			}
-		}
-		if !found {
-			return fmt.Errorf("jpegdec: scan component %d not in frame", id)
-		}
-	}
-	// Spectral selection / approximation bytes (fixed for baseline).
-	d.pos += 3
-	return nil
+	entropy := probed.Sub(start).Nanoseconds()
+	return &d.full, DecodeStats{EntropyNanos: entropy, TransformNanos: time.Since(probed).Nanoseconds() - entropy}, nil
 }

@@ -6,60 +6,70 @@ import (
 	"image/color"
 	"image/jpeg"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"trainbox/internal/imgproc"
 )
 
-// encodeRef encodes an RGBA image with the standard library at the given
-// quality and returns the bytes plus the stdlib-decoded reference pixels.
-func encodeRef(t *testing.T, src *image.RGBA, quality int) ([]byte, *image.YCbCr) {
+// fixtures returns imgproc's JPEG fixtures: image/jpeg's own 150×103
+// test images in every chroma subsample ratio, progressive, with
+// restarts, CMYK, RGB and grayscale.
+func fixtures(t *testing.T) map[string][]byte {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("..", "imgproc", "testdata", "jpeg", "*.jpeg"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no fixtures under imgproc/testdata/jpeg: %v", err)
+	}
+	out := make(map[string][]byte, len(paths))
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[filepath.Base(p)] = data
+	}
+	return out
+}
+
+// encode writes src with image/jpeg's encoder.
+func encode(t *testing.T, src image.Image, quality int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := jpeg.Encode(&buf, src, &jpeg.Options{Quality: quality}); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := jpeg.Decode(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ycc, ok := ref.(*image.YCbCr)
-	if !ok {
-		t.Fatalf("stdlib decoded to %T", ref)
-	}
-	return buf.Bytes(), ycc
+	return buf.Bytes()
 }
 
-// maeVsStdlib decodes with this package and with the standard library
-// and returns the mean absolute per-channel difference.
-func maeVsStdlib(t *testing.T, data []byte) float64 {
+// matchesStdlib requires Decode's pixels to equal image/jpeg's, read
+// through At().RGBA() >> 8.
+func matchesStdlib(t *testing.T, data []byte) {
 	t.Helper()
-	mine, stats, err := Decode(data)
+	got, stats, err := NewDecoder().Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.EntropyNanos < 0 || stats.TransformNanos < 0 {
-		t.Fatal("negative phase timings")
+	if stats.EntropyNanos <= 0 {
+		t.Errorf("entropy phase took %d ns", stats.EntropyNanos)
 	}
 	ref, err := jpeg.Decode(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := ref.Bounds()
-	if mine.W != b.Dx() || mine.H != b.Dy() {
-		t.Fatalf("size %dx%d, stdlib %dx%d", mine.W, mine.H, b.Dx(), b.Dy())
+	if got.W != b.Dx() || got.H != b.Dy() {
+		t.Fatalf("size %dx%d, image/jpeg %dx%d", got.W, got.H, b.Dx(), b.Dy())
 	}
-	var sum float64
-	for y := 0; y < mine.H; y++ {
-		for x := 0; x < mine.W; x++ {
+	for y := 0; y < got.H; y++ {
+		for x := 0; x < got.W; x++ {
 			r, g, bl, _ := ref.At(b.Min.X+x, b.Min.Y+y).RGBA()
-			i := (y*mine.W + x) * 3
-			sum += math.Abs(float64(mine.Pix[i]) - float64(r>>8))
-			sum += math.Abs(float64(mine.Pix[i+1]) - float64(g>>8))
-			sum += math.Abs(float64(mine.Pix[i+2]) - float64(bl>>8))
+			if pr, pg, pb := got.At(x, y); pr != uint8(r>>8) || pg != uint8(g>>8) || pb != uint8(bl>>8) {
+				t.Fatalf("pixel (%d,%d) = %d,%d,%d, image/jpeg %d,%d,%d", x, y, pr, pg, pb, r>>8, g>>8, bl>>8)
+			}
 		}
 	}
-	return sum / float64(mine.W*mine.H*3)
 }
 
 func TestDecodeMatchesStdlibOnSynthetic(t *testing.T) {
@@ -69,75 +79,117 @@ func TestDecodeMatchesStdlibOnSynthetic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mae := maeVsStdlib(t, data)
-		// Different IDCT/upsampling implementations round differently;
-		// agreement within ~2 counts is decoder-correct.
-		if mae > 2.5 {
-			t.Errorf("quality %d: MAE vs stdlib = %.2f", quality, mae)
-		}
+		matchesStdlib(t, data)
 	}
 }
 
+// TestDecodeGradientAndFlat covers a flat image and a gradient whose
+// size is no multiple of the MCU, so the 1×1 probe meets edge blocks.
 func TestDecodeGradientAndFlat(t *testing.T) {
-	// A flat image: every pixel identical; decode must be near-exact.
-	src := image.NewRGBA(image.Rect(0, 0, 40, 24))
-	for y := 0; y < 24; y++ {
-		for x := 0; x < 40; x++ {
-			src.SetRGBA(x, y, color.RGBA{R: 120, G: 80, B: 200, A: 255})
-		}
+	flat := image.NewRGBA(image.Rect(0, 0, 40, 24))
+	for i := 0; i < len(flat.Pix); i += 4 {
+		copy(flat.Pix[i:], []uint8{120, 80, 200, 255})
 	}
-	data, _ := encodeRef(t, src, 90)
-	if mae := maeVsStdlib(t, data); mae > 1.5 {
-		t.Errorf("flat image MAE = %.2f", mae)
-	}
-	// Non-multiple-of-MCU dimensions exercise edge cropping.
-	src2 := image.NewRGBA(image.Rect(0, 0, 33, 17))
+	matchesStdlib(t, encode(t, flat, 90))
+	odd := image.NewRGBA(image.Rect(0, 0, 33, 17))
 	for y := 0; y < 17; y++ {
 		for x := 0; x < 33; x++ {
-			src2.SetRGBA(x, y, color.RGBA{R: uint8(x * 7), G: uint8(y * 11), B: uint8(x + y), A: 255})
+			odd.SetRGBA(x, y, color.RGBA{R: uint8(x * 7), G: uint8(y * 11), B: uint8(x + y), A: 255})
 		}
 	}
-	data2, _ := encodeRef(t, src2, 85)
-	if mae := maeVsStdlib(t, data2); mae > 3.5 {
-		t.Errorf("odd-size image MAE = %.2f", mae)
-	}
+	matchesStdlib(t, encode(t, odd, 85))
 }
 
 func TestDecodeGrayscale(t *testing.T) {
 	src := image.NewGray(image.Rect(0, 0, 32, 32))
-	for y := 0; y < 32; y++ {
-		for x := 0; x < 32; x++ {
-			src.SetGray(x, y, color.Gray{Y: uint8(x*8 + y)})
+	for i := range src.Pix {
+		src.Pix[i] = uint8(i%32*8 + i/32)
+	}
+	matchesStdlib(t, encode(t, src, 90))
+}
+
+// TestDecoderReuseBitIdentical drives one Decoder across the fixtures
+// twice and requires every image to equal imgproc.DecodeJPEGInto's.
+func TestDecoderReuseBitIdentical(t *testing.T) {
+	corpus := fixtures(t)
+	dec := NewDecoder()
+	var want imgproc.Image
+	for pass := 0; pass < 2; pass++ {
+		for name, data := range corpus {
+			wantErr := imgproc.DecodeJPEGInto(&want, data)
+			got, _, err := dec.Decode(data)
+			if (err != nil) != (wantErr != nil) {
+				t.Fatalf("%s: Decode error %v, DecodeJPEGInto error %v", name, err, wantErr)
+			}
+			if err == nil && (got.W != want.W || got.H != want.H || !bytes.Equal(got.Pix, want.Pix)) {
+				t.Errorf("%s pass %d: Decode differs from DecodeJPEGInto", name, pass)
+			}
 		}
-	}
-	var buf bytes.Buffer
-	if err := jpeg.Encode(&buf, src, &jpeg.Options{Quality: 90}); err != nil {
-		t.Fatal(err)
-	}
-	if mae := maeVsStdlib(t, buf.Bytes()); mae > 1.5 {
-		t.Errorf("grayscale MAE = %.2f", mae)
 	}
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
+	data := fixtures(t)["video-001.jpeg"]
 	cases := [][]byte{
 		nil,
 		[]byte("not a jpeg"),
 		{0xFF, 0xD8},             // SOI only
 		{0xFF, 0xD8, 0xFF, 0xD9}, // SOI+EOI, no scan
+		data[:len(data)/2],       // truncated mid-scan
 	}
+	dec := NewDecoder()
 	for i, data := range cases {
-		if _, _, err := Decode(data); err == nil {
+		if _, _, err := dec.Decode(data); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
 }
 
-func TestDecodeRejectsProgressive(t *testing.T) {
-	// Hand-build a header that declares SOF2 (progressive).
-	data := []byte{0xFF, 0xD8, 0xFF, 0xC2, 0x00, 0x0B, 8, 0, 8, 0, 8, 1, 1, 0x11, 0}
-	if _, _, err := Decode(data); err == nil {
-		t.Error("progressive header accepted")
+// TestDecoderRecoversAfterError checks that a failed decode does not
+// poison the Decoder for the next good one.
+func TestDecoderRecoversAfterError(t *testing.T) {
+	data := fixtures(t)["video-001.q50.420.jpeg"]
+	dec := NewDecoder()
+	if _, _, err := dec.Decode([]byte{0xFF, 0xD8, 0x00}); err == nil {
+		t.Fatal("garbage should fail")
+	}
+	if _, _, err := dec.Decode(data[:len(data)/2]); err == nil {
+		t.Fatal("truncated stream should fail")
+	}
+	var want imgproc.Image
+	if err := imgproc.DecodeJPEGInto(&want, data); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := dec.Decode(data)
+	if err != nil {
+		t.Fatalf("decode after errors: %v", err)
+	}
+	if !bytes.Equal(got.Pix, want.Pix) {
+		t.Error("decode after errors differs from DecodeJPEGInto")
+	}
+}
+
+// TestDecoderSteadyStateAllocFree: the Decoder holds both images and
+// imgproc pools its decoder, so a warm Decode allocates nothing.
+func TestDecoderSteadyStateAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of Puts under the race detector")
+	}
+	data, err := imgproc.EncodeJPEG(imgproc.SynthesizeImage(imgproc.DefaultSynthConfig(), 7, 1), 85)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := NewDecoder()
+	if _, _, err := dec.Decode(data); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := dec.Decode(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm Decoder.Decode allocates %.1f objects/decode, want 0", allocs)
 	}
 }
 
@@ -151,9 +203,10 @@ func TestEntropyPhaseIsSubstantial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dec := NewDecoder()
 	var agg DecodeStats
 	for i := 0; i < 5; i++ {
-		_, stats, err := Decode(data)
+		_, stats, err := dec.Decode(data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,34 +218,6 @@ func TestEntropyPhaseIsSubstantial(t *testing.T) {
 		t.Errorf("serial entropy share = %.2f, want a substantial interior fraction", share)
 	}
 	t.Logf("serial (Huffman) share of decode: %.0f%%", 100*share)
-}
-
-func TestExtend(t *testing.T) {
-	cases := []struct {
-		v    int32
-		s    int
-		want int32
-	}{
-		{0, 0, 0},
-		{1, 1, 1},
-		{0, 1, -1},
-		{0b011, 3, -4},
-		{0b100, 3, 4},
-		{0b111, 3, 7},
-	}
-	for _, c := range cases {
-		if got := extend(c.v, c.s); got != c.want {
-			t.Errorf("extend(%b, %d) = %d, want %d", c.v, c.s, got, c.want)
-		}
-	}
-}
-
-func TestHuffTableRejectsMismatch(t *testing.T) {
-	var counts [16]int
-	counts[0] = 2
-	if err := (&huffTable{}).init(counts, []byte{1}); err == nil {
-		t.Error("count/symbol mismatch accepted")
-	}
 }
 
 func TestDecodeStatsSerialShare(t *testing.T) {

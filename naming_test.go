@@ -113,7 +113,6 @@ func TestAllExportedMetricNamesFollowScheme(t *testing.T) {
 const (
 	oracle  = "reference oracle the tests compare against"
 	seam    = "fault or fake seam the tests inject through"
-	pending = "jpegdec encoder, pending the jpegdec decision"
 	harness = "test harness"
 	probe   = "test probe"
 )
@@ -142,15 +141,6 @@ var notLinked = map[string]string{
 	"internal/fpga.WithFaults":          seam,
 	"internal/serve.WithPressureSignal": seam,
 	"internal/preppool.WithHealth":      seam,
-
-	"internal/jpegdec.Encode":          pending,
-	"internal/jpegdec.encodeBlock":     pending,
-	"internal/jpegdec.fdct8x8":         pending,
-	"internal/jpegdec.magnitude":       pending,
-	"internal/jpegdec.newEncTable":     pending,
-	"internal/jpegdec.scaleQuant":      pending,
-	"internal/jpegdec.bitWriter.write": pending,
-	"internal/jpegdec.bitWriter.flush": pending,
 
 	"internal/invariant": harness,
 
