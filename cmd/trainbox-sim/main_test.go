@@ -6,17 +6,16 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"trainbox/internal/experiments"
 )
 
-// timed names the experiments whose tables hold wall-clock
-// measurements. They differ from run to run, so the golden test skips
-// them; every other table is deterministic.
-var timed = map[string]bool{"autoscale": true, "dscache": true, "huffman": true}
-
 // TestAllMatchesGolden pins every deterministic table of `-exp all` to
-// testdata/all.txt byte for byte, one experiment at a time. Fig 5
-// trains on the real image kernels, so a kernel change that moves its
-// channel-averaged features fails here too; a channel swap does not.
+// testdata/all.txt byte for byte, one experiment at a time; a Timed
+// experiment's tables hold wall-clock measurements, so only their count
+// is checked. Fig 5 trains on the real image kernels, so a kernel change
+// that moves its channel-averaged features fails here too; a channel
+// swap does not.
 // After a change that moves a figure on purpose, regenerate it with
 //
 //	go run ./cmd/trainbox-sim -exp all > cmd/trainbox-sim/testdata/all.txt
@@ -26,19 +25,19 @@ func TestAllMatchesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := tables(string(golden))
-	for _, name := range sortedNames(experimentRunners("")) {
+	for _, e := range experiments.All {
 		var out bytes.Buffer
-		if code := run([]string{"-exp", name}, &out); code != 0 {
-			t.Fatalf("-exp %s exited %d", name, code)
+		if code := run([]string{"-exp", e.Name}, &out); code != 0 {
+			t.Fatalf("-exp %s exited %d", e.Name, code)
 		}
 		got := tables(out.String())
 		if len(got) > len(want) {
-			t.Fatalf("%s: the golden ends before its %d tables", name, len(got))
+			t.Fatalf("%s: the golden ends before its %d tables", e.Name, len(got))
 		}
 		section := strings.Join(want[:len(got)], "")
 		want = want[len(got):]
-		if g := strings.Join(got, ""); !timed[name] && g != section {
-			t.Errorf("%s differs from the golden:\n--- got\n%s--- want\n%s", name, g, section)
+		if g := strings.Join(got, ""); !e.Timed && g != section {
+			t.Errorf("%s differs from the golden:\n--- got\n%s--- want\n%s", e.Name, g, section)
 		}
 	}
 	if len(want) > 0 {

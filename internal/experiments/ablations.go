@@ -17,48 +17,39 @@ import (
 // choices the paper asserts, exercised as parameter sweeps over the
 // models so their sensitivity is visible.
 
-// AblationFPGAProvisioning sweeps the number of preparation accelerators
-// per train box (without the prep-pool) for one workload: the
-// provisioning question behind Section IV-D's observation that in-box
-// capacity "is statically determined at the deployment".
-func AblationFPGAProvisioning(name string) (*report.Table, error) {
-	w, err := workload.ByName(name)
-	if err != nil {
-		return nil, err
-	}
+// ablationFPGAProvisioning sweeps the number of preparation accelerators
+// per train box (without the prep-pool) for w: the provisioning question
+// behind Section IV-D's observation that in-box capacity "is statically
+// determined at the deployment".
+func ablationFPGAProvisioning(w workload.Workload) (Result, error) {
 	t := report.NewTable(
-		fmt.Sprintf("Ablation — in-box FPGA provisioning for %s (256 accels, no pool)", name),
+		fmt.Sprintf("Ablation — in-box FPGA provisioning for %s (256 accels, no pool)", w.Name),
 		"FPGAs/box", "throughput (samples/s)", "accel-equivalents", "bottleneck")
 	for _, perBox := range []int{1, 2, 3, 4} {
-		sys, err := arch.Build(arch.Config{
-			Kind: arch.TrainBoxNoPool, NumAccels: workload.TargetAccelerators,
-			FPGAsPerBox: perBox,
-		})
+		cfg := at256(arch.TrainBoxNoPool)
+		cfg.FPGAsPerBox = perBox
+		res, err := solve(cfg, w)
 		if err != nil {
-			return nil, err
-		}
-		res, err := core.Solve(sys, w)
-		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		t.AddRowf(perBox, float64(res.Throughput),
 			float64(res.Throughput)/float64(w.AccelRate), res.Bottleneck)
 	}
-	return t, nil
+	return tables(t), nil
 }
 
-// AblationEthernet sweeps the prep-pool link bandwidth for one audio
-// workload's per-box pool draw: the paper's choice of Ethernet over PCIe
-// rests on bandwidth parity (Section IV-D), and this shows where slower
-// links would strangle the pool.
-func AblationEthernet(name string) (*report.Table, error) {
-	w, err := workload.ByName(name)
+// ablationEthernet sweeps the prep-pool link bandwidth for TF-SR's
+// per-box pool draw: the paper's choice of Ethernet over PCIe rests on
+// bandwidth parity (Section IV-D), and this shows where slower links
+// would strangle the pool.
+func ablationEthernet(workload.Workload) (Result, error) {
+	w, err := workload.ByName("TF-SR")
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	required := units.SamplesPerSec(8 * float64(w.AccelRate)) // per box
 	t := report.NewTable(
-		fmt.Sprintf("Ablation — prep-pool link bandwidth for %s (per train box)", name),
+		fmt.Sprintf("Ablation — prep-pool link bandwidth for %s (per train box)", w.Name),
 		"link", "pool rate (samples/s)", "total rate", "satisfied")
 	links := []struct {
 		label string
@@ -72,25 +63,25 @@ func AblationEthernet(name string) (*report.Table, error) {
 	for _, l := range links {
 		net, err := eth.NewNetwork(eth.LinkSpec{Bandwidth: l.bw}, eth.SwitchSpec{Ports: 64})
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		alloc, err := fpga.SizePool(fpga.PoolRequest{
 			RequiredRate: required, InBoxFPGAs: 2, Type: w.Type,
 			OffloadBytesPerSample: w.Prep.StoredBytes + w.Prep.TensorBytes,
 		}, net, 64)
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		t.AddRowf(l.label, float64(alloc.PoolRate), float64(alloc.TotalRate()), alloc.Satisfied)
 	}
-	return t, nil
+	return tables(t), nil
 }
 
-// AblationSyncScheme compares synchronization schemes (naive central,
+// ablationSyncScheme compares synchronization schemes (naive central,
 // binomial tree, chunked ring) on compute+sync throughput at 256
 // accelerators — the Section II-B argument for rings, quantified per
 // workload.
-func AblationSyncScheme() (*report.Table, error) {
+func ablationSyncScheme(workload.Workload) (Result, error) {
 	t := report.NewTable("Ablation — synchronization scheme at 256 accelerators (samples/s)",
 		"workload", "central", "tree", "ring", "ring/central ×")
 	n := workload.TargetAccelerators
@@ -107,47 +98,39 @@ func AblationSyncScheme() (*report.Table, error) {
 		r := tput(ring.Latency(n, w.ModelBytes))
 		t.AddRowf(w.Name, c, tr, r, r/c)
 	}
-	return t, nil
+	return tables(t), nil
 }
 
-// AblationRCCapacity sweeps the root complex's aggregate capacity for
-// the B+Acc architecture: the "just buy a bigger host" counterfactual
-// that clustering makes unnecessary.
-func AblationRCCapacity(name string) (*report.Table, error) {
-	w, err := workload.ByName(name)
-	if err != nil {
-		return nil, err
-	}
+// ablationRCCapacity sweeps the root complex's aggregate capacity for
+// the B+Acc+P2P architecture on w: the "just buy a bigger host"
+// counterfactual that clustering makes unnecessary.
+func ablationRCCapacity(w workload.Workload) (Result, error) {
 	t := report.NewTable(
-		fmt.Sprintf("Ablation — root-complex capacity under B+Acc+P2P for %s (256 accels)", name),
+		fmt.Sprintf("Ablation — root-complex capacity under B+Acc+P2P for %s (256 accels)", w.Name),
 		"RC capacity ×Gen3", "throughput (samples/s)", "bottleneck", "TrainBox ratio")
-	tbSys, err := arch.Build(arch.Config{Kind: arch.TrainBox, NumAccels: workload.TargetAccelerators})
+	tb, err := solve(at256(arch.TrainBox), w)
 	if err != nil {
-		return nil, err
-	}
-	tb, err := core.Solve(tbSys, w)
-	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	for _, mult := range []float64{1, 2, 4, 8} {
-		sys, err := arch.Build(arch.Config{Kind: arch.BaselineAccP2P, NumAccels: workload.TargetAccelerators})
+		sys, err := arch.Build(at256(arch.BaselineAccP2P))
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		sys.RCCap = units.BytesPerSec(float64(sys.RCCap) * mult)
 		res, err := core.Solve(sys, w)
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		t.AddRowf(mult, float64(res.Throughput), res.Bottleneck,
 			float64(tb.Throughput)/float64(res.Throughput))
 	}
-	return t, nil
+	return tables(t), nil
 }
 
-// AblationPoolSharing exercises the multi-job pool scheduler: three jobs
+// ablationPoolSharing exercises the multi-job pool scheduler: three jobs
 // with different input types compete for a shrinking pool.
-func AblationPoolSharing() (*report.Table, error) {
+func ablationPoolSharing(workload.Workload) (Result, error) {
 	jobs := []fpga.JobRequest{
 		{Name: "Resnet-50 (4 boxes)", Type: workload.Image,
 			RequiredRate: units.SamplesPerSec(32 * 7431), InBoxRate: 8 * fpga.ImagePrepRate},
@@ -161,11 +144,11 @@ func AblationPoolSharing() (*report.Table, error) {
 	for _, pool := range []int{32, 16, 8, 0} {
 		allocs, err := fpga.SchedulePool(jobs, pool)
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		for _, a := range allocs {
 			t.AddRowf(pool, a.Name, a.GrantedFPGAs, 100*a.Fraction, a.Satisfied)
 		}
 	}
-	return t, nil
+	return tables(t), nil
 }

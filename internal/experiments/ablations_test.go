@@ -6,10 +6,7 @@ import (
 )
 
 func TestAblationFPGAProvisioningMonotone(t *testing.T) {
-	tb, err := AblationFPGAProvisioning("Resnet-50")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := run(t, "ablation-fpga", "Resnet-50").Tables[0]
 	if len(tb.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -25,16 +22,10 @@ func TestAblationFPGAProvisioningMonotone(t *testing.T) {
 		}
 		prev = v
 	}
-	if _, err := AblationFPGAProvisioning("nope"); err == nil {
-		t.Error("unknown workload accepted")
-	}
 }
 
 func TestAblationEthernetMonotone(t *testing.T) {
-	tb, err := AblationEthernet("TF-SR")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := run(t, "ablation-ethernet", "").Tables[0]
 	if len(tb.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -63,10 +54,7 @@ func TestAblationEthernetMonotone(t *testing.T) {
 }
 
 func TestAblationSyncSchemeRingWins(t *testing.T) {
-	tb, err := AblationSyncScheme()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := run(t, "ablation-sync", "").Tables[0]
 	if len(tb.Rows) != 7 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -81,10 +69,7 @@ func TestAblationSyncSchemeRingWins(t *testing.T) {
 }
 
 func TestAblationRCCapacityGrowsButTrainBoxStillWins(t *testing.T) {
-	tb, err := AblationRCCapacity("Resnet-50")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := run(t, "ablation-rc", "Resnet-50").Tables[0]
 	prev := 0.0
 	for i, row := range tb.Rows {
 		v, _ := strconv.ParseFloat(row[1], 64)
@@ -101,10 +86,7 @@ func TestAblationRCCapacityGrowsButTrainBoxStillWins(t *testing.T) {
 }
 
 func TestAblationPoolSharingShape(t *testing.T) {
-	tb, err := AblationPoolSharing()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := run(t, "ablation-pool", "").Tables[0]
 	if len(tb.Rows) != 12 { // 4 pool sizes × 3 jobs
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}

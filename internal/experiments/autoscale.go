@@ -13,35 +13,22 @@ import (
 	"trainbox/internal/storage"
 	"trainbox/internal/train"
 	"trainbox/internal/units"
+	"trainbox/internal/workload"
 )
 
-// AutoscaleStudyResult carries the autoscale ablation's headlines: the
-// demand each configuration ends the run with, and how many grow/shrink
-// moves the controller took when enabled.
-type AutoscaleStudyResult struct {
-	Table *report.Table
-	// StaticFinalRate is the fixed configuration's demand at the last
-	// epoch — by construction its starting value.
-	StaticFinalRate units.SamplesPerSec
-	// ScaledFinalRate is where the controller left demand; always inside
-	// the configured [Min, Max] band.
-	ScaledFinalRate units.SamplesPerSec
-	// ScaledUps and ScaledDowns count the controller's adjustments.
-	ScaledUps, ScaledDowns int64
-}
-
-// AutoscaleStudy is the elastic-jobs ablation: the same pooled training
+// autoscaleStudy is the elastic-jobs ablation: the same pooled training
 // job runs twice — once with its required rate pinned at registration
 // ("static") and once with the metrics-driven autoscaler enabled
 // ("autoscaled"), reading the job's own live train.driver overlap ratio
 // and moving Job.SetRequiredRate inside [Min, Max] with hysteresis.
 // The table records, per epoch and mode, the overlap signal the
 // controller saw, the demand it chose, and the pool leases that demand
-// pulled; the headline contrasts where each configuration's demand
-// ends up. Overlap is measured from live stage timings, so the
-// autoscaled trajectory varies run to run — the study demonstrates the
-// control loop, while internal/preppool's tests pin its arithmetic.
-func AutoscaleStudy() (AutoscaleStudyResult, error) {
+// pulled; the headlines, "static final rate" and "autoscaled final
+// rate", contrast where each configuration's demand ends up. Overlap is
+// measured from live stage timings, so the autoscaled trajectory varies
+// run to run — the study demonstrates the control loop, while
+// internal/preppool's tests pin its arithmetic.
+func autoscaleStudy(workload.Workload) (Result, error) {
 	const (
 		datasetSeed = 7
 		epochs      = 6
@@ -52,7 +39,7 @@ func AutoscaleStudy() (AutoscaleStudyResult, error) {
 	)
 	t := report.NewTable("Ablation — metrics-driven required-rate autoscaling (one pooled job)",
 		"mode", "epoch", "overlap", "required (samples/s)", "leases")
-	res := AutoscaleStudyResult{Table: t}
+	h := map[string]float64{}
 
 	run := func(autoscale bool) error {
 		mode := "static"
@@ -123,23 +110,15 @@ func AutoscaleStudy() (AutoscaleStudyResult, error) {
 			train.WithFeature(train.BlockFeature)); err != nil {
 			return err
 		}
-		final := pool.Stats()[0].RequiredRate
-		if autoscale {
-			res.ScaledFinalRate = final
-			snap := reg.Snapshot()
-			res.ScaledUps = snap.Counters["preppool.job.scaled.autoscale_ups"]
-			res.ScaledDowns = snap.Counters["preppool.job.scaled.autoscale_downs"]
-		} else {
-			res.StaticFinalRate = final
-		}
+		h[mode+" final rate"] = float64(pool.Stats()[0].RequiredRate)
 		return job.Close()
 	}
 
 	if err := run(false); err != nil {
-		return AutoscaleStudyResult{}, err
+		return Result{}, err
 	}
 	if err := run(true); err != nil {
-		return AutoscaleStudyResult{}, err
+		return Result{}, err
 	}
-	return res, nil
+	return Result{Tables: []*report.Table{t}, Headlines: h}, nil
 }

@@ -11,11 +11,8 @@ import (
 // scaled arm stays inside its [Min, Max] band — not a specific path
 // (preppool's unit tests pin the controller arithmetic).
 func TestAutoscaleStudy(t *testing.T) {
-	res, err := AutoscaleStudy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := res.Table
+	res := run(t, "autoscale", "")
+	tb := res.Tables[0]
 	if len(tb.Rows) != 12 { // 6 epochs × 2 modes
 		t.Fatalf("rows = %d, want 12", len(tb.Rows))
 	}
@@ -37,13 +34,10 @@ func TestAutoscaleStudy(t *testing.T) {
 			t.Errorf("row %v has unknown mode", row)
 		}
 	}
-	if res.StaticFinalRate != 4000 {
-		t.Errorf("StaticFinalRate = %v, want 4000", res.StaticFinalRate)
+	if r := headline(t, res, "static final rate"); r != 4000 {
+		t.Errorf("static final rate = %v, want 4000", r)
 	}
-	if res.ScaledFinalRate < 4000 || res.ScaledFinalRate > 32000 {
-		t.Errorf("ScaledFinalRate = %v outside [4000, 32000]", res.ScaledFinalRate)
-	}
-	if res.ScaledUps < 0 || res.ScaledDowns < 0 {
-		t.Errorf("negative move counters: ups=%d downs=%d", res.ScaledUps, res.ScaledDowns)
+	if r := headline(t, res, "autoscaled final rate"); r < 4000 || r > 32000 {
+		t.Errorf("autoscaled final rate = %v outside [4000, 32000]", r)
 	}
 }

@@ -12,32 +12,21 @@ import (
 	"trainbox/internal/storage"
 	"trainbox/internal/train"
 	"trainbox/internal/units"
+	"trainbox/internal/workload"
 )
 
-// CacheStudyResult carries the cache-tier study's headline: total
-// decode invocations with and without the shared tier at the
-// 4-consumer cell, and their ratio (the "one decode, N consumers"
-// amortization the tier exists for).
-type CacheStudyResult struct {
-	Table *report.Table
-	// UncachedDecodes is what 4 independent consumers would decode
-	// without the tier (consumers × epochs × keys).
-	UncachedDecodes int64
-	// CachedDecodes is what the shared tier actually decoded there.
-	CachedDecodes int64
-	// Amortization is UncachedDecodes / CachedDecodes.
-	Amortization float64
-}
-
-// CacheStudy sweeps the shared decode-cache tier across concurrent
+// cacheStudy sweeps the shared decode-cache tier across concurrent
 // consumers × byte budget × echo factor, training real (small) jobs on
 // one corpus. Per cell it reports the tier's decode count, hit rate,
 // and the mean prep-vs-step overlap ratio the jobs ended with — ample
 // budgets collapse decodes to one per key regardless of consumer
 // count; tight budgets evict and re-decode; data echoing lowers the
 // overlap ratio (each prepared epoch feeds more step time) without
-// touching decode counts.
-func CacheStudy() (CacheStudyResult, error) {
+// touching decode counts. Its headlines are the 4-consumer ample-budget
+// cell's decodes with the tier ("cached decodes"), what 4 independent
+// consumers would decode without it ("uncached decodes": consumers ×
+// epochs × keys), and their ratio ("amortization").
+func cacheStudy(workload.Workload) (Result, error) {
 	const (
 		items   = 8
 		epochs  = 3
@@ -45,7 +34,7 @@ func CacheStudy() (CacheStudyResult, error) {
 	)
 	store := storage.NewStore(storage.DefaultSSDSpec())
 	if err := dataprep.BuildImageDataset(store, items, classes, 7); err != nil {
-		return CacheStudyResult{}, err
+		return Result{}, err
 	}
 	keys := store.Keys()
 	imgCfg := dataprep.DefaultImageConfig()
@@ -53,7 +42,7 @@ func CacheStudy() (CacheStudyResult, error) {
 
 	t := report.NewTable("Study — shared decode-cache tier and data echoing (one decode, N consumers)",
 		"consumers", "budget", "echo", "decodes", "hit rate", "overlap")
-	res := CacheStudyResult{Table: t}
+	h := map[string]float64{}
 
 	type cell struct {
 		consumers int
@@ -107,7 +96,7 @@ func CacheStudy() (CacheStudyResult, error) {
 		}
 		wg.Wait()
 		if firstErr != nil {
-			return CacheStudyResult{}, firstErr
+			return Result{}, firstErr
 		}
 		s := c.Stats()
 		var hitRate float64
@@ -118,12 +107,12 @@ func CacheStudy() (CacheStudyResult, error) {
 			fmt.Sprintf("%.2f", hitRate),
 			fmt.Sprintf("%.2f", overlapSum/float64(cl.consumers)))
 		if cl.consumers == 4 && cl.budget >= units.MB && cl.echo == 1 {
-			res.CachedDecodes = s.Misses
-			res.UncachedDecodes = int64(cl.consumers * epochs * len(keys))
-			if s.Misses > 0 {
-				res.Amortization = float64(res.UncachedDecodes) / float64(s.Misses)
-			}
+			h["cached decodes"] = float64(s.Misses)
+			h["uncached decodes"] = float64(cl.consumers * epochs * len(keys))
+			h["amortization"] = h["uncached decodes"] / h["cached decodes"]
 		}
 	}
-	return res, nil
+	t.Title += fmt.Sprintf(" — 4 consumers amortize %.0f decodes to %.0f (%.1f×)",
+		h["uncached decodes"], h["cached decodes"], h["amortization"])
+	return Result{Tables: []*report.Table{t}, Headlines: h}, nil
 }

@@ -12,9 +12,10 @@ import (
 	"trainbox/internal/report"
 	"trainbox/internal/storage"
 	"trainbox/internal/units"
+	"trainbox/internal/workload"
 )
 
-// DynamicPoolStudy runs the live prep-pool runtime (Section V-D: the
+// dynamicPoolStudy runs the live prep-pool runtime (Section V-D: the
 // pool is re-divided as job demands change) with two concurrent image
 // jobs whose demands cross over mid-run: "alpha" starts needing three
 // pooled FPGAs and "beta" one; halfway through the rates swap and the
@@ -26,7 +27,7 @@ import (
 // actually prepared, plus the cumulative lease migrations. Both jobs
 // close at the end, and the study fails unless that released every
 // reservation on the fabric.
-func DynamicPoolStudy() (*report.Table, error) {
+func dynamicPoolStudy(workload.Workload) (Result, error) {
 	const (
 		datasetSeed = 7
 		epochs      = 6
@@ -34,27 +35,27 @@ func DynamicPoolStudy() (*report.Table, error) {
 	)
 	store := storage.NewStore(storage.DefaultSSDSpec())
 	if err := dataprep.BuildImageDataset(store, 8, 4, datasetSeed); err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	ns, err := nvme.LoadStore(store)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	imgCfg := dataprep.DefaultImageConfig()
 	imgCfg.CropW, imgCfg.CropH = 32, 32
 	net, err := eth.NewNetwork(eth.Link100G, eth.SwitchSpec{Ports: 4})
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	handlers := make([]*fpga.P2PHandler, devices)
 	for i := range handlers {
 		if handlers[i], err = fpga.NewP2PHandler(ns, fpga.NewImageEmulator(imgCfg), 8); err != nil {
-			return nil, err
+			return Result{}, err
 		}
 	}
 	pool, err := preppool.NewPool(handlers, preppool.WithNetwork(net, 64*units.KB))
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 
 	// alpha needs 3 pooled FPGAs at first, beta 1; the rates swap at the
@@ -71,11 +72,11 @@ func DynamicPoolStudy() (*report.Table, error) {
 	}
 	alpha, err := register("alpha", high, datasetSeed)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	beta, err := register("beta", low, datasetSeed+1)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 
 	t := report.NewTable("Dynamic prep-pool rebalancing (two jobs, demand crossover at epoch 3)",
@@ -84,15 +85,15 @@ func DynamicPoolStudy() (*report.Table, error) {
 	for epoch := 0; epoch < epochs; epoch++ {
 		if epoch == epochs/2 {
 			if err := alpha.SetRequiredRate(low); err != nil {
-				return nil, err
+				return Result{}, err
 			}
 			if err := beta.SetRequiredRate(high); err != nil {
-				return nil, err
+				return Result{}, err
 			}
 		}
 		for _, job := range []*preppool.Job{alpha, beta} {
 			if _, err := job.PrepareEpoch(ctx, store.Keys(), epoch); err != nil {
-				return nil, err
+				return Result{}, err
 			}
 		}
 		for _, st := range pool.Stats() {
@@ -102,11 +103,11 @@ func DynamicPoolStudy() (*report.Table, error) {
 	}
 	for _, job := range []*preppool.Job{alpha, beta} {
 		if err := job.Close(); err != nil {
-			return nil, err
+			return Result{}, err
 		}
 	}
 	if r := net.Reserved(); r != 0 {
-		return nil, fmt.Errorf("experiments: %v of fabric still reserved after both jobs closed", r)
+		return Result{}, fmt.Errorf("experiments: %v of fabric still reserved after both jobs closed", r)
 	}
-	return t, nil
+	return tables(t), nil
 }

@@ -8,10 +8,7 @@ import (
 func TestDynamicPoolStudy(t *testing.T) {
 	// The study errors unless closing both jobs left the fabric's
 	// Reserved() at 0, so a nil error is the lease-release check.
-	tb, err := DynamicPoolStudy()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := run(t, "preppool", "").Tables[0]
 	if len(tb.Rows) != 12 { // 6 epochs × 2 jobs
 		t.Fatalf("rows = %d, want 12", len(tb.Rows))
 	}

@@ -7,114 +7,129 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"trainbox/internal/workload"
 )
 
+// run runs the experiment named name on the workload named wl (the zero
+// Workload for "") and fails the test on an error.
+func run(t *testing.T, name, wl string) Result {
+	t.Helper()
+	var w workload.Workload
+	if wl != "" {
+		var err error
+		if w, err = workload.ByName(wl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range All {
+		if e.Name == name {
+			res, err := e.Run(w)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return res
+		}
+	}
+	t.Fatalf("no experiment %q", name)
+	return Result{}
+}
+
+// headline returns res's headline key, failing the test when res has
+// none by that name: a renamed key must not read 0 and pass.
+func headline(t *testing.T, res Result, key string) float64 {
+	t.Helper()
+	v, ok := res.Headlines[key]
+	if !ok {
+		t.Fatalf("no headline %q in %v", key, res.Headlines)
+	}
+	return v
+}
+
 func TestFig2aRenders(t *testing.T) {
-	out := Fig2a().String()
+	out := run(t, "fig2a", "").Tables[0].String()
 	if !strings.Contains(out, "2012") || !strings.Contains(out, "2019") {
 		t.Errorf("fig2a missing years:\n%s", out)
 	}
 }
 
 func TestFig2bSaturatesNearTwo(t *testing.T) {
-	res := Fig2b()
-	if res.NormalizedAt256 < 1.9 || res.NormalizedAt256 > 2.2 {
-		t.Errorf("normalized latency at 256 = %.3f, want ≈2 (Figure 2b)", res.NormalizedAt256)
+	res := run(t, "fig2b", "")
+	if at256 := headline(t, res, "normalized latency at 256"); at256 < 1.9 || at256 > 2.2 {
+		t.Errorf("normalized latency at 256 = %.3f, want ≈2 (Figure 2b)", at256)
 	}
-	if len(res.Table.Rows) != 9 {
-		t.Errorf("fig2b rows = %d", len(res.Table.Rows))
+	if len(res.Tables[0].Rows) != 9 {
+		t.Errorf("fig2b rows = %d", len(res.Tables[0].Rows))
 	}
 }
 
 func TestFig3FinalRatio(t *testing.T) {
-	res, err := Fig3()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, "fig3", "")
 	// Paper: prep is 54.9× the others in the final configuration; the
 	// model's calibration lands in the tens.
-	if res.FinalPrepOverOthers < 20 || res.FinalPrepOverOthers > 100 {
-		t.Errorf("final prep/others = %.1f×, want tens (paper 54.9×)", res.FinalPrepOverOthers)
+	if r := headline(t, res, "final prep/others"); r < 20 || r > 100 {
+		t.Errorf("final prep/others = %.1f×, want tens (paper 54.9×)", r)
 	}
-	if len(res.Table.Rows) != 4 {
-		t.Errorf("fig3 rows = %d, want 4", len(res.Table.Rows))
+	if len(res.Tables[0].Rows) != 4 {
+		t.Errorf("fig3 rows = %d, want 4", len(res.Tables[0].Rows))
 	}
 }
 
 func TestFig5AugmentationWins(t *testing.T) {
-	res, err := Fig5(DefaultFig5Config())
-	if err != nil {
-		t.Fatal(err)
+	res := run(t, "fig5", "")
+	with, without := headline(t, res, "final accuracy with"), headline(t, res, "final accuracy without")
+	if with <= without {
+		t.Errorf("augmented accuracy %.3f should beat plain %.3f (Figure 5)", with, without)
 	}
-	if res.FinalWith <= res.FinalWithout {
-		t.Errorf("augmented accuracy %.3f should beat plain %.3f (Figure 5)",
-			res.FinalWith, res.FinalWithout)
+	if with-without < 0.05 {
+		t.Errorf("augmentation gap = %.3f, want a clear margin", with-without)
 	}
-	if res.FinalWith-res.FinalWithout < 0.05 {
-		t.Errorf("augmentation gap = %.3f, want a clear margin", res.FinalWith-res.FinalWithout)
-	}
-	if res.FinalWith < 0.55 {
-		t.Errorf("augmented model accuracy %.3f suspiciously low", res.FinalWith)
-	}
-}
-
-func TestFig5RejectsDegenerateConfig(t *testing.T) {
-	if _, err := Fig5(Fig5Config{}); err == nil {
-		t.Error("degenerate config accepted")
+	if with < 0.55 {
+		t.Errorf("augmented model accuracy %.3f suspiciously low", with)
 	}
 }
 
 func TestFig8SaturationNearEighteen(t *testing.T) {
-	res, err := Fig8()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, "fig8", "")
 	// Figure 8: saturation "after 18 neural network accelerators".
-	if res.MaxSaturation < 14 || res.MaxSaturation > 22 {
-		t.Errorf("max baseline saturation = %.1f accel-equivalents, want ≈18", res.MaxSaturation)
+	if sat := headline(t, res, "max saturation"); sat < 14 || sat > 22 {
+		t.Errorf("max baseline saturation = %.1f accel-equivalents, want ≈18", sat)
 	}
-	if len(res.Table.Rows) != 7 {
-		t.Errorf("fig8 rows = %d", len(res.Table.Rows))
+	if len(res.Tables[0].Rows) != 7 {
+		t.Errorf("fig8 rows = %d", len(res.Tables[0].Rows))
 	}
 }
 
 func TestFig9MeanPrepShare(t *testing.T) {
-	res, err := Fig9()
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Paper: 98.1% on average.
-	if res.MeanPrepShare < 0.93 || res.MeanPrepShare > 1 {
-		t.Errorf("mean prep share = %.3f, want ≈0.98", res.MeanPrepShare)
+	if share := headline(t, run(t, "fig9", ""), "mean prep share"); share < 0.93 || share > 1 {
+		t.Errorf("mean prep share = %.3f, want ≈0.98", share)
 	}
 }
 
 func TestFig10Headlines(t *testing.T) {
-	res, err := Fig10()
-	if err != nil {
-		t.Fatal(err)
+	res := run(t, "fig10", "")
+	if cpu := headline(t, res, "max cpu"); cpu < 60 || cpu > 130 {
+		t.Errorf("max CPU = %.1f×, paper reports 100.7×", cpu)
 	}
-	if res.MaxCPU < 60 || res.MaxCPU > 130 {
-		t.Errorf("max CPU = %.1f×, paper reports 100.7×", res.MaxCPU)
+	if mem := headline(t, res, "max memory"); mem < 12 || mem > 26 {
+		t.Errorf("max memory = %.1f×, paper reports 17.9×", mem)
 	}
-	if res.MaxMemory < 12 || res.MaxMemory > 26 {
-		t.Errorf("max memory = %.1f×, paper reports 17.9×", res.MaxMemory)
+	if cores := headline(t, res, "max cores"); cores < 3000 {
+		t.Errorf("max cores = %.0f, paper reports 4,833", cores)
 	}
-	if res.MaxCores < 3000 {
-		t.Errorf("max cores = %.0f, paper reports 4,833", res.MaxCores)
+	if len(res.Tables) != 3 {
+		t.Fatalf("fig10 has %d tables, want 3", len(res.Tables))
 	}
-	for _, tb := range []string{res.CPU.String(), res.Memory.String(), res.PCIe.String()} {
-		if !strings.Contains(tb, "Resnet-50") {
+	for _, tb := range res.Tables {
+		if !strings.Contains(tb.String(), "Resnet-50") {
 			t.Error("fig10 table missing workloads")
 		}
 	}
 }
 
 func TestFig11SharesMatchPaper(t *testing.T) {
-	tb, err := Fig11()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := run(t, "fig11", "").Tables[0]
 	out := tb.String()
 	if !strings.Contains(out, "image") || !strings.Contains(out, "audio") {
 		t.Errorf("fig11 missing input types:\n%s", out)
@@ -125,7 +140,7 @@ func TestFig11SharesMatchPaper(t *testing.T) {
 }
 
 func TestTableIMatchesWorkloads(t *testing.T) {
-	tb := TableI()
+	tb := run(t, "table1", "").Tables[0]
 	if len(tb.Rows) != 7 {
 		t.Errorf("table I rows = %d", len(tb.Rows))
 	}
@@ -135,17 +150,11 @@ func TestTableIMatchesWorkloads(t *testing.T) {
 }
 
 func TestTablesIIAndIII(t *testing.T) {
-	t2, err := TableII()
-	if err != nil {
-		t.Fatal(err)
-	}
+	t2 := run(t, "table2", "").Tables[0]
 	if !strings.Contains(t2.String(), "Jpeg decoder") {
 		t.Error("table II missing JPEG decoder")
 	}
-	t3, err := TableIII()
-	if err != nil {
-		t.Fatal(err)
-	}
+	t3 := run(t, "table3", "").Tables[0]
 	if !strings.Contains(t3.String(), "Spectrogram") {
 		t.Error("table III missing spectrogram engine")
 	}
@@ -156,81 +165,62 @@ func TestTablesIIAndIII(t *testing.T) {
 }
 
 func TestFig19Headlines(t *testing.T) {
-	res, err := Fig19()
-	if err != nil {
-		t.Fatal(err)
+	res := run(t, "fig19", "")
+	if avg := headline(t, res, "avg trainbox"); avg < 35 || avg > 55 {
+		t.Errorf("average TrainBox speedup = %.1f×, paper reports 44.4×", avg)
 	}
-	if res.AvgTrainBox < 35 || res.AvgTrainBox > 55 {
-		t.Errorf("average TrainBox speedup = %.1f×, paper reports 44.4×", res.AvgTrainBox)
+	if acc := headline(t, res, "avg acc"); acc < 2.5 || acc > 6 {
+		t.Errorf("average B+Acc speedup = %.1f×, paper reports 3.32×", acc)
 	}
-	if res.AvgAcc < 2.5 || res.AvgAcc > 6 {
-		t.Errorf("average B+Acc speedup = %.1f×, paper reports 3.32×", res.AvgAcc)
+	if title := res.Tables[0].Title; !strings.Contains(title, "× on TF-AA (paper") {
+		t.Errorf("title %q does not put the max speedup on TF-AA, as the paper does", title)
 	}
-	if res.MaxName != "TF-AA" {
-		t.Errorf("max speedup on %s, paper reports TF-AA", res.MaxName)
-	}
-	if res.ClusteringGain < 8 || res.ClusteringGain > 16 {
-		t.Errorf("clustering gain = %.1f×, paper reports 13.4×", res.ClusteringGain)
+	if gain := headline(t, res, "clustering gain"); gain < 8 || gain > 16 {
+		t.Errorf("clustering gain = %.1f×, paper reports 13.4×", gain)
 	}
 }
 
 func TestFig20GrowsWithBatch(t *testing.T) {
-	res, err := Fig20()
-	if err != nil {
-		t.Fatal(err)
+	res := run(t, "fig20", "")
+	if sp := headline(t, res, "speedup at batch 8192"); sp < 10 {
+		t.Errorf("speedup at batch 8192 = %.1f×, want ≫10×", sp)
 	}
-	if res.SpeedupAtLargest < 10 {
-		t.Errorf("speedup at batch 8192 = %.1f×, want ≫10×", res.SpeedupAtLargest)
-	}
-	if len(res.Table.Rows) != 6 {
-		t.Errorf("fig20 rows = %d, want 6", len(res.Table.Rows))
+	if len(res.Tables[0].Rows) != 6 {
+		t.Errorf("fig20 rows = %d, want 6", len(res.Tables[0].Rows))
 	}
 }
 
 func TestFig21ShapesForBothWorkloads(t *testing.T) {
-	inc, err := Fig21("Inception-v4")
-	if err != nil {
-		t.Fatal(err)
-	}
+	inc, sr := run(t, "fig21", "Inception-v4"), run(t, "fig21", "TF-SR")
+	// Each headline is a configuration's accel-equivalents at 256.
+	incTB, incNoPool := headline(t, inc, "TrainBox"), headline(t, inc, "TrainBox w/o prep-pool")
 	// Inception: pool irrelevant (same final value).
-	if math.Abs(inc.FinalByConfig["TrainBox"]-inc.FinalByConfig["TrainBox w/o prep-pool"]) > 1e-6 {
-		t.Errorf("Inception pool should be irrelevant: %v vs %v",
-			inc.FinalByConfig["TrainBox"], inc.FinalByConfig["TrainBox w/o prep-pool"])
+	if math.Abs(incTB-incNoPool) > 1e-6 {
+		t.Errorf("Inception pool should be irrelevant: %v vs %v", incTB, incNoPool)
 	}
 	// TrainBox reaches near the target; baseline saturates near 18.
-	if inc.FinalByConfig["TrainBox"] < 240 {
-		t.Errorf("Inception TrainBox = %.1f accel-equivalents, want ≈256", inc.FinalByConfig["TrainBox"])
+	if incTB < 240 {
+		t.Errorf("Inception TrainBox = %.1f accel-equivalents, want ≈256", incTB)
 	}
-	if inc.FinalByConfig["Baseline (CPU)"] > 22 {
-		t.Errorf("Inception baseline = %.1f, want ≈18.3", inc.FinalByConfig["Baseline (CPU)"])
+	if base := headline(t, inc, "Baseline (CPU)"); base > 22 {
+		t.Errorf("Inception baseline = %.1f, want ≈18.3", base)
 	}
 
-	sr, err := Fig21("TF-SR")
-	if err != nil {
-		t.Fatal(err)
-	}
 	// TF-SR: pool matters; baseline saturates ≈4.4.
-	if sr.FinalByConfig["TrainBox"] <= sr.FinalByConfig["TrainBox w/o prep-pool"]*1.2 {
-		t.Errorf("TF-SR pool should add clear throughput: %v vs %v",
-			sr.FinalByConfig["TrainBox"], sr.FinalByConfig["TrainBox w/o prep-pool"])
+	if tb, noPool := headline(t, sr, "TrainBox"), headline(t, sr, "TrainBox w/o prep-pool"); tb <= noPool*1.2 {
+		t.Errorf("TF-SR pool should add clear throughput: %v vs %v", tb, noPool)
 	}
-	if math.Abs(sr.FinalByConfig["Baseline (CPU)"]-4.4) > 1 {
-		t.Errorf("TF-SR baseline = %.1f, want ≈4.4", sr.FinalByConfig["Baseline (CPU)"])
+	if base := headline(t, sr, "Baseline (CPU)"); math.Abs(base-4.4) > 1 {
+		t.Errorf("TF-SR baseline = %.1f, want ≈4.4", base)
 	}
 	// FPGA prep dominates GPU prep.
-	if sr.FinalByConfig["Baseline+Acc (FPGA)"] < sr.FinalByConfig["Baseline+Acc (GPU)"] {
+	if headline(t, sr, "Baseline+Acc (FPGA)") < headline(t, sr, "Baseline+Acc (GPU)") {
 		t.Error("FPGA prep should beat GPU prep for TF-SR")
-	}
-	if _, err := Fig21("nope"); err == nil {
-		t.Error("unknown workload accepted")
 	}
 }
 
 func TestFig22Renders(t *testing.T) {
-	tb, err := Fig22()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := run(t, "fig22", "").Tables[0]
 	if len(tb.Rows) != 8 { // 2 inputs × 4 architectures
 		t.Errorf("fig22 rows = %d, want 8", len(tb.Rows))
 	}
@@ -246,52 +236,31 @@ func TestFig22Renders(t *testing.T) {
 // updated with it. The band tests above say what the paper allows;
 // this says what the repo currently claims.
 func TestHeadlinesMatchExperimentsDoc(t *testing.T) {
-	check := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
 	doc, err := os.ReadFile("../../EXPERIMENTS.md")
-	check(err)
-	fig3, err := Fig3()
-	check(err)
-	fig5, err := Fig5(DefaultFig5Config())
-	check(err)
-	fig8, err := Fig8()
-	check(err)
-	fig9, err := Fig9()
-	check(err)
-	fig10, err := Fig10()
-	check(err)
-	fig19, err := Fig19()
-	check(err)
-	fig20, err := Fig20()
-	check(err)
-	fig21inc, err := Fig21("Inception-v4")
-	check(err)
-	fig21sr, err := Fig21("TF-SR")
-	check(err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig5, fig10, fig19 := run(t, "fig5", ""), run(t, "fig10", ""), run(t, "fig19", "")
 	for _, h := range []struct {
 		name, want string
 		got        float64
 	}{
-		{"Fig 2b normalized ring latency at n=256", "2.065", Fig2b().NormalizedAt256},
-		{"Fig 3 prep/others in final config", "34.49", fig3.FinalPrepOverOthers},
-		{"Fig 5 augmentation accuracy gap (points)", "38.89", 100 * (fig5.FinalWith - fig5.FinalWithout)},
-		{"Fig 8 baseline saturation (accel-equivalents)", "18.31", fig8.MaxSaturation},
-		{"Fig 9 mean prep share at 256 accels (%)", "97.16", 100 * fig9.MeanPrepShare},
-		{"Fig 10a max CPU requirement (× DGX-2)", "90.24", fig10.MaxCPU},
-		{"Fig 10a max cores required", "4331.7", fig10.MaxCores},
-		{"Fig 10b max memory requirement (× DGX-2)", "21.99", fig10.MaxMemory},
-		{"Fig 10c max PCIe requirement (× DGX-2)", "10.39", fig10.MaxPCIe},
-		{"Fig 19 avg TrainBox speedup", "44.54", fig19.AvgTrainBox},
-		{"Fig 19 avg B+Acc speedup", "4.458", fig19.AvgAcc},
-		{"Fig 19 clustering gain over B+Acc+P2P", "9.990", fig19.ClusteringGain},
-		{"Fig 19 max speedup (TF-AA)", "90.24", fig19.MaxTrainBox},
-		{"Fig 20 speedup at batch 8192", "31.19", fig20.SpeedupAtLargest},
-		{"Fig 21 Inception-v4 TrainBox accel-equivalents", "255.5", fig21inc.FinalByConfig["TrainBox"]},
-		{"Fig 21 TF-SR TrainBox accel-equivalents", "252.4", fig21sr.FinalByConfig["TrainBox"]},
+		{"Fig 2b normalized ring latency at n=256", "2.065", headline(t, run(t, "fig2b", ""), "normalized latency at 256")},
+		{"Fig 3 prep/others in final config", "34.49", headline(t, run(t, "fig3", ""), "final prep/others")},
+		{"Fig 5 augmentation accuracy gap (points)", "38.89", 100 * (headline(t, fig5, "final accuracy with") - headline(t, fig5, "final accuracy without"))},
+		{"Fig 8 baseline saturation (accel-equivalents)", "18.31", headline(t, run(t, "fig8", ""), "max saturation")},
+		{"Fig 9 mean prep share at 256 accels (%)", "97.16", 100 * headline(t, run(t, "fig9", ""), "mean prep share")},
+		{"Fig 10a max CPU requirement (× DGX-2)", "90.24", headline(t, fig10, "max cpu")},
+		{"Fig 10a max cores required", "4331.7", headline(t, fig10, "max cores")},
+		{"Fig 10b max memory requirement (× DGX-2)", "21.99", headline(t, fig10, "max memory")},
+		{"Fig 10c max PCIe requirement (× DGX-2)", "10.39", headline(t, fig10, "max pcie")},
+		{"Fig 19 avg TrainBox speedup", "44.54", headline(t, fig19, "avg trainbox")},
+		{"Fig 19 avg B+Acc speedup", "4.458", headline(t, fig19, "avg acc")},
+		{"Fig 19 clustering gain over B+Acc+P2P", "9.990", headline(t, fig19, "clustering gain")},
+		{"Fig 19 max speedup (TF-AA)", "90.24", headline(t, fig19, "max trainbox")},
+		{"Fig 20 speedup at batch 8192", "31.19", headline(t, run(t, "fig20", ""), "speedup at batch 8192")},
+		{"Fig 21 Inception-v4 TrainBox accel-equivalents", "255.5", headline(t, run(t, "fig21", "Inception-v4"), "TrainBox")},
+		{"Fig 21 TF-SR TrainBox accel-equivalents", "252.4", headline(t, run(t, "fig21", "TF-SR"), "TrainBox")},
 	} {
 		decimals := len(h.want) - strings.IndexByte(h.want, '.') - 1
 		if got := strconv.FormatFloat(h.got, 'f', decimals, 64); got != h.want {

@@ -4,39 +4,26 @@ import (
 	"fmt"
 
 	"trainbox/internal/arch"
-	"trainbox/internal/core"
 	"trainbox/internal/report"
 	"trainbox/internal/workload"
 )
 
-// FailureStudy injects device failures into TrainBox and measures the
-// degradation, with and without the prep-pool: one in-box FPGA down per
-// box, and one in-box SSD down per box. The pool's resilience role is an
-// implication of Section V-D (underutilized FPGAs back up overloaded
-// boxes) that the paper states but does not quantify.
-func FailureStudy(name string) (*report.Table, error) {
-	w, err := workload.ByName(name)
-	if err != nil {
-		return nil, err
-	}
+// failureStudy injects device failures into TrainBox running w and
+// measures the degradation, with and without the prep-pool: one in-box
+// FPGA down per box, and one in-box SSD down per box. The pool's
+// resilience role is an implication of Section V-D (underutilized FPGAs
+// back up overloaded boxes) that the paper states but does not quantify.
+func failureStudy(w workload.Workload) (Result, error) {
 	t := report.NewTable(
-		fmt.Sprintf("Failure injection — %s at 256 accelerators", name),
+		fmt.Sprintf("Failure injection — %s at 256 accelerators", w.Name),
 		"scenario", "pool", "throughput (samples/s)", "vs healthy %", "bottleneck")
-
-	type scenario struct {
-		label string
-		cfg   func(kind arch.Kind) arch.Config
-	}
-	scenarios := []scenario{
-		{"healthy", func(k arch.Kind) arch.Config {
-			return arch.Config{Kind: k, NumAccels: workload.TargetAccelerators}
-		}},
-		{"1 FPGA down per box", func(k arch.Kind) arch.Config {
-			return arch.Config{Kind: k, NumAccels: workload.TargetAccelerators, FPGAsPerBox: 1}
-		}},
-		{"1 SSD down per box", func(k arch.Kind) arch.Config {
-			return arch.Config{Kind: k, NumAccels: workload.TargetAccelerators, SSDsPerBox: 1}
-		}},
+	scenarios := []struct {
+		label       string
+		fpgas, ssds int // per box; zero is the healthy default
+	}{
+		{"healthy", 0, 0},
+		{"1 FPGA down per box", 1, 0},
+		{"1 SSD down per box", 0, 1},
 	}
 	for _, pooled := range []struct {
 		label string
@@ -44,13 +31,11 @@ func FailureStudy(name string) (*report.Table, error) {
 	}{{"no", arch.TrainBoxNoPool}, {"yes", arch.TrainBox}} {
 		var healthy float64
 		for _, sc := range scenarios {
-			sys, err := arch.Build(sc.cfg(pooled.kind))
+			cfg := at256(pooled.kind)
+			cfg.FPGAsPerBox, cfg.SSDsPerBox = sc.fpgas, sc.ssds
+			res, err := solve(cfg, w)
 			if err != nil {
-				return nil, err
-			}
-			res, err := core.Solve(sys, w)
-			if err != nil {
-				return nil, err
+				return Result{}, err
 			}
 			if sc.label == "healthy" {
 				healthy = float64(res.Throughput)
@@ -59,5 +44,5 @@ func FailureStudy(name string) (*report.Table, error) {
 				100*float64(res.Throughput)/healthy, res.Bottleneck)
 		}
 	}
-	return t, nil
+	return tables(t), nil
 }

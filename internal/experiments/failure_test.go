@@ -6,10 +6,7 @@ import (
 )
 
 func TestFailureStudyPoolAbsorbsFPGALoss(t *testing.T) {
-	tb, err := FailureStudy("Inception-v4")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := run(t, "failure", "Inception-v4").Tables[0]
 	if len(tb.Rows) != 6 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -35,8 +32,5 @@ func TestFailureStudyPoolAbsorbsFPGALoss(t *testing.T) {
 	}
 	if withPool < 99.9 {
 		t.Errorf("pooled FPGA failure dropped to %.1f%%; pool should absorb it", withPool)
-	}
-	if _, err := FailureStudy("nope"); err == nil {
-		t.Error("unknown workload accepted")
 	}
 }

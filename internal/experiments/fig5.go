@@ -9,125 +9,95 @@ import (
 	"trainbox/internal/nn"
 	"trainbox/internal/report"
 	"trainbox/internal/storage"
+	"trainbox/internal/workload"
 )
 
-// Fig5Config sizes the augmentation-accuracy study. The experiment
-// exercises the real pipeline kernels: training images are prepared with
-// or without augmentation (random crop / mirror / Gaussian noise) every
-// epoch, while held-out images are always prepared with input variation
-// — the distribution shift augmentation exists to cover.
-type Fig5Config struct {
-	ImageSize     int // stored synthetic image edge
-	CropSize      int // model input edge
-	Classes       int
-	TrainPerClass int
-	TestPerClass  int
-	Epochs        int
-	PoolBlock     int // mean-pool block for the MLP features
-	Hidden        int // hidden layer width
-	LearningRate  float64
-	NoiseStd      float64 // augmentation and test-time noise (8-bit counts)
-	Seed          int64
-}
-
-// DefaultFig5Config returns the full-size study (used by the example and
-// the benchmark); tests use a reduced configuration.
-func DefaultFig5Config() Fig5Config {
-	return Fig5Config{
-		ImageSize: 64, CropSize: 32, Classes: 3,
-		TrainPerClass: 24, TestPerClass: 24, Epochs: 30,
-		PoolBlock: 2, Hidden: 64, LearningRate: 0.1, NoiseStd: 8, Seed: 11,
-	}
-}
-
-// Fig5Result carries per-epoch held-out accuracy for both arms.
-type Fig5Result struct {
-	Table *report.Table
-	// FinalWith and FinalWithout are the last-epoch held-out accuracies;
-	// the paper reports a 29.1-point gap on ResNet-50/Imagenet.
-	FinalWith, FinalWithout float64
-}
-
-// Fig5 trains two identically initialized networks on the same stored
-// JPEGs — one arm preparing data with on-line augmentation each epoch,
-// one without — and evaluates both on a held-out set prepared with input
-// variation. It reproduces Figure 5's shape: the augmented model reaches
-// markedly higher held-out accuracy.
-func Fig5(cfg Fig5Config) (Fig5Result, error) {
-	if cfg.Classes < 2 || cfg.TrainPerClass < 1 || cfg.Epochs < 1 {
-		return Fig5Result{}, fmt.Errorf("experiments: degenerate fig5 config %+v", cfg)
-	}
+// fig5 trains two identically initialized networks on the same stored
+// JPEGs — one arm preparing data with on-line augmentation (random crop
+// / mirror / Gaussian noise) each epoch, one without — and evaluates
+// both on a held-out set always prepared with input variation, the
+// distribution shift augmentation exists to cover. It reproduces
+// Figure 5's shape: the augmented model reaches markedly higher
+// held-out accuracy. Its headlines are both arms' last-epoch held-out
+// accuracies; the paper reports a 29.1-point gap on ResNet-50/Imagenet.
+func fig5(workload.Workload) (Result, error) {
+	const (
+		imageSize     = 64 // stored synthetic image edge
+		cropSize      = 32 // model input edge
+		classes       = 3
+		trainPerClass = 24
+		testPerClass  = 24
+		epochs        = 30
+		poolBlock     = 2  // mean-pool block for the MLP features
+		hidden        = 64 // hidden layer width
+		learningRate  = 0.1
+		noiseStd      = 8 // augmentation and test-time noise (8-bit counts)
+		seed          = 11
+	)
 	store := storage.NewStore(storage.DefaultSSDSpec())
-	synth := imgproc.SynthConfig{Size: cfg.ImageSize, Quality: 90}
-	nTrain := cfg.Classes * cfg.TrainPerClass
-	nTest := cfg.Classes * cfg.TestPerClass
+	synth := imgproc.SynthConfig{Size: imageSize, Quality: 90}
+	nTrain := classes * trainPerClass
+	nTest := classes * testPerClass
 	for i := 0; i < nTrain+nTest; i++ {
 		// Stripe-frequency classes: no crop-invariant shortcut exists, so
 		// augmentation's value (phase/orientation coverage) is visible.
-		img := imgproc.SynthesizeStriped(synth, cfg.Seed+int64(i), i%cfg.Classes)
+		img := imgproc.SynthesizeStriped(synth, seed+int64(i), i%classes)
 		data, err := imgproc.EncodeJPEG(img, synth.Quality)
 		if err != nil {
-			return Fig5Result{}, err
+			return Result{}, err
 		}
 		if err := store.Put(storage.Object{
-			Key: fmt.Sprintf("f5-%05d", i), Label: i % cfg.Classes, Data: data,
+			Key: fmt.Sprintf("f5-%05d", i), Label: i % classes, Data: data,
 		}); err != nil {
-			return Fig5Result{}, err
+			return Result{}, err
 		}
 	}
 	keys := store.Keys()
 	trainKeys, testKeys := keys[:nTrain], keys[nTrain:]
 
 	augCfg := dataprep.ImageConfig{
-		CropW: cfg.CropSize, CropH: cfg.CropSize,
-		MirrorProb: 0.5, NoiseStd: cfg.NoiseStd, Augment: true,
+		CropW: cropSize, CropH: cropSize,
+		MirrorProb: 0.5, NoiseStd: noiseStd, Augment: true,
 	}
 	plainCfg := augCfg
 	plainCfg.Augment = false
 
 	// Held-out set: prepared once with input variation (random crop,
 	// mirror, noise) — the unseen-data distribution of Figure 5.
-	testExec := dataprep.NewExecutor(dataprep.ImagePreparer{Config: augCfg}, 0, cfg.Seed+999)
+	testExec := dataprep.NewExecutor(dataprep.ImagePreparer{Config: augCfg}, 0, seed+999)
 	testBatch, err := testExec.PrepareBatch(store, testKeys, 0)
 	if err != nil {
-		return Fig5Result{}, err
+		return Result{}, err
 	}
-	testSamples := toSamples(testBatch, cfg.PoolBlock)
+	testSamples := toSamples(testBatch, poolBlock)
 
-	featDim := featureDim(cfg.CropSize, cfg.PoolBlock)
-	netWith := nn.NewMLP([]int{featDim, cfg.Hidden, cfg.Classes}, rand.New(rand.NewSource(cfg.Seed)))
-	netWithout := nn.NewMLP([]int{featDim, cfg.Hidden, cfg.Classes}, rand.New(rand.NewSource(cfg.Seed)))
+	// Mean-pooled luminance only: the striped dataset is grayscale.
+	featDim := (cropSize / poolBlock) * (cropSize / poolBlock)
+	netWith := nn.NewMLP([]int{featDim, hidden, classes}, rand.New(rand.NewSource(seed)))
+	netWithout := nn.NewMLP([]int{featDim, hidden, classes}, rand.New(rand.NewSource(seed)))
 
-	augExec := dataprep.NewExecutor(dataprep.ImagePreparer{Config: augCfg}, 0, cfg.Seed)
-	plainExec := dataprep.NewExecutor(dataprep.ImagePreparer{Config: plainCfg}, 0, cfg.Seed)
+	augExec := dataprep.NewExecutor(dataprep.ImagePreparer{Config: augCfg}, 0, seed)
+	plainExec := dataprep.NewExecutor(dataprep.ImagePreparer{Config: plainCfg}, 0, seed)
 
 	t := report.NewTable("Figure 5 — held-out accuracy with and without augmentation",
 		"epoch", "with augmentation", "w/o augmentation")
-	var res Fig5Result
-	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
+	var with, without float64
+	for epoch := 1; epoch <= epochs; epoch++ {
 		augBatch, err := augExec.PrepareBatch(store, trainKeys, epoch)
 		if err != nil {
-			return Fig5Result{}, err
+			return Result{}, err
 		}
 		plainBatch, err := plainExec.PrepareBatch(store, trainKeys, epoch)
 		if err != nil {
-			return Fig5Result{}, err
+			return Result{}, err
 		}
-		netWith.TrainEpoch(toSamples(augBatch, cfg.PoolBlock), 16, cfg.LearningRate)
-		netWithout.TrainEpoch(toSamples(plainBatch, cfg.PoolBlock), 16, cfg.LearningRate)
-		res.FinalWith = netWith.Accuracy(testSamples)
-		res.FinalWithout = netWithout.Accuracy(testSamples)
-		t.AddRowf(epoch, res.FinalWith, res.FinalWithout)
+		netWith.TrainEpoch(toSamples(augBatch, poolBlock), 16, learningRate)
+		netWithout.TrainEpoch(toSamples(plainBatch, poolBlock), 16, learningRate)
+		with, without = netWith.Accuracy(testSamples), netWithout.Accuracy(testSamples)
+		t.AddRowf(epoch, with, without)
 	}
-	res.Table = t
-	return res, nil
-}
-
-// featureDim returns the mean-pooled feature dimensionality (luminance
-// only: the striped dataset is grayscale).
-func featureDim(crop, block int) int {
-	side := crop / block
-	return side * side
+	return Result{Tables: []*report.Table{t},
+		Headlines: map[string]float64{"final accuracy with": with, "final accuracy without": without}}, nil
 }
 
 // toSamples mean-pools the prepared tensors' first channel into compact

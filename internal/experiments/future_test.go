@@ -7,10 +7,7 @@ import (
 )
 
 func TestFutureWorkWidensTheGap(t *testing.T) {
-	tb, err := FutureWork()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := run(t, "future", "").Tables[0]
 	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -65,10 +62,7 @@ func TestFutureWorkloadsValidate(t *testing.T) {
 }
 
 func TestInferenceStudyShape(t *testing.T) {
-	tb, err := InferenceStudy()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := run(t, "inference", "").Tables[0]
 	if len(tb.Rows) != 7 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -88,40 +82,31 @@ func TestInferenceStudyShape(t *testing.T) {
 }
 
 func TestStaticPrepMatchesPaperEstimate(t *testing.T) {
-	res := StaticPrep()
+	res := run(t, "staticprep", "")
 	// Section III-D: "static data preparation requires about 2.2 PBs".
-	if res.ImagenetPB < 1.8 || res.ImagenetPB > 2.4 {
-		t.Errorf("static-prep storage = %.2f PB, paper reports ≈2.2", res.ImagenetPB)
+	if pb := headline(t, res, "imagenet PB"); pb < 1.8 || pb > 2.4 {
+		t.Errorf("static-prep storage = %.2f PB, paper reports ≈2.2", pb)
 	}
-	if len(res.Table.Rows) != 6 {
-		t.Errorf("rows = %d", len(res.Table.Rows))
+	if len(res.Tables[0].Rows) != 6 {
+		t.Errorf("rows = %d", len(res.Tables[0].Rows))
 	}
 }
 
 func TestHuffmanStudyCeiling(t *testing.T) {
-	res, err := HuffmanStudy(3)
-	if err != nil {
-		t.Fatal(err)
+	res := run(t, "huffman", "")
+	if share := headline(t, res, "serial share"); share <= 0.03 || share >= 0.9 {
+		t.Errorf("serial share = %.2f, want a substantial interior fraction", share)
 	}
-	if res.SerialShare <= 0.03 || res.SerialShare >= 0.9 {
-		t.Errorf("serial share = %.2f, want a substantial interior fraction", res.SerialShare)
+	if ceiling := headline(t, res, "amdahl ceiling"); ceiling < 1.1 {
+		t.Errorf("Amdahl ceiling = %.1f, must exceed 1", ceiling)
 	}
-	if res.AmdahlCeiling < 1.1 {
-		t.Errorf("Amdahl ceiling = %.1f, must exceed 1", res.AmdahlCeiling)
-	}
-	if len(res.Table.Rows) != 7 {
-		t.Errorf("rows = %d", len(res.Table.Rows))
-	}
-	if _, err := HuffmanStudy(0); err == nil {
-		t.Error("zero images accepted")
+	if len(res.Tables[0].Rows) != 7 {
+		t.Errorf("rows = %d", len(res.Tables[0].Rows))
 	}
 }
 
 func TestPlannerStudy(t *testing.T) {
-	tb, err := PlannerStudy()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := run(t, "planner", "").Tables[0]
 	if len(tb.Rows) != 14 { // 7 workloads × 2 targets
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}

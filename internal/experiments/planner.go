@@ -7,12 +7,12 @@ import (
 	"trainbox/internal/workload"
 )
 
-// PlannerStudy exercises the rack-capacity planner across every Table I
+// plannerStudy exercises the rack-capacity planner across every Table I
 // workload at half and full target-scale demand, showing how the
 // preparation-to-compute provisioning ratio the paper's Table I spread
 // implies varies by workload (audio and RNN-S lean on the pool; the
 // CNNs mostly do not).
-func PlannerStudy() (*report.Table, error) {
+func plannerStudy(workload.Workload) (Result, error) {
 	t := report.NewTable("Rack plans per workload (PlanRack)",
 		"workload", "target (samples/s)", "boxes", "accels", "pool FPGAs", "achieved", "bottleneck")
 	for _, w := range workload.Workloads() {
@@ -21,11 +21,11 @@ func PlannerStudy() (*report.Table, error) {
 			target := units.SamplesPerSec(full * frac)
 			plan, err := core.PlanRack(w, target, 4096)
 			if err != nil {
-				return nil, err
+				return Result{}, err
 			}
 			t.AddRowf(w.Name, float64(target), plan.Boxes, plan.Accels,
 				plan.PoolFPGAs, float64(plan.Achieved), plan.Bottleneck)
 		}
 	}
-	return t, nil
+	return tables(t), nil
 }

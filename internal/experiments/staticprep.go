@@ -4,24 +4,17 @@ import (
 	"trainbox/internal/imgproc"
 	"trainbox/internal/report"
 	"trainbox/internal/units"
+	"trainbox/internal/workload"
 )
 
-// StaticPrepResult carries the headline of the naive-solution analysis.
-type StaticPrepResult struct {
-	Table *report.Table
-	// ImagenetPB is the storage for statically pre-augmenting Imagenet
-	// with random cropping alone (paper: ≈2.2 PB, Section III-D).
-	ImagenetPB float64
-}
-
-// StaticPrep quantifies Section III-D's "limitations of naive solutions":
+// staticPrep quantifies Section III-D's "limitations of naive solutions":
 // materializing augmented datasets ahead of time instead of preparing
 // on-line. For random cropping alone, every stored image expands into
 // every distinct crop position; the paper rounds 33×33 positions to
-// 32×32 and reports ≈2.2 PB for Imagenet. The table extends the analysis
-// with mirroring (×2) and a 10-seed noise ensemble (×10) to show the
-// blow-up compounds multiplicatively.
-func StaticPrep() StaticPrepResult {
+// 32×32 and reports ≈2.2 PB for Imagenet, the headline. The table
+// extends the analysis with mirroring (×2) and a 10-seed noise ensemble
+// (×10) to show the blow-up compounds multiplicatively.
+func staticPrep(workload.Workload) (Result, error) {
 	const (
 		numImages = 14e6 // Imagenet items (Section III-D)
 		cropMB    = 0.15 // 224×224 RGB, the paper's per-crop figure
@@ -44,6 +37,5 @@ func StaticPrep() StaticPrepResult {
 	row("+ mirror", crops*2)
 	row("+ 10-seed noise", crops*2*10)
 	t.AddRowf("on-line preparation (TrainBox)", 0, units.Bytes(cropMB*1e6*numImages).String())
-
-	return StaticPrepResult{Table: t, ImagenetPB: pb}
+	return Result{Tables: []*report.Table{t}, Headlines: map[string]float64{"imagenet PB": pb}}, nil
 }

@@ -10,21 +10,7 @@ import (
 	"trainbox/internal/workload"
 )
 
-// SyncStudyResult carries the gradient-sync ablation: per-box-count
-// latency of every topology's model and the in-network aggregation
-// headline.
-type SyncStudyResult struct {
-	Table *report.Table
-	// RingMs / PSMs / InNetworkMs are the 256-accel sync latencies in
-	// milliseconds.
-	RingMs, PSMs, InNetworkMs float64
-	// InNetworkSpeedup is the host Ethernet ring's latency over
-	// InNetworkMs at 256 accels: what SmartNIC aggregation buys over
-	// running a host ring on the same Ethernet ports.
-	InNetworkSpeedup float64
-}
-
-// SyncStudy prices the gradient-sync topologies against each other
+// syncStudy prices the gradient-sync topologies against each other
 // across box counts — the scenario space the paper closes with "ring
 // sync is solved". Every cell is an analytical model: ring, tree, and
 // halving-doubling on the NVLink-class accelerator fabric; the parameter
@@ -32,11 +18,14 @@ type SyncStudyResult struct {
 // reached over worker links); in-network aggregation offloading the
 // reduce into the prep network's switch behind compressing SmartNICs,
 // compared against a host ring over the same Ethernet ports. Only the
-// ring also runs (collective.NewRing).
-func SyncStudy() (SyncStudyResult, error) {
+// ring also runs (collective.NewRing). Its headlines are the 256-accel
+// ring, ps and in-network latencies in ms, and the in-network speedup:
+// the host Ethernet ring's latency over in-network's, what SmartNIC
+// aggregation buys over running a host ring on the same ports.
+func syncStudy(workload.Workload) (Result, error) {
 	w, err := workload.ByName("Inception-v4")
 	if err != nil {
-		return SyncStudyResult{}, err
+		return Result{}, err
 	}
 
 	ring := collective.DefaultRingModel()
@@ -50,7 +39,7 @@ func SyncStudy() (SyncStudyResult, error) {
 		fmt.Sprintf("Study — gradient-sync backends, %s (%s model), latency per sync in ms", w.Name, w.ModelBytes),
 		"boxes", "accels", "ring", "tree", "halving", "ps", "eth ring", "in-network", "best")
 
-	res := SyncStudyResult{Table: t}
+	h := map[string]float64{}
 	ms := func(s float64) float64 { return s * 1e3 }
 	for _, boxes := range []int{2, 8, 32} {
 		n := boxes * arch.AccelsPerBox
@@ -64,11 +53,11 @@ func SyncStudy() (SyncStudyResult, error) {
 		}
 		net, err := eth.NewNetwork(eth.Link100G, eth.SwitchSpec{Ports: n})
 		if err != nil {
-			return SyncStudyResult{}, err
+			return Result{}, err
 		}
 		agg, err := net.InNetwork(eth.DefaultAggregationSpec())
 		if err != nil {
-			return SyncStudyResult{}, err
+			return Result{}, err
 		}
 
 		lat := map[string]float64{
@@ -89,14 +78,12 @@ func SyncStudy() (SyncStudyResult, error) {
 			ms(lat["ps"]), ms(hostEth), ms(lat["in-network"]), best)
 
 		if n == workload.TargetAccelerators {
-			res.RingMs = ms(lat["ring"])
-			res.PSMs = ms(lat["ps"])
-			res.InNetworkMs = ms(lat["in-network"])
-			if lat["in-network"] > 0 {
-				res.InNetworkSpeedup = hostEth / lat["in-network"]
-			}
+			h["ring ms"] = ms(lat["ring"])
+			h["ps ms"] = ms(lat["ps"])
+			h["in-network ms"] = ms(lat["in-network"])
+			h["in-network speedup"] = hostEth / lat["in-network"]
 		}
 	}
-
-	return res, nil
+	t.Title += fmt.Sprintf(" — in-network %.1f× over host eth ring at 256", h["in-network speedup"])
+	return Result{Tables: []*report.Table{t}, Headlines: h}, nil
 }

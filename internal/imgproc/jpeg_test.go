@@ -99,7 +99,11 @@ func TestDecodeJPEGCropIntoMatchesCrop(t *testing.T) {
 		if err := DecodeJPEGInto(&full, data); err != nil {
 			t.Fatal(err)
 		}
-		for _, size := range [][2]int{{ModelSize, ModelSize}, {16, 16}, {1, 37}} {
+		// The frame itself and an odd-sized near-full window, which fits
+		// at offsets 0 and 13: the 224² window does not fit the 150×103
+		// 4:4:4 fixture.
+		for _, size := range [][2]int{{ModelSize, ModelSize}, {16, 16}, {1, 37},
+			{full.W, full.H}, {(full.W - 14) | 1, (full.H - 2) | 1}} {
 			for x := 0; x+size[0] <= full.W; x += 13 {
 				y := (x * 7) % (full.H - size[1] + 1)
 				if err := DecodeJPEGCropInto(&got, data, x, y, size[0], size[1]); err != nil {

@@ -180,7 +180,7 @@ func (r *TrainRunner) Run(ctx context.Context, id string, spec JobSpec, e Elasti
 		opts = append(opts, train.WithSuspender(e.Suspender))
 	}
 	if e.Checkpoint != nil {
-		opts = append(opts, train.WithCheckpointEvery(1), train.WithCheckpointSink(e.Checkpoint))
+		opts = append(opts, train.WithCheckpointSink(e.Checkpoint))
 	}
 	if e.Restore != nil {
 		opts = append(opts, train.WithRestore(*e.Restore))

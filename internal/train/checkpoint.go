@@ -9,8 +9,8 @@ import (
 )
 
 // ErrSuspended is returned (wrapped) by Run when a Suspender parked the
-// run at an epoch boundary. The run's final checkpoint goes to the
-// WithCheckpointSink callback.
+// run at an epoch boundary. The checkpoint of that boundary is the last
+// one the WithCheckpointSink callback received.
 var ErrSuspended = errors.New("train: run suspended")
 
 // Checkpoint is an epoch-boundary snapshot of a training run: every
@@ -104,9 +104,10 @@ func capture(cfg Config, replicas []*nn.Network, opts []*nn.SGD, epoch int) Chec
 }
 
 // Suspender asks a running train.Run to park itself at the next epoch
-// boundary. Suspend may be called from any goroutine; the run captures a
-// final Checkpoint, hands it to the WithCheckpointSink callback (when
-// set), and returns an error satisfying errors.Is(err, ErrSuspended).
+// boundary. Suspend may be called from any goroutine; the run parks on
+// the checkpoint of that boundary, which the WithCheckpointSink callback
+// (when set) has received, and returns an error satisfying
+// errors.Is(err, ErrSuspended).
 // A later run with WithRestore continues bit-identically. A Suspender is
 // single-use: attach a fresh one to each run.
 type Suspender struct {
@@ -133,24 +134,13 @@ func (s *Suspender) Requested() bool {
 	return s.requested
 }
 
-// WithCheckpointEvery captures a checkpoint after every n-th completed
-// epoch (n ≥ 1) and hands it to the WithCheckpointSink callback. The
-// final epoch is not checkpointed — the run's Result is the final
-// state. Without a sink the option is rejected at Run time.
-func WithCheckpointEvery(n int) Option {
-	return func(o *runOptions) error {
-		if n < 1 {
-			return fmt.Errorf("train: checkpoint interval must be ≥ 1, got %d", n)
-		}
-		o.checkpointEvery = n
-		return nil
-	}
-}
-
-// WithCheckpointSink sets the callback receiving captured checkpoints.
-// It is called synchronously from the serial step stage — between
-// epochs, never concurrently with weight updates — so it may hold the
-// snapshot without copying; keep it fast or training stalls.
+// WithCheckpointSink captures a checkpoint after every completed epoch
+// but the final one — the run's Result is the final state — and hands
+// it to sink; a parked run (see Suspender) hands over the checkpoint of
+// the epoch it parked after, once. The sink is called synchronously
+// from the serial step stage — between epochs, never concurrently with
+// weight updates — so it may hold the snapshot without copying; keep it
+// fast or training stalls.
 func WithCheckpointSink(sink func(Checkpoint)) Option {
 	return func(o *runOptions) error {
 		if sink == nil {

@@ -3,6 +3,7 @@ package train
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"strconv"
 	"testing"
@@ -43,7 +44,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	var cps []Checkpoint
 	full, err := Run(context.Background(), cfg,
 		WithDataset(exec, store, keys), WithFeature(BlockFeature),
-		WithCheckpointEvery(1), WithCheckpointSink(func(cp Checkpoint) { cps = append(cps, cp) }))
+		WithCheckpointSink(func(cp Checkpoint) { cps = append(cps, cp) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,15 +86,7 @@ func TestCheckpointValidation(t *testing.T) {
 	exec, store, keys := setup(t, 8)
 	cfg := baseConfig()
 
-	// Interval without a sink, bad interval, nil sink, nil suspender.
-	if _, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature),
-		WithCheckpointEvery(1)); err == nil {
-		t.Error("checkpoint interval without sink accepted")
-	}
-	if _, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature),
-		WithCheckpointEvery(0), WithCheckpointSink(func(Checkpoint) {})); err == nil {
-		t.Error("zero checkpoint interval accepted")
-	}
+	// Nil sink, nil suspender.
 	if _, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature),
 		WithCheckpointSink(nil)); err == nil {
 		t.Error("nil sink accepted")
@@ -106,7 +99,7 @@ func TestCheckpointValidation(t *testing.T) {
 	// Grab one real checkpoint to mutate.
 	var cp Checkpoint
 	if _, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature),
-		WithCheckpointEvery(1), WithCheckpointSink(func(c Checkpoint) { cp = c })); err != nil {
+		WithCheckpointSink(func(c Checkpoint) { cp = c })); err != nil {
 		t.Fatal(err)
 	}
 
@@ -193,17 +186,41 @@ func TestSuspendAfterFinalEpochIsIgnored(t *testing.T) {
 
 	s := NewSuspender()
 	s.Suspend()
-	parked := false
 	res, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature),
-		WithSuspender(s), WithCheckpointSink(func(Checkpoint) { parked = true }))
+		WithSuspender(s))
+	if errors.Is(err, ErrSuspended) {
+		t.Fatalf("single-epoch run parked after its final epoch: %v", err)
+	}
 	if err != nil {
 		t.Fatalf("single-epoch run with pending suspend failed: %v", err)
 	}
-	if parked {
-		t.Error("finished run must not deliver a park checkpoint")
-	}
 	if res.SamplesProcessed != 8 {
 		t.Errorf("samples = %d, want 8", res.SamplesProcessed)
+	}
+}
+
+// TestSuspendHandsSinkEachEpochOnce: a run parked after epoch 1 of 4
+// has handed its sink the checkpoints of epochs 0 and 1, each once — the
+// park reuses the boundary's checkpoint instead of capturing it again.
+func TestSuspendHandsSinkEachEpochOnce(t *testing.T) {
+	exec, store, keys := setup(t, 8)
+	cfg := baseConfig()
+	cfg.Epochs = 4
+
+	s := NewSuspender()
+	var epochs []int
+	_, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature),
+		WithSuspender(s), WithCheckpointSink(func(cp Checkpoint) {
+			epochs = append(epochs, cp.Epoch)
+			if cp.Epoch == 1 {
+				s.Suspend() // seen at this same boundary: parks after epoch 1
+			}
+		}))
+	if !errors.Is(err, ErrSuspended) {
+		t.Fatalf("run returned %v, want ErrSuspended", err)
+	}
+	if fmt.Sprint(epochs) != "[0 1]" {
+		t.Errorf("sink received epochs %v, want [0 1]", epochs)
 	}
 }
 
@@ -240,7 +257,7 @@ func TestJobKillResumeChaos(t *testing.T) {
 	}
 	_, err = Run(ctx, cfg,
 		WithPreparer(killer, len(keys)), WithFeature(BlockFeature),
-		WithCheckpointEvery(1), WithCheckpointSink(func(cp Checkpoint) { cps = append(cps, cp) }))
+		WithCheckpointSink(func(cp Checkpoint) { cps = append(cps, cp) }))
 	if err == nil {
 		t.Fatal("killed run succeeded")
 	}
@@ -299,7 +316,7 @@ func TestJobKillResumeUnderFaultStorm(t *testing.T) {
 	}
 	_, err = Run(context.Background(), cfg,
 		WithPreparer(crasher, len(keys)), WithFeature(BlockFeature),
-		WithCheckpointEvery(1), WithCheckpointSink(func(cp Checkpoint) { cps = append(cps, cp) }))
+		WithCheckpointSink(func(cp Checkpoint) { cps = append(cps, cp) }))
 	if !errors.Is(err, boom) {
 		t.Fatalf("crashed run returned %v, want the crash error", err)
 	}

@@ -187,10 +187,9 @@ type runOptions struct {
 	// repo's feature functions do — they build fresh []float64 inputs).
 	recycle func([]dataprep.Prepared)
 	// checkpoint/restore and suspension (see checkpoint.go).
-	checkpointEvery int
-	checkpointSink  func(Checkpoint)
-	restore         *Checkpoint
-	suspender       *Suspender
+	checkpointSink func(Checkpoint)
+	restore        *Checkpoint
+	suspender      *Suspender
 	// sync is the gradient-sync reducer; nil selects the default ring
 	// bound to the run's registry.
 	sync collective.Reducer
@@ -363,9 +362,6 @@ func Run(ctx context.Context, cfg Config, opts ...Option) (Result, error) {
 	}
 	if o.feature == nil {
 		return Result{}, fmt.Errorf("train: no feature function (use WithFeature)")
-	}
-	if o.checkpointEvery > 0 && o.checkpointSink == nil {
-		return Result{}, fmt.Errorf("train: WithCheckpointEvery needs WithCheckpointSink")
 	}
 	if o.cache != nil {
 		if err := bindCache(&o); err != nil {
@@ -559,17 +555,14 @@ func run(ctx context.Context, cfg Config, o runOptions) (Result, error) {
 				overlap.Set(float64(prepBusyNs.Load()) / float64(sb))
 			}
 			// Epoch boundary: the step stage is the sole weight mutator,
-			// so snapshots taken here are consistent. Periodic
-			// checkpoints feed the sink; a pending Suspend parks the run
-			// unless this was already the final epoch.
+			// so snapshots taken here are consistent. Every non-final
+			// epoch feeds the sink; a pending Suspend then parks the run
+			// on that checkpoint.
 			final := es.epoch == cfg.Epochs-1
-			if o.checkpointEvery > 0 && !final && (es.epoch+1)%o.checkpointEvery == 0 {
+			if o.checkpointSink != nil && !final {
 				o.checkpointSink(capture(cfg, replicas, opts, es.epoch))
 			}
 			if o.suspender != nil && !final && o.suspender.Requested() {
-				if o.checkpointSink != nil {
-					o.checkpointSink(capture(cfg, replicas, opts, es.epoch))
-				}
 				return nil, fmt.Errorf("train: parked after epoch %d of %d: %w", es.epoch, cfg.Epochs, ErrSuspended)
 			}
 			return stats, nil
