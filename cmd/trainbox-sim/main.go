@@ -7,7 +7,6 @@
 //	trainbox-sim -exp all            # every experiment, in -list order
 //	trainbox-sim -list               # list experiment names
 //	trainbox-sim -exp fig21 -workload TF-SR
-//	trainbox-sim -exp fig19 -csv     # emit CSV instead of aligned text
 //	trainbox-sim -exp prof           # profile the real Go data-prep kernels
 package main
 
@@ -31,7 +30,6 @@ func run(args []string, stdout io.Writer) int {
 	exp := fs.String("exp", "", "experiment to run (see -list), or \"all\"")
 	list := fs.Bool("list", false, "list experiment names and exit")
 	wl := fs.String("workload", "Inception-v4", "workload for fig21, ablation-fpga, ablation-rc and failure")
-	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0
@@ -71,11 +69,7 @@ func run(args []string, stdout io.Writer) int {
 			return 1
 		}
 		for _, t := range res.Tables {
-			if *csv {
-				fmt.Fprint(stdout, t.CSV())
-			} else {
-				fmt.Fprintln(stdout, t.String())
-			}
+			fmt.Fprintln(stdout, t.String())
 		}
 	}
 	return 0

@@ -43,7 +43,6 @@ var All = []Experiment{
 	{Name: "ablation-pool", Run: ablationPoolSharing},
 	{Name: "ablation-rc", Run: ablationRCCapacity},
 	{Name: "ablation-sync", Run: ablationSyncScheme},
-	{Name: "autoscale", Timed: true, Run: autoscaleStudy},
 	{Name: "dscache", Timed: true, Run: cacheStudy},
 	{Name: "failure", Run: failureStudy},
 	{Name: "fig10", Run: fig10},

@@ -232,7 +232,8 @@ func TestClusterFlakyDeviceRecovers(t *testing.T) {
 	handlers, store, cfg := chaosFixture(t, flake, flake)
 	reg := metrics.NewRegistry()
 	fb := dataprep.NewExecutor(dataprep.ImagePreparer{Config: cfg}, 2, 0)
-	cluster := newCluster(t, handlers, WithHealth(DefaultHealthConfig()), WithFallback(fb, store), WithMetrics(reg))
+	// No WithHealth: the default health config is what re-dispatches.
+	cluster := newCluster(t, handlers, WithFallback(fb, store), WithMetrics(reg))
 
 	out, err := cluster.PrepareBatch(context.Background(), store.Keys(), datasetSeed, epoch)
 	if err != nil {
@@ -241,19 +242,5 @@ func TestClusterFlakyDeviceRecovers(t *testing.T) {
 	assertBitIdentical(t, out, hostOracle(t, store, cfg, datasetSeed, epoch))
 	if reg.Counter("fpga.pool.sample_retries").Value() == 0 {
 		t.Error("flaky pool recorded no sample retries")
-	}
-}
-
-// TestClusterHealthDisabledKeepsFailFast: without WithHealth the legacy
-// contract holds — the first device error fails the whole batch.
-func TestClusterHealthDisabledKeepsFailFast(t *testing.T) {
-	handlers, store, _ := chaosFixture(t, faults.NewDeviceDeath(0), nil)
-	cluster := newCluster(t, handlers)
-	if _, err := cluster.PrepareBatch(context.Background(), store.Keys(), 1, 0); !errors.Is(err, faults.ErrDeviceDead) {
-		t.Errorf("err = %v, want ErrDeviceDead", err)
-	}
-	// Both devices are back in the pool after the failed batch.
-	if got := len(cluster.avail); got != cluster.Devices() {
-		t.Errorf("%d of %d devices returned to pool", got, cluster.Devices())
 	}
 }

@@ -23,15 +23,14 @@ import (
 // which device serves which sample — the property that makes pool
 // offload transparent to training.
 //
-// That same property is what makes the pool self-healing: with health
-// tracking enabled (WithHealth) a device that keeps failing is ejected
-// — the pool shrinks instead of the batch dying — and its samples are
-// re-dispatched to surviving devices or, when every device is gone, to
-// the host executor (WithFallback). Ejected devices are periodically
-// re-admitted on probation: one clean job restores them, one more
-// failure re-ejects them. The degradation ladder is therefore
-// retry-on-another-device → shrink the pool → host fallback, and every
-// rung preserves bit-identical output.
+// That same property is what makes the pool self-healing: a device that
+// keeps failing is ejected — the pool shrinks instead of the batch
+// dying — and its samples are re-dispatched to surviving devices or,
+// when every device is gone, to the host executor (WithFallback).
+// Ejected devices are periodically re-admitted on probation: one clean
+// job restores them, one more failure re-ejects them. The degradation
+// ladder is therefore retry-on-another-device → shrink the pool → host
+// fallback, and every rung preserves bit-identical output.
 //
 // Membership is dynamic: Lease adds a device and Release removes one,
 // the seam the multi-job prep-pool runtime (internal/preppool) uses to
@@ -98,13 +97,13 @@ type device struct {
 // NewCluster builds a cluster over the pooled device handlers,
 // configured by functional options (WithHealth, WithFallback,
 // WithMetrics, WithName, WithFaults). Devices are checked out per
-// sample, so concurrent batches share the pool. Health tracking is off
-// by default (any device error fails the batch, the pre-resilience
-// contract). A cluster needs at least one handler unless WithFallback
-// arms a host path, in which case it may start empty and grow through
-// Lease.
+// sample, so concurrent batches share the pool. Health tracking always
+// runs, with DefaultHealthConfig unless WithHealth tunes it. A cluster
+// needs at least one handler unless WithFallback arms a host path, in
+// which case it may start empty and grow through Lease.
 func NewCluster(handlers []*P2PHandler, opts ...Option) (*Cluster, error) {
 	c := &Cluster{
+		health:  DefaultHealthConfig(),
 		index:   map[*P2PHandler]*device{},
 		allDead: make(chan struct{}),
 	}
@@ -280,16 +279,12 @@ func (c *Cluster) Stats() []pipeline.StageStats {
 	return c.stats.Snapshot()
 }
 
-func (c *Cluster) healthEnabled() bool { return c.health.EjectAfter > 0 }
-
 // PrepareBatch prepares the keyed objects in order across the pooled
 // devices: a dispatch stage with parallelism = device count checks a
 // device out of the pool per sample, runs its SSD→FPGA path, and
 // returns it. Ordering and bit-identity with the host executor are
-// preserved. Without health tracking the first device error cancels the
-// whole batch; with it (WithHealth), device-attributable failures
-// re-dispatch the sample and only data errors — or an empty pool with
-// no fallback — fail the batch.
+// preserved. Device-attributable failures re-dispatch the sample; only
+// data errors — or an empty pool with no fallback — fail the batch.
 func (c *Cluster) PrepareBatch(ctx context.Context, keys []string, datasetSeed int64, epoch int) ([]dataprep.Prepared, error) {
 	c.beginBatch()
 	par := c.Devices()
@@ -317,21 +312,14 @@ func (c *Cluster) PrepareBatch(ctx context.Context, keys []string, datasetSeed i
 }
 
 // prepareSample serves one sample through the degradation ladder:
-// pooled devices first (re-dispatching on device faults while health
-// tracking allows), then the host fallback once the pool is empty or
-// the sample's pool attempts are spent.
+// pooled devices first (re-dispatching on device faults), then the host
+// fallback once the pool is empty or the sample's pool attempts are
+// spent.
 func (c *Cluster) prepareSample(ctx context.Context, key string, datasetSeed int64, epoch int) (dataprep.Prepared, error) {
 	seed := dataprep.SampleSeed(datasetSeed, key, epoch)
-	maxTries := 1
-	if c.healthEnabled() {
-		// One sample can at worst take every strike of every device;
-		// acquire reports !ok once the last one is ejected. A smaller
-		// bound can spend every try on one dying device while a healthy
-		// one is checked out by another sample.
-		maxTries = c.Devices() * c.health.EjectAfter
-	}
+	maxTries := 0 // unbounded until the first device fault sets it
 	var lastErr error
-	for attempt := 0; attempt < maxTries; attempt++ {
+	for attempt := 0; maxTries == 0 || attempt < maxTries; attempt++ {
 		d, ok, err := c.acquire(ctx)
 		if err != nil {
 			return dataprep.Prepared{}, err
@@ -349,10 +337,16 @@ func (c *Cluster) prepareSample(ctx context.Context, key string, datasetSeed int
 		}
 		deviceFault := faults.IsDeviceFault(p.Err)
 		c.release(d, !deviceFault)
-		if !c.healthEnabled() || !deviceFault {
-			// Data errors fail identically everywhere; without health
-			// tracking every error keeps the legacy fail-fast contract.
+		if !deviceFault {
+			// Data errors fail identically everywhere.
 			return dataprep.Prepared{}, fmt.Errorf("fpga: pool sample %q: %w", key, p.Err)
+		}
+		if maxTries == 0 {
+			// One sample can at worst take every strike of every device;
+			// acquire reports !ok once the last one is ejected. A smaller
+			// bound can spend every try on one dying device while a
+			// healthy one is checked out by another sample.
+			maxTries = c.Devices() * c.health.EjectAfter
 		}
 		lastErr = p.Err
 		c.mRetries.Inc()
@@ -403,13 +397,6 @@ func (c *Cluster) acquire(ctx context.Context) (d *device, ok bool, err error) {
 // strikes; a device fault adds one, and enough consecutive strikes —
 // or any strike while on probation — eject it instead of returning it.
 func (c *Cluster) release(d *device, clean bool) {
-	if !c.healthEnabled() {
-		c.mu.Lock()
-		avail := c.avail
-		c.mu.Unlock()
-		avail <- d
-		return
-	}
 	c.mu.Lock()
 	if clean {
 		d.consecFails = 0
@@ -443,9 +430,6 @@ func (c *Cluster) release(d *device, clean bool) {
 // whose probation period has elapsed. Re-admission happens between
 // batches, so within one batch the live-device set only shrinks.
 func (c *Cluster) beginBatch() {
-	if !c.healthEnabled() {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.batches++

@@ -35,10 +35,11 @@ func (o Option) applyHandler(h *P2PHandler) error {
 	return o.handler(h)
 }
 
-// WithHealth enables the cluster's per-device health tracking (zero
-// fields select defaults): consecutive failures eject a device, ejected
-// devices are re-admitted on probation, and failed samples are
-// re-dispatched to other devices instead of failing the batch.
+// WithHealth tunes the cluster's per-device health tracking, which runs
+// with DefaultHealthConfig when this option is absent: EjectAfter
+// consecutive failures eject a device (≤ 0 selects the default) and an
+// ejected device is re-admitted on probation ProbationBatches batches
+// later (0 makes ejection permanent).
 func WithHealth(cfg HealthConfig) Option {
 	return Option{name: "WithHealth", cluster: func(c *Cluster) error {
 		if cfg.EjectAfter <= 0 {

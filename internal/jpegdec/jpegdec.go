@@ -11,9 +11,10 @@
 // imgproc.DecodeJPEGCropInto entropy-decodes every MCU but transforms
 // only the blocks its window reads, so a 1×1-window decode times the
 // headers, the whole serial walk and one block per component. Decode
-// times that probe and the full decode, and charges the difference to
-// the transforms (DecodeStats): the quantitative basis for "GPUs cannot
-// efficiently handle data formatting".
+// runs that probe once untimed to warm imgproc's decoder, then times it
+// and the full decode, and charges the difference to the transforms
+// (DecodeStats): the quantitative basis for "GPUs cannot efficiently
+// handle data formatting".
 package jpegdec
 
 import (
@@ -54,6 +55,12 @@ func NewDecoder() *Decoder { return &Decoder{} }
 // Decode decodes a JPEG with imgproc and reports the phase split. The
 // returned Image is owned by the Decoder and valid until the next call.
 func (d *Decoder) Decode(data []byte) (*imgproc.Image, DecodeStats, error) {
+	// An untimed probe first: imgproc pools its decoders, and after a GC
+	// empties that pool the first decode pays for a cold one, which the
+	// timed probe would charge to the entropy phase.
+	if err := imgproc.DecodeJPEGCropInto(&d.probe, data, 0, 0, 1, 1); err != nil {
+		return nil, DecodeStats{}, err
+	}
 	start := time.Now()
 	if err := imgproc.DecodeJPEGCropInto(&d.probe, data, 0, 0, 1, 1); err != nil {
 		return nil, DecodeStats{}, err

@@ -77,9 +77,9 @@ func WithMetrics(reg *metrics.Registry) Option {
 	}
 }
 
-// WithHealth overrides the health config each job's cluster runs with.
-// The default is fpga.DefaultHealthConfig — the pool needs health
-// tracking on to observe device death at all.
+// WithHealth tunes the health tracking each job's cluster runs (the
+// default is fpga.DefaultHealthConfig): how fast a failing device is
+// ejected, and so how soon the next epoch boundary retires it.
 func WithHealth(cfg fpga.HealthConfig) Option {
 	return func(p *Pool) error {
 		p.health = cfg
@@ -179,7 +179,6 @@ type Job struct {
 	target   int // device count the last rebalance granted
 	achieved float64
 	closed   bool
-	scaler   *autoscaler
 
 	mSamples  *metrics.Counter // preppool.job.<name>.samples
 	mPooled   *metrics.Counter // preppool.job.<name>.pooled_samples
@@ -252,13 +251,6 @@ func (j *Job) SetRequiredRate(rate units.SamplesPerSec) error {
 	j.required = rate
 	j.gRequired.Set(float64(rate))
 	return nil
-}
-
-// Leases returns the job's current pooled device count.
-func (j *Job) Leases() int {
-	j.pool.mu.Lock()
-	defer j.pool.mu.Unlock()
-	return len(j.leases)
 }
 
 // Close deregisters the job, returning its leases (and their network
@@ -355,7 +347,6 @@ func (j *Job) PrepareEpoch(ctx context.Context, keys []string, epoch int) ([]dat
 	if len(out) > 0 {
 		j.gShare.Set(float64(len(poolOut)) / float64(len(out)))
 	}
-	j.autoscaleLocked()
 	j.pool.mu.Unlock()
 	return out, nil
 }

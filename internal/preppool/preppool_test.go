@@ -55,6 +55,18 @@ func spec(name string, cfg dataprep.ImageConfig, store *storage.Store, seed int6
 	}
 }
 
+// leases reads the job's pooled device count from the pool's status
+// report; -1 means the job is not registered. It takes no *testing.T,
+// so preparers running on pipeline goroutines can call it too.
+func leases(j *Job) int {
+	for _, s := range j.pool.Stats() {
+		if s.Name == j.spec.Name {
+			return s.Leases
+		}
+	}
+	return -1
+}
+
 // oracle prepares the epoch on a fresh fault-free host executor.
 func oracle(t *testing.T, cfg dataprep.ImageConfig, store *storage.Store, seed int64, keys []string, epoch int) []dataprep.Prepared {
 	t.Helper()
@@ -115,7 +127,7 @@ func TestRebalanceMigratesLeasesOnDemandCrossover(t *testing.T) {
 	}
 	runEpoch(jobA, 3, 0)
 	runEpoch(jobB, 7, 0)
-	if a, b := jobA.Leases(), jobB.Leases(); a != 2 || b != 1 {
+	if a, b := leases(jobA), leases(jobB); a != 2 || b != 1 {
 		t.Fatalf("initial leases a=%d b=%d, want 2/1", a, b)
 	}
 	if pool.Migrations() != 0 {
@@ -131,7 +143,7 @@ func TestRebalanceMigratesLeasesOnDemandCrossover(t *testing.T) {
 	}
 	runEpoch(jobA, 3, 1) // A's boundary: surplus lease reclaimed
 	runEpoch(jobB, 7, 1) // B's boundary: reclaimed lease migrates to B
-	if a, b := jobA.Leases(), jobB.Leases(); a != 1 || b != 2 {
+	if a, b := leases(jobA), leases(jobB); a != 1 || b != 2 {
 		t.Fatalf("post-crossover leases a=%d b=%d, want 1/2", a, b)
 	}
 	if pool.Migrations() < 1 {
@@ -160,8 +172,8 @@ func TestReclaimOverProvisionedJob(t *testing.T) {
 	if _, err := job.PrepareEpoch(context.Background(), keys, 0); err != nil {
 		t.Fatal(err)
 	}
-	if job.Leases() != 2 || pool.FreeDevices() != 0 {
-		t.Fatalf("leases=%d free=%d, want 2/0", job.Leases(), pool.FreeDevices())
+	if leases(job) != 2 || pool.FreeDevices() != 0 {
+		t.Fatalf("leases=%d free=%d, want 2/0", leases(job), pool.FreeDevices())
 	}
 	if err := job.SetRequiredRate(0); err != nil {
 		t.Fatal(err)
@@ -171,8 +183,8 @@ func TestReclaimOverProvisionedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBitIdentical(t, out, oracle(t, cfg, store, 3, keys, 1))
-	if job.Leases() != 0 || pool.FreeDevices() != 2 {
-		t.Errorf("leases=%d free=%d after demand dropped, want 0/2", job.Leases(), pool.FreeDevices())
+	if leases(job) != 0 || pool.FreeDevices() != 2 {
+		t.Errorf("leases=%d free=%d after demand dropped, want 0/2", leases(job), pool.FreeDevices())
 	}
 }
 
@@ -201,7 +213,7 @@ func TestEthernetBudgetCapsGrants(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBitIdentical(t, out, oracle(t, cfg, store, 3, keys, 0))
-	if got := job.Leases(); got != 1 {
+	if got := leases(job); got != 1 {
 		t.Errorf("leases = %d under a one-lease fabric budget, want 1", got)
 	}
 	if net.Reserved() == 0 {
@@ -244,7 +256,7 @@ func TestDeviceDeathRetiresAndRebalances(t *testing.T) {
 		t.Fatalf("epoch with mid-run device death failed: %v", err)
 	}
 	assertBitIdentical(t, out, oracle(t, cfg, store, 3, keys, 0))
-	if got := job.Leases(); got != 2 {
+	if got := leases(job); got != 2 {
 		t.Fatalf("leases = %d before the reap, want 2", got)
 	}
 
@@ -254,7 +266,7 @@ func TestDeviceDeathRetiresAndRebalances(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBitIdentical(t, out, oracle(t, cfg, store, 3, keys, 1))
-	if got := job.Leases(); got != 2 {
+	if got := leases(job); got != 2 {
 		t.Errorf("leases = %d after rebalance, want 2 (spare must replace the corpse)", got)
 	}
 	if pool.FreeDevices() != 0 {
@@ -315,7 +327,7 @@ func TestCloseReturnsAllLeases(t *testing.T) {
 	if _, err := job.PrepareEpoch(context.Background(), store.Keys(), 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := job.Leases(); got != 3 {
+	if got := leases(job); got != 3 {
 		t.Fatalf("leases = %d before close, want 3", got)
 	}
 	if err := job.Close(); err != nil {
@@ -399,7 +411,7 @@ func TestPriorityTiersStarveLowerTierUnderContention(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if h, l := hi.Leases(), lo.Leases(); h != 3 || l != 0 {
+	if h, l := leases(hi), leases(lo); h != 3 || l != 0 {
 		t.Fatalf("contended leases hi=%d lo=%d, want 3/0 (strict tiers)", h, l)
 	}
 
@@ -413,7 +425,7 @@ func TestPriorityTiersStarveLowerTierUnderContention(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if h, l := hi.Leases(), lo.Leases(); h != 1 || l != 2 {
+	if h, l := leases(hi), leases(lo); h != 1 || l != 2 {
 		t.Fatalf("post-cooldown leases hi=%d lo=%d, want 1/2", h, l)
 	}
 
@@ -437,7 +449,7 @@ func TestPriorityTiersStarveLowerTierUnderContention(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if x, y := a.Leases(), b.Leases(); x+y != 3 || x == 0 || y == 0 {
+	if x, y := leases(a), leases(b); x+y != 3 || x == 0 || y == 0 {
 		t.Fatalf("equal-tier leases a=%d b=%d, want a 2/1-ish split of 3", x, y)
 	}
 }

@@ -105,8 +105,8 @@ func TestTrainingOnPoolSurvivesDeviceDeathBitIdentical(t *testing.T) {
 	if got := snap.Counters["fpga.pool.chaos.devices_ejected"]; got != 1 {
 		t.Errorf("chaos cluster ejections = %d, want 1", got)
 	}
-	if job.Leases() != 2 {
-		t.Errorf("leases = %d at end of run, want 2 (spare replaced the corpse)", job.Leases())
+	if leases(job) != 2 {
+		t.Errorf("leases = %d at end of run, want 2 (spare replaced the corpse)", leases(job))
 	}
 	if snap.Counters["preppool.job.chaos.pooled_samples"] == 0 {
 		t.Error("no samples prepared on the pooled path — test is vacuous")
@@ -199,7 +199,7 @@ func TestPreemptSuspendResumeTrainingOracleIdentical(t *testing.T) {
 	vipPrep := func(ctx context.Context, epoch int) ([]dataprep.Prepared, error) {
 		out, err := vip.PrepareEpoch(ctx, keys, epoch)
 		if epoch == 0 && err == nil {
-			leasesAfterFirstEpoch = vip.Leases()
+			leasesAfterFirstEpoch = leases(vip)
 		}
 		return out, err
 	}
@@ -232,8 +232,8 @@ func TestPreemptSuspendResumeTrainingOracleIdentical(t *testing.T) {
 		t.Fatalf("victim resume failed: %v", err)
 	}
 	assertNetworksBitIdentical(t, res, victimOracle)
-	if victim.Leases() != 2 {
-		t.Errorf("victim leases = %d after resuming into the freed pool, want 2", victim.Leases())
+	if leases(victim) != 2 {
+		t.Errorf("victim leases = %d after resuming into the freed pool, want 2", leases(victim))
 	}
 }
 

@@ -1,5 +1,6 @@
-// Package report renders experiment results as aligned text tables, CSV,
-// and ASCII bar charts — the output layer of the reproduction harness.
+// Package report renders experiment results as aligned text tables,
+// ASCII bar charts and Gantt timelines — the output layer of the
+// reproduction harness.
 package report
 
 import (
@@ -105,30 +106,6 @@ func (t *Table) String() string {
 	var sb strings.Builder
 	if _, err := t.WriteTo(&sb); err != nil {
 		return ""
-	}
-	return sb.String()
-}
-
-// CSV renders the table as comma-separated values (with quoting for
-// commas and quotes).
-func (t *Table) CSV() string {
-	var sb strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				sb.WriteString(`"` + strings.ReplaceAll(c, `"`, `""`) + `"`)
-			} else {
-				sb.WriteString(c)
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	writeRow(t.Headers)
-	for _, row := range t.Rows {
-		writeRow(row)
 	}
 	return sb.String()
 }

@@ -62,21 +62,6 @@ func TestAddRowfFormats(t *testing.T) {
 	}
 }
 
-func TestCSVQuoting(t *testing.T) {
-	tb := NewTable("x", "a", "b")
-	tb.AddRow(`has,comma`, `has"quote`)
-	csv := tb.CSV()
-	if !strings.Contains(csv, `"has,comma"`) {
-		t.Errorf("comma not quoted: %s", csv)
-	}
-	if !strings.Contains(csv, `"has""quote"`) {
-		t.Errorf("quote not escaped: %s", csv)
-	}
-	if !strings.HasPrefix(csv, "a,b\n") {
-		t.Errorf("header wrong: %s", csv)
-	}
-}
-
 func TestBar(t *testing.T) {
 	if got := Bar(50, 100, 10); got != "#####" {
 		t.Errorf("Bar = %q", got)

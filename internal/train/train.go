@@ -302,10 +302,10 @@ func WithPreparer(p EpochPreparer, numKeys int) Option {
 	}
 }
 
-// BlockFeature is the image feature map of the CLIs, the examples,
-// serve and the autoscale study: the mean of each 4×4 block of the
-// prepared tensor's first channel, row-major, so a W-wide crop yields
-// (W/4)² inputs.
+// BlockFeature is the image feature map of trainbox-train, serve and
+// the dscache study: the mean of each 4×4 block of the prepared
+// tensor's first channel, row-major, so a W-wide crop yields (W/4)²
+// inputs.
 func BlockFeature(p dataprep.Prepared) ([]float64, int, error) {
 	ten := p.Image
 	const block = 4
@@ -469,12 +469,6 @@ func run(ctx context.Context, cfg Config, o runOptions) (Result, error) {
 	// the step stage instead of being reallocated every epoch.
 	samplePool := pipeline.NewPool(func() []nn.Sample { return make([]nn.Sample, 0, numKeys) })
 
-	// prepBusyNs/stepBusyNs accumulate live stage busy time so the
-	// overlap gauge updates every epoch (autoscalers read it mid-run);
-	// the end-of-run pass below overwrites it with the pipeline's own
-	// authoritative stats.
-	var prepBusyNs, stepBusyNs atomic.Int64
-
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -495,13 +489,9 @@ func run(ctx context.Context, cfg Config, o runOptions) (Result, error) {
 		}
 		sync = ring
 	}
-	overlap := reg.Gauge("train.driver.prep_step_overlap")
-
 	prepStage := pipeline.NewStage("prepare", 1, cfg.PrefetchDepth,
 		func(ctx context.Context, epoch int) (epochBatch, error) {
-			t0 := time.Now()
 			batch, err := prepare(ctx, epoch)
-			prepBusyNs.Add(time.Since(t0).Nanoseconds())
 			if err != nil {
 				return epochBatch{}, err
 			}
@@ -544,15 +534,10 @@ func run(ctx context.Context, cfg Config, o runOptions) (Result, error) {
 
 	step := pipeline.NewStage("step", 1, 0,
 		func(ctx context.Context, es epochSamples) ([]StepStat, error) {
-			t0 := time.Now()
 			stats, err := trainEpoch(ctx, cfg, replicas, opts, es.samples, es.epoch, sync, tm)
-			stepBusyNs.Add(time.Since(t0).Nanoseconds())
 			samplePool.Put(es.samples[:0])
 			if err != nil {
 				return nil, err
-			}
-			if sb := stepBusyNs.Load(); sb > 0 {
-				overlap.Set(float64(prepBusyNs.Load()) / float64(sb))
 			}
 			// Epoch boundary: the step stage is the sole weight mutator,
 			// so snapshots taken here are consistent. Every non-final
@@ -613,7 +598,7 @@ func run(ctx context.Context, cfg Config, o runOptions) (Result, error) {
 		}
 	}
 	if stepBusy > 0 {
-		overlap.Set(float64(prepBusy) / float64(stepBusy))
+		reg.Gauge("train.driver.prep_step_overlap").Set(float64(prepBusy) / float64(stepBusy))
 	}
 	res.Metrics = reg.Snapshot()
 	return res, nil

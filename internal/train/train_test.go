@@ -271,8 +271,19 @@ func TestRunMetricsSnapshot(t *testing.T) {
 	if snap.Histograms["train.driver.sync_ns"].Count != steps.Count {
 		t.Errorf("train.sync_ns count = %d, want %d", snap.Histograms["train.driver.sync_ns"].Count, steps.Count)
 	}
-	if _, ok := snap.Gauges["train.driver.prep_step_overlap"]; !ok {
+	// The overlap gauge is the pipeline's own stage measurement, not a
+	// second timing of the same stages.
+	overlap, ok := snap.Gauges["train.driver.prep_step_overlap"]
+	if !ok {
 		t.Error("train.prep_step_overlap gauge missing")
+	}
+	prepBusy := snap.Histograms["pipeline.train.prepare.busy_ns"].Sum
+	stepBusy := snap.Histograms["pipeline.train.step.busy_ns"].Sum
+	if stepBusy <= 0 {
+		t.Fatalf("pipeline.train.step.busy_ns sum = %v, want > 0", stepBusy)
+	}
+	if want := prepBusy / stepBusy; math.Abs(overlap-want) > 1e-12*want {
+		t.Errorf("train.prep_step_overlap = %v, want prepare/step busy %v", overlap, want)
 	}
 
 	// Pipeline stage series from the driver's own staged pipeline.
