@@ -205,9 +205,6 @@ func (d *DeviceDeath) Inject(Op) Fault {
 	return Fault{}
 }
 
-// Dead reports whether the operation budget is exhausted.
-func (d *DeviceDeath) Dead() bool { return d.budget.Load() <= 0 }
-
 // Revive restores the device with a fresh operation budget.
 func (d *DeviceDeath) Revive(aliveOps int64) { d.budget.Store(aliveOps) }
 

@@ -8,8 +8,7 @@ import (
 // RetryPolicy is a bounded retry loop with exponential backoff,
 // deterministic jitter, and per-attempt deadlines — the resilience
 // counterpart to this package's injectors. The zero value is disabled
-// (one attempt, no timeout); DefaultRetryPolicy is a sensible storm
-// survivor for the functional data path.
+// (one attempt, no timeout).
 type RetryPolicy struct {
 	// MaxAttempts is the total attempt budget including the first call;
 	// values < 1 behave as 1 (no retries).
@@ -33,18 +32,6 @@ type RetryPolicy struct {
 	// Classify reports whether an error is retryable; nil selects
 	// IsTransient.
 	Classify func(error) bool
-}
-
-// DefaultRetryPolicy returns the data path's standard policy: 4
-// attempts, 500µs base backoff doubling to a 10ms cap, 50% jitter, no
-// per-attempt deadline.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts: 4,
-		BaseBackoff: 500 * time.Microsecond,
-		MaxBackoff:  10 * time.Millisecond,
-		Jitter:      0.5,
-	}
 }
 
 // Enabled reports whether the policy can actually retry (more than one

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"trainbox/internal/dataprep"
-	"trainbox/internal/faults"
 	"trainbox/internal/fpga"
 	"trainbox/internal/metrics"
 	"trainbox/internal/nvme"
@@ -15,9 +14,8 @@ import (
 	"trainbox/internal/units"
 )
 
-// trainFixture builds a 32×32-crop dataset store and pool devices, with
-// optional per-device injectors.
-func trainFixture(t *testing.T, devices int, injs ...faults.Injector) ([]*fpga.P2PHandler, *storage.Store, dataprep.ImageConfig) {
+// trainFixture builds a 32×32-crop dataset store and pool devices.
+func trainFixture(t *testing.T, devices int) ([]*fpga.P2PHandler, *storage.Store, dataprep.ImageConfig) {
 	t.Helper()
 	store := storage.NewStore(storage.DefaultSSDSpec())
 	if err := dataprep.BuildImageDataset(store, 8, 4, 5); err != nil {
@@ -31,86 +29,13 @@ func trainFixture(t *testing.T, devices int, injs ...faults.Injector) ([]*fpga.P
 	cfg.CropW, cfg.CropH = 32, 32
 	handlers := make([]*fpga.P2PHandler, devices)
 	for i := range handlers {
-		var opts []fpga.Option
-		if i < len(injs) && injs[i] != nil {
-			opts = append(opts, fpga.WithFaults(injs[i]))
-		}
-		h, err := fpga.NewP2PHandler(ns, fpga.NewImageEmulator(cfg), 8, opts...)
+		h, err := fpga.NewP2PHandler(ns, fpga.NewImageEmulator(cfg), 8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		handlers[i] = h
 	}
 	return handlers, store, cfg
-}
-
-// TestTrainingOnPoolSurvivesDeviceDeathBitIdentical is the end-to-end
-// chaos acceptance run: a training job served by the prep-pool loses a
-// pooled device mid-epoch, the pool retires it and grants the spare at
-// the next boundary, and the finished model is bit-identical to a
-// fault-free oracle trained on the pure host path.
-func TestTrainingOnPoolSurvivesDeviceDeathBitIdentical(t *testing.T) {
-	const datasetSeed = 5
-	cfgT := train.Config{
-		Replicas: 2, Widths: []int{64, 16, 4}, Epochs: 6,
-		LearningRate: 0.05, PrefetchDepth: 2, Seed: 9,
-	}
-
-	// Oracle: pure host path, no pool, no faults.
-	_, oracleStore, imgCfg := trainFixture(t, 0)
-	oracleExec := dataprep.NewExecutor(dataprep.ImagePreparer{Config: imgCfg}, 2, datasetSeed)
-	oracle, err := train.Run(context.Background(), cfgT,
-		train.WithDataset(oracleExec, oracleStore, oracleStore.Keys()),
-		train.WithFeature(train.BlockFeature))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Pool path: device 0 dies after 12 reads — mid-run, mid-epoch.
-	handlers, store, imgCfg := trainFixture(t, 3, faults.NewDeviceDeath(12))
-	reg := metrics.NewRegistry()
-	pool, err := NewPool(handlers, WithMetrics(reg), WithHealth(fpga.HealthConfig{EjectAfter: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	job, err := pool.Register(JobSpec{
-		Name: "chaos", Type: 0, RequiredRate: 16000,
-		Exec:        dataprep.NewExecutor(dataprep.ImagePreparer{Config: imgCfg}, 2, datasetSeed),
-		Store:       store,
-		DatasetSeed: datasetSeed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgT.Metrics = reg
-	res, err := train.Run(context.Background(), cfgT,
-		train.WithPreparer(job.Preparer(store.Keys()), store.Len()),
-		train.WithFeature(train.BlockFeature))
-	if err != nil {
-		t.Fatalf("training did not survive the pooled device death: %v", err)
-	}
-
-	a, b := res.Model(), oracle.Model()
-	for li := range a.Layers {
-		for i := range a.Layers[li].W {
-			if a.Layers[li].W[i] != b.Layers[li].W[i] {
-				t.Fatalf("layer %d weight %d diverged from oracle", li, i)
-			}
-		}
-	}
-	snap := res.Metrics
-	if got := snap.Counters["preppool.pool.retired_devices"]; got != 1 {
-		t.Errorf("retired_devices = %d, want 1", got)
-	}
-	if got := snap.Counters["fpga.pool.chaos.devices_ejected"]; got != 1 {
-		t.Errorf("chaos cluster ejections = %d, want 1", got)
-	}
-	if leases(job) != 2 {
-		t.Errorf("leases = %d at end of run, want 2 (spare replaced the corpse)", leases(job))
-	}
-	if snap.Counters["preppool.job.chaos.pooled_samples"] == 0 {
-		t.Error("no samples prepared on the pooled path — test is vacuous")
-	}
 }
 
 // TestPreemptSuspendResumeTrainingOracleIdentical is the elastic-jobs

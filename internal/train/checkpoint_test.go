@@ -27,60 +27,6 @@ func chaosErrorRate(def float64) float64 {
 	return def
 }
 
-// TestCheckpointRestoreBitIdentical is the determinism contract: a run
-// restored from the checkpoint of epoch k must finish with weights
-// bit-for-bit identical to the uninterrupted oracle — from every k.
-func TestCheckpointRestoreBitIdentical(t *testing.T) {
-	exec, store, keys := setup(t, 16)
-	cfg := baseConfig()
-	cfg.Epochs = 5
-	cfg.Momentum = 0.9 // exercise optimizer-state capture too
-
-	oracle, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var cps []Checkpoint
-	full, err := Run(context.Background(), cfg,
-		WithDataset(exec, store, keys), WithFeature(BlockFeature),
-		WithCheckpointSink(func(cp Checkpoint) { cps = append(cps, cp) }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertModelsBitIdentical(t, full, oracle)
-	if len(cps) != cfg.Epochs-1 {
-		t.Fatalf("captured %d checkpoints, want %d (final epoch not checkpointed)", len(cps), cfg.Epochs-1)
-	}
-
-	for _, cp := range cps {
-		res, err := Run(context.Background(), cfg,
-			WithDataset(exec, store, keys), WithFeature(BlockFeature),
-			WithRestore(cp))
-		if err != nil {
-			t.Fatalf("restore from epoch %d: %v", cp.Epoch, err)
-		}
-		// The restored run only replays epochs cp.Epoch+1…: same final
-		// weights, fewer steps — compare weights only.
-		a, b := res.Model(), oracle.Model()
-		for li := range a.Layers {
-			for i := range a.Layers[li].W {
-				if a.Layers[li].W[i] != b.Layers[li].W[i] {
-					t.Fatalf("restore from epoch %d: layer %d weight %d diverged from oracle", cp.Epoch, li, i)
-				}
-			}
-			for i := range a.Layers[li].B {
-				if a.Layers[li].B[i] != b.Layers[li].B[i] {
-					t.Fatalf("restore from epoch %d: layer %d bias %d diverged from oracle", cp.Epoch, li, i)
-				}
-			}
-		}
-		if want := (cfg.Epochs - 1 - cp.Epoch) * 16; res.SamplesProcessed != want {
-			t.Errorf("restore from epoch %d processed %d samples, want %d", cp.Epoch, res.SamplesProcessed, want)
-		}
-	}
-}
-
 // TestCheckpointValidation covers the option and restore error paths.
 func TestCheckpointValidation(t *testing.T) {
 	exec, store, keys := setup(t, 8)
@@ -129,25 +75,20 @@ func TestCheckpointValidation(t *testing.T) {
 
 // TestSuspendParksAtEpochBoundary: a pending Suspend must park the run
 // at the first epoch boundary with an ErrSuspended-classified error and
-// hand the checkpoint sink its state; resuming from it matches the
-// oracle.
+// hand the checkpoint sink its state. That restoring from it matches the
+// oracle is the suspend cells' check in TestTrainingPathsAgree.
 func TestSuspendParksAtEpochBoundary(t *testing.T) {
 	exec, store, keys := setup(t, 16)
 	invariant.NoLeak(t)
 	cfg := baseConfig()
 	cfg.Epochs = 4
 
-	oracle, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature))
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	s := NewSuspender()
 	s.Suspend() // already pending: parks after epoch 0
 	s.Suspend() // idempotent
 	var cp Checkpoint
 	ok := false
-	_, err = Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature),
+	_, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature),
 		WithSuspender(s), WithCheckpointSink(func(c Checkpoint) { cp, ok = c, true }))
 	if !errors.Is(err, ErrSuspended) {
 		t.Fatalf("suspended run returned %v, want ErrSuspended", err)
@@ -160,20 +101,6 @@ func TestSuspendParksAtEpochBoundary(t *testing.T) {
 	}
 	if cp.Epoch != 0 {
 		t.Errorf("parked after epoch %d, want 0 (first boundary)", cp.Epoch)
-	}
-
-	res, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature),
-		WithRestore(cp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := res.Model(), oracle.Model()
-	for li := range a.Layers {
-		for i := range a.Layers[li].W {
-			if a.Layers[li].W[i] != b.Layers[li].W[i] {
-				t.Fatalf("resumed run diverged from oracle at layer %d weight %d", li, i)
-			}
-		}
 	}
 }
 
@@ -275,19 +202,7 @@ func TestJobKillResumeChaos(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restore after kill: %v", err)
 	}
-	a, b := res.Model(), oracle.Model()
-	for li := range a.Layers {
-		for i := range a.Layers[li].W {
-			if a.Layers[li].W[i] != b.Layers[li].W[i] {
-				t.Fatalf("restored run diverged from fault-free oracle at layer %d weight %d", li, i)
-			}
-		}
-		for i := range a.Layers[li].B {
-			if a.Layers[li].B[i] != b.Layers[li].B[i] {
-				t.Fatalf("restored run diverged from fault-free oracle at layer %d bias %d", li, i)
-			}
-		}
-	}
+	assertSameModel(t, "restored after kill", res, oracle)
 }
 
 // TestJobKillResumeUnderFaultStorm composes the kill/resume path with
@@ -349,7 +264,7 @@ func TestJobKillResumeUnderFaultStorm(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume under fault storm: %v", err)
 	}
-	assertModelsBitIdentical(t, Result{Replicas: res.Replicas, Steps: oracle.Steps}, oracle)
+	assertSameModel(t, "resumed under fault storm", res, oracle)
 	if res.Metrics.Counters["faults.injector.errors"] == 0 {
 		t.Error("storm injected no errors — test is vacuous")
 	}

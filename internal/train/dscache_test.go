@@ -8,29 +8,9 @@ import (
 
 	"trainbox/internal/dataprep"
 	"trainbox/internal/dscache"
-	"trainbox/internal/nn"
 	"trainbox/internal/storage"
 	"trainbox/internal/units"
 )
-
-// modelsIdentical asserts two trained models are byte-for-byte equal —
-// the bar for "the option changed nothing about the computation".
-func modelsIdentical(t *testing.T, label string, a, b *nn.Network) {
-	t.Helper()
-	for li := range a.Layers {
-		for i := range a.Layers[li].W {
-			if a.Layers[li].W[i] != b.Layers[li].W[i] {
-				t.Fatalf("%s: layer %d weight %d diverged: %v vs %v",
-					label, li, i, a.Layers[li].W[i], b.Layers[li].W[i])
-			}
-		}
-		for i := range a.Layers[li].B {
-			if a.Layers[li].B[i] != b.Layers[li].B[i] {
-				t.Fatalf("%s: layer %d bias %d diverged", label, li, i)
-			}
-		}
-	}
-}
 
 // TestEchoFactorOneBitIdentical: echo factor 1 inserts the echo stage
 // but must be a perfect no-op — same steps, same losses, same final
@@ -49,46 +29,7 @@ func TestEchoFactorOneBitIdentical(t *testing.T) {
 	if len(got.Steps) != len(want.Steps) {
 		t.Fatalf("steps = %d, want %d", len(got.Steps), len(want.Steps))
 	}
-	for i := range want.Steps {
-		if got.Steps[i] != want.Steps[i] && got.Steps[i].MeanLoss != want.Steps[i].MeanLoss {
-			t.Fatalf("step %d loss %v, want %v", i, got.Steps[i].MeanLoss, want.Steps[i].MeanLoss)
-		}
-	}
-	modelsIdentical(t, "echo=1 vs no echo", got.Model(), want.Model())
-}
-
-// TestWithCacheBitIdenticalAndAmortizes: a cached run produces the
-// exact model of an uncached run — the cache-aware (resident-first)
-// prepare order is restored before the batch reaches the replicas —
-// while collapsing decodes to one per key across all epochs.
-func TestWithCacheBitIdenticalAndAmortizes(t *testing.T) {
-	execPlain, store, keys := setup(t, 16)
-	want, err := Run(context.Background(), baseConfig(), WithDataset(execPlain, store, keys), WithFeature(BlockFeature))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Bind mutates the executor's preparer, so the cached run gets its
-	// own executor (same worker count and dataset seed).
-	icfg := dataprep.DefaultImageConfig()
-	icfg.CropW, icfg.CropH = 32, 32
-	execCached := dataprep.NewExecutor(dataprep.ImagePreparer{Config: icfg}, 2, 5)
-	c := dscache.New(64 * units.MB)
-	got, err := Run(context.Background(), baseConfig(), WithDataset(execCached, store, keys),
-		WithCache(c), WithFeature(BlockFeature))
-	if err != nil {
-		t.Fatal(err)
-	}
-	modelsIdentical(t, "cached vs uncached", got.Model(), want.Model())
-
-	cfg := baseConfig()
-	s := c.Stats()
-	if s.Misses != int64(len(keys)) {
-		t.Fatalf("decodes = %d, want %d (one per key across %d epochs)", s.Misses, len(keys), cfg.Epochs)
-	}
-	if s.Hits < int64(len(keys)*(cfg.Epochs-1)) {
-		t.Fatalf("hits = %d, want ≥ %d", s.Hits, len(keys)*(cfg.Epochs-1))
-	}
+	assertSameModel(t, "echo=1 vs no echo", got, want)
 }
 
 // TestWithCacheAndEchoCompose: both options together still match the
@@ -108,7 +49,7 @@ func TestWithCacheAndEchoCompose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	modelsIdentical(t, "cache+echo vs echo", got.Model(), want.Model())
+	assertSameModel(t, "cache+echo vs echo", got, want)
 }
 
 // TestWithEchoFactorReplaysSteps: factor n multiplies the step

@@ -1,0 +1,323 @@
+package train
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+
+	"trainbox/internal/dataprep"
+	"trainbox/internal/dscache"
+	"trainbox/internal/faults"
+	"trainbox/internal/fpga"
+	"trainbox/internal/invariant"
+	"trainbox/internal/metrics"
+	"trainbox/internal/nvme"
+	"trainbox/internal/preppool"
+	"trainbox/internal/storage"
+	"trainbox/internal/units"
+	"trainbox/internal/workload"
+)
+
+// The training-path matrix. Per-sample augmentation depends only on
+// (dataset seed, key, epoch), so where a sample is prepared, whether its
+// decode comes from a dscache tier, and what interrupts the run must
+// never show in the trained model: every cell of placement × cache ×
+// interruption × replicas reproduces the host, uncached, uninterrupted
+// run at the same replica count bit for bit.
+type pathCell struct {
+	place     string // "host" (WithDataset), "cluster" (fpga.Cluster with host fallback) or "pool" (a preppool job)
+	cache     string // "uncached", "ample" (every key decoded once) or "evicting" (a budget below the working set)
+	intr      string // "none", "suspend" (park, restore from every checkpoint) or "death" (device 0 flaky, then dead)
+	replicas  int
+	suspendAt int   // boundary the suspended run parks at
+	deathAt   int64 // reads device 0 serves before it dies
+}
+
+func (c pathCell) String() string {
+	return fmt.Sprintf("%s-%s-%s-r%d", c.place, c.cache, c.intr, c.replicas)
+}
+
+const (
+	pathItems   = 8
+	pathEpochs  = 4
+	pathDevices = 3
+	maxDeathAt  = 6 // a later death can miss the run on a cluster
+)
+
+// A 400 KB budget holds two of the eight 256² decodes. No probation, so
+// a death cell ejects its device exactly once.
+var (
+	cacheBudgets = map[string]units.Bytes{"ample": 64 * units.MB, "evicting": 400 * units.KB}
+	pathHealth   = fpga.HealthConfig{EjectAfter: 3}
+)
+
+// pathCells lists the 18 valid combinations at one replica: a host
+// executor has no device to lose, and a cluster takes no cache.
+func pathCells() []pathCell {
+	var out []pathCell
+	for _, p := range []string{"host", "cluster", "pool"} {
+		for _, c := range []string{"uncached", "ample", "evicting"} {
+			for _, i := range []string{"none", "suspend", "death"} {
+				if (p == "host" && i == "death") || (p == "cluster" && c != "uncached") {
+					continue
+				}
+				out = append(out, pathCell{place: p, cache: c, intr: i, replicas: 1, suspendAt: pathEpochs - 2, deathAt: 3})
+			}
+		}
+	}
+	return out
+}
+
+// pathData is one dataset; its seed builds the images and seeds their
+// augmentation.
+type pathData struct {
+	store *storage.Store
+	ns    *nvme.Namespace
+	img   dataprep.ImageConfig
+	seed  int64
+}
+
+func newPathData(t testing.TB, seed int64) pathData {
+	t.Helper()
+	store := storage.NewStore(storage.DefaultSSDSpec())
+	if err := dataprep.BuildImageDataset(store, pathItems, 4, seed); err != nil {
+		t.Fatal(err)
+	}
+	ns, err := nvme.LoadStore(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := dataprep.DefaultImageConfig()
+	img.CropW, img.CropH = 32, 32
+	return pathData{store, ns, img, seed}
+}
+
+func (d pathData) executor() *dataprep.Executor {
+	return dataprep.NewExecutor(dataprep.ImagePreparer{Config: d.img}, 2, d.seed)
+}
+
+// devices builds the P2P handlers of a cluster or pool; device 0 takes
+// the injector.
+func (d pathData) devices(t testing.TB, inj faults.Injector) []*fpga.P2PHandler {
+	t.Helper()
+	hs := make([]*fpga.P2PHandler, pathDevices)
+	for i := range hs {
+		h, err := fpga.NewP2PHandler(d.ns, fpga.NewImageEmulator(d.img), 8, fpga.WithFaults(inj))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs[i], inj = h, nil
+	}
+	return hs
+}
+
+// pathConfig trains with momentum, so a restore must carry the
+// optimizer's velocity.
+func pathConfig(replicas int, reg *metrics.Registry) Config {
+	return Config{Replicas: replicas, Widths: []int{64, 16, 4}, Epochs: pathEpochs,
+		LearningRate: 0.05, Momentum: 0.9, PrefetchDepth: 2, Seed: 9, Metrics: reg}
+}
+
+// reference trains the host, uncached, uninterrupted cell.
+func (d pathData) reference(t testing.TB, replicas int) Result {
+	t.Helper()
+	res, err := Run(context.Background(), pathConfig(replicas, nil),
+		WithDataset(d.executor(), d.store, d.store.Keys()), WithFeature(BlockFeature))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// assertSameModel is the package's one model comparison: every weight
+// and bias of got's model equals want's (compared in the Weights layout:
+// each layer's W, then its B), and got's step losses equal the tail of
+// want's (a restored run replays only the last epochs).
+func assertSameModel(t testing.TB, label string, got, want Result) {
+	t.Helper()
+	g, w := got.Model().Weights(), want.Model().Weights()
+	if len(g) != len(w) {
+		t.Fatalf("%s: %d parameters, want %d", label, len(g), len(w))
+	}
+	for i := range w {
+		if g[i] != w[i] {
+			t.Fatalf("%s: parameter %d = %v, want %v", label, i, g[i], w[i])
+		}
+	}
+	skip := len(want.Steps) - len(got.Steps)
+	if skip < 0 {
+		t.Fatalf("%s: %d steps, want at most %d", label, len(got.Steps), len(want.Steps))
+	}
+	for i, s := range got.Steps {
+		if w := want.Steps[skip+i].MeanLoss; s.MeanLoss != w {
+			t.Fatalf("%s: step %d loss %v, want %v", label, skip+i, s.MeanLoss, w)
+		}
+	}
+}
+
+// runCell trains cell c on d, checks every run against want, then checks
+// that the cell exercised what it names.
+func runCell(t *testing.T, d pathData, c pathCell, want Result) {
+	t.Helper()
+	ctx, reg, keys := context.Background(), metrics.NewRegistry(), d.store.Keys()
+	cfg := pathConfig(c.replicas, reg)
+	var cache *dscache.Cache
+	if budget, ok := cacheBudgets[c.cache]; ok {
+		cache = dscache.New(budget)
+	}
+	var flaky faults.Injector
+	if c.intr == "death" {
+		flaky = faults.Chain(faults.NewDeviceDeath(c.deathAt), faults.NewErrorRate(2001, 0.12, nil))
+	}
+
+	// leg is one train.Run on the cell's placement.
+	var leg func(opts ...Option) (Result, error)
+	var cluster *fpga.Cluster
+	var pool *preppool.Pool
+	var err error
+	switch c.place {
+	case "host":
+		leg = func(opts ...Option) (Result, error) {
+			opts = append(opts, WithDataset(d.executor(), d.store, keys), WithFeature(BlockFeature))
+			if cache != nil {
+				opts = append(opts, WithCache(cache))
+			}
+			return Run(ctx, cfg, opts...)
+		}
+	case "cluster":
+		cluster, err = fpga.NewCluster(d.devices(t, flaky), fpga.WithHealth(pathHealth),
+			fpga.WithFallback(d.executor(), d.store), fpga.WithMetrics(reg))
+		prep := func(ctx context.Context, epoch int) ([]dataprep.Prepared, error) {
+			return cluster.PrepareBatch(ctx, keys, d.seed, epoch)
+		}
+		leg = func(opts ...Option) (Result, error) {
+			return Run(ctx, cfg, append(opts, WithPreparer(prep, len(keys)), WithFeature(BlockFeature))...)
+		}
+	case "pool":
+		pool, err = preppool.NewPool(d.devices(t, flaky), preppool.WithMetrics(reg), preppool.WithHealth(pathHealth))
+		// Each leg registers and closes its own job behind the cache, as
+		// the serve runner does; an in-box rate equal to one device's
+		// grants one lease and splits every epoch evenly.
+		leg = func(opts ...Option) (Result, error) {
+			exec := d.executor()
+			if cache != nil {
+				dscache.Bind(cache, exec)
+			}
+			job, err := pool.Register(preppool.JobSpec{Name: "cell", Type: workload.Image,
+				RequiredRate: 2 * fpga.ImagePrepRate, InBoxRate: fpga.ImagePrepRate,
+				Exec: exec, Store: d.store, DatasetSeed: d.seed})
+			if err != nil {
+				return Result{}, err
+			}
+			res, err := Run(ctx, cfg, append(opts, WithPreparer(job.Preparer(keys), len(keys)), WithFeature(BlockFeature))...)
+			if l := pool.Stats()[0].Leases; l != 1 {
+				t.Errorf("a leg ended with %d leases, want the grant of 1", l)
+			}
+			return res, errors.Join(err, job.Close())
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if c.intr != "suspend" {
+		res, err := leg()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameModel(t, c.String(), res, want)
+	} else {
+		s := NewSuspender()
+		var cps []Checkpoint
+		_, err := leg(WithSuspender(s), WithCheckpointSink(func(cp Checkpoint) {
+			if cps = append(cps, cp); cp.Epoch == c.suspendAt {
+				s.Suspend()
+			}
+		}))
+		if !errors.Is(err, ErrSuspended) || len(cps) != c.suspendAt+1 {
+			t.Fatalf("suspended run returned %v with %d checkpoints, want ErrSuspended with %d", err, len(cps), c.suspendAt+1)
+		}
+		for _, cp := range cps {
+			// A sink on the finishing leg, as serve attaches, must not
+			// perturb it either.
+			res, err := leg(WithRestore(cp), WithCheckpointSink(func(Checkpoint) {}))
+			if err != nil {
+				t.Fatalf("restore from epoch %d: %v", cp.Epoch, err)
+			}
+			assertSameModel(t, fmt.Sprintf("%v restored from epoch %d", c, cp.Epoch), res, want)
+			if n := (pathEpochs - 1 - cp.Epoch) * pathItems; res.SamplesProcessed != n {
+				t.Errorf("restore from epoch %d processed %d samples, want %d", cp.Epoch, res.SamplesProcessed, n)
+			}
+		}
+	}
+
+	n := reg.Snapshot().Counters
+	hostKeys, dev := pathItems, "fpga.pool."
+	switch c.place {
+	case "cluster":
+		if a := cluster.ActiveDevices(); n[dev+"jobs_dispatched"] == 0 ||
+			(c.intr == "death" && (a != pathDevices-1 || n[dev+"devices_readmitted"] != 0)) {
+			t.Errorf("%d samples dispatched, %d devices active, %d readmitted", n[dev+"jobs_dispatched"], a, n[dev+"devices_readmitted"])
+		}
+	case "pool":
+		hostKeys, dev = pathItems/2, "fpga.pool.cell."
+		if p, h := n["preppool.job.cell.pooled_samples"], n["preppool.job.cell.inbox_samples"]; p == 0 || h == 0 {
+			t.Errorf("%d pooled and %d in-box samples, want both halves used", p, h)
+		}
+		// One retired device on a death, none otherwise; the rest are free.
+		if r, free := n["preppool.pool.retired_devices"], pool.FreeDevices(); (c.intr == "death") != (r == 1) || free != pathDevices-int(r) {
+			t.Errorf("%d devices retired and %d free after Close", r, free)
+		}
+	}
+	if c.intr == "death" && (n[dev+"devices_ejected"] != 1 || n[dev+"sample_retries"] == 0) {
+		t.Errorf("%d ejections and %d retries, want exactly 1 and some", n[dev+"devices_ejected"], n[dev+"sample_retries"])
+	}
+	if cache == nil {
+		return
+	}
+	// On the pool, degraded samples of the pooled half join the cache
+	// too, so it may hold more keys than the host half.
+	if s := cache.Stats(); c.cache == "ample" && (s.Evictions != 0 || s.Misses != s.Entries ||
+		s.Entries < int64(hostKeys) || s.Hits < int64(hostKeys*(pathEpochs-1))) {
+		t.Errorf("ample cache %+v: want every key decoded once and ≥ %d hits", s, hostKeys*(pathEpochs-1))
+	} else if c.cache == "evicting" && s.Evictions == 0 {
+		t.Errorf("evicting cache %+v never evicted", s)
+	}
+}
+
+// TestTrainingPathsAgree runs the 54 cells: 18 path combinations at 1,
+// 2 and 4 replicas, each against the host oracle at its replica count.
+func TestTrainingPathsAgree(t *testing.T) {
+	d := newPathData(t, 5)
+	for _, r := range []int{1, 2, 4} {
+		want := d.reference(t, r)
+		for _, c := range pathCells() {
+			c.replicas = r
+			t.Run(c.String(), func(t *testing.T) {
+				invariant.NoLeak(t)
+				runCell(t, d, c, want)
+			})
+		}
+	}
+}
+
+// FuzzTrainingPathsAgree draws a cell, the dataset seed, the boundary a
+// suspended run parks at and the read after which a flaky device dies.
+func FuzzTrainingPathsAgree(f *testing.F) {
+	f.Add(uint8(17), uint8(2), int64(5), uint8(1), uint8(2))  // pool-evicting-death-r4
+	f.Add(uint8(4), uint8(0), int64(-3), uint8(0), uint8(0))  // host-evicting-none-r1
+	f.Add(uint8(16), uint8(1), int64(11), uint8(0), uint8(5)) // pool-evicting-suspend-r2
+	f.Add(uint8(8), uint8(1), int64(7), uint8(4), uint8(3))   // cluster-uncached-death-r2
+	f.Fuzz(func(t *testing.T, cell, replicas uint8, seed int64, suspendAt, deathAt uint8) {
+		invariant.NoLeak(t)
+		cells := pathCells()
+		c := cells[int(cell)%len(cells)]
+		c.replicas = []int{1, 2, 4}[replicas%3]
+		c.suspendAt = int(suspendAt) % (pathEpochs - 1)
+		c.deathAt = 1 + int64(deathAt)%maxDeathAt
+		t.Logf("cell %v, dataset seed %d, suspend at %d, death at %d", c, seed, c.suspendAt, c.deathAt)
+		d := newPathData(t, seed)
+		runCell(t, d, c, d.reference(t, c.replicas))
+	})
+}

@@ -30,7 +30,7 @@ func TestWithSyncRingMatchesDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertModelsBitIdentical(t, res, oracle)
+	assertSameModel(t, "caller-owned ring", res, oracle)
 }
 
 // TestSyncMetricsEmitted pins the metric names: the driver's

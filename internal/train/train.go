@@ -243,9 +243,9 @@ func WithDataset(exec *dataprep.Executor, store *storage.Store, keys []string) O
 // (dscache.Bind), and each epoch's keys are prepared resident-first
 // (Cache.OrderKeys) so warm entries are consumed before eviction
 // pressure builds — then restored to the caller's key order, keeping
-// the epoch bit-identical to the uncached run. Requires WithDataset;
-// concurrent runs sharing one cache amortize each key's decode to a
-// single invocation (single-flight).
+// the epoch bit-identical to the uncached run. Requires WithDataset; a
+// WithPreparer source binds its own executor through dscache.Bind, as
+// serve's pool jobs do. Runs sharing one cache decode each key once.
 //
 // dscache.Bind rebinds the caller's executor, not a copy: exec keeps
 // the cache-backed preparer after Run returns, for as long as it lives,
