@@ -95,12 +95,42 @@ type Prepared struct {
 	Image *imgproc.Tensor
 	Audio *dsp.Spectrogram
 	Err   error
+
+	// owner is the output Set the Image or Audio buffer was drawn from
+	// ((*Scratch).Prepare stamps it); nil means a fresh buffer.
+	owner *memframe.Set
+}
+
+// Recycle hands finished samples' output buffers (tensor and
+// spectrogram data) back to the Set each was drawn from — an
+// executor's, a P2P handler's — for reuse by later prepares, and
+// clears them from ps. Callers must drop every other reference to the
+// samples first: touching a recycled buffer races with the next
+// prepare. Samples with fresh buffers are left as they are.
+func Recycle(ps ...Prepared) {
+	for i := range ps {
+		p := &ps[i]
+		if p.owner == nil {
+			continue
+		}
+		if p.Image != nil && p.Image.Data != nil {
+			p.owner.F32.Put(p.Image.Data)
+			p.Image = nil
+		}
+		if p.Audio != nil && p.Audio.Data != nil {
+			p.owner.F64.Put(p.Audio.Data)
+			p.Audio = nil
+		}
+		p.owner = nil
+	}
 }
 
 // Preparer turns a stored object into a prepared sample, running the
 // decode→augment→cast kernels in s's buffers and drawing the output
-// from s's output set; a nil s means a throwaway working set, so the
-// caller owns the result outright. The output must not depend on s:
+// from s's output set, the Set (*Scratch).Prepare stamps on the
+// sample, so an implementation keeps no reference to it; a nil s
+// means a throwaway working set, so the caller owns the result
+// outright. The output must not depend on s:
 // the CPU preparers, the dscache preparers and the FPGA emulator all
 // implement this one method, and the contract the tests assert is that
 // they are bit-identical for equal seeds.
@@ -144,7 +174,7 @@ type Executor struct {
 
 	// The zero-allocation sample path: every worker draws a pooled
 	// Scratch whose output buffers come from out; consumers return
-	// finished samples through Recycle to close the loop.
+	// finished samples through dataprep.Recycle to close the loop.
 	out       *memframe.Set
 	scratches *pipeline.Pool[*Scratch]
 
@@ -170,30 +200,14 @@ func NewExecutor(prep Preparer, workers int, datasetSeed int64) *Executor {
 // Scratch.
 func (e *Executor) prepareSample(obj storage.Object, seed int64) Prepared {
 	s := e.scratches.Get()
-	p := e.prep.Prepare(obj, seed, s)
+	p := s.Prepare(e.prep, obj, seed)
 	e.scratches.Put(s)
 	return p
 }
 
-// Recycle returns finished samples' output buffers (tensor and
-// spectrogram data) to the executor's output pools for reuse by later
-// prepares. Callers must drop every reference to the recycled samples
-// first: touching a recycled buffer races with the next prepare.
-// Recycling samples that did not come from this executor is safe but
-// pointless.
-func (e *Executor) Recycle(ps ...Prepared) {
-	for i := range ps {
-		p := &ps[i]
-		if p.Image != nil && p.Image.Data != nil {
-			e.out.F32.Put(p.Image.Data)
-			p.Image = nil
-		}
-		if p.Audio != nil && p.Audio.Data != nil {
-			e.out.F64.Put(p.Audio.Data)
-			p.Audio = nil
-		}
-	}
-}
+// Recycle is dataprep.Recycle: each sample's buffer goes back to the
+// Set it was drawn from, this executor's or another producer's.
+func (e *Executor) Recycle(ps ...Prepared) { Recycle(ps...) }
 
 // Preparer returns the executor's sample preparer.
 func (e *Executor) Preparer() Preparer { return e.prep }
@@ -292,7 +306,7 @@ func (e *Executor) PrepareBatchContext(ctx context.Context, store *storage.Store
 	// batch per cancellation.
 	pl.WithDiscard(func(v any) {
 		if p, ok := v.(Prepared); ok {
-			e.Recycle(p)
+			Recycle(p)
 		}
 	})
 	start := time.Now()

@@ -6,6 +6,7 @@ import (
 	"trainbox/internal/dsp"
 	"trainbox/internal/imgproc"
 	"trainbox/internal/memframe"
+	"trainbox/internal/storage"
 )
 
 // Scratch is one worker's reusable working set for the per-sample
@@ -16,10 +17,12 @@ import (
 // allocating per sample (DESIGN.md §12).
 //
 // A Scratch is NOT safe for concurrent use — hold one per goroutine
-// (dataprep.Executor keeps a pipeline.Pool of them). The intermediate
-// buffers live for exactly one Prepare call; only the returned
-// tensor/spectrogram escapes, and when the Scratch carries an output
-// Set those outputs draw from it (give them back via Executor.Recycle).
+// (dataprep.Executor and fpga.P2PHandler each keep a pipeline.Pool of
+// them). The intermediate buffers live for exactly one Prepare call;
+// only the returned tensor/spectrogram escapes. When the Scratch
+// carries an output Set those outputs draw from it, and a sample
+// prepared through (*Scratch).Prepare remembers that Set, so Recycle
+// hands its buffer back wherever it was produced.
 type Scratch struct {
 	imgA imgproc.Image // mirror destination
 	imgB imgproc.Image // crop destination: the window decode's, or the crop's
@@ -39,9 +42,21 @@ type Scratch struct {
 func NewScratch() *Scratch { return &Scratch{} }
 
 // NewScratchWithOutput returns a Scratch drawing output buffers from
-// out. Callers own the returned samples' buffers until they Put them
-// back (Executor.Recycle does this).
+// out. Callers own the returned samples' buffers until they hand them
+// back with Recycle.
 func NewScratchWithOutput(out *memframe.Set) *Scratch { return &Scratch{out: out} }
+
+// Prepare runs prep on obj in s's buffers and stamps the sample with
+// s's output Set, so Recycle returns its buffer to the pool it came
+// from. Every pooled producer prepares through it: the host executor,
+// the FPGA P2P handler and whatever Preparer either one carries. A
+// sample from a Scratch without an output Set is fresh and Recycle
+// leaves it alone.
+func (s *Scratch) Prepare(prep Preparer, obj storage.Object, seed int64) Prepared {
+	p := prep.Prepare(obj, seed, s)
+	p.owner = s.out
+	return p
+}
 
 // getF32 draws an output float32 buffer from the output set, or
 // allocates when the scratch has none.

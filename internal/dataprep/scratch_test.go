@@ -219,7 +219,7 @@ func TestExecutorScratchPathMatchesDirect(t *testing.T) {
 }
 
 // TestExecutorRecycleIdempotentOnFresh asserts recycling samples that
-// did not come from a pooled path is harmless (documented contract).
+// did not come from a pooled path leaves them, and every pool, alone.
 func TestExecutorRecycleIdempotentOnFresh(t *testing.T) {
 	store := imageStore(t, 2)
 	cfg := DefaultImageConfig()
@@ -232,8 +232,48 @@ func TestExecutorRecycleIdempotentOnFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	exec := NewExecutor(ImagePreparer{Config: cfg}, 1, 1)
-	exec.Recycle(Prepared{Key: "x", Image: tensor})
-	exec.Recycle(Prepared{}) // nothing set
+	ps := []Prepared{{Key: "x", Image: tensor}, NewScratch().Prepare(ImagePreparer{Config: cfg}, obj, 1), {}}
+	exec.Recycle(ps...)
+	if ps[0].Image != tensor || ps[1].Image == nil {
+		t.Error("Recycle cleared a fresh sample")
+	}
+	if st := exec.OutputStats(); st.Puts != 0 {
+		t.Errorf("fresh samples reached the executor's pools: %+v", st)
+	}
+}
+
+// TestRecycleReturnsToOwner: a sample prepared through a Scratch's
+// Prepare goes back to the Set that Scratch draws from, whichever
+// producer it came from, and Recycle clears it from the caller's slice.
+func TestRecycleReturnsToOwner(t *testing.T) {
+	store := imageStore(t, 1)
+	obj, err := store.Get("img-00000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	audio, err := audioStore(t, 1).Get("aud-00000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, device := memframe.NewSet(), memframe.NewSet()
+	ps := []Prepared{
+		NewScratchWithOutput(host).Prepare(ImagePreparer{Config: DefaultImageConfig()}, obj, 1),
+		NewScratchWithOutput(device).Prepare(ImagePreparer{Config: DefaultImageConfig()}, obj, 2),
+		NewScratchWithOutput(device).Prepare(AudioPreparer{Config: DefaultAudioConfig()}, audio, 3),
+	}
+	Recycle(ps...)
+	for i, p := range ps {
+		if p.Image != nil || p.Audio != nil || p.owner != nil {
+			t.Errorf("sample %d still holds its buffer after Recycle", i)
+		}
+	}
+	Recycle(ps...) // a second call finds nothing to return
+	if st := host.Stats(); st.Gets != 1 || st.Puts != 1 {
+		t.Errorf("host set %+v, want one buffer out and back", st)
+	}
+	if st := device.Stats(); st.Gets != 2 || st.Puts != 2 {
+		t.Errorf("device set %+v, want two buffers out and back", st)
+	}
 }
 
 // TestScratchOutputPoolFeedsBack prepares, recycles, and prepares again

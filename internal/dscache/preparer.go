@@ -114,6 +114,54 @@ func WrapPreparer(c *Cache, p dataprep.Preparer) (wrapped dataprep.Preparer, ok 
 	return p, false
 }
 
+// PrepareBatch prepares one epoch of keys on exec, resident-first when
+// exec is bound to a cache tier (Bind): keys whose decode is resident
+// go ahead of the rest (Cache.OrderKeys), so warm entries are consumed
+// before the misses' populates evict them, and the result comes back
+// in keys' order. Per-sample augmentation depends only on (dataset
+// seed, key, epoch), never on position, so the batch is bit-identical
+// to an in-order pass. An unbound exec prepares keys in order.
+func PrepareBatch(ctx context.Context, exec *dataprep.Executor, store *storage.Store, keys []string, epoch int) ([]dataprep.Prepared, error) {
+	prep := exec.Preparer()
+	var c *Cache
+	switch q := prep.(type) {
+	case ImagePreparer:
+		c = q.Cache
+	case AudioPreparer:
+		c = q.Cache
+	}
+	if c == nil {
+		return exec.PrepareBatchContext(ctx, store, keys, epoch)
+	}
+	ps, err := exec.PrepareBatchContext(ctx, store, c.OrderKeys(keys, PreparerFingerprint(prep)), epoch)
+	if err != nil {
+		return nil, err
+	}
+	return restoreOrder(ps, keys), nil
+}
+
+// restoreOrder re-sequences one batch's prepared samples back into
+// keys' order after a resident-first pass.
+func restoreOrder(ps []dataprep.Prepared, keys []string) []dataprep.Prepared {
+	pos := make(map[string][]int, len(keys))
+	for i, k := range keys {
+		pos[k] = append(pos[k], i)
+	}
+	out := make([]dataprep.Prepared, len(ps))
+	for _, p := range ps {
+		q := pos[p.Key]
+		if len(q) == 0 {
+			// A key outside the requested set: the permutation invariant
+			// broke somewhere upstream — fall back to prepared order
+			// rather than dropping the sample (and its pooled buffers).
+			return ps
+		}
+		out[q[0]] = p
+		pos[p.Key] = q[1:]
+	}
+	return out
+}
+
 // Bind routes an executor's prepare path through c by swapping its
 // preparer for the cache-backed equivalent (see WrapPreparer), and
 // returns the fingerprint its decodes are keyed under. ok is false —

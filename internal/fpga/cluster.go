@@ -285,6 +285,8 @@ func (c *Cluster) Stats() []pipeline.StageStats {
 // returns it. Ordering and bit-identity with the host executor are
 // preserved. Device-attributable failures re-dispatch the sample; only
 // data errors — or an empty pool with no fallback — fail the batch.
+// Each sample's buffer is an output frame of the device that prepared
+// it (or of the fallback executor); dataprep.Recycle hands it back.
 func (c *Cluster) PrepareBatch(ctx context.Context, keys []string, datasetSeed int64, epoch int) ([]dataprep.Prepared, error) {
 	c.beginBatch()
 	par := c.Devices()
@@ -299,6 +301,13 @@ func (c *Cluster) PrepareBatch(ctx context.Context, keys []string, datasetSeed i
 	if err != nil {
 		return nil, err
 	}
+	// A cancelled batch strands prepared samples; their frames go back
+	// to the device (or fallback executor) that produced them.
+	pl.WithDiscard(func(v any) {
+		if p, ok := v.(dataprep.Prepared); ok {
+			dataprep.Recycle(p)
+		}
+	})
 	start := time.Now()
 	run := pl.WithMetrics(c.reg).Run(ctx, pipeline.IndexSource(len(keys)))
 	out, err := pipeline.Drain[dataprep.Prepared](run)

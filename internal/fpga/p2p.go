@@ -7,6 +7,7 @@ import (
 
 	"trainbox/internal/dataprep"
 	"trainbox/internal/faults"
+	"trainbox/internal/memframe"
 	"trainbox/internal/metrics"
 	"trainbox/internal/nvme"
 	"trainbox/internal/pipeline"
@@ -27,10 +28,13 @@ type P2PHandler struct {
 
 	// scratches models the engine's on-device working set: each prepare
 	// draws a pooled dataprep.Scratch so repeated offloads recycle their
-	// decode/augment buffers. Outputs are always freshly allocated
-	// (plain NewScratch, no shared output pool) so callers — including
-	// the bit-identity oracles — may hold results indefinitely.
+	// decode/augment buffers. Their outputs land in out, the device's
+	// ring of DMA-target frames: every sample remembers it, and
+	// dataprep.Recycle hands the frame back once the consumer (train's
+	// extract stage) has copied out of it. A caller that never recycles
+	// keeps its samples; their frames are simply not reused.
 	scratches *pipeline.Pool[*dataprep.Scratch]
+	out       *memframe.Set
 
 	mSamples *metrics.Counter   // fpga.p2p.samples_prepared
 	mLatency *metrics.Histogram // fpga.p2p.sample_ns
@@ -47,7 +51,8 @@ func NewP2PHandler(ns *nvme.Namespace, engine *Emulator, queueDepth int, opts ..
 	if err != nil {
 		return nil, err
 	}
-	h := &P2PHandler{client: client, engine: engine, scratches: pipeline.NewPool(dataprep.NewScratch)}
+	h := &P2PHandler{client: client, engine: engine, out: memframe.NewSet()}
+	h.scratches = pipeline.NewPool(func() *dataprep.Scratch { return dataprep.NewScratchWithOutput(h.out) })
 	for _, opt := range opts {
 		if err := opt.applyHandler(h); err != nil {
 			return nil, err
@@ -57,12 +62,16 @@ func NewP2PHandler(ns *nvme.Namespace, engine *Emulator, queueDepth int, opts ..
 }
 
 // prepare runs the engine on one fetched object with a pooled working
-// set.
+// set, into one of the device's output frames.
 func (h *P2PHandler) prepare(obj storage.Object, seed int64) dataprep.Prepared {
 	s := h.scratches.Get()
 	defer h.scratches.Put(s)
-	return h.engine.Prepare(obj, seed, s)
+	return s.Prepare(h.engine, obj, seed)
 }
+
+// OutputStats reports the device's output frame pools' counters: after
+// a consumer has recycled everything it was handed, Gets == Puts.
+func (h *P2PHandler) OutputStats() memframe.Stats { return h.out.Stats() }
 
 // readObject is the handler's faultable NVMe read: the injector (if
 // any) rules on (key, attempt) first, then the real read runs. attempt

@@ -2,9 +2,11 @@ package fpga
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"trainbox/internal/dataprep"
+	"trainbox/internal/faults"
 	"trainbox/internal/nvme"
 	"trainbox/internal/storage"
 )
@@ -110,5 +112,94 @@ func TestP2PAudioPath(t *testing.T) {
 				t.Fatalf("audio sample %d diverges at %d", i, j)
 			}
 		}
+	}
+}
+
+// cancelAt cancels the batch when the device reads key, then stalls
+// that read until the cancellation lands.
+type cancelAt struct {
+	key    string
+	cancel context.CancelFunc
+}
+
+func (c cancelAt) Inject(op faults.Op) faults.Fault {
+	if op.Key != c.key {
+		return faults.Fault{}
+	}
+	c.cancel()
+	return faults.Fault{Stall: true}
+}
+
+// TestP2POutputFramesRecycle: device outputs land in the handler's own
+// output frames and come back through dataprep.Recycle — from another
+// goroutine while the next batch prepares, as train's extract stage
+// does, and through the dispatch pipeline when a batch is cancelled
+// mid-flight — so every frame handed out returns, later batches reuse
+// them, and reused frames stay bit-identical to the host path.
+func TestP2POutputFramesRecycle(t *testing.T) {
+	store := storage.NewStore(storage.DefaultSSDSpec())
+	if err := dataprep.BuildImageDataset(store, 8, 4, 3); err != nil {
+		t.Fatal(err)
+	}
+	ns, err := nvme.LoadStore(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := dataprep.DefaultImageConfig()
+	cfg.CropW, cfg.CropH = 32, 32
+	keys := store.Keys()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	inj := cancelAt{key: keys[5], cancel: cancel}
+	hs := make([]*P2PHandler, 2)
+	for i := range hs {
+		if hs[i], err = NewP2PHandler(ns, NewImageEmulator(cfg), 8, WithFaults(inj)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := newCluster(t, hs)
+	host := dataprep.NewExecutor(dataprep.ImagePreparer{Config: cfg}, 2, 3)
+
+	const epochs = 4
+	var wg sync.WaitGroup
+	for epoch := 0; epoch < epochs; epoch++ {
+		got, err := c.PrepareBatch(context.Background(), keys[:5], 3, epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := host.PrepareBatch(store, keys[:5], epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			for j, v := range want[i].Image.Data {
+				if got[i].Image.Data[j] != v {
+					t.Fatalf("epoch %d sample %d diverges at element %d", epoch, i, j)
+				}
+			}
+		}
+		host.Recycle(want...)
+		wg.Wait()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dataprep.Recycle(got...)
+		}()
+	}
+	wg.Wait()
+	if _, err := c.PrepareBatch(ctx, keys, 3, epochs); err == nil {
+		t.Fatal("cancelled batch succeeded")
+	}
+
+	var gets, news int64
+	for i, h := range hs {
+		st := h.OutputStats()
+		if st.Gets != st.Puts {
+			t.Errorf("device %d handed out %d frames and got %d back", i, st.Gets, st.Puts)
+		}
+		gets, news = gets+st.Gets, news+st.News
+	}
+	if gets < epochs*5 || news*2 > gets {
+		t.Errorf("%d frames handed out, %d allocated: want at least %d, mostly reused", gets, news, epochs*5)
 	}
 }

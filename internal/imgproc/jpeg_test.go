@@ -99,12 +99,16 @@ func TestDecodeJPEGCropIntoMatchesCrop(t *testing.T) {
 		if err := DecodeJPEGInto(&full, data); err != nil {
 			t.Fatal(err)
 		}
-		// The frame itself and an odd-sized near-full window, which fits
-		// at offsets 0 and 13: the 224² window does not fit the 150×103
-		// 4:4:4 fixture.
-		for _, size := range [][2]int{{ModelSize, ModelSize}, {16, 16}, {1, 37},
-			{full.W, full.H}, {(full.W - 14) | 1, (full.H - 2) | 1}} {
-			for x := 0; x+size[0] <= full.W; x += 13 {
+		// The model window clamped to the frame, the frame itself, the
+		// largest windows with an offset (one pixel short each way, at
+		// offsets 0 and 1) and an odd-sized near-full window. No 4:4:4
+		// fixture reaches 224² (the fixture is 150×103, and image/jpeg
+		// encodes colour only as 4:2:0), so there the model window is the
+		// whole frame, and a 224² window inside a larger 4:4:4 frame is
+		// left untested.
+		for _, size := range [][2]int{{min(ModelSize, full.W), min(ModelSize, full.H)}, {16, 16}, {1, 37},
+			{full.W, full.H}, {full.W - 1, full.H - 1}, {(full.W - 14) | 1, (full.H - 2) | 1}} {
+			for x := 0; x+size[0] <= full.W; x += min(13, max(1, full.W-size[0])) {
 				y := (x * 7) % (full.H - size[1] + 1)
 				if err := DecodeJPEGCropInto(&got, data, x, y, size[0], size[1]); err != nil {
 					t.Fatal(err)

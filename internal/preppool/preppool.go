@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"trainbox/internal/dataprep"
+	"trainbox/internal/dscache"
 	"trainbox/internal/eth"
 	"trainbox/internal/fpga"
 	"trainbox/internal/metrics"
@@ -295,7 +296,8 @@ func (j *Job) Preparer(keys []string) func(ctx context.Context, epoch int) ([]da
 // key order and bit-identical to a pure host run of the same keys. The
 // epoch boundary is also where the job syncs with the pool: dead
 // devices are retired, the pool rebalances, and this job's leases are
-// grown or shrunk to its current grant.
+// grown or shrunk to its current grant. As with the cluster and the
+// executor, dataprep.Recycle hands the samples' buffers back.
 func (j *Job) PrepareEpoch(ctx context.Context, keys []string, epoch int) ([]dataprep.Prepared, error) {
 	if err := j.sync(); err != nil {
 		return nil, err
@@ -316,7 +318,8 @@ func (j *Job) PrepareEpoch(ctx context.Context, keys []string, epoch int) ([]dat
 
 	// Both halves prepare concurrently; per-sample seeds depend only on
 	// (dataset seed, key, epoch), so the concatenation is bit-identical
-	// to either path preparing everything.
+	// to either path preparing everything. The host half goes
+	// resident-first when Exec is bound to a decode cache.
 	out := make([]dataprep.Prepared, 0, len(keys))
 	var poolOut, hostOut []dataprep.Prepared
 	err := pipeline.ForEach(ctx, 2, func(ctx context.Context, half int) error {
@@ -326,11 +329,14 @@ func (j *Job) PrepareEpoch(ctx context.Context, keys []string, epoch int) ([]dat
 				poolOut, err = j.cluster.PrepareBatch(ctx, keys[:pooled], j.spec.DatasetSeed, epoch)
 			}
 		} else if pooled < len(keys) {
-			hostOut, err = j.spec.Exec.PrepareBatchContext(ctx, j.spec.Store, keys[pooled:], epoch)
+			hostOut, err = dscache.PrepareBatch(ctx, j.spec.Exec, j.spec.Store, keys[pooled:], epoch)
 		}
 		return err
 	})
 	if err != nil {
+		// The half that finished hands its buffers back.
+		dataprep.Recycle(poolOut...)
+		dataprep.Recycle(hostOut...)
 		return nil, fmt.Errorf("preppool: job %q epoch %d: %w", j.spec.Name, epoch, err)
 	}
 	out = append(append(out, poolOut...), hostOut...)

@@ -11,6 +11,7 @@ import (
 	"trainbox/internal/faults"
 	"trainbox/internal/fpga"
 	"trainbox/internal/invariant"
+	"trainbox/internal/memframe"
 	"trainbox/internal/metrics"
 	"trainbox/internal/nvme"
 	"trainbox/internal/preppool"
@@ -97,6 +98,10 @@ func (d pathData) executor() *dataprep.Executor {
 	return dataprep.NewExecutor(dataprep.ImagePreparer{Config: d.img}, 2, d.seed)
 }
 
+// producer is a source of pooled output buffers: an executor or a P2P
+// handler.
+type producer interface{ OutputStats() memframe.Stats }
+
 // devices builds the P2P handlers of a cluster or pool; device 0 takes
 // the injector.
 func (d pathData) devices(t testing.TB, inj faults.Injector) []*fpga.P2PHandler {
@@ -157,18 +162,32 @@ func assertSameModel(t testing.TB, label string, got, want Result) {
 }
 
 // runCell trains cell c on d, checks every run against want, then checks
-// that the cell exercised what it names.
+// that the cell exercised what it names and that every output buffer
+// its producers handed out came back.
 func runCell(t *testing.T, d pathData, c pathCell, want Result) {
 	t.Helper()
 	ctx, reg, keys := context.Background(), metrics.NewRegistry(), d.store.Keys()
+	var flaky faults.Injector
+	if c.intr == "death" {
+		flaky = faults.Chain(faults.NewDeviceDeath(c.deathAt), faults.NewErrorRate(2001, 0.12, nil))
+	}
+	var producers []producer
+	executor := func() *dataprep.Executor {
+		e := d.executor()
+		producers = append(producers, e)
+		return e
+	}
+	var devices []*fpga.P2PHandler
+	if c.place != "host" {
+		devices = d.devices(t, flaky)
+		for _, h := range devices {
+			producers = append(producers, h)
+		}
+	}
 	cfg := pathConfig(c.replicas, reg)
 	var cache *dscache.Cache
 	if budget, ok := cacheBudgets[c.cache]; ok {
 		cache = dscache.New(budget)
-	}
-	var flaky faults.Injector
-	if c.intr == "death" {
-		flaky = faults.Chain(faults.NewDeviceDeath(c.deathAt), faults.NewErrorRate(2001, 0.12, nil))
 	}
 
 	// leg is one train.Run on the cell's placement.
@@ -179,15 +198,15 @@ func runCell(t *testing.T, d pathData, c pathCell, want Result) {
 	switch c.place {
 	case "host":
 		leg = func(opts ...Option) (Result, error) {
-			opts = append(opts, WithDataset(d.executor(), d.store, keys), WithFeature(BlockFeature))
+			opts = append(opts, WithDataset(executor(), d.store, keys), WithFeature(BlockFeature))
 			if cache != nil {
 				opts = append(opts, WithCache(cache))
 			}
 			return Run(ctx, cfg, opts...)
 		}
 	case "cluster":
-		cluster, err = fpga.NewCluster(d.devices(t, flaky), fpga.WithHealth(pathHealth),
-			fpga.WithFallback(d.executor(), d.store), fpga.WithMetrics(reg))
+		cluster, err = fpga.NewCluster(devices, fpga.WithHealth(pathHealth),
+			fpga.WithFallback(executor(), d.store), fpga.WithMetrics(reg))
 		prep := func(ctx context.Context, epoch int) ([]dataprep.Prepared, error) {
 			return cluster.PrepareBatch(ctx, keys, d.seed, epoch)
 		}
@@ -195,12 +214,12 @@ func runCell(t *testing.T, d pathData, c pathCell, want Result) {
 			return Run(ctx, cfg, append(opts, WithPreparer(prep, len(keys)), WithFeature(BlockFeature))...)
 		}
 	case "pool":
-		pool, err = preppool.NewPool(d.devices(t, flaky), preppool.WithMetrics(reg), preppool.WithHealth(pathHealth))
+		pool, err = preppool.NewPool(devices, preppool.WithMetrics(reg), preppool.WithHealth(pathHealth))
 		// Each leg registers and closes its own job behind the cache, as
 		// the serve runner does; an in-box rate equal to one device's
 		// grants one lease and splits every epoch evenly.
 		leg = func(opts ...Option) (Result, error) {
-			exec := d.executor()
+			exec := executor()
 			if cache != nil {
 				dscache.Bind(cache, exec)
 			}
@@ -252,6 +271,21 @@ func runCell(t *testing.T, d pathData, c pathCell, want Result) {
 		}
 	}
 
+	// Run hands every epoch back to the producers, the parked leg's
+	// prefetched and in-flight samples included.
+	for _, p := range producers {
+		if st := p.OutputStats(); st.Gets != st.Puts {
+			t.Errorf("%T handed out %d output buffers and got %d back", p, st.Gets, st.Puts)
+		}
+	}
+	var deviceGets int64
+	for _, h := range devices {
+		deviceGets += h.OutputStats().Gets
+	}
+	if len(devices) > 0 && deviceGets == 0 {
+		t.Error("no device prepared into its output frames")
+	}
+
 	n := reg.Snapshot().Counters
 	hostKeys, dev := pathItems, "fpga.pool."
 	switch c.place {
@@ -277,12 +311,14 @@ func runCell(t *testing.T, d pathData, c pathCell, want Result) {
 		return
 	}
 	// On the pool, degraded samples of the pooled half join the cache
-	// too, so it may hold more keys than the host half.
+	// too, so it may hold more keys than the host half. A budget of two
+	// decodes against a cyclic scan of four or eight keys hits only
+	// because each epoch prepares its resident keys first.
 	if s := cache.Stats(); c.cache == "ample" && (s.Evictions != 0 || s.Misses != s.Entries ||
 		s.Entries < int64(hostKeys) || s.Hits < int64(hostKeys*(pathEpochs-1))) {
 		t.Errorf("ample cache %+v: want every key decoded once and ≥ %d hits", s, hostKeys*(pathEpochs-1))
-	} else if c.cache == "evicting" && s.Evictions == 0 {
-		t.Errorf("evicting cache %+v never evicted", s)
+	} else if c.cache == "evicting" && (s.Evictions == 0 || s.Hits == 0) {
+		t.Errorf("evicting cache %+v: want evictions and resident-first hits", s)
 	}
 }
 

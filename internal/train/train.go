@@ -34,7 +34,8 @@ import (
 )
 
 // FeatureFn converts one prepared sample into an (input, label) pair for
-// the model. It must be deterministic.
+// the model. It must be deterministic, and x must not alias the
+// sample: Run recycles the sample's buffer once its epoch is extracted.
 type FeatureFn func(dataprep.Prepared) (x []float64, label int, err error)
 
 // Config describes a training run.
@@ -138,13 +139,14 @@ type epochBatch struct {
 	pending *atomic.Int32
 }
 
-// release marks one holder done; the last one out recycles the shared
-// prepared buffers. It is called by the extract stage after
+// release marks one holder done; the last one out hands the shared
+// prepared buffers back to whichever producer drew them
+// (dataprep.Recycle). It is called by the extract stage after
 // featurization and by the run's discard hook for batches dropped on
 // cancellation — each holder exactly once, whichever path it takes.
-func (eb epochBatch) release(recycle func([]dataprep.Prepared)) {
-	if recycle != nil && (eb.pending == nil || eb.pending.Add(-1) == 0) {
-		recycle(eb.samples)
+func (eb epochBatch) release() {
+	if eb.pending == nil || eb.pending.Add(-1) == 0 {
+		dataprep.Recycle(eb.samples...)
 	}
 }
 
@@ -172,20 +174,12 @@ type runOptions struct {
 	prepare EpochPreparer
 	numKeys int
 	feature FeatureFn
-	// exec/store/keys mirror WithDataset's arguments so WithCache can
-	// rebuild the prepare path around a shared decode tier.
+	// exec is WithDataset's executor, which WithCache binds to a
+	// shared decode tier.
 	exec  *dataprep.Executor
-	store *storage.Store
-	keys  []string
 	cache *dscache.Cache
 	// echoFactor (≥ 1) enables the echo stage; zero = off.
 	echoFactor int
-	// recycle, when set, receives each epoch's prepared samples after
-	// the extract stage has converted them to model inputs, returning
-	// their buffers to the data source's pools. Requires that the
-	// feature function copies out of the prepared sample (all of the
-	// repo's feature functions do — they build fresh []float64 inputs).
-	recycle func([]dataprep.Prepared)
 	// checkpoint/restore and suspension (see checkpoint.go).
 	checkpointSink func(Checkpoint)
 	restore        *Checkpoint
@@ -216,7 +210,8 @@ func WithSync(r collective.Reducer) Option {
 }
 
 // WithDataset serves the run from the host data-preparation path: each
-// epoch prepares the keyed dataset with exec over store.
+// epoch prepares the keyed dataset with exec over store, resident keys
+// first when exec is bound to a decode cache (dscache.PrepareBatch).
 func WithDataset(exec *dataprep.Executor, store *storage.Store, keys []string) Option {
 	return func(o *runOptions) error {
 		if exec == nil || store == nil {
@@ -227,25 +222,23 @@ func WithDataset(exec *dataprep.Executor, store *storage.Store, keys []string) O
 		}
 		keysCopy := append([]string(nil), keys...)
 		o.prepare = func(ctx context.Context, epoch int) ([]dataprep.Prepared, error) {
-			return exec.PrepareBatchContext(ctx, store, keysCopy, epoch)
+			return dscache.PrepareBatch(ctx, exec, store, keysCopy, epoch)
 		}
 		o.numKeys = len(keysCopy)
-		// The executor owns the prepared buffers; hand each epoch back
-		// after extraction so steady-state training recycles them.
-		o.recycle = func(ps []dataprep.Prepared) { exec.Recycle(ps...) }
-		o.exec, o.store, o.keys = exec, store, keysCopy
+		o.exec = exec
 		return nil
 	}
 }
 
 // WithCache serves the run's decodes through a shared dscache tier: the
 // executor's preparer is swapped for its cache-backed equivalent
-// (dscache.Bind), and each epoch's keys are prepared resident-first
-// (Cache.OrderKeys) so warm entries are consumed before eviction
-// pressure builds — then restored to the caller's key order, keeping
-// the epoch bit-identical to the uncached run. Requires WithDataset; a
-// WithPreparer source binds its own executor through dscache.Bind, as
-// serve's pool jobs do. Runs sharing one cache decode each key once.
+// (dscache.Bind), so WithDataset's dscache.PrepareBatch prepares each
+// epoch's keys resident-first (Cache.OrderKeys) — warm entries are
+// consumed before eviction pressure builds — then restores the
+// caller's key order, keeping the epoch bit-identical to the uncached
+// run. Requires WithDataset; a WithPreparer source binds its own
+// executor through dscache.Bind, as serve's pool jobs do. Runs sharing
+// one cache decode each key once.
 //
 // dscache.Bind rebinds the caller's executor, not a copy: exec keeps
 // the cache-backed preparer after Run returns, for as long as it lives,
@@ -288,6 +281,11 @@ func WithEchoFactor(n int) Option {
 // fpga.Cluster's self-healing pool, a preppool job's split host/pool
 // path, or a chaos harness. numKeys is the per-epoch sample count
 // (used for buffer sizing and replica-feeding validation).
+//
+// Run takes ownership of every sample p returns: once an epoch is
+// extracted (or dropped on cancellation) its buffers go back to the
+// producers that drew them (dataprep.Recycle), so p must return fresh
+// samples each epoch and keep no reference to them.
 func WithPreparer(p EpochPreparer, numKeys int) Option {
 	return func(o *runOptions) error {
 		if p == nil {
@@ -364,61 +362,14 @@ func Run(ctx context.Context, cfg Config, opts ...Option) (Result, error) {
 		return Result{}, fmt.Errorf("train: no feature function (use WithFeature)")
 	}
 	if o.cache != nil {
-		if err := bindCache(&o); err != nil {
-			return Result{}, err
+		if o.exec == nil {
+			return Result{}, fmt.Errorf("train: WithCache requires WithDataset")
+		}
+		if _, ok := dscache.Bind(o.cache, o.exec); !ok {
+			return Result{}, fmt.Errorf("train: WithCache: preparer %T has no cached form", o.exec.Preparer())
 		}
 	}
 	return run(ctx, cfg, o)
-}
-
-// bindCache rebuilds the WithDataset prepare path around the shared
-// cache tier: the executor's preparer is swapped for its dscache
-// counterpart and each epoch prepares resident keys first, restoring
-// the original key order afterwards so the epoch stays bit-identical.
-func bindCache(o *runOptions) error {
-	if o.exec == nil {
-		return fmt.Errorf("train: WithCache requires WithDataset")
-	}
-	fp, ok := dscache.Bind(o.cache, o.exec)
-	if !ok {
-		return fmt.Errorf("train: WithCache: preparer %T has no cached form", o.exec.Preparer())
-	}
-	c, exec, store, keys := o.cache, o.exec, o.store, o.keys
-	o.prepare = func(ctx context.Context, epoch int) ([]dataprep.Prepared, error) {
-		ordered := c.OrderKeys(keys, fp)
-		ps, err := exec.PrepareBatchContext(ctx, store, ordered, epoch)
-		if err != nil {
-			return nil, err
-		}
-		return restoreOrder(ps, keys), nil
-	}
-	return nil
-}
-
-// restoreOrder re-sequences one epoch's prepared samples back into the
-// caller's key order after a cache-aware (resident-first) prepare pass.
-// Per-sample augmentation depends only on (dataset seed, key, epoch) —
-// never on position — so preparing in a different order changes nothing
-// per sample, and restoring the order keeps the whole epoch
-// bit-identical to the uncached run.
-func restoreOrder(ps []dataprep.Prepared, keys []string) []dataprep.Prepared {
-	pos := make(map[string][]int, len(keys))
-	for i, k := range keys {
-		pos[k] = append(pos[k], i)
-	}
-	out := make([]dataprep.Prepared, len(ps))
-	for _, p := range ps {
-		q := pos[p.Key]
-		if len(q) == 0 {
-			// A key outside the requested set: the permutation invariant
-			// broke somewhere upstream — fall back to prepared order
-			// rather than dropping the sample (and its pooled buffers).
-			return ps
-		}
-		out[q[0]] = p
-		pos[p.Key] = q[1:]
-	}
-	return out
 }
 
 // run is the driver pipeline behind Run, entered once the options are
@@ -525,7 +476,7 @@ func run(ctx context.Context, cfg Config, o runOptions) (Result, error) {
 			// The feature function copied out everything it needs (or
 			// failed); either way this holder is done with the prepared
 			// buffers, which can go back to the source's pools.
-			eb.release(o.recycle)
+			eb.release()
 			if err != nil {
 				return epochSamples{}, err
 			}
@@ -562,7 +513,7 @@ func run(ctx context.Context, cfg Config, o runOptions) (Result, error) {
 	pl.WithDiscard(func(v any) {
 		switch x := v.(type) {
 		case epochBatch:
-			x.release(o.recycle)
+			x.release()
 		case epochSamples:
 			samplePool.Put(x.samples[:0])
 		}

@@ -147,6 +147,7 @@ var notLinked = map[string]string{
 	"internal/invariant": harness,
 
 	"internal/fpga.Cluster.Stats":             probe,
+	"internal/fpga.P2PHandler.OutputStats":    probe,
 	"internal/pipeline.Pool.Stats":            probe,
 	"internal/metrics.ValidName":              probe,
 	"internal/arch.System.BoxOf":              probe,
