@@ -183,8 +183,6 @@ func (s *stall) Inject(op Op) Fault {
 // DeviceDeath is a device-lifecycle injector: it lets a budget of
 // operations through, then fails every subsequent operation with the
 // permanent ErrDeviceDead — the "pooled FPGA died mid-run" scenario.
-// Revive restores a fresh budget, modelling a device coming back (what
-// a pool's probation re-admission then discovers).
 type DeviceDeath struct {
 	budget atomic.Int64
 }
@@ -204,9 +202,6 @@ func (d *DeviceDeath) Inject(Op) Fault {
 	}
 	return Fault{}
 }
-
-// Revive restores the device with a fresh operation budget.
-func (d *DeviceDeath) Revive(aliveOps int64) { d.budget.Store(aliveOps) }
 
 // chain composes injectors: delays and stalls accumulate, the first
 // injected error wins.

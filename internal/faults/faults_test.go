@@ -163,10 +163,6 @@ func TestDeviceDeathLifecycle(t *testing.T) {
 			t.Fatalf("dead device served op %d: %v", i, f.Err)
 		}
 	}
-	d.Revive(2)
-	if f := d.Inject(op); f.Err != nil {
-		t.Errorf("revived device failed: %v", f.Err)
-	}
 }
 
 func TestChainComposition(t *testing.T) {

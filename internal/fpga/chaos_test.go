@@ -51,14 +51,14 @@ func assertBitIdentical(t *testing.T, got, want []dataprep.Prepared) {
 }
 
 // TestClusterEjectsDeadDeviceAndStaysBitIdentical: one device dead on
-// arrival must be ejected after EjectAfter strikes while its samples are
+// arrival must be ejected after three strikes while its samples are
 // re-dispatched to the survivor, and the delivered batch must still be
 // bit-identical to the host oracle.
 func TestClusterEjectsDeadDeviceAndStaysBitIdentical(t *testing.T) {
 	const datasetSeed, epoch = 3, 1
 	handlers, store, cfg := chaosFixture(t, faults.NewDeviceDeath(0), nil)
 	reg := metrics.NewRegistry()
-	cluster := newCluster(t, handlers, WithHealth(HealthConfig{EjectAfter: 2}), WithMetrics(reg))
+	cluster := newCluster(t, handlers, WithMetrics(reg))
 
 	out, err := cluster.PrepareBatch(context.Background(), store.Keys(), datasetSeed, epoch)
 	if err != nil {
@@ -86,9 +86,9 @@ func (f injectorFunc) Inject(op faults.Op) faults.Fault { return f(op) }
 
 // TestClusterSampleOutlastsDyingDevice replays the interleaving that
 // made the test above flaky: another sample holds the live device while
-// this one draws the dead device on consecutive attempts — strike 1
-// returns it to the pool, strike 2 ejects it. The sample must then wait
-// for the live device instead of failing with no fallback attached.
+// this one draws the dead device on consecutive attempts — strikes 1
+// and 2 return it to the pool, strike 3 ejects it. The sample must then
+// wait for the live device instead of failing with no fallback attached.
 func TestClusterSampleOutlastsDyingDevice(t *testing.T) {
 	const datasetSeed, epoch = 3, 1
 	var (
@@ -98,13 +98,13 @@ func TestClusterSampleOutlastsDyingDevice(t *testing.T) {
 		death   = faults.NewDeviceDeath(0)
 	)
 	dying := injectorFunc(func(op faults.Op) faults.Fault {
-		if strikes++; strikes == 2 {
+		if strikes++; strikes == ejectAfter {
 			cluster.release(live, true) // the other sample finishes mid-attempt
 		}
 		return death.Inject(op)
 	})
 	handlers, store, cfg := chaosFixture(t, dying, nil)
-	cluster = newCluster(t, handlers, WithHealth(HealthConfig{EjectAfter: 2}))
+	cluster = newCluster(t, handlers)
 
 	// The pool hands devices out in order: park the dead one behind the
 	// live one, then check the live one out as a concurrent sample would.
@@ -120,8 +120,8 @@ func TestClusterSampleOutlastsDyingDevice(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sample failed with a healthy device in the pool: %v", err)
 	}
-	if strikes != 2 || cluster.ActiveDevices() != 1 {
-		t.Fatalf("strikes = %d, active devices = %d; want 2 and 1", strikes, cluster.ActiveDevices())
+	if strikes != ejectAfter || cluster.ActiveDevices() != 1 {
+		t.Fatalf("strikes = %d, active devices = %d; want %d and 1", strikes, cluster.ActiveDevices(), ejectAfter)
 	}
 	assertBitIdentical(t, []dataprep.Prepared{got}, hostOracle(t, store, cfg, datasetSeed, epoch)[:1])
 }
@@ -134,7 +134,7 @@ func TestClusterFallbackWhenAllDevicesDead(t *testing.T) {
 	handlers, store, cfg := chaosFixture(t, faults.NewDeviceDeath(0), faults.NewDeviceDeath(0))
 	reg := metrics.NewRegistry()
 	fb := dataprep.NewExecutor(dataprep.ImagePreparer{Config: cfg}, 2, 0)
-	cluster := newCluster(t, handlers, WithHealth(HealthConfig{EjectAfter: 1}), WithFallback(fb, store), WithMetrics(reg))
+	cluster := newCluster(t, handlers, WithFallback(fb, store), WithMetrics(reg))
 
 	out, err := cluster.PrepareBatch(context.Background(), store.Keys(), datasetSeed, epoch)
 	if err != nil {
@@ -152,70 +152,11 @@ func TestClusterFallbackWhenAllDevicesDead(t *testing.T) {
 	}
 }
 
-// TestClusterProbationReadmission walks the full device lifecycle on a
-// single-device pool with host fallback: eject → probation re-admission
-// → re-ejection on the probation strike → revival → clean re-admission.
-func TestClusterProbationReadmission(t *testing.T) {
-	const datasetSeed = 11
-	death := faults.NewDeviceDeath(0)
-	handlers, store, cfg := chaosFixture(t, death)
-	reg := metrics.NewRegistry()
-	fb := dataprep.NewExecutor(dataprep.ImagePreparer{Config: cfg}, 2, 0)
-	cluster := newCluster(t, handlers, WithHealth(HealthConfig{EjectAfter: 1, ProbationBatches: 1}),
-		WithFallback(fb, store), WithMetrics(reg))
-
-	// Batch 1: the device's first sample fails → immediate ejection; the
-	// rest of the batch degrades to the host path.
-	out, err := cluster.PrepareBatch(context.Background(), store.Keys(), datasetSeed, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, out, hostOracle(t, store, cfg, datasetSeed, 0))
-	if got := reg.Counter("fpga.pool.devices_ejected").Value(); got != 1 {
-		t.Fatalf("after batch 1: devices_ejected = %d, want 1", got)
-	}
-
-	// Batch 2: probation re-admits the still-dead device; its one strike
-	// re-ejects it and the batch degrades again.
-	out, err = cluster.PrepareBatch(context.Background(), store.Keys(), datasetSeed, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, out, hostOracle(t, store, cfg, datasetSeed, 1))
-	if got := reg.Counter("fpga.pool.devices_readmitted").Value(); got != 1 {
-		t.Errorf("after batch 2: devices_readmitted = %d, want 1", got)
-	}
-	if got := reg.Counter("fpga.pool.devices_ejected").Value(); got != 2 {
-		t.Errorf("after batch 2: devices_ejected = %d, want 2", got)
-	}
-	if got := cluster.ActiveDevices(); got != 0 {
-		t.Errorf("after batch 2: active devices = %d, want 0", got)
-	}
-
-	// The device comes back; the next probation re-admission serves the
-	// whole batch cleanly and the device stays in the pool.
-	death.Revive(1 << 30)
-	out, err = cluster.PrepareBatch(context.Background(), store.Keys(), datasetSeed, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, out, hostOracle(t, store, cfg, datasetSeed, 2))
-	if got := reg.Counter("fpga.pool.devices_readmitted").Value(); got != 2 {
-		t.Errorf("after batch 3: devices_readmitted = %d, want 2", got)
-	}
-	if got := reg.Counter("fpga.pool.devices_ejected").Value(); got != 2 {
-		t.Errorf("after batch 3: devices_ejected = %d, want 2 (revived device must stay)", got)
-	}
-	if got := cluster.ActiveDevices(); got != 1 {
-		t.Errorf("after batch 3: active devices = %d, want 1", got)
-	}
-}
-
 // TestClusterPoolEmptyWithoutFallbackFails: with no host fallback, an
 // all-dead pool must fail the batch with the device error.
 func TestClusterPoolEmptyWithoutFallbackFails(t *testing.T) {
 	handlers, store, _ := chaosFixture(t, faults.NewDeviceDeath(0))
-	cluster := newCluster(t, handlers, WithHealth(HealthConfig{EjectAfter: 1}))
+	cluster := newCluster(t, handlers)
 	if _, err := cluster.PrepareBatch(context.Background(), store.Keys(), 1, 0); !errors.Is(err, faults.ErrDeviceDead) {
 		t.Errorf("err = %v, want ErrDeviceDead", err)
 	}
@@ -232,7 +173,6 @@ func TestClusterFlakyDeviceRecovers(t *testing.T) {
 	handlers, store, cfg := chaosFixture(t, flake, flake)
 	reg := metrics.NewRegistry()
 	fb := dataprep.NewExecutor(dataprep.ImagePreparer{Config: cfg}, 2, 0)
-	// No WithHealth: the default health config is what re-dispatches.
 	cluster := newCluster(t, handlers, WithFallback(fb, store), WithMetrics(reg))
 
 	out, err := cluster.PrepareBatch(context.Background(), store.Keys(), datasetSeed, epoch)

@@ -27,8 +27,8 @@ import (
 // keeps failing is ejected — the pool shrinks instead of the batch
 // dying — and its samples are re-dispatched to surviving devices or,
 // when every device is gone, to the host executor (WithFallback).
-// Ejected devices are periodically re-admitted on probation: one clean
-// job restores them, one more failure re-ejects them. The degradation
+// Ejection is final: an ejected device serves no further sample, and a
+// prep-pool retires it at the next epoch boundary. The degradation
 // ladder is therefore retry-on-another-device → shrink the pool → host
 // fallback, and every rung preserves bit-identical output.
 //
@@ -41,7 +41,6 @@ type Cluster struct {
 	name  string
 	stats pipeline.StatsSet
 
-	health  HealthConfig
 	fbExec  *dataprep.Executor
 	fbStore *storage.Store
 
@@ -51,36 +50,20 @@ type Cluster struct {
 	avail   chan *device
 	alive   int
 	nextID  int
-	batches int64
 	allDead chan struct{} // closed while every device is ejected
 
-	reg         *metrics.Registry
-	mJobs       *metrics.Counter // fpga.pool[.<name>].jobs_dispatched
-	mEjected    *metrics.Counter // fpga.pool[.<name>].devices_ejected
-	mReadmitted *metrics.Counter // fpga.pool[.<name>].devices_readmitted
-	mRetries    *metrics.Counter // fpga.pool[.<name>].sample_retries
-	mDegraded   *metrics.Counter // fpga.pool[.<name>].degraded_samples
-	gActive     *metrics.Gauge   // fpga.pool[.<name>].devices_active
-	wall        atomic.Int64     // cumulative batch wall ns
+	reg       *metrics.Registry
+	mJobs     *metrics.Counter // fpga.pool[.<name>].jobs_dispatched
+	mEjected  *metrics.Counter // fpga.pool[.<name>].devices_ejected
+	mRetries  *metrics.Counter // fpga.pool[.<name>].sample_retries
+	mDegraded *metrics.Counter // fpga.pool[.<name>].degraded_samples
+	gActive   *metrics.Gauge   // fpga.pool[.<name>].devices_active
+	wall      atomic.Int64     // cumulative batch wall ns
 }
 
-// HealthConfig tunes the pool's per-device health tracking.
-type HealthConfig struct {
-	// EjectAfter is the consecutive-failure count that ejects a device
-	// from the pool; values ≤ 0 select the default (3).
-	EjectAfter int
-	// ProbationBatches is how many batches an ejected device sits out
-	// before a probation re-admission: it re-enters the pool one failure
-	// away from re-ejection, so a single clean job restores it and a
-	// single failure removes it again. 0 means ejection is permanent.
-	ProbationBatches int
-}
-
-// DefaultHealthConfig returns the standard self-healing posture: eject
-// after 3 consecutive failures, probe again 4 batches later.
-func DefaultHealthConfig() HealthConfig {
-	return HealthConfig{EjectAfter: 3, ProbationBatches: 4}
-}
+// ejectAfter is the consecutive device-fault count that ejects a device
+// from its cluster for good.
+const ejectAfter = 3
 
 // device is one pooled handler's ledger, guarded by Cluster.mu except
 // for the atomic busy counter.
@@ -89,21 +72,18 @@ type device struct {
 	id          int // stable per-cluster id for utilization metrics
 	consecFails int
 	ejected     bool
-	ejectedAt   int64 // batch counter value at ejection
-	probation   bool  // readmitted on trial: one failure re-ejects
 	busy        atomic.Int64
 }
 
 // NewCluster builds a cluster over the pooled device handlers,
-// configured by functional options (WithHealth, WithFallback,
-// WithMetrics, WithName, WithFaults). Devices are checked out per
-// sample, so concurrent batches share the pool. Health tracking always
-// runs, with DefaultHealthConfig unless WithHealth tunes it. A cluster
-// needs at least one handler unless WithFallback arms a host path, in
-// which case it may start empty and grow through Lease.
+// configured by functional options (WithFallback, WithMetrics,
+// WithName, WithFaults). Devices are checked out per sample, so
+// concurrent batches share the pool. Health tracking always runs: a
+// device ejectAfter consecutive faults in is ejected. A cluster needs
+// at least one handler unless WithFallback arms a host path, in which
+// case it may start empty and grow through Lease.
 func NewCluster(handlers []*P2PHandler, opts ...Option) (*Cluster, error) {
 	c := &Cluster{
-		health:  DefaultHealthConfig(),
 		index:   map[*P2PHandler]*device{},
 		allDead: make(chan struct{}),
 	}
@@ -157,7 +137,6 @@ func (c *Cluster) resolveMetrics() {
 	prefix := c.metricPrefix()
 	c.mJobs = c.reg.Counter(prefix + "jobs_dispatched")
 	c.mEjected = c.reg.Counter(prefix + "devices_ejected")
-	c.mReadmitted = c.reg.Counter(prefix + "devices_readmitted")
 	c.mRetries = c.reg.Counter(prefix + "sample_retries")
 	c.mDegraded = c.reg.Counter(prefix + "degraded_samples")
 	c.gActive = c.reg.Gauge(prefix + "devices_active")
@@ -245,8 +224,8 @@ func (c *Cluster) Release(h *P2PHandler) error {
 }
 
 // Ejected returns the handlers currently ejected by health tracking —
-// what a prep-pool reaps at epoch boundaries to retire dead devices and
-// re-run its rebalance.
+// what a prep-pool reaps at epoch boundaries and at job close to retire
+// dead devices.
 func (c *Cluster) Ejected() []*P2PHandler {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -288,7 +267,6 @@ func (c *Cluster) Stats() []pipeline.StageStats {
 // Each sample's buffer is an output frame of the device that prepared
 // it (or of the fallback executor); dataprep.Recycle hands it back.
 func (c *Cluster) PrepareBatch(ctx context.Context, keys []string, datasetSeed int64, epoch int) ([]dataprep.Prepared, error) {
-	c.beginBatch()
 	par := c.Devices()
 	if par == 0 {
 		par = 1 // empty pool: the stage exists to drive the host fallback
@@ -355,7 +333,7 @@ func (c *Cluster) prepareSample(ctx context.Context, key string, datasetSeed int
 			// acquire reports !ok once the last one is ejected. A smaller
 			// bound can spend every try on one dying device while a
 			// healthy one is checked out by another sample.
-			maxTries = c.Devices() * c.health.EjectAfter
+			maxTries = c.Devices() * ejectAfter
 		}
 		lastErr = p.Err
 		c.mRetries.Inc()
@@ -403,24 +381,20 @@ func (c *Cluster) acquire(ctx context.Context) (d *device, ok bool, err error) {
 
 // release returns a device to the pool, updating its health ledger:
 // success (or a failure not attributable to the device) clears its
-// strikes; a device fault adds one, and enough consecutive strikes —
-// or any strike while on probation — eject it instead of returning it.
+// strikes; a device fault adds one, and ejectAfter consecutive strikes
+// eject it instead of returning it.
 func (c *Cluster) release(d *device, clean bool) {
 	c.mu.Lock()
 	if clean {
 		d.consecFails = 0
-		d.probation = false
 		avail := c.avail
 		c.mu.Unlock()
 		avail <- d
 		return
 	}
 	d.consecFails++
-	if d.probation || d.consecFails >= c.health.EjectAfter {
+	if d.consecFails >= ejectAfter {
 		d.ejected = true
-		d.probation = false
-		d.consecFails = 0
-		d.ejectedAt = c.batches
 		c.alive--
 		c.mEjected.Inc()
 		c.gActive.SetInt(int64(c.alive))
@@ -433,35 +407,6 @@ func (c *Cluster) release(d *device, clean bool) {
 	avail := c.avail
 	c.mu.Unlock()
 	avail <- d
-}
-
-// beginBatch advances the batch counter and re-admits ejected devices
-// whose probation period has elapsed. Re-admission happens between
-// batches, so within one batch the live-device set only shrinks.
-func (c *Cluster) beginBatch() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.batches++
-	if c.health.ProbationBatches <= 0 {
-		return
-	}
-	for _, d := range c.devices {
-		if !d.ejected || c.batches-d.ejectedAt < int64(c.health.ProbationBatches) {
-			continue
-		}
-		d.ejected = false
-		d.probation = true
-		d.consecFails = 0
-		if c.alive == 0 {
-			c.allDead = make(chan struct{}) // pool is live again
-		}
-		c.alive++
-		c.mReadmitted.Inc()
-		c.gActive.SetInt(int64(c.alive))
-		// avail has capacity for every device and ejected devices are
-		// never in it, so this send cannot block.
-		c.avail <- d
-	}
 }
 
 // reportUtilization publishes each device's share of cumulative batch

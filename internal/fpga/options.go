@@ -35,24 +35,6 @@ func (o Option) applyHandler(h *P2PHandler) error {
 	return o.handler(h)
 }
 
-// WithHealth tunes the cluster's per-device health tracking, which runs
-// with DefaultHealthConfig when this option is absent: EjectAfter
-// consecutive failures eject a device (≤ 0 selects the default) and an
-// ejected device is re-admitted on probation ProbationBatches batches
-// later (0 makes ejection permanent).
-func WithHealth(cfg HealthConfig) Option {
-	return Option{name: "WithHealth", cluster: func(c *Cluster) error {
-		if cfg.EjectAfter <= 0 {
-			cfg.EjectAfter = DefaultHealthConfig().EjectAfter
-		}
-		if cfg.ProbationBatches < 0 {
-			cfg.ProbationBatches = 0
-		}
-		c.health = cfg
-		return nil
-	}}
-}
-
 // WithFallback attaches the cluster's host data-preparation path: when
 // every pooled device is ejected (or a sample has exhausted its pool
 // attempts), the sample is prepared by exec over store instead. Because

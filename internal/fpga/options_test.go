@@ -37,15 +37,13 @@ func leaseFixture(t *testing.T, n int, opts ...Option) ([]*P2PHandler, *storage.
 }
 
 // TestClusterOptionsAPI: the functional-options constructor must wire
-// health, fallback, metrics, name scoping, and pool-wide faults in one
-// call.
+// fallback, metrics, name scoping, and pool-wide faults in one call.
 func TestClusterOptionsAPI(t *testing.T) {
 	handlers, store, cfg := leaseFixture(t, 2)
 	reg := metrics.NewRegistry()
 	fb := dataprep.NewExecutor(dataprep.ImagePreparer{Config: cfg}, 2, 0)
 	cluster, err := NewCluster(handlers,
 		WithName("jobA"),
-		WithHealth(HealthConfig{EjectAfter: 1}),
 		WithFallback(fb, store),
 		WithMetrics(reg),
 		WithFaults(faults.NewDeviceDeath(0)),
@@ -61,8 +59,9 @@ func TestClusterOptionsAPI(t *testing.T) {
 		t.Fatalf("batch delivered %d samples, want %d", len(out), len(store.Keys()))
 	}
 	snap := reg.Snapshot()
-	// WithFaults killed both devices, WithHealth ejected them, WithFallback
-	// served the batch — all under the WithName-scoped namespace.
+	// WithFaults killed both devices, health tracking ejected them,
+	// WithFallback served the batch — all under the WithName-scoped
+	// namespace.
 	if got := snap.Counters["fpga.pool.jobA.devices_ejected"]; got != 2 {
 		t.Errorf("fpga.pool.jobA.devices_ejected = %d, want 2", got)
 	}
@@ -108,7 +107,7 @@ func TestHandlerOptionsAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := NewP2PHandler(ns, NewImageEmulator(dataprep.DefaultImageConfig()), 4,
-		WithHealth(DefaultHealthConfig())); err == nil {
+		WithName("jobA")); err == nil {
 		t.Error("cluster-only option accepted by NewP2PHandler")
 	}
 	if _, err := NewCluster(handlers, WithFallback(nil, nil)); err == nil {

@@ -78,23 +78,12 @@ func WithMetrics(reg *metrics.Registry) Option {
 	}
 }
 
-// WithHealth tunes the health tracking each job's cluster runs (the
-// default is fpga.DefaultHealthConfig): how fast a failing device is
-// ejected, and so how soon the next epoch boundary retires it.
-func WithHealth(cfg fpga.HealthConfig) Option {
-	return func(p *Pool) error {
-		p.health = cfg
-		return nil
-	}
-}
-
 // jobName keeps per-job metric segments valid under the repo-wide
 // subsystem.object.metric scheme.
 var jobName = regexp.MustCompile(`^[a-z][a-z0-9_-]*$`)
 
 // Pool owns the shared preparation devices and the lease ledger.
 type Pool struct {
-	health         fpga.HealthConfig
 	net            *eth.Network
 	bytesPerSample units.Bytes
 	reg            *metrics.Registry
@@ -114,7 +103,6 @@ type Pool struct {
 // NewPool builds the runtime over the pooled device handlers.
 func NewPool(devices []*fpga.P2PHandler, opts ...Option) (*Pool, error) {
 	p := &Pool{
-		health:    fpga.DefaultHealthConfig(),
 		lastOwner: map[*fpga.P2PHandler]string{},
 	}
 	for i, d := range devices {
@@ -214,7 +202,6 @@ func (p *Pool) Register(spec JobSpec) (*Job, error) {
 	}
 	cluster, err := fpga.NewCluster(nil,
 		fpga.WithName(spec.Name),
-		fpga.WithHealth(p.health),
 		fpga.WithFallback(spec.Exec, spec.Store),
 		fpga.WithMetrics(p.reg))
 	if err != nil {
@@ -255,12 +242,17 @@ func (j *Job) SetRequiredRate(rate units.SamplesPerSec) error {
 }
 
 // Close deregisters the job, returning its leases (and their network
-// reservations) to the pool for other jobs to claim.
+// reservations) to the pool for other jobs to claim. Devices its
+// cluster ejected since the last epoch boundary are retired instead, as
+// at that boundary.
 func (j *Job) Close() error {
 	j.pool.mu.Lock()
 	defer j.pool.mu.Unlock()
 	if j.closed {
 		return fmt.Errorf("preppool: job %q closed twice", j.spec.Name)
+	}
+	if err := j.retireEjectedLocked(); err != nil {
+		return err
 	}
 	// Drain rather than range: releaseLeaseLocked removes from j.order in
 	// place, so a range would read shifted entries. The job is only
@@ -369,21 +361,28 @@ func (j *Job) sync() error {
 		return fmt.Errorf("preppool: job %q is closed", j.spec.Name)
 	}
 
-	// Retire devices the cluster's health layer ejected: they leave the
-	// lease and the pool entirely (their capacity is gone) and their
-	// network reservation returns to the fabric; the rebalance below then
-	// grants the job a replacement from spare capacity instead of
-	// settling for host fallback.
-	for _, h := range j.cluster.Ejected() {
-		if err := j.releaseLeaseLocked(h, false); err != nil {
-			return err
-		}
-		p.mRetired.Inc()
+	// The rebalance after the reap grants the job a replacement from
+	// spare capacity instead of settling for host fallback.
+	if err := j.retireEjectedLocked(); err != nil {
+		return err
 	}
 	if err := p.rebalanceLocked(); err != nil {
 		return err
 	}
 	return j.settleLocked()
+}
+
+// retireEjectedLocked reaps the devices the job's cluster ejected: they
+// leave the lease and the pool entirely (their capacity is gone) and
+// their network reservation returns to the fabric.
+func (j *Job) retireEjectedLocked() error {
+	for _, h := range j.cluster.Ejected() {
+		if err := j.releaseLeaseLocked(h, false); err != nil {
+			return err
+		}
+		j.pool.mRetired.Inc()
+	}
+	return nil
 }
 
 // rebalanceLocked recomputes every job's device target from current

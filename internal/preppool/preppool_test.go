@@ -236,12 +236,12 @@ func TestEthernetBudgetCapsGrants(t *testing.T) {
 // corpse and grant a replacement from spare pool capacity — the re-run
 // rebalance, not host fallback, absorbing the death.
 func TestDeviceDeathRetiresAndRebalances(t *testing.T) {
-	// Device 0 fails its first read, so it dies in epoch 0 however the
-	// dispatcher splits the 8 keys between the two leases (a budget of a
-	// few reads may outlast the epoch); device 2 is the idle spare.
+	// Device 0 fails every read, so it strikes out in epoch 0 however
+	// the dispatcher splits the 8 keys between the two leases (a budget
+	// of a few reads may outlast the epoch); device 2 is the idle spare.
 	handlers, store, cfg := fixture(t, 3, faults.NewDeviceDeath(0))
 	reg := metrics.NewRegistry()
-	pool, err := NewPool(handlers, WithMetrics(reg), WithHealth(fpga.HealthConfig{EjectAfter: 1}))
+	pool, err := NewPool(handlers, WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,6 +278,56 @@ func TestDeviceDeathRetiresAndRebalances(t *testing.T) {
 	}
 	if got := snap.Counters["fpga.pool.victim.devices_ejected"]; got != 1 {
 		t.Errorf("victim cluster ejections = %d, want 1", got)
+	}
+}
+
+// TestCloseRetiresDeadDevice: a device that dies in a job's last epoch
+// is retired by Close, not handed to the next job, which would pay
+// three strikes of retries to eject it again.
+func TestCloseRetiresDeadDevice(t *testing.T) {
+	handlers, store, cfg := fixture(t, 3, faults.NewDeviceDeath(0))
+	reg := metrics.NewRegistry()
+	pool, err := NewPool(handlers, WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := pool.Register(spec("first", cfg, store, 3, 16000, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := job.PrepareEpoch(context.Background(), store.Keys(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("fpga.pool.first.devices_ejected").Value(); got != 1 {
+		t.Fatalf("first job ejected %d devices, want 1", got)
+	}
+	if err := job.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pool.FreeDevices(), len(handlers)-1; got != want {
+		t.Errorf("free = %d after close, want %d (the dead device must leave the pool)", got, want)
+	}
+	if got := reg.Counter("preppool.pool.retired_devices").Value(); got != 1 {
+		t.Errorf("retired_devices = %d, want 1", got)
+	}
+
+	// A job asking for every device gets only the survivors.
+	next, err := pool.Register(spec("second", cfg, store, 3, 24000, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := store.Keys()
+	out, err := next.PrepareEpoch(context.Background(), keys, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdentical(t, out, oracle(t, cfg, store, 3, keys, 0))
+	snap := reg.Snapshot()
+	if e, r := snap.Counters["fpga.pool.second.devices_ejected"], snap.Counters["fpga.pool.second.sample_retries"]; e != 0 || r != 0 {
+		t.Errorf("second job: %d ejections and %d retries, want 0 and 0", e, r)
+	}
+	if err := next.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -20,7 +20,7 @@ func TestServeSharedCacheAcrossTenants(t *testing.T) {
 	// shared between them.
 	oracles := map[string]Outcome{}
 	for name, spec := range map[string]JobSpec{"a": specA, "b": specB} {
-		r, err := NewTrainRunner(items, 3)
+		r, _, err := NewTrainBackend(0, items, 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +37,7 @@ func TestServeSharedCacheAcrossTenants(t *testing.T) {
 	}
 
 	reg := metrics.NewRegistry()
-	runner, err := NewTrainRunner(items, 3)
+	runner, _, err := NewTrainBackend(0, items, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -456,7 +456,7 @@ func TestHTTPSuspendResume(t *testing.T) {
 // face of the train package's bit-identical restore guarantee.
 func TestEndToEndSuspendResumeOracleIdentical(t *testing.T) {
 	reg := metrics.NewRegistry()
-	runner, err := NewTrainRunner(32, 7)
+	runner, _, err := NewTrainBackend(0, 32, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

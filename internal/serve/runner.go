@@ -50,6 +50,7 @@ const (
 	runnerClasses  = 4
 	runnerLR       = 0.05
 	runnerPrefetch = 1
+	runnerWorkers  = 1 // per-job host executor workers
 )
 
 // TrainRunner is the real backend: every job trains on the shared
@@ -58,41 +59,18 @@ const (
 // Priority, and driven through train.Run; settle classifies how the
 // run ended.
 //
-// Build it with NewTrainRunner (host-only) or NewTrainBackend (with a
-// device pool). The pooled devices MUST be constructed over this
-// runner's Store(), or pooled preparation would read a different
-// corpus than the host half of each epoch.
+// Build it with NewTrainBackend, which builds the pooled devices over
+// the runner's own corpus, so the pooled and host halves of each epoch
+// read the same samples.
 type TrainRunner struct {
-	// Pool, when set, serves each job's preparation through
-	// internal/preppool.
-	Pool *preppool.Pool
-	// Workers is the per-job host executor's worker count (default 1).
-	Workers int
-
+	pool   *preppool.Pool // nil: every job prepares on the host
 	store  *storage.Store
 	keys   []string
 	imgCfg dataprep.ImageConfig
 	cache  *dscache.Cache
 }
 
-// NewTrainRunner builds the backend's shared corpus: corpusItems
-// synthetic JPEG samples under the given seed. Jobs address the first
-// JobSpec.Items of them per epoch.
-func NewTrainRunner(corpusItems int, seed int64) (*TrainRunner, error) {
-	if corpusItems < 1 {
-		return nil, fmt.Errorf("serve: corpus needs ≥ 1 item, got %d", corpusItems)
-	}
-	store := storage.NewStore(storage.DefaultSSDSpec())
-	if err := dataprep.BuildImageDataset(store, corpusItems, runnerClasses, seed); err != nil {
-		return nil, err
-	}
-	imgCfg := dataprep.DefaultImageConfig()
-	imgCfg.CropW, imgCfg.CropH = runnerCrop, runnerCrop
-	return &TrainRunner{store: store, keys: store.Keys(), imgCfg: imgCfg}, nil
-}
-
-// Store returns the shared corpus store (for building pooled devices
-// or wiring storage metrics).
+// Store returns the shared corpus store (for wiring storage metrics).
 func (r *TrainRunner) Store() *storage.Store { return r.store }
 
 // EnableCache puts one shared decode-cache tier under every job the
@@ -112,18 +90,25 @@ func (r *TrainRunner) EnableCache(budget units.Bytes, reg *metrics.Registry) *ds
 func (r *TrainRunner) ImageConfig() dataprep.ImageConfig { return r.imgCfg }
 
 // NewTrainBackend builds the whole real training backend in one call:
-// the shared corpus, `devices` pooled FPGA handlers over it, and the
-// prep-pool (metered into reg, with any extra pool options applied).
-// With devices == 0 the runner stays host-only and the pool is nil; a
+// the shared corpus (corpusItems synthetic JPEG samples under seed; jobs
+// address the first JobSpec.Items of them per epoch), `devices` pooled
+// FPGA handlers over it, and the prep-pool (metered into reg). With
+// devices == 0 the runner stays host-only and the pool is nil; a
 // negative count is an error.
-func NewTrainBackend(devices, corpusItems int, seed int64, reg *metrics.Registry, poolOpts ...preppool.Option) (*TrainRunner, *preppool.Pool, error) {
+func NewTrainBackend(devices, corpusItems int, seed int64, reg *metrics.Registry) (*TrainRunner, *preppool.Pool, error) {
 	if devices < 0 {
 		return nil, nil, fmt.Errorf("serve: device count must be ≥ 0, got %d", devices)
 	}
-	r, err := NewTrainRunner(corpusItems, seed)
-	if err != nil {
+	if corpusItems < 1 {
+		return nil, nil, fmt.Errorf("serve: corpus needs ≥ 1 item, got %d", corpusItems)
+	}
+	store := storage.NewStore(storage.DefaultSSDSpec())
+	if err := dataprep.BuildImageDataset(store, corpusItems, runnerClasses, seed); err != nil {
 		return nil, nil, err
 	}
+	imgCfg := dataprep.DefaultImageConfig()
+	imgCfg.CropW, imgCfg.CropH = runnerCrop, runnerCrop
+	r := &TrainRunner{store: store, keys: store.Keys(), imgCfg: imgCfg}
 	if devices == 0 {
 		return r, nil, nil
 	}
@@ -139,12 +124,11 @@ func NewTrainBackend(devices, corpusItems int, seed int64, reg *metrics.Registry
 		}
 		handlers[i] = h
 	}
-	opts := append([]preppool.Option{preppool.WithMetrics(reg)}, poolOpts...)
-	pool, err := preppool.NewPool(handlers, opts...)
+	pool, err := preppool.NewPool(handlers, preppool.WithMetrics(reg))
 	if err != nil {
 		return nil, nil, err
 	}
-	r.Pool = pool
+	r.pool = pool
 	return r, pool, nil
 }
 
@@ -163,12 +147,8 @@ func (r *TrainRunner) Run(ctx context.Context, id string, spec JobSpec, e Elasti
 		return Outcome{}, fmt.Errorf("%w: corpus of %d items cannot feed %d replicas", ErrBadSpec, len(r.keys), spec.Replicas)
 	}
 	keys := r.keys[:items]
-	workers := r.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	exec := dataprep.NewExecutor(dataprep.ImagePreparer{Config: r.imgCfg}, workers, spec.Seed)
-	if r.cache != nil && r.Pool != nil {
+	exec := dataprep.NewExecutor(dataprep.ImagePreparer{Config: r.imgCfg}, runnerWorkers, spec.Seed)
+	if r.cache != nil && r.pool != nil {
 		// The pool path bypasses train.WithCache (it needs WithDataset),
 		// so rebind the job's host executor directly; the host half of
 		// every split epoch then rides the shared tier.
@@ -185,8 +165,8 @@ func (r *TrainRunner) Run(ctx context.Context, id string, spec JobSpec, e Elasti
 	if e.Restore != nil {
 		opts = append(opts, train.WithRestore(*e.Restore))
 	}
-	if r.Pool != nil {
-		pj, err := r.Pool.Register(preppool.JobSpec{
+	if r.pool != nil {
+		pj, err := r.pool.Register(preppool.JobSpec{
 			Name:         id,
 			Type:         workload.Image,
 			RequiredRate: units.SamplesPerSec(spec.RequiredRate),

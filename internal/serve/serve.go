@@ -378,9 +378,9 @@ func WithMetrics(reg *metrics.Registry) Option {
 	}
 }
 
-// WithPool wires the shared prep-pool: the default TrainRunner
-// dispatches onto it, and its free-device count feeds the
-// pressure-shedding signal.
+// WithPool wires the shared prep-pool, the one NewTrainBackend returns
+// beside the TrainRunner that dispatches onto it: its free-device count
+// feeds the status report and the pressure-shedding signal.
 func WithPool(pool *preppool.Pool) Option {
 	return func(s *Server) error {
 		if pool == nil {

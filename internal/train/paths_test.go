@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"trainbox/internal/dataprep"
@@ -44,14 +45,38 @@ const (
 	pathEpochs  = 4
 	pathDevices = 3
 	maxDeathAt  = 6 // a later death can miss the run on a cluster
+	strikeOut   = 3 // consecutive device faults that eject a device
 )
 
-// A 400 KB budget holds two of the eight 256² decodes. No probation, so
-// a death cell ejects its device exactly once.
-var (
-	cacheBudgets = map[string]units.Bytes{"ample": 64 * units.MB, "evicting": 400 * units.KB}
-	pathHealth   = fpga.HealthConfig{EjectAfter: 3}
-)
+// A 400 KB budget holds two of the eight 256² decodes.
+var cacheBudgets = map[string]units.Bytes{"ample": 64 * units.MB, "evicting": 400 * units.KB}
+
+// strikeLedger wraps device 0's injector and counts what it injected:
+// every fault is one sample retry, and a run of strikeOut consecutive
+// faults ejects the device for good. A device serves one sample at a
+// time, so its injections arrive in the order its cluster counts them.
+type strikeLedger struct {
+	inj faults.Injector
+
+	mu          sync.Mutex
+	faults, run int64
+	ejected     int64 // 1 once a run reached strikeOut
+}
+
+func (l *strikeLedger) Inject(op faults.Op) faults.Fault {
+	f := l.inj.Inject(op)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if f.Err == nil {
+		l.run = 0
+		return f
+	}
+	l.faults++
+	if l.run++; l.run == strikeOut {
+		l.ejected = 1
+	}
+	return f
+}
 
 // pathCells lists the 18 valid combinations at one replica: a host
 // executor has no device to lose, and a cluster takes no cache.
@@ -163,13 +188,16 @@ func assertSameModel(t testing.TB, label string, got, want Result) {
 
 // runCell trains cell c on d, checks every run against want, then checks
 // that the cell exercised what it names and that every output buffer
-// its producers handed out came back.
-func runCell(t *testing.T, d pathData, c pathCell, want Result) {
+// its producers handed out came back. It reports whether device 0
+// struck out.
+func runCell(t *testing.T, d pathData, c pathCell, want Result) (struckOut bool) {
 	t.Helper()
 	ctx, reg, keys := context.Background(), metrics.NewRegistry(), d.store.Keys()
 	var flaky faults.Injector
+	ledger := &strikeLedger{}
 	if c.intr == "death" {
-		flaky = faults.Chain(faults.NewDeviceDeath(c.deathAt), faults.NewErrorRate(2001, 0.12, nil))
+		ledger.inj = faults.Chain(faults.NewDeviceDeath(c.deathAt), faults.NewErrorRate(2001, 0.12, nil))
+		flaky = ledger
 	}
 	var producers []producer
 	executor := func() *dataprep.Executor {
@@ -205,8 +233,7 @@ func runCell(t *testing.T, d pathData, c pathCell, want Result) {
 			return Run(ctx, cfg, opts...)
 		}
 	case "cluster":
-		cluster, err = fpga.NewCluster(devices, fpga.WithHealth(pathHealth),
-			fpga.WithFallback(executor(), d.store), fpga.WithMetrics(reg))
+		cluster, err = fpga.NewCluster(devices, fpga.WithFallback(executor(), d.store), fpga.WithMetrics(reg))
 		prep := func(ctx context.Context, epoch int) ([]dataprep.Prepared, error) {
 			return cluster.PrepareBatch(ctx, keys, d.seed, epoch)
 		}
@@ -214,7 +241,7 @@ func runCell(t *testing.T, d pathData, c pathCell, want Result) {
 			return Run(ctx, cfg, append(opts, WithPreparer(prep, len(keys)), WithFeature(BlockFeature))...)
 		}
 	case "pool":
-		pool, err = preppool.NewPool(devices, preppool.WithMetrics(reg), preppool.WithHealth(pathHealth))
+		pool, err = preppool.NewPool(devices, preppool.WithMetrics(reg))
 		// Each leg registers and closes its own job behind the cache, as
 		// the serve runner does; an in-box rate equal to one device's
 		// grants one lease and splits every epoch evenly.
@@ -286,29 +313,33 @@ func runCell(t *testing.T, d pathData, c pathCell, want Result) {
 		t.Error("no device prepared into its output frames")
 	}
 
+	// Whether device 0 strikes out before the run ends depends on how
+	// the dispatcher spreads samples, so the counters must match what
+	// its injector saw: one retry per fault, one ejection per strike-out.
 	n := reg.Snapshot().Counters
 	hostKeys, dev := pathItems, "fpga.pool."
 	switch c.place {
 	case "cluster":
-		if a := cluster.ActiveDevices(); n[dev+"jobs_dispatched"] == 0 ||
-			(c.intr == "death" && (a != pathDevices-1 || n[dev+"devices_readmitted"] != 0)) {
-			t.Errorf("%d samples dispatched, %d devices active, %d readmitted", n[dev+"jobs_dispatched"], a, n[dev+"devices_readmitted"])
+		if a := cluster.ActiveDevices(); n[dev+"jobs_dispatched"] == 0 || a != pathDevices-int(ledger.ejected) {
+			t.Errorf("%d samples dispatched and %d devices active, want some and %d", n[dev+"jobs_dispatched"], a, pathDevices-ledger.ejected)
 		}
 	case "pool":
 		hostKeys, dev = pathItems/2, "fpga.pool.cell."
 		if p, h := n["preppool.job.cell.pooled_samples"], n["preppool.job.cell.inbox_samples"]; p == 0 || h == 0 {
 			t.Errorf("%d pooled and %d in-box samples, want both halves used", p, h)
 		}
-		// One retired device on a death, none otherwise; the rest are free.
-		if r, free := n["preppool.pool.retired_devices"], pool.FreeDevices(); (c.intr == "death") != (r == 1) || free != pathDevices-int(r) {
-			t.Errorf("%d devices retired and %d free after Close", r, free)
+		// The struck-out device is retired, at an epoch boundary or at
+		// Close; the rest are free.
+		if r, free := n["preppool.pool.retired_devices"], pool.FreeDevices(); r != ledger.ejected || free != pathDevices-int(r) {
+			t.Errorf("%d devices retired and %d free after Close, want %d retired", r, free, ledger.ejected)
 		}
 	}
-	if c.intr == "death" && (n[dev+"devices_ejected"] != 1 || n[dev+"sample_retries"] == 0) {
-		t.Errorf("%d ejections and %d retries, want exactly 1 and some", n[dev+"devices_ejected"], n[dev+"sample_retries"])
+	if e, r := n[dev+"devices_ejected"], n[dev+"sample_retries"]; e != ledger.ejected || r != ledger.faults {
+		t.Errorf("%d ejections and %d retries, want %d and the %d faults device 0 injected", e, r, ledger.ejected, ledger.faults)
 	}
+	struckOut = ledger.ejected == 1
 	if cache == nil {
-		return
+		return struckOut
 	}
 	// On the pool, degraded samples of the pooled half join the cache
 	// too, so it may hold more keys than the host half. A budget of two
@@ -320,10 +351,13 @@ func runCell(t *testing.T, d pathData, c pathCell, want Result) {
 	} else if c.cache == "evicting" && (s.Evictions == 0 || s.Hits == 0) {
 		t.Errorf("evicting cache %+v: want evictions and resident-first hits", s)
 	}
+	return struckOut
 }
 
 // TestTrainingPathsAgree runs the 54 cells: 18 path combinations at 1,
 // 2 and 4 replicas, each against the host oracle at its replica count.
+// A device that dies after three reads always strikes out within the
+// run, so every death cell must eject it.
 func TestTrainingPathsAgree(t *testing.T) {
 	d := newPathData(t, 5)
 	for _, r := range []int{1, 2, 4} {
@@ -332,7 +366,9 @@ func TestTrainingPathsAgree(t *testing.T) {
 			c.replicas = r
 			t.Run(c.String(), func(t *testing.T) {
 				invariant.NoLeak(t)
-				runCell(t, d, c, want)
+				if !runCell(t, d, c, want) && c.intr == "death" {
+					t.Error("device 0 never struck out")
+				}
 			})
 		}
 	}
@@ -345,6 +381,7 @@ func FuzzTrainingPathsAgree(f *testing.F) {
 	f.Add(uint8(4), uint8(0), int64(-3), uint8(0), uint8(0))  // host-evicting-none-r1
 	f.Add(uint8(16), uint8(1), int64(11), uint8(0), uint8(5)) // pool-evicting-suspend-r2
 	f.Add(uint8(8), uint8(1), int64(7), uint8(4), uint8(3))   // cluster-uncached-death-r2
+	f.Add(uint8(8), uint8(2), int64(5), uint8(0), uint8(5))   // cluster-uncached-death-r4, death at 6
 	f.Fuzz(func(t *testing.T, cell, replicas uint8, seed int64, suspendAt, deathAt uint8) {
 		invariant.NoLeak(t)
 		cells := pathCells()

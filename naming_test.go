@@ -142,7 +142,6 @@ var notLinked = map[string]string{
 	"internal/storage.Store.WithRetry":  seam,
 	"internal/fpga.WithFaults":          seam,
 	"internal/serve.WithPressureSignal": seam,
-	"internal/preppool.WithHealth":      seam,
 
 	"internal/invariant": harness,
 
