@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"trainbox/internal/metrics"
 	"trainbox/internal/train"
 )
 
@@ -447,54 +446,5 @@ func TestHTTPSuspendResume(t *testing.T) {
 	resp, _ = doJSON(t, "POST", ts.URL+"/v1/jobs/j-404/suspend", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("suspend unknown: status = %d, want 404", resp.StatusCode)
-	}
-}
-
-// TestEndToEndSuspendResumeOracleIdentical: the real backend suspended
-// mid-run and resumed from its checkpoint converges to exactly the
-// final loss of an uninterrupted run of the same spec — the serve-level
-// face of the train package's bit-identical restore guarantee.
-func TestEndToEndSuspendResumeOracleIdentical(t *testing.T) {
-	reg := metrics.NewRegistry()
-	runner, _, err := NewTrainBackend(0, 32, 7, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newTestServer(t, runner, WithMetrics(reg), WithMaxRunning(1))
-	spec := JobSpec{Tenant: "oracle", Items: 32, Epochs: 12, Replicas: 2, Seed: 5}
-	oracle, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	odone := waitState(t, s, oracle.ID, StateDone)
-
-	spec.Tenant = "elastic"
-	elastic, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, s, elastic.ID, StateRunning)
-	if err := s.Suspend(elastic.ID); err != nil {
-		t.Fatal(err)
-	}
-	sus := waitState(t, s, elastic.ID, StateSuspended)
-	if sus.CheckpointEpochs < 1 || sus.CheckpointEpochs >= spec.Epochs {
-		t.Fatalf("suspended with checkpoint epochs = %d, want mid-run", sus.CheckpointEpochs)
-	}
-	if err := s.Resume(elastic.ID); err != nil {
-		t.Fatal(err)
-	}
-	edone := waitState(t, s, elastic.ID, StateDone)
-	if odone.Outcome == nil || edone.Outcome == nil {
-		t.Fatalf("missing outcomes: oracle %+v, elastic %+v", odone.Outcome, edone.Outcome)
-	}
-	if edone.Outcome.FinalLoss != odone.Outcome.FinalLoss {
-		t.Fatalf("resumed final loss %v differs from uninterrupted oracle %v",
-			edone.Outcome.FinalLoss, odone.Outcome.FinalLoss)
-	}
-	// The resumed leg re-proves only the epochs after the checkpoint.
-	wantSamples := spec.Items * (spec.Epochs - sus.CheckpointEpochs)
-	if edone.Outcome.Samples != wantSamples {
-		t.Errorf("resumed leg processed %d samples, want %d", edone.Outcome.Samples, wantSamples)
 	}
 }

@@ -148,10 +148,7 @@ func (r *TrainRunner) Run(ctx context.Context, id string, spec JobSpec, e Elasti
 	}
 	keys := r.keys[:items]
 	exec := dataprep.NewExecutor(dataprep.ImagePreparer{Config: r.imgCfg}, runnerWorkers, spec.Seed)
-	if r.cache != nil && r.pool != nil {
-		// The pool path bypasses train.WithCache (it needs WithDataset),
-		// so rebind the job's host executor directly; the host half of
-		// every split epoch then rides the shared tier.
+	if r.cache != nil {
 		dscache.Bind(r.cache, exec)
 	}
 
@@ -186,9 +183,6 @@ func (r *TrainRunner) Run(ctx context.Context, id string, spec JobSpec, e Elasti
 		opts = append(opts, train.WithPreparer(pj.Preparer(keys), len(keys)))
 	} else {
 		opts = append(opts, train.WithDataset(exec, r.store, keys))
-		if r.cache != nil {
-			opts = append(opts, train.WithCache(r.cache))
-		}
 	}
 
 	side := runnerCrop / 4 // train.BlockFeature averages 4×4 blocks

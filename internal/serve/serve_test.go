@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"trainbox/internal/invariant"
-	"trainbox/internal/metrics"
 )
 
 // gateRunner blocks every job until released (or cancelled), recording
@@ -430,36 +429,5 @@ func TestNewTrainBackendRejectsNegativeDevices(t *testing.T) {
 	runner, pool, err := NewTrainBackend(-1, 8, 3, nil)
 	if err == nil || !strings.Contains(err.Error(), "device count") {
 		t.Fatalf("NewTrainBackend(-1) = %v, %v, %v; want a device-count error", runner, pool, err)
-	}
-}
-
-// TestEndToEndTrainingOnPool: the real backend — shared corpus, pooled
-// devices, preppool registration, train.Run — completes a job whose
-// metrics land in both the serve.tenant.* and preppool.job.* namespaces.
-func TestEndToEndTrainingOnPool(t *testing.T) {
-	reg := metrics.NewRegistry()
-	runner, pool, err := NewTrainBackend(2, 8, 3, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newTestServer(t, runner, WithMetrics(reg), WithPool(pool), WithMaxRunning(2))
-	inf, err := s.Submit(JobSpec{Tenant: "alice", Items: 8, Epochs: 2, Replicas: 2, RequiredRate: 16000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := waitState(t, s, inf.ID, StateDone)
-	if done.Outcome == nil || done.Outcome.Samples == 0 {
-		t.Fatalf("outcome = %+v", done.Outcome)
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters["serve.tenant.alice.done"]; got != 1 {
-		t.Errorf("tenant done counter = %d", got)
-	}
-	pooled := snap.Counters["preppool.job."+inf.ID+".pooled_samples"]
-	if pooled == 0 {
-		t.Errorf("job claimed 16000 samples/s but preppool saw no pooled samples")
-	}
-	if pool.FreeDevices() != 2 {
-		t.Errorf("pool has %d free devices after the job closed, want 2", pool.FreeDevices())
 	}
 }

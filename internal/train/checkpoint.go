@@ -3,7 +3,7 @@ package train
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"trainbox/internal/nn"
 )
@@ -104,15 +104,17 @@ func capture(cfg Config, replicas []*nn.Network, opts []*nn.SGD, epoch int) Chec
 }
 
 // Suspender asks a running train.Run to park itself at the next epoch
-// boundary. Suspend may be called from any goroutine; the run parks on
-// the checkpoint of that boundary, which the WithCheckpointSink callback
-// (when set) has received, and returns an error satisfying
+// boundary. Suspend may be called from any goroutine; from then on the
+// run prepares no epoch past its first, the epochs already in flight
+// finish and hand their buffers back untrained, and the run parks on the
+// checkpoint of that boundary, which the WithCheckpointSink callback
+// (when set) has received, returning an error satisfying
 // errors.Is(err, ErrSuspended).
 // A later run with WithRestore continues bit-identically. A Suspender is
-// single-use: attach a fresh one to each run.
+// single-use: attach a fresh one to each run. A nil Suspender is never
+// requested.
 type Suspender struct {
-	mu        sync.Mutex
-	requested bool
+	requested atomic.Bool
 }
 
 // NewSuspender returns an idle Suspender.
@@ -121,26 +123,18 @@ func NewSuspender() *Suspender { return &Suspender{} }
 // Suspend requests the park. Idempotent; safe from any goroutine. A
 // request landing after the final epoch completes (or after the run has
 // otherwise finished) is ignored — the run just finishes.
-func (s *Suspender) Suspend() {
-	s.mu.Lock()
-	s.requested = true
-	s.mu.Unlock()
-}
+func (s *Suspender) Suspend() { s.requested.Store(true) }
 
 // Requested reports whether Suspend has been called.
-func (s *Suspender) Requested() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.requested
-}
+func (s *Suspender) Requested() bool { return s != nil && s.requested.Load() }
 
 // WithCheckpointSink captures a checkpoint after every completed epoch
 // but the final one — the run's Result is the final state — and hands
 // it to sink; a parked run (see Suspender) hands over the checkpoint of
-// the epoch it parked after, once. The sink is called synchronously
-// from the serial step stage — between epochs, never concurrently with
-// weight updates — so it may hold the snapshot without copying; keep it
-// fast or training stalls.
+// the epoch it parked after, once, and prepares no epoch after the
+// request. The sink is called synchronously from the serial step stage
+// — between epochs, never concurrently with weight updates — so it may
+// hold the snapshot without copying; keep it fast or training stalls.
 func WithCheckpointSink(sink func(Checkpoint)) Option {
 	return func(o *runOptions) error {
 		if sink == nil {
@@ -167,7 +161,8 @@ func WithRestore(cp Checkpoint) Option {
 }
 
 // WithSuspender attaches a Suspender so the run can be parked at an
-// epoch boundary (see Suspender).
+// epoch boundary; once it is requested the run prepares no further
+// epoch (see Suspender).
 func WithSuspender(s *Suspender) Option {
 	return func(o *runOptions) error {
 		if s == nil {

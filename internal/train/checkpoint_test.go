@@ -73,10 +73,11 @@ func TestCheckpointValidation(t *testing.T) {
 	}
 }
 
-// TestSuspendParksAtEpochBoundary: a pending Suspend must park the run
-// at the first epoch boundary with an ErrSuspended-classified error and
-// hand the checkpoint sink its state. That restoring from it matches the
-// oracle is the suspend cells' check in TestTrainingPathsAgree.
+// TestSuspendParksAtEpochBoundary: a Suspend raised while epoch 0 is
+// being prepared must park the run at the first epoch boundary with an
+// ErrSuspended-classified error, hand the checkpoint sink its state, and
+// ask the preparer for no later epoch. That restoring from it matches
+// the oracle is the suspend cells' check in TestTrainingPathsAgree.
 func TestSuspendParksAtEpochBoundary(t *testing.T) {
 	exec, store, keys := setup(t, 16)
 	invariant.NoLeak(t)
@@ -84,11 +85,18 @@ func TestSuspendParksAtEpochBoundary(t *testing.T) {
 	cfg.Epochs = 4
 
 	s := NewSuspender()
-	s.Suspend() // already pending: parks after epoch 0
-	s.Suspend() // idempotent
+	var asked []int
+	prep := func(ctx context.Context, epoch int) ([]dataprep.Prepared, error) {
+		asked = append(asked, epoch)
+		if epoch == 0 {
+			s.Suspend()
+			s.Suspend() // idempotent
+		}
+		return exec.PrepareBatchContext(ctx, store, keys, epoch)
+	}
 	var cp Checkpoint
 	ok := false
-	_, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature),
+	_, err := Run(context.Background(), cfg, WithPreparer(prep, len(keys)), WithFeature(BlockFeature),
 		WithSuspender(s), WithCheckpointSink(func(c Checkpoint) { cp, ok = c, true }))
 	if !errors.Is(err, ErrSuspended) {
 		t.Fatalf("suspended run returned %v, want ErrSuspended", err)
@@ -101,6 +109,9 @@ func TestSuspendParksAtEpochBoundary(t *testing.T) {
 	}
 	if cp.Epoch != 0 {
 		t.Errorf("parked after epoch %d, want 0 (first boundary)", cp.Epoch)
+	}
+	if fmt.Sprint(asked) != "[0]" {
+		t.Errorf("preparer asked for epochs %v after a suspend during epoch 0, want [0]", asked)
 	}
 }
 

@@ -30,9 +30,9 @@ import (
 type pathCell struct {
 	place     string // "host" (WithDataset), "cluster" (fpga.Cluster with host fallback) or "pool" (a preppool job)
 	cache     string // "uncached", "ample" (every key decoded once) or "evicting" (a budget below the working set)
-	intr      string // "none", "suspend" (park, restore from every checkpoint) or "death" (device 0 flaky, then dead)
+	intr      string // "none", "suspend" (park, restore from every checkpoint), "preempt" (suspend for a higher-priority pool job that trains first) or "death" (device 0 flaky, then dead)
 	replicas  int
-	suspendAt int   // boundary the suspended run parks at
+	suspendAt int   // boundary the interrupted run parks at
 	deathAt   int64 // reads device 0 serves before it dies
 }
 
@@ -78,8 +78,12 @@ func (l *strikeLedger) Inject(op faults.Op) faults.Fault {
 	return f
 }
 
-// pathCells lists the 18 valid combinations at one replica: a host
-// executor has no device to lose, and a cluster takes no cache.
+// pathCells lists the 21 valid combinations at one replica: a host
+// executor has no device to lose, a cluster takes no cache, and only a
+// pool job has leases to take. The preempt cells come last, so the fuzz
+// seeds' cell indices keep naming the same cells. An interrupted run
+// parks at boundary 1: past the epoch in flight then, epoch 3 is left
+// for the gate to keep unprepared.
 func pathCells() []pathCell {
 	var out []pathCell
 	for _, p := range []string{"host", "cluster", "pool"} {
@@ -88,9 +92,12 @@ func pathCells() []pathCell {
 				if (p == "host" && i == "death") || (p == "cluster" && c != "uncached") {
 					continue
 				}
-				out = append(out, pathCell{place: p, cache: c, intr: i, replicas: 1, suspendAt: pathEpochs - 2, deathAt: 3})
+				out = append(out, pathCell{place: p, cache: c, intr: i, replicas: 1, suspendAt: 1, deathAt: 3})
 			}
 		}
+	}
+	for _, c := range []string{"uncached", "ample", "evicting"} {
+		out = append(out, pathCell{place: "pool", cache: c, intr: "preempt", replicas: 1, suspendAt: 1})
 	}
 	return out
 }
@@ -201,7 +208,7 @@ func runCell(t *testing.T, d pathData, c pathCell, want Result) (struckOut bool)
 	}
 	var producers []producer
 	executor := func() *dataprep.Executor {
-		e := d.executor()
+		e := d.executor().WithMetrics(reg)
 		producers = append(producers, e)
 		return e
 	}
@@ -217,48 +224,99 @@ func runCell(t *testing.T, d pathData, c pathCell, want Result) (struckOut bool)
 	if budget, ok := cacheBudgets[c.cache]; ok {
 		cache = dscache.New(budget)
 	}
+	// hooked runs hook as each epoch's preparation starts.
+	hooked := func(p EpochPreparer, hook func(context.Context, int) error) EpochPreparer {
+		if hook == nil {
+			return p
+		}
+		return func(ctx context.Context, epoch int) ([]dataprep.Prepared, error) {
+			if err := hook(ctx, epoch); err != nil {
+				return nil, err
+			}
+			return p(ctx, epoch)
+		}
+	}
 
-	// leg is one train.Run on the cell's placement.
-	var leg func(opts ...Option) (Result, error)
+	// leg is one train.Run on the cell's placement, its preparation
+	// hooked when hook is set. On the pool it prepares through job (a
+	// fresh registration of the cell's own when nil) and closes it.
+	var leg func(job *preppool.Job, hook func(context.Context, int) error, opts ...Option) (Result, error)
+	// perEpoch is what one epoch prepares: samples from devices, from a
+	// pool job's in-box half, and from host executors.
+	var perEpoch [3]int64
+	var register func(name string, prio int) (*preppool.Job, error)
 	var cluster *fpga.Cluster
 	var pool *preppool.Pool
 	var err error
 	switch c.place {
 	case "host":
-		leg = func(opts ...Option) (Result, error) {
-			opts = append(opts, WithDataset(executor(), d.store, keys), WithFeature(BlockFeature))
-			if cache != nil {
-				opts = append(opts, WithCache(cache))
+		perEpoch = [3]int64{0, 0, pathItems}
+		leg = func(_ *preppool.Job, hook func(context.Context, int) error, opts ...Option) (Result, error) {
+			exec := executor()
+			opts = append(opts, WithFeature(BlockFeature))
+			if hook == nil {
+				opts = append(opts, WithDataset(exec, d.store, keys))
+				if cache != nil {
+					opts = append(opts, WithCache(cache))
+				}
+				return Run(ctx, cfg, opts...)
 			}
-			return Run(ctx, cfg, opts...)
+			// What WithDataset and WithCache run, as a preparer to hook.
+			if cache != nil {
+				dscache.Bind(cache, exec)
+			}
+			prep := func(ctx context.Context, epoch int) ([]dataprep.Prepared, error) {
+				return dscache.PrepareBatch(ctx, exec, d.store, keys, epoch)
+			}
+			return Run(ctx, cfg, append(opts, WithPreparer(hooked(prep, hook), len(keys)))...)
 		}
 	case "cluster":
+		perEpoch = [3]int64{pathItems, 0, 0}
 		cluster, err = fpga.NewCluster(devices, fpga.WithFallback(executor(), d.store), fpga.WithMetrics(reg))
 		prep := func(ctx context.Context, epoch int) ([]dataprep.Prepared, error) {
 			return cluster.PrepareBatch(ctx, keys, d.seed, epoch)
 		}
-		leg = func(opts ...Option) (Result, error) {
-			return Run(ctx, cfg, append(opts, WithPreparer(prep, len(keys)), WithFeature(BlockFeature))...)
+		leg = func(_ *preppool.Job, hook func(context.Context, int) error, opts ...Option) (Result, error) {
+			return Run(ctx, cfg, append(opts, WithPreparer(hooked(prep, hook), len(keys)), WithFeature(BlockFeature))...)
 		}
 	case "pool":
 		pool, err = preppool.NewPool(devices, preppool.WithMetrics(reg))
-		// Each leg registers and closes its own job behind the cache, as
-		// the serve runner does; an in-box rate equal to one device's
-		// grants one lease and splits every epoch evenly.
-		leg = func(opts ...Option) (Result, error) {
+		// Jobs register behind the cache, as the serve runner does. An
+		// in-box rate equal to one device's grants one lease and splits
+		// every epoch evenly; a preempt cell's jobs each need the whole
+		// pool, so the preempting job can only take the parked one's.
+		grant, need := 1, 2*fpga.ImagePrepRate
+		if c.intr == "preempt" {
+			grant, need = pathDevices, (pathDevices+1)*fpga.ImagePrepRate
+		}
+		pooled := int64(pathItems * grant / (grant + 1))
+		perEpoch = [3]int64{pooled, pathItems - pooled, pathItems - pooled}
+		register = func(name string, prio int) (*preppool.Job, error) {
 			exec := executor()
 			if cache != nil {
 				dscache.Bind(cache, exec)
 			}
-			job, err := pool.Register(preppool.JobSpec{Name: "cell", Type: workload.Image,
-				RequiredRate: 2 * fpga.ImagePrepRate, InBoxRate: fpga.ImagePrepRate,
+			return pool.Register(preppool.JobSpec{Name: name, Type: workload.Image, Priority: prio,
+				RequiredRate: need, InBoxRate: fpga.ImagePrepRate,
 				Exec: exec, Store: d.store, DatasetSeed: d.seed})
-			if err != nil {
-				return Result{}, err
+		}
+		leg = func(job *preppool.Job, hook func(context.Context, int) error, opts ...Option) (Result, error) {
+			if job == nil {
+				var err error
+				if job, err = register("cell", 0); err != nil {
+					return Result{}, err
+				}
 			}
-			res, err := Run(ctx, cfg, append(opts, WithPreparer(job.Preparer(keys), len(keys)), WithFeature(BlockFeature))...)
-			if l := pool.Stats()[0].Leases; l != 1 {
-				t.Errorf("a leg ended with %d leases, want the grant of 1", l)
+			res, err := Run(ctx, cfg, append(opts, WithPreparer(hooked(job.Preparer(keys), hook), len(keys)), WithFeature(BlockFeature))...)
+			// A preempted leg's last epoch synced after the preempting
+			// job registered and lost every lease; the rest keep their
+			// grant.
+			wantHeld := grant
+			if hook != nil && c.intr == "preempt" {
+				wantHeld = 0
+			}
+			if held := pathDevices - pool.FreeDevices() - int(reg.Snapshot().Counters["preppool.pool.retired_devices"]); held != wantHeld {
+				t.Errorf("a leg ended with %d leases held, want %d", held, wantHeld)
 			}
 			return res, errors.Join(err, job.Close())
 		}
@@ -267,33 +325,93 @@ func runCell(t *testing.T, d pathData, c pathCell, want Result) (struckOut bool)
 		t.Fatal(err)
 	}
 
-	if c.intr != "suspend" {
-		res, err := leg()
-		if err != nil {
-			t.Fatal(err)
+	// checkPrepared asserts that the last leg prepared epochs whole
+	// epochs plus extra, in the counters perEpoch counts.
+	var seen [3]int64
+	checkPrepared := func(label string, epochs int, extra [3]int64) {
+		n := reg.Snapshot().Counters
+		got := [3]int64{n["fpga.pool.jobs_dispatched"], 0, n["dataprep.executor.samples_prepared"]}
+		for _, job := range []string{"cell", "vip"} {
+			got[0] += n["preppool.job."+job+".pooled_samples"]
+			got[1] += n["preppool.job."+job+".inbox_samples"]
 		}
-		assertSameModel(t, c.String(), res, want)
+		leg, want := got, extra
+		for i := range got {
+			leg[i] -= seen[i]
+			want[i] += int64(epochs) * perEpoch[i]
+		}
+		if seen = got; leg != want {
+			t.Errorf("%s prepared %v device, in-box and executor samples, want %v", label, leg, want)
+		}
+	}
+
+	// finishes runs a leg that must train to want, preparing epochs
+	// whole epochs.
+	finishes := func(label string, job *preppool.Job, epochs int, opts ...Option) Result {
+		res, err := leg(job, nil, opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		assertSameModel(t, label, res, want)
+		if c.intr != "death" {
+			checkPrepared(label, epochs, [3]int64{})
+		}
+		return res
+	}
+	if c.intr == "none" || c.intr == "death" {
+		finishes(c.String(), nil, pathEpochs)
 	} else {
+		// The park request is raised as epoch suspendAt+1 starts
+		// preparing, once the step stage has trained epoch suspendAt and
+		// entered the sink, so the run parks at boundary suspendAt with
+		// epochs 0..suspendAt+1 prepared, the last one untrained. A
+		// preempt cell registers the higher-priority job at that point:
+		// the parked job's last epoch syncs with it and runs in-box.
 		s := NewSuspender()
+		trained, requested := make(chan struct{}), make(chan struct{})
+		var vip *preppool.Job
+		hook := func(ctx context.Context, epoch int) (err error) {
+			if epoch != c.suspendAt+1 {
+				return nil
+			}
+			select {
+			case <-trained:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+			defer close(requested)
+			if c.intr == "preempt" {
+				vip, err = register("vip", 1)
+			}
+			s.Suspend()
+			return err
+		}
 		var cps []Checkpoint
-		_, err := leg(WithSuspender(s), WithCheckpointSink(func(cp Checkpoint) {
+		_, err := leg(nil, hook, WithSuspender(s), WithCheckpointSink(func(cp Checkpoint) {
 			if cps = append(cps, cp); cp.Epoch == c.suspendAt {
-				s.Suspend()
+				close(trained)
+				<-requested
 			}
 		}))
 		if !errors.Is(err, ErrSuspended) || len(cps) != c.suspendAt+1 {
 			t.Fatalf("suspended run returned %v with %d checkpoints, want ErrSuspended with %d", err, len(cps), c.suspendAt+1)
 		}
+		last := perEpoch
+		if vip != nil {
+			last = [3]int64{0, pathItems, pathItems}
+		}
+		checkPrepared("the parked leg", c.suspendAt+1, last)
+		if vip != nil {
+			finishes(c.String()+" preempting job", vip, pathEpochs)
+		}
 		for _, cp := range cps {
 			// A sink on the finishing leg, as serve attaches, must not
 			// perturb it either.
-			res, err := leg(WithRestore(cp), WithCheckpointSink(func(Checkpoint) {}))
-			if err != nil {
-				t.Fatalf("restore from epoch %d: %v", cp.Epoch, err)
-			}
-			assertSameModel(t, fmt.Sprintf("%v restored from epoch %d", c, cp.Epoch), res, want)
-			if n := (pathEpochs - 1 - cp.Epoch) * pathItems; res.SamplesProcessed != n {
-				t.Errorf("restore from epoch %d processed %d samples, want %d", cp.Epoch, res.SamplesProcessed, n)
+			epochs := pathEpochs - 1 - cp.Epoch
+			res := finishes(fmt.Sprintf("%v restored from epoch %d", c, cp.Epoch), nil, epochs,
+				WithRestore(cp), WithCheckpointSink(func(Checkpoint) {}))
+			if res.SamplesProcessed != epochs*pathItems {
+				t.Errorf("restore from epoch %d processed %d samples, want %d", cp.Epoch, res.SamplesProcessed, epochs*pathItems)
 			}
 		}
 	}
@@ -324,7 +442,7 @@ func runCell(t *testing.T, d pathData, c pathCell, want Result) (struckOut bool)
 			t.Errorf("%d samples dispatched and %d devices active, want some and %d", n[dev+"jobs_dispatched"], a, pathDevices-ledger.ejected)
 		}
 	case "pool":
-		hostKeys, dev = pathItems/2, "fpga.pool.cell."
+		hostKeys, dev = int(perEpoch[1]), "fpga.pool.cell."
 		if p, h := n["preppool.job.cell.pooled_samples"], n["preppool.job.cell.inbox_samples"]; p == 0 || h == 0 {
 			t.Errorf("%d pooled and %d in-box samples, want both halves used", p, h)
 		}
@@ -354,7 +472,7 @@ func runCell(t *testing.T, d pathData, c pathCell, want Result) (struckOut bool)
 	return struckOut
 }
 
-// TestTrainingPathsAgree runs the 54 cells: 18 path combinations at 1,
+// TestTrainingPathsAgree runs the 63 cells: 21 path combinations at 1,
 // 2 and 4 replicas, each against the host oracle at its replica count.
 // A device that dies after three reads always strikes out within the
 // run, so every death cell must eject it.
@@ -382,6 +500,7 @@ func FuzzTrainingPathsAgree(f *testing.F) {
 	f.Add(uint8(16), uint8(1), int64(11), uint8(0), uint8(5)) // pool-evicting-suspend-r2
 	f.Add(uint8(8), uint8(1), int64(7), uint8(4), uint8(3))   // cluster-uncached-death-r2
 	f.Add(uint8(8), uint8(2), int64(5), uint8(0), uint8(5))   // cluster-uncached-death-r4, death at 6
+	f.Add(uint8(19), uint8(1), int64(3), uint8(0), uint8(0))  // pool-ample-preempt-r2, parked at 0
 	f.Fuzz(func(t *testing.T, cell, replicas uint8, seed int64, suspendAt, deathAt uint8) {
 		invariant.NoLeak(t)
 		cells := pathCells()

@@ -440,13 +440,19 @@ func run(ctx context.Context, cfg Config, o runOptions) (Result, error) {
 		}
 		sync = ring
 	}
-	prepStage := pipeline.NewStage("prepare", 1, cfg.PrefetchDepth,
-		func(ctx context.Context, epoch int) (epochBatch, error) {
+	// Once a suspend is requested the prepare stage starts no epoch past
+	// the run's first, so a parked job's devices go back to the pool
+	// instead of preparing work it would throw away.
+	prepStage := pipeline.NewExpandStage("prepare", cfg.PrefetchDepth,
+		func(ctx context.Context, epoch int) ([]epochBatch, error) {
+			if epoch > startEpoch && o.suspender.Requested() {
+				return nil, nil
+			}
 			batch, err := prepare(ctx, epoch)
 			if err != nil {
-				return epochBatch{}, err
+				return nil, err
 			}
-			return epochBatch{epoch: epoch, samples: batch}, nil
+			return []epochBatch{{epoch: epoch, samples: batch}}, nil
 		})
 
 	stages := []*pipeline.Stage{prepStage}
@@ -483,13 +489,21 @@ func run(ctx context.Context, cfg Config, o runOptions) (Result, error) {
 			return epochSamples{epoch: eb.epoch, samples: samples}, nil
 		})
 
+	// next is the first epoch the step stage has not trained; parked
+	// stops it training the epochs still in flight.
+	next, parked := startEpoch, false
 	step := pipeline.NewStage("step", 1, 0,
 		func(ctx context.Context, es epochSamples) ([]StepStat, error) {
+			if parked {
+				samplePool.Put(es.samples[:0])
+				return nil, nil
+			}
 			stats, err := trainEpoch(ctx, cfg, replicas, opts, es.samples, es.epoch, sync, tm)
 			samplePool.Put(es.samples[:0])
 			if err != nil {
 				return nil, err
 			}
+			next = es.epoch + 1
 			// Epoch boundary: the step stage is the sole weight mutator,
 			// so snapshots taken here are consistent. Every non-final
 			// epoch feeds the sink; a pending Suspend then parks the run
@@ -498,9 +512,7 @@ func run(ctx context.Context, cfg Config, o runOptions) (Result, error) {
 			if o.checkpointSink != nil && !final {
 				o.checkpointSink(capture(cfg, replicas, opts, es.epoch))
 			}
-			if o.suspender != nil && !final && o.suspender.Requested() {
-				return nil, fmt.Errorf("train: parked after epoch %d of %d: %w", es.epoch, cfg.Epochs, ErrSuspended)
-			}
+			parked = !final && o.suspender.Requested()
 			return stats, nil
 		})
 	pl, err := pipeline.New("train", append(stages, extractStage, step)...)
@@ -525,6 +537,11 @@ func run(ctx context.Context, cfg Config, o runOptions) (Result, error) {
 	epochStats, err := pipeline.Drain[[]StepStat](run)
 	if err != nil {
 		return Result{}, err
+	}
+	if next < cfg.Epochs {
+		// Parked at a boundary, or the gate skipped an epoch the step
+		// stage had not seen the request before.
+		return Result{}, fmt.Errorf("train: parked after epoch %d of %d: %w", next-1, cfg.Epochs, ErrSuspended)
 	}
 	for _, stats := range epochStats {
 		for _, s := range stats {
