@@ -2,7 +2,9 @@
 // tenants POST training jobs to /v1/jobs, the server admits them under
 // per-tenant quotas, queues them priority-first with fair-share across
 // tenants, runs them on the shared prep-pool, and sheds overload with
-// 429 + Retry-After.
+// 429 + Retry-After. A job that finds every run slot taken preempts the
+// lowest-priority running job it outranks; the pool moves devices
+// between jobs by priority tier.
 //
 //	trainbox-serve -devices 4 -max-running 4 -addr 127.0.0.1:8080
 //
@@ -35,25 +37,24 @@ func main() {
 	seed := flag.Int64("seed", 11, "corpus seed")
 	maxRunning := flag.Int("max-running", 4, "concurrent training jobs")
 	queueLimit := flag.Int("queue-limit", 64, "queue depth before shedding")
-	pressureLimit := flag.Int("pressure-limit", 0, "queue depth before shedding under device pressure (0 = queue-limit/4)")
 	quota := flag.Int("tenant-quota", 8, "max live jobs per tenant")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on shed responses")
 	cacheMB := flag.Int("cache", 0, "shared decode-cache budget in MB (0 = no cache)")
 	flag.Parse()
-	if *devices < 0 || *cacheMB < 0 || *pressureLimit < 0 {
-		fmt.Fprintln(os.Stderr, "trainbox-serve: -devices, -cache and -pressure-limit must be ≥ 0")
+	if *devices < 0 || *cacheMB < 0 {
+		fmt.Fprintln(os.Stderr, "trainbox-serve: -devices and -cache must be ≥ 0")
 		os.Exit(2)
 	}
 
 	if err := run(*addr, *addrFile, *devices, *corpus, *seed, *maxRunning,
-		*queueLimit, *pressureLimit, *quota, *cacheMB, *retryAfter); err != nil {
+		*queueLimit, *quota, *cacheMB, *retryAfter); err != nil {
 		fmt.Fprintln(os.Stderr, "trainbox-serve:", err)
 		os.Exit(1)
 	}
 }
 
 func run(addr, addrFile string, devices, corpus int, seed int64,
-	maxRunning, queueLimit, pressureLimit, quota, cacheMB int, retryAfter time.Duration) error {
+	maxRunning, queueLimit, quota, cacheMB int, retryAfter time.Duration) error {
 	reg := metrics.NewRegistry()
 	runner, pool, err := serve.NewTrainBackend(devices, corpus, seed, reg)
 	if err != nil {
@@ -72,9 +73,6 @@ func run(addr, addrFile string, devices, corpus int, seed int64,
 	}
 	if pool != nil {
 		opts = append(opts, serve.WithPool(pool))
-	}
-	if pressureLimit > 0 {
-		opts = append(opts, serve.WithPressureLimit(pressureLimit))
 	}
 	srv, err := serve.NewServer(opts...)
 	if err != nil {

@@ -2,9 +2,9 @@
 // in process: a server over a pooled training backend, three tenants
 // with different priorities and appetites, one of them greedy enough to
 // trip admission control. The walkthrough shows the full lifecycle —
-// submit, fair-share dispatch, a cancellation, an overload shed with
-// its Retry-After hint — and closes by printing the per-tenant metric
-// namespaces the server maintains.
+// submit, fair-share dispatch, a priority preemption for a run slot, a
+// cancellation, an overload shed with its Retry-After hint — and closes
+// by printing the per-tenant metric namespaces the server maintains.
 package main
 
 import (
@@ -38,23 +38,27 @@ func main() {
 
 	// Three tenants: vip runs at priority 5, alice and bob at the
 	// default. bob over-submits past his quota to show a shed.
-	spec := serve.JobSpec{Items: 16, Epochs: 2, RequiredRate: 8000}
-	var watch []string
-	for _, sub := range []struct {
-		tenant string
-		prio   int
-	}{
-		{"alice", 0}, {"bob", 0}, {"vip", 5}, {"bob", 0},
-	} {
+	spec := serve.JobSpec{Items: 16, Epochs: 8, RequiredRate: 8000}
+	submit := func(tenant string, prio int) string {
 		s := spec
-		s.Tenant, s.Priority = sub.tenant, sub.prio
+		s.Tenant, s.Priority = tenant, prio
 		inf, err := srv.Submit(s)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("submitted %-4s → %s (priority %d, state %s)\n", sub.tenant, inf.ID, sub.prio, inf.State)
-		watch = append(watch, inf.ID)
+		fmt.Printf("submitted %-5s → %s (priority %d, state %s)\n", tenant, inf.ID, prio, inf.State)
+		return inf.ID
 	}
+	// alice and bob take both run slots. vip then finds every slot
+	// taken and outranks them, so it preempts the younger run: that job
+	// parks at its next epoch boundary, requeues, and resumes from its
+	// checkpoint once a slot frees. Devices are not the server's to
+	// give — the prep-pool moves them to vip's higher tier.
+	watch := []string{submit("alice", 0), submit("bob", 0)}
+	for _, id := range watch {
+		await(srv, id, func(st serve.State) bool { return st != serve.StateQueued })
+	}
+	watch = append(watch, submit("vip", 5), submit("bob", 0))
 
 	// bob's third live job crosses his quota: the server sheds it with
 	// a Retry-After hint instead of queueing it.
@@ -71,12 +75,12 @@ func main() {
 	fmt.Printf("cancelled %s\n", watch[3])
 
 	for _, id := range watch {
-		inf := await(srv, id)
+		inf := await(srv, id, serve.State.Terminal)
 		if inf.Outcome != nil {
-			fmt.Printf("%-5s %-6s %-10s loss %.3f, %d samples in %.0fms\n",
-				id, inf.Tenant, inf.State, inf.Outcome.FinalLoss, inf.Outcome.Samples, inf.Outcome.ElapsedMs)
+			fmt.Printf("%-5s %-6s %-10s preempted %d×, loss %.3f, %d samples in %.0fms\n",
+				id, inf.Tenant, inf.State, inf.Preemptions, inf.Outcome.FinalLoss, inf.Outcome.Samples, inf.Outcome.ElapsedMs)
 		} else {
-			fmt.Printf("%-5s %-6s %-10s (%s)\n", id, inf.Tenant, inf.State, inf.Error)
+			fmt.Printf("%-5s %-6s %-10s preempted %d× (%s)\n", id, inf.Tenant, inf.State, inf.Preemptions, inf.Error)
 		}
 	}
 
@@ -95,15 +99,16 @@ func main() {
 	}
 }
 
-func await(srv *serve.Server, id string) serve.Info {
+// await polls a job until its state satisfies reached.
+func await(srv *serve.Server, id string, reached func(serve.State) bool) serve.Info {
 	for {
 		inf, err := srv.Status(id)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if inf.State.Terminal() {
+		if reached(inf.State) {
 			return inf
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -268,31 +268,23 @@ func TestSuspendResumeTaxonomy(t *testing.T) {
 	}
 }
 
-// TestPreemptionUnderDevicePressure: a higher-priority submission that
-// would have been shed for device pressure instead preempts the
-// lowest-priority running elastic job; the victim parks a checkpoint,
-// requeues automatically, and later resumes from that checkpoint. An
-// equal-priority submission still sheds.
-func TestPreemptionUnderDevicePressure(t *testing.T) {
+// TestPreemptionForRunSlot: a submission that finds every run slot
+// taken and an empty queue preempts the lowest-priority running job
+// it outranks; the victim parks a checkpoint, requeues automatically,
+// and later resumes from that checkpoint. An equal-priority submission
+// is queued, not shed, and preempts nothing; neither does an outranking
+// submission that finds a free slot.
+func TestPreemptionForRunSlot(t *testing.T) {
 	g := newElasticGate()
-	s := newTestServer(t, g, WithMaxRunning(1), WithQueueLimit(64), WithPressureLimit(1),
-		WithPressureSignal(func() bool { return true }))
+	s := newTestServer(t, g, WithMaxRunning(1))
 	victim, err := s.Submit(JobSpec{Tenant: "victim", Epochs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.waitStarted(t)
-	if _, err := s.Submit(JobSpec{Tenant: "filler"}); err != nil {
-		t.Fatal(err) // depth 0 → 1: admitted, now at the pressure limit
-	}
-	_, err = s.Submit(JobSpec{Tenant: "peer"})
-	var shed *ShedError
-	if !errors.As(err, &shed) || shed.Reason != "device pressure" {
-		t.Fatalf("equal-priority submission: err = %v, want device-pressure shed", err)
-	}
 	vip, err := s.Submit(JobSpec{Tenant: "vip", Priority: 5})
 	if err != nil {
-		t.Fatalf("outranking submission was shed instead of preempting: %v", err)
+		t.Fatalf("outranking submission: %v", err)
 	}
 	// The victim parks at its next boundary and requeues; the freed slot
 	// goes to the vip (highest priority in queue).
@@ -303,9 +295,15 @@ func TestPreemptionUnderDevicePressure(t *testing.T) {
 	if vinf.Preemptions != 1 || vinf.CheckpointEpochs == 0 {
 		t.Errorf("preempted victim = %+v, want 1 preemption with a banked checkpoint", vinf)
 	}
-	// Drain: vip finishes, then filler and the victim in turn.
+	peer, err := s.Submit(JobSpec{Tenant: "peer", Priority: 5})
+	if err != nil || peer.State != StateQueued {
+		t.Fatalf("equal-priority submission = %+v, %v; want queued", peer, err)
+	}
+	// Drain: vip finishes, then the peer and the victim in turn.
 	g.release <- nil
-	waitState(t, s, vip.ID, StateDone)
+	if inf := waitState(t, s, vip.ID, StateDone); inf.Preemptions != 0 {
+		t.Errorf("vip preempted %d times by an equal-priority peer", inf.Preemptions)
+	}
 	for i := 0; i < 2; i++ {
 		g.waitStarted(t)
 		g.release <- nil
@@ -320,6 +318,25 @@ func TestPreemptionUnderDevicePressure(t *testing.T) {
 	}
 	if got := snap.Counters["serve.tenant.victim.suspensions"]; got != 1 {
 		t.Errorf("victim suspensions = %d, want 1", got)
+	}
+
+	// With a slot free, the outranking job starts beside the low one.
+	g2 := newElasticGate()
+	s2 := newTestServer(t, g2, WithMaxRunning(2))
+	low, err := s2.Submit(JobSpec{Tenant: "low"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2.waitStarted(t)
+	if _, err := s2.Submit(JobSpec{Tenant: "vip", Priority: 5}); err != nil {
+		t.Fatal(err)
+	}
+	g2.waitStarted(t)
+	if inf, _ := s2.Status(low.ID); inf.State != StateRunning || inf.Preemptions != 0 {
+		t.Errorf("low job beside a free-slot vip = %+v, want running, never preempted", inf)
+	}
+	if got := s2.Metrics().Snapshot().Counters["serve.server.preemptions"]; got != 0 {
+		t.Errorf("free-slot submission preempted %d jobs, want 0", got)
 	}
 }
 

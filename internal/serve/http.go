@@ -4,13 +4,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 )
 
 // Handler returns the server's HTTP API:
 //
-//	POST   /v1/jobs              submit a JobSpec        → 202 Info, 429 shed, 400 bad spec
+//	POST   /v1/jobs              submit one JobSpec      → 202 Info, 429 shed, 400 bad spec
 //	GET    /v1/jobs?tenant=x     list jobs               → 200 []Info
 //	GET    /v1/jobs/{id}         job status              → 200 Info, 404
 //	GET    /v1/jobs/{id}/result  finished job's outcome  → 200 Info, 409 not done, 404
@@ -77,6 +78,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		writeError(w, fmt.Errorf("%w: %v", ErrBadSpec, err))
+		return
+	}
+	// One spec per body: anything after it but whitespace is refused.
+	if _, err := dec.Token(); err != io.EOF {
+		writeError(w, fmt.Errorf("%w: trailing data after the job spec", ErrBadSpec))
 		return
 	}
 	inf, err := s.Submit(spec)

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -147,6 +148,18 @@ func TestHTTPErrorMapping(t *testing.T) {
 	resp, _ = doJSON(t, "POST", ts.URL+"/v1/jobs", map[string]any{"tenant": "x", "bogus": 1})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: status = %d, want 400", resp.StatusCode)
+	}
+
+	// A body is one spec: a second value or junk after it is refused.
+	for _, body := range []string{`{"tenant":"a"}{"tenant":"b"}`, `{"tenant":"a"} junk`} {
+		r, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusBadRequest {
+			t.Errorf("trailing data %q: status = %d, want 400", body, r.StatusCode)
+		}
 	}
 
 	resp, _ = doJSON(t, "GET", ts.URL+"/v1/jobs/j-404", nil)

@@ -163,9 +163,9 @@ func checkLedgers(t *testing.T, s *Server) {
 
 // FuzzServeLifecycle decodes bytes into lifecycle operations — submit,
 // suspend, resume, cancel, release a run ok or failed, wait, close —
-// against an elastic fake under permanent device pressure (so
-// outranking submissions preempt), and checks the ledgers after every
-// operation. Each byte is one operation: the low three bits pick it,
+// against an elastic fake with two run slots (so outranking
+// submissions preempt once both are taken), and checks the ledgers
+// after every operation. Each byte is one operation: the low three bits pick it,
 // the high five its argument (tenant, priority, which admitted job, or
 // for op 7 close when a multiple of 4 and wait otherwise).
 func FuzzServeLifecycle(f *testing.F) {
@@ -178,8 +178,7 @@ func FuzzServeLifecycle(f *testing.F) {
 		// One slot per possible op, so a release sent before any run
 		// starts waits for the next one instead of being dropped.
 		r := fuzzRunner{release: make(chan error, 64)}
-		s, err := NewServer(WithRunner(r), WithMaxRunning(2), WithQueueLimit(6),
-			WithPressureLimit(2), WithTenantQuota(4), WithPressureSignal(func() bool { return true }))
+		s, err := NewServer(WithRunner(r), WithMaxRunning(2), WithQueueLimit(6), WithTenantQuota(4))
 		if err != nil {
 			t.Fatal(err)
 		}

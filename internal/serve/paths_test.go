@@ -24,10 +24,9 @@ const (
 	serveHold   = 1 // boundary an interrupted job is held at
 )
 
-// serveJobs are a cell's jobs, submitted in order. Alice claims both
-// devices; bob claims none, so on the pool his epochs reach the cache
-// through the pool job's host half; carol (preempt cells only)
-// outranks alice.
+// serveJobs are a cell's jobs. Alice claims both devices; bob claims
+// none, so on the pool bob's epochs reach the cache through the pool
+// job's host half; carol (preempt cells only) outranks alice.
 var serveJobs = []JobSpec{
 	{Tenant: "alice", Items: serveItems, Epochs: serveEpochs, Replicas: 2, Seed: 5, RequiredRate: 16000},
 	{Tenant: "bob", Items: serveItems, Epochs: serveEpochs, Replicas: 2, Seed: 6},
@@ -62,9 +61,8 @@ func (r *tapRunner) Run(ctx context.Context, id string, spec JobSpec, e Elastic)
 	return r.TrainRunner.Run(ctx, id, spec, e)
 }
 
-// TestServePathsAgree runs the 10 cells: host and pool × uncached and
-// ample × none and suspend, plus preempt on the pool, the one placement
-// with a device-pressure signal.
+// TestServePathsAgree runs the 12 cells: host and pool × uncached and
+// ample × none, suspend and preempt.
 func TestServePathsAgree(t *testing.T) {
 	hostRunner, _, err := NewTrainBackend(0, serveItems, 3, nil)
 	if err != nil {
@@ -90,9 +88,6 @@ func TestServePathsAgree(t *testing.T) {
 	for _, devices := range []int{0, 2} {
 		for _, cache := range []string{"uncached", "ample"} {
 			for _, intr := range []string{"none", "suspend", "preempt"} {
-				if devices == 0 && intr == "preempt" {
-					continue
-				}
 				place := "host"
 				if devices > 0 {
 					place = "pool"
@@ -117,11 +112,11 @@ func runServeCell(t *testing.T, devices int, cached bool, intr string, refs map[
 	}
 	tap := &tapRunner{TrainRunner: runner, hold: intr != "none", held: make(chan struct{}), release: make(chan struct{}),
 		cps: map[string][]train.Checkpoint{}}
-	// One run slot keeps bob queued behind alice: the queue depth the
-	// pressure limit of 1 needs before a submission may preempt.
+	// One run slot: carol, submitted while alice holds it and the queue
+	// is empty, must preempt alice.
 	opts := []Option{WithMetrics(reg), WithMaxRunning(1)}
 	if onPool {
-		opts = append(opts, WithPool(pool), WithPressureLimit(1))
+		opts = append(opts, WithPool(pool))
 	}
 	s := newTestServer(t, tap, opts...)
 	// Cleanups run last-in first-out, so this frees a held alice before
@@ -140,7 +135,9 @@ func runServeCell(t *testing.T, devices int, cached bool, intr string, refs map[
 		ids[sp.Tenant] = inf.ID
 	}
 	submit(jobs[0])
-	submit(jobs[1])
+	if intr != "preempt" {
+		submit(jobs[1])
+	}
 	if intr != "none" {
 		select {
 		case <-tap.held:
@@ -151,6 +148,7 @@ func runServeCell(t *testing.T, devices int, cached bool, intr string, refs map[
 			err = s.Suspend(ids["alice"])
 		} else {
 			submit(jobs[2])
+			submit(jobs[1])
 		}
 		tap.release <- struct{}{}
 		if err != nil {
@@ -212,6 +210,13 @@ func runServeCell(t *testing.T, devices int, cached bool, intr string, refs map[
 		if p, h := snap.Counters[job+"pooled_samples"], snap.Counters[job+"inbox_samples"]; onPool && ((p > 0) == (h > 0) || (p > 0) != (sp.RequiredRate > 0)) {
 			t.Errorf("%s prepared %d samples on the pool and %d in-box", sp.Tenant, p, h)
 		}
+	}
+	wantPreempts := int64(0)
+	if intr == "preempt" {
+		wantPreempts = 1
+	}
+	if got := snap.Counters["serve.server.preemptions"]; got != wantPreempts {
+		t.Errorf("server counted %d preemptions, want %d", got, wantPreempts)
 	}
 	if onPool && pool.FreeDevices() != 2 {
 		t.Errorf("%d devices free after every job closed, want 2", pool.FreeDevices())

@@ -5,14 +5,16 @@
 // under per-tenant quotas, queues them priority-first with max-min
 // fair-share across tenants, dispatches up to a fixed number of
 // concurrent runs onto internal/preppool + train.Run, and sheds
-// load with 429 + Retry-After once queue depth or free-device pressure
-// crosses its thresholds.
+// load with 429 + Retry-After once a tenant's quota or the queue is
+// full. A submission that finds every run slot taken preempts the
+// lowest-priority running job it outranks.
 //
 // The layering mirrors the paper's Section V-D split: the prep-pool's
 // rebalancer divides *devices* max-min across the jobs that are
-// running, while this package's queue divides *run slots* max-min
-// across the tenants that are waiting — so fairness holds at both the
-// device and the job granularity.
+// running, tier by priority, while this package's queue divides *run
+// slots* max-min across the tenants that are waiting — so fairness
+// holds at both the device and the job granularity, and each layer
+// decides about its own resource only.
 //
 // Every tenant gets its own metric namespace, serve.tenant.<name>.*,
 // under the repo-wide subsystem.object.metric scheme (metrics.ValidName
@@ -328,20 +330,6 @@ func WithQueueLimit(n int) Option {
 	}
 }
 
-// WithPressureLimit sets the lower queue-depth threshold that applies
-// while the prep-pool has no free device — shedding starts earlier when
-// device pressure means queued jobs will not start soon (default
-// queueLimit/4, minimum 1).
-func WithPressureLimit(n int) Option {
-	return func(s *Server) error {
-		if n < 1 {
-			return fmt.Errorf("serve: pressure limit must be ≥ 1, got %d", n)
-		}
-		s.cfg.pressureLimit = n
-		return nil
-	}
-}
-
 // WithTenantQuota caps one tenant's live (queued + running + suspended)
 // jobs (default 8); submissions beyond it are shed with 429.
 func WithTenantQuota(n int) Option {
@@ -380,26 +368,14 @@ func WithMetrics(reg *metrics.Registry) Option {
 
 // WithPool wires the shared prep-pool, the one NewTrainBackend returns
 // beside the TrainRunner that dispatches onto it: its free-device count
-// feeds the status report and the pressure-shedding signal.
+// feeds the status report. The server never decides about devices —
+// the pool moves them between jobs by priority tier.
 func WithPool(pool *preppool.Pool) Option {
 	return func(s *Server) error {
 		if pool == nil {
 			return fmt.Errorf("serve: WithPool needs a pool")
 		}
 		s.pool = pool
-		s.cfg.pressure = func() bool { return pool.FreeDevices() == 0 }
-		return nil
-	}
-}
-
-// WithPressureSignal overrides the free-device pressure signal (tests
-// and non-pool integrations).
-func WithPressureSignal(f func() bool) Option {
-	return func(s *Server) error {
-		if f == nil {
-			return fmt.Errorf("serve: WithPressureSignal needs a function")
-		}
-		s.cfg.pressure = f
 		return nil
 	}
 }
@@ -417,12 +393,10 @@ func WithRunner(r Runner) Option {
 }
 
 type config struct {
-	maxRunning    int
-	queueLimit    int
-	pressureLimit int
-	tenantQuota   int
-	retryAfter    time.Duration
-	pressure      func() bool
+	maxRunning  int
+	queueLimit  int
+	tenantQuota int
+	retryAfter  time.Duration
 }
 
 // Server is the multi-tenant front-end. Construct with NewServer, serve
@@ -474,9 +448,6 @@ func NewServer(opts ...Option) (*Server, error) {
 			return nil, err
 		}
 	}
-	if s.cfg.pressureLimit == 0 {
-		s.cfg.pressureLimit = max(1, s.cfg.queueLimit/4)
-	}
 	if s.reg == nil {
 		s.reg = metrics.NewRegistry()
 	}
@@ -519,6 +490,8 @@ func (s *Server) moveLocked(j *job, to State) {
 }
 
 // Submit validates and admits one job, returning its queued snapshot.
+// An admitted job that finds every run slot taken preempts the
+// lowest-priority running job it outranks (see preemptLocked).
 // Admission rejections return *ShedError; validation failures wrap
 // ErrBadSpec; a closed server returns ErrClosed.
 func (s *Server) Submit(spec JobSpec) (Info, error) {
@@ -537,18 +510,15 @@ func (s *Server) Submit(spec JobSpec) (Info, error) {
 	s.total.submitted.Inc()
 
 	if shed := s.shedReasonLocked(t); shed != "" {
-		// Device pressure is the one admission failure the server can
-		// relieve itself: instead of only shedding the new work, preempt
-		// the lowest-priority running elastic job when the submission
-		// outranks it — the victim parks a checkpoint at its next epoch
-		// boundary, requeues, and resumes once capacity frees.
-		if shed != "device pressure" || !s.preemptLocked(spec.Priority) {
-			t.shed.Inc()
-			s.total.shed.Inc()
-			retry := s.cfg.retryAfter
-			s.mu.Unlock()
-			return Info{}, &ShedError{Reason: shed, RetryAfter: retry}
-		}
+		t.shed.Inc()
+		s.total.shed.Inc()
+		retry := s.cfg.retryAfter
+		s.mu.Unlock()
+		return Info{}, &ShedError{Reason: shed, RetryAfter: retry}
+	}
+	// A priority-0 job outranks nothing, so it never pays for the scan.
+	if spec.Priority > 0 && s.total.count[StateRunning] >= s.cfg.maxRunning {
+		s.preemptLocked(spec.Priority)
 	}
 
 	s.seq++
@@ -567,17 +537,13 @@ func (s *Server) Submit(spec JobSpec) (Info, error) {
 
 // shedReasonLocked evaluates the admission-control policy in order:
 // per-tenant quota (suspended jobs still count — a parked job holds its
-// tenant's claim), hard queue limit, then the earlier pressure limit
-// that applies while the prep-pool has no free device.
+// tenant's claim), then the queue limit.
 func (s *Server) shedReasonLocked(t *tenant) string {
 	if t.live() >= s.cfg.tenantQuota {
 		return "tenant quota"
 	}
 	if s.q.len() >= s.cfg.queueLimit {
 		return "queue full"
-	}
-	if s.cfg.pressure != nil && s.q.len() >= s.cfg.pressureLimit && s.cfg.pressure() {
-		return "device pressure"
 	}
 	return ""
 }
@@ -586,9 +552,10 @@ func (s *Server) shedReasonLocked(t *tenant) string {
 // prio with nothing yet asked of it, and asks it to park at its next
 // epoch boundary. The victim frees its run slot and pool leases when it
 // parks; finish() requeues it automatically (state suspended → queued)
-// so it resumes — from its checkpoint, bit-identically — once capacity
-// frees. Returns whether a victim was found.
-func (s *Server) preemptLocked(prio int) bool {
+// so it resumes — from its checkpoint, bit-identically — once a slot
+// frees. A backend that ignores Elastic never parks, so its victim runs
+// on to its own end.
+func (s *Server) preemptLocked(prio int) {
 	var victim *job
 	for _, j := range s.jobs {
 		if j.state != StateRunning || j.pending != intentNone || j.spec.Priority >= prio {
@@ -602,13 +569,12 @@ func (s *Server) preemptLocked(prio int) bool {
 		}
 	}
 	if victim == nil {
-		return false
+		return
 	}
 	victim.pending = intentPreempt
 	victim.preemptions++
 	victim.suspender.Suspend()
 	s.cPreemptions.Inc()
-	return true
 }
 
 // kick wakes the scheduler without blocking.
@@ -719,7 +685,7 @@ func (s *Server) finish(j *job, out Outcome, err error) {
 	s.moveLocked(j, to)
 	if to == StateSuspended && j.pending == intentPreempt {
 		// Preemption requeues automatically: the job resumes from its
-		// checkpoint as soon as a slot (and devices) free up.
+		// checkpoint as soon as a run slot frees up.
 		s.resumeLocked(j)
 	}
 	s.mu.Unlock()

@@ -339,31 +339,6 @@ func TestQueueLimitSheds(t *testing.T) {
 	}
 }
 
-// TestPressureSheds: with the pool reporting no free devices, shedding
-// starts at the lower pressure threshold.
-func TestPressureSheds(t *testing.T) {
-	g := newGateRunner()
-	pressured := true
-	s := newTestServer(t, g, WithMaxRunning(1), WithQueueLimit(64), WithPressureLimit(1),
-		WithPressureSignal(func() bool { return pressured }))
-	if _, err := s.Submit(JobSpec{Tenant: "t0"}); err != nil {
-		t.Fatal(err)
-	}
-	g.waitStarted(t)
-	if _, err := s.Submit(JobSpec{Tenant: "t1"}); err != nil {
-		t.Fatal(err) // depth 0 → 1: below nothing yet
-	}
-	_, err := s.Submit(JobSpec{Tenant: "t2"})
-	var shed *ShedError
-	if !errors.As(err, &shed) || shed.Reason != "device pressure" {
-		t.Fatalf("pressured submission: err = %v, want device-pressure shed", err)
-	}
-	pressured = false
-	if _, err := s.Submit(JobSpec{Tenant: "t2"}); err != nil {
-		t.Fatalf("pressure lifted but still shed: %v", err)
-	}
-}
-
 // TestCloseCancelsEverythingAndReclaimsGoroutines: Close must cancel
 // queued and running jobs, refuse new submissions, and leak nothing.
 func TestCloseCancelsEverythingAndReclaimsGoroutines(t *testing.T) {

@@ -141,7 +141,6 @@ var notLinked = map[string]string{
 	"internal/storage.Store.WithFaults": seam,
 	"internal/storage.Store.WithRetry":  seam,
 	"internal/fpga.WithFaults":          seam,
-	"internal/serve.WithPressureSignal": seam,
 
 	"internal/invariant": harness,
 
