@@ -38,7 +38,6 @@ func main() {
 	maxRunning := flag.Int("max-running", 4, "concurrent training jobs")
 	queueLimit := flag.Int("queue-limit", 64, "queue depth before shedding")
 	quota := flag.Int("tenant-quota", 8, "max live jobs per tenant")
-	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on shed responses")
 	cacheMB := flag.Int("cache", 0, "shared decode-cache budget in MB (0 = no cache)")
 	flag.Parse()
 	if *devices < 0 || *cacheMB < 0 {
@@ -47,14 +46,14 @@ func main() {
 	}
 
 	if err := run(*addr, *addrFile, *devices, *corpus, *seed, *maxRunning,
-		*queueLimit, *quota, *cacheMB, *retryAfter); err != nil {
+		*queueLimit, *quota, *cacheMB); err != nil {
 		fmt.Fprintln(os.Stderr, "trainbox-serve:", err)
 		os.Exit(1)
 	}
 }
 
 func run(addr, addrFile string, devices, corpus int, seed int64,
-	maxRunning, queueLimit, quota, cacheMB int, retryAfter time.Duration) error {
+	maxRunning, queueLimit, quota, cacheMB int) error {
 	reg := metrics.NewRegistry()
 	runner, pool, err := serve.NewTrainBackend(devices, corpus, seed, reg)
 	if err != nil {
@@ -69,7 +68,6 @@ func run(addr, addrFile string, devices, corpus int, seed int64,
 		serve.WithMaxRunning(maxRunning),
 		serve.WithQueueLimit(queueLimit),
 		serve.WithTenantQuota(quota),
-		serve.WithRetryAfter(retryAfter),
 	}
 	if pool != nil {
 		opts = append(opts, serve.WithPool(pool))

@@ -9,9 +9,11 @@ package main
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"trainbox/internal/dataprep"
 	"trainbox/internal/dsp"
+	"trainbox/internal/metrics"
 	"trainbox/internal/report"
 	"trainbox/internal/storage"
 )
@@ -25,15 +27,19 @@ func main() {
 		store.Len(), store.UsedBytes(), store.MeanObjectSize())
 
 	cfg := dataprep.DefaultAudioConfig()
-	exec := dataprep.NewExecutor(dataprep.AudioPreparer{Config: cfg}, 0, 3)
+	reg := metrics.NewRegistry()
+	exec := dataprep.NewExecutor(dataprep.AudioPreparer{Config: cfg}, 0, 3).WithMetrics(reg)
 	batch, err := exec.PrepareBatch(store, store.Keys(), 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	mel := batch[0].Audio
 	fmt.Printf("log-Mel features: %d frames × %d channels per utterance\n", mel.Frames, mel.Bins)
-	for _, s := range exec.Stats() {
-		fmt.Printf("  stage %v\n", s)
+	snap := reg.Snapshot()
+	for _, stage := range []string{"fetch", "prepare"} {
+		prefix := "pipeline.dataprep." + stage + "."
+		fmt.Printf("  stage %s: items=%d busy=%v\n", stage, snap.Counters[prefix+"items"],
+			time.Duration(snap.Histograms[prefix+"busy_ns"].Sum).Round(time.Microsecond))
 	}
 	fmt.Println()
 

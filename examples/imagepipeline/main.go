@@ -8,9 +8,11 @@ package main
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"trainbox/internal/dataprep"
 	"trainbox/internal/fpga"
+	"trainbox/internal/metrics"
 	"trainbox/internal/storage"
 )
 
@@ -25,15 +27,19 @@ func main() {
 
 	// 2. Prepare one augmented batch on the CPU path.
 	cfg := dataprep.DefaultImageConfig()
-	exec := dataprep.NewExecutor(dataprep.ImagePreparer{Config: cfg}, 0, 7)
+	reg := metrics.NewRegistry()
+	exec := dataprep.NewExecutor(dataprep.ImagePreparer{Config: cfg}, 0, 7).WithMetrics(reg)
 	batch, err := exec.PrepareBatch(store, store.Keys(), 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("prepared %d samples → %dx%dx%d float32 tensors (%d bytes each)\n",
 		len(batch), batch[0].Image.C, batch[0].Image.H, batch[0].Image.W, batch[0].Image.Bytes())
-	for _, s := range exec.Stats() {
-		fmt.Printf("  stage %v\n", s)
+	snap := reg.Snapshot()
+	for _, stage := range []string{"fetch", "prepare"} {
+		prefix := "pipeline.dataprep." + stage + "."
+		fmt.Printf("  stage %s: items=%d busy=%v\n", stage, snap.Counters[prefix+"items"],
+			time.Duration(snap.Histograms[prefix+"busy_ns"].Sum).Round(time.Microsecond))
 	}
 
 	// 3. Offload-correctness: the FPGA emulator must match bit-for-bit.

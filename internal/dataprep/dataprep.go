@@ -165,12 +165,12 @@ func (p AudioPreparer) Prepare(obj storage.Object, seed int64, s *Scratch) Prepa
 // software pipelining, and data partitioning"). Each batch runs a
 // fetch→prepare pipeline: a serial storage-read stage feeding a
 // prepare stage with the configured worker parallelism through a
-// bounded queue, with per-stage counters accumulated across batches.
+// bounded queue, reporting per-stage telemetry into the attached
+// registry.
 type Executor struct {
 	prep        Preparer
 	workers     int
 	datasetSeed int64
-	stats       pipeline.StatsSet
 
 	// The zero-allocation sample path: every worker draws a pooled
 	// Scratch whose output buffers come from out; consumers return
@@ -181,7 +181,6 @@ type Executor struct {
 	reg        *metrics.Registry
 	mSamples   *metrics.Counter   // dataprep.executor.samples_prepared
 	mPerSample *metrics.Histogram // dataprep.executor.ns_per_sample
-	mRate      *metrics.Meter     // dataprep.samples (rate)
 	mBatches   *metrics.Counter   // dataprep.executor.batches_prepared
 }
 
@@ -231,23 +230,16 @@ func (e *Executor) WithPreparer(p Preparer) *Executor {
 func (e *Executor) OutputStats() memframe.Stats { return e.out.Stats() }
 
 // WithMetrics attaches a registry: every subsequent batch reports
-// samples prepared, per-sample latency quantiles, and delivered-sample
-// rate under "dataprep.*", and the fetch→prepare pipeline reports
+// samples prepared and per-sample latency quantiles under
+// "dataprep.executor.*", and the fetch→prepare pipeline reports
 // per-stage telemetry under "pipeline.dataprep.*". Attach before use;
 // returns e for chaining.
 func (e *Executor) WithMetrics(reg *metrics.Registry) *Executor {
 	e.reg = reg
 	e.mSamples = reg.Counter("dataprep.executor.samples_prepared")
 	e.mPerSample = reg.Histogram("dataprep.executor.ns_per_sample")
-	e.mRate = reg.Meter("dataprep.executor.samples")
 	e.mBatches = reg.Counter("dataprep.executor.batches_prepared")
 	return e
-}
-
-// Stats returns the executor's cumulative per-stage pipeline counters
-// (items, busy time, queue occupancy) across every batch it prepared.
-func (e *Executor) Stats() []pipeline.StageStats {
-	return e.stats.Snapshot()
 }
 
 // PrepareBatch prepares the keyed objects from the store for the given
@@ -273,7 +265,6 @@ func (e *Executor) PrepareOne(ctx context.Context, store *storage.Store, key str
 		return Prepared{}, fmt.Errorf("dataprep: sample %q: %w", p.Key, p.Err)
 	}
 	e.mSamples.Inc()
-	e.mRate.Mark(1)
 	return p, nil
 }
 
@@ -310,15 +301,12 @@ func (e *Executor) PrepareBatchContext(ctx context.Context, store *storage.Store
 		}
 	})
 	start := time.Now()
-	run := pl.WithMetrics(e.reg).Run(ctx, pipeline.IndexSource(len(keys)))
-	out, err := pipeline.Drain[Prepared](run)
-	e.stats.Add(run.Stats())
+	out, err := pipeline.Drain[Prepared](ctx, pl.WithMetrics(e.reg), 0, len(keys))
 	if err != nil {
 		return nil, err
 	}
 	if n := len(out); n > 0 {
 		e.mSamples.Add(int64(n))
-		e.mRate.Mark(int64(n))
 		e.mBatches.Inc()
 		e.mPerSample.Observe(float64(time.Since(start).Nanoseconds()) / float64(n))
 	}

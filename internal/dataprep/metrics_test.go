@@ -47,8 +47,8 @@ func TestExecutorMetrics(t *testing.T) {
 	if snap.Counters["storage.nvme.bytes_read"] != int64(store.UsedBytes())*epochs {
 		t.Errorf("storage bytes_read = %d, want %d", snap.Counters["storage.nvme.bytes_read"], int64(store.UsedBytes())*epochs)
 	}
-	if snap.Meters["dataprep.executor.samples"].Count != wantSamples {
-		t.Errorf("sample meter count = %d, want %d", snap.Meters["dataprep.executor.samples"].Count, wantSamples)
+	if got := snap.Counters["pipeline.dataprep.fetch.items"]; got != wantSamples {
+		t.Errorf("pipeline fetch items = %d, want %d", got, wantSamples)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"trainbox/internal/dataprep"
+	"trainbox/internal/metrics"
 	"trainbox/internal/report"
 	"trainbox/internal/storage"
 	"trainbox/internal/workload"
@@ -14,8 +15,8 @@ import (
 // the reproduction's analogue of the paper's prototype profiling step
 // (Section VI-A). It reports per-sample cost and throughput of the image
 // and audio pipelines at one worker and at GOMAXPROCS, each executor's
-// stage counters, and the calibrated per-sample constants the system
-// model uses instead.
+// per-stage registry series, and the calibrated per-sample constants
+// the system model uses instead.
 func prof(workload.Workload) (Result, error) {
 	const (
 		items   = 32  // image dataset items; the audio set has items/4+1
@@ -32,8 +33,8 @@ func prof(workload.Workload) (Result, error) {
 
 	t := report.NewTable("Measured Go kernel throughput (this machine)",
 		"pipeline", "workers", "samples/s", "per sample")
-	st := report.NewTable("Pipeline stage counters (cumulative per executor)",
-		"pipeline", "workers", "stage", "in", "out", "busy")
+	st := report.NewTable("Pipeline stage series (pipeline.dataprep.<stage>.*, per executor)",
+		"pipeline", "workers", "stage", "items", "busy")
 	for _, p := range []struct {
 		name, label string
 		prep        dataprep.Preparer
@@ -44,14 +45,18 @@ func prof(workload.Workload) (Result, error) {
 		{"audio", "audio (PCM→log-Mel)", dataprep.AudioPreparer{Config: dataprep.DefaultAudioConfig()}, audStore, samples/4 + 1},
 	} {
 		for _, wk := range []int{1, runtime.GOMAXPROCS(0)} {
-			e := dataprep.NewExecutor(p.prep, wk, 1)
+			reg := metrics.NewRegistry()
+			e := dataprep.NewExecutor(p.prep, wk, 1).WithMetrics(reg)
 			res, err := e.Profile(p.store, p.store.Keys(), p.samples)
 			if err != nil {
 				return Result{}, err
 			}
 			t.AddRowf(p.label, wk, res.SamplesPerSec, res.PerSample.String())
-			for _, s := range e.Stats() {
-				st.AddRowf(p.name, wk, s.Name, s.ItemsIn, s.ItemsOut, s.Busy.Round(time.Millisecond).String())
+			snap := reg.Snapshot()
+			for _, stage := range []string{"fetch", "prepare"} {
+				prefix := "pipeline.dataprep." + stage + "."
+				busy := time.Duration(snap.Histograms[prefix+"busy_ns"].Sum)
+				st.AddRowf(p.name, wk, stage, snap.Counters[prefix+"items"], busy.Round(time.Millisecond).String())
 			}
 		}
 	}

@@ -38,8 +38,7 @@ import (
 // batch-boundary operations — they must not run while a PrepareBatch is
 // in flight.
 type Cluster struct {
-	name  string
-	stats pipeline.StatsSet
+	name string
 
 	fbExec  *dataprep.Executor
 	fbStore *storage.Store
@@ -253,11 +252,6 @@ func (c *Cluster) ActiveDevices() int {
 	return c.alive
 }
 
-// Stats returns the cluster's cumulative dispatch-stage counters.
-func (c *Cluster) Stats() []pipeline.StageStats {
-	return c.stats.Snapshot()
-}
-
 // PrepareBatch prepares the keyed objects in order across the pooled
 // devices: a dispatch stage with parallelism = device count checks a
 // device out of the pool per sample, runs its SSD→FPGA path, and
@@ -287,9 +281,7 @@ func (c *Cluster) PrepareBatch(ctx context.Context, keys []string, datasetSeed i
 		}
 	})
 	start := time.Now()
-	run := pl.WithMetrics(c.reg).Run(ctx, pipeline.IndexSource(len(keys)))
-	out, err := pipeline.Drain[dataprep.Prepared](run)
-	c.stats.Add(run.Stats())
+	out, err := pipeline.Drain[dataprep.Prepared](ctx, pl.WithMetrics(c.reg), 0, len(keys))
 	c.wall.Add(time.Since(start).Nanoseconds())
 	c.reportUtilization()
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"trainbox/internal/dataprep"
 	"trainbox/internal/invariant"
+	"trainbox/internal/metrics"
 	"trainbox/internal/storage"
 )
 
@@ -31,7 +32,9 @@ func poolFixture(t *testing.T, devices int) (*Cluster, *storage.Store, dataprep.
 // transparency property that lets the scheduler hand any job's deficit
 // to any pool device.
 func TestClusterBitEqualWithHostPath(t *testing.T) {
-	cluster, store, cfg := poolFixture(t, 3)
+	handlers, store, cfg := leaseFixture(t, 3)
+	reg := metrics.NewRegistry()
+	cluster := newCluster(t, handlers, WithMetrics(reg))
 	const datasetSeed, epoch = 3, 1
 
 	pooled, err := cluster.PrepareBatch(context.Background(), store.Keys(), datasetSeed, epoch)
@@ -56,14 +59,13 @@ func TestClusterBitEqualWithHostPath(t *testing.T) {
 			}
 		}
 	}
-	stats := cluster.Stats()
-	if len(stats) != 1 || stats[0].Name != "pool-dispatch" || stats[0].Parallelism != 3 {
-		t.Fatalf("cluster stats = %+v", stats)
-	}
-	if stats[0].ItemsOut != int64(len(host)) {
-		t.Errorf("dispatch delivered %d samples, want %d", stats[0].ItemsOut, len(host))
+	if got := reg.Counter(dispatchItems).Value(); got != int64(len(host)) {
+		t.Errorf("dispatch delivered %d samples, want %d", got, len(host))
 	}
 }
+
+// dispatchItems is an unnamed cluster's dispatch-stage item count.
+const dispatchItems = "pipeline.fpga-pool.pool-dispatch.items"
 
 func TestClusterErrorsAndValidation(t *testing.T) {
 	if _, err := NewCluster(nil); err == nil {
@@ -95,25 +97,23 @@ func TestClusterCancelledContext(t *testing.T) {
 // TestP2PBatchContextCancellation: a batch over one P2P handler must
 // honour cancellation and leave the handler usable for the next batch.
 func TestP2PBatchContextCancellation(t *testing.T) {
-	cluster, store, _ := poolFixture(t, 1)
+	handlers, store, _ := leaseFixture(t, 1)
+	reg := metrics.NewRegistry()
+	cluster := newCluster(t, handlers, WithMetrics(reg))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := cluster.PrepareBatch(ctx, store.Keys(), 1, 0); err == nil {
 		t.Error("cancelled p2p batch succeeded")
 	}
-	// A fresh batch afterwards still works and records stage stats. The
-	// cancelled batch may have dispatched a sample before it noticed, so
-	// the fresh batch's share is the growth of the cumulative count.
-	var before int64
-	if stats := cluster.Stats(); len(stats) == 1 {
-		before = stats[0].ItemsOut
-	}
+	// A fresh batch afterwards still works and counts its dispatches.
+	// The cancelled batch may have dispatched a sample before it
+	// noticed, so the fresh batch's share is the growth of the count.
+	before := reg.Counter(dispatchItems).Value()
 	out, err := cluster.PrepareBatch(context.Background(), store.Keys(), 1, 0)
 	if err != nil || len(out) != store.Len() {
 		t.Fatalf("post-cancel batch: %v (%d samples)", err, len(out))
 	}
-	stats := cluster.Stats()
-	if len(stats) != 1 || stats[0].Name != "pool-dispatch" || stats[0].ItemsOut-before != int64(len(out)) {
-		t.Fatalf("cluster stats = %+v, want %d more samples out than the %d before", stats, len(out), before)
+	if got := reg.Counter(dispatchItems).Value() - before; got != int64(len(out)) {
+		t.Fatalf("dispatch items grew by %d, want %d", got, len(out))
 	}
 }

@@ -1,7 +1,6 @@
 // Package metrics is the repo's unified telemetry layer: a small,
-// dependency-free registry of named counters, gauges, windowed
-// histograms, and rate meters, with consistent snapshotting and JSON
-// export.
+// dependency-free registry of named counters, gauges, and windowed
+// histograms, with consistent snapshotting and JSON export.
 //
 // TrainBox's argument is quantitative — data preparation must keep up
 // with accelerator demand, and the balance has to be re-measured as the
@@ -14,8 +13,9 @@
 //
 // Design rules:
 //
-//   - No background goroutines. Rate meters derive rates lazily from a
-//     monotonic start time, so attaching metrics never leaks a ticker.
+//   - No background goroutines. Nothing ticks: every instrument is
+//     updated by its caller and read on demand, so attaching metrics
+//     never leaks a goroutine.
 //   - Nil-safety. Every metric method is a no-op on a nil receiver, and
 //     a nil *Registry hands out nil metrics — components wire metric
 //     handles unconditionally and pay nothing when unmetered.
@@ -27,7 +27,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing event count.
@@ -79,58 +78,15 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Meter is an event-rate meter: a count plus the wall-clock span it
-// accumulated over. The rate is derived lazily at read time — no
-// background ticker goroutine exists to leak.
-type Meter struct {
-	count atomic.Int64
-	start time.Time
-}
-
-// Mark records n events.
-func (m *Meter) Mark(n int64) {
-	if m == nil {
-		return
-	}
-	m.count.Add(n)
-}
-
-// Count returns the total events marked.
-func (m *Meter) Count() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.count.Load()
-}
-
-// Rate returns events per second since the meter was created.
-func (m *Meter) Rate() float64 {
-	if m == nil {
-		return 0
-	}
-	elapsed := time.Since(m.start).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(m.count.Load()) / elapsed
-}
-
-// MeterSnapshot is a meter's exported state.
-type MeterSnapshot struct {
-	Count      int64   `json:"count"`
-	RatePerSec float64 `json:"rate_per_sec"`
-}
-
 // Registry is a namespace of metrics. Get-or-create accessors make
 // wiring idempotent: two components asking for the same name share the
-// metric. Counters, gauges, meters, and histograms live in separate
+// metric. Counters, gauges, and histograms live in separate
 // kind-spaces (and separate snapshot sections), so a name identifies a
 // (kind, name) pair.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
-	meters     map[string]*Meter
 	histograms map[string]*Histogram
 }
 
@@ -139,7 +95,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:   map[string]*Counter{},
 		gauges:     map[string]*Gauge{},
-		meters:     map[string]*Meter{},
 		histograms: map[string]*Histogram{},
 	}
 }
@@ -174,22 +129,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// Meter returns the named meter, creating it on first use. A nil
-// registry returns a nil (no-op) meter.
-func (r *Registry) Meter(name string) *Meter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, ok := r.meters[name]
-	if !ok {
-		m = &Meter{start: time.Now()}
-		r.meters[name] = m
-	}
-	return m
 }
 
 // Histogram returns the named histogram with the default window,

@@ -9,7 +9,7 @@ import (
 	"trainbox/internal/invariant"
 )
 
-// TestConcurrentIncrements hammers one counter, meter, and histogram
+// TestConcurrentIncrements hammers one counter, gauge, and histogram
 // from many goroutines; run under -race in CI it proves the
 // hot-path operations are data-race free, and the final counts prove no
 // increments are lost.
@@ -24,11 +24,11 @@ func TestConcurrentIncrements(t *testing.T) {
 			// Get-or-create from every goroutine: handles must converge on
 			// the same metric.
 			c := reg.Counter("c")
-			m := reg.Meter("m")
+			g := reg.Gauge("g")
 			h := reg.Histogram("h")
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				m.Mark(1)
+				g.SetInt(int64(i))
 				h.Observe(float64(i))
 			}
 		}()
@@ -38,8 +38,8 @@ func TestConcurrentIncrements(t *testing.T) {
 	if got := reg.Counter("c").Value(); got != want {
 		t.Errorf("counter = %d, want %d", got, want)
 	}
-	if got := reg.Meter("m").Count(); got != want {
-		t.Errorf("meter count = %d, want %d", got, want)
+	if got := reg.Gauge("g").Value(); got < 0 || got >= perWorker {
+		t.Errorf("gauge = %v, want one of the levels set", got)
 	}
 	if got := reg.Histogram("h").Snapshot().Count; got != want {
 		t.Errorf("histogram count = %d, want %d", got, want)
@@ -81,19 +81,17 @@ func TestNilSafety(t *testing.T) {
 	var reg *Registry
 	c := reg.Counter("x")
 	g := reg.Gauge("x")
-	m := reg.Meter("x")
 	h := reg.Histogram("x")
 	c.Inc()
 	c.Add(5)
 	g.Set(1)
 	g.SetInt(2)
-	m.Mark(3)
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
-	if c.Value() != 0 || g.Value() != 0 || m.Count() != 0 || m.Rate() != 0 {
+	if c.Value() != 0 || g.Value() != 0 {
 		t.Error("nil metrics must read as zero")
 	}
-	if snap := reg.Snapshot(); len(snap.Counters)+len(snap.Gauges)+len(snap.Meters)+len(snap.Histograms) != 0 {
+	if snap := reg.Snapshot(); len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
 		t.Errorf("nil registry snapshot has metrics: %+v", snap)
 	}
 	if (HistogramSnapshot{}) != h.Snapshot() {
@@ -101,23 +99,7 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
-// TestMeterRate: the rate must be count over elapsed wall time, derived
-// lazily — and in particular nonzero without any ticker having run.
-func TestMeterRate(t *testing.T) {
-	reg := NewRegistry()
-	m := reg.Meter("events")
-	m.Mark(100)
-	time.Sleep(10 * time.Millisecond)
-	rate := m.Rate()
-	if rate <= 0 {
-		t.Fatalf("rate = %v, want > 0", rate)
-	}
-	if rate > 100/0.010 {
-		t.Errorf("rate = %v, impossibly high for 100 events over ≥10ms", rate)
-	}
-}
-
-// TestNoBackgroundGoroutines: creating registries, meters, and
+// TestNoBackgroundGoroutines: creating registries, metrics, and
 // snapshots must not leave any goroutine behind — the metrics layer is
 // wired into long-lived servers and must never leak a ticker.
 func TestNoBackgroundGoroutines(t *testing.T) {
@@ -125,12 +107,9 @@ func TestNoBackgroundGoroutines(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		reg := NewRegistry()
 		reg.Counter("c").Inc()
-		reg.Meter("m").Mark(1)
-		reg.Meter("m2").Mark(2)
 		reg.Histogram("h").Observe(1)
 		reg.Gauge("g").Set(1)
 		_ = reg.Snapshot()
-		_ = reg.Meter("m").Rate()
 	}
 }
 
@@ -140,7 +119,6 @@ func TestSnapshotJSON(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("a.items").Add(3)
 	reg.Gauge("a.depth").Set(1.5)
-	reg.Meter("a.rate").Mark(2)
 	reg.Histogram("a.lat").Observe(42)
 
 	data, err := json.Marshal(reg.Snapshot())
@@ -156,9 +134,6 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 	if back.Gauges["a.depth"] != 1.5 {
 		t.Errorf("gauge lost in round-trip: %+v", back)
-	}
-	if back.Meters["a.rate"].Count != 2 {
-		t.Errorf("meter lost in round-trip: %+v", back)
 	}
 	if back.Histograms["a.lat"].Count != 1 {
 		t.Errorf("histogram lost in round-trip: %+v", back)

@@ -8,7 +8,6 @@ package metrics
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
-	Meters     map[string]MeterSnapshot     `json:"meters,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
@@ -29,10 +28,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.gauges {
 		gauges[k] = v
 	}
-	meters := make(map[string]*Meter, len(r.meters))
-	for k, v := range r.meters {
-		meters[k] = v
-	}
 	histograms := make(map[string]*Histogram, len(r.histograms))
 	for k, v := range r.histograms {
 		histograms[k] = v
@@ -50,12 +45,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges = make(map[string]float64, len(gauges))
 		for k, g := range gauges {
 			s.Gauges[k] = g.Value()
-		}
-	}
-	if len(meters) > 0 {
-		s.Meters = make(map[string]MeterSnapshot, len(meters))
-		for k, m := range meters {
-			s.Meters[k] = MeterSnapshot{Count: m.Count(), RatePerSec: m.Rate()}
 		}
 	}
 	if len(histograms) > 0 {

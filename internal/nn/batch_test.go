@@ -181,7 +181,7 @@ func checkBatchMatchesPerSample(t *testing.T, widths []int, seed int64, k int, d
 
 	copy(oracle.GradientBuffer(), wantGrad)
 	for _, n := range []*Network{net, oracle} {
-		opt, err := NewSGD(0.05, 0.9, 1e-4)
+		opt, err := NewSGD(0.05, 0.9)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,32 +2,27 @@ package nn
 
 import "fmt"
 
-// SGD is a stateful optimizer with optional momentum and L2 weight decay
-// — the update rule of the paper's workloads (large-minibatch SGD per
-// Goyal et al. [13], which the paper cites for its batch-size argument).
+// SGD is a stateful optimizer with optional momentum — the update rule
+// of the paper's workloads (large-minibatch SGD per Goyal et al. [13],
+// which the paper cites for its batch-size argument).
 type SGD struct {
 	// LR is the learning rate.
 	LR float64
 	// Momentum is the velocity coefficient (0 = plain SGD).
 	Momentum float64
-	// WeightDecay is the L2 coefficient applied to weights (not biases).
-	WeightDecay float64
 
 	velocity [][]float64 // per layer: W then B, lazily initialized
 }
 
 // NewSGD constructs an optimizer.
-func NewSGD(lr, momentum, weightDecay float64) (*SGD, error) {
+func NewSGD(lr, momentum float64) (*SGD, error) {
 	if lr <= 0 {
 		return nil, fmt.Errorf("nn: learning rate %v must be positive", lr)
 	}
 	if momentum < 0 || momentum >= 1 {
 		return nil, fmt.Errorf("nn: momentum %v outside [0,1)", momentum)
 	}
-	if weightDecay < 0 {
-		return nil, fmt.Errorf("nn: weight decay %v must be non-negative", weightDecay)
-	}
-	return &SGD{LR: lr, Momentum: momentum, WeightDecay: weightDecay}, nil
+	return &SGD{LR: lr, Momentum: momentum}, nil
 }
 
 // Step applies one update from the network's accumulated gradients,
@@ -48,7 +43,7 @@ func (o *SGD) Step(n *Network, batch int) {
 	for i, l := range n.Layers {
 		vw, vb := o.velocity[2*i], o.velocity[2*i+1]
 		for j := range l.W {
-			g := l.GradW[j]*inv + o.WeightDecay*l.W[j]
+			g := l.GradW[j] * inv
 			vw[j] = o.Momentum*vw[j] + g
 			l.W[j] -= o.LR * vw[j]
 		}

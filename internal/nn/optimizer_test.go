@@ -7,19 +7,16 @@ import (
 )
 
 func TestNewSGDValidation(t *testing.T) {
-	if _, err := NewSGD(0, 0, 0); err == nil {
+	if _, err := NewSGD(0, 0); err == nil {
 		t.Error("zero LR accepted")
 	}
-	if _, err := NewSGD(0.1, 1.0, 0); err == nil {
+	if _, err := NewSGD(0.1, 1.0); err == nil {
 		t.Error("momentum 1 accepted")
 	}
-	if _, err := NewSGD(0.1, -0.1, 0); err == nil {
+	if _, err := NewSGD(0.1, -0.1); err == nil {
 		t.Error("negative momentum accepted")
 	}
-	if _, err := NewSGD(0.1, 0.9, -1); err == nil {
-		t.Error("negative weight decay accepted")
-	}
-	if _, err := NewSGD(0.1, 0.9, 1e-4); err != nil {
+	if _, err := NewSGD(0.1, 0.9); err != nil {
 		t.Error("valid config rejected")
 	}
 }
@@ -36,7 +33,7 @@ func TestSGDZeroMomentumMatchesPlainStep(t *testing.T) {
 
 	b.ZeroGrad()
 	b.LossAndBackward(b.Forward(x), 1)
-	opt, _ := NewSGD(0.1, 0, 0)
+	opt, _ := NewSGD(0.1, 0)
 	opt.Step(b, 4)
 
 	for li := range a.Layers {
@@ -55,7 +52,7 @@ func TestSGDMomentumAccumulatesVelocity(t *testing.T) {
 	net := NewMLP([]int{1, 1}, rand.New(rand.NewSource(1)))
 	net.Layers[0].W[0] = 0
 	net.Layers[0].B[0] = 0
-	opt, _ := NewSGD(0.1, 0.5, 0)
+	opt, _ := NewSGD(0.1, 0.5)
 	var pos float64
 	for k := 0; k < 30; k++ {
 		net.ZeroGrad()
@@ -71,27 +68,6 @@ func TestSGDMomentumAccumulatesVelocity(t *testing.T) {
 	}
 	if v := opt.Velocity(); len(v) == 0 || v[0] == 0 {
 		t.Errorf("velocity = %v, want the accumulated gradient", v)
-	}
-}
-
-func TestSGDWeightDecayShrinksWeights(t *testing.T) {
-	net := NewMLP([]int{2, 2}, rand.New(rand.NewSource(3)))
-	opt, _ := NewSGD(0.1, 0, 0.5)
-	before := append([]float64(nil), net.Layers[0].W...)
-	biasBefore := append([]float64(nil), net.Layers[0].B...)
-	net.ZeroGrad() // zero gradients: only decay acts
-	opt.Step(net, 1)
-	for i := range before {
-		want := before[i] * (1 - 0.1*0.5)
-		if math.Abs(net.Layers[0].W[i]-want) > 1e-12 {
-			t.Fatalf("W[%d] = %v, want %v (pure decay)", i, net.Layers[0].W[i], want)
-		}
-	}
-	// Biases are not decayed.
-	for i := range biasBefore {
-		if net.Layers[0].B[i] != biasBefore[i] {
-			t.Fatal("bias decayed")
-		}
 	}
 }
 
@@ -112,7 +88,7 @@ func TestMomentumSpeedsConvergence(t *testing.T) {
 		rng := rand.New(rand.NewSource(8))
 		samples := gen(rng, 200)
 		net := NewMLP([]int{2, 8, 2}, rand.New(rand.NewSource(5)))
-		opt, _ := NewSGD(0.02, momentum, 0)
+		opt, _ := NewSGD(0.02, momentum)
 		const batch = 16
 		var loss float64
 		for epoch := 0; epoch < 10; epoch++ {

@@ -50,7 +50,7 @@ func TestVelocityRoundTrip(t *testing.T) {
 	x := []float64{0.5, -0.3, 1.2}
 
 	a := mkNet()
-	optA, _ := NewSGD(0.1, 0.9, 1e-4)
+	optA, _ := NewSGD(0.1, 0.9)
 	if optA.Velocity() != nil {
 		t.Fatal("Velocity() before first step should be nil")
 	}
@@ -65,7 +65,7 @@ func TestVelocityRoundTrip(t *testing.T) {
 	if err := b.SetWeights(a.Weights()); err != nil {
 		t.Fatalf("SetWeights: %v", err)
 	}
-	optB, _ := NewSGD(0.1, 0.9, 1e-4)
+	optB, _ := NewSGD(0.1, 0.9)
 	v := optA.Velocity()
 	if len(v) != a.NumParams() {
 		t.Fatalf("Velocity() length = %d, want %d", len(v), a.NumParams())

@@ -31,18 +31,20 @@
 //   - Buffer reuse: Pool wraps sync.Pool for sample/batch payloads so a
 //     steady-state pipeline recycles buffers instead of allocating per
 //     batch (FFCV-style page recycling, in miniature).
-//   - Stats: per-stage items in/out, busy time, and queue occupancy,
-//     the measurement hooks that make stage imbalance — the paper's
-//     central diagnostic — observable at runtime.
+//   - Metrics: with a registry attached (WithMetrics), every stage
+//     reports items, busy time, and queue occupancy under
+//     "pipeline.<pipeline>.<stage>.*" — the one per-stage ledger that
+//     makes stage imbalance, the paper's central diagnostic, observable
+//     at runtime.
 //
-// Ordering is preserved end to end: outputs leave the pipeline in
-// source-emission order even through stages with parallelism > 1, which
-// is what lets the deterministic-preparation tests assert bit-identical
-// batches regardless of worker count.
+// A run is Drain over an index range [from, to): the integers enter the
+// first stage, and the last stage's outputs come back as one ordered
+// slice. Ordering is preserved end to end, even through stages with
+// parallelism > 1, which is what lets the deterministic-preparation
+// tests assert bit-identical batches regardless of worker count.
 //
 // internal/dataprep builds its fetch→prepare executor on this runtime;
-// internal/fpga dispatches device-centric prep jobs (NVMe read →
-// preparation engine) and the prep-pool Cluster through it;
-// internal/train composes prepare→extract→step as one pipeline for the
-// end-to-end driver.
+// internal/fpga's prep-pool Cluster dispatches samples across its
+// devices through it; internal/train composes prepare→extract→step as
+// one pipeline for the end-to-end driver.
 package pipeline

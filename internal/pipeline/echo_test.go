@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -30,7 +31,7 @@ func TestExpandStageFanOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Drain[string](p.Run(context.Background(), IndexSource(len(counts))))
+	got, err := Drain[string](context.Background(), p, 0, len(counts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,56 +60,75 @@ func TestExpandStageError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Drain[int](p.Run(context.Background(), IndexSource(8))); err == nil {
+	if _, err := Drain[int](context.Background(), p, 0, 8); err == nil {
 		t.Fatal("expand error did not fail the run")
 	}
 }
 
-// TestDiscardAccountsEveryValue: across many stop points, every value a
-// stage produced is either delivered or discarded — exactly once.
+// token is a value whose fate a test can check: a stage consumes it, or
+// the discard hook takes it — once.
+type token struct{ fate atomic.Int32 } // 0 live, 1 consumed, 2 discarded
+
+// TestDiscardAccountsEveryValue: cancelled from inside its last stage
+// after k deliveries, for every k, a run hands every value a stage
+// produced either to the next stage or to the discard hook — exactly
+// once — and returns none of them.
 func TestDiscardAccountsEveryValue(t *testing.T) {
-	for trial := 0; trial < 20; trial++ {
-		var produced, discarded atomic.Int64
-		delivered := 0
-		slow := NewStage("slow", 2, 2, func(ctx context.Context, n int) (int, error) {
-			produced.Add(1)
+	for k := 0; k < 20; k++ {
+		var (
+			mu       sync.Mutex
+			produced []*token
+		)
+		mint := func() *token {
+			tk := new(token)
+			mu.Lock()
+			produced = append(produced, tk)
+			mu.Unlock()
+			return tk
+		}
+		settle := func(tk *token, fate int32) {
+			if !tk.fate.CompareAndSwap(0, fate) {
+				t.Errorf("k=%d: token settled as %d after %d", k, fate, tk.fate.Load())
+			}
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		slow := NewStage("slow", 2, 2, func(ctx context.Context, n int) (*token, error) {
 			select {
 			case <-time.After(time.Duration(n%3) * time.Millisecond):
 			case <-ctx.Done():
 			}
-			return n, nil
+			return mint(), nil
 		})
-		pass := NewStage("pass", 1, 2, func(_ context.Context, n int) (int, error) {
-			return n, nil
+		pass := NewStage("pass", 1, 2, func(_ context.Context, tk *token) (*token, error) {
+			settle(tk, 1)
+			return mint(), nil
 		})
-		p, err := New("acct", slow, pass)
+		delivered := 0 // the last stage is serial
+		deliver := NewStage("deliver", 1, 2, func(_ context.Context, tk *token) (*token, error) {
+			settle(tk, 1)
+			if delivered++; delivered > k {
+				cancel()
+			}
+			return mint(), nil
+		})
+		p, err := New("acct", slow, pass, deliver)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.WithDiscard(func(any) { discarded.Add(1) })
-		r := p.Run(context.Background(), IndexSource(50))
-		for v := range r.Out() {
-			_ = v
-			delivered++
-			if delivered > trial {
-				break
+		p.WithDiscard(func(v any) {
+			if tk, ok := v.(*token); ok {
+				settle(tk, 2)
 			}
+		})
+		out, err := Drain[*token](ctx, p, 0, 50)
+		cancel()
+		if !errors.Is(err, context.Canceled) || out != nil {
+			t.Fatalf("k=%d: %d outputs, err = %v; want none and context.Canceled", k, len(out), err)
 		}
-		r.Stop()
-		// The pass stage re-emits what it consumes, so count produced
-		// values once at the slow stage: every one of them must be
-		// delivered by the run or discarded... but pass's copies are the
-		// same int values; accounting holds per stage output. Total
-		// sent-downstream values = produced (slow) + consumed-by-pass;
-		// instead assert the conservation law the hook guarantees:
-		// nothing both delivered and discarded, nothing lost.
-		got := int64(delivered) + discarded.Load()
-		// Each value slow produces is forwarded through pass, so a value
-		// dropped between the stages and its pass-stage twin can both be
-		// discarded; got can exceed produced but never undershoot it.
-		if got < produced.Load() {
-			t.Fatalf("trial %d: produced %d, delivered %d + discarded %d — values lost",
-				trial, produced.Load(), delivered, discarded.Load())
+		for i, tk := range produced {
+			if tk.fate.Load() == 0 {
+				t.Fatalf("k=%d: value %d of %d neither consumed nor discarded", k, i, len(produced))
+			}
 		}
 	}
 }
@@ -127,9 +147,9 @@ func (b refBatch) done(pool *memframe.Pool[float32]) {
 	}
 }
 
-// TestChaosEchoCancelNoPooledLeak is the ISSUE's chaos test: cancel the
-// run mid-epoch while replayed batches are in flight, at every possible
-// consumption point, and assert the memframe pool balance sheet closes
+// TestChaosEchoCancelNoPooledLeak: cancel the run mid-epoch while
+// replayed batches are in flight, at every possible consumption point,
+// and assert the memframe pool balance sheet closes
 // (every Get matched by a Put — no pooled buffer leaks).
 func TestChaosEchoCancelNoPooledLeak(t *testing.T) {
 	const factor = 3
@@ -151,9 +171,14 @@ func TestChaosEchoCancelNoPooledLeak(t *testing.T) {
 			}
 			return out, nil
 		})
+		// Step a trial-dependent number of replicas, then cancel with
+		// replicas of the current batch still undelivered.
+		ctx, cancel := context.WithCancel(context.Background())
 		var stepped atomic.Int64
 		step := NewStage("step", 1, 1, func(_ context.Context, b refBatch) (int, error) {
-			stepped.Add(1)
+			if stepped.Add(1) > int64(trial) {
+				cancel()
+			}
 			v := int(b.buf[0]) // read before releasing the replica
 			b.done(pool)
 			return v, nil
@@ -162,7 +187,6 @@ func TestChaosEchoCancelNoPooledLeak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var wg sync.WaitGroup
 		p.WithDiscard(func(v any) {
 			switch b := v.(type) {
 			case refBatch:
@@ -171,22 +195,10 @@ func TestChaosEchoCancelNoPooledLeak(t *testing.T) {
 				pool.Put(b) // dropped before the echo stage split it
 			}
 		})
-		r := p.Run(context.Background(), IndexSource(64))
-		// Consume a trial-dependent number of outputs, then cancel with
-		// replicas of the current batch still undelivered.
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			seen := 0
-			for range r.Out() {
-				seen++
-				if seen > trial {
-					return
-				}
-			}
-		}()
-		wg.Wait()
-		r.Stop()
+		if _, err := Drain[int](ctx, p, 0, 64); !errors.Is(err, context.Canceled) {
+			t.Fatalf("trial %d: err = %v, want context.Canceled", trial, err)
+		}
+		cancel()
 		st := pool.Stats()
 		if st.Gets != st.Puts {
 			t.Fatalf("trial %d: pooled buffers leaked: Gets=%d Puts=%d (News=%d Drops=%d, stepped=%d)",
@@ -204,7 +216,7 @@ func TestDiscardNotCalledWhenRunCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.WithDiscard(func(any) { discarded.Add(1) })
-	got, err := Drain[int](p.Run(context.Background(), IndexSource(32)))
+	got, err := Drain[int](context.Background(), p, 0, 32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestRunWithMetrics(t *testing.T) {
 	pl.WithMetrics(reg)
 
 	for run := 0; run < 2; run++ {
-		out, err := Drain[int](pl.Run(context.Background(), IndexSource(5)))
+		out, err := Drain[int](context.Background(), pl, 0, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestRunWithoutMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Drain[int](pl.Run(context.Background(), IndexSource(3))); err != nil {
+	if _, err := Drain[int](context.Background(), pl, 0, 3); err != nil {
 		t.Fatal(err)
 	}
 	// Nothing to assert against a registry — the point is the run above

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"trainbox/internal/metrics"
@@ -87,10 +86,10 @@ func NewExpandStage[In, Out any](name string, queueDepth int, fn func(ctx contex
 	}
 }
 
-// Pipeline is a description of a staged data path. It can be run any
-// number of times; each Run gets its own channels, goroutines, and
-// counters. Attach a metrics registry with WithMetrics before running
-// to stream per-stage telemetry into it.
+// Pipeline is a description of a staged data path. It can be drained
+// any number of times; each run gets its own channels and goroutines.
+// Attach a metrics registry with WithMetrics before running to stream
+// per-stage telemetry into it.
 type Pipeline struct {
 	name    string
 	stages  []*Stage
@@ -98,23 +97,23 @@ type Pipeline struct {
 	discard func(v any)
 }
 
-// WithMetrics attaches a registry: every subsequent Run reports
+// WithMetrics attaches a registry: every subsequent run reports
 // per-stage items, busy-time quantiles, and queue depth under
-// "pipeline.<pipeline>.<stage>.*". Metrics from repeated runs
-// accumulate into the same series. A nil registry detaches (the
-// default): unmetered runs pay no telemetry cost. Returns p for
-// chaining.
+// "pipeline.<pipeline>.<stage>.*" — the one per-stage ledger. Metrics
+// from repeated runs accumulate into the same series. A nil registry
+// detaches (the default): an unmetered run reads no clock per item.
+// Returns p for chaining.
 func (p *Pipeline) WithMetrics(reg *metrics.Registry) *Pipeline {
 	p.reg = reg
 	return p
 }
 
 // WithDiscard installs a hook that receives every in-flight value a run
-// drops instead of delivering: items stranded in stage queues when the
-// run is cancelled or stopped, results a stage could not forward, and
-// buffered output Stop throws away. Stages that recycle pooled buffers
-// into their outputs use it to close the loop on cancellation — without
-// it, a mid-run cancel leaks whatever was in flight.
+// drops instead of returning: items stranded in stage queues when the
+// run fails or is cancelled, results a stage could not forward, and the
+// outputs Drain had already collected. Stages that recycle pooled
+// buffers into their outputs use it to close the loop on cancellation —
+// without it, a mid-run cancel leaks whatever was in flight.
 //
 // The hook may be called concurrently from several pipeline goroutines
 // and must not block. It fires exactly once per dropped value. Values
@@ -148,96 +147,88 @@ func New(name string, stages ...*Stage) (*Pipeline, error) {
 	return &Pipeline{name: name, stages: stages}, nil
 }
 
-// Source feeds items into a running pipeline by calling emit once per
-// item. emit blocks while the first stage is busy (backpressure) and
-// returns the context error once the run is cancelled, at which point
-// the source should stop. A non-nil return fails the run.
-type Source func(ctx context.Context, emit func(v any) error) error
-
-// IndexSource emits the integers 0..n-1 — the usual driver for batch
-// index or epoch schedules.
-func IndexSource(n int) Source {
-	return func(ctx context.Context, emit func(v any) error) error {
-		for i := 0; i < n; i++ {
-			if err := emit(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-// RangeSource emits the integers from..to-1 — IndexSource with a
-// starting offset, the driver for resuming an epoch schedule after a
-// checkpoint restore.
-func RangeSource(from, to int) Source {
-	return func(ctx context.Context, emit func(v any) error) error {
-		for i := from; i < to; i++ {
-			if err := emit(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-// item is the envelope moved between stages; seq is the source emission
-// index, used to restore order after a parallel stage.
+// item is the envelope moved between stages; seq is the position in
+// the driven range, used to restore order after a parallel stage.
 type item struct {
 	seq int64
 	v   any
 }
 
-// stageRun instruments one stage for one run. The m* handles are
-// registry metrics resolved once at Run time (nil when the pipeline has
-// no registry attached — every call on them is then a no-op).
+// stageRun is one stage of one run. The m* handles are registry
+// metrics resolved once at run start (nil when the pipeline has no
+// registry attached — every call on them is then a no-op).
 type stageRun struct {
-	spec     *Stage
-	out      chan item
-	itemsIn  atomic.Int64
-	itemsOut atomic.Int64
-	busy     atomic.Int64 // nanoseconds inside fn
+	spec *Stage
+	out  chan item
 
 	mItems *metrics.Counter   // items completed by fn
 	mBusy  *metrics.Histogram // per-item ns inside fn
 	mQueue *metrics.Gauge     // output queue occupancy at last enqueue
 }
 
-// Run is one execution of a pipeline over one source. Consume Out()
-// until it closes, then check Err(); or call Stop to cancel early.
-type Run struct {
-	name     string
-	ctx      context.Context
-	cancel   context.CancelFunc
-	stages   []*stageRun
-	srcOut   chan item
-	final    chan any
-	wg       sync.WaitGroup
-	complete atomic.Bool
+// run is one execution of a pipeline over one index range.
+type run struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+	stages []*stageRun
+	srcOut chan item
+	wg     sync.WaitGroup
 
 	discardFn func(v any)
-	scavOnce  sync.Once
 
 	errOnce  sync.Once
-	mu       sync.Mutex
-	firstErr error
+	firstErr error // set once, before cancel; read after wg.Wait
 }
 
 // discard hands a dropped value to the pipeline's discard hook.
-func (r *Run) discard(v any) {
+func (r *run) discard(v any) {
 	if r.discardFn != nil {
 		r.discardFn(v)
 	}
 }
 
-// scavenge empties every (closed) channel of a finished run through the
-// discard hook — the items stranded in stage queues when stages exited
-// early. Must only run after wg.Wait, when all channels are closed.
-func (r *Run) scavenge() {
-	r.scavOnce.Do(func() {
-		if r.discardFn == nil {
-			return
+func (r *run) fail(err error) {
+	r.errOnce.Do(func() {
+		r.firstErr = err
+		r.cancel()
+	})
+}
+
+// Drain runs the pipeline over the integers [from, to) — the usual
+// driver is a batch's sample indices or a schedule of epochs — and
+// returns the last stage's outputs in order, asserted to T. It returns
+// once every pipeline goroutine has exited.
+//
+// The first stage error fails the run, as does ctx being cancelled
+// before the run completes (the error is then ctx's). A failed run
+// returns no outputs: everything it produced and did not hand on —
+// queued items, and the outputs Drain had already collected — goes to
+// the discard hook, exactly once each.
+func Drain[T any](ctx context.Context, p *Pipeline, from, to int) ([]T, error) {
+	r := p.start(ctx, from, to)
+	out := make([]T, 0, max(to-from, 0))
+	for it := range r.stages[len(r.stages)-1].out {
+		t, ok := it.v.(T)
+		if !ok {
+			r.discard(it.v)
+			var want T
+			r.fail(fmt.Errorf("pipeline: %s: output is %T, want %T", p.name, it.v, want))
+			continue
 		}
+		out = append(out, t)
+	}
+	r.wg.Wait()
+	err := r.firstErr
+	if err == nil {
+		err = r.ctx.Err() // cancelled from outside before the run completed
+	}
+	r.cancel()
+	if err == nil {
+		return out, nil
+	}
+	if r.discardFn != nil {
+		// Every channel is closed: empty the queues stages left behind
+		// when they exited early, then the collected outputs.
 		for it := range r.srcOut {
 			r.discard(it.v)
 		}
@@ -246,41 +237,32 @@ func (r *Run) scavenge() {
 				r.discard(it.v)
 			}
 		}
-		for v := range r.final {
-			r.discard(v)
+		for _, t := range out {
+			r.discard(t)
 		}
-	})
+	}
+	return nil, err
 }
 
-// Run starts the pipeline over the source. The returned Run owns all
-// goroutines it spawned; they exit once the source is exhausted, an
-// error cancels the run, or ctx is cancelled.
-func (p *Pipeline) Run(ctx context.Context, src Source) *Run {
+// start launches the source and every stage; the caller reads the last
+// stage's queue.
+func (p *Pipeline) start(ctx context.Context, from, to int) *run {
 	rctx, cancel := context.WithCancel(ctx)
-	r := &Run{name: p.name, ctx: rctx, cancel: cancel, final: make(chan any), discardFn: p.discard}
-
-	srcOut := make(chan item)
-	r.srcOut = srcOut
+	r := &run{ctx: rctx, cancel: cancel, srcOut: make(chan item), discardFn: p.discard}
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
-		defer close(srcOut)
-		var seq int64
-		emit := func(v any) error {
+		defer close(r.srcOut)
+		for i := from; i < to; i++ {
 			select {
-			case srcOut <- item{seq: seq, v: v}:
-				seq++
-				return nil
+			case r.srcOut <- item{seq: int64(i - from), v: i}:
 			case <-rctx.Done():
-				return rctx.Err()
+				return
 			}
-		}
-		if err := src(rctx, emit); err != nil && rctx.Err() == nil {
-			r.fail(err)
 		}
 	}()
 
-	in := srcOut
+	in := r.srcOut
 	for _, s := range p.stages {
 		sr := &stageRun{spec: s, out: make(chan item, s.depth)}
 		if p.reg != nil {
@@ -293,37 +275,14 @@ func (p *Pipeline) Run(ctx context.Context, src Source) *Run {
 		r.startStage(rctx, sr, in)
 		in = sr.out
 	}
-
-	// Strip envelopes from the last stage into the public output channel.
-	last := in
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		defer close(r.final)
-		for it := range last {
-			select {
-			case r.final <- it.v:
-			case <-rctx.Done():
-				r.discard(it.v)
-				for it := range last { // drain cancelled run
-					r.discard(it.v)
-				}
-				return
-			}
-		}
-		if rctx.Err() == nil {
-			r.complete.Store(true)
-		}
-	}()
 	return r
 }
 
 // emitStage forwards one applied result downstream. Returns false once
 // the run is cancelled; the value goes to the discard hook.
-func (r *Run) emitStage(ctx context.Context, sr *stageRun, it item) bool {
+func (r *run) emitStage(ctx context.Context, sr *stageRun, it item) bool {
 	select {
 	case sr.out <- it:
-		sr.itemsOut.Add(1)
 		sr.mQueue.SetInt(int64(len(sr.out)))
 		return true
 	case <-ctx.Done():
@@ -332,23 +291,25 @@ func (r *Run) emitStage(ctx context.Context, sr *stageRun, it item) bool {
 	}
 }
 
-func (r *Run) startStage(ctx context.Context, sr *stageRun, in <-chan item) {
+func (r *run) startStage(ctx context.Context, sr *stageRun, in <-chan item) {
 	// apply runs the stage function (plain or expanding) on one item.
 	// Exactly one of the returned value/slice is meaningful, matching
-	// sr.spec.expand.
+	// sr.spec.expand. Only a metered stage reads the clock.
 	apply := func(it item) (v any, vs []any, ok bool) {
-		sr.itemsIn.Add(1)
-		start := time.Now()
+		var start time.Time
+		if sr.mBusy != nil {
+			start = time.Now()
+		}
 		var err error
 		if sr.spec.expand != nil {
 			vs, err = sr.spec.expand(ctx, it.v)
 		} else {
 			v, err = sr.spec.fn(ctx, it.v)
 		}
-		elapsed := time.Since(start)
-		sr.busy.Add(int64(elapsed))
-		sr.mItems.Inc()
-		sr.mBusy.ObserveDuration(elapsed)
+		if sr.mBusy != nil {
+			sr.mItems.Inc()
+			sr.mBusy.ObserveDuration(time.Since(start))
+		}
 		if err != nil {
 			r.fail(err)
 			return nil, nil, false
@@ -449,84 +410,6 @@ func (r *Run) startStage(ctx context.Context, sr *stageRun, in <-chan item) {
 			}
 		}
 	}()
-}
-
-func (r *Run) fail(err error) {
-	r.errOnce.Do(func() {
-		r.mu.Lock()
-		r.firstErr = err
-		r.mu.Unlock()
-		r.cancel()
-	})
-}
-
-// Out is the ordered output of the last stage. It closes when the run
-// completes, fails, or is stopped; check Err() afterwards.
-func (r *Run) Out() <-chan any { return r.final }
-
-// Err returns the first stage or source error, the cancellation cause
-// if the run was cancelled before completing, or nil if the run
-// completed (or is still in flight).
-func (r *Run) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.firstErr != nil {
-		return r.firstErr
-	}
-	if r.complete.Load() {
-		return nil
-	}
-	return r.ctx.Err()
-}
-
-// Wait blocks until every pipeline goroutine has exited and returns
-// Err(). Out() must already be fully consumed (or the run cancelled),
-// otherwise Wait deadlocks on the backpressured output.
-func (r *Run) Wait() error {
-	r.wg.Wait()
-	r.cancel() // release the derived context; Err() is already latched
-	r.scavenge()
-	return r.Err()
-}
-
-// Stop cancels the run, discards any buffered output (through the
-// discard hook, when one is attached), and waits for all goroutines to
-// exit. It is safe to call multiple times and after completion.
-func (r *Run) Stop() {
-	r.cancel()
-	for v := range r.final { // discard buffered output
-		r.discard(v)
-	}
-	r.wg.Wait()
-	r.scavenge()
-}
-
-// Drain consumes the run to completion, returning the ordered outputs
-// asserted to T. It waits for all goroutines to exit before returning.
-// On error the partial results Drain had already collected are dropped
-// — routed through the run's discard hook, so an attached owner still
-// reclaims every delivered-then-abandoned value.
-func Drain[T any](r *Run) ([]T, error) {
-	out := make([]T, 0, 16)
-	fail := func(err error) ([]T, error) {
-		for _, t := range out {
-			r.discard(t)
-		}
-		return nil, err
-	}
-	for v := range r.Out() {
-		t, ok := v.(T)
-		if !ok {
-			r.Stop()
-			var want T
-			return fail(fmt.Errorf("pipeline: %s: output is %T, want %T", r.name, v, want))
-		}
-		out = append(out, t)
-	}
-	if err := r.Wait(); err != nil {
-		return fail(err)
-	}
-	return out, nil
 }
 
 // ForEach runs fn(i) for every i in [0, n) on its own goroutine and

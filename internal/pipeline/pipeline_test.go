@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"trainbox/internal/invariant"
+	"trainbox/internal/metrics"
 )
 
 func TestSingleStageOrdering(t *testing.T) {
@@ -19,7 +21,7 @@ func TestSingleStageOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Drain[int](p.Run(context.Background(), IndexSource(100)))
+	out, err := Drain[int](context.Background(), p, 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,6 +32,15 @@ func TestSingleStageOrdering(t *testing.T) {
 		if v != 2*i {
 			t.Fatalf("out[%d] = %d, want %d", i, v, 2*i)
 		}
+	}
+	// A range need not start at 0 (a resumed epoch schedule does not);
+	// an empty one runs nothing.
+	out, err = Drain[int](context.Background(), p, 3, 7)
+	if err != nil || len(out) != 4 || out[0] != 6 || out[3] != 12 {
+		t.Fatalf("range [3, 7): out=%v err=%v, want [6 8 10 12]", out, err)
+	}
+	if out, err := Drain[int](context.Background(), p, 5, 5); err != nil || len(out) != 0 {
+		t.Fatalf("empty range: out=%v err=%v", out, err)
 	}
 }
 
@@ -49,7 +60,7 @@ func TestParallelStagePreservesOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Drain[int](p.Run(context.Background(), IndexSource(200)))
+	out, err := Drain[int](context.Background(), p, 0, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,32 +71,49 @@ func TestParallelStagePreservesOrder(t *testing.T) {
 	}
 }
 
-// TestBackpressureBound: with a stalled consumer, the number of items a
-// stage admits is bounded by its queue depth plus its in-flight workers
-// — the pipeline cannot buffer unboundedly.
+// TestBackpressureBound: with a blocked last stage, the number of items
+// the stage before it admits is bounded by its queue depth plus the
+// items in hand — the pipeline cannot buffer unboundedly.
 func TestBackpressureBound(t *testing.T) {
+	invariant.NoLeak(t)
 	var admitted atomic.Int64
 	const depth = 3
-	st := NewStage("count", 1, depth, func(_ context.Context, v int) (int, error) {
+	count := NewStage("count", 1, depth, func(_ context.Context, v int) (int, error) {
 		admitted.Add(1)
 		return v, nil
 	})
-	p, err := New("test", st)
+	block := NewStage("block", 1, 0, func(ctx context.Context, v int) (int, error) {
+		<-ctx.Done()
+		return 0, ctx.Err()
+	})
+	p, err := New("test", count, block)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := p.Run(context.Background(), IndexSource(1000))
-	// Never read run.Out(); let the pipeline push to its bound.
-	time.Sleep(100 * time.Millisecond)
-	got := admitted.Load()
-	// 1 in the worker's hand + depth in the queue + 1 blocked on the
-	// stripper's unbuffered hand-off.
-	if max := int64(depth + 2); got > max {
-		t.Errorf("stalled pipeline admitted %d items, want ≤ %d", got, max)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := Drain[int](ctx, p, 0, 1000)
+		done <- err
+	}()
+	// 1 held by the blocked stage + depth in the queue + 1 in count's
+	// hand, blocked on the full queue. Drain reads the last stage's
+	// queue itself, so no hand-off goroutine adds a slot past it.
+	const bound = depth + 2
+	deadline := time.Now().Add(5 * time.Second)
+	for admitted.Load() < bound && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
-	run.Stop()
-	if got := admitted.Load(); got > depth+2 {
-		t.Errorf("after stop: admitted %d items", got)
+	time.Sleep(50 * time.Millisecond) // room to overshoot, were it possible
+	if got := admitted.Load(); got != bound {
+		t.Errorf("blocked pipeline admitted %d items, want %d", got, bound)
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := admitted.Load(); got > bound {
+		t.Errorf("after cancel: admitted %d items, want ≤ %d", got, bound)
 	}
 }
 
@@ -110,8 +138,7 @@ func TestFirstErrorCancelsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := p.Run(context.Background(), IndexSource(10_000))
-	if _, err := Drain[int](run); !errors.Is(err, boom) {
+	if _, err := Drain[int](context.Background(), p, 0, 10_000); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
 	// The error cancelled the source long before 10k items.
@@ -120,28 +147,13 @@ func TestFirstErrorCancelsRun(t *testing.T) {
 	}
 }
 
-func TestSourceErrorFailsRun(t *testing.T) {
-	boom := errors.New("source boom")
-	src := func(ctx context.Context, emit func(v any) error) error {
-		if err := emit(1); err != nil {
-			return err
-		}
-		return boom
-	}
-	id := NewStage("id", 1, 1, func(_ context.Context, v int) (int, error) { return v, nil })
-	p, err := New("test", id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Drain[int](p.Run(context.Background(), src)); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
-	}
-}
-
 func TestParentContextCancellation(t *testing.T) {
 	invariant.NoLeak(t)
 	ctx, cancel := context.WithCancel(context.Background())
+	first := make(chan struct{})
+	var once sync.Once
 	slow := NewStage("slow", 2, 2, func(ctx context.Context, v int) (int, error) {
+		once.Do(func() { close(first) }) // at least one item flows
 		select {
 		case <-time.After(10 * time.Millisecond):
 		case <-ctx.Done():
@@ -153,15 +165,19 @@ func TestParentContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := p.Run(ctx, IndexSource(1000))
-	<-run.Out() // at least one item flows
-	cancel()
-	run.Stop()
-	if err := run.Err(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	go func() {
+		<-first
+		cancel()
+	}()
+	if out, err := Drain[int](ctx, p, 0, 1000); !errors.Is(err, context.Canceled) || out != nil {
+		t.Fatalf("out = %d items, err = %v; want none and context.Canceled", len(out), err)
 	}
 }
 
+// TestStopIsIdempotentAndLeakFree: a run whose context is already
+// cancelled (twice) stops before delivering anything and leaks no
+// goroutine, and cancelling a context after its run completed changes
+// nothing the run returned.
 func TestStopIsIdempotentAndLeakFree(t *testing.T) {
 	invariant.NoLeak(t)
 	id := NewStage("id", 4, 4, func(_ context.Context, v int) (int, error) { return v, nil })
@@ -169,18 +185,18 @@ func TestStopIsIdempotentAndLeakFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := p.Run(context.Background(), IndexSource(100))
-	run.Stop()
-	run.Stop()
-
-	// Stop after normal completion is also fine.
-	run2 := p.Run(context.Background(), IndexSource(5))
-	if out, err := Drain[int](run2); err != nil || len(out) != 5 {
-		t.Fatalf("drain: %v (%d items)", err, len(out))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cancel()
+	if out, err := Drain[int](ctx, p, 0, 100); !errors.Is(err, context.Canceled) || out != nil {
+		t.Fatalf("pre-cancelled run: out = %v, err = %v", out, err)
 	}
-	run2.Stop()
-	if err := run2.Err(); err != nil {
-		t.Fatalf("completed run reports error after Stop: %v", err)
+
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	out, err := Drain[int](ctx2, p, 0, 5)
+	cancel2()
+	if err != nil || len(out) != 5 {
+		t.Fatalf("drain: %v (%d items)", err, len(out))
 	}
 }
 
@@ -190,7 +206,7 @@ func TestStageTypeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Drain[string](p.Run(context.Background(), IndexSource(3))); err == nil {
+	if _, err := Drain[string](context.Background(), p, 0, 3); err == nil {
 		t.Fatal("int fed to a string stage was accepted")
 	}
 }
@@ -212,6 +228,8 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestStatsCounters: the registry is the per-stage ledger — items,
+// busy time summed over workers, and a queue depth within the bound.
 func TestStatsCounters(t *testing.T) {
 	busyFor := 2 * time.Millisecond
 	work := NewStage("work", 2, 3, func(_ context.Context, v int) (int, error) {
@@ -222,64 +240,19 @@ func TestStatsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := p.Run(context.Background(), IndexSource(10))
-	if _, err := Drain[int](run); err != nil {
+	reg := metrics.NewRegistry()
+	if _, err := Drain[int](context.Background(), p.WithMetrics(reg), 0, 10); err != nil {
 		t.Fatal(err)
 	}
-	stats := run.Stats()
-	if len(stats) != 1 {
-		t.Fatalf("stats for %d stages, want 1", len(stats))
+	snap := reg.Snapshot()
+	if got := snap.Counters["pipeline.test.work.items"]; got != 10 {
+		t.Errorf("items = %d, want 10", got)
 	}
-	s := stats[0]
-	if s.Name != "work" || s.Parallelism != 2 || s.QueueCap != 3 {
-		t.Errorf("stats identity wrong: %+v", s)
+	if busy := time.Duration(snap.Histograms["pipeline.test.work.busy_ns"].Sum); busy < 10*busyFor {
+		t.Errorf("busy = %v, want ≥ %v", busy, 10*busyFor)
 	}
-	if s.ItemsIn != 10 || s.ItemsOut != 10 {
-		t.Errorf("items in/out = %d/%d, want 10/10", s.ItemsIn, s.ItemsOut)
-	}
-	if s.Busy < 10*busyFor {
-		t.Errorf("busy = %v, want ≥ %v", s.Busy, 10*busyFor)
-	}
-	if s.String() == "" {
-		t.Error("empty stats string")
-	}
-}
-
-func TestStatsSetAccumulates(t *testing.T) {
-	var set StatsSet
-	set.Add([]StageStats{{Name: "a", ItemsIn: 3, ItemsOut: 3, Busy: time.Second}})
-	set.Add([]StageStats{{Name: "a", ItemsIn: 2, ItemsOut: 1, Busy: time.Second}, {Name: "b", ItemsIn: 7}})
-	snap := set.Snapshot()
-	if len(snap) != 2 || snap[0].Name != "a" || snap[1].Name != "b" {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	if snap[0].ItemsIn != 5 || snap[0].ItemsOut != 4 || snap[0].Busy != 2*time.Second {
-		t.Errorf("accumulated a = %+v", snap[0])
-	}
-	if snap[1].ItemsIn != 7 {
-		t.Errorf("accumulated b = %+v", snap[1])
-	}
-}
-
-func TestRangeSource(t *testing.T) {
-	ident := NewStage("ident", 1, 1, func(_ context.Context, v int) (int, error) {
-		return v, nil
-	})
-	p, err := New("test", ident)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Drain[int](p.Run(context.Background(), RangeSource(3, 7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 4 || out[0] != 3 || out[3] != 6 {
-		t.Fatalf("out = %v, want [3 4 5 6]", out)
-	}
-	// Empty and inverted ranges emit nothing.
-	out, err = Drain[int](p.Run(context.Background(), RangeSource(5, 5)))
-	if err != nil || len(out) != 0 {
-		t.Fatalf("empty range: out=%v err=%v", out, err)
+	if q, ok := snap.Gauges["pipeline.test.work.queue_depth"]; !ok || q < 0 || q > 3 {
+		t.Errorf("queue depth = %v (present %v), want within [0, 3]", q, ok)
 	}
 }
 
@@ -346,21 +319,23 @@ func TestPoolReuse(t *testing.T) {
 }
 
 // TestPipelineReusableAcrossRuns: one Pipeline description can back
-// many runs with independent counters.
+// many runs, each delivering its own range; its registry series
+// accumulate across them.
 func TestPipelineReusableAcrossRuns(t *testing.T) {
 	id := NewStage("id", 2, 1, func(_ context.Context, v int) (int, error) { return v, nil })
 	p, err := New("test", id)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := metrics.NewRegistry()
+	p.WithMetrics(reg)
 	for i := 0; i < 3; i++ {
-		run := p.Run(context.Background(), IndexSource(4))
-		out, err := Drain[int](run)
+		out, err := Drain[int](context.Background(), p, 0, 4)
 		if err != nil || len(out) != 4 {
 			t.Fatalf("run %d: %v (%d items)", i, err, len(out))
 		}
-		if s := run.Stats()[0]; s.ItemsIn != 4 {
-			t.Fatalf("run %d saw %d items — counters shared across runs", i, s.ItemsIn)
+		if got := reg.Counter("pipeline.test.id.items").Value(); got != int64(4*(i+1)) {
+			t.Fatalf("after run %d: items = %d, want %d", i, got, 4*(i+1))
 		}
 	}
 }

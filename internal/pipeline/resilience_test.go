@@ -27,7 +27,7 @@ func TestStageNonRetryableFailsFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Drain[int](pl.Run(context.Background(), IndexSource(4))); !errors.Is(err, errBlip) {
+	if _, err := Drain[int](context.Background(), pl, 0, 4); !errors.Is(err, errBlip) {
 		t.Fatalf("err = %v, want %v", err, errBlip)
 	}
 	if calls.Load() != 1 {
@@ -55,47 +55,54 @@ func TestFirstErrorCancelsConcurrentInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Drain[int](pl.Run(context.Background(), IndexSource(32))); !errors.Is(err, errBoom) {
+	if _, err := Drain[int](context.Background(), pl, 0, 32); !errors.Is(err, errBoom) {
 		t.Fatalf("err = %v, want %v", err, errBoom)
 	}
 }
 
-// TestStopWhileBlockedOnFullQueue: Stop must unwind a run whose stages
-// are wedged on backpressure — bounded queues full, nobody consuming —
-// without deadlocking, and release every goroutine.
+// TestStopWhileBlockedOnFullQueue: cancelling must unwind a run whose
+// stages are wedged on backpressure — the last stage blocked, the
+// bounded queue before it full — without deadlocking, and release every
+// goroutine.
 func TestStopWhileBlockedOnFullQueue(t *testing.T) {
 	invariant.NoLeak(t)
 	var produced atomic.Int64
-	st := NewStage("fast", 1, 1,
+	fast := NewStage("fast", 1, 1,
 		func(_ context.Context, i int) (int, error) {
 			produced.Add(1)
 			return i, nil
 		})
-	pl, err := New("p", st)
+	wedge := NewStage("wedge", 1, 0,
+		func(ctx context.Context, i int) (int, error) {
+			<-ctx.Done()
+			return 0, ctx.Err()
+		})
+	pl, err := New("p", fast, wedge)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := pl.Run(context.Background(), IndexSource(1000))
-	// Wait until the stage has filled its queue and blocked: with depth 1
-	// and an unread output channel at most a handful of items complete.
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := Drain[int](ctx, pl, 0, 1000)
+		done <- err
+	}()
+	// Wait until fast has filled its queue and blocked: with depth 1 and
+	// a wedged consumer at most a handful of items complete.
 	deadline := time.Now().Add(5 * time.Second)
-	for produced.Load() < 2 && time.Now().Before(deadline) {
+	for produced.Load() < 3 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	done := make(chan struct{})
-	go func() {
-		run.Stop()
-		close(done)
-	}()
+	cancel()
 	select {
-	case <-done:
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled run err = %v, want context.Canceled", err)
+		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Stop deadlocked on a backpressured run")
+		t.Fatal("cancel deadlocked on a backpressured run")
 	}
 	if p := produced.Load(); p >= 1000 {
 		t.Errorf("backpressure absent: %d items ran with no consumer", p)
-	}
-	if err := run.Err(); !errors.Is(err, context.Canceled) {
-		t.Errorf("stopped run Err = %v, want context.Canceled", err)
 	}
 }

@@ -340,6 +340,35 @@ func TestPreemptionForRunSlot(t *testing.T) {
 	}
 }
 
+// TestPreemptionCountsOnlyAPark: a victim whose backend ignores Elastic
+// never parks, so the request to park is no preemption — it runs on to
+// done with none counted, and the outranking job waits for its slot.
+func TestPreemptionCountsOnlyAPark(t *testing.T) {
+	g := newGateRunner()
+	s := newTestServer(t, g, WithMaxRunning(1))
+	low, err := s.Submit(JobSpec{Tenant: "low"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.waitStarted(t)
+	vip, err := s.Submit(JobSpec{Tenant: "vip", Priority: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.release <- nil
+	if inf := waitState(t, s, low.ID, StateDone); inf.Preemptions != 0 {
+		t.Errorf("unparked victim = %+v, want done with 0 preemptions", inf)
+	}
+	if got := g.waitStarted(t); got != vip.ID {
+		t.Fatalf("next dispatch = %s, want vip %s", got, vip.ID)
+	}
+	g.release <- nil
+	waitState(t, s, vip.ID, StateDone)
+	if got := s.Metrics().Snapshot().Counters["serve.server.preemptions"]; got != 0 {
+		t.Errorf("preemptions = %d, want 0", got)
+	}
+}
+
 // TestStatsNoLostJobsInvariant: across running, queued, suspended,
 // done, failed, and cancelled jobs, every admitted job is accounted for
 // in exactly one state tally — and Close converts the live ones to

@@ -135,7 +135,7 @@ func TestHTTPCancel(t *testing.T) {
 // status code.
 func TestHTTPErrorMapping(t *testing.T) {
 	g := newGateRunner()
-	_, ts := httpServer(t, g, WithMaxRunning(1), WithTenantQuota(1), WithRetryAfter(3*time.Second))
+	_, ts := httpServer(t, g, WithMaxRunning(1), WithTenantQuota(1))
 
 	resp, fields := doJSON(t, "POST", ts.URL+"/v1/jobs", JobSpec{Tenant: "UPPER"})
 	if resp.StatusCode != http.StatusBadRequest {
@@ -177,8 +177,8 @@ func TestHTTPErrorMapping(t *testing.T) {
 		t.Fatalf("over quota: status = %d, want 429", resp.StatusCode)
 	}
 	retry, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-	if err != nil || retry != 3 {
-		t.Errorf("Retry-After = %q, want 3", resp.Header.Get("Retry-After"))
+	if err != nil || retry != 1 {
+		t.Errorf("Retry-After = %q, want 1", resp.Header.Get("Retry-After"))
 	}
 }
 

@@ -160,8 +160,8 @@ type Info struct {
 	Started   time.Time `json:"started,omitempty"`
 	Finished  time.Time `json:"finished,omitempty"`
 	Outcome   *Outcome  `json:"outcome,omitempty"`
-	// Preemptions counts how many times the server suspended this job
-	// to free capacity for a higher-priority submission.
+	// Preemptions counts how many times this job parked to free a run
+	// slot for a higher-priority submission.
 	Preemptions int `json:"preemptions,omitempty"`
 	// CheckpointEpochs is how many training epochs the job's banked
 	// checkpoint covers (0 = no checkpoint; a resume replays nothing).
@@ -281,6 +281,9 @@ type tenant struct {
 	lastDispatch int64
 }
 
+// retryAfter is the Retry-After hint every shed response carries.
+const retryAfter = time.Second
+
 // ShedError is an admission rejection: the request was valid but the
 // server is not accepting it right now (HTTP 429 + Retry-After).
 type ShedError struct {
@@ -342,18 +345,6 @@ func WithTenantQuota(n int) Option {
 	}
 }
 
-// WithRetryAfter sets the Retry-After hint attached to shed responses
-// (default 1s).
-func WithRetryAfter(d time.Duration) Option {
-	return func(s *Server) error {
-		if d <= 0 {
-			return fmt.Errorf("serve: retry-after must be positive")
-		}
-		s.cfg.retryAfter = d
-		return nil
-	}
-}
-
 // WithMetrics attaches the registry the server (and its default
 // TrainRunner's pool jobs, when they share it) reports into.
 func WithMetrics(reg *metrics.Registry) Option {
@@ -396,7 +387,6 @@ type config struct {
 	maxRunning  int
 	queueLimit  int
 	tenantQuota int
-	retryAfter  time.Duration
 }
 
 // Server is the multi-tenant front-end. Construct with NewServer, serve
@@ -435,7 +425,6 @@ func NewServer(opts ...Option) (*Server, error) {
 			maxRunning:  4,
 			queueLimit:  64,
 			tenantQuota: 8,
-			retryAfter:  time.Second,
 		},
 		jobs:      map[string]*job{},
 		q:         newQueue(),
@@ -512,9 +501,8 @@ func (s *Server) Submit(spec JobSpec) (Info, error) {
 	if shed := s.shedReasonLocked(t); shed != "" {
 		t.shed.Inc()
 		s.total.shed.Inc()
-		retry := s.cfg.retryAfter
 		s.mu.Unlock()
-		return Info{}, &ShedError{Reason: shed, RetryAfter: retry}
+		return Info{}, &ShedError{Reason: shed, RetryAfter: retryAfter}
 	}
 	// A priority-0 job outranks nothing, so it never pays for the scan.
 	if spec.Priority > 0 && s.total.count[StateRunning] >= s.cfg.maxRunning {
@@ -553,8 +541,9 @@ func (s *Server) shedReasonLocked(t *tenant) string {
 // epoch boundary. The victim frees its run slot and pool leases when it
 // parks; finish() requeues it automatically (state suspended → queued)
 // so it resumes — from its checkpoint, bit-identically — once a slot
-// frees. A backend that ignores Elastic never parks, so its victim runs
-// on to its own end.
+// frees; finish() counts the preemption then. A backend that ignores
+// Elastic never parks, so its victim runs on to its own end and counts
+// none.
 func (s *Server) preemptLocked(prio int) {
 	var victim *job
 	for _, j := range s.jobs {
@@ -572,9 +561,7 @@ func (s *Server) preemptLocked(prio int) {
 		return
 	}
 	victim.pending = intentPreempt
-	victim.preemptions++
 	victim.suspender.Suspend()
-	s.cPreemptions.Inc()
 }
 
 // kick wakes the scheduler without blocking.
@@ -684,8 +671,12 @@ func (s *Server) finish(j *job, out Outcome, err error) {
 	}
 	s.moveLocked(j, to)
 	if to == StateSuspended && j.pending == intentPreempt {
-		// Preemption requeues automatically: the job resumes from its
-		// checkpoint as soon as a run slot frees up.
+		// A preemption counts once the victim has parked (a backend
+		// that ignores Elastic runs on to its end and counts none). It
+		// requeues automatically: the job resumes from its checkpoint
+		// as soon as a run slot frees up.
+		j.preemptions++
+		s.cPreemptions.Inc()
 		s.resumeLocked(j)
 	}
 	s.mu.Unlock()

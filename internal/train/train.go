@@ -54,8 +54,6 @@ type Config struct {
 	LearningRate float64
 	// Momentum is the optional SGD momentum coefficient in [0,1).
 	Momentum float64
-	// WeightDecay is the optional L2 coefficient.
-	WeightDecay float64
 	// PrefetchDepth is the next-batch pipeline depth (≥ 1).
 	PrefetchDepth int
 	// Seed initializes the identical model replicas and the pipeline.
@@ -66,7 +64,9 @@ type Config struct {
 	// either way Result.Metrics carries the final snapshot. Share one
 	// registry between the Config, the executor (Executor.WithMetrics),
 	// and the store (Store.WithMetrics) to see the whole data path in a
-	// single snapshot.
+	// single snapshot. The overlap gauge is this run's growth of the
+	// registry's prepare and step busy sums, so runs that share a
+	// registry must not overlap in time.
 	Metrics *metrics.Registry
 }
 
@@ -387,7 +387,7 @@ func run(ctx context.Context, cfg Config, o runOptions) (Result, error) {
 	opts := make([]*nn.SGD, cfg.Replicas)
 	for i := range replicas {
 		replicas[i] = nn.NewMLP(cfg.Widths, rand.New(rand.NewSource(cfg.Seed)))
-		opt, err := nn.NewSGD(cfg.LearningRate, cfg.Momentum, cfg.WeightDecay)
+		opt, err := nn.NewSGD(cfg.LearningRate, cfg.Momentum)
 		if err != nil {
 			return Result{}, err
 		}
@@ -429,7 +429,6 @@ func run(ctx context.Context, cfg Config, o runOptions) (Result, error) {
 		syncNs:     reg.Histogram("train.driver.sync_ns"),
 		syncRounds: reg.Counter("train.driver.sync_rounds"),
 		samples:    reg.Counter("train.driver.samples"),
-		rate:       reg.Meter("train.driver.samples_rate"),
 	}
 	sync := o.sync
 	if sync == nil {
@@ -531,10 +530,15 @@ func run(ctx context.Context, cfg Config, o runOptions) (Result, error) {
 		}
 	})
 
+	// The registry is the one per-stage ledger: this run's prepare and
+	// step busy time is the growth of their sums across the run.
+	prepBusy := reg.Histogram("pipeline.train.prepare.busy_ns")
+	stepBusy := reg.Histogram("pipeline.train.step.busy_ns")
+	prep0, step0 := prepBusy.Snapshot().Sum, stepBusy.Snapshot().Sum
+
 	res := Result{Replicas: replicas}
 	start := time.Now()
-	run := pl.WithMetrics(reg).Run(ctx, pipeline.RangeSource(startEpoch, cfg.Epochs))
-	epochStats, err := pipeline.Drain[[]StepStat](run)
+	epochStats, err := pipeline.Drain[[]StepStat](ctx, pl.WithMetrics(reg), startEpoch, cfg.Epochs)
 	if err != nil {
 		return Result{}, err
 	}
@@ -556,17 +560,8 @@ func run(ctx context.Context, cfg Config, o runOptions) (Result, error) {
 	// preparation is fully hidden behind computation — the paper's
 	// Section II-B overlap property; > 1 means preparation is the
 	// bottleneck and the accelerators starve.
-	var prepBusy, stepBusy time.Duration
-	for _, st := range run.Stats() {
-		switch st.Name {
-		case "prepare":
-			prepBusy = st.Busy
-		case "step":
-			stepBusy = st.Busy
-		}
-	}
-	if stepBusy > 0 {
-		reg.Gauge("train.driver.prep_step_overlap").Set(float64(prepBusy) / float64(stepBusy))
+	if step := stepBusy.Snapshot().Sum - step0; step > 0 {
+		reg.Gauge("train.driver.prep_step_overlap").Set((prepBusy.Snapshot().Sum - prep0) / step)
 	}
 	res.Metrics = reg.Snapshot()
 	return res, nil
@@ -579,7 +574,6 @@ type trainMetrics struct {
 	syncNs     *metrics.Histogram
 	syncRounds *metrics.Counter
 	samples    *metrics.Counter
-	rate       *metrics.Meter
 }
 
 // extract converts one prepared epoch into model samples, reusing the
@@ -659,7 +653,6 @@ func trainEpoch(ctx context.Context, cfg Config, replicas []*nn.Network, opts []
 		tm.stepNs.ObserveDuration(time.Since(stepStart))
 		tm.syncNs.Observe(float64(syncNanos))
 		tm.samples.Add(int64(r * mb))
-		tm.rate.Mark(int64(r * mb))
 	}
 	return stats, nil
 }

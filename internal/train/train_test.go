@@ -217,7 +217,6 @@ func TestRunWithMomentumKeepsReplicasSynchronized(t *testing.T) {
 	exec, store, keys := setup(t, 16)
 	cfg := baseConfig()
 	cfg.Momentum = 0.9
-	cfg.WeightDecay = 1e-4
 	cfg.Epochs = 4
 	res, err := Run(context.Background(), cfg, WithDataset(exec, store, keys), WithFeature(BlockFeature))
 	if err != nil {
@@ -303,9 +302,6 @@ func TestRunMetricsSnapshot(t *testing.T) {
 	}
 	if snap.Counters["storage.nvme.bytes_read"] <= 0 {
 		t.Error("storage bytes_read not recorded")
-	}
-	if snap.Meters["train.driver.samples_rate"].RatePerSec <= 0 {
-		t.Error("train sample rate not recorded")
 	}
 }
 

@@ -93,9 +93,6 @@ func TestAllExportedMetricNamesFollowScheme(t *testing.T) {
 	for name := range snap.Gauges {
 		names = append(names, name)
 	}
-	for name := range snap.Meters {
-		names = append(names, name)
-	}
 	for name := range snap.Histograms {
 		names = append(names, name)
 	}
@@ -144,7 +141,6 @@ var notLinked = map[string]string{
 
 	"internal/invariant": harness,
 
-	"internal/fpga.Cluster.Stats":             probe,
 	"internal/fpga.P2PHandler.OutputStats":    probe,
 	"internal/pipeline.Pool.Stats":            probe,
 	"internal/metrics.ValidName":              probe,
