@@ -278,3 +278,18 @@ func TestProfileMeasuresThroughput(t *testing.T) {
 		}
 	}
 }
+
+// TestProfileRecyclesEveryBatch: every output frame a profile draws goes
+// back to the executor's pool, so the measured rate is the steady-state
+// one and not the cost of a fresh frame per sample.
+func TestProfileRecyclesEveryBatch(t *testing.T) {
+	s := imageStore(t, 4)
+	e := NewExecutor(ImagePreparer{Config: DefaultImageConfig()}, 2, 1)
+	res, err := e.Profile(s, s.Keys(), 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e.OutputStats(); st.Gets != int64(res.Samples) || st.Puts != st.Gets {
+		t.Errorf("after profiling %d samples the output pool reads %+v, want every Get put back", res.Samples, st)
+	}
+}

@@ -21,7 +21,8 @@ type ProfileResult struct {
 
 // Profile measures wall-clock throughput of the executor over the keyed
 // objects, repeating epochs until at least minSamples samples have been
-// prepared.
+// prepared. Each batch goes back to the executor's output pool before
+// the next is prepared, as a training loop hands its batches back.
 func (e *Executor) Profile(store *storage.Store, keys []string, minSamples int) (ProfileResult, error) {
 	if len(keys) == 0 {
 		return ProfileResult{}, fmt.Errorf("dataprep: no keys to profile")
@@ -33,9 +34,11 @@ func (e *Executor) Profile(store *storage.Store, keys []string, minSamples int) 
 	done := 0
 	epoch := 0
 	for done < minSamples {
-		if _, err := e.PrepareBatch(store, keys, epoch); err != nil {
+		batch, err := e.PrepareBatch(store, keys, epoch)
+		if err != nil {
 			return ProfileResult{}, err
 		}
+		e.Recycle(batch...)
 		done += len(keys)
 		epoch++
 	}

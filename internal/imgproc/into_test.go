@@ -598,20 +598,41 @@ func TestDecodeJPEGIntoRejectsForgedDimensions(t *testing.T) {
 }
 
 // FuzzDecodeJPEGInto feeds arbitrary bytes to the decode entry point of
-// every image workload. It must never panic; a stream it accepts must
-// declare no more than maxDecodePixels, the frame the header walk found
-// must be the one image/jpeg decoded, and the pixels must equal the
-// generic At().RGBA() conversion of that decode. The seed corpus holds
-// a valid 16² 4:2:0 file, a 4:4:4 and a grayscale file, one truncated
-// mid-scan, one with forged 65280² dimensions and one with no frame
-// header (testdata/fuzz), and the testdata/jpeg fixtures.
+// every image workload, with image/jpeg as a two-way oracle. It must
+// never panic; a stream it accepts must declare no more than
+// maxDecodePixels, the frame the header walk found must be the one
+// image/jpeg decoded, and the pixels must equal the generic
+// At().RGBA() conversion of that decode. Conversely, a stream
+// image/jpeg decodes to a frame of at most maxDecodePixels must be
+// accepted, except for one known case: a frame with no pixels, which
+// image/jpeg returns as an empty image and an Image cannot hold. The
+// seed corpus (testdata/fuzz) holds a valid 16² 4:2:0 file, a 4:4:4
+// and a grayscale file, one truncated mid-scan, one with forged 65280²
+// dimensions, one with no frame header, one with an over-subscribed
+// Huffman table, one with codes longer than 9 bits, one with 0xFF00
+// stuffing across an 8-byte refill, one with a marker inside a block,
+// and the testdata/jpeg fixtures (restart intervals among them).
 func FuzzDecodeJPEGInto(f *testing.F) {
 	for _, data := range fixtures(f) {
 		f.Add(data)
 	}
 	var dst Image
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := DecodeJPEGInto(&dst, data); err != nil {
+		err := DecodeJPEGInto(&dst, data)
+		// image/jpeg sizes its planes from the frame header, so it only
+		// sees frames the bound admits.
+		cfg, cfgErr := jpeg.DecodeConfig(bytes.NewReader(data))
+		if cfgErr != nil || int64(cfg.Width)*int64(cfg.Height) > maxDecodePixels {
+			if err == nil {
+				t.Fatalf("accepted a stream image/jpeg finds no frame of at most %d pixels in (%v)", maxDecodePixels, cfgErr)
+			}
+			return
+		}
+		src, stdErr := jpeg.Decode(bytes.NewReader(data))
+		if err != nil {
+			if stdErr == nil && cfg.Width > 0 && cfg.Height > 0 {
+				t.Fatalf("rejects a %dx%d stream image/jpeg decodes: %v", cfg.Width, cfg.Height, err)
+			}
 			return
 		}
 		if dst.W*dst.H > maxDecodePixels {
@@ -620,9 +641,8 @@ func FuzzDecodeJPEGInto(f *testing.F) {
 		if w, h, _ := jpegFrameSize(data); w != dst.W || h != dst.H {
 			t.Fatalf("header walk found %dx%d, image/jpeg decoded %dx%d", w, h, dst.W, dst.H)
 		}
-		src, err := jpeg.Decode(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("image/jpeg rejects a stream DecodeJPEGInto accepted: %v", err)
+		if stdErr != nil {
+			t.Fatalf("image/jpeg rejects a stream DecodeJPEGInto accepted: %v", stdErr)
 		}
 		if !bytes.Equal(dst.Pix, genericRGB(src).Pix) {
 			t.Fatalf("%T %dx%d: pixels differ from the generic At().RGBA() path", src, dst.W, dst.H)

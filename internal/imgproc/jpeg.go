@@ -5,6 +5,7 @@
 package imgproc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"image"
 	"io"
@@ -14,23 +15,35 @@ import (
 // This file is the JPEG decoder of DecodeJPEGCropInto, derived from Go
 // 1.24's image/jpeg (reader.go, scan.go, huffman.go and idct.go); the
 // LICENSE the header above names is GO-LICENSE in this directory. It is
-// trimmed to what DecodeJPEGCropInto reaches and changed in five ways,
+// trimmed to what DecodeJPEGCropInto reaches and changed in seven ways,
 // none of which moves a pixel:
 //
 //   - It reads the stream from a byte slice instead of an io.Reader
 //     behind a 4 KB buffer; the unread-after-overshoot rules are the
 //     same, so every stream decodes or fails as before.
+//   - A sequential block is entropy-decoded from a 64-bit accumulator
+//     with 9-bit lookups (decodeBlockFast). A block is decoded whole or
+//     not at all: wherever the slow path might fail or keep state, the
+//     fast path changes nothing and decodeBlock, image/jpeg's path,
+//     decodes the block, so every error and all progressive scans are
+//     image/jpeg's; a block it decodes leaves the bit buffer and read
+//     position where decodeHuffman's lazy reads would. Its tables exist
+//     only for prefix codes.
 //   - It still entropy-decodes every MCU, but dequantizes and
 //     inverse-transforms only the blocks the pixel window d.win reads,
 //     in the sequential path and in reconstructProgressiveImage alike.
 //   - A sequential block is dequantized only up to the last
 //     coefficient its scan wrote, and a DC-only block skips idct for
 //     the constant idct would compute (reconstruct).
+//   - A block whose coefficients end by zig-zag position 2 takes idct3,
+//     idct with those zeros substituted, exact in wrapping int32
+//     arithmetic, where x·0 = 0 and x ± 0 = x.
 //   - Its Huffman and quantization tables, block scratch, planes and
 //     progressive coefficients live in one pooled decoder, so a warm
 //     decode allocates nothing. Planes are stale on entry: a plane no
 //     scan wrote is cleared, which is what a fresh image/jpeg decode
-//     returns for it.
+//     returns for it. A DHT segment that repeats the one a slot's
+//     tables were built from reuses them.
 //   - It returns no image.Image: DecodeJPEGCropInto colour-converts the
 //     window straight out of the planes (into.go).
 
@@ -122,6 +135,17 @@ type jpegBuffers struct {
 }
 
 type decoder struct {
+	decodeState
+	// huff is the Huffman table of every (class, id) slot. A table
+	// outlives the decode that defined it, so a later DHT segment with
+	// the same bytes reuses its lookups (processDHT); decode marks every
+	// slot undefined, as a fresh image/jpeg decoder starts.
+	huff [maxTc + 1][maxTh + 1]huffman
+	bufs jpegBuffers
+}
+
+// decodeState is what every decode starts from zero.
+type decodeState struct {
 	// The stream: data[i:] is unread. nUnreadable is the number of bytes
 	// to back up i after overshooting. It can be 0, 1 or 2. Byte
 	// stuffing is specified in section F.1.2.3.
@@ -164,11 +188,8 @@ type decoder struct {
 	eobRun              uint16 // End-of-Band run, specified in section G.1.2.2.
 
 	comp  [maxComponents]component
-	huff  [maxTc + 1][maxTh + 1]huffman
 	quant [maxTq + 1]block // Quantization tables, in zig-zag order.
 	tmp   [2 * blockSize]byte
-
-	bufs jpegBuffers
 }
 
 // decoders pools decoders, and with them their tables and planes,
@@ -503,10 +524,15 @@ func (d *decoder) processApp14Marker(n int) error {
 // decode decodes the JPEG stream data and colour-converts the window
 // win of its frame into dst, which it resizes to win. The caller has
 // checked that data's frame header declares a frame that holds win.
-// Everything but d.bufs starts from zero, as a fresh image/jpeg decoder
-// does.
+// Everything but d.bufs and the built Huffman lookups starts from zero,
+// as a fresh image/jpeg decoder does.
 func (d *decoder) decode(dst *Image, data []byte, win image.Rectangle) error {
-	*d = decoder{data: data, win: win, bufs: d.bufs}
+	d.decodeState = decodeState{data: data, win: win}
+	for tc := range d.huff {
+		for th := range d.huff[tc] {
+			d.huff[tc][th].nCodes = 0
+		}
+	}
 
 	// Check for the Start Of Image marker.
 	if err := d.readFull(d.tmp[:2]); err != nil {
@@ -755,6 +781,7 @@ func (d *decoder) processSOS(n int) error {
 		td        uint8 // DC table selector.
 		ta        uint8 // AC table selector.
 		win       image.Rectangle
+		fast      bool // decodeBlockFast may decode its blocks
 	}
 	totalHV := 0
 	for i := 0; i < nComp; i++ {
@@ -791,6 +818,8 @@ func (d *decoder) processSOS(n int) error {
 			return formatError("bad Ta value")
 		}
 		scan[i].win = d.windowBlocks(compIndex)
+		dcH, acH := &d.huff[dcTable][scan[i].td], &d.huff[acTable][scan[i].ta]
+		scan[i].fast = !d.progressive && dcH.nCodes != 0 && dcH.prefix && acH.nCodes != 0 && acH.prefix
 	}
 	// Section B.2.3 states that if there is more than one component then the
 	// total H*V values in a scan must be <= 10.
@@ -912,73 +941,24 @@ func (d *decoder) processSOS(n int) error {
 						b = block{}
 					}
 
+					dcH, acH := &d.huff[dcTable][scan[i].td], &d.huff[acTable][scan[i].ta]
 					// nz is one past the last zig-zag position this scan
 					// wrote; a sequential block is zero from there on.
-					nz := 0
-					if ah != 0 {
-						if err := d.refine(&b, &d.huff[acTable][scan[i].ta], zigStart, zigEnd, 1<<al); err != nil {
-							return err
+					nz, done := 0, false
+					if scan[i].fast && d.eobRun == 0 {
+						if nz, done = d.decodeBlockFast(&b, &dc[compIndex], dcH, acH); !done {
+							b = block{} // the slow path decodes it again
 						}
-					} else {
-						zig := zigStart
-						if zig == 0 {
-							zig++
-							// Decode the DC coefficient, as specified in section F.2.2.1.
-							value, err := d.decodeHuffman(&d.huff[dcTable][scan[i].td])
-							if err != nil {
-								return err
-							}
-							if value > 16 {
-								return unsupportedError("excessive DC component")
-							}
-							dcDelta, err := d.receiveExtend(value)
-							if err != nil {
-								return err
-							}
-							dc[compIndex] += dcDelta
-							b[0] = dc[compIndex] << al
-							nz = 1
-						}
-
-						if zig <= zigEnd && d.eobRun > 0 {
-							d.eobRun--
+					}
+					if !done {
+						var err error
+						if ah != 0 {
+							err = d.refine(&b, acH, zigStart, zigEnd, 1<<al)
 						} else {
-							// Decode the AC coefficients, as specified in section F.2.2.2.
-							huff := &d.huff[acTable][scan[i].ta]
-							for ; zig <= zigEnd; zig++ {
-								value, err := d.decodeHuffman(huff)
-								if err != nil {
-									return err
-								}
-								val0 := value >> 4
-								val1 := value & 0x0f
-								if val1 != 0 {
-									zig += int32(val0)
-									if zig > zigEnd {
-										break
-									}
-									ac, err := d.receiveExtend(val1)
-									if err != nil {
-										return err
-									}
-									b[unzig[zig]] = ac << al
-									nz = int(zig) + 1
-								} else {
-									if val0 != 0x0f {
-										d.eobRun = uint16(1 << val0)
-										if val0 != 0 {
-											bits, err := d.decodeBits(int32(val0))
-											if err != nil {
-												return err
-											}
-											d.eobRun |= uint16(bits)
-										}
-										d.eobRun--
-										break
-									}
-									zig += 0x0f
-								}
-							}
+							nz, err = d.decodeBlock(&b, &dc[compIndex], dcH, acH, zigStart, zigEnd, al)
+						}
+						if err != nil {
+							return err
 						}
 					}
 
@@ -1021,6 +1001,75 @@ func (d *decoder) processSOS(n int) error {
 	} // for my
 
 	return nil
+}
+
+// decodeBlock decodes the coefficients zigStart to zigEnd of a block
+// into b, each shifted left by al, as specified in sections F.2.2.1
+// (the DC coefficient, from the predictor *dc) and F.2.2.2, and returns
+// one past the last zig-zag position it wrote. It is the one path of
+// progressive scans and of the sequential blocks decodeBlockFast
+// declines.
+func (d *decoder) decodeBlock(b *block, dc *int32, dcH, acH *huffman, zigStart, zigEnd int32, al uint32) (nz int, err error) {
+	zig := zigStart
+	if zig == 0 {
+		zig++
+		// Decode the DC coefficient, as specified in section F.2.2.1.
+		value, err := d.decodeHuffman(dcH)
+		if err != nil {
+			return 0, err
+		}
+		if value > 16 {
+			return 0, unsupportedError("excessive DC component")
+		}
+		dcDelta, err := d.receiveExtend(value)
+		if err != nil {
+			return 0, err
+		}
+		*dc += dcDelta
+		b[0] = *dc << al
+		nz = 1
+	}
+
+	if zig <= zigEnd && d.eobRun > 0 {
+		d.eobRun--
+		return nz, nil
+	}
+	// Decode the AC coefficients, as specified in section F.2.2.2.
+	for ; zig <= zigEnd; zig++ {
+		value, err := d.decodeHuffman(acH)
+		if err != nil {
+			return 0, err
+		}
+		val0 := value >> 4
+		val1 := value & 0x0f
+		if val1 != 0 {
+			zig += int32(val0)
+			if zig > zigEnd {
+				break
+			}
+			ac, err := d.receiveExtend(val1)
+			if err != nil {
+				return 0, err
+			}
+			b[unzig[zig]] = ac << al
+			nz = int(zig) + 1
+		} else {
+			if val0 != 0x0f {
+				d.eobRun = uint16(1 << val0)
+				if val0 != 0 {
+					bits, err := d.decodeBits(int32(val0))
+					if err != nil {
+						return 0, err
+					}
+					d.eobRun |= uint16(bits)
+				}
+				d.eobRun--
+				break
+			}
+			zig += 0x0f
+		}
+	}
+	return nz, nil
 }
 
 // refine decodes a successive approximation refinement block, as specified in
@@ -1182,13 +1231,19 @@ func (d *decoder) reconstructBlock(b *block, n, bx, by, compIndex int) {
 // coefficient, a third of the corpus's blocks, skips idct: there its
 // row pass writes dc<<3 to row 0 and zeros below, and its column pass
 // turns each column into ((dc<<3)<<8 + 8192) >> 14 in every row, which
-// the int32 arithmetic here repeats bit for bit, overflow included.
+// the int32 arithmetic here repeats bit for bit, overflow included. A
+// block whose coefficients end by zig-zag position 2, another 43 %,
+// takes idct3.
 func reconstruct(b *block, qt *block, n int, dst []byte, stride int) {
 	if n <= 1 {
 		row := uint64(levelShift(((b[0]*qt[0])<<11+8192)>>14)) * 0x0101010101010101
 		for y := 0; y < 8; y++ {
 			binary.LittleEndian.PutUint64(dst[y*stride:], row)
 		}
+		return
+	}
+	if n <= 3 {
+		idct3(b[0]*qt[0], b[1]*qt[1], b[8]*qt[2], dst, stride)
 		return
 	}
 	for zig := range qt[:n] {
@@ -1265,6 +1320,9 @@ const maxNCodes = 256
 // lutSize is the log-2 size of the Huffman decoder's look-up table.
 const lutSize = 8
 
+// fastBits is the log-2 size of the fast path's look-up tables.
+const fastBits = 9
+
 // huffman is a Huffman decoder, specified in section C.
 type huffman struct {
 	// length is the number of codes in the tree.
@@ -1284,6 +1342,27 @@ type huffman struct {
 	maxCodes [maxCodeLength]int32
 	// valsIndices[i] is the index into vals of minCodes[i].
 	valsIndices [maxCodeLength]int32
+
+	// prefix reports that the code lengths form a prefix code (their
+	// Kraft sum is at most 1), so the fast path's lookups below are
+	// built; decodeBlockFast reads no table without it.
+	prefix bool
+	// fast maps the next fastBits bits to the encoded value<<8 | the
+	// code length when a code of at most fastBits bits starts them, and
+	// to 0 otherwise.
+	fast [1 << fastBits]uint16
+	// fastAC, built for AC tables, maps the next fastBits bits to
+	// coefficient<<8 | run<<4 | length when they hold a whole
+	// coefficient: a code with a non-zero size and its magnitude bits,
+	// length bits in all, the coefficient already extended. It is 0
+	// otherwise.
+	fastAC [1 << fastBits]int32
+
+	// counts and built identify the DHT segment the tables were built
+	// from: its 16 code-length counts, and its nCodes values, which are
+	// vals[:built]. built is 0 when the tables match no segment.
+	counts [maxCodeLength]uint8
+	built  int32
 }
 
 // errShortHuffmanData means that an unexpected EOF occurred while decoding
@@ -1327,15 +1406,22 @@ func (d *decoder) receiveExtend(t uint8) (int32, error) {
 	d.bits.n -= int32(t)
 	d.bits.m >>= t
 	s := int32(1) << t
-	x := int32(d.bits.a>>uint8(d.bits.n)) & (s - 1)
-	if x < s>>1 {
+	return extend(int32(d.bits.a>>uint8(d.bits.n))&(s-1), t), nil
+}
+
+// extend is EXTEND of section F.2.2.1: the t-bit magnitude x as a
+// signed value.
+func extend(x int32, t uint8) int32 {
+	if s := int32(1) << t; x < s>>1 {
 		x += ((-1) << t) + 1
 	}
-	return x, nil
+	return x
 }
 
 // processDHT processes a Define Huffman Table marker, and initializes a huffman
-// struct from its contents. Specified in section B.2.4.2.
+// struct from its contents. Specified in section B.2.4.2. A segment whose
+// counts and values are those the slot's tables were built from, as every
+// file of one encoder repeats them, reuses the tables.
 func (d *decoder) processDHT(n int) error {
 	for n > 0 {
 		if n < 17 {
@@ -1374,6 +1460,15 @@ func (d *decoder) processDHT(n int) error {
 		if n < 0 {
 			return formatError("DHT has wrong length")
 		}
+		counts := [maxCodeLength]uint8(d.tmp[1 : 1+maxCodeLength])
+		if h.built == h.nCodes && h.counts == counts && len(d.data)-d.i >= int(h.nCodes) &&
+			bytes.Equal(d.data[d.i:d.i+int(h.nCodes)], h.vals[:h.nCodes]) {
+			if err := d.ignore(int(h.nCodes)); err != nil {
+				return err
+			}
+			continue
+		}
+		h.built = 0
 		if err := d.readFull(h.vals[:h.nCodes]); err != nil {
 			return err
 		}
@@ -1415,8 +1510,54 @@ func (d *decoder) processDHT(n int) error {
 			}
 			c <<= 1
 		}
+		h.buildFast(&nCodes, tc == acTable)
+		h.counts, h.built = counts, h.nCodes
 	}
 	return nil
+}
+
+// buildFast derives the fast path's tables from the canonical codes
+// when nCodes, the count of codes of each length, describes a prefix
+// code. An over-subscribed one, whose codes overflow their length,
+// gets none: h.prefix stays false.
+func (h *huffman) buildFast(nCodes *[maxCodeLength]int32, ac bool) {
+	h.prefix = false
+	var code int32
+	for i, n := range nCodes {
+		if code += n; code > 1<<(i+1) {
+			return
+		}
+		code <<= 1
+	}
+	clear(h.fast[:])
+	code = 0
+	var x int
+	for i := range fastBits {
+		l := i + 1
+		for range nCodes[i] {
+			v := uint16(h.vals[x])<<8 | uint16(l)
+			base := int(code) << (fastBits - l)
+			for k := range 1 << (fastBits - l) {
+				h.fast[base+k] = v
+			}
+			code++
+			x++
+		}
+		code <<= 1
+	}
+	h.prefix = true
+	if !ac {
+		return
+	}
+	for i, v := range h.fast {
+		l, size := int(v&0xff), uint8(v>>8)&0x0f
+		h.fastAC[i] = 0
+		if v == 0 || size == 0 || l+int(size) > fastBits {
+			continue
+		}
+		m := int32(i>>(fastBits-l-int(size))) & (1<<size - 1)
+		h.fastAC[i] = extend(m, size)<<8 | int32(v>>12)<<4 | int32(l+int(size))
+	}
 }
 
 // decodeHuffman returns the next Huffman-coded value from the bit-stream,
@@ -1465,6 +1606,182 @@ slowPath:
 		code <<= 1
 	}
 	return 0, formatError("bad Huffman code")
+}
+
+// decodeLong decodes a code longer than fastBits bits from the top of
+// acc by the canonical walk of decodeHuffman's slow path, for a prefix
+// code whose fast table matched no shorter code there. ok is false when
+// no code of up to 16 bits matches.
+func (h *huffman) decodeLong(acc uint64) (value uint8, length uint, ok bool) {
+	for l := uint(fastBits + 1); l <= maxCodeLength; l++ {
+		if code := int32(acc >> (64 - l)); code <= h.maxCodes[l-1] {
+			return h.vals[h.valsIndices[l-1]+code-h.minCodes[l-1]], l, true
+		}
+	}
+	return 0, 0, false
+}
+
+// fill tops up acc, whose high nbits bits are unread, from data[pos:]:
+// the next eight bytes at once when none is 0xFF, else byte by byte,
+// undoing 0xFF00 stuffing, until more than 56 bits are unread or a
+// marker or the end of data comes next. It returns the new acc, nbits
+// and pos, and how many bytes it added after unstuffing.
+func fill(data []byte, acc uint64, nbits uint, pos int) (uint64, uint, int, int) {
+	if pos+8 <= len(data) {
+		w := binary.BigEndian.Uint64(data[pos:])
+		if (^w-0x0101010101010101)&w&0x8080808080808080 == 0 {
+			k := (64 - nbits) >> 3
+			acc |= w >> (64 - 8*k) << (64 - 8*k - nbits)
+			return acc, nbits + 8*k, pos + int(k), int(k)
+		}
+	}
+	added := 0
+	for nbits <= 56 && pos < len(data) {
+		c := data[pos]
+		if c == 0xff {
+			if pos+1 == len(data) || data[pos+1] != 0x00 {
+				break
+			}
+			pos++
+		}
+		pos++
+		acc |= uint64(c) << (56 - nbits)
+		nbits += 8
+		added++
+	}
+	return acc, nbits, pos, added
+}
+
+// decodeBlockFast entropy-decodes one block of a sequential scan into
+// b, which is zero, with DC predictor *dc and the tables dcH and acH,
+// both prefix codes, and returns one past the last zig-zag position it
+// wrote. It does what decodeHuffman and receiveExtend do for the block,
+// from a 64-bit accumulator in locals that fill refills, and then
+// leaves d.bits, d.i and d.nUnreadable as they would have: those read
+// bytes lazily, only when a decodeHuffman holds fewer than 8 bits or a
+// receiveExtend fewer than its size, so the bytes they read end with
+// the one that holds the later of the last symbol's 8th bit and the
+// block's last bit, and fill's bytes past it are given back.
+//
+// A block is decoded whole or not at all: where the slow path might
+// fail or keep state (a marker or the end of data within 32 bits of a
+// symbol, a code no table matches, a DC size over 16 or an end-of-band
+// run), ok is false, d and *dc are untouched, and the caller decodes the
+// block again on the slow path, which then does exactly what it always
+// did.
+func (d *decoder) decodeBlockFast(b *block, dc *int32, dcH, acH *huffman) (nz int, ok bool) {
+	data, start := d.data, d.i
+	nbits := uint(d.bits.n)
+	acc := uint64(d.bits.a) << (64 - nbits)
+	acc, nbits, pos, loaded := fill(data, acc, nbits, start)
+	if nbits < 32 {
+		return 0, false
+	}
+	// nh is nbits when the block's last symbol started.
+	nh := nbits
+
+	// The DC coefficient, as in processSOS.
+	v := dcH.fast[acc>>(64-fastBits)]
+	value, l := uint8(v>>8), uint(v&0xff)
+	if v == 0 {
+		if value, l, ok = dcH.decodeLong(acc); !ok {
+			return 0, false
+		}
+	}
+	if value > 16 {
+		return 0, false
+	}
+	acc <<= l
+	diff := extend(int32(acc>>(64-uint(value))), value)
+	acc <<= value
+	nbits -= l + uint(value)
+	pred := *dc + diff
+	b[0] = pred
+	nz = 1
+
+	// The AC coefficients.
+	for zig := 1; zig < blockSize; zig++ {
+		if nbits < 32 {
+			var added int
+			acc, nbits, pos, added = fill(data, acc, nbits, pos)
+			loaded += added
+			if nbits < 32 {
+				return 0, false
+			}
+		}
+		nh = nbits
+		if e := acH.fastAC[acc>>(64-fastBits)]; e != 0 {
+			if z := zig + int(e>>4&0x0f); z < blockSize {
+				zig = z
+				b[unzig[zig]] = e >> 8
+				nz = zig + 1
+				acc <<= uint(e & 0x0f)
+				nbits -= uint(e & 0x0f)
+				continue
+			}
+		}
+		v := acH.fast[acc>>(64-fastBits)]
+		value, l := uint8(v>>8), uint(v&0xff)
+		if v == 0 {
+			if value, l, ok = acH.decodeLong(acc); !ok {
+				return 0, false
+			}
+		}
+		acc <<= l
+		nbits -= l
+		run, size := int(value>>4), value&0x0f
+		if size != 0 {
+			zig += run
+			if zig >= blockSize {
+				break
+			}
+			b[unzig[zig]] = extend(int32(acc>>(64-uint(size))), size)
+			nz = zig + 1
+			acc <<= size
+			nbits -= uint(size)
+		} else if run == 0x0f {
+			zig += 0x0f
+		} else if run == 0 {
+			break // end of block
+		} else {
+			return 0, false // an end-of-band run
+		}
+	}
+
+	// The slow path read the bytes up to the later of bit nh-8 and bit
+	// nbits below the top of what fill loaded; give the rest back.
+	back := min(loaded, int(min(nh-8, nbits)>>3))
+	if pos-start == loaded { // no stuffed byte among them
+		pos -= back
+		if back < loaded {
+			d.nUnreadable = 1
+		}
+	} else {
+		for range back {
+			pos = unstuffedStart(data, start, pos)
+		}
+		if back < loaded {
+			d.nUnreadable = pos - unstuffedStart(data, start, pos)
+		}
+	}
+	n := nbits - 8*uint(back)
+	d.i = pos
+	d.bits = bits{a: uint32(acc >> (64 - n)), n: int32(n)}
+	if n > 0 {
+		d.bits.m = 1 << (n - 1)
+	}
+	*dc = pred
+	return nz, true
+}
+
+// unstuffedStart returns where the entropy-coded byte that ends at
+// data[end-1] starts, end-2 for a stuffed 0xFF00 and end-1 otherwise,
+// for a byte read at or after start.
+func unstuffedStart(data []byte, start, end int) int {
+	if end-2 >= start && data[end-1] == 0x00 && data[end-2] == 0xff {
+		return end - 2
+	}
+	return end - 1
 }
 
 func (d *decoder) decodeBit() (bool, error) {

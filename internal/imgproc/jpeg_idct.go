@@ -4,8 +4,9 @@
 
 package imgproc
 
-// The integer IDCT of Go 1.24's image/jpeg (idct.go), unchanged; see the
-// header of jpeg.go.
+// The integer IDCT of Go 1.24's image/jpeg (idct.go), unchanged, and
+// idct3, the same transform for the blocks whose coefficients all sit
+// at zig-zag positions 0–2; see the header of jpeg.go.
 //
 // This is a Go translation of idct.c from
 //
@@ -193,5 +194,50 @@ func idct(src *block) {
 		s[8*5] = (y0 - y4) >> 14
 		s[8*6] = (y3 - y2) >> 14
 		s[8*7] = (y7 - y1) >> 14
+	}
+}
+
+// idct3 is idct, followed by reconstruct's level shift into dst, for a
+// block whose only coefficients that may be non-zero are the
+// dequantized dc, ac01 and ac10 at natural positions 0, 1 and 8. It is
+// idct's own expressions with those zeros substituted, so it is bit
+// for bit idct, overflow included: in wrapping int32 arithmetic x·0 = 0
+// and x ± 0 = x hold exactly, and the adds it reorders are exact too.
+// Rows 2–7 are zero, and row 1 holds ac10 alone, so idct's all-AC-zero
+// shortcut gives them 0 and ac10<<3 in every column; row 0 takes that
+// shortcut only when ac01 is 0.
+func idct3(dc, ac01, ac10 int32, dst []byte, stride int) {
+	// Horizontal 1-D IDCT of row 0: x4 is ac01, and x0 the prescaled dc.
+	var r0 [8]int32
+	if ac01 == 0 {
+		for x := range r0 {
+			r0[x] = dc << 3
+		}
+	} else {
+		x0 := (dc << 11) + 128
+		x8 := w7 * ac01
+		x4 := x8 + w1mw7*ac01
+		x5 := x8
+		x2 := (r2*(x4+x5) + 128) >> 8
+		x3 := (r2*(x4-x5) + 128) >> 8
+		r0 = [8]int32{
+			(x0 + x4) >> 8, (x0 + x2) >> 8, (x0 + x3) >> 8, (x0 + x5) >> 8,
+			(x0 - x5) >> 8, (x0 - x3) >> 8, (x0 - x2) >> 8, (x0 - x4) >> 8,
+		}
+	}
+
+	// Vertical 1-D IDCT: each column holds r0[x] in row 0 and ac10<<3
+	// in row 1, so every term but the prescaled row 0 is the same in all
+	// columns.
+	y8 := w7*(ac10<<3) + 4
+	y4 := (y8 + w1mw7*(ac10<<3)) >> 3
+	y5 := y8 >> 3
+	y2 := (r2*(y4+y5) + 128) >> 8
+	y3 := (r2*(y4-y5) + 128) >> 8
+	for y, t := range [8]int32{y4, y2, y3, y5, -y5, -y3, -y2, -y4} {
+		out := dst[y*stride:][:8]
+		for x, c := range r0 {
+			out[x] = levelShift(((c << 8) + 8192 + t) >> 14)
+		}
 	}
 }

@@ -158,6 +158,41 @@ func dropScans(t *testing.T, data []byte, id byte) []byte {
 	return nil
 }
 
+// TestDecodeJPEGHuffmanTablesFollowTheSegment: the pooled decoder keeps
+// a slot's Huffman lookups for a later DHT segment with the same bytes,
+// so one with the same code-length counts but two values swapped must
+// get its own. Decoding a file and that variant, whose luma AC table
+// swaps its two 2-bit symbols, in turn, each decode equals image/jpeg's,
+// and the two differ.
+func TestDecodeJPEGHuffmanTablesFollowTheSegment(t *testing.T) {
+	orig := tinyJPEG(t)
+	swapped := append([]byte(nil), orig...)
+	// image/jpeg's encoder writes one DHT segment: luma DC, luma AC,
+	// chroma DC, chroma AC, each Tc/Th, 16 counts and the values.
+	table := swapped[bytes.Index(swapped, []byte{0xFF, 0xC4})+4:]
+	n := 0
+	for _, c := range table[1 : 1+maxCodeLength] {
+		n += int(c)
+	}
+	vals := table[1+maxCodeLength+n+1+maxCodeLength:]
+	vals[0], vals[1] = vals[1], vals[0]
+	var got [2][]byte
+	for i := range 4 {
+		data := [][]byte{orig, swapped}[i%2]
+		var dst Image
+		if err := DecodeJPEGInto(&dst, data); err != nil {
+			t.Fatalf("decode %d: %v", i, err)
+		}
+		if want := stdlibRGB(t, data); !bytes.Equal(dst.Pix, want.Pix) {
+			t.Fatalf("decode %d differs from image/jpeg's", i)
+		}
+		got[i%2] = dst.Pix
+	}
+	if bytes.Equal(got[0], got[1]) {
+		t.Fatal("swapping two Huffman values did not change the image")
+	}
+}
+
 // TestDecodeJPEGUnscannedComponentReadsZero: a progressive frame whose
 // chroma components no scan covers decodes as image/jpeg decodes it,
 // with those planes zero, although the pooled decoder's planes still
@@ -283,12 +318,13 @@ func reconstructDense(b block, qt *block) (px [blockSize]uint8) {
 }
 
 // FuzzReconstructBlockMatchesDense checks reconstruct, which
-// dequantizes only the first n zig-zag coefficients and skips idct for
-// a DC-only block, against reconstructDense bit for bit. Each input
-// seeds 64 blocks. A block carries coefficients up to a random n in
-// 0–64, half of the time at most 2 (the corpus's common case), of a
-// random width: mostly up to the 12 bits of an 8-bit JPEG, sometimes
-// up to 32, so int32-overflowing products and sums occur. Its
+// dequantizes only the first n zig-zag coefficients, skips idct for a
+// DC-only block and takes idct3 for one with n ≤ 3, against
+// reconstructDense bit for bit. Each input seeds 64 blocks. A block
+// carries coefficients up to a random n in 0–64, half of the time at
+// most 3 (the corpus's common cases), of a random width: mostly up to
+// the 12 bits of an 8-bit JPEG, sometimes up to 32, so int32-overflowing
+// products and sums occur. Its
 // quantization table is drawn from 1–16, 1–255 or 1–65,535 with the
 // extremes over-represented: the narrow tables keep samples off the
 // clip, where a rounding slip shows. The block is written into a wider
@@ -303,7 +339,7 @@ func FuzzReconstructBlockMatchesDense(f *testing.F) {
 		for range 64 {
 			n := rng.Intn(blockSize + 1)
 			if rng.Intn(2) == 0 {
-				n = rng.Intn(3)
+				n = rng.Intn(4)
 			}
 			width := 1 + rng.Intn(12)
 			if rng.Intn(4) == 0 {
