@@ -17,8 +17,8 @@ package dataprep
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"runtime"
+	"strconv"
 	"time"
 
 	"trainbox/internal/dsp"
@@ -79,12 +79,31 @@ func DefaultAudioConfig() AudioConfig {
 	}
 }
 
-// SampleSeed derives the deterministic RNG seed for one prepared sample.
+// SampleSeed derives the deterministic RNG seed for one prepared sample:
+// the FNV-64a hash of "datasetSeed|key|epoch", the integers in decimal.
 // Identical inputs always produce the identical seed on any platform.
+// It hashes the bytes as it formats them, so a sample's seed costs no
+// allocation.
 func SampleSeed(datasetSeed int64, key string, epoch int) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%d", datasetSeed, key, epoch)
-	return int64(h.Sum64())
+	var num [20]byte // the longest int64 in decimal
+	h := fnv64a(fnvOffset64, strconv.AppendInt(num[:0], datasetSeed, 10))
+	h = fnv64a(h, "|")
+	h = fnv64a(h, key)
+	h = fnv64a(h, "|")
+	h = fnv64a(h, strconv.AppendInt(num[:0], int64(epoch), 10))
+	return int64(h)
+}
+
+// fnvOffset64 is FNV-64a's initial hash (hash/fnv's offset64).
+const fnvOffset64 = 14695981039346656037
+
+// fnv64a folds b into the FNV-64a hash h.
+func fnv64a[B string | []byte](h uint64, b B) uint64 {
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
 // Prepared is one pipeline output: exactly one of Image or Audio is

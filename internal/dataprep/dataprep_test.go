@@ -1,7 +1,10 @@
 package dataprep
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
+	"strings"
 	"testing"
 
 	"trainbox/internal/imgproc"
@@ -187,6 +190,33 @@ func TestSampleSeedStableAndDistinct(t *testing.T) {
 			t.Error("SampleSeed collision across distinct inputs")
 		}
 		distinct[v] = true
+	}
+}
+
+// TestSampleSeedMatchesFormattedFNV: SampleSeed is the FNV-64a hash of
+// fmt's "%d|%s|%d" over its inputs, the formula it was first written
+// as, at extreme and negative seeds, epoch 0, an empty key and keys
+// that are not ASCII or not valid UTF-8 — and it allocates nothing.
+func TestSampleSeedMatchesFormattedFNV(t *testing.T) {
+	formatted := func(datasetSeed int64, key string, epoch int) int64 {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%d|%s|%d", datasetSeed, key, epoch)
+		return int64(h.Sum64())
+	}
+	seeds := []int64{0, 1, -1, 7, -3, 1<<31 - 1, math.MaxInt64, math.MinInt64}
+	keys := []string{"", "img-00001", "aud-00042", "|", "ключ-ü", "\xff\x00|", strings.Repeat("k", 100)}
+	epochs := []int{0, 1, 5, -1, math.MaxInt, math.MinInt}
+	for _, seed := range seeds {
+		for _, key := range keys {
+			for _, epoch := range epochs {
+				if got, want := SampleSeed(seed, key, epoch), formatted(seed, key, epoch); got != want {
+					t.Errorf("SampleSeed(%d, %q, %d) = %#x, want %#x", seed, key, epoch, got, want)
+				}
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { SampleSeed(math.MinInt64, "img-00001", math.MaxInt) }); n != 0 {
+		t.Errorf("SampleSeed allocates %v times per call, want 0", n)
 	}
 }
 

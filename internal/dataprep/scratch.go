@@ -27,6 +27,7 @@ type Scratch struct {
 	imgA imgproc.Image // mirror destination
 	imgB imgproc.Image // crop destination: the window decode's, or the crop's
 	sig  []float64     // PCM decode buffer
+	src  seededSource  // rng's source
 	rng  *rand.Rand    // reseeded per sample; nil until the first
 
 	melCfg dsp.MelConfig // config mel was built for
@@ -77,13 +78,12 @@ func (s *Scratch) getF64(n int) []float64 {
 
 // rand returns s's random source seeded with seed: the sequence
 // rand.New(rand.NewSource(seed)) gives, without allocating one per
-// sample.
+// sample or filling a register the sample never reads (seededSource).
 func (s *Scratch) rand(seed int64) *rand.Rand {
 	if s.rng == nil {
-		s.rng = rand.New(rand.NewSource(seed))
-	} else {
-		s.rng.Seed(seed)
+		s.rng = rand.New(&s.src)
 	}
+	s.rng.Seed(seed)
 	return s.rng
 }
 

@@ -63,7 +63,8 @@ func AddNoise(signal []float64, stddev float64, rng *rand.Rand) {
 	st := gauss.NewStream(rng)
 	const mask = gauss.Levels - 1
 	for len(signal) >= gauss.PerWord {
-		w := st.Next()
+		var w uint64
+		w, st = st.Next()
 		s := signal[:gauss.PerWord:gauss.PerWord]
 		s[0] += stddev * gauss.Table[w&mask]
 		s[1] += stddev * gauss.Table[w>>gauss.Bits&mask]
@@ -73,7 +74,7 @@ func AddNoise(signal []float64, stddev float64, rng *rand.Rand) {
 		signal = signal[gauss.PerWord:]
 	}
 	if len(signal) > 0 {
-		w := st.Next()
+		w, _ := st.Next()
 		for i := range signal {
 			signal[i] += stddev * gauss.Table[w&mask]
 			w >>= gauss.Bits

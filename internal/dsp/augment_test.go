@@ -190,7 +190,7 @@ func TestAddNoiseMatchesBlockCutStream(t *testing.T) {
 			var w uint64
 			for i := range run {
 				if i%gauss.PerWord == 0 {
-					w = st.Next()
+					w, st = st.Next()
 				}
 				run[i] += 0.3 * gauss.Table[w>>(i%gauss.PerWord*gauss.Bits)&(gauss.Levels-1)]
 			}

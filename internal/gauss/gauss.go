@@ -40,14 +40,16 @@ type Stream struct{ x uint64 }
 // NewStream seeds a stream with one Uint64 drawn from rng.
 func NewStream(rng *rand.Rand) Stream { return Stream{x: rng.Uint64()} }
 
-// Next returns the next word of the stream: its PerWord Bits-wide
-// fields, low bits first, are the next PerWord indices, and its top
-// four bits are unused. A kernel that needs fewer than PerWord indices
-// from its last word uses the low fields and drops the rest.
-func (s *Stream) Next() uint64 {
+// Next returns the next word of the stream and the stream advanced
+// past it: the word's PerWord Bits-wide fields, low bits first, are the
+// next PerWord indices, and its top four bits are unused. A kernel that
+// needs fewer than PerWord indices from its last word uses the low
+// fields and drops the rest. Taking and returning the stream by value
+// lets a kernel loop (w, st = st.Next()) keep the state in a register.
+func (s Stream) Next() (uint64, Stream) {
 	s.x += 0x9e3779b97f4a7c15
 	z := s.x
 	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
 	z = (z ^ z>>27) * 0x94d049bb133111eb
-	return z ^ z>>31
+	return z ^ z>>31, s
 }

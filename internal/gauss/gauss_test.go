@@ -55,7 +55,8 @@ func TestStream(t *testing.T) {
 	recorded := []int{432, 1381, 1139, 3251, 3332, 3906, 1148, 1542, 696, 2558, 3304, 3903}
 	var got []int
 	for len(got) < len(recorded) {
-		w := s.Next()
+		var w uint64
+		w, s = s.Next()
 		for k := 0; k < PerWord && len(got) < len(recorded); k++ {
 			got = append(got, int(w>>(k*Bits)&(Levels-1)))
 		}
@@ -67,7 +68,8 @@ func TestStream(t *testing.T) {
 	const words = 1000 * 64
 	var hist [Levels]int
 	for range words {
-		w := s.Next()
+		var w uint64
+		w, s = s.Next()
 		for k := 0; k < PerWord; k++ {
 			hist[w>>(k*Bits)&(Levels-1)]++
 		}

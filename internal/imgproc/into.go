@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"trainbox/internal/gauss"
 )
@@ -359,13 +360,14 @@ func GaussianNoiseInto(dst *Image, im *Image, stddev float64, rng *rand.Rand) {
 		copy(dst.Pix, src)
 		return
 	}
-	off, sat := noiseOffsets(stddev), &saturate
+	off, sat := noiseOffsets.get(stddev), &saturate
 	_, _ = off[0], sat[0] // one nil check each, ahead of the loop
 	st := gauss.NewStream(rng)
 	out := dst.Pix[:len(src)]
 	const mask = gauss.Levels - 1
 	for len(src) >= gauss.PerWord {
-		w := st.Next()
+		var w uint64
+		w, st = st.Next()
 		in, o := src[:gauss.PerWord:gauss.PerWord], out[:gauss.PerWord:gauss.PerWord]
 		o[0] = sat[(uint(in[0])+uint(off[w&mask]))&1023]
 		o[1] = sat[(uint(in[1])+uint(off[w>>gauss.Bits&mask]))&1023]
@@ -375,7 +377,7 @@ func GaussianNoiseInto(dst *Image, im *Image, stddev float64, rng *rand.Rand) {
 		src, out = src[gauss.PerWord:], out[gauss.PerWord:]
 	}
 	if len(src) > 0 {
-		w := st.Next()
+		w, _ := st.Next()
 		for i, v := range src {
 			out[i] = sat[(uint(v)+uint(off[w&mask]))&1023]
 			w >>= gauss.Bits
@@ -394,35 +396,70 @@ var saturate = func() (t [1024]uint8) {
 	return t
 }()
 
-var (
-	offsetsMu sync.Mutex
-	offsets   = map[float64]*[gauss.Levels]uint16{}
-)
+// tableCache memoizes read-only kernel tables by key: a table is built
+// on the first call with its key and shared after. The steady state —
+// the key of the previous call again — is one atomic load, with no
+// lock and no allocation.
+type tableCache[K comparable, T any] struct {
+	build func(K) *T
+	last  atomic.Pointer[keyedTable[K, T]]
+	mu    sync.Mutex
+	all   map[K]*keyedTable[K, T]
+}
 
-// noiseOffsets returns 256 + floor(σ·q) for every quantile q of
-// gauss.Table, with floor(σ·q) clamped to ±256, past which any 8-bit
-// value saturates. A table is built on the first call with its σ and
-// shared read-only after.
-func noiseOffsets(sigma float64) *[gauss.Levels]uint16 {
-	offsetsMu.Lock()
-	defer offsetsMu.Unlock()
-	t := offsets[sigma]
-	if t == nil {
-		t = new([gauss.Levels]uint16)
-		for i, q := range gauss.Table {
-			t[i] = uint16(256 + min(max(math.Floor(sigma*q), -256), 256))
+type keyedTable[K comparable, T any] struct {
+	key   K
+	table *T
+}
+
+func (c *tableCache[K, T]) get(key K) *T {
+	if e := c.last.Load(); e != nil && e.key == key {
+		return e.table
+	}
+	c.mu.Lock()
+	e := c.all[key]
+	if e == nil {
+		if c.all == nil {
+			c.all = map[K]*keyedTable[K, T]{}
 		}
-		offsets[sigma] = t
+		e = &keyedTable[K, T]{key, c.build(key)}
+		c.all[key] = e
+	}
+	c.mu.Unlock()
+	c.last.Store(e)
+	return e.table
+}
+
+// noiseOffsets holds GaussianNoiseInto's tables, keyed by σ > 0: entry
+// i is 256 + floor(σ·q) for quantile q = gauss.Table[i], with
+// floor(σ·q) clamped to ±256, past which any 8-bit value saturates.
+var noiseOffsets = tableCache[float64, [gauss.Levels]uint16]{build: func(sigma float64) *[gauss.Levels]uint16 {
+	t := new([gauss.Levels]uint16)
+	for i, q := range gauss.Table {
+		t[i] = uint16(256 + min(max(math.Floor(sigma*q), -256), 256))
 	}
 	return t
-}
+}}
+
+// castTables holds ToTensorInto's tables, keyed by the bits of
+// mean[0..2] then std[0..2]: lut[c][v] = (v/255 − mean[c]) / std[c].
+var castTables = tableCache[[6]uint64, [3][256]float32]{build: func(key [6]uint64) *[3][256]float32 {
+	lut := new([3][256]float32)
+	for c := range lut {
+		mean, std := math.Float64frombits(key[c]), math.Float64frombits(key[3+c])
+		for v := range lut[c] {
+			lut[c][v] = float32((float64(v)/255 - mean) / std)
+		}
+	}
+	return lut
+}}
 
 // ToTensorInto casts the image to a float32 CHW tensor in dst, reusing
 // dst's Data capacity — the "Cast" engine of Table II — normalizing
 // each channel as (v/255 − mean[c]) / std[c]. Each output is a function
-// of (channel, byte value) only, so the kernel computes that formula
-// once per entry of a [3][256] table and writes the three planes in one
-// pass over the pixels. Nil mean/std default to 0 and 1 (plain [0,1]
+// of (channel, byte value) only, so the kernel reads that formula from
+// a [3][256] table, built once per (mean, std), and writes the three
+// planes in one pass over the pixels. Nil mean/std default to 0 and 1 (plain [0,1]
 // scaling). A std that is not positive and finite, or a mean that is
 // not finite, is an error: it would turn a whole channel into NaN or
 // ±Inf.
@@ -444,12 +481,11 @@ func ToTensorInto(dst *Tensor, im *Image, mean, std []float64) error {
 			return fmt.Errorf("imgproc: mean[%d] = %v must be finite", c, mean[c])
 		}
 	}
-	var lut [3][256]float32
-	for c := range lut {
-		for v := range lut[c] {
-			lut[c][v] = float32((float64(v)/255 - mean[c]) / std[c])
-		}
+	var key [6]uint64
+	for c := range 3 {
+		key[c], key[3+c] = math.Float64bits(mean[c]), math.Float64bits(std[c])
 	}
+	lut := castTables.get(key)
 	dst.Reset(3, im.H, im.W)
 	plane := im.H * im.W
 	r := dst.Data[:plane]

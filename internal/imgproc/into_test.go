@@ -10,6 +10,8 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"trainbox/internal/gauss"
@@ -219,14 +221,17 @@ func randomImage(w, h int, seed int64) *Image {
 // TestToTensorIntoMatchesFormula compares the lookup-table cast with
 // the per-byte float formula it replaced, cell by cell and bit for bit.
 func TestToTensorIntoMatchesFormula(t *testing.T) {
-	for _, tc := range []struct {
+	cases := []struct {
 		w, h      int
 		mean, std []float64
 	}{
 		{37, 19, ImagenetMean, ImagenetStd},
 		{1, 5, nil, nil},
 		{8, 3, []float64{0.1, -0.3, 2}, []float64{0.7, 3, 1e-3}},
-	} {
+	}
+	// Twice over: the second pass reads cached tables, none of them the
+	// one the previous call used.
+	for _, tc := range append(cases, cases...) {
 		im := randomImage(tc.w, tc.h, int64(tc.w))
 		var ten Tensor
 		if err := ToTensorInto(&ten, im, tc.mean, tc.std); err != nil {
@@ -246,6 +251,37 @@ func TestToTensorIntoMatchesFormula(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTableCacheBuildsEachKeyOnce: goroutines asking for interleaved
+// keys each get the one table built for their key, and each key is
+// built once, whether the call hits the last-used table or the map.
+func TestTableCacheBuildsEachKeyOnce(t *testing.T) {
+	var builds atomic.Int32
+	c := tableCache[int, int]{build: func(k int) *int {
+		builds.Add(1)
+		v := 10 * k
+		return &v
+	}}
+	tables := [3]*int{c.get(0), c.get(1), c.get(2)}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 300 {
+				k := (g + i/(g+1)) % 3
+				if got := c.get(k); got != tables[k] || *got != 10*k {
+					t.Errorf("get(%d) = %p (%d), want the table %p built for it", k, got, *got, tables[k])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := builds.Load(); n != 3 {
+		t.Errorf("%d builds for 3 keys", n)
 	}
 }
 
@@ -347,7 +383,7 @@ func noiseByBlocks(dst, src []uint8, sigma float64, rng *rand.Rand) {
 		for i := lo; i < min(lo+block, len(src)); i++ {
 			k := (i - lo) % gauss.PerWord
 			if k == 0 {
-				w = st.Next()
+				w, st = st.Next()
 			}
 			q := gauss.Table[w>>(k*gauss.Bits)&(gauss.Levels-1)]
 			dst[i] = uint8(min(max(float64(src[i])+math.Floor(sigma*q), 0), 255))
