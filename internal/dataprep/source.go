@@ -50,6 +50,7 @@ var seedPowers = func() (p [rngLen][3]uint64) {
 // The sequence is rand.NewSource(seed)'s bit for bit, including
 // Uint64, which rand.Rand uses for a Source64 instead of two Int63
 // draws. FuzzSeededSourceMatchesStdlib checks it against the stdlib.
+// The zero value is not seeded: call Seed before the first draw.
 type seededSource struct {
 	seed  uint64 // the reduced seed, in [1, 2³¹−2]
 	drawn int    // draws since Seed, counted up to rngTap

@@ -399,7 +399,8 @@ var saturate = func() (t [1024]uint8) {
 // tableCache memoizes read-only kernel tables by key: a table is built
 // on the first call with its key and shared after. The steady state —
 // the key of the previous call again — is one atomic load, with no
-// lock and no allocation.
+// lock and no allocation. Tables are never evicted, so keys must come
+// from a process's few preparation configs, not from per-sample data.
 type tableCache[K comparable, T any] struct {
 	build func(K) *T
 	last  atomic.Pointer[keyedTable[K, T]]
@@ -459,10 +460,10 @@ var castTables = tableCache[[6]uint64, [3][256]float32]{build: func(key [6]uint6
 // each channel as (v/255 − mean[c]) / std[c]. Each output is a function
 // of (channel, byte value) only, so the kernel reads that formula from
 // a [3][256] table, built once per (mean, std), and writes the three
-// planes in one pass over the pixels. Nil mean/std default to 0 and 1 (plain [0,1]
-// scaling). A std that is not positive and finite, or a mean that is
-// not finite, is an error: it would turn a whole channel into NaN or
-// ±Inf.
+// planes in one pass over the pixels. Nil mean/std default to 0 and 1
+// (plain [0,1] scaling). A std that is not positive and finite, or a
+// mean that is not finite, is an error: it would turn a whole channel
+// into NaN or ±Inf.
 func ToTensorInto(dst *Tensor, im *Image, mean, std []float64) error {
 	if mean == nil {
 		mean = []float64{0, 0, 0}
